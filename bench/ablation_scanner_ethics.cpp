@@ -127,7 +127,7 @@ int main() {
        fmt_double(polite.avg_duration / std::max(rude.avg_duration, 1e-9), 1) + "x",
        polite.avg_duration / std::max(rude.avg_duration, 1e-9) > 5},
   };
-  std::fputs(render_comparison("Scanner ethics (§A.2) vs paper", rows).c_str(), stdout);
+  int status = bench::print_comparison("Scanner ethics (§A.2) vs paper", rows);
 
   // ---- campaign scheduling ablation: lock-step vs interleaved scan window.
   obs::logf(obs::LogLevel::info, "[bench] measuring the interleaved scan window (fresh campaign)...");
@@ -155,6 +155,6 @@ int main() {
        fmt_double(lock_step_hours / std::max(interleaved_hours, 1e-9), 0) + "x",
        lock_step_hours > 20 * interleaved_hours},
   };
-  std::fputs(render_comparison("Scan window (§A.2) vs paper", window_rows).c_str(), stdout);
-  return 0;
+  status |= bench::print_comparison("Scan window (§A.2) vs paper", window_rows);
+  return status;
 }

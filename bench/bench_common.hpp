@@ -14,6 +14,7 @@
 #include <cstdlib>
 
 #include "analysis/analysis.hpp"
+#include "report/report.hpp"
 #include "scanner/snapshot_io.hpp"
 #include "study/study.hpp"
 #include "util/date.hpp"
@@ -58,6 +59,17 @@ inline std::string ensure_snapshot_cache() {
 /// One streaming pass over the recorded dataset -> every figure/table.
 inline StudyAnalysis run_analysis(AnalysisOptions options = {.threads = 0}) {
   return analyze_file(ensure_snapshot_cache(), kStudySeed, options);
+}
+
+/// Prints one "vs paper" block and returns main's exit status: 0 when
+/// every row reproduced, 1 on any deviation, so a wrong figure fails the
+/// process (and CI) instead of printing [DEVIATIONS PRESENT] and exiting 0.
+inline int print_comparison(const std::string& title, const std::vector<ComparisonRow>& rows) {
+  std::fputs(render_comparison(title, rows).c_str(), stdout);
+  for (const ComparisonRow& row : rows) {
+    if (!row.matches) return 1;
+  }
+  return 0;
 }
 
 }  // namespace opcua_study::bench

@@ -59,6 +59,5 @@ int main() {
       compare_num("Wago devices (last)", 78, last.by_manufacturer.at("Wago"), 0),
       compare_num("first measurement servers", 1040, first.servers, 0),
   };
-  std::fputs(render_comparison("Figure 2 vs paper", rows).c_str(), stdout);
-  return 0;
+  return bench::print_comparison("Figure 2 vs paper", rows);
 }

@@ -60,6 +60,5 @@ int main() {
       compare_num("S2 as most secure", 556, stats.policy_most[SP::Basic256Sha256], 0),
       compare_num("S3 as most secure", 8, stats.policy_most[SP::Aes256Sha256RsaPss], 0),
   };
-  std::fputs(render_comparison("Figure 3 vs paper", rows).c_str(), stdout);
-  return 0;
+  return bench::print_comparison("Figure 3 vs paper", rows);
 }

@@ -48,8 +48,8 @@ int main() {
       compare_num("weaker in practice than strongest policy (591 = 70% of 844)", 591,
                   stats.weaker_than_max, 0),
   };
-  std::fputs(render_comparison("Figure 4 vs paper", rows).c_str(), stdout);
+  const int status = bench::print_comparison("Figure 4 vs paper", rows);
   std::puts("(paper's figure annotates exactly these four bars; MD5 segments on the D1/D2");
   std::puts(" bars correspond to the unannotated MD5 legend entries — see EXPERIMENTS.md)");
-  return 0;
+  return status;
 }

@@ -35,9 +35,9 @@ int main() {
       compare_num("3rd cluster AS spread", 5, static_cast<double>(stats.clusters[2].ases.size()),
                   0),
   };
-  std::fputs(render_comparison("Figure 5 vs paper", rows).c_str(), stdout);
+  const int status = bench::print_comparison("Figure 5 vs paper", rows);
   std::printf("\ndistinct certificates in this measurement: %d (see EXPERIMENTS.md for the\n"
               "interpretation of the paper's x-axis extent)\n",
               stats.distinct_certificates);
-  return 0;
+  return status;
 }

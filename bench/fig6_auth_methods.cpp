@@ -44,6 +44,5 @@ int main() {
       compare_num("anonymous despite forced security (71)", 71, stats.anonymous_secure_only, 0),
       compare_num("publicly accessible", 493, stats.accessible, 0),
   };
-  std::fputs(render_comparison("Figure 6 vs paper", rows).c_str(), stdout);
-  return 0;
+  return bench::print_comparison("Figure 6 vs paper", rows);
 }

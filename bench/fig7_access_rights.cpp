@@ -44,6 +44,5 @@ int main() {
       {"hosts able to execute > 86% of functions", "61%", fmt_pct(exec86),
        std::abs(exec86 - 0.61) < 0.025},
   };
-  std::fputs(render_comparison("Figure 7 vs paper", rows).c_str(), stdout);
-  return 0;
+  return bench::print_comparison("Figure 7 vs paper", rows);
 }

@@ -76,6 +76,5 @@ int main() {
       compare_num("deficient total", 1025, stats.deficient_total, 0),
       {"deficient share", "92%", fmt_pct(pct), std::abs(pct - 0.92) < 0.005},
   };
-  std::fputs(render_comparison("Figure 8 / headline vs paper", rows).c_str(), stdout);
-  return 0;
+  return bench::print_comparison("Figure 8 / headline vs paper", rows);
 }

@@ -41,6 +41,5 @@ int main() {
                   static_cast<double>(stats.moduli_with_shared_prime), 0),
       compare_num("positive control detections", 8, static_cast<double>(control.affected()), 0),
   };
-  std::fputs(render_comparison("Section 5.3 vs paper", rows).c_str(), stdout);
-  return 0;
+  return bench::print_comparison("Section 5.3 vs paper", rows);
 }

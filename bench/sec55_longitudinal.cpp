@@ -63,6 +63,5 @@ int main() {
       compare_num("reused-cert devices last measurement", 400, reuse_last, 0),
       compare_num("reuse growth in final week (+3)", 3, reuse_last - reuse_prev, 0),
   };
-  std::fputs(render_comparison("Section 5.5 vs paper", rows).c_str(), stdout);
-  return 0;
+  return bench::print_comparison("Section 5.5 vs paper", rows);
 }

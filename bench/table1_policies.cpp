@@ -3,6 +3,7 @@
 // secure-channel crypto and all conformance classification).
 #include <cstdio>
 
+#include "bench_common.hpp"
 #include "opcua/secpolicy.hpp"
 #include "report/report.hpp"
 
@@ -44,6 +45,5 @@ int main() {
       compare_num("S2 min key bits", 2048,
                   static_cast<double>(policy_info(SecurityPolicy::Basic256Sha256).min_key_bits), 0),
   };
-  std::fputs(render_comparison("Table 1 vs paper", rows).c_str(), stdout);
-  return 0;
+  return bench::print_comparison("Table 1 vs paper", rows);
 }

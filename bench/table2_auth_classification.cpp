@@ -56,8 +56,8 @@ int main() {
       compare_num("anon+cred unclassified", 134, anon_cred ? anon_cred->unclassified : -1, 0),
       compare_num("cred+cert+token sc-rejects", 43, cct ? cct->channel_rejected : -1, 0),
   };
-  std::fputs(render_comparison("Table 2 vs paper", rows).c_str(), stdout);
+  const int status = bench::print_comparison("Table 2 vs paper", rows);
   std::puts("(the paper's printed row 'credentials-only: 464' is inconsistent with its own");
   std::puts(" column totals 541/1114; we reproduce the reconciled 467 — see EXPERIMENTS.md)");
-  return 0;
+  return status;
 }

@@ -4,11 +4,13 @@
 // The assess/ layer holds the reference per-snapshot implementations (one
 // function per figure, whole snapshot in RAM). This library computes the
 // same statistics — bit-identical, the tests assert it — from a chunked
-// record stream in bounded memory: chunk partials are aggregated by
-// thread-pool workers and merged in chunk-index order, so the result is
-// independent of thread count and scheduling. That is what lets one
-// Aggregator serve the 1k-host paper reproduction and a million-host
-// follow-up campaign alike (cf. Dahlmanns et al., PAM 2022).
+// stream in bounded memory: chunk partials are aggregated by thread-pool
+// workers and merged in chunk-index order, so the result is independent
+// of thread count and scheduling. That is what lets one Aggregator serve
+// the 1k-host paper reproduction and a million-host follow-up campaign
+// alike (cf. Dahlmanns et al., PAM 2022). Every pass reads v6 columns:
+// a v6 file serves its mapped chunks as they are, every other source is
+// transposed chunk by chunk (RecordSource::visit_columns).
 //
 // Pass structure:
 //   pass 1  census of the final measurement's certificates (reuse
@@ -94,11 +96,40 @@ struct StudyAnalysis {
   bool figures_equal(const StudyAnalysis& other) const;
 };
 
-/// A source of record chunks the Aggregator can drain. Chunk index order
+/// §5.2 deficiency rules (the Fig. 8 deficits that make a host
+/// deficient), one bit each; a host is deficient when any bit is set.
+/// assess/is_deficient is the independent record-based reference.
+namespace deficiency {
+inline constexpr std::uint8_t kNoSecurity = 1u << 0;        // strongest policy is None
+inline constexpr std::uint8_t kDeprecatedPolicy = 1u << 1;  // strongest policy deprecated
+inline constexpr std::uint8_t kWeakCertificate = 1u << 2;   // primary cert too weak for it
+inline constexpr std::uint8_t kAnonymousAccess = 1u << 3;   // anonymous token offered
+}  // namespace deficiency
+
+/// Strength of a parsed certificate — what the §5.2 classifier needs of a
+/// host's primary certificate (the first distinct one that parses).
+struct CertStrength {
+  bool parsed = false;
+  HashAlgorithm hash = HashAlgorithm::sha1;
+  std::size_t key_bits = 0;
+};
+
+/// Strongest policy in a v6 policy mask (table rank order is enum order,
+/// so the highest set bit wins); None for an empty mask.
+SecurityPolicy strongest_policy_in(std::uint8_t policy_mask);
+
+/// The §5.2 classifier: rule bits for a host advertising `policy_mask`,
+/// whose primary certificate is `primary` (nullptr when none parses).
+std::uint8_t classify_deficiencies(std::uint8_t policy_mask, const CertStrength* primary,
+                                   bool anonymous_offered);
+
+/// A source of record chunks the analysis passes drain. Chunk index order
 /// defines the canonical record order (ascending week, then record order
-/// within the week); visit_chunk must be const-thread-safe.
+/// within the week); both visits must be const-thread-safe.
 class RecordSource {
  public:
+  using ColumnVisitor = std::function<void(const ColumnView&, const CertDictionary&)>;
+
   virtual ~RecordSource() = default;
   virtual std::size_t week_count() const = 0;
   virtual SnapshotMeta week_meta(std::size_t week) const = 0;
@@ -106,11 +137,74 @@ class RecordSource {
   virtual std::size_t chunk_week(std::size_t chunk) const = 0;
   virtual void visit_chunk(std::size_t chunk,
                            const std::function<void(const HostScanRecord&)>& fn) const = 0;
-  /// Non-null when chunk indices can also be served as zero-copy v6
-  /// ColumnViews (reader.column_view(chunk)). Consumers that have a
-  /// columnar fast path use it; everyone else keeps calling visit_chunk.
-  virtual const SnapshotReader* columnar_reader() const { return nullptr; }
+  /// One chunk as v6 columns plus the dictionary its cert ids index — the
+  /// only input of the census, figure and posture passes. The default
+  /// transposes visit_chunk's records through a ColumnEncoder with a
+  /// chunk-scoped dictionary; records the v6 format cannot hold throw the
+  /// SnapshotError their write would.
+  virtual void visit_columns(std::size_t chunk, const ColumnVisitor& fn) const;
+  /// The dictionary every chunk's ids index when the source has one
+  /// file-wide, so per-certificate facts are computed once per file;
+  /// nullptr when each visit hands out its own.
+  virtual const CertDictionary* shared_dictionary() const { return nullptr; }
 };
+
+/// Per-certificate facts by dictionary id, for the dictionaries a column
+/// visit hands out: a source's shared dictionary is digested once up
+/// front, a chunk-scoped one on every visit.
+template <typename Facts>
+class CertFactTable {
+ public:
+  using Digest = std::function<Facts(std::span<const std::uint8_t> der, std::uint64_t fp64)>;
+
+  CertFactTable(const RecordSource& source, Digest digest)
+      : shared_(source.shared_dictionary()), digest_(std::move(digest)) {
+    if (shared_ != nullptr) shared_facts_ = build(*shared_);
+  }
+
+  /// Facts of `dict`; `scratch` holds them when `dict` is chunk-scoped.
+  const std::vector<Facts>& of(const CertDictionary& dict, std::vector<Facts>& scratch) const {
+    if (&dict == shared_) return shared_facts_;
+    scratch = build(dict);
+    return scratch;
+  }
+
+ private:
+  std::vector<Facts> build(const CertDictionary& dict) const {
+    std::vector<Facts> facts;
+    facts.reserve(dict.cert_count());
+    for (std::uint32_t id = 0; id < dict.cert_count(); ++id) {
+      facts.push_back(digest_(dict.cert_der(id), dict.cert_fp64(id)));
+    }
+    return facts;
+  }
+
+  const CertDictionary* shared_;
+  Digest digest_;
+  std::vector<Facts> shared_facts_;
+};
+
+/// facts[id]; a cert id past the dictionary is a DecodeError.
+template <typename Facts>
+const Facts& fact_at(const std::vector<Facts>& facts, std::uint32_t id) {
+  if (id >= facts.size()) {
+    throw DecodeError("certificate id " + std::to_string(id) + " out of dictionary range (" +
+                      std::to_string(facts.size()) + " entries)");
+  }
+  return facts[id];
+}
+
+/// The primary certificate among a record's head ids: the first that
+/// parses, as assess/primary_certificate picks it (head ids are the
+/// distinct certificates in first-seen endpoint order).
+template <typename Facts>
+const Facts* primary_cert(const std::vector<std::uint32_t>& ids,
+                          const std::vector<Facts>& facts) {
+  for (const std::uint32_t id : ids) {
+    if (fact_at(facts, id).parsed) return &facts[id];
+  }
+  return nullptr;
+}
 
 /// Adapters.
 class ReaderRecordSource final : public RecordSource {
@@ -124,7 +218,10 @@ class ReaderRecordSource final : public RecordSource {
   }
   void visit_chunk(std::size_t chunk,
                    const std::function<void(const HostScanRecord&)>& fn) const override;
-  const SnapshotReader* columnar_reader() const override {
+  /// Zero-copy mapped columns and the file dictionary when the reader is
+  /// columnar(); the transposing default otherwise.
+  void visit_columns(std::size_t chunk, const ColumnVisitor& fn) const override;
+  const CertDictionary* shared_dictionary() const override {
     return reader_.columnar() ? &reader_ : nullptr;
   }
 

@@ -69,9 +69,9 @@ bool x509_verify(const Certificate& cert, const RsaPublicKey& issuer_key);
 Bytes x509_thumbprint(std::span<const std::uint8_t> der_bytes);
 
 /// 64-bit certificate fingerprint: the first 8 thumbprint bytes folded
-/// big-endian. Collision-free in practice at study scale; the shared key
-/// for posture matching, distinct_cert_fingerprints() and the v6 snapshot
-/// certificate dictionary.
+/// big-endian. Collision-free in practice at study scale; the key of the
+/// v6 certificate dictionary, whose stored fp64s are what posture
+/// matching compares.
 std::uint64_t certificate_fingerprint64(std::span<const std::uint8_t> der_bytes);
 
 }  // namespace opcua_study

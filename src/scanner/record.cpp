@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "crypto/x509.hpp"
-
 namespace opcua_study {
 
 std::string protocol_name(ProtocolId id) {
@@ -50,13 +48,6 @@ std::vector<Bytes> HostScanRecord::distinct_certificates() const {
       out.push_back(ep.certificate_der);
     }
   }
-  return out;
-}
-
-std::vector<std::uint64_t> HostScanRecord::distinct_cert_fingerprints() const {
-  std::vector<std::uint64_t> out;
-  for_each_distinct_certificate(
-      [&](std::span<const std::uint8_t> der) { out.push_back(certificate_fingerprint64(der)); });
   return out;
 }
 

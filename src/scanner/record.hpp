@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -135,24 +134,6 @@ struct HostScanRecord {
   std::vector<UserTokenType> advertised_token_types() const;
   /// Distinct certificates across endpoints.
   std::vector<Bytes> distinct_certificates() const;
-  /// 64-bit fingerprints (certificate_fingerprint64) of the distinct
-  /// certificates, in the same first-seen endpoint order, without copying
-  /// any DER. The cheap form for posture matching and census passes.
-  std::vector<std::uint64_t> distinct_cert_fingerprints() const;
-  /// Visit each distinct certificate's DER exactly once (first-seen
-  /// endpoint order) without copying — fn(span) per distinct blob.
-  template <typename Fn>
-  void for_each_distinct_certificate(Fn&& fn) const {
-    for (std::size_t i = 0; i < endpoints.size(); ++i) {
-      const Bytes& der = endpoints[i].certificate_der;
-      if (der.empty()) continue;
-      bool seen = false;
-      for (std::size_t j = 0; j < i && !seen; ++j) {
-        seen = endpoints[j].certificate_der == der;
-      }
-      if (!seen) fn(std::span<const std::uint8_t>(der));
-    }
-  }
 
   /// Full-record equality — the engine-equivalence tests assert that a
   /// concurrent campaign reproduces the sequential one field by field.

@@ -610,41 +610,240 @@ void VarRecordCursor::visit_nodes(
   stage_ = kNodes + 1;
 }
 
-// ------------------------------------------------------------- writer ----
+// ------------------------------------------------------ column access ----
 
-/// v6 per-chunk column accumulators plus the growing var column. One set
-/// per open chunk; cleared on flush. Dictionary state lives on the writer
-/// (file scope), not here.
-struct SnapshotWriter::ColumnBuffers {
-  std::vector<std::uint64_t> bytes_sent, uri_hash;
-  std::vector<double> duration;
-  std::vector<std::uint32_t> ip, asn, var_ends;
-  std::vector<std::uint16_t> port;
-  std::vector<std::uint8_t> application_type, channel, channel_policy, channel_mode, session,
-      flags, mode_mask, policy_mask, token_mask;
-  UaWriter var;
-  std::vector<std::uint32_t> head_scratch;
-
-  void clear() {
-    bytes_sent.clear();
-    uri_hash.clear();
-    duration.clear();
-    ip.clear();
-    asn.clear();
-    var_ends.clear();
-    port.clear();
-    application_type.clear();
-    channel.clear();
-    channel_policy.clear();
-    channel_mode.clear();
-    session.clear();
-    flags.clear();
-    mode_mask.clear();
-    policy_mask.clear();
-    token_mask.clear();
-    var = UaWriter();
+ProtocolId ColumnView::protocol(std::size_t i) const {
+  if (!(flags[i] & snapshot_flags::kProtocol)) return ProtocolId::opcua;
+  const std::uint32_t end = var_offsets[i + 1];
+  if (end == var_offsets[i]) throw DecodeError("var record too short for its protocol tail");
+  const std::uint8_t code = var_blob[end - 1];
+  if (code == 0) {
+    throw DecodeError(
+        "snapshot record: zero protocol tail byte (non-canonical; OPC UA records carry no "
+        "protocol tail)");
   }
-};
+  if (code >= kProtocolCount) {
+    throw DecodeError("snapshot record: invalid protocol value " + std::to_string(code));
+  }
+  return static_cast<ProtocolId>(code);
+}
+
+ColumnView::Quality ColumnView::quality(std::size_t i) const {
+  Quality q;
+  if (!(flags[i] & snapshot_flags::kScanQuality)) return q;
+  // Tails sit at the end of the var slice: [quality 5B][protocol 1B].
+  const std::uint32_t tails = (flags[i] & snapshot_flags::kProtocol) ? 6 : 5;
+  if (var_offsets[i + 1] - var_offsets[i] < tails) {
+    throw DecodeError("var record too short for its scan-quality tail");
+  }
+  const std::uint8_t* t = var_blob.data() + var_offsets[i + 1] - tails;
+  q.completeness = t[0];
+  q.retries = le16(t + 1);
+  q.fault_events = le16(t + 3);
+  return q;
+}
+
+// ------------------------------------------------------ column encoder ----
+
+std::uint32_t ColumnEncoder::intern(const Bytes& der) {
+  const std::uint64_t fp = certificate_fingerprint64(der);
+  std::vector<std::uint32_t>& ids = index_[fp];
+  for (const std::uint32_t id : ids) {
+    if (ders_[id] == der) return id;
+  }
+  if (ders_.size() >= kNoCertId) throw SnapshotError("certificate dictionary overflow");
+  const std::uint32_t id = static_cast<std::uint32_t>(ders_.size());
+  ders_.push_back(der);
+  fps_.push_back(fp);
+  ids.push_back(id);
+  return id;
+}
+
+std::span<const std::uint8_t> ColumnEncoder::cert_der(std::uint32_t cert_id) const {
+  if (cert_id >= ders_.size()) {
+    throw SnapshotError("certificate id " + std::to_string(cert_id) +
+                        " out of dictionary range (" + std::to_string(ders_.size()) +
+                        " entries)");
+  }
+  return ders_[cert_id];
+}
+
+std::uint64_t ColumnEncoder::cert_fp64(std::uint32_t cert_id) const { return fps_.at(cert_id); }
+
+void ColumnEncoder::add(const HostScanRecord& host) {
+  ip_.push_back(host.ip);
+  port_.push_back(host.port);
+  asn_.push_back(host.asn);
+  bytes_sent_.push_back(host.bytes_sent);
+  duration_.push_back(host.duration_seconds);
+  uri_hash_.push_back(host.application_uri.empty() ? 0 : hash64(host.application_uri));
+  application_type_.push_back(static_cast<std::uint8_t>(host.application_type));
+  channel_.push_back(static_cast<std::uint8_t>(host.channel));
+  channel_policy_.push_back(static_cast<std::uint8_t>(host.channel_policy));
+  channel_mode_.push_back(static_cast<std::uint8_t>(host.channel_mode));
+  session_.push_back(static_cast<std::uint8_t>(host.session));
+  std::uint8_t flags = 0;
+  if (host.tcp_open) flags |= snapshot_flags::kTcpOpen;
+  if (host.speaks_opcua) flags |= snapshot_flags::kSpeaksOpcua;
+  if (host.found_via_reference) flags |= snapshot_flags::kFoundViaReference;
+  if (host.server_signature_valid) flags |= snapshot_flags::kServerSignatureValid;
+  if (host.anonymous_offered) flags |= snapshot_flags::kAnonymousOffered;
+  if (host.traversal_truncated) flags |= snapshot_flags::kTraversalTruncated;
+  const bool scan_quality = host.completeness != ProbeOutcome::complete ||
+                            host.retries != 0 || host.fault_events != 0;
+  if (scan_quality) flags |= snapshot_flags::kScanQuality;
+  const bool foreign_protocol = host.protocol != ProtocolId::opcua;
+  if (foreign_protocol) flags |= snapshot_flags::kProtocol;
+  flags_.push_back(flags);
+
+  // Per-endpoint pass: derived masks + dictionary interning. The head id
+  // list mirrors distinct_certificates(): distinct ids, first-seen
+  // endpoint order (interning dedups by DER content, so id identity is
+  // content identity).
+  std::uint8_t mode_mask = 0, policy_mask = 0, token_mask = 0;
+  std::vector<std::uint32_t>& head = head_scratch_;
+  std::vector<std::uint32_t>& ep_ids = ep_scratch_;
+  head.clear();
+  ep_ids.clear();
+  for (const EndpointObservation& ep : host.endpoints) {
+    mode_mask |= static_cast<std::uint8_t>(1u << static_cast<std::uint32_t>(ep.mode));
+    if (const auto policy = policy_from_uri(ep.policy_uri)) {
+      policy_mask |= static_cast<std::uint8_t>(1u << static_cast<std::uint32_t>(*policy));
+    }
+    for (const UserTokenType t : ep.token_types) {
+      token_mask |= static_cast<std::uint8_t>(1u << static_cast<std::uint32_t>(t));
+    }
+    std::uint32_t id = kNoCertId;
+    if (!ep.certificate_der.empty()) {
+      id = intern(ep.certificate_der);
+      if (std::find(head.begin(), head.end(), id) == head.end()) head.push_back(id);
+    }
+    ep_ids.push_back(id);
+  }
+  mode_mask_.push_back(mode_mask);
+  policy_mask_.push_back(policy_mask);
+  token_mask_.push_back(token_mask);
+
+  UaWriter& w = var_;
+  if (head.size() > 0xffff) {
+    throw SnapshotError("host advertises more than 65535 distinct certificates");
+  }
+  w.u16(static_cast<std::uint16_t>(head.size()));
+  for (const std::uint32_t id : head) w.u32(id);
+  w.string(host.application_uri);
+  w.string(host.product_uri);
+  w.string(host.application_name);
+  w.string(host.software_version);
+  w.u32(static_cast<std::uint32_t>(host.endpoints.size()));
+  for (std::size_t e = 0; e < host.endpoints.size(); ++e) {
+    const EndpointObservation& ep = host.endpoints[e];
+    w.string(ep.url);
+    w.byte(static_cast<std::uint8_t>(ep.mode));
+    // The policy code mirrors the read-side normalization: v5 readers
+    // re-derive (policy, policy_known) from the URI, so only the URI's
+    // identity is stored — canonically (one byte) when it names a table
+    // policy, verbatim behind the 255 escape otherwise.
+    if (const auto policy = policy_from_uri(ep.policy_uri)) {
+      w.byte(static_cast<std::uint8_t>(*policy));
+    } else {
+      w.byte(0xff);
+      w.string(ep.policy_uri);
+    }
+    if (ep.token_types.size() > 0xff) {
+      throw SnapshotError("endpoint advertises more than 255 token types");
+    }
+    w.byte(static_cast<std::uint8_t>(ep.token_types.size()));
+    for (const UserTokenType t : ep.token_types) w.byte(static_cast<std::uint8_t>(t));
+    w.u32(ep_ids[e]);
+  }
+  w.u32(static_cast<std::uint32_t>(host.referenced_targets.size()));
+  for (const auto& [ip, port] : host.referenced_targets) {
+    w.u32(ip);
+    w.u16(port);
+  }
+  w.string_array(host.namespaces);
+  w.u32(static_cast<std::uint32_t>(host.nodes.size()));
+  for (const NodeObservation& node : host.nodes) {
+    w.string(node.browse_name);
+    w.byte(static_cast<std::uint8_t>(node.node_class));
+    std::uint8_t access = 0;
+    if (node.readable) access |= 0x1;
+    if (node.writable) access |= 0x2;
+    if (node.executable) access |= 0x4;
+    w.byte(access);
+  }
+  if (scan_quality) {
+    w.byte(static_cast<std::uint8_t>(host.completeness));
+    w.u16(host.retries);
+    w.u16(host.fault_events);
+  }
+  // The protocol byte is always the last byte of the slice, so columnar
+  // consumers can peel it off without a cursor walk (nonzero by
+  // construction: protocol 0 never sets the flag).
+  if (foreign_protocol) w.byte(static_cast<std::uint8_t>(host.protocol));
+  if (w.bytes().size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw SnapshotError("chunk var column exceeds 4 GiB; lower chunk_records");
+  }
+  var_offsets_.push_back(static_cast<std::uint32_t>(w.bytes().size()));
+}
+
+ColumnView ColumnEncoder::view(std::uint32_t snapshot_ordinal) const {
+  ColumnView v;
+  v.snapshot_ordinal = snapshot_ordinal;
+  v.records = records();
+  v.bytes_sent = bytes_sent_;
+  v.uri_hash = uri_hash_;
+  v.duration_seconds = duration_;
+  v.ip = ip_;
+  v.asn = asn_;
+  v.var_offsets = var_offsets_;
+  v.port = port_;
+  v.application_type = application_type_;
+  v.channel = channel_;
+  v.channel_policy = channel_policy_;
+  v.channel_mode = channel_mode_;
+  v.session = session_;
+  v.flags = flags_;
+  v.mode_mask = mode_mask_;
+  v.policy_mask = policy_mask_;
+  v.token_mask = token_mask_;
+  v.var_blob = var_.bytes();
+  return v;
+}
+
+std::uint64_t ColumnEncoder::payload_bytes() const {
+  return 47ull * records() + 4 + var_.bytes().size();
+}
+
+void ColumnEncoder::write_payload(UaWriter& w) const {
+  for (const std::uint64_t v : bytes_sent_) w.u64(v);
+  for (const std::uint64_t v : uri_hash_) w.u64(v);
+  for (const double v : duration_) w.f64(v);
+  for (const std::uint32_t v : ip_) w.u32(v);
+  for (const std::uint32_t v : asn_) w.u32(v);
+  for (const std::uint32_t v : var_offsets_) w.u32(v);
+  for (const std::uint16_t v : port_) w.u16(v);
+  for (const auto* column : {&application_type_, &channel_, &channel_policy_, &channel_mode_,
+                             &session_, &flags_, &mode_mask_, &policy_mask_, &token_mask_}) {
+    w.base().raw(*column);
+  }
+  w.base().raw(var_.bytes());
+}
+
+void ColumnEncoder::clear_records() {
+  for (auto* column : {&bytes_sent_, &uri_hash_}) column->clear();
+  for (auto* column : {&ip_, &asn_, &var_offsets_}) column->clear();
+  for (auto* column : {&application_type_, &channel_, &channel_policy_, &channel_mode_,
+                       &session_, &flags_, &mode_mask_, &policy_mask_, &token_mask_}) {
+    column->clear();
+  }
+  duration_.clear();
+  port_.clear();
+  var_offsets_.push_back(0);
+  var_ = UaWriter();
+}
+
+// ------------------------------------------------------------- writer ----
 
 SnapshotWriter::SnapshotWriter(const std::string& path, std::uint64_t seed,
                                std::uint32_t chunk_records, std::uint32_t format_version)
@@ -656,7 +855,6 @@ SnapshotWriter::SnapshotWriter(const std::string& path, std::uint64_t seed,
     throw SnapshotError("unsupported snapshot write version " +
                         std::to_string(format_version_) + ": " + path);
   }
-  if (format_version_ == kVersionV6) cols_ = std::make_unique<ColumnBuffers>();
   // Write into a sibling temp file; finish() renames it over `path` so a
   // crash mid-campaign can never leave a half-written file at the final
   // name (same pattern as the key-cache flush).
@@ -698,144 +896,14 @@ void SnapshotWriter::begin_snapshot(int measurement_index, std::int64_t date_day
   in_snapshot_ = true;
 }
 
-std::uint32_t SnapshotWriter::intern_certificate(const Bytes& der) {
-  const std::uint64_t fp = certificate_fingerprint64(der);
-  std::vector<std::uint32_t>& ids = dict_index_[fp];
-  for (const std::uint32_t id : ids) {
-    if (dict_ders_[id] == der) return id;
-  }
-  if (dict_ders_.size() >= kNoCertId) {
-    throw SnapshotError("certificate dictionary overflow: " + path_);
-  }
-  const std::uint32_t id = static_cast<std::uint32_t>(dict_ders_.size());
-  dict_ders_.push_back(der);
-  dict_fps_.push_back(fp);
-  ids.push_back(id);
-  return id;
-}
-
-void SnapshotWriter::add_host_v6(const HostScanRecord& host) {
-  ColumnBuffers& c = *cols_;
-  c.ip.push_back(host.ip);
-  c.port.push_back(host.port);
-  c.asn.push_back(host.asn);
-  c.bytes_sent.push_back(host.bytes_sent);
-  c.duration.push_back(host.duration_seconds);
-  c.uri_hash.push_back(host.application_uri.empty() ? 0 : hash64(host.application_uri));
-  c.application_type.push_back(static_cast<std::uint8_t>(host.application_type));
-  c.channel.push_back(static_cast<std::uint8_t>(host.channel));
-  c.channel_policy.push_back(static_cast<std::uint8_t>(host.channel_policy));
-  c.channel_mode.push_back(static_cast<std::uint8_t>(host.channel_mode));
-  c.session.push_back(static_cast<std::uint8_t>(host.session));
-  std::uint8_t flags = 0;
-  if (host.tcp_open) flags |= snapshot_flags::kTcpOpen;
-  if (host.speaks_opcua) flags |= snapshot_flags::kSpeaksOpcua;
-  if (host.found_via_reference) flags |= snapshot_flags::kFoundViaReference;
-  if (host.server_signature_valid) flags |= snapshot_flags::kServerSignatureValid;
-  if (host.anonymous_offered) flags |= snapshot_flags::kAnonymousOffered;
-  if (host.traversal_truncated) flags |= snapshot_flags::kTraversalTruncated;
-  const bool scan_quality = host.completeness != ProbeOutcome::complete ||
-                            host.retries != 0 || host.fault_events != 0;
-  if (scan_quality) flags |= snapshot_flags::kScanQuality;
-  const bool foreign_protocol = host.protocol != ProtocolId::opcua;
-  if (foreign_protocol) flags |= snapshot_flags::kProtocol;
-  c.flags.push_back(flags);
-
-  // Per-endpoint pass: derived masks + dictionary interning. The head id
-  // list mirrors distinct_certificates(): distinct ids, first-seen
-  // endpoint order (interning dedups by DER content, so id identity is
-  // content identity).
-  std::uint8_t mode_mask = 0, policy_mask = 0, token_mask = 0;
-  std::vector<std::uint32_t>& head = c.head_scratch;
-  head.clear();
-  std::vector<std::uint32_t> ep_ids;
-  ep_ids.reserve(host.endpoints.size());
-  for (const EndpointObservation& ep : host.endpoints) {
-    mode_mask |= static_cast<std::uint8_t>(1u << static_cast<std::uint32_t>(ep.mode));
-    if (const auto policy = policy_from_uri(ep.policy_uri)) {
-      policy_mask |= static_cast<std::uint8_t>(1u << static_cast<std::uint32_t>(*policy));
-    }
-    for (const UserTokenType t : ep.token_types) {
-      token_mask |= static_cast<std::uint8_t>(1u << static_cast<std::uint32_t>(t));
-    }
-    std::uint32_t id = kNoCertId;
-    if (!ep.certificate_der.empty()) {
-      id = intern_certificate(ep.certificate_der);
-      if (std::find(head.begin(), head.end(), id) == head.end()) head.push_back(id);
-    }
-    ep_ids.push_back(id);
-  }
-  c.mode_mask.push_back(mode_mask);
-  c.policy_mask.push_back(policy_mask);
-  c.token_mask.push_back(token_mask);
-
-  UaWriter& w = c.var;
-  if (head.size() > 0xffff) {
-    throw SnapshotError("host advertises more than 65535 distinct certificates: " + path_);
-  }
-  w.u16(static_cast<std::uint16_t>(head.size()));
-  for (const std::uint32_t id : head) w.u32(id);
-  w.string(host.application_uri);
-  w.string(host.product_uri);
-  w.string(host.application_name);
-  w.string(host.software_version);
-  w.u32(static_cast<std::uint32_t>(host.endpoints.size()));
-  for (std::size_t e = 0; e < host.endpoints.size(); ++e) {
-    const EndpointObservation& ep = host.endpoints[e];
-    w.string(ep.url);
-    w.byte(static_cast<std::uint8_t>(ep.mode));
-    // The policy code mirrors the read-side normalization: v5 readers
-    // re-derive (policy, policy_known) from the URI, so only the URI's
-    // identity is stored — canonically (one byte) when it names a table
-    // policy, verbatim behind the 255 escape otherwise.
-    if (const auto policy = policy_from_uri(ep.policy_uri)) {
-      w.byte(static_cast<std::uint8_t>(*policy));
-    } else {
-      w.byte(0xff);
-      w.string(ep.policy_uri);
-    }
-    if (ep.token_types.size() > 0xff) {
-      throw SnapshotError("endpoint advertises more than 255 token types: " + path_);
-    }
-    w.byte(static_cast<std::uint8_t>(ep.token_types.size()));
-    for (const UserTokenType t : ep.token_types) w.byte(static_cast<std::uint8_t>(t));
-    w.u32(ep_ids[e]);
-  }
-  w.u32(static_cast<std::uint32_t>(host.referenced_targets.size()));
-  for (const auto& [ip, port] : host.referenced_targets) {
-    w.u32(ip);
-    w.u16(port);
-  }
-  w.string_array(host.namespaces);
-  w.u32(static_cast<std::uint32_t>(host.nodes.size()));
-  for (const NodeObservation& node : host.nodes) {
-    w.string(node.browse_name);
-    w.byte(static_cast<std::uint8_t>(node.node_class));
-    std::uint8_t access = 0;
-    if (node.readable) access |= 0x1;
-    if (node.writable) access |= 0x2;
-    if (node.executable) access |= 0x4;
-    w.byte(access);
-  }
-  if (scan_quality) {
-    w.byte(static_cast<std::uint8_t>(host.completeness));
-    w.u16(host.retries);
-    w.u16(host.fault_events);
-  }
-  // The protocol byte is always the last byte of the slice, so columnar
-  // consumers can peel it off without a cursor walk (nonzero by
-  // construction: protocol 0 never sets the flag).
-  if (foreign_protocol) w.byte(static_cast<std::uint8_t>(host.protocol));
-  if (w.bytes().size() > std::numeric_limits<std::uint32_t>::max()) {
-    throw SnapshotError("chunk var column exceeds 4 GiB; lower chunk_records: " + path_);
-  }
-  c.var_ends.push_back(static_cast<std::uint32_t>(w.bytes().size()));
-}
-
 void SnapshotWriter::add_host(const HostScanRecord& host) {
   if (!in_snapshot_) throw SnapshotError("add_host outside begin/end_snapshot: " + path_);
   if (format_version_ == kVersionV6) {
-    add_host_v6(host);
+    try {
+      columns_.add(host);
+    } catch (const SnapshotError& e) {
+      throw SnapshotError(std::string(e.what()) + ": " + path_);
+    }
   } else {
     UaWriter w;
     write_host(w, host);
@@ -874,35 +942,16 @@ void SnapshotWriter::flush_chunk() {
 
   UaWriter w;
   if (format_version_ == kVersionV6) {
-    const ColumnBuffers& c = *cols_;
-    const std::size_t n = buffered_records_;
-    info.payload_bytes = 47ull * n + 4 + c.var.bytes().size();
+    info.payload_bytes = columns_.payload_bytes();
     w.u32(kChunkMagic);
     w.u32(info.snapshot_ordinal);
     w.u32(info.record_count);
     w.u32(0);  // reserved: keeps the header 24 bytes, i.e. 8-aligned
     w.u64(info.payload_bytes);
-    for (const std::uint64_t v : c.bytes_sent) w.u64(v);
-    for (const std::uint64_t v : c.uri_hash) w.u64(v);
-    for (const double v : c.duration) w.f64(v);
-    for (const std::uint32_t v : c.ip) w.u32(v);
-    for (const std::uint32_t v : c.asn) w.u32(v);
-    w.u32(0);
-    for (const std::uint32_t v : c.var_ends) w.u32(v);
-    for (const std::uint16_t v : c.port) w.u16(v);
-    w.base().raw(c.application_type);
-    w.base().raw(c.channel);
-    w.base().raw(c.channel_policy);
-    w.base().raw(c.channel_mode);
-    w.base().raw(c.session);
-    w.base().raw(c.flags);
-    w.base().raw(c.mode_mask);
-    w.base().raw(c.policy_mask);
-    w.base().raw(c.token_mask);
-    w.base().raw(c.var.bytes());
+    columns_.write_payload(w);
     const std::uint64_t pad = v6_padding(info.payload_bytes);
     for (std::uint64_t p = 0; p < pad; ++p) w.byte(0);
-    cols_->clear();
+    columns_.clear_records();
   } else {
     info.payload_bytes = chunk_buf_.size();
     w.u32(kChunkMagic);
@@ -937,10 +986,12 @@ void SnapshotWriter::finish() {
     dict_offset = file_pos_;
     UaWriter d;
     d.u32(kDictMagic);
-    d.u32(static_cast<std::uint32_t>(dict_ders_.size()));
-    for (std::size_t i = 0; i < dict_ders_.size(); ++i) {
-      d.u64(dict_fps_[i]);
-      d.byte_string(dict_ders_[i]);
+    d.u32(static_cast<std::uint32_t>(columns_.cert_count()));
+    for (std::uint32_t id = 0; id < columns_.cert_count(); ++id) {
+      const auto der = columns_.cert_der(id);
+      d.u64(columns_.cert_fp64(id));
+      d.i32(static_cast<std::int32_t>(der.size()));
+      d.base().raw(der);
     }
     const Bytes& db = d.bytes();
     out_.write(reinterpret_cast<const char*>(db.data()),
@@ -969,7 +1020,7 @@ void SnapshotWriter::finish() {
   if (format_version_ == kVersionV6) {
     w.u64(dict_offset);
     w.u64(dict_bytes);
-    w.u32(static_cast<std::uint32_t>(dict_ders_.size()));
+    w.u32(static_cast<std::uint32_t>(columns_.cert_count()));
   }
   if (campaign_set_) {
     w.u32(kCampaignMagic);

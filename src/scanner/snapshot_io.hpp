@@ -84,7 +84,6 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -160,13 +159,14 @@ inline constexpr std::uint8_t kAllFlags = 0xff;
 /// The v6 "no certificate" sentinel in endpoint cert_id slots.
 inline constexpr std::uint32_t kNoCertId = 0xffffffffu;
 
-/// Typed zero-copy view over one v6 chunk's columns. All spans alias the
-/// reader's memory mapping: a ColumnView (and every UaReader handed out by
-/// var_record) must not outlive the SnapshotReader it came from, and the
-/// underlying bytes are immutable for the reader's whole lifetime, so
-/// concurrent readers never race. Only available on little-endian hosts
-/// (SnapshotReader::columnar() gates it); portable row decoding goes
-/// through read_chunk.
+/// Typed view over one v6 chunk's columns — the one input shape of the
+/// census, figure and posture passes. A SnapshotReader hands out views
+/// whose spans alias its memory mapping (little-endian hosts only, gated
+/// by SnapshotReader::columnar()); a ColumnEncoder hands out views over
+/// the columns it transposed from records, which is how every other input
+/// reaches the passes. Either way a view (and every UaReader handed out by
+/// var_record) must not outlive its owner, and the bytes stay immutable
+/// while it lives, so concurrent readers never race.
 struct ColumnView {
   std::uint32_t snapshot_ordinal = 0;
   std::size_t records = 0;
@@ -194,6 +194,82 @@ struct ColumnView {
   UaReader var_record(std::size_t i) const {
     return UaReader(var_blob.subspan(var_offsets[i], var_offsets[i + 1] - var_offsets[i]));
   }
+
+  /// Record i's protocol: its protocol tail byte when flags bit 7 is set,
+  /// OPC UA otherwise. Throws DecodeError on a missing, zero or unknown
+  /// tail byte.
+  ProtocolId protocol(std::size_t i) const;
+
+  /// Record i's scan-quality tail (all zero when flags bit 6 is clear).
+  /// Read from the end of the var slice, so no cursor walk is needed.
+  struct Quality {
+    std::uint8_t completeness = 0;
+    std::uint16_t retries = 0;
+    std::uint16_t fault_events = 0;
+  };
+  Quality quality(std::size_t i) const;
+};
+
+/// Certificate dictionary that a ColumnView's cert ids index: the
+/// file-level dictionary of a v6 SnapshotReader, or the chunk-scoped one a
+/// ColumnEncoder interns while transposing records.
+class CertDictionary {
+ public:
+  virtual ~CertDictionary() = default;
+  virtual std::size_t cert_count() const = 0;
+  /// cert_der throws SnapshotError for an id at or past cert_count().
+  virtual std::span<const std::uint8_t> cert_der(std::uint32_t cert_id) const = 0;
+  virtual std::uint64_t cert_fp64(std::uint32_t cert_id) const = 0;
+};
+
+/// The v6 chunk encoder: transposes records into one chunk's typed fixed
+/// columns plus its var column, interning certificate DER by content into
+/// its dictionary (ids in first-appearance order). SnapshotWriter
+/// serializes it chunk by chunk and keeps one dictionary for the whole
+/// file; RecordSource::visit_columns fills a fresh encoder per chunk, so
+/// row inputs reach the passes as the same columns with a chunk-scoped
+/// dictionary.
+class ColumnEncoder final : public CertDictionary {
+ public:
+  ColumnEncoder() { var_offsets_.push_back(0); }
+
+  /// Append one record. Throws SnapshotError for a record the format
+  /// cannot hold: more than 255 token types on one endpoint, more than
+  /// 65535 distinct certificates on one host, or a var column past 4 GiB.
+  void add(const HostScanRecord& host);
+  std::size_t records() const { return ip_.size(); }
+
+  /// View over the buffered records; valid until the next add() or
+  /// clear_records().
+  ColumnView view(std::uint32_t snapshot_ordinal) const;
+
+  /// Payload size (47n + 4 fixed-column bytes plus the var column) and
+  /// payload bytes, little-endian, in the layout documented above.
+  std::uint64_t payload_bytes() const;
+  void write_payload(UaWriter& w) const;
+
+  /// Drop the buffered records; the dictionary stays.
+  void clear_records();
+
+  std::size_t cert_count() const override { return ders_.size(); }
+  std::span<const std::uint8_t> cert_der(std::uint32_t cert_id) const override;
+  std::uint64_t cert_fp64(std::uint32_t cert_id) const override;
+
+ private:
+  std::uint32_t intern(const Bytes& der);
+
+  std::vector<std::uint64_t> bytes_sent_, uri_hash_;
+  std::vector<double> duration_;
+  std::vector<std::uint32_t> ip_, asn_, var_offsets_;
+  std::vector<std::uint16_t> port_;
+  std::vector<std::uint8_t> application_type_, channel_, channel_policy_, channel_mode_,
+      session_, flags_, mode_mask_, policy_mask_, token_mask_;
+  UaWriter var_;
+  std::vector<std::uint32_t> head_scratch_, ep_scratch_;
+  // Dictionary: id order == first appearance order.
+  std::vector<Bytes> ders_;
+  std::vector<std::uint64_t> fps_;
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;  // fp64 -> ids
 };
 
 /// Lazy decoder over one record's var-column slice. Accessors must be
@@ -268,8 +344,6 @@ class SnapshotWriter {
 
  private:
   void flush_chunk();
-  void add_host_v6(const HostScanRecord& host);
-  std::uint32_t intern_certificate(const Bytes& der);
 
   std::string path_;
   std::uint64_t seed_;
@@ -280,14 +354,8 @@ class SnapshotWriter {
   bool campaign_set_ = false;
   std::vector<SnapshotMeta> snapshots_;
   std::vector<SnapshotChunkInfo> chunks_;
-  Bytes chunk_buf_;  // v5: row-encoded records of the open chunk
-  // v6 column buffers for the open chunk.
-  struct ColumnBuffers;
-  std::unique_ptr<ColumnBuffers> cols_;
-  // v6 certificate dictionary: id order == first appearance order.
-  std::vector<Bytes> dict_ders_;
-  std::vector<std::uint64_t> dict_fps_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> dict_index_;  // fp64 -> ids
+  Bytes chunk_buf_;        // v5: row-encoded records of the open chunk
+  ColumnEncoder columns_;  // v6: the open chunk + the file's dictionary
   std::uint32_t buffered_records_ = 0;
   std::uint64_t file_pos_ = 0;
   std::ofstream out_;
@@ -304,7 +372,7 @@ class SnapshotWriter {
 /// unavailable); v5 files are streamed per chunk. read_chunk() and
 /// column_view() are const and thread-safe: workers may decode disjoint
 /// chunks concurrently.
-class SnapshotReader {
+class SnapshotReader final : public CertDictionary {
  public:
   SnapshotReader(const std::string& path, std::uint64_t seed);
   ~SnapshotReader();
@@ -344,7 +412,8 @@ class SnapshotReader {
   std::vector<ScanSnapshot> load_all() const;
 
   /// True when column_view() is available: a v6 file on a little-endian
-  /// host. Consumers fall back to read_chunk() row decoding otherwise.
+  /// host. Every other input reaches the passes transposed into columns
+  /// (RecordSource::visit_columns).
   bool columnar() const;
 
   /// Zero-copy column access to one v6 chunk. The returned spans alias
@@ -354,9 +423,9 @@ class SnapshotReader {
   ColumnView column_view(std::size_t chunk_index) const;
 
   /// v6 certificate dictionary: deduplicated DER in id order.
-  std::size_t cert_count() const { return dict_.size(); }
-  std::span<const std::uint8_t> cert_der(std::uint32_t cert_id) const;
-  std::uint64_t cert_fp64(std::uint32_t cert_id) const { return dict_.at(cert_id).fp64; }
+  std::size_t cert_count() const override { return dict_.size(); }
+  std::span<const std::uint8_t> cert_der(std::uint32_t cert_id) const override;
+  std::uint64_t cert_fp64(std::uint32_t cert_id) const override { return dict_.at(cert_id).fp64; }
 
  private:
   void open_v6(std::uint64_t file_size);

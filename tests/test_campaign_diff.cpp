@@ -15,8 +15,10 @@
 #include <cstdio>
 #include <fstream>
 
+#include "assess/assess.hpp"
 #include "diff/diff.hpp"
 #include "scanner/snapshot_io.hpp"
+#include "series/matcher.hpp"
 #include "study/followup.hpp"
 #include "study/sharded.hpp"
 #include "util/date.hpp"
@@ -342,6 +344,67 @@ TEST(CampaignDiffTest, MatchesHandCraftedExpectations) {
   EXPECT_EQ(diff.still_deficient, 3u);
   EXPECT_EQ(diff.regressed, 0u);
   EXPECT_EQ(diff.never_deficient, 0u);
+}
+
+TEST(CampaignDiffTest, PostureDeficiencyMatchesAssessReference) {
+  // Every §5.2 deficiency kind plus clean hosts (make_host: None, deprecated
+  // Basic256, 512-bit certificates too weak for Basic256Sha256, anonymous
+  // on odd hosts, certificate-less Basic256Sha256 hosts), and multi-endpoint
+  // hosts whose first certificate does not parse, so the primary
+  // certificate is a later endpoint's.
+  std::vector<ScanSnapshot> study = make_base_study(40, 1);
+  for (std::size_t i = 2; i < study.back().hosts.size(); i += 8) {
+    HostScanRecord& host = study.back().hosts[i];
+    EndpointObservation garbled = host.endpoints.front();
+    garbled.url += "garbled";
+    garbled.certificate_der = {0x30, 0x03, 0x02, 0x01, 0x07};
+    EndpointObservation second = host.endpoints.front();
+    second.url += "second";
+    second.certificate_der = unique_certs()[(i + 40) % unique_certs().size()];
+    host.endpoints = {garbled, second, host.endpoints.front()};
+  }
+  const std::vector<HostScanRecord>& hosts = study.back().hosts;
+  int none = 0, deprecated = 0, weak = 0, anonymous = 0, clean = 0;
+  for (const HostScanRecord& host : hosts) {
+    const SecurityPolicy max = strongest_policy(host);
+    const auto cert = primary_certificate(host);
+    none += max == SecurityPolicy::None;
+    deprecated += policy_info(max).deprecated;
+    weak += cert && max != SecurityPolicy::None &&
+            classify_certificate(max, cert->signature_hash, cert->key_bits()) ==
+                CertConformance::too_weak;
+    anonymous += host.anonymous_offered;
+    clean += !is_deficient(host);
+  }
+  EXPECT_GT(none, 0);
+  EXPECT_GT(deprecated, 0);
+  EXPECT_GT(weak, 0);
+  EXPECT_GT(anonymous, 0);
+  EXPECT_GT(clean, 0);
+
+  const std::string path = "/tmp/opcua_diff_posture_reference.bin";
+  save_snapshots(path, 42, study);
+  const SnapshotReader reader(path, 42);
+  ThreadPool pool(2);
+  const std::vector<HostPosture> in_memory = collect_postures(SnapshotVectorSource(study, 7), pool);
+  const std::vector<HostPosture> from_file = collect_postures(ReaderRecordSource(reader), pool);
+  ASSERT_EQ(in_memory.size(), hosts.size());
+  ASSERT_EQ(from_file.size(), hosts.size());
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    std::vector<std::uint64_t> fps;
+    for (const Bytes& der : hosts[i].distinct_certificates()) {
+      fps.push_back(certificate_fingerprint64(der));
+    }
+    std::sort(fps.begin(), fps.end());
+    fps.erase(std::unique(fps.begin(), fps.end()), fps.end());
+    for (const std::vector<HostPosture>* postures : {&in_memory, &from_file}) {
+      const HostPosture& p = (*postures)[i];
+      EXPECT_EQ(p.deficient, is_deficient(hosts[i])) << "host " << i;
+      EXPECT_EQ(p.anonymous, hosts[i].anonymous_offered) << "host " << i;
+      EXPECT_EQ(p.fps, fps) << "host " << i;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CampaignDiffTest, ReusedCertificatesReIdentifyNobody) {

@@ -6,7 +6,8 @@
 //    yielding garbage records; out-of-range dictionary ids are rejected,
 //  - the streaming Aggregator is deterministic in the thread count and
 //    input format and bit-identical to the assess/ reference
-//    implementations (the v6 columnar fast path included).
+//    implementations, whether it reads mapped v6 columns or rows
+//    transposed into columns (multi-endpoint hosts included).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -123,6 +124,50 @@ std::vector<ScanSnapshot> make_study(std::size_t hosts_per_week, int weeks = 2) 
     snapshots.push_back(std::move(snapshot));
   }
   return snapshots;
+}
+
+/// make_study plus the endpoint shapes its one-endpoint hosts never show,
+/// so the column passes' mask-order and first-parseable-certificate
+/// equivalences meet the record-order reference: every third host gains a
+/// second endpoint with another mode/policy pair and another certificate
+/// (listed after a stronger policy on some hosts, before it on others),
+/// and host 1 leads with an unparseable DER under a policy URI outside the
+/// table (policy_known = false, as a decoded record reports it).
+std::vector<ScanSnapshot> make_multi_endpoint_study(std::size_t hosts_per_week, int weeks = 2) {
+  std::vector<ScanSnapshot> study = make_study(hosts_per_week, weeks);
+  for (ScanSnapshot& snapshot : study) {
+    for (std::size_t i = 0; i < snapshot.hosts.size(); ++i) {
+      HostScanRecord& host = snapshot.hosts[i];
+      if (i % 3 != 1) continue;
+      EndpointObservation ep;
+      ep.url = "opc.tcp://t" + std::to_string(i) + ":4843/";
+      const SecurityPolicy policy =
+          i % 2 ? SecurityPolicy::Basic128Rsa15 : SecurityPolicy::Aes128Sha256RsaOaep;
+      ep.mode = i % 4 == 1 ? MessageSecurityMode::Sign : MessageSecurityMode::SignAndEncrypt;
+      ep.policy_uri = std::string(policy_info(policy).uri);
+      ep.policy = policy;
+      ep.policy_known = true;
+      ep.token_types = {UserTokenType::Certificate};
+      ep.certificate_der = cert_fleet()[(i + 3) % cert_fleet().size()];
+      if (i % 6 == 1) {
+        host.endpoints.insert(host.endpoints.begin(), std::move(ep));
+      } else {
+        host.endpoints.push_back(std::move(ep));
+      }
+    }
+    if (snapshot.hosts.size() > 1) {
+      EndpointObservation odd;
+      odd.url = "opc.tcp://t1:4844/";
+      odd.mode = MessageSecurityMode::SignAndEncrypt;
+      odd.policy_uri = "http://opcfoundation.org/UA/SecurityPolicy#NotInTheTable";
+      odd.policy_known = false;
+      odd.token_types = {UserTokenType::UserName};
+      odd.certificate_der = {0x30, 0x03, 0x02, 0x01, 0x07};
+      auto& endpoints = snapshot.hosts[1].endpoints;
+      endpoints.insert(endpoints.begin(), std::move(odd));
+    }
+  }
+  return study;
 }
 
 TEST(SnapshotV6, RoundTripAcrossChunkBoundaries) {
@@ -440,23 +485,39 @@ TEST(SnapshotV6, EmptyAndRuntFilesNameTheirSize) {
 }
 
 TEST(Analysis, MatchesAssessReferenceBitForBit) {
-  const std::vector<ScanSnapshot> study = make_study(60);
-  const StudyAnalysis analysis = analyze_snapshots(study, {});
+  for (const std::vector<ScanSnapshot>& study : {make_study(60), make_multi_endpoint_study(60)}) {
+    const StudyAnalysis analysis = analyze_snapshots(study, {});
 
-  EXPECT_EQ(analysis.modes, assess_modes_policies(study.back()));
-  EXPECT_EQ(analysis.certificates, assess_certificates(study.back()));
-  EXPECT_EQ(analysis.reuse, assess_reuse(study.back()));
-  EXPECT_EQ(analysis.auth, assess_auth(study.back()));
-  EXPECT_EQ(analysis.access_rights, assess_access_rights(study.back()));
-  EXPECT_EQ(analysis.deficits, assess_deficits(study.back()));
-  EXPECT_EQ(analysis.longitudinal, assess_longitudinal(study));
+    EXPECT_EQ(analysis.modes, assess_modes_policies(study.back()));
+    EXPECT_EQ(analysis.certificates, assess_certificates(study.back()));
+    EXPECT_EQ(analysis.reuse, assess_reuse(study.back()));
+    EXPECT_EQ(analysis.auth, assess_auth(study.back()));
+    EXPECT_EQ(analysis.access_rights, assess_access_rights(study.back()));
+    EXPECT_EQ(analysis.deficits, assess_deficits(study.back()));
+    EXPECT_EQ(analysis.longitudinal, assess_longitudinal(study));
 
-  // The synthetic study is rich enough to exercise the interesting paths.
-  EXPECT_GT(analysis.reuse.clusters_ge3, 0);
-  EXPECT_GT(analysis.deficits.cert_reuse, 0);
-  EXPECT_FALSE(analysis.longitudinal.renewals.empty());
-  EXPECT_GT(analysis.longitudinal.weeks.back().reuse_devices, 0);
-  EXPECT_FALSE(analysis.access_rights.read_fractions.empty());
+    // The synthetic study is rich enough to exercise the interesting paths.
+    EXPECT_GT(analysis.reuse.clusters_ge3, 0);
+    EXPECT_GT(analysis.deficits.cert_reuse, 0);
+    EXPECT_FALSE(analysis.longitudinal.renewals.empty());
+    EXPECT_GT(analysis.longitudinal.weeks.back().reuse_devices, 0);
+    EXPECT_FALSE(analysis.access_rights.read_fractions.empty());
+  }
+
+  // The multi-endpoint input really carries the shapes it exists for: a
+  // host whose primary certificate is not its first, under a URI the
+  // policy table does not know, and a weaker policy listed after a
+  // stronger one.
+  const std::vector<ScanSnapshot> multi = make_multi_endpoint_study(60);
+  const HostScanRecord& odd = multi.back().hosts[1];
+  EXPECT_FALSE(odd.endpoints[0].policy_known);
+  EXPECT_THROW(x509_parse(odd.endpoints[0].certificate_der), DecodeError);
+  const auto primary = primary_certificate(odd);
+  ASSERT_TRUE(primary.has_value());
+  EXPECT_NE(primary->der, odd.endpoints[0].certificate_der);
+  EXPECT_EQ(multi.back().hosts[10].advertised_policies(),
+            (std::vector<SecurityPolicy>{SecurityPolicy::Basic256Sha256,
+                                         SecurityPolicy::Aes128Sha256RsaOaep}));
 }
 
 TEST(Analysis, SharedPrimesMatchesReference) {
@@ -588,32 +649,37 @@ TEST(SnapshotV6, FiguresIdenticalAcrossFormatsAndThreads) {
   const std::string v4_path = "/tmp/opcua_test_fig_v4.bin";
   const std::string v5_path = "/tmp/opcua_test_fig_v5.bin";
   const std::string v6_path = "/tmp/opcua_test_fig_v6.bin";
-  const std::vector<ScanSnapshot> study = make_study(48);
-  save_snapshots_v4(v4_path, 42, study);
-  {
-    SnapshotWriter writer(v5_path, 42, 11, 5);
-    for (const auto& snapshot : study) writer.add_snapshot(snapshot);
-    writer.finish();
-  }
-  {
-    SnapshotWriter writer(v6_path, 42, 11, 6);
-    for (const auto& snapshot : study) writer.add_snapshot(snapshot);
-    writer.finish();
-  }
+  for (const std::vector<ScanSnapshot>& study : {make_study(48), make_multi_endpoint_study(48)}) {
+    save_snapshots_v4(v4_path, 42, study);
+    {
+      SnapshotWriter writer(v5_path, 42, 11, 5);
+      for (const auto& snapshot : study) writer.add_snapshot(snapshot);
+      writer.finish();
+    }
+    {
+      SnapshotWriter writer(v6_path, 42, 11, 6);
+      for (const auto& snapshot : study) writer.add_snapshot(snapshot);
+      writer.finish();
+    }
 
-  // The v6 columnar fast path, the v4/v5 record decode paths, and the
-  // in-memory reference must agree figure for figure at any thread count.
-  AnalysisOptions serial;
-  serial.threads = 1;
-  serial.shared_primes = true;
-  serial.shared_prime_threads = 1;
-  AnalysisOptions parallel = serial;
-  parallel.threads = 8;
-  const StudyAnalysis reference = analyze_snapshots(study, serial);
-  EXPECT_TRUE(analyze_file(v4_path, 42, serial).figures_equal(reference));
-  EXPECT_TRUE(analyze_file(v5_path, 42, serial).figures_equal(reference));
-  EXPECT_TRUE(analyze_file(v6_path, 42, serial).figures_equal(reference));
-  EXPECT_TRUE(analyze_file(v6_path, 42, parallel).figures_equal(reference));
+    // The mapped v6 columns, the transposed v4/v5 rows, and the transposed
+    // in-memory reference must agree figure for figure at any thread count.
+    AnalysisOptions serial;
+    serial.threads = 1;
+    serial.shared_primes = true;
+    serial.shared_prime_threads = 1;
+    AnalysisOptions parallel = serial;
+    parallel.threads = 8;
+    const StudyAnalysis reference = analyze_snapshots(study, serial);
+    EXPECT_TRUE(analyze_file(v4_path, 42, serial).figures_equal(reference));
+    EXPECT_TRUE(analyze_file(v5_path, 42, serial).figures_equal(reference));
+    EXPECT_TRUE(analyze_file(v6_path, 42, serial).figures_equal(reference));
+    EXPECT_TRUE(analyze_file(v6_path, 42, parallel).figures_equal(reference));
+    // Rows round-trip through every format, the unparseable DER included.
+    for (const std::string& path : {v4_path, v5_path, v6_path}) {
+      EXPECT_EQ(SnapshotReader(path, 42).load_all(), study) << path;
+    }
+  }
   std::remove(v4_path.c_str());
   std::remove(v5_path.c_str());
   std::remove(v6_path.c_str());
@@ -699,20 +765,6 @@ TEST(SnapshotV6, ReadChunkBufferOverloadMatches) {
     EXPECT_EQ(buffer, reader.read_chunk(c)) << "chunk " << c;
   }
   std::remove(path.c_str());
-}
-
-TEST(SnapshotV6, DistinctCertFingerprintsMatchDistinctCertificates) {
-  for (std::size_t i = 0; i < 12; ++i) {
-    HostScanRecord host = make_host(i, 0);
-    // Duplicate an endpoint so the distinct filter has work to do.
-    if (!host.endpoints.empty()) host.endpoints.push_back(host.endpoints.front());
-    const std::vector<Bytes> ders = host.distinct_certificates();
-    const std::vector<std::uint64_t> fps = host.distinct_cert_fingerprints();
-    ASSERT_EQ(fps.size(), ders.size());
-    for (std::size_t k = 0; k < ders.size(); ++k) {
-      EXPECT_EQ(fps[k], certificate_fingerprint64(ders[k]));
-    }
-  }
 }
 
 TEST(SnapshotV6, DictionaryCompressionShrinksFile) {
