@@ -2,8 +2,8 @@
 // analyze as a stream.
 //
 // The figure/table benches no longer materialize the dataset: the first
-// binary to run records the eight-week campaign into a chunked v5
-// snapshot file (streaming one measurement at a time), and every bench
+// binary to run records the eight-week campaign into a chunked v6
+// snapshot file (streaming one shard batch at a time), and every bench
 // derives its numbers from one StudyAnalysis computed by the shared
 // src/analysis/ aggregator over that file — chunk by chunk, in bounded
 // memory, exactly like the paper's figures were cut from the released
@@ -30,7 +30,9 @@ inline std::string snapshot_cache_path() {
 }
 
 /// Ensures the recorded campaign exists on disk and returns its path.
-/// Accepts both the current chunked v5 cache and a pre-existing v4 one.
+/// Any readable cache is accepted: v4/v5/v6, and the sweep-order files
+/// older builds recorded, which hold the same records per week and give
+/// the same figures.
 inline std::string ensure_snapshot_cache() {
   const std::string path = snapshot_cache_path();
   if (std::getenv("OPCUA_STUDY_FRESH") == nullptr) {
@@ -51,7 +53,7 @@ inline std::string ensure_snapshot_cache() {
   // Self-describing campaign identity: the diff subsystem validates that
   // a follow-up campaign really postdates this base.
   writer.set_campaign("imc2020-study", days_from_civil({2020, 2, 9}));
-  run_full_study_streamed(config, writer);
+  run_full_study_streamed(config, writer, ScanOptions{});
   obs::logf(obs::LogLevel::info, "[bench] campaign cached to %s", path.c_str());
   return path;
 }

@@ -1,7 +1,8 @@
 // Operator tool: point the assessor at a single OPC UA server and get a
 // security report — the "assessment tools assist operators" use case the
-// paper cites (Roepert et al.). Demonstrates the grabber + assessment on
-// one host instead of the whole Internet.
+// paper cites (Roepert et al.). The grab is a one-host Campaign, the same
+// sweep → grab path the Internet-wide scan runs, followed by the
+// assessment of that host's record.
 //
 //   ./build/examples/assess_server [none|deprecated|weakcert|good]
 #include <cstdio>
@@ -11,7 +12,7 @@
 #include "crypto/x509.hpp"
 #include "netsim/opcua_service.hpp"
 #include "report/report.hpp"
-#include "scanner/grabber.hpp"
+#include "scanner/campaign.hpp"
 #include "study/study.hpp"
 
 using namespace opcua_study;
@@ -79,15 +80,17 @@ int main(int argc, char** argv) {
              make_opcua_factory(std::make_shared<Server>(make_profile(profile, server_keys), 1)));
 
   KeyFactory keys(5150, "");
-  GrabberConfig grabber_config;
-  grabber_config.client = make_scanner_identity(5150, keys);
-  Grabber grabber(grabber_config, net, 1);
-  const HostScanRecord record = grabber.grab(ip, kOpcUaDefaultPort);
+  CampaignConfig campaign_config;
+  campaign_config.grabber.client = make_scanner_identity(5150, keys);
+  Campaign campaign(campaign_config, net);
+  const ScanSnapshot snapshot = campaign.run(kNumMeasurements - 1);
 
-  if (!record.speaks_opcua) {
+  // The snapshot keeps only hosts that spoke OPC UA.
+  if (snapshot.hosts.empty()) {
     std::puts("target does not speak OPC UA");
     return 1;
   }
+  const HostScanRecord& record = snapshot.hosts.front();
 
   TextTable report;
   report.set_header({"check", "finding", "verdict"});

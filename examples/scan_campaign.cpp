@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   TelemetryReportOptions report_options;
   report_options.campaign_label = "scan_campaign-example";
   write_telemetry_report("TELEMETRY_report.json", sample, report_options);
-  write_prometheus_textfile("TELEMETRY_metrics.prom", sample);
+  write_prometheus_textfile("TELEMETRY_metrics.prom", sample, report_options);
   std::printf("telemetry: %llu grabs kept -> TELEMETRY_report.json, TELEMETRY_metrics.prom\n",
               static_cast<unsigned long long>(sample[obs::Metric::grab_outcome].total()));
   if (cli.flag("trace")) {

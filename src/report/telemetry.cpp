@@ -165,12 +165,6 @@ std::string telemetry_prometheus(const obs::MetricsSample& sample,
   return out;
 }
 
-std::string telemetry_prometheus(const obs::MetricsSample& sample, bool include_operational) {
-  TelemetryReportOptions options;
-  options.include_operational = include_operational;
-  return telemetry_prometheus(sample, options);
-}
-
 namespace {
 
 void write_text(const std::string& path, const std::string& body, const char* what) {
@@ -191,13 +185,6 @@ void write_telemetry_report(const std::string& path, const obs::MetricsSample& s
 void write_prometheus_textfile(const std::string& path, const obs::MetricsSample& sample,
                                const TelemetryReportOptions& options) {
   write_text(path, telemetry_prometheus(sample, options), "prometheus textfile");
-}
-
-void write_prometheus_textfile(const std::string& path, const obs::MetricsSample& sample,
-                               bool include_operational) {
-  TelemetryReportOptions options;
-  options.include_operational = include_operational;
-  write_prometheus_textfile(path, sample, options);
 }
 
 }  // namespace opcua_study

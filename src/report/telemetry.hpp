@@ -36,18 +36,12 @@ std::string prometheus_escape_label(const std::string& value);
 /// non-empty options.campaign_label stamps an escaped `campaign` label
 /// onto every sample line.
 std::string telemetry_prometheus(const obs::MetricsSample& sample,
-                                 const TelemetryReportOptions& options);
-/// Back-compat overload: no campaign label; output is byte-identical to
-/// the options overload with an empty campaign_label.
-std::string telemetry_prometheus(const obs::MetricsSample& sample,
-                                 bool include_operational = false);
+                                 const TelemetryReportOptions& options = {});
 
 void write_telemetry_report(const std::string& path, const obs::MetricsSample& sample,
                             const TelemetryReportOptions& options = {});
 
 void write_prometheus_textfile(const std::string& path, const obs::MetricsSample& sample,
-                               const TelemetryReportOptions& options);
-void write_prometheus_textfile(const std::string& path, const obs::MetricsSample& sample,
-                               bool include_operational = false);
+                               const TelemetryReportOptions& options = {});
 
 }  // namespace opcua_study

@@ -11,14 +11,14 @@
 //     500 ms between requests, capped at 60 min / 50 MB per host (§A.2).
 //
 // The pipeline itself lives in the resumable HostGrabTask state machine
-// (scanner/host_task.hpp); Grabber is the lock-step compatibility shim that
-// drives one task to completion while advancing the global clock, exactly
-// like the pre-engine synchronous scanner did.
+// (scanner/host_task.hpp), driven by the campaign scheduler; this header
+// holds the knobs every grab shares. A single-host assessment is a
+// one-host Campaign (examples/assess_server.cpp).
 #pragma once
 
-#include "netsim/network.hpp"
+#include <cstdint>
+
 #include "opcua/client.hpp"
-#include "scanner/record.hpp"
 
 namespace opcua_study {
 
@@ -47,20 +47,6 @@ struct GrabberConfig {
   RetryPolicy retry;
   bool traverse_address_space = true;
   std::uint32_t browse_chunk = 64;  // max references per Browse answer
-};
-
-class Grabber {
- public:
-  Grabber(GrabberConfig config, Network& network, std::uint64_t seed);
-
-  /// Scan a single (ip, port); returns a fully populated record.
-  HostScanRecord grab(Ipv4 ip, std::uint16_t port);
-
- private:
-  GrabberConfig config_;
-  Network& network_;
-  std::uint64_t seed_;
-  std::uint64_t grab_counter_ = 0;
 };
 
 }  // namespace opcua_study

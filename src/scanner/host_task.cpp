@@ -11,12 +11,6 @@ namespace {
 constexpr unsigned kObsOpcua = static_cast<unsigned>(ProtocolId::opcua);
 }  // namespace
 
-std::optional<std::pair<Ipv4, std::uint16_t>> parse_opc_url(const std::string& url) {
-  const auto parsed = parse_endpoint_url(url);
-  if (!parsed || parsed->protocol != ProtocolId::opcua) return std::nullopt;
-  return std::make_pair(parsed->ip, parsed->port);
-}
-
 HostGrabTask::HostGrabTask(const GrabberConfig& config, Network& network, std::uint64_t seed,
                            std::uint64_t task_id, Ipv4 ip, std::uint16_t port)
     : config_(config),
@@ -283,10 +277,12 @@ HostGrabTask::Step HostGrabTask::step_discovery() {
   record_.speaks_opcua = true;
 
   for (const auto& ep : endpoints) {
-    const auto target = parse_opc_url(ep.endpoint_url);
-    const bool foreign = target && (target->first != ip_ || target->second != port_);
+    // Only opc.tcp endpoints on another (ip, port) are references to follow.
+    const auto target = parse_endpoint_url(ep.endpoint_url);
+    const bool foreign = target && target->protocol == ProtocolId::opcua &&
+                         (target->ip != ip_ || target->port != port_);
     if (foreign) {
-      record_.referenced_targets.push_back(*target);
+      record_.referenced_targets.emplace_back(target->ip, target->port);
       continue;
     }
     EndpointObservation obs;

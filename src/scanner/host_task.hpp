@@ -9,8 +9,7 @@
 // connection (netsim charges RTT + transfer time to the connection, not to
 // the global clock) and returns how much simulated time must pass before
 // the next step. The ScanScheduler converts those waits into events on the
-// Network's event heap, keeping hundreds of hosts in flight at once; the
-// Grabber compatibility shim instead advances the clock in lock-step.
+// Network's event heap, keeping hundreds of hosts in flight at once.
 //
 // Every budget decision (500 ms pacing, 60 min / 50 MB caps, §A.2) is made
 // against the task's *local* timeline, which makes a host's record — bytes,
@@ -41,11 +40,6 @@
 #include "util/rng.hpp"
 
 namespace opcua_study {
-
-/// Parse "opc.tcp://a.b.c.d:port/..." into (ip, port). Kept as an alias of
-/// the scheme-aware parse_endpoint_url (scanner/protocol.hpp), restricted
-/// to the OPC UA scheme exactly like the original parser.
-std::optional<std::pair<Ipv4, std::uint16_t>> parse_opc_url(const std::string& url);
 
 class HostGrabTask : public ProbeTask {
  public:
@@ -152,7 +146,7 @@ class HostGrabTask : public ProbeTask {
   std::unique_ptr<NetConnection> conn_;  // declared before client_: client
   std::unique_ptr<Client> client_;       // holds a reference to *conn_
 
-  // Traversal state (mirrors the former Grabber::traverse locals).
+  // Traversal state.
   std::deque<NodeId> queue_;
   std::set<NodeId> visited_;
   NodeId current_node_;

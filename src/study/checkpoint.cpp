@@ -1,9 +1,7 @@
 #include "study/checkpoint.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -11,22 +9,16 @@
 #include <mutex>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "util/date.hpp"
+#include "util/thread_pool.hpp"
 
 namespace opcua_study {
 
 namespace {
-
-void sort_by_endpoint(std::vector<HostScanRecord>& hosts) {
-  std::sort(hosts.begin(), hosts.end(), [](const HostScanRecord& a, const HostScanRecord& b) {
-    return std::make_pair(a.ip, a.port) < std::make_pair(b.ip, b.port);
-  });
-}
 
 std::uint64_t effective_snapshot_seed(const CheckpointConfig& config) {
   return config.snapshot_seed != 0 ? config.snapshot_seed : config.campaign.campaign.seed;
@@ -137,9 +129,10 @@ bool run_checkpointed_study(Deployer& deployer, const CheckpointConfig& config,
 
   // Scan pending units one week at a time: deployment is sequential (the
   // Deployer memoises keys across shards and is not thread-safe), scanning
-  // runs on a worker pool. Each worker seals its unit's segment file first
-  // (the SnapshotWriter rename makes that atomic) and only then marks it
-  // done in the manifest — a crash between the two merely rescans one unit.
+  // runs on the pool. Each unit seals its segment file first (the
+  // SnapshotWriter rename makes that atomic) and only then marks it done
+  // in the manifest — a crash between the two merely rescans one unit.
+  const ThreadPool pool(config.campaign.threads);
   std::mutex manifest_mu;
   int allowed = config.stop_after_units < 0 ? std::numeric_limits<int>::max()
                                             : config.stop_after_units;
@@ -151,34 +144,24 @@ bool run_checkpointed_study(Deployer& deployer, const CheckpointConfig& config,
     }
     if (pending.empty()) continue;
 
-    std::vector<std::unique_ptr<Network>> networks(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      networks[i] = std::make_unique<Network>();
-      deployer.deploy_week(*networks[i], week, ShardSpec{pending[i], shards});
-      install_fault_plan(*networks[i], config.campaign);
+    std::vector<std::unique_ptr<Network>> networks;
+    for (const int shard : pending) {
+      networks.push_back(deploy_shard(deployer, week, shard, config.campaign));
     }
 
-    // Claim indices in order, so a unit budget of N seals exactly the
-    // first N pending units of the week regardless of worker timing.
-    const int claimable = std::min<int>(allowed, static_cast<int>(pending.size()));
-    std::atomic<int> next{0};
-    // A unit that throws (corrupt segment path, full disk, a netsim bug)
-    // must not std::terminate from a raw worker thread: the first failure
-    // stops further claims, already-sealed units stay sealed (the manifest
+    // The pool claims indices in order, so a unit budget of N seals exactly
+    // the first N pending units of the week regardless of worker timing. A
+    // unit that throws (corrupt segment path, full disk, a netsim bug)
+    // stops further claims; already-sealed units stay sealed (the manifest
     // only advances on success), the flight recorder is dumped next to the
-    // manifest, and the exception resurfaces on the caller.
-    std::atomic<bool> unit_failed{false};
-    std::exception_ptr first_failure;
-    std::mutex failure_mu;
-    auto worker = [&] {
-      for (int i = next.fetch_add(1); i < claimable; i = next.fetch_add(1)) {
-        if (unit_failed.load(std::memory_order_relaxed)) return;
-        const int shard = pending[static_cast<std::size_t>(i)];
+    // manifest, and the exception resurfaces here with its original type.
+    const int claimable = std::min<int>(allowed, static_cast<int>(pending.size()));
+    try {
+      pool.parallel_for(static_cast<std::size_t>(claimable), [&](std::size_t i) {
+        const int shard = pending[i];
         const obs::TraceScope scope(week, shard);
         try {
-          Campaign campaign(config.campaign.campaign, *networks[static_cast<std::size_t>(i)]);
-          ScanSnapshot snapshot = campaign.run(week);
-          sort_by_endpoint(snapshot.hosts);
+          const ScanSnapshot snapshot = scan_shard(config.campaign, *networks[i], week, shard);
           {
             SnapshotWriter seg(checkpoint_segment_path(config.dir, week, shard), seed,
                                config.chunk_records);
@@ -193,28 +176,12 @@ bool run_checkpointed_study(Deployer& deployer, const CheckpointConfig& config,
           done.emplace(week, shard);
           save_manifest(manifest, header, done);
         } catch (...) {
-          obs::trace(obs::TraceEvent::unit_failed, 0, 0, 0,
-                     static_cast<std::uint64_t>(week), static_cast<std::uint64_t>(shard));
-          std::lock_guard<std::mutex> lock(failure_mu);
-          if (first_failure == nullptr) first_failure = std::current_exception();
-          unit_failed.store(true, std::memory_order_relaxed);
-          return;
+          obs::trace(obs::TraceEvent::unit_failed, 0, 0, 0, static_cast<std::uint64_t>(week),
+                     static_cast<std::uint64_t>(shard));
+          throw;
         }
-      }
-    };
-    const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
-    const int thread_count = std::min(
-        claimable,
-        config.campaign.threads > 0 ? config.campaign.threads : static_cast<int>(hardware));
-    if (thread_count <= 1) {
-      worker();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(thread_count));
-      for (int t = 0; t < thread_count; ++t) pool.emplace_back(worker);
-      for (auto& thread : pool) thread.join();
-    }
-    if (first_failure != nullptr) {
+      });
+    } catch (...) {
       if (obs::trace_enabled()) {
         const std::string crash_dump = config.dir + "/flight_recorder.crash.jsonl";
         if (obs::dump_trace(crash_dump)) {
@@ -222,7 +189,7 @@ bool run_checkpointed_study(Deployer& deployer, const CheckpointConfig& config,
                     crash_dump.c_str());
         }
       }
-      std::rethrow_exception(first_failure);
+      throw;
     }
     allowed -= claimable;
   }

@@ -2,7 +2,9 @@
 //
 // A long campaign that dies mid-measurement (OOM kill, power loss,
 // pre-empted spot instance) should not have to rescan weeks of finished
-// work. This runner splits the study into (week, shard) units, writes each
+// work. This runner splits the study into (week, shard) units — the same
+// per-shard unit the sharded runners use (deploy_shard + scan_shard,
+// study/sharded.hpp), scanned on a util::ThreadPool — writes each
 // finished unit to its own sealed segment snapshot inside a checkpoint
 // directory, and records completed units in a small text manifest that is
 // atomically rewritten after every unit. Killing the process at any point
@@ -17,6 +19,12 @@
 // (ip, port) within a shard, one begin/end_snapshot per week), the final
 // file is byte-identical to an uninterrupted streamed run — the
 // kill-and-resume test pins this.
+//
+// A unit that throws stops further claims and is traced as `unit_failed`;
+// with the flight recorder on, the trace is dumped to
+// `<dir>/flight_recorder.crash.jsonl`, and the unit's exception reaches
+// the caller with its original type. Sealed units stay sealed, so the
+// next run resumes from them.
 //
 // Manifest format (`manifest.txt`, atomically replaced via .tmp + rename):
 //   opcua-checkpoint v1

@@ -1,11 +1,8 @@
-// The one scan-option set every campaign entry point shares.
-//
-// Before this struct, the streamed study, the sharded runner and the
-// checkpointed runner each grew their own copies of the same knobs
-// (shards, worker threads, fault profile, in-flight window) with subtly
-// different spellings. ScanOptions is the single source: the canonical
-// entry points consume it directly and the historical signatures survive
-// as thin wrappers that populate one.
+// The one scan-option set every campaign entry point shares: shards,
+// worker threads, fault profile, in-flight window and protocol mix.
+// ShardedStudy and run_full_study_streamed consume it directly, and
+// make_sharded_config (study/sharded.hpp) turns it into the per-shard
+// campaign config the sharded and checkpointed runners take.
 #pragma once
 
 #include <cstddef>
@@ -18,8 +15,8 @@
 namespace opcua_study {
 
 struct ScanOptions {
-  /// Population partitions scanned independently. 1 = unsharded (legacy
-  /// sweep-order records); > 1 = shard-major, (ip, port)-sorted batches.
+  /// Population partitions scanned independently. Records are written
+  /// shard-major, hosts sorted by (ip, port) inside each shard batch.
   int shards = 1;
   /// Worker threads for the sharded scan; 0 = hardware concurrency. The
   /// records are identical for any value.

@@ -1,13 +1,10 @@
 #include "study/sharded.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <optional>
-#include <thread>
+#include <functional>
 
 #include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace opcua_study {
 
@@ -19,12 +16,50 @@ void sort_by_endpoint(std::vector<HostScanRecord>& hosts) {
   });
 }
 
-ScanOptions legacy_options(int shards, int threads, std::size_t max_in_flight) {
-  ScanOptions options;
-  options.shards = shards;
-  options.threads = threads;
-  options.max_in_flight = max_in_flight;
-  return options;
+/// The week core both runners share: deploy every shard, scan the shards
+/// on the pool, and hand each shard batch to `take` in shard order as soon
+/// as the completed prefix reaches it (parallel_for_merged), so what
+/// `take` sees never depends on completion order and a batch dies once
+/// taken. The week runs in windows of two worker widths: a straggling
+/// shard holds back at most one window of finished batches, never the
+/// whole measurement. Returns the measurement's merged counters.
+SnapshotMeta run_week(Deployer& deployer, int week, const ShardedCampaignConfig& config,
+                      ShardedRunStats* stats, const std::function<void(ScanSnapshot&)>& take) {
+  const std::size_t shards = static_cast<std::size_t>(std::max(1, config.shards));
+  std::vector<std::unique_ptr<Network>> networks;
+  networks.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    networks.push_back(deploy_shard(deployer, week, static_cast<int>(s), config));
+  }
+
+  SnapshotMeta meta;
+  meta.measurement_index = week;
+  meta.date_days = measurement_days(week);
+  const ThreadPool pool(config.threads);
+  const std::size_t window = 2 * std::min(static_cast<std::size_t>(pool.size()), shards);
+  std::vector<ScanSnapshot> batches(window);
+  for (std::size_t first = 0; first < shards; first += window) {
+    pool.parallel_for_merged(
+        std::min(window, shards - first),
+        [&](std::size_t i) {
+          batches[i] = scan_shard(config, *networks[first + i], week, static_cast<int>(first + i));
+        },
+        [&](std::size_t i) {
+          ScanSnapshot batch = std::move(batches[i]);
+          // LFSR mode: every shard walks the identical universe, so one
+          // shard's walk is the campaign's probe count, not their sum.
+          if (config.campaign.oracle_sweep || first + i == 0) meta.probes_sent += batch.probes_sent;
+          meta.tcp_open_count += batch.tcp_open_count;
+          meta.host_count += batch.hosts.size();
+          take(batch);
+        });
+  }
+
+  if (stats != nullptr) {
+    stats->shard_simulated_us.clear();
+    for (const auto& net : networks) stats->shard_simulated_us.push_back(net->clock().now_us());
+  }
+  return meta;
 }
 
 }  // namespace
@@ -47,6 +82,22 @@ void install_fault_plan(Network& net, const ShardedCampaignConfig& config) {
   net.set_fault_plan(std::make_unique<FaultPlan>(seed, config.faults));
 }
 
+std::unique_ptr<Network> deploy_shard(Deployer& deployer, int week, int shard,
+                                      const ShardedCampaignConfig& config) {
+  auto net = std::make_unique<Network>();
+  deployer.deploy_week(*net, week, ShardSpec{shard, std::max(1, config.shards)});
+  install_fault_plan(*net, config);
+  return net;
+}
+
+ScanSnapshot scan_shard(const ShardedCampaignConfig& config, Network& net, int week, int shard) {
+  const obs::TraceScope scope(week, shard);
+  Campaign campaign(config.campaign, net);
+  ScanSnapshot snapshot = campaign.run(week);
+  sort_by_endpoint(snapshot.hosts);
+  return snapshot;
+}
+
 std::uint64_t ShardedRunStats::max_simulated_us() const {
   std::uint64_t max_us = 0;
   for (const std::uint64_t us : shard_simulated_us) max_us = std::max(max_us, us);
@@ -56,63 +107,16 @@ std::uint64_t ShardedRunStats::max_simulated_us() const {
 ScanSnapshot run_sharded_campaign(Deployer& deployer, int week,
                                   const ShardedCampaignConfig& config,
                                   ShardedRunStats* stats) {
-  const int shards = std::max(1, config.shards);
-
-  // Shard deployment stays on this thread (the Deployer memoises keys and
-  // certificates across shards); the expensive part — RSA generation — is
-  // parallelized inside deploy_week() via the KeyFactory prefetch pass.
-  std::vector<std::unique_ptr<Network>> networks;
-  networks.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    networks.push_back(std::make_unique<Network>());
-    deployer.deploy_week(*networks.back(), week, ShardSpec{s, shards});
-    install_fault_plan(*networks.back(), config);
-  }
-
-  // Scan every shard on its own worker; each campaign touches only its own
-  // Network, so the workers share nothing but the shard counter.
-  std::vector<ScanSnapshot> shard_snapshots(static_cast<std::size_t>(shards));
-  std::atomic<int> next_shard{0};
-  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
-  const int thread_count =
-      std::min(shards, config.threads > 0 ? config.threads : static_cast<int>(hardware));
-  auto worker = [&] {
-    for (int s = next_shard.fetch_add(1); s < shards; s = next_shard.fetch_add(1)) {
-      const obs::TraceScope scope(week, s);
-      Campaign campaign(config.campaign, *networks[static_cast<std::size_t>(s)]);
-      shard_snapshots[static_cast<std::size_t>(s)] = campaign.run(week);
-    }
-  };
-  if (thread_count <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(thread_count));
-    for (int t = 0; t < thread_count; ++t) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
-  }
-
-  if (stats != nullptr) {
-    stats->shard_simulated_us.clear();
-    for (const auto& net : networks) stats->shard_simulated_us.push_back(net->clock().now_us());
-  }
-
-  // Merge: counters sum; hosts sort by (ip, port) for a deterministic,
-  // shard-count-independent result.
   ScanSnapshot merged;
-  merged.measurement_index = week;
-  merged.date_days = measurement_days(week);
-  for (auto& snapshot : shard_snapshots) {
-    merged.probes_sent += snapshot.probes_sent;
-    merged.tcp_open_count += snapshot.tcp_open_count;
-    for (auto& host : snapshot.hosts) merged.hosts.push_back(std::move(host));
-  }
-  if (!config.campaign.oracle_sweep && !shard_snapshots.empty()) {
-    // LFSR mode: every shard walks the identical universe, so summing would
-    // count the same probes `shards` times; one shard's walk is exactly the
-    // unsharded probe count.
-    merged.probes_sent = shard_snapshots.front().probes_sent;
-  }
+  const SnapshotMeta meta = run_week(deployer, week, config, stats, [&](ScanSnapshot& batch) {
+    for (auto& host : batch.hosts) merged.hosts.push_back(std::move(host));
+  });
+  merged.measurement_index = meta.measurement_index;
+  merged.date_days = meta.date_days;
+  merged.probes_sent = meta.probes_sent;
+  merged.tcp_open_count = meta.tcp_open_count;
+  // One global (ip, port) order: the merged snapshot is identical for any
+  // shard count, not just any thread count.
   sort_by_endpoint(merged.hosts);
   return merged;
 }
@@ -120,102 +124,11 @@ ScanSnapshot run_sharded_campaign(Deployer& deployer, int week,
 SnapshotMeta run_sharded_campaign_streamed(Deployer& deployer, int week,
                                            const ShardedCampaignConfig& config,
                                            SnapshotWriter& writer, ShardedRunStats* stats) {
-  const int shards = std::max(1, config.shards);
-  std::vector<std::unique_ptr<Network>> networks;
-  networks.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    networks.push_back(std::make_unique<Network>());
-    deployer.deploy_week(*networks.back(), week, ShardSpec{s, shards});
-    install_fault_plan(*networks.back(), config);
-  }
-
-  SnapshotMeta meta;
-  meta.measurement_index = week;
-  meta.date_days = measurement_days(week);
-  writer.begin_snapshot(meta.measurement_index, meta.date_days);
-
-  // Workers park finished shard snapshots; the caller drains them in
-  // shard-index order and appends each batch to the writer, so writing
-  // overlaps scanning and the written bytes never depend on completion
-  // order. Each batch is freed as soon as it is written, and a worker may
-  // not *start* a shard more than one window ahead of the drain cursor —
-  // a straggling shard 0 therefore parks at most `window` batches, never
-  // the whole measurement (the high-water-mark promise in the header).
-  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
-  const int thread_count =
-      std::min(shards, config.threads > 0 ? config.threads : static_cast<int>(hardware));
-  const int window = 2 * thread_count;
-  std::mutex mu;
-  std::condition_variable ready;   // caller waits: parked[s] filled
-  std::condition_variable drained; // workers wait: drain cursor advanced
-  std::vector<std::optional<ScanSnapshot>> parked(static_cast<std::size_t>(shards));
-  int drain_cursor = 0;  // guarded by mu
-  std::atomic<int> next_shard{0};
-  auto worker = [&] {
-    for (int s = next_shard.fetch_add(1); s < shards; s = next_shard.fetch_add(1)) {
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        drained.wait(lock, [&] { return s < drain_cursor + window; });
-      }
-      const obs::TraceScope scope(week, s);
-      Campaign campaign(config.campaign, *networks[static_cast<std::size_t>(s)]);
-      ScanSnapshot snapshot = campaign.run(week);
-      sort_by_endpoint(snapshot.hosts);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        parked[static_cast<std::size_t>(s)] = std::move(snapshot);
-      }
-      ready.notify_all();
-    }
-  };
-  std::vector<std::thread> pool;
-  if (thread_count > 1) {
-    pool.reserve(static_cast<std::size_t>(thread_count));
-    for (int t = 0; t < thread_count; ++t) pool.emplace_back(worker);
-  }
-
-  std::uint64_t probes_sent = 0, tcp_open_count = 0, lfsr_probes = 0;
-  for (int s = 0; s < shards; ++s) {
-    ScanSnapshot snapshot;
-    if (thread_count > 1) {
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        ready.wait(lock, [&] { return parked[static_cast<std::size_t>(s)].has_value(); });
-        snapshot = std::move(*parked[static_cast<std::size_t>(s)]);
-        parked[static_cast<std::size_t>(s)].reset();
-        drain_cursor = s + 1;
-      }
-      drained.notify_all();
-    } else {
-      // Inline: scan shard s, write it, drop it — one shard resident.
-      const obs::TraceScope scope(week, s);
-      Campaign campaign(config.campaign, *networks[static_cast<std::size_t>(s)]);
-      snapshot = campaign.run(week);
-      sort_by_endpoint(snapshot.hosts);
-    }
-    probes_sent += snapshot.probes_sent;
-    tcp_open_count += snapshot.tcp_open_count;
-    if (s == 0) lfsr_probes = snapshot.probes_sent;
-    for (const auto& host : snapshot.hosts) {
-      writer.add_host(host);
-      ++meta.host_count;
-    }
-  }
-  for (auto& thread : pool) thread.join();
-
-  if (!config.campaign.oracle_sweep) {
-    // LFSR mode: every shard walks the identical universe (see the merge
-    // in run_sharded_campaign); one shard's walk is the campaign's count.
-    probes_sent = lfsr_probes;
-  }
-  meta.probes_sent = probes_sent;
-  meta.tcp_open_count = tcp_open_count;
+  writer.begin_snapshot(week, measurement_days(week));
+  const SnapshotMeta meta = run_week(deployer, week, config, stats, [&](ScanSnapshot& batch) {
+    for (const auto& host : batch.hosts) writer.add_host(host);
+  });
   writer.end_snapshot(meta.probes_sent, meta.tcp_open_count);
-
-  if (stats != nullptr) {
-    stats->shard_simulated_us.clear();
-    for (const auto& net : networks) stats->shard_simulated_us.push_back(net->clock().now_us());
-  }
   return meta;
 }
 
@@ -235,21 +148,6 @@ ShardedStudy::ShardedStudy(const StudyConfig& config, const ScanOptions& options
   campaign.grabber.client = make_scanner_identity(config.seed, scanner_keys);
   campaign.grabber.traverse_address_space = config.traverse_address_space;
   config_ = make_sharded_config(std::move(campaign), options);
-}
-
-ShardedStudy::ShardedStudy(const StudyConfig& config, int shards, std::size_t max_in_flight,
-                           int threads)
-    : ShardedStudy(config, legacy_options(shards, threads, max_in_flight)) {}
-
-ScanSnapshot run_measurement_sharded(const StudyConfig& config, int week,
-                                     const ScanOptions& options) {
-  ShardedStudy study(config, options);
-  return run_sharded_campaign(study.deployer(), week, study.config());
-}
-
-ScanSnapshot run_measurement_sharded(const StudyConfig& config, int week, int shards,
-                                     std::size_t max_in_flight, int threads) {
-  return run_measurement_sharded(config, week, legacy_options(shards, threads, max_in_flight));
 }
 
 }  // namespace opcua_study

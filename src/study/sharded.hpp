@@ -1,14 +1,15 @@
-// Sharded measurement runner: the simulated universe split across worker
-// threads.
+// Sharded measurement runner: the simulated universe split across the
+// worker pool.
 //
 // The concurrent engine removes simulated-time serialization (hosts
 // interleave on one event heap); sharding removes *real*-time
 // serialization: the population is partitioned into disjoint per-shard
 // Networks (discovery-reference closures never straddle a partition, see
-// ShardSpec) and each shard runs its own campaign on a worker thread. The
-// per-shard snapshots are merged into one, with hosts sorted by (ip, port)
-// so the result is deterministic under a fixed seed regardless of shard
-// count or thread scheduling. See DESIGN.md §Sharding.
+// ShardSpec) and each shard runs its own campaign as one util::ThreadPool
+// iteration. Every runner here and in study/checkpoint.hpp is built from
+// the same per-shard unit (deploy_shard + scan_shard), so a shard's
+// records are a pure function of (seed, week, shard) whatever the runner,
+// shard count or thread count. See DESIGN.md §Sharding.
 #pragma once
 
 #include "netsim/faults.hpp"
@@ -34,14 +35,21 @@ struct ShardedCampaignConfig {
   std::uint64_t fault_seed = 0;
 };
 
-/// Build the per-shard campaign config from the shared scan options —
-/// the canonical construction path; the historical field-by-field setups
-/// are thin wrappers over it.
+/// Build the per-shard campaign config from the shared scan options.
 ShardedCampaignConfig make_sharded_config(CampaignConfig campaign, const ScanOptions& options);
 
 /// Attach the configured fault plan to a freshly deployed Network (no-op
-/// when the profile is disabled). Shared by every sharded runner.
+/// when the profile is disabled).
 void install_fault_plan(Network& net, const ShardedCampaignConfig& config);
+
+/// The per-shard unit. deploy_shard builds `shard` of `week` on a fresh
+/// Network with the configured fault plan; call it from one thread (the
+/// Deployer memoises keys and certificates across shards). scan_shard runs
+/// the shard's campaign under a (week, shard) trace scope and sorts its
+/// hosts by (ip, port); it touches only `net`, so shards scan in parallel.
+std::unique_ptr<Network> deploy_shard(Deployer& deployer, int week, int shard,
+                                      const ShardedCampaignConfig& config);
+ScanSnapshot scan_shard(const ShardedCampaignConfig& config, Network& net, int week, int shard);
 
 struct ShardedRunStats {
   /// Simulated end-of-campaign clock per shard; the campaign's simulated
@@ -50,36 +58,33 @@ struct ShardedRunStats {
   std::uint64_t max_simulated_us() const;
 };
 
-/// Deploy every shard (sequentially — key/cert memoisation is shared),
-/// run the per-shard campaigns on a worker pool, and merge the snapshots.
+/// Deploy every shard, scan them on the pool, and merge the snapshots:
+/// counters sum, hosts sort by (ip, port) across shards.
 ScanSnapshot run_sharded_campaign(Deployer& deployer, int week,
                                   const ShardedCampaignConfig& config,
                                   ShardedRunStats* stats = nullptr);
 
 /// Same campaign, but each finished shard's host batch is handed to
-/// `writer` directly (one begin/end_snapshot pair for the measurement) —
-/// the in-memory high-water mark is the in-flight shard snapshots, never
-/// the merged measurement. Canonical record order is shard-major: shard
+/// `writer` (one begin/end_snapshot pair for the measurement) — the
+/// in-memory high-water mark is the shard batches of one window, never the
+/// merged measurement. Canonical record order is shard-major: shard
 /// batches in shard-index order, hosts sorted by (ip, port) inside each
-/// batch; out-of-order completions are parked until their turn, so the
-/// written bytes are identical for any worker-thread count. The caller
-/// still owns begin-of-file and finish(). Returns the measurement's meta.
+/// batch, so the written bytes are identical for any worker-thread count.
+/// The caller still owns begin-of-file and finish(). Returns the
+/// measurement's meta.
 SnapshotMeta run_sharded_campaign_streamed(Deployer& deployer, int week,
                                            const ShardedCampaignConfig& config,
                                            SnapshotWriter& writer,
                                            ShardedRunStats* stats = nullptr);
 
-/// Shared setup for the study-level sharded entry points: population
-/// plan, deployer and campaign config built once from a StudyConfig and
-/// reusable across the eight weekly measurements (key/cert memoisation
-/// lives in the deployer). Non-movable: the deployer references the plan.
+/// Shared setup for a study's weekly measurements: population plan,
+/// deployer and campaign config built once from a StudyConfig and reused
+/// across the eight weeks (key/cert memoisation lives in the deployer).
+/// Every scan knob comes from `options`. Non-movable: the deployer
+/// references the plan.
 class ShardedStudy {
  public:
-  /// Canonical form: every scan knob comes from the shared ScanOptions.
   ShardedStudy(const StudyConfig& config, const ScanOptions& options);
-  /// Legacy form, kept so existing call sites compile unchanged.
-  ShardedStudy(const StudyConfig& config, int shards, std::size_t max_in_flight = 256,
-               int threads = 0);
   ShardedStudy(const ShardedStudy&) = delete;
   ShardedStudy& operator=(const ShardedStudy&) = delete;
 
@@ -91,13 +96,5 @@ class ShardedStudy {
   std::unique_ptr<Deployer> deployer_;
   ShardedCampaignConfig config_;
 };
-
-/// The full weekly measurement of the study, sharded. Equivalent host set
-/// to run_measurement(); hosts sorted by (ip, port) instead of sweep order.
-ScanSnapshot run_measurement_sharded(const StudyConfig& config, int week,
-                                     const ScanOptions& options);
-/// Legacy signature, kept so existing call sites compile unchanged.
-ScanSnapshot run_measurement_sharded(const StudyConfig& config, int week, int shards,
-                                     std::size_t max_in_flight = 256, int threads = 0);
 
 }  // namespace opcua_study

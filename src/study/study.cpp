@@ -1,7 +1,5 @@
 #include "study/study.hpp"
 
-#include <memory>
-
 #include "crypto/x509.hpp"
 #include "study/sharded.hpp"
 
@@ -25,74 +23,13 @@ ClientConfig make_scanner_identity(std::uint64_t seed, KeyFactory& keys) {
   return config;
 }
 
-ScanSnapshot run_measurement(const StudyConfig& config, int week, const ScanOptions& options) {
-  const PopulationPlan plan = build_population_plan(config.seed);
-  DeployConfig deploy_config;
-  deploy_config.seed = config.seed;
-  deploy_config.dummy_hosts = config.dummy_hosts;
-  deploy_config.key_threads = config.key_threads;
-  deploy_config.key_cache_path = config.key_cache_path;
-  Deployer deployer(plan, deploy_config);
-
-  Network net;
-  deployer.deploy_week(net, week);
-  if (options.faults.enabled()) {
-    const std::uint64_t fault_seed = options.fault_seed != 0 ? options.fault_seed : config.seed;
-    net.set_fault_plan(std::make_unique<FaultPlan>(fault_seed, options.faults));
-  }
-
-  KeyFactory scanner_keys(config.seed, config.key_cache_path);
-  CampaignConfig campaign_config;
-  campaign_config.seed = config.seed;
-  campaign_config.exclusions = deployer.exclusion_list();
-  campaign_config.grabber.client = make_scanner_identity(config.seed, scanner_keys);
-  campaign_config.grabber.traverse_address_space = config.traverse_address_space;
-  campaign_config.max_in_flight = options.max_in_flight;
-  campaign_config.protocols = options.protocols;
-  Campaign campaign(campaign_config, net);
-  return campaign.run(week);
-}
-
-ScanSnapshot run_measurement(const StudyConfig& config, int week) {
-  return run_measurement(config, week, ScanOptions{});
-}
-
-std::vector<ScanSnapshot> run_full_study(const StudyConfig& config) {
-  std::vector<ScanSnapshot> snapshots;
-  snapshots.reserve(kNumMeasurements);
-  for (int week = 0; week < kNumMeasurements; ++week) {
-    snapshots.push_back(run_measurement(config, week));
-  }
-  return snapshots;
-}
-
 void run_full_study_streamed(const StudyConfig& config, SnapshotWriter& writer,
                              const ScanOptions& options) {
-  if (options.shards > 1) {
-    // Sharded streaming: finished shard batches flow into the writer while
-    // other shards are still scanning — the high-water mark is the
-    // in-flight shard snapshots, never a full merged measurement.
-    ShardedStudy study(config, options);
-    for (int week = 0; week < kNumMeasurements; ++week) {
-      run_sharded_campaign_streamed(study.deployer(), week, study.config(), writer);
-    }
-    writer.finish();
-    return;
-  }
+  ShardedStudy study(config, options);
   for (int week = 0; week < kNumMeasurements; ++week) {
-    const ScanSnapshot snapshot = run_measurement(config, week, options);
-    writer.add_snapshot(snapshot);
-    // The snapshot goes out of scope here: at no point does the campaign
-    // hold more than one measurement in memory.
+    run_sharded_campaign_streamed(study.deployer(), week, study.config(), writer);
   }
   writer.finish();
-}
-
-void run_full_study_streamed(const StudyConfig& config, SnapshotWriter& writer) {
-  ScanOptions options;
-  options.shards = config.shards;
-  options.threads = config.scan_threads;
-  run_full_study_streamed(config, writer, options);
 }
 
 }  // namespace opcua_study

@@ -5,44 +5,45 @@
 
 #include "population/deploy.hpp"
 #include "scanner/campaign.hpp"
-#include "scanner/host_task.hpp"
+#include "scanner/protocol.hpp"
 #include "study/study.hpp"
 
 namespace opcua_study {
 namespace {
 
-// ------------------------------------------------------------ parse_opc_url
+// ------------------------------------------------------- parse_endpoint_url
 
-TEST(ParseOpcUrl, AcceptsIpAndPort) {
-  const auto parsed = parse_opc_url("opc.tcp://10.1.2.3:4841/server");
+TEST(ParseEndpointUrl, AcceptsIpAndPort) {
+  const auto parsed = parse_endpoint_url("opc.tcp://10.1.2.3:4841/server");
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->first, make_ipv4(10, 1, 2, 3));
-  EXPECT_EQ(parsed->second, 4841);
+  EXPECT_EQ(parsed->protocol, ProtocolId::opcua);
+  EXPECT_EQ(parsed->ip, make_ipv4(10, 1, 2, 3));
+  EXPECT_EQ(parsed->port, 4841);
 }
 
-TEST(ParseOpcUrl, DefaultsToPort4840) {
-  const auto parsed = parse_opc_url("opc.tcp://10.1.2.3/");
+TEST(ParseEndpointUrl, DefaultsToPort4840) {
+  const auto parsed = parse_endpoint_url("opc.tcp://10.1.2.3/");
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->second, kOpcUaDefaultPort);
+  EXPECT_EQ(parsed->port, kOpcUaDefaultPort);
 }
 
-TEST(ParseOpcUrl, RejectsOutOfRangePorts) {
+TEST(ParseEndpointUrl, RejectsOutOfRangePorts) {
   // Regression: std::stoi happily parsed these and the uint16_t cast
   // silently truncated (99999 -> 34463).
-  EXPECT_FALSE(parse_opc_url("opc.tcp://1.2.3.4:99999/").has_value());
-  EXPECT_FALSE(parse_opc_url("opc.tcp://1.2.3.4:65536/").has_value());
-  EXPECT_FALSE(parse_opc_url("opc.tcp://1.2.3.4:-5/").has_value());
-  EXPECT_FALSE(parse_opc_url("opc.tcp://1.2.3.4:0/").has_value());
-  EXPECT_FALSE(parse_opc_url("opc.tcp://1.2.3.4:99999999999999/").has_value());
-  EXPECT_FALSE(parse_opc_url("opc.tcp://1.2.3.4:x/").has_value());
-  EXPECT_TRUE(parse_opc_url("opc.tcp://1.2.3.4:65535/").has_value());
-  EXPECT_TRUE(parse_opc_url("opc.tcp://1.2.3.4:1/").has_value());
+  EXPECT_FALSE(parse_endpoint_url("opc.tcp://1.2.3.4:99999/").has_value());
+  EXPECT_FALSE(parse_endpoint_url("opc.tcp://1.2.3.4:65536/").has_value());
+  EXPECT_FALSE(parse_endpoint_url("opc.tcp://1.2.3.4:-5/").has_value());
+  EXPECT_FALSE(parse_endpoint_url("opc.tcp://1.2.3.4:0/").has_value());
+  EXPECT_FALSE(parse_endpoint_url("opc.tcp://1.2.3.4:99999999999999/").has_value());
+  EXPECT_FALSE(parse_endpoint_url("opc.tcp://1.2.3.4:x/").has_value());
+  EXPECT_TRUE(parse_endpoint_url("opc.tcp://1.2.3.4:65535/").has_value());
+  EXPECT_TRUE(parse_endpoint_url("opc.tcp://1.2.3.4:1/").has_value());
 }
 
-TEST(ParseOpcUrl, RejectsHostnamesAndForeignSchemes) {
-  EXPECT_FALSE(parse_opc_url("opc.tcp://device.local:4840/").has_value());
-  EXPECT_FALSE(parse_opc_url("http://1.2.3.4:4840/").has_value());
-  EXPECT_FALSE(parse_opc_url("").has_value());
+TEST(ParseEndpointUrl, RejectsHostnamesAndForeignSchemes) {
+  EXPECT_FALSE(parse_endpoint_url("opc.tcp://device.local:4840/").has_value());
+  EXPECT_FALSE(parse_endpoint_url("http://1.2.3.4:4840/").has_value());
+  EXPECT_FALSE(parse_endpoint_url("").has_value());
 }
 
 // ---------------------------------------------------------------- fixtures

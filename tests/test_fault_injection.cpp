@@ -1,14 +1,17 @@
 // Fault-injection resilience tests: deterministic fault streams across
 // engine concurrency and shard/thread layouts, fault-free byte identity,
 // scan-quality persistence (v6 tail), the scan-quality analysis section,
-// and crash-safe checkpoint/resume campaigns.
+// and crash-safe checkpoint/resume campaigns, including a unit that fails.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <typeinfo>
 
 #include "analysis/analysis.hpp"
+#include "obs/trace.hpp"
 #include "population/deploy.hpp"
 #include "scanner/campaign.hpp"
 #include "scanner/snapshot_io.hpp"
@@ -147,6 +150,18 @@ ScanSnapshot run_campaign(const PopulationPlan& plan, std::size_t max_in_flight,
   return campaign.run(week);
 }
 
+/// A sharded campaign over the plan under the hostile fault profile.
+ShardedCampaignConfig hostile_sharded_config(KeyFactory& keys, int shards, int threads) {
+  ShardedCampaignConfig config;
+  config.campaign.seed = 5;
+  config.campaign.grabber.client = make_scanner_identity(42, keys);
+  config.shards = shards;
+  config.threads = threads;
+  config.faults = FaultProfile::hostile();
+  config.fault_seed = kFaultSeed;
+  return config;
+}
+
 // ------------------------------------------------------------ determinism
 
 TEST(FaultInjection, RecordsIdenticalAcrossInFlightWindows) {
@@ -215,14 +230,7 @@ TEST(FaultInjection, ShardedFaultedRunsDeterministicAcrossThreadsAndShards) {
 
   auto run_sharded = [&](int shards, int threads) {
     Deployer deployer = make_deployer(plan);
-    ShardedCampaignConfig config;
-    config.campaign.seed = 5;
-    config.campaign.grabber.client = make_scanner_identity(42, keys);
-    config.shards = shards;
-    config.threads = threads;
-    config.faults = FaultProfile::hostile();
-    config.fault_seed = kFaultSeed;
-    return run_sharded_campaign(deployer, 7, config);
+    return run_sharded_campaign(deployer, 7, hostile_sharded_config(keys, shards, threads));
   };
 
   const ScanSnapshot base = run_sharded(3, 1);
@@ -318,36 +326,61 @@ TEST(FaultInjection, RowFormatsRefuseQualityFields) {
   EXPECT_THROW(save_snapshots_v4(path, 42, {snapshot}), SnapshotError);
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
+
+  // A hostile sharded campaign streamed into a v5 writer hits the same
+  // refusal. It must reach the caller as SnapshotError at any thread
+  // count: with two workers it is thrown while another shard may still
+  // be scanning.
+  const PopulationPlan plan = fault_plan();
+  KeyFactory keys(42, "");
+  const std::string streamed_path = "/tmp/opcua_test_quality_v5_streamed.bin";
+  for (const int threads : {1, 2}) {
+    Deployer deployer = make_deployer(plan);
+    const ShardedCampaignConfig config = hostile_sharded_config(keys, 2, threads);
+    SnapshotWriter streamed(streamed_path, 42, SnapshotWriter::kDefaultChunkRecords, 5);
+    EXPECT_THROW(run_sharded_campaign_streamed(deployer, 7, config, streamed), SnapshotError)
+        << threads << " thread(s)";
+  }
+  std::remove((streamed_path + ".tmp").c_str());
 }
 
 // --------------------------------------------------- checkpoint / resume ----
 
-TEST(FaultInjection, KilledCampaignResumesToByteIdenticalSnapshot) {
-  const PopulationPlan plan = fault_plan();
-  KeyFactory keys(42, "");
-
+/// Weeks 6-7 of the hostile campaign, two shards on two threads.
+CheckpointConfig hostile_checkpoint_config(KeyFactory& keys) {
   CheckpointConfig config;
-  config.campaign.campaign.seed = 5;
-  config.campaign.campaign.grabber.client = make_scanner_identity(42, keys);
-  config.campaign.shards = 2;
-  config.campaign.threads = 2;
-  config.campaign.faults = FaultProfile::hostile();
-  config.campaign.fault_seed = kFaultSeed;
+  config.campaign = hostile_sharded_config(keys, 2, 2);
   config.first_week = 6;
   config.weeks = 2;
   config.snapshot_seed = 42;
   config.chunk_records = 3;  // force chunk boundaries inside each shard batch
+  return config;
+}
 
-  // Reference: the same campaign written by the plain streamed runner.
-  const std::string direct_path = "/tmp/opcua_test_ckpt_direct.bin";
-  {
-    Deployer deployer = make_deployer(plan);
-    SnapshotWriter writer(direct_path, 42, config.chunk_records);
-    for (int week = config.first_week; week < config.first_week + config.weeks; ++week) {
-      run_sharded_campaign_streamed(deployer, week, config.campaign, writer);
-    }
-    writer.finish();
+/// The reference a checkpointed study must reproduce: the same campaign
+/// written by the plain streamed runner.
+void stream_directly(const PopulationPlan& plan, const CheckpointConfig& config,
+                     const std::string& path) {
+  Deployer deployer = make_deployer(plan);
+  SnapshotWriter writer(path, 42, config.chunk_records);
+  for (int week = config.first_week; week < config.first_week + config.weeks; ++week) {
+    run_sharded_campaign_streamed(deployer, week, config.campaign, writer);
   }
+  writer.finish();
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+TEST(FaultInjection, KilledCampaignResumesToByteIdenticalSnapshot) {
+  const PopulationPlan plan = fault_plan();
+  KeyFactory keys(42, "");
+  CheckpointConfig config = hostile_checkpoint_config(keys);
+
+  const std::string direct_path = "/tmp/opcua_test_ckpt_direct.bin";
+  stream_directly(plan, config, direct_path);
 
   // Uninterrupted checkpointed run.
   const std::string full_path = "/tmp/opcua_test_ckpt_full.bin";
@@ -395,6 +428,57 @@ TEST(FaultInjection, KilledCampaignResumesToByteIdenticalSnapshot) {
   std::remove(direct_path.c_str());
   std::remove(full_path.c_str());
   std::remove(resumed_path.c_str());
+}
+
+TEST(FaultInjection, FailedCheckpointUnitSurfacesAndResumes) {
+  const PopulationPlan plan = fault_plan();
+  KeyFactory keys(42, "");
+  CheckpointConfig config = hostile_checkpoint_config(keys);
+  config.dir = "/tmp/opcua_test_ckpt_failed_dir";
+  std::filesystem::remove_all(config.dir);
+  // A directory squatting on the temp path of unit (6, 1)'s segment makes
+  // sealing that unit fail.
+  const std::string blocker = checkpoint_segment_path(config.dir, 6, 1) + ".tmp";
+  std::filesystem::create_directories(blocker);
+
+  const std::string out = "/tmp/opcua_test_ckpt_failed.bin";
+  std::remove(out.c_str());
+  obs::trace_reset();
+  obs::set_trace_enabled(true);
+  {
+    Deployer deployer = make_deployer(plan);
+    try {
+      run_checkpointed_study(deployer, config, out);
+      ADD_FAILURE() << "the study returned although unit (6, 1) could not be sealed";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(typeid(e), typeid(SnapshotError)) << "the unit's exception was re-wrapped";
+    }
+  }
+  obs::set_trace_enabled(false);
+
+  // The failed unit is not marked done, the study stopped at its week, the
+  // flight recorder was dumped, and no final file was assembled.
+  const std::string manifest = read_text(checkpoint_manifest_path(config.dir));
+  EXPECT_EQ(manifest.find("done 6 1"), std::string::npos);
+  EXPECT_EQ(manifest.find("done 7 "), std::string::npos);
+  const std::string crash_dump = read_text(config.dir + "/flight_recorder.crash.jsonl");
+  EXPECT_NE(crash_dump.find("\"event\":\"unit_failed\""), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(out));
+
+  // With the obstacle gone, a resume completes to the uninterrupted bytes.
+  std::filesystem::remove_all(blocker);
+  {
+    Deployer deployer = make_deployer(plan);
+    EXPECT_TRUE(run_checkpointed_study(deployer, config, out));
+  }
+  const std::string direct_path = "/tmp/opcua_test_ckpt_failed_direct.bin";
+  stream_directly(plan, config, direct_path);
+  EXPECT_EQ(read_file_bytes(out), read_file_bytes(direct_path));
+
+  obs::trace_reset();
+  std::filesystem::remove_all(config.dir);
+  std::remove(out.c_str());
+  std::remove(direct_path.c_str());
 }
 
 TEST(FaultInjection, CheckpointManifestRejectsIncompatibleResume) {

@@ -430,8 +430,11 @@ TEST(Observability, ExpositionFormatsAndDisabledPlane) {
   EXPECT_NE(prom.find("opcua_study_phase_connect_us_count{cell=\"mqtt-tls\"} 1"),
             std::string::npos);
   EXPECT_EQ(prom.find("scheduler_in_flight_peak"), std::string::npos);
-  EXPECT_NE(telemetry_prometheus(sample, true).find("opcua_study_scheduler_in_flight_peak 7"),
-            std::string::npos);
+  TelemetryReportOptions operational;
+  operational.include_operational = true;
+  EXPECT_NE(
+      telemetry_prometheus(sample, operational).find("opcua_study_scheduler_in_flight_peak 7"),
+      std::string::npos);
 
   // Equal samples serialize to equal bytes — the exposition adds nothing
   // non-deterministic (no timestamps, no map iteration order).
@@ -449,9 +452,6 @@ TEST(Observability, ExpositionFormatsAndDisabledPlane) {
   EXPECT_NE(labeled.find("opcua_study_grab_outcome{campaign=\"week\\\"1\\\\2\\n3\","
                          "cell=\"opcua/complete\"} 3"),
             std::string::npos);
-  // The label-free overload stays byte-identical to an empty label.
-  TelemetryReportOptions unlabeled;
-  EXPECT_EQ(telemetry_prometheus(sample, unlabeled), telemetry_prometheus(sample, false));
 
   // Disabled plane: every record site is a no-op, not an error.
   obs::reset();

@@ -77,13 +77,6 @@ TEST(ProtocolRegistry, SchemeAwareEndpointParser) {
   EXPECT_FALSE(parse_endpoint_url("http://10.1.2.3/").has_value());
   EXPECT_FALSE(parse_endpoint_url("opc.tcp://broker.example:4840/").has_value());
   EXPECT_FALSE(parse_endpoint_url("opc.tcp://10.1.2.3:99999/").has_value());
-
-  // The old OPC-UA-only name is an alias over the same parser.
-  const auto legacy = parse_opc_url("opc.tcp://10.1.2.3:4841/x");
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->first, make_ipv4(10, 1, 2, 3));
-  EXPECT_EQ(legacy->second, 4841);
-  EXPECT_FALSE(parse_opc_url("mqtts://10.1.2.4/").has_value());
 }
 
 // ------------------------------------------------- mixed-fleet populations
