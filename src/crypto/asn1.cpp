@@ -211,19 +211,30 @@ std::string DerParser::read_string() {
 
 std::int64_t DerParser::read_time_days() {
   const Tlv t = next();
-  const std::string s(t.content.begin(), t.content.end());
+  // Certificate bytes come from scanned servers: every date character read
+  // must be an ASCII digit, or the time is a DecodeError like any other
+  // malformed field.
+  const auto digits = [&t](std::size_t at, std::size_t count) {
+    int value = 0;
+    for (std::size_t i = at; i < at + count; ++i) {
+      const std::uint8_t c = t.content[i];
+      if (c < '0' || c > '9') throw DecodeError("DER: non-digit in time value");
+      value = value * 10 + (c - '0');
+    }
+    return value;
+  };
   CivilDate d;
   if (t.tag == der::kUtcTime) {
-    if (s.size() < 13) throw DecodeError("bad UTCTime");
-    const int yy = std::stoi(s.substr(0, 2));
+    if (t.content.size() < 13) throw DecodeError("bad UTCTime");
+    const int yy = digits(0, 2);
     d.year = yy >= 50 ? 1900 + yy : 2000 + yy;
-    d.month = static_cast<unsigned>(std::stoi(s.substr(2, 2)));
-    d.day = static_cast<unsigned>(std::stoi(s.substr(4, 2)));
+    d.month = static_cast<unsigned>(digits(2, 2));
+    d.day = static_cast<unsigned>(digits(4, 2));
   } else if (t.tag == der::kGeneralizedTime) {
-    if (s.size() < 15) throw DecodeError("bad GeneralizedTime");
-    d.year = std::stoi(s.substr(0, 4));
-    d.month = static_cast<unsigned>(std::stoi(s.substr(4, 2)));
-    d.day = static_cast<unsigned>(std::stoi(s.substr(6, 2)));
+    if (t.content.size() < 15) throw DecodeError("bad GeneralizedTime");
+    d.year = digits(0, 4);
+    d.month = static_cast<unsigned>(digits(4, 2));
+    d.day = static_cast<unsigned>(digits(6, 2));
   } else {
     throw DecodeError("DER: not a time type");
   }

@@ -46,14 +46,11 @@ bool Network::syn_probe(Ipv4 ip, std::uint16_t port) {
   return is_listening(ip, port);
 }
 
-std::unique_ptr<NetConnection> Network::connect(Ipv4 ip, std::uint16_t port, ConnMode mode,
+std::unique_ptr<NetConnection> Network::connect(Ipv4 ip, std::uint16_t port,
                                                 ConnectFault* fault) {
   if (fault != nullptr) *fault = ConnectFault::None;
   const auto it = listeners_.find(key(ip, port));
-  if (it == listeners_.end()) {
-    if (mode == ConnMode::Blocking) clock_.advance_us(rtt_us(ip));  // RST after one RTT
-    return nullptr;
-  }
+  if (it == listeners_.end()) return nullptr;
   FaultPlan::Endpoint* ep = nullptr;
   if (fault_plan_ != nullptr && fault_plan_->profile().enabled()) {
     ep = &fault_plan_->endpoint(ip, port);
@@ -61,19 +58,16 @@ std::unique_ptr<NetConnection> Network::connect(Ipv4 ip, std::uint16_t port, Con
     if (ep->rng.chance(profile.connect_drop)) {
       obs::add(obs::Metric::net_faults_injected, 1, kObsSynDrop);
       if (fault != nullptr) *fault = ConnectFault::SynDrop;
-      if (mode == ConnMode::Blocking) clock_.advance_us(profile.connect_timeout_us);
       return nullptr;
     }
     if (ep->rng.chance(profile.listener_flap)) {
       obs::add(obs::Metric::net_faults_injected, 1, kObsListenerFlap);
       if (fault != nullptr) *fault = ConnectFault::Flap;
-      if (mode == ConnMode::Blocking) clock_.advance_us(rtt_us(ip));  // RST
       return nullptr;
     }
   }
-  if (mode == ConnMode::Blocking) clock_.advance_us(rtt_us(ip));  // three-way handshake
-  auto conn = std::make_unique<NetConnection>(*this, ip, it->second(), mode);
-  if (mode == ConnMode::Deferred) conn->charge(rtt_us(ip));  // handshake, deferred
+  auto conn = std::make_unique<NetConnection>(*this, ip, it->second());
+  conn->charge(rtt_us(ip));  // three-way handshake
   if (ep != nullptr) {
     const FaultProfile& profile = fault_plan_->profile();
     conn->faults_ = ep;
@@ -95,17 +89,10 @@ std::vector<std::pair<Ipv4, std::uint16_t>> Network::bound_endpoints() const {
   return out;
 }
 
-NetConnection::NetConnection(Network& net, Ipv4 peer, std::unique_ptr<ConnectionHandler> handler,
-                             ConnMode mode)
-    : net_(net), peer_(peer), handler_(std::move(handler)), mode_(mode) {}
+NetConnection::NetConnection(Network& net, Ipv4 peer, std::unique_ptr<ConnectionHandler> handler)
+    : net_(net), peer_(peer), handler_(std::move(handler)) {}
 
-void NetConnection::charge(std::uint64_t us) {
-  if (mode_ == ConnMode::Deferred) {
-    deferred_elapsed_us_ += us;
-  } else {
-    net_.clock_.advance_us(us);
-  }
-}
+void NetConnection::charge(std::uint64_t us) { elapsed_us_ += us; }
 
 Bytes NetConnection::roundtrip(const Bytes& request) {
   if (faults_ != nullptr && reset_after_ == 0) {

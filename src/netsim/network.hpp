@@ -5,13 +5,11 @@
 // with a per-path RTT model and per-connection byte accounting (the paper
 // reports 352 kB average outgoing traffic per host, §A.2).
 //
-// Two clock modes exist per connection (see DESIGN.md):
-//  - Blocking: every roundtrip advances the global SimClock — the legacy
-//    lock-step model, still used by single-host tools.
-//  - Deferred: roundtrips charge their simulated cost (RTT + transfer time)
-//    to a per-connection accumulator instead, so many connections can have
-//    requests in flight at once; the scan engine turns those costs into
-//    timed events on the Network's EventScheduler.
+// Connections never advance the global SimClock: each roundtrip charges
+// its simulated cost (RTT + transfer time) to a per-connection accumulator
+// (NetConnection::take_elapsed), so many connections can have requests in
+// flight at once; the scan engine turns those costs into timed events on
+// the Network's EventScheduler (see DESIGN.md).
 #pragma once
 
 #include <functional>
@@ -39,9 +37,6 @@ class ConnectionHandler {
 using HandlerFactory = std::function<std::unique_ptr<ConnectionHandler>()>;
 
 class NetConnection;
-
-/// How a connection charges simulated time (see file comment).
-enum class ConnMode { Blocking, Deferred };
 
 /// Why a connect() returned nullptr when a FaultPlan is active. The caller
 /// needs the distinction: fault-driven refusals are retryable (the service
@@ -73,16 +68,14 @@ class Network {
   /// SYN probe: advances the clock by the path RTT; true = SYN-ACK.
   bool syn_probe(Ipv4 ip, std::uint16_t port);
 
-  /// TCP connect; nullptr when the port is closed. Blocking mode advances
-  /// the global clock by the handshake RTT (and by the RST RTT on refusal);
-  /// Deferred mode charges the handshake to the connection's accumulator
-  /// and leaves the global clock untouched — a refused deferred connect
-  /// charges nothing, the caller accounts the RST RTT itself.
+  /// TCP connect; nullptr when the port is closed. The handshake RTT is
+  /// charged to the new connection's accumulator and the global clock is
+  /// left untouched — a refused connect charges nothing, the caller
+  /// accounts the RST RTT (or SYN timeout) itself.
   ///
   /// With a FaultPlan installed, a connect attempt may be dropped or
   /// refused by an injected fault; `fault` (when non-null) reports why.
   std::unique_ptr<NetConnection> connect(Ipv4 ip, std::uint16_t port,
-                                         ConnMode mode = ConnMode::Blocking,
                                          ConnectFault* fault = nullptr);
 
   /// Attach (or clear) a deterministic fault plan. Without one — or with a
@@ -121,8 +114,7 @@ class Network {
 /// MessageTransport with clock + byte accounting.
 class NetConnection : public MessageTransport {
  public:
-  NetConnection(Network& net, Ipv4 peer, std::unique_ptr<ConnectionHandler> handler,
-                ConnMode mode = ConnMode::Blocking);
+  NetConnection(Network& net, Ipv4 peer, std::unique_ptr<ConnectionHandler> handler);
 
   Bytes roundtrip(const Bytes& request) override;
   void send_oneway(const Bytes& message) override;
@@ -133,13 +125,12 @@ class NetConnection : public MessageTransport {
   bool peer_closed() const { return handler_ == nullptr || handler_->closed(); }
   Ipv4 peer() const { return peer_; }
 
-  ConnMode mode() const { return mode_; }
-  /// Deferred mode: simulated time charged since the last take. The scan
-  /// engine drains this after every protocol exchange and converts it into
-  /// event-heap wake-ups.
+  /// Simulated time charged since the last take. The scan engine drains
+  /// this after every protocol exchange and converts it into event-heap
+  /// wake-ups.
   std::uint64_t take_elapsed() {
-    const std::uint64_t elapsed = deferred_elapsed_us_;
-    deferred_elapsed_us_ = 0;
+    const std::uint64_t elapsed = elapsed_us_;
+    elapsed_us_ = 0;
     return elapsed;
   }
 
@@ -154,17 +145,16 @@ class NetConnection : public MessageTransport {
   std::uint32_t faults_injected() const { return faults_injected_; }
 
  private:
-  friend class Network;  // pre-charges the deferred handshake RTT
+  friend class Network;  // pre-charges the handshake RTT
   static constexpr std::uint32_t kNoReset = 0xffffffff;
   void charge(std::uint64_t us);
 
   Network& net_;
   Ipv4 peer_;
   std::unique_ptr<ConnectionHandler> handler_;
-  ConnMode mode_;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;
-  std::uint64_t deferred_elapsed_us_ = 0;
+  std::uint64_t elapsed_us_ = 0;
   FaultPlan::Endpoint* faults_ = nullptr;      // null = no injection
   const FaultProfile* fault_profile_ = nullptr;
   std::uint32_t reset_after_ = kNoReset;       // exchanges until injected RST

@@ -220,7 +220,7 @@ HostGrabTask::Step HostGrabTask::step() {
 
 HostGrabTask::Step HostGrabTask::step_discovery() {
   ConnectFault connect_fault = ConnectFault::None;
-  conn_ = network_.connect(ip_, port_, ConnMode::Deferred, &connect_fault);
+  conn_ = network_.connect(ip_, port_, &connect_fault);
   if (!conn_) {
     if (connect_fault != ConnectFault::None) {
       note_faults(1);
@@ -334,7 +334,7 @@ HostGrabTask::Step HostGrabTask::step_secure_probe() {
   assess_start_us_ = elapsed_us_;
 
   ConnectFault connect_fault = ConnectFault::None;
-  conn_ = network_.connect(ip_, port_, ConnMode::Deferred, &connect_fault);
+  conn_ = network_.connect(ip_, port_, &connect_fault);
   if (!conn_) {
     if (connect_fault != ConnectFault::None) {
       note_faults(1);
@@ -411,7 +411,7 @@ HostGrabTask::Step HostGrabTask::step_secure_probe() {
 
 HostGrabTask::Step HostGrabTask::step_reconnect() {
   ConnectFault connect_fault = ConnectFault::None;
-  conn_ = network_.connect(ip_, port_, ConnMode::Deferred, &connect_fault);
+  conn_ = network_.connect(ip_, port_, &connect_fault);
   if (!conn_) {
     if (connect_fault != ConnectFault::None) {
       note_faults(1);

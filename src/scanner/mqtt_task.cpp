@@ -159,7 +159,7 @@ MqttGrabTask::Step MqttGrabTask::step() {
 
 MqttGrabTask::Step MqttGrabTask::step_hello() {
   ConnectFault connect_fault = ConnectFault::None;
-  conn_ = network_.connect(ip_, port_, ConnMode::Deferred, &connect_fault);
+  conn_ = network_.connect(ip_, port_, &connect_fault);
   if (!conn_) {
     if (connect_fault != ConnectFault::None) {
       note_faults(1);

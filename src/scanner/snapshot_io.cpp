@@ -97,67 +97,6 @@ double lef64(const std::uint8_t* p) {
   return v;
 }
 
-void write_host(UaWriter& w, const HostScanRecord& host) {
-  // The row formats predate fault injection and have no slot for the
-  // scan-quality fields; silently dropping them would make a v5 round
-  // trip lossy, so refuse instead (fault-free records always pass).
-  if (host.completeness != ProbeOutcome::complete || host.retries != 0 ||
-      host.fault_events != 0) {
-    throw SnapshotError(
-        "v5/v4 snapshot formats cannot encode scan-quality fields; "
-        "write fault-injected campaigns as v6");
-  }
-  // Same stance for the protocol column: pre-protocol formats would decode
-  // an MQTT broker as an OPC UA server, so refuse rather than lose the id.
-  if (host.protocol != ProtocolId::opcua) {
-    throw SnapshotError("v5/v4 snapshot formats cannot encode non-OPC-UA records (got " +
-                        protocol_name(host.protocol) + "); write mixed campaigns as v6");
-  }
-  w.u32(host.ip);
-  w.u16(host.port);
-  w.u32(host.asn);
-  w.boolean(host.tcp_open);
-  w.boolean(host.speaks_opcua);
-  w.boolean(host.found_via_reference);
-  w.string(host.application_uri);
-  w.string(host.product_uri);
-  w.string(host.application_name);
-  w.u32(static_cast<std::uint32_t>(host.application_type));
-  w.string(host.software_version);
-  w.u32(static_cast<std::uint32_t>(host.endpoints.size()));
-  for (const auto& ep : host.endpoints) {
-    w.string(ep.url);
-    w.u32(static_cast<std::uint32_t>(ep.mode));
-    w.string(ep.policy_uri);
-    w.u32(static_cast<std::uint32_t>(ep.token_types.size()));
-    for (const auto t : ep.token_types) w.u32(static_cast<std::uint32_t>(t));
-    w.byte_string(ep.certificate_der);
-  }
-  w.u32(static_cast<std::uint32_t>(host.referenced_targets.size()));
-  for (const auto& [ip, port] : host.referenced_targets) {
-    w.u32(ip);
-    w.u16(port);
-  }
-  w.u32(static_cast<std::uint32_t>(host.channel));
-  w.u32(static_cast<std::uint32_t>(host.channel_policy));
-  w.u32(static_cast<std::uint32_t>(host.channel_mode));
-  w.boolean(host.server_signature_valid);
-  w.boolean(host.anonymous_offered);
-  w.u32(static_cast<std::uint32_t>(host.session));
-  w.string_array(host.namespaces);
-  w.u32(static_cast<std::uint32_t>(host.nodes.size()));
-  for (const auto& node : host.nodes) {
-    w.string(node.browse_name);
-    w.u32(static_cast<std::uint32_t>(node.node_class));
-    w.boolean(node.readable);
-    w.boolean(node.writable);
-    w.boolean(node.executable);
-  }
-  w.boolean(host.traversal_truncated);
-  w.u64(host.bytes_sent);
-  w.f64(host.duration_seconds);
-}
-
 // Enum fields come off disk as raw integers; a flipped bit must surface as
 // a DecodeError, not as an out-of-range enum that downstream switch
 // statements silently misclassify.
@@ -846,15 +785,8 @@ void ColumnEncoder::clear_records() {
 // ------------------------------------------------------------- writer ----
 
 SnapshotWriter::SnapshotWriter(const std::string& path, std::uint64_t seed,
-                               std::uint32_t chunk_records, std::uint32_t format_version)
-    : path_(path),
-      seed_(seed),
-      chunk_records_(std::max<std::uint32_t>(1, chunk_records)),
-      format_version_(format_version) {
-  if (format_version_ != kVersionV5 && format_version_ != kVersionV6) {
-    throw SnapshotError("unsupported snapshot write version " +
-                        std::to_string(format_version_) + ": " + path);
-  }
+                               std::uint32_t chunk_records)
+    : path_(path), chunk_records_(std::max<std::uint32_t>(1, chunk_records)) {
   // Write into a sibling temp file; finish() renames it over `path` so a
   // crash mid-campaign can never leave a half-written file at the final
   // name (same pattern as the key-cache flush).
@@ -862,7 +794,7 @@ SnapshotWriter::SnapshotWriter(const std::string& path, std::uint64_t seed,
   if (!out_) throw SnapshotError("cannot open snapshot file for writing: " + path + ".tmp");
   UaWriter header;
   header.u32(kMagic);
-  header.u32(format_version_);
+  header.u32(kVersionV6);
   header.u64(seed);
   const Bytes& bytes = header.bytes();
   out_.write(reinterpret_cast<const char*>(bytes.data()),
@@ -898,17 +830,10 @@ void SnapshotWriter::begin_snapshot(int measurement_index, std::int64_t date_day
 
 void SnapshotWriter::add_host(const HostScanRecord& host) {
   if (!in_snapshot_) throw SnapshotError("add_host outside begin/end_snapshot: " + path_);
-  if (format_version_ == kVersionV6) {
-    try {
-      columns_.add(host);
-    } catch (const SnapshotError& e) {
-      throw SnapshotError(std::string(e.what()) + ": " + path_);
-    }
-  } else {
-    UaWriter w;
-    write_host(w, host);
-    const Bytes& encoded = w.bytes();
-    chunk_buf_.insert(chunk_buf_.end(), encoded.begin(), encoded.end());
+  try {
+    columns_.add(host);
+  } catch (const SnapshotError& e) {
+    throw SnapshotError(std::string(e.what()) + ": " + path_);
   }
   snapshots_.back().protocol_mask |= 1u << static_cast<std::uint32_t>(host.protocol);
   ++buffered_records_;
@@ -939,31 +864,28 @@ void SnapshotWriter::flush_chunk() {
   info.snapshot_ordinal = static_cast<std::uint32_t>(snapshots_.size() - 1);
   info.record_count = buffered_records_;
   info.file_offset = file_pos_;
+  info.payload_bytes = columns_.payload_bytes();
 
   UaWriter w;
-  if (format_version_ == kVersionV6) {
-    info.payload_bytes = columns_.payload_bytes();
-    w.u32(kChunkMagic);
-    w.u32(info.snapshot_ordinal);
-    w.u32(info.record_count);
-    w.u32(0);  // reserved: keeps the header 24 bytes, i.e. 8-aligned
-    w.u64(info.payload_bytes);
-    columns_.write_payload(w);
-    const std::uint64_t pad = v6_padding(info.payload_bytes);
-    for (std::uint64_t p = 0; p < pad; ++p) w.byte(0);
-    columns_.clear_records();
-  } else {
-    info.payload_bytes = chunk_buf_.size();
-    w.u32(kChunkMagic);
-    w.u32(info.snapshot_ordinal);
-    w.u32(info.record_count);
-    w.u64(info.payload_bytes);
-    w.base().raw(chunk_buf_);
-    chunk_buf_.clear();
-  }
+  w.u32(kChunkMagic);
+  w.u32(info.snapshot_ordinal);
+  w.u32(info.record_count);
+  w.u32(0);  // reserved: keeps the header 24 bytes, i.e. 8-aligned
+  w.u64(info.payload_bytes);
+  columns_.write_payload(w);
+  const std::uint64_t pad = v6_padding(info.payload_bytes);
+  for (std::uint64_t p = 0; p < pad; ++p) w.byte(0);
+  columns_.clear_records();
   const Bytes& bytes = w.bytes();
   out_.write(reinterpret_cast<const char*>(bytes.data()),
              static_cast<std::streamsize>(bytes.size()));
+  // Flush per chunk so a failed write (a full disk) stops the campaign at
+  // this chunk instead of surfacing only when finish() seals the file.
+  out_.flush();
+  if (!out_) {
+    throw SnapshotError("write failure at chunk " + std::to_string(chunks_.size()) +
+                        " of snapshot file: " + path_ + ".tmp");
+  }
   file_pos_ += bytes.size();
   chunks_.push_back(info);
   buffered_records_ = 0;
@@ -980,25 +902,20 @@ void SnapshotWriter::flush_chunk() {
 void SnapshotWriter::finish() {
   if (finished_) return;
   if (in_snapshot_) throw SnapshotError("finish with an open snapshot: " + path_);
-  std::uint64_t dict_offset = 0;
-  std::uint64_t dict_bytes = 0;
-  if (format_version_ == kVersionV6) {
-    dict_offset = file_pos_;
-    UaWriter d;
-    d.u32(kDictMagic);
-    d.u32(static_cast<std::uint32_t>(columns_.cert_count()));
-    for (std::uint32_t id = 0; id < columns_.cert_count(); ++id) {
-      const auto der = columns_.cert_der(id);
-      d.u64(columns_.cert_fp64(id));
-      d.i32(static_cast<std::int32_t>(der.size()));
-      d.base().raw(der);
-    }
-    const Bytes& db = d.bytes();
-    out_.write(reinterpret_cast<const char*>(db.data()),
-               static_cast<std::streamsize>(db.size()));
-    dict_bytes = db.size();
-    file_pos_ += dict_bytes;
+  const std::uint64_t dict_offset = file_pos_;
+  UaWriter d;
+  d.u32(kDictMagic);
+  d.u32(static_cast<std::uint32_t>(columns_.cert_count()));
+  for (std::uint32_t id = 0; id < columns_.cert_count(); ++id) {
+    const auto der = columns_.cert_der(id);
+    d.u64(columns_.cert_fp64(id));
+    d.i32(static_cast<std::int32_t>(der.size()));
+    d.base().raw(der);
   }
+  const Bytes& db = d.bytes();
+  out_.write(reinterpret_cast<const char*>(db.data()), static_cast<std::streamsize>(db.size()));
+  const std::uint64_t dict_bytes = db.size();
+  file_pos_ += dict_bytes;
   const std::uint64_t footer_offset = file_pos_;
   UaWriter w;
   w.u32(kFooterMagic);
@@ -1017,11 +934,9 @@ void SnapshotWriter::finish() {
     w.u64(chunk.file_offset);
     w.u64(chunk.payload_bytes);
   }
-  if (format_version_ == kVersionV6) {
-    w.u64(dict_offset);
-    w.u64(dict_bytes);
-    w.u32(static_cast<std::uint32_t>(columns_.cert_count()));
-  }
+  w.u64(dict_offset);
+  w.u64(dict_bytes);
+  w.u32(static_cast<std::uint32_t>(columns_.cert_count()));
   if (campaign_set_) {
     w.u32(kCampaignMagic);
     for (const auto& meta : snapshots_) {
@@ -1029,16 +944,14 @@ void SnapshotWriter::finish() {
       w.i64(meta.campaign_epoch_days);
     }
   }
-  if (format_version_ == kVersionV6) {
-    // The protocol block exists only for mixed fleets: an OPC-UA-only
-    // campaign omits it (readers leave every mask 0 = undeclared) and the
-    // file stays byte-identical to pre-protocol output.
-    bool any_foreign = false;
-    for (const auto& meta : snapshots_) any_foreign |= (meta.protocol_mask & ~1u) != 0;
-    if (any_foreign) {
-      w.u32(kProtocolMagic);
-      for (const auto& meta : snapshots_) w.u32(meta.protocol_mask);
-    }
+  // The protocol block exists only for mixed fleets: an OPC-UA-only
+  // campaign omits it (readers leave every mask 0 = undeclared) and the
+  // file stays byte-identical to pre-protocol output.
+  bool any_foreign = false;
+  for (const auto& meta : snapshots_) any_foreign |= (meta.protocol_mask & ~1u) != 0;
+  if (any_foreign) {
+    w.u32(kProtocolMagic);
+    for (const auto& meta : snapshots_) w.u32(meta.protocol_mask);
   }
   w.u64(footer_offset);
   w.u32(kEndMagic);
@@ -1659,37 +1572,6 @@ std::optional<std::vector<ScanSnapshot>> load_snapshots(const std::string& path,
   } catch (const SnapshotError& e) {
     if (error) *error = e.what();
     return std::nullopt;
-  }
-}
-
-void save_snapshots_v4(const std::string& path, std::uint64_t seed,
-                       const std::vector<ScanSnapshot>& snapshots) {
-  UaWriter w;
-  w.u32(kMagic);
-  w.u32(kVersionV4);
-  w.u64(seed);
-  w.u32(static_cast<std::uint32_t>(snapshots.size()));
-  for (const auto& snapshot : snapshots) {
-    w.i32(snapshot.measurement_index);
-    w.i64(snapshot.date_days);
-    w.u64(snapshot.probes_sent);
-    w.u64(snapshot.tcp_open_count);
-    w.u32(static_cast<std::uint32_t>(snapshot.hosts.size()));
-    for (const auto& host : snapshot.hosts) write_host(w, host);
-  }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw SnapshotError("cannot open snapshot file for writing: " + tmp);
-    const Bytes& data = w.bytes();
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size()));
-    out.close();
-    if (!out) throw SnapshotError("write failure while writing snapshot file: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw SnapshotError("cannot move snapshot file into place: " + tmp + " -> " + path);
   }
 }
 

@@ -8,9 +8,12 @@
 // Three format generations load through SnapshotReader:
 //   v4 — retired monolithic row stream (whole-file decode, chunk index
 //        synthesized on open);
-//   v5 — chunked row stream: records in the v4 encoding, grouped into
-//        fixed-size chunks, indexed by a footer;
-//   v6 — the current *columnar* layout, written by default.
+//   v5 — retired chunked row stream: records in the v4 encoding, grouped
+//        into fixed-size chunks, indexed by a footer;
+//   v6 — the current *columnar* layout, the only one SnapshotWriter
+//        writes.
+// Older caches keep loading; tests/data holds one committed v4 and one v5
+// file that pin the two row decoders.
 //
 // Format v6 splits each chunk into fixed-width per-field columns plus one
 // variable-length column, and hoists all certificate DER into a single
@@ -308,19 +311,17 @@ class VarRecordCursor {
 /// add_host()* / end_snapshot(); finish() seals the file with the footer.
 /// A writer destroyed without finish() leaves the file unsealed, and
 /// readers reject it — a half-written campaign never masquerades as a
-/// complete dataset. Buffers at most one chunk of records (plus, for v6,
-/// the certificate dictionary — one copy of each distinct DER).
+/// complete dataset. Buffers at most one chunk of records plus the
+/// certificate dictionary (one copy of each distinct DER), and writes v6.
+/// Every sealed chunk is flushed to the file; a failed write (a full disk)
+/// throws SnapshotError from the add_host() or end_snapshot() that sealed
+/// it, not at finish().
 class SnapshotWriter {
  public:
   static constexpr std::uint32_t kDefaultChunkRecords = 4096;
-  static constexpr std::uint32_t kCurrentVersion = 6;
 
-  /// `format_version` is 6 (the default, columnar) or 5 (the row format,
-  /// kept writable for back-compat coverage and format-comparison
-  /// benches).
   SnapshotWriter(const std::string& path, std::uint64_t seed,
-                 std::uint32_t chunk_records = kDefaultChunkRecords,
-                 std::uint32_t format_version = kCurrentVersion);
+                 std::uint32_t chunk_records = kDefaultChunkRecords);
   ~SnapshotWriter();
 
   SnapshotWriter(const SnapshotWriter&) = delete;
@@ -346,16 +347,13 @@ class SnapshotWriter {
   void flush_chunk();
 
   std::string path_;
-  std::uint64_t seed_;
   std::uint32_t chunk_records_;
-  std::uint32_t format_version_;
   std::string campaign_label_;
   std::int64_t campaign_epoch_days_ = 0;
   bool campaign_set_ = false;
   std::vector<SnapshotMeta> snapshots_;
   std::vector<SnapshotChunkInfo> chunks_;
-  Bytes chunk_buf_;        // v5: row-encoded records of the open chunk
-  ColumnEncoder columns_;  // v6: the open chunk + the file's dictionary
+  ColumnEncoder columns_;  // the open chunk + the file's dictionary
   std::uint32_t buffered_records_ = 0;
   std::uint64_t file_pos_ = 0;
   std::ofstream out_;
@@ -462,11 +460,6 @@ void save_snapshots(const std::string& path, std::uint64_t seed,
 std::optional<std::vector<ScanSnapshot>> load_snapshots(const std::string& path,
                                                         std::uint64_t seed,
                                                         std::string* error = nullptr);
-
-/// Writes the retired monolithic v4 layout. Kept so the v4 back-compat
-/// tests can fabricate historical files; production code writes v6.
-void save_snapshots_v4(const std::string& path, std::uint64_t seed,
-                       const std::vector<ScanSnapshot>& snapshots);
 
 /// True when the measurement declares a campaign identity (label or epoch
 /// set); v4 files and unlabeled v5 files don't, and are exempt from chain

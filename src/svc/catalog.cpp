@@ -27,8 +27,6 @@ std::size_t posture_vector_bytes(const std::vector<HostPosture>& postures) {
 
 }  // namespace
 
-CampaignCatalog::CampaignCatalog(CatalogOptions options) : options_(options) {}
-
 CampaignCatalog::~CampaignCatalog() = default;
 
 void CampaignCatalog::register_campaign(const std::string& name, const std::string& path,
@@ -180,24 +178,21 @@ std::shared_ptr<const std::vector<HostPosture>> CampaignCatalog::postures(
     const std::string& campaign) {
   return cached(posture_cache_, campaign, kCellPostures,
                 [this, campaign]() -> std::shared_ptr<const std::vector<HostPosture>> {
+    // A valid sketch sidecar stands in for the walk (a stale one throws —
+    // see read_posture_sketch); a walk cuts one for the next cold start.
     const CampaignEntry& e = entry(campaign);
     const std::string sidecar = posture_sketch_path(e.path);
-    if (options_.use_sketches) {
-      auto sketched =
-          read_posture_sketch(sidecar, e.path, e.reader->file_fingerprint(),
-                              e.reader->snapshots().back().host_count);
-      if (sketched) {
-        obs::add(obs::Metric::svc_cache_hits, 1, kCellSketch);
-        return std::make_shared<const std::vector<HostPosture>>(*std::move(sketched));
-      }
-      obs::add(obs::Metric::svc_cache_misses, 1, kCellSketch);
+    auto sketched = read_posture_sketch(sidecar, e.path, e.reader->file_fingerprint(),
+                                        e.reader->snapshots().back().host_count);
+    if (sketched) {
+      obs::add(obs::Metric::svc_cache_hits, 1, kCellSketch);
+      return std::make_shared<const std::vector<HostPosture>>(*std::move(sketched));
     }
-    ThreadPool pool(options_.analysis_threads);
+    obs::add(obs::Metric::svc_cache_misses, 1, kCellSketch);
+    ThreadPool pool(1);
     const ReaderRecordSource source(*e.reader);
     std::vector<HostPosture> postures = collect_postures(source, pool);
-    if (options_.use_sketches && options_.write_sketches) {
-      write_posture_sketch(sidecar, e.reader->file_fingerprint(), postures);
-    }
+    write_posture_sketch(sidecar, e.reader->file_fingerprint(), postures);
     return std::make_shared<const std::vector<HostPosture>>(std::move(postures));
   });
 }
@@ -205,10 +200,7 @@ std::shared_ptr<const std::vector<HostPosture>> CampaignCatalog::postures(
 std::shared_ptr<const StudyAnalysis> CampaignCatalog::study(const std::string& campaign) {
   return cached(study_cache_, campaign, kCellStudy,
                 [this, campaign]() -> std::shared_ptr<const StudyAnalysis> {
-    const CampaignEntry& e = entry(campaign);
-    AnalysisOptions options;
-    options.threads = options_.analysis_threads;
-    return std::make_shared<const StudyAnalysis>(analyze_reader(*e.reader, options));
+    return std::make_shared<const StudyAnalysis>(analyze_reader(*entry(campaign).reader));
   });
 }
 

@@ -44,22 +44,9 @@
 
 namespace opcua_study::svc {
 
-struct CatalogOptions {
-  /// Worker threads for posture/analysis passes on cache misses; 0 =
-  /// hardware concurrency, 1 = inline. Artifacts are identical for any
-  /// value.
-  int analysis_threads = 1;
-  /// Serve posture vectors from sketch sidecars when present and valid
-  /// (a stale sidecar throws — see read_posture_sketch).
-  bool use_sketches = true;
-  /// Cut a sidecar after a posture pass that found none, so the next
-  /// cold start of this catalog skips the walk.
-  bool write_sketches = true;
-};
-
 class CampaignCatalog {
  public:
-  explicit CampaignCatalog(CatalogOptions options = {});
+  CampaignCatalog() = default;
   ~CampaignCatalog();
 
   CampaignCatalog(const CampaignCatalog&) = delete;
@@ -124,7 +111,6 @@ class CampaignCatalog {
                                   Fn compute);
   void note_resident_bytes() const;
 
-  CatalogOptions options_;
   mutable std::mutex mutex_;  // registries + caches + series builders
   std::map<std::string, CampaignEntry> campaigns_;
   std::vector<std::string> campaign_order_;

@@ -1,6 +1,6 @@
 // Cross-campaign differential analysis:
-//  - campaign label/epoch round-trips through the v5 footer (files
-//    without it default, v4 unaffected),
+//  - campaign label/epoch round-trips through the footer (files without
+//    it default, the committed v4 fixture included),
 //  - the follow-up evolution model is deterministic and its streamed and
 //    in-memory paths produce the identical campaign,
 //  - the matcher re-identifies hosts by address and by certificate, and
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "assess/assess.hpp"
@@ -164,15 +165,17 @@ TEST(CampaignMeta, FilesWithoutLabelDefaultAndStayByteIdentical) {
                 (4 + 4 + 1 + 8),  // CAMP magic + string "x" (len+1 byte) + i64
             read_file_bytes(labeled).size());
 
-  // v4 files never carry a campaign block and load with defaults.
-  const std::string v4 = "/tmp/opcua_diff_meta_v4.bin";
-  save_snapshots_v4(v4, 7, study);
-  const SnapshotReader v4_reader(v4, 7);
+  // v4 files never carry a campaign block and load with defaults. The
+  // committed v4 fixture (seed 42) holds make_multi_endpoint_study(48) of
+  // test_snapshot_pipeline.cpp, written by the retired v4 writer.
+  const SnapshotReader v4_reader(
+      (std::filesystem::path(__FILE__).parent_path() / "data" / "multi_endpoint_48.v4.bin")
+          .string(),
+      42);
   EXPECT_EQ(v4_reader.snapshots()[0].campaign_label, "");
   EXPECT_EQ(v4_reader.snapshots()[0].campaign_epoch_days, 0);
   std::remove(labeled.c_str());
   std::remove(plain.c_str());
-  std::remove(v4.c_str());
 }
 
 // ------------------------------------------------------ evolution model ----

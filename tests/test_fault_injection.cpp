@@ -1,7 +1,8 @@
 // Fault-injection resilience tests: deterministic fault streams across
 // engine concurrency and shard/thread layouts, fault-free byte identity,
 // scan-quality persistence (v6 tail), the scan-quality analysis section,
-// and crash-safe checkpoint/resume campaigns, including a unit that fails.
+// a streamed campaign whose writer hits a full disk, and crash-safe
+// checkpoint/resume campaigns, including a unit that fails.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -314,34 +315,25 @@ TEST(FaultInjection, FaultFreeAnalysisReportsTrivialQuality) {
   EXPECT_EQ(analysis.scan_quality.recovery_rate, 1.0);
 }
 
-TEST(FaultInjection, RowFormatsRefuseQualityFields) {
-  ScanSnapshot snapshot;
-  snapshot.measurement_index = 0;
-  snapshot.hosts.push_back(quality_record(1, ProbeOutcome::degraded, 1, 1));
-
-  const std::string path = "/tmp/opcua_test_quality_v5.bin";
-  SnapshotWriter writer(path, 42, SnapshotWriter::kDefaultChunkRecords, 5);
-  writer.begin_snapshot(0, 0);
-  EXPECT_THROW(writer.add_host(snapshot.hosts.front()), SnapshotError);
-  EXPECT_THROW(save_snapshots_v4(path, 42, {snapshot}), SnapshotError);
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-
-  // A hostile sharded campaign streamed into a v5 writer hits the same
-  // refusal. It must reach the caller as SnapshotError at any thread
-  // count: with two workers it is thrown while another shard may still
-  // be scanning.
+TEST(FaultInjection, FullDiskStopsStreamedCampaign) {
+  // A hostile sharded campaign streamed into a writer on a full disk
+  // (one record per chunk, so the first sealed chunk fails). The failure
+  // must reach the caller as SnapshotError at any thread count: with two
+  // workers it is thrown while another shard may still be scanning.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
   const PopulationPlan plan = fault_plan();
   KeyFactory keys(42, "");
-  const std::string streamed_path = "/tmp/opcua_test_quality_v5_streamed.bin";
+  const std::string path = "/tmp/opcua_test_full_disk_streamed.bin";
   for (const int threads : {1, 2}) {
+    std::filesystem::remove(path + ".tmp");
+    std::filesystem::create_symlink("/dev/full", path + ".tmp");
     Deployer deployer = make_deployer(plan);
     const ShardedCampaignConfig config = hostile_sharded_config(keys, 2, threads);
-    SnapshotWriter streamed(streamed_path, 42, SnapshotWriter::kDefaultChunkRecords, 5);
-    EXPECT_THROW(run_sharded_campaign_streamed(deployer, 7, config, streamed), SnapshotError)
+    SnapshotWriter writer(path, 42, /*chunk_records=*/1);
+    EXPECT_THROW(run_sharded_campaign_streamed(deployer, 7, config, writer), SnapshotError)
         << threads << " thread(s)";
   }
-  std::remove((streamed_path + ".tmp").c_str());
+  std::filesystem::remove(path + ".tmp");
 }
 
 // --------------------------------------------------- checkpoint / resume ----

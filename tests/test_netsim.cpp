@@ -49,12 +49,12 @@ TEST(Netsim, ConnectionAccountsBytesAndTime) {
   const Ipv4 ip = make_ipv4(10, 5, 5, 7);
   net.listen(ip, 80, [] { return std::make_unique<DummyBannerService>("srv"); });
   auto conn = net.connect(ip, 80);
-  const std::uint64_t t0 = net.clock().now_us();
+  EXPECT_EQ(conn->take_elapsed(), net.rtt_us(ip));  // the handshake
   const Bytes reply = conn->roundtrip(to_bytes("GET /"));
   EXPECT_FALSE(reply.empty());
   EXPECT_EQ(conn->bytes_sent(), 5u);
   EXPECT_EQ(conn->bytes_received(), reply.size());
-  EXPECT_GT(net.clock().now_us(), t0);
+  EXPECT_GT(conn->take_elapsed(), 0u);
   EXPECT_EQ(net.total_bytes_sent(), 5u);
   // The banner service serves once, then the connection is dead.
   EXPECT_TRUE(conn->peer_closed());

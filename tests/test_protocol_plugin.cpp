@@ -6,8 +6,7 @@
 //    windows and shard layouts, and shared device certificates come out
 //    byte-identical across the two services,
 //  - the v6 protocol column round trips (and the mask footer with it),
-//    the row formats refuse non-OPC-UA records, and campaign chains with
-//    differing protocol sets are rejected,
+//    and campaign chains with differing protocol sets are rejected,
 //  - the per-protocol dimension agrees between the streaming Aggregator
 //    and the assess/ reference, and shows up in diff and series output.
 #include <gtest/gtest.h>
@@ -353,22 +352,6 @@ TEST(ProtocolColumn, V6RoundTripCarriesProtocolAndMask) {
       EXPECT_EQ(loaded[w].hosts[i], study[w].hosts[i]);
     }
   }
-  std::remove(path.c_str());
-}
-
-TEST(ProtocolColumn, RowFormatsRefuseNonOpcuaRecords) {
-  const std::vector<ScanSnapshot> study = synthetic_mixed_study(1);
-  const std::string path = "test_proto_refuse.bin";
-  {
-    SnapshotWriter v5(path, 11, SnapshotWriter::kDefaultChunkRecords, 5);
-    v5.begin_snapshot(0, study[0].date_days);
-    EXPECT_THROW(
-        {
-          for (const auto& host : study[0].hosts) v5.add_host(host);
-        },
-        SnapshotError);
-  }
-  EXPECT_THROW(save_snapshots_v4(path, 11, study), SnapshotError);
   std::remove(path.c_str());
 }
 

@@ -74,7 +74,7 @@ TEST(Netsim, DeferredConnectionChargesLocally) {
   Network net;
   const Ipv4 ip = make_ipv4(10, 9, 9, 9);
   net.listen(ip, 80, [] { return std::make_unique<DummyBannerService>("srv"); });
-  auto conn = net.connect(ip, 80, ConnMode::Deferred);
+  auto conn = net.connect(ip, 80);
   ASSERT_NE(conn, nullptr);
   EXPECT_EQ(net.clock().now_us(), 0u);  // global clock untouched
   const Bytes reply = conn->roundtrip(to_bytes("GET /"));
@@ -88,23 +88,8 @@ TEST(Netsim, DeferredConnectionChargesLocally) {
 
 TEST(Netsim, DeferredRefusalChargesNothing) {
   Network net;
-  EXPECT_EQ(net.connect(make_ipv4(10, 9, 9, 10), 80, ConnMode::Deferred), nullptr);
+  EXPECT_EQ(net.connect(make_ipv4(10, 9, 9, 10), 80), nullptr);
   EXPECT_EQ(net.clock().now_us(), 0u);
-}
-
-TEST(Netsim, BlockingAndDeferredChargeTheSameTotal) {
-  const Ipv4 ip = make_ipv4(10, 9, 9, 11);
-  Network blocking_net;
-  blocking_net.listen(ip, 80, [] { return std::make_unique<DummyBannerService>("a"); });
-  auto b = blocking_net.connect(ip, 80);
-  b->roundtrip(to_bytes("GET /"));
-  const std::uint64_t blocking_total = blocking_net.clock().now_us();
-
-  Network deferred_net;
-  deferred_net.listen(ip, 80, [] { return std::make_unique<DummyBannerService>("a"); });
-  auto d = deferred_net.connect(ip, 80, ConnMode::Deferred);
-  d->roundtrip(to_bytes("GET /"));
-  EXPECT_EQ(d->take_elapsed(), blocking_total);
 }
 
 // --------------------------------------------------------- engine equality

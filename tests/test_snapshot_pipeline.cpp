@@ -1,9 +1,10 @@
 // Chunked snapshot pipeline + shared analysis library:
 //  - v6 (columnar + cert dictionary) round trips across chunk boundaries,
-//    v4 and v5 files still load, and rewriting either as v6 preserves
-//    every record byte-deterministically,
+//    the committed v4 and v5 fixtures (tests/data) still load, and
+//    rewriting either as v6 preserves every record byte-deterministically,
 //  - truncated / corrupt files fail with SnapshotError instead of
-//    yielding garbage records; out-of-range dictionary ids are rejected,
+//    yielding garbage records; out-of-range dictionary ids are rejected;
+//    a failed chunk write stops the writer at that chunk,
 //  - the streaming Aggregator is deterministic in the thread count and
 //    input format and bit-identical to the assess/ reference
 //    implementations, whether it reads mapped v6 columns or rows
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "analysis/analysis.hpp"
@@ -170,6 +172,17 @@ std::vector<ScanSnapshot> make_multi_endpoint_study(std::size_t hosts_per_week, 
   return study;
 }
 
+/// Path of a committed row-format fixture. tests/data holds the output of
+/// make_multi_endpoint_study(48) above, seed 42, written by the retired
+/// row writers: "v4" by the monolithic v4 writer, "v5" by the chunked row
+/// writer at 11 records per chunk. SnapshotWriter only writes v6, so these
+/// two files are what keeps the v4 and v5 read paths covered.
+std::string row_fixture(const std::string& version) {
+  return (std::filesystem::path(__FILE__).parent_path() / "data" /
+          ("multi_endpoint_48." + version + ".bin"))
+      .string();
+}
+
 TEST(SnapshotV6, RoundTripAcrossChunkBoundaries) {
   const std::string path = "/tmp/opcua_test_v6_chunks.bin";
   const std::vector<ScanSnapshot> study = make_study(10);
@@ -206,23 +219,30 @@ TEST(SnapshotV6, RoundTripAcrossChunkBoundaries) {
 }
 
 TEST(SnapshotV5, LegacyV4FilesStillLoad) {
-  const std::string path = "/tmp/opcua_test_v4_compat.bin";
-  const std::vector<ScanSnapshot> study = make_study(9);
-  save_snapshots_v4(path, 7, study);
+  const std::string path = row_fixture("v4");
+  const std::vector<ScanSnapshot> study = make_multi_endpoint_study(48);
 
-  const SnapshotReader reader(path, 7);
+  const SnapshotReader reader(path, 42);
   EXPECT_EQ(reader.version(), 4u);
   ASSERT_EQ(reader.snapshots().size(), 2u);
-  EXPECT_EQ(reader.snapshots()[0].host_count, 9u);
+  EXPECT_EQ(reader.snapshots()[0].host_count, 48u);
   EXPECT_EQ(reader.load_all(), study);
 
-  const auto loaded = load_snapshots(path, 7);
+  const auto loaded = load_snapshots(path, 42);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(*loaded, study);
 
   // The analysis pipeline consumes v4 streams through the same interface.
-  EXPECT_TRUE(analyze_file(path, 7, {}).figures_equal(analyze_snapshots(study, {})));
-  std::remove(path.c_str());
+  EXPECT_TRUE(analyze_file(path, 42, {}).figures_equal(analyze_snapshots(study, {})));
+}
+
+TEST(SnapshotV5, V5FilesStillLoad) {
+  const SnapshotReader reader(row_fixture("v5"), 42);
+  EXPECT_EQ(reader.version(), 5u);
+  EXPECT_FALSE(reader.columnar());
+  EXPECT_EQ(reader.cert_count(), 0u);
+  EXPECT_EQ(reader.load_all(), make_multi_endpoint_study(48));
+  EXPECT_THROW(reader.column_view(0), SnapshotError);
 }
 
 TEST(SnapshotV5, AbandonedWriterLeavesUnloadableFile) {
@@ -263,23 +283,25 @@ TEST(SnapshotV5, TruncationAlwaysFailsCleanly) {
   const std::string path = "/tmp/opcua_test_v5_trunc.bin";
   const std::string cut_path = "/tmp/opcua_test_v5_trunc_cut.bin";
   save_snapshots(path, 42, make_study(6, 1));
-  const Bytes full = read_file_bytes(path);
-  ASSERT_GT(full.size(), 64u);
 
   // Every truncation point (dense near both ends, strided through the
   // middle) must produce a SnapshotError — never garbage records, never a
-  // crash.
-  std::vector<std::size_t> cuts;
-  for (std::size_t n = 0; n < std::min<std::size_t>(full.size(), 40); ++n) cuts.push_back(n);
-  for (std::size_t n = 40; n + 1 < full.size(); n += 97) cuts.push_back(n);
-  for (std::size_t back = 1; back <= 24 && back < full.size(); ++back) {
-    cuts.push_back(full.size() - back);
-  }
-  for (const std::size_t cut : cuts) {
-    write_file_bytes(cut_path, Bytes(full.begin(), full.begin() + static_cast<long>(cut)));
-    std::string error;
-    EXPECT_FALSE(load_snapshots(cut_path, 42, &error).has_value()) << "cut at " << cut;
-    EXPECT_FALSE(error.empty()) << "cut at " << cut;
+  // crash — in v6 and in both row formats.
+  for (const std::string& input : {path, row_fixture("v4"), row_fixture("v5")}) {
+    const Bytes full = read_file_bytes(input);
+    ASSERT_GT(full.size(), 64u) << input;
+    std::vector<std::size_t> cuts;
+    for (std::size_t n = 0; n < std::min<std::size_t>(full.size(), 40); ++n) cuts.push_back(n);
+    for (std::size_t n = 40; n + 1 < full.size(); n += 97) cuts.push_back(n);
+    for (std::size_t back = 1; back <= 24 && back < full.size(); ++back) {
+      cuts.push_back(full.size() - back);
+    }
+    for (const std::size_t cut : cuts) {
+      write_file_bytes(cut_path, Bytes(full.begin(), full.begin() + static_cast<long>(cut)));
+      std::string error;
+      EXPECT_FALSE(load_snapshots(cut_path, 42, &error).has_value()) << input << " cut at " << cut;
+      EXPECT_FALSE(error.empty()) << input << " cut at " << cut;
+    }
   }
   std::remove(path.c_str());
   std::remove(cut_path.c_str());
@@ -308,23 +330,40 @@ TEST(SnapshotV5, RandomPayloadCorruptionNeverCrashes) {
   const std::string path = "/tmp/opcua_test_v5_fuzz.bin";
   const std::string bad_path = "/tmp/opcua_test_v5_fuzz_bad.bin";
   save_snapshots(path, 42, make_study(5, 1));
-  const Bytes full = read_file_bytes(path);
-  // Deterministic xorshift so the sweep is reproducible.
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  for (int trial = 0; trial < 200; ++trial) {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    Bytes mutated = full;
-    mutated[state % mutated.size()] ^= static_cast<std::uint8_t>(1u << (state % 8));
-    write_file_bytes(bad_path, mutated);
-    // Either the flip lands somewhere harmless (a string byte) and the
-    // file still loads, or it must be rejected — never UB, never garbage
-    // enum values (gtest would flag a crash/sanitizer fault here).
-    const auto loaded = load_snapshots(bad_path, 42);
-    if (loaded.has_value()) {
-      ASSERT_EQ(loaded->size(), 1u);
-      EXPECT_EQ(loaded->front().hosts.size(), 5u);
+  struct Input {
+    std::string path;
+    std::size_t weeks, hosts_per_week;
+  };
+  // v6 rejects a flipped DER byte at open (dictionary fingerprints); the
+  // row formats store DER inline, so their flips reach the certificate
+  // parser inside the analysis.
+  for (const Input& input : {Input{path, 1, 5}, Input{row_fixture("v4"), 2, 48},
+                             Input{row_fixture("v5"), 2, 48}}) {
+    const Bytes full = read_file_bytes(input.path);
+    // Deterministic xorshift so the sweep is reproducible.
+    std::uint64_t state = 0x9e3779b97f4a7c15ull;
+    for (int trial = 0; trial < 200; ++trial) {
+      state ^= state << 13;
+      state ^= state >> 7;
+      state ^= state << 17;
+      Bytes mutated = full;
+      mutated[state % mutated.size()] ^= static_cast<std::uint8_t>(1u << (state % 8));
+      write_file_bytes(bad_path, mutated);
+      // Either the flip lands somewhere harmless (a string byte) and the
+      // file still loads, or it must be rejected — never UB, never garbage
+      // enum values (gtest would flag a crash/sanitizer fault here). A
+      // file that loads must also analyze, or fail only with SnapshotError.
+      const auto loaded = load_snapshots(bad_path, 42);
+      if (!loaded.has_value()) continue;
+      ASSERT_EQ(loaded->size(), input.weeks) << input.path << " trial " << trial;
+      EXPECT_EQ(loaded->front().hosts.size(), input.hosts_per_week)
+          << input.path << " trial " << trial;
+      EXPECT_NO_THROW({
+        try {
+          analyze_file(bad_path, 42, {});
+        } catch (const SnapshotError&) {
+        }
+      }) << input.path << " trial " << trial;
     }
   }
   std::remove(path.c_str());
@@ -593,43 +632,20 @@ TEST(StreamedStudyWriter, MatchesBatchSave) {
   std::remove(stream_path.c_str());
 }
 
-TEST(SnapshotV6, V5WriterStillSupported) {
-  const std::string path = "/tmp/opcua_test_v5_writer.bin";
-  const std::vector<ScanSnapshot> study = make_study(10);
-  SnapshotWriter writer(path, 42, 3, /*format_version=*/5);
-  for (const auto& snapshot : study) writer.add_snapshot(snapshot);
-  writer.finish();
-
-  const SnapshotReader reader(path, 42);
-  EXPECT_EQ(reader.version(), 5u);
-  EXPECT_FALSE(reader.columnar());
-  EXPECT_EQ(reader.cert_count(), 0u);
-  EXPECT_EQ(reader.load_all(), study);
-  EXPECT_THROW(reader.column_view(0), SnapshotError);
-  std::remove(path.c_str());
-}
-
 TEST(SnapshotV6, RewriteFromV4AndV5IsEquivalentAndDeterministic) {
-  const std::string v4_path = "/tmp/opcua_test_rw_v4.bin";
-  const std::string v5_path = "/tmp/opcua_test_rw_v5.bin";
   const std::string out_a = "/tmp/opcua_test_rw_a.bin";
   const std::string out_b = "/tmp/opcua_test_rw_b.bin";
-  const std::vector<ScanSnapshot> study = make_study(14);
-
-  save_snapshots_v4(v4_path, 42, study);
-  {
-    SnapshotWriter writer(v5_path, 42, SnapshotWriter::kDefaultChunkRecords, 5);
-    for (const auto& snapshot : study) writer.add_snapshot(snapshot);
-    writer.finish();
-  }
+  const std::string direct = "/tmp/opcua_test_rw_direct.bin";
+  const std::vector<ScanSnapshot> study = make_multi_endpoint_study(48);
 
   // v4 -> v6 and v5 -> v6 rewrites preserve every record and, fed the
-  // same records and seed, produce byte-identical v6 files.
-  const SnapshotReader v4_reader(v4_path, 42);
-  const SnapshotReader v5_reader(v5_path, 42);
-  save_snapshots(out_a, 42, v4_reader.load_all());
-  save_snapshots(out_b, 42, v5_reader.load_all());
+  // same records and seed, produce byte-identical v6 files — the same
+  // bytes as writing the records as v6 directly.
+  save_snapshots(out_a, 42, SnapshotReader(row_fixture("v4"), 42).load_all());
+  save_snapshots(out_b, 42, SnapshotReader(row_fixture("v5"), 42).load_all());
+  save_snapshots(direct, 42, study);
   EXPECT_EQ(read_file_bytes(out_a), read_file_bytes(out_b));
+  EXPECT_EQ(read_file_bytes(out_a), read_file_bytes(direct));
 
   const SnapshotReader v6_reader(out_a, 42);
   EXPECT_EQ(v6_reader.version(), 6u);
@@ -639,27 +655,27 @@ TEST(SnapshotV6, RewriteFromV4AndV5IsEquivalentAndDeterministic) {
   save_snapshots(out_b, 42, v6_reader.load_all());
   EXPECT_EQ(read_file_bytes(out_a), read_file_bytes(out_b));
 
-  std::remove(v4_path.c_str());
-  std::remove(v5_path.c_str());
   std::remove(out_a.c_str());
   std::remove(out_b.c_str());
+  std::remove(direct.c_str());
 }
 
 TEST(SnapshotV6, FiguresIdenticalAcrossFormatsAndThreads) {
-  const std::string v4_path = "/tmp/opcua_test_fig_v4.bin";
-  const std::string v5_path = "/tmp/opcua_test_fig_v5.bin";
   const std::string v6_path = "/tmp/opcua_test_fig_v6.bin";
-  for (const std::vector<ScanSnapshot>& study : {make_study(48), make_multi_endpoint_study(48)}) {
-    save_snapshots_v4(v4_path, 42, study);
+  const std::vector<ScanSnapshot> plain = make_study(48);
+  const std::vector<ScanSnapshot> multi = make_multi_endpoint_study(48);
+  for (const std::vector<ScanSnapshot>* study : {&plain, &multi}) {
     {
-      SnapshotWriter writer(v5_path, 42, 11, 5);
-      for (const auto& snapshot : study) writer.add_snapshot(snapshot);
+      SnapshotWriter writer(v6_path, 42, 11);
+      for (const auto& snapshot : *study) writer.add_snapshot(snapshot);
       writer.finish();
     }
-    {
-      SnapshotWriter writer(v6_path, 42, 11, 6);
-      for (const auto& snapshot : study) writer.add_snapshot(snapshot);
-      writer.finish();
+    // The v4/v5 fixtures hold the multi-endpoint input, which keeps every
+    // host shape of make_study(48).
+    std::vector<std::string> paths = {v6_path};
+    if (study == &multi) {
+      paths.push_back(row_fixture("v4"));
+      paths.push_back(row_fixture("v5"));
     }
 
     // The mapped v6 columns, the transposed v4/v5 rows, and the transposed
@@ -670,18 +686,14 @@ TEST(SnapshotV6, FiguresIdenticalAcrossFormatsAndThreads) {
     serial.shared_prime_threads = 1;
     AnalysisOptions parallel = serial;
     parallel.threads = 8;
-    const StudyAnalysis reference = analyze_snapshots(study, serial);
-    EXPECT_TRUE(analyze_file(v4_path, 42, serial).figures_equal(reference));
-    EXPECT_TRUE(analyze_file(v5_path, 42, serial).figures_equal(reference));
-    EXPECT_TRUE(analyze_file(v6_path, 42, serial).figures_equal(reference));
-    EXPECT_TRUE(analyze_file(v6_path, 42, parallel).figures_equal(reference));
-    // Rows round-trip through every format, the unparseable DER included.
-    for (const std::string& path : {v4_path, v5_path, v6_path}) {
-      EXPECT_EQ(SnapshotReader(path, 42).load_all(), study) << path;
+    const StudyAnalysis reference = analyze_snapshots(*study, serial);
+    for (const std::string& path : paths) {
+      EXPECT_TRUE(analyze_file(path, 42, serial).figures_equal(reference)) << path;
+      EXPECT_TRUE(analyze_file(path, 42, parallel).figures_equal(reference)) << path;
+      // Rows round-trip through every format, the unparseable DER included.
+      EXPECT_EQ(SnapshotReader(path, 42).load_all(), *study) << path;
     }
   }
-  std::remove(v4_path.c_str());
-  std::remove(v5_path.c_str());
   std::remove(v6_path.c_str());
 }
 
@@ -721,17 +733,8 @@ TEST(SnapshotV6, DictionaryIdOutOfRangeRejected) {
 }
 
 TEST(SnapshotV6, SeedMismatchNamesFormatVersion) {
-  const std::string v4_path = "/tmp/opcua_test_seed_v4.bin";
-  const std::string v5_path = "/tmp/opcua_test_seed_v5.bin";
   const std::string v6_path = "/tmp/opcua_test_seed_v6.bin";
-  const std::vector<ScanSnapshot> study = make_study(3, 1);
-  save_snapshots_v4(v4_path, 42, study);
-  {
-    SnapshotWriter writer(v5_path, 42, SnapshotWriter::kDefaultChunkRecords, 5);
-    for (const auto& snapshot : study) writer.add_snapshot(snapshot);
-    writer.finish();
-  }
-  save_snapshots(v6_path, 42, study);
+  save_snapshots(v6_path, 42, make_study(3, 1));
 
   // The mis-seed diagnostic names the detected format version and the
   // offset of the seed field, so operators can see *what* they opened.
@@ -742,11 +745,9 @@ TEST(SnapshotV6, SeedMismatchNamesFormatVersion) {
     EXPECT_NE(error.find("byte offset 8"), std::string::npos) << error;
     EXPECT_NE(error.find(version_tag), std::string::npos) << error;
   };
-  expect_mis_seed(v4_path, "v4");
-  expect_mis_seed(v5_path, "v5");
+  expect_mis_seed(row_fixture("v4"), "v4");
+  expect_mis_seed(row_fixture("v5"), "v5");
   expect_mis_seed(v6_path, "v6");
-  std::remove(v4_path.c_str());
-  std::remove(v5_path.c_str());
   std::remove(v6_path.c_str());
 }
 
@@ -768,23 +769,42 @@ TEST(SnapshotV6, ReadChunkBufferOverloadMatches) {
 }
 
 TEST(SnapshotV6, DictionaryCompressionShrinksFile) {
-  const std::string v5_path = "/tmp/opcua_test_size_v5.bin";
   const std::string v6_path = "/tmp/opcua_test_size_v6.bin";
-  const std::vector<ScanSnapshot> study = make_study(200);
   {
-    SnapshotWriter writer(v5_path, 42, SnapshotWriter::kDefaultChunkRecords, 5);
-    for (const auto& snapshot : study) writer.add_snapshot(snapshot);
+    SnapshotWriter writer(v6_path, 42, 11);  // the v5 fixture's chunking
+    for (const auto& snapshot : make_multi_endpoint_study(48)) writer.add_snapshot(snapshot);
     writer.finish();
   }
-  save_snapshots(v6_path, 42, study);
-  // The fleet shares 6 certificates across 400 host records: the v6
+  // The fleet shares 6 certificates across 96 host records: the v6
   // dictionary stores each DER once, so the file must shrink well below
-  // the v5 row format's inline-DER size.
-  const std::size_t v5_size = read_file_bytes(v5_path).size();
+  // the v5 row format's inline-DER size for the same records.
+  const std::size_t v5_size = read_file_bytes(row_fixture("v5")).size();
   const std::size_t v6_size = read_file_bytes(v6_path).size();
   EXPECT_LT(v6_size * 2, v5_size) << "v5=" << v5_size << " v6=" << v6_size;
-  std::remove(v5_path.c_str());
   std::remove(v6_path.c_str());
+}
+
+TEST(SnapshotV6, FailedChunkWriteThrowsBeforeFinish) {
+  // A full disk must stop a campaign at the chunk that failed, not after
+  // the whole scan when finish() seals the file.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  const std::string path = "/tmp/opcua_test_full_disk.bin";
+  std::filesystem::remove(path + ".tmp");
+  std::filesystem::create_symlink("/dev/full", path + ".tmp");
+  std::string error;
+  {
+    SnapshotWriter writer(path, 42, /*chunk_records=*/1);
+    writer.begin_snapshot(0, 0);
+    try {
+      for (std::size_t i = 0; i < 2000; ++i) writer.add_host(make_host(i, 0));
+    } catch (const SnapshotError& e) {
+      error = e.what();
+    }
+  }
+  EXPECT_NE(error.find("chunk 0"), std::string::npos) << error;
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  EXPECT_FALSE(std::filesystem::exists(path));
+  std::filesystem::remove(path + ".tmp");
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // DER encoding and the X.509 subset: build → parse → verify round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/batch_gcd.hpp"
 #include "crypto/x509.hpp"
 #include "util/date.hpp"
@@ -52,6 +54,38 @@ TEST(Der, TimeEncodingBothForms) {
   DerParser p(w.bytes());
   EXPECT_EQ(p.read_time_days(), days_from_civil({2020, 8, 30}));
   EXPECT_EQ(p.read_time_days(), days_from_civil({2055, 1, 2}));
+}
+
+TEST(Der, TimeWithNonDigitIsDecodeError) {
+  // Certificate dates come from scanned servers: a non-digit in one must
+  // surface as the DecodeError every caller handles, not as an exception
+  // from a number conversion.
+  DerWriter w;
+  w.time(days_from_civil({2020, 8, 30}));  // UTCTime "200830000000Z"
+  w.time(days_from_civil({2055, 1, 2}));   // GeneralizedTime "20550102000000Z"
+  const Bytes der = w.take();
+  Bytes bad_utc = der;
+  bad_utc[2 + 3] = 'x';  // a month digit
+  DerParser utc(bad_utc);
+  EXPECT_THROW(utc.read_time_days(), DecodeError);
+  Bytes bad_generalized = der;
+  bad_generalized[2 + 13 + 2 + 1] = 'x';  // a year digit
+  DerParser generalized(bad_generalized);
+  EXPECT_EQ(generalized.read_time_days(), days_from_civil({2020, 8, 30}));
+  EXPECT_THROW(generalized.read_time_days(), DecodeError);
+
+  // The same flaw inside a certificate's validity period.
+  CertificateSpec spec;
+  spec.subject = {"device-9", "Test Org", "DE"};
+  spec.not_before_days = days_from_civil({2019, 5, 1});
+  spec.not_after_days = days_from_civil({2039, 5, 1});
+  Bytes cert = x509_create(spec, cert_key().pub, cert_key().priv);
+  const std::string not_before = "190501000000Z";
+  const auto at = std::search(cert.begin(), cert.end(), not_before.begin(), not_before.end());
+  ASSERT_NE(at, cert.end());
+  EXPECT_EQ(x509_parse(cert).not_before_days, spec.not_before_days);
+  at[4] = 'x';  // a day digit
+  EXPECT_THROW(x509_parse(cert), DecodeError);
 }
 
 TEST(Der, ParserRejectsTruncation) {
