@@ -48,7 +48,7 @@ TrafficStats traffic_of(const ScanSnapshot& snapshot) {
 /// Traffic profile of the recorded final measurement, streamed from the
 /// snapshot cache without materializing the dataset.
 TrafficStats recorded_final_traffic() {
-  const SnapshotReader reader(bench::ensure_snapshot_cache(), bench::kStudySeed);
+  const SnapshotReader reader(bench::ensure_snapshot_cache(), kStudySeed);
   TrafficStats stats;
   const std::size_t final_week = reader.snapshots().size() - 1;
   for (std::size_t c = 0; c < reader.chunks().size(); ++c) {
@@ -68,7 +68,6 @@ int main() {
   const TrafficStats polite = recorded_final_traffic();
 
   StudyConfig config;
-  config.seed = bench::kStudySeed;
   // One fresh week-7 world + campaign per ablation; `mutate` tweaks the
   // campaign config, the result carries the snapshot and the simulated
   // campaign window in hours.
@@ -127,7 +126,7 @@ int main() {
        fmt_double(polite.avg_duration / std::max(rude.avg_duration, 1e-9), 1) + "x",
        polite.avg_duration / std::max(rude.avg_duration, 1e-9) > 5},
   };
-  int status = bench::print_comparison("Scanner ethics (§A.2) vs paper", rows);
+  bool ok = print_comparison(stdout, "Scanner ethics (§A.2) vs paper", rows);
 
   // ---- campaign scheduling ablation: lock-step vs interleaved scan window.
   obs::logf(obs::LogLevel::info, "[bench] measuring the interleaved scan window (fresh campaign)...");
@@ -155,6 +154,6 @@ int main() {
        fmt_double(lock_step_hours / std::max(interleaved_hours, 1e-9), 0) + "x",
        lock_step_hours > 20 * interleaved_hours},
   };
-  status |= bench::print_comparison("Scan window (§A.2) vs paper", window_rows);
-  return status;
+  ok &= print_comparison(stdout, "Scan window (§A.2) vs paper", window_rows);
+  return ok ? 0 : 1;
 }

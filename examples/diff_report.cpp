@@ -1,7 +1,7 @@
 // Cross-campaign differential report: where did the insecure deployments
 // of the base campaign end up two years later?
 //
-// Diffs the recorded study campaign (cached by the bench suite) against a
+// Diffs the study campaign ./build/reproduce records against a
 // follow-up campaign. When no follow-up file exists yet, one is generated
 // on the spot with the deterministic evolution model — the repo's own
 // "PAM 2022" — and cached next to the base. Both campaigns stream chunk
@@ -9,7 +9,6 @@
 //
 //   ./build/diff_report [base-file [followup-file]] [--verbose]
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "obs/log.hpp"
 #include "report/report.hpp"
 #include "study/followup.hpp"
+#include "study/study.hpp"
 #include "util/date.hpp"
 #include "util/rng.hpp"
 
@@ -26,21 +26,11 @@ using namespace opcua_study;
 
 namespace {
 
-/// Must match bench::kStudySeed (bench/bench_common.hpp) — the seed the
-/// figure benches record the campaign cache under.
-constexpr std::uint64_t kBaseSeed = 20200209;
-
-/// Same resolution order as the bench suite's snapshot_cache_path().
-std::string default_base_path() {
-  if (const char* env = std::getenv("OPCUA_STUDY_SNAPSHOT_CACHE")) return env;
-  return ".opcua_study_snapshots.bin";
-}
-
 /// The follow-up cache is stamped with a seed derived from the base
 /// campaign's final measurement, so regenerating or swapping the base
 /// invalidates a stale follow-up instead of silently diffing against it.
 std::uint64_t followup_file_seed(const SnapshotMeta& base_final, std::uint64_t model_seed) {
-  return hash64("followup-of:" + std::to_string(kBaseSeed) + ":" +
+  return hash64("followup-of:" + std::to_string(kStudySeed) + ":" +
                 std::to_string(base_final.date_days) + ":" +
                 std::to_string(base_final.host_count) + ":" +
                 std::to_string(base_final.probes_sent) + ":" + std::to_string(model_seed));
@@ -71,13 +61,13 @@ void print_matrix(const char* title, const TransitionMatrix& m, const char* cons
 
 int main(int argc, char** argv) {
   const examples::Cli cli(argc, argv);
-  const std::string base_path = cli.positional_or(0, default_base_path());
+  const std::string base_path = cli.positional_or(0, study_snapshot_path());
   const std::string followup_path = cli.positional_or(1, ".opcua_study_followup.bin");
   FollowupConfig followup_config;
 
   std::uint64_t followup_seed = 0;
   try {
-    const SnapshotReader base(base_path, kBaseSeed);
+    const SnapshotReader base(base_path, kStudySeed);
     if (base.snapshots().empty()) {
       std::printf("recorded base campaign at %s holds no measurements\n", base_path.c_str());
       return 0;
@@ -85,8 +75,7 @@ int main(int argc, char** argv) {
     followup_seed = followup_file_seed(base.snapshots().back(), followup_config.seed);
   } catch (const SnapshotError& e) {
     std::printf("cannot open recorded base campaign: %s\n"
-                "run any bench binary first (it records the dataset), e.g. "
-                "./build/fig2_population\n",
+                "run ./build/reproduce first (it records the dataset)\n",
                 e.what());
     return 0;
   }
@@ -104,13 +93,13 @@ int main(int argc, char** argv) {
     if (!have_followup) {
       std::printf("generating follow-up campaign %s from %s (deterministic evolution model)...\n",
                   followup_path.c_str(), base_path.c_str());
-      const SnapshotReader base(base_path, kBaseSeed);
+      const SnapshotReader base(base_path, kStudySeed);
       SnapshotWriter writer(followup_path, followup_seed);
       run_followup_study_streamed(base, followup_config, writer);
     }
     DiffOptions options;
     options.threads = 0;
-    diff = diff_files(base_path, kBaseSeed, followup_path, followup_seed, options);
+    diff = diff_files(base_path, kStudySeed, followup_path, followup_seed, options);
   } catch (const SnapshotError& e) {
     // A failed generation or diff is a real error (the CI smoke step must
     // go red), unlike the friendly missing-base case above.

@@ -1,5 +1,5 @@
 // Longitudinal operator report over a recorded campaign dataset: streams
-// the snapshots cached by the bench suite through the shared analysis
+// the snapshots ./build/reproduce records through the shared analysis
 // library and summarizes how (little) the security posture changed — the
 // paper's §5.5 told as a report. The dataset is never materialized in
 // RAM: the aggregator consumes it chunk by chunk.
@@ -10,21 +10,21 @@
 #include "analysis/analysis.hpp"
 #include "report/report.hpp"
 #include "scanner/snapshot_io.hpp"
+#include "study/study.hpp"
 #include "util/date.hpp"
 
 using namespace opcua_study;
 
 int main(int argc, char** argv) {
-  const std::string path = argc > 1 ? argv[1] : ".opcua_study_snapshots.bin";
+  const std::string path = argc > 1 ? argv[1] : study_snapshot_path();
   StudyAnalysis analysis;
   try {
     AnalysisOptions options;
     options.threads = 0;
-    analysis = analyze_file(path, 20200209, options);
+    analysis = analyze_file(path, kStudySeed, options);
   } catch (const SnapshotError& e) {
     std::printf("cannot analyze recorded campaign: %s\n"
-                "run any bench binary first (it records the dataset), e.g. "
-                "./build/fig3_modes_policies\n",
+                "run ./build/reproduce first (it records the dataset)\n",
                 e.what());
     return 0;
   }

@@ -14,7 +14,7 @@
 #include <cstdlib>
 #include <map>
 
-#include "assess/assess.hpp"
+#include "analysis/analysis.hpp"
 #include "cli.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -128,9 +128,10 @@ int main(int argc, char** argv) {
   }
   std::printf(")\n");
 
-  ModePolicyStats modes = assess_modes_policies(snapshot);
-  AuthStats auth = assess_auth(snapshot);
-  CertConformanceStats certs = assess_certificates(snapshot);
+  const StudyAnalysis analysis = analyze_snapshots({snapshot});
+  const ModePolicyStats& modes = analysis.modes;
+  const AuthStats& auth = analysis.auth;
+  const CertConformanceStats& certs = analysis.certificates;
 
   TextTable summary;
   summary.set_header({"assessment", "hosts"});

@@ -2,8 +2,8 @@
 // where did the insecure deployments of the base campaign end up, how
 // long did remediation take, and who relapsed?
 //
-// Builds a seeded 4-campaign series: the recorded study campaign (cached
-// by the bench suite) as member 0, extended three times with the
+// Builds a seeded 4-campaign series: the study campaign ./build/reproduce
+// records as member 0, extended three times with the
 // deterministic evolution model via extend_series — the repo's own
 // multi-year follow-up history. Each generated member is cached next to
 // the base under a seed derived from the base campaign and the step, so
@@ -13,7 +13,6 @@
 //
 //   ./build/series_report [base-file [member-count]]
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "report/report.hpp"
 #include "series/series.hpp"
 #include "study/followup.hpp"
+#include "study/study.hpp"
 #include "util/date.hpp"
 #include "util/rng.hpp"
 
@@ -30,21 +30,11 @@ using namespace opcua_study;
 
 namespace {
 
-/// Must match bench::kStudySeed (bench/bench_common.hpp) — the seed the
-/// figure benches record the campaign cache under.
-constexpr std::uint64_t kBaseSeed = 20200209;
-
-/// Same resolution order as the bench suite's snapshot_cache_path().
-std::string default_base_path() {
-  if (const char* env = std::getenv("OPCUA_STUDY_SNAPSHOT_CACHE")) return env;
-  return ".opcua_study_snapshots.bin";
-}
-
 /// Cache seed of generated member `step`: derived from the base
 /// campaign's final measurement and the step ordinal.
 std::uint64_t member_file_seed(const SnapshotMeta& base_final, std::uint64_t model_seed,
                                std::size_t step) {
-  return hash64("series-member-of:" + std::to_string(kBaseSeed) + ":" +
+  return hash64("series-member-of:" + std::to_string(kStudySeed) + ":" +
                 std::to_string(base_final.date_days) + ":" +
                 std::to_string(base_final.host_count) + ":" + std::to_string(model_seed) + ":" +
                 std::to_string(step));
@@ -65,14 +55,14 @@ std::string member_name(const SnapshotMeta& meta) {
 
 int main(int argc, char** argv) {
   const examples::Cli cli(argc, argv);
-  const std::string base_path = cli.positional_or(0, default_base_path());
+  const std::string base_path = cli.positional_or(0, study_snapshot_path());
   const std::size_t member_count = static_cast<std::size_t>(cli.number_or(1, 4));
   FollowupConfig config;
   config.campaign_label = "";  // derive followup-<k> per step
 
   SnapshotMeta base_final;
   try {
-    const SnapshotReader base(base_path, kBaseSeed);
+    const SnapshotReader base(base_path, kStudySeed);
     if (base.snapshots().empty()) {
       std::printf("recorded base campaign at %s holds no measurements\n", base_path.c_str());
       return 0;
@@ -80,8 +70,7 @@ int main(int argc, char** argv) {
     base_final = base.snapshots().back();
   } catch (const SnapshotError& e) {
     std::printf("cannot open recorded base campaign: %s\n"
-                "run any bench binary first (it records the dataset), e.g. "
-                "./build/fig2_population\n",
+                "run ./build/reproduce first (it records the dataset)\n",
                 e.what());
     return 0;
   }
@@ -89,7 +78,7 @@ int main(int argc, char** argv) {
   SeriesAnalysis series;
   try {
     CampaignSet set;
-    set.add_file(base_path, kBaseSeed);
+    set.add_file(base_path, kStudySeed);
     for (std::size_t step = 1; step < member_count; ++step) {
       const std::string path = ".opcua_study_series_m" + std::to_string(step) + ".bin";
       const std::uint64_t file_seed = member_file_seed(base_final, config.seed, step);

@@ -16,7 +16,6 @@
 //   ./build/study_service -- e.g. "kind=posture campaign=m0 deficient=1"
 //     (a trailing query string runs instead of the demo battery)
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "study/followup.hpp"
+#include "study/study.hpp"
 #include "svc/service.hpp"
 #include "util/rng.hpp"
 
@@ -32,21 +32,11 @@ using namespace opcua_study;
 
 namespace {
 
-/// Must match bench::kStudySeed (bench/bench_common.hpp) — the seed the
-/// figure benches record the campaign cache under.
-constexpr std::uint64_t kBaseSeed = 20200209;
-
-/// Same resolution order as the bench suite's snapshot_cache_path().
-std::string default_base_path() {
-  if (const char* env = std::getenv("OPCUA_STUDY_SNAPSHOT_CACHE")) return env;
-  return ".opcua_study_snapshots.bin";
-}
-
 /// Same derivation as series_report, so the two examples share the
 /// generated member cache.
 std::uint64_t member_file_seed(const SnapshotMeta& base_final, std::uint64_t model_seed,
                                std::size_t step) {
-  return hash64("series-member-of:" + std::to_string(kBaseSeed) + ":" +
+  return hash64("series-member-of:" + std::to_string(kStudySeed) + ":" +
                 std::to_string(base_final.date_days) + ":" +
                 std::to_string(base_final.host_count) + ":" + std::to_string(model_seed) + ":" +
                 std::to_string(step));
@@ -56,13 +46,13 @@ std::uint64_t member_file_seed(const SnapshotMeta& base_final, std::uint64_t mod
 
 int main(int argc, char** argv) {
   const examples::Cli cli(argc, argv);
-  const std::string base_path = cli.positional_or(0, default_base_path());
+  const std::string base_path = cli.positional_or(0, study_snapshot_path());
   const std::size_t member_count = static_cast<std::size_t>(cli.number_or(1, 4));
   obs::set_enabled(true);
 
   SnapshotMeta base_final;
   try {
-    const SnapshotReader base(base_path, kBaseSeed);
+    const SnapshotReader base(base_path, kStudySeed);
     if (base.snapshots().empty()) {
       std::printf("recorded base campaign at %s holds no measurements\n", base_path.c_str());
       return 0;
@@ -70,8 +60,7 @@ int main(int argc, char** argv) {
     base_final = base.snapshots().back();
   } catch (const SnapshotError& e) {
     std::printf("cannot open recorded base campaign: %s\n"
-                "run any bench binary first (it records the dataset), e.g. "
-                "./build/fig2_population\n",
+                "run ./build/reproduce first (it records the dataset)\n",
                 e.what());
     return 0;
   }
@@ -83,8 +72,8 @@ int main(int argc, char** argv) {
     FollowupConfig config;
     config.campaign_label = "";  // derive followup-<k> per step
     CampaignSet set;
-    set.add_file(base_path, kBaseSeed);
-    catalog.register_campaign("m0", base_path, kBaseSeed);
+    set.add_file(base_path, kStudySeed);
+    catalog.register_campaign("m0", base_path, kStudySeed);
     member_names.push_back("m0");
     for (std::size_t step = 1; step < member_count; ++step) {
       const std::string path = ".opcua_study_series_m" + std::to_string(step) + ".bin";

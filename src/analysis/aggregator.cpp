@@ -711,7 +711,7 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
     analysis.shared_primes.distinct_moduli = moduli.size();
     const auto started = std::chrono::steady_clock::now();
     analysis.shared_primes.moduli_with_shared_prime =
-        batch_gcd(moduli, options.shared_prime_threads).affected();
+        batch_gcd(moduli, options.threads).affected();
     analysis.shared_prime_seconds = seconds_since(started);
   }
 

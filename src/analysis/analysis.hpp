@@ -29,14 +29,12 @@
 namespace opcua_study {
 
 struct AnalysisOptions {
-  /// Worker threads for chunk aggregation; 0 = hardware concurrency,
-  /// 1 = inline on the caller. The result is identical for any value.
+  /// Worker threads for chunk aggregation and the batch-GCD trees; 0 =
+  /// hardware concurrency, 1 = inline on the caller. The result is
+  /// identical for any value.
   int threads = 1;
   /// Run the §5.3 batch-GCD shared-prime sweep (expensive at scale).
   bool shared_primes = false;
-  /// Worker threads for the batch-GCD product/remainder trees (0 =
-  /// hardware concurrency, matching the reference assess_shared_primes).
-  int shared_prime_threads = 0;
   /// Chunk size used when aggregating in-memory snapshots (streams from
   /// a SnapshotReader use the chunking recorded in the file).
   std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords;

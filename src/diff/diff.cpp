@@ -60,7 +60,7 @@ CampaignDiff diff_campaigns(const RecordSource& base, const RecordSource& follow
   }
   const SnapshotMeta base_week = base.week_meta(base.week_count() - 1);
   const SnapshotMeta followup_week = followup.week_meta(followup.week_count() - 1);
-  if (options.validate_pairing) validate_campaign_chain({base_week, followup_week});
+  validate_campaign_chain({base_week, followup_week});
 
   ThreadPool pool(options.threads);
   const std::vector<HostPosture> a = collect_postures(base, pool);

@@ -44,9 +44,6 @@ struct DiffOptions {
   /// Worker threads for the posture pass; 0 = hardware concurrency,
   /// 1 = inline. The resulting CampaignDiff is identical for any value.
   int threads = 1;
-  /// Enforce that the inputs form a (base, follow-up) pair when both
-  /// declare a campaign identity (SnapshotMeta campaign label/epoch).
-  bool validate_pairing = true;
   /// Chunk size when diffing in-memory snapshot vectors.
   std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords;
 };
@@ -149,8 +146,9 @@ struct CampaignDiff {
 };
 
 /// Diff the final measurements of two campaigns. Throws SnapshotError when
-/// either campaign is empty, or (validate_pairing) when both inputs
-/// declare campaign identities that do not form a base -> follow-up pair.
+/// either campaign is empty, or when the inputs declare campaign
+/// identities that do not form a base -> follow-up pair
+/// (validate_campaign_chain).
 CampaignDiff diff_campaigns(const RecordSource& base, const RecordSource& followup,
                             const DiffOptions& options = {});
 

@@ -269,7 +269,7 @@ PopulationPlan build_population_plan(std::uint64_t seed) {
   // ------------------------------------------------- Table 2 assignment ----
   // Reconciled Table 2 (the printed column totals 493/541/80 are exact; we
   // set the credentials-only row to 467/21 so rows sum to 1114 — see
-  // EXPERIMENTS.md).
+  // DESIGN.md, "Paper reproduction").
   struct RowSpec {
     std::vector<UserTokenType> tokens;
     int prod, test, uncl, auth, sc;

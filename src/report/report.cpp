@@ -70,6 +70,12 @@ std::string render_comparison(const std::string& title, const std::vector<Compar
   return out.str();
 }
 
+bool print_comparison(std::FILE* out, const std::string& title,
+                      const std::vector<ComparisonRow>& rows) {
+  std::fputs(render_comparison(title, rows).c_str(), out);
+  return std::all_of(rows.begin(), rows.end(), [](const ComparisonRow& row) { return row.matches; });
+}
+
 std::string fmt_int(long v) { return std::to_string(v); }
 
 std::string fmt_pct(double fraction, int decimals) {

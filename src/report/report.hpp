@@ -3,6 +3,7 @@
 // tables/figures share one look.
 #pragma once
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,11 @@ struct ComparisonRow {
 };
 
 std::string render_comparison(const std::string& title, const std::vector<ComparisonRow>& rows);
+
+/// Writes render_comparison(title, rows) to `out`; true when every row
+/// matched, so a caller can fail on any deviation.
+bool print_comparison(std::FILE* out, const std::string& title,
+                      const std::vector<ComparisonRow>& rows);
 
 std::string fmt_int(long v);
 std::string fmt_pct(double fraction_0_to_1, int decimals = 1);

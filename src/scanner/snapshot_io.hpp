@@ -1,9 +1,9 @@
 // Binary persistence for scan snapshots.
 //
-// The bench suite regenerates every table/figure from the same campaign;
-// the first binary runs the scans and caches them, the rest load from disk
-// (exactly like the paper's analyses ran on the recorded dataset rather
-// than re-scanning per figure).
+// `reproduce` regenerates every table/figure from one recorded campaign:
+// its first run scans and records it, later runs and the examples load it
+// from disk (exactly like the paper's analyses ran on the recorded dataset
+// rather than re-scanning per figure).
 //
 // Three format generations load through SnapshotReader:
 //   v4 — retired monolithic row stream (whole-file decode, chunk index
@@ -476,8 +476,7 @@ bool campaign_declared(const SnapshotMeta& meta);
 /// declare the *same* mask (a diff between an OPC-UA-only campaign and a
 /// mixed fleet is apples-to-oranges); mask-0 members — pre-protocol files
 /// — are exempt. Throws SnapshotError naming the offending link.
-/// The old pairwise DiffOptions::validate_pairing check is this helper
-/// applied to a two-member series.
+/// diff_campaigns applies it to its two-member (base, follow-up) pair.
 void validate_campaign_chain(const std::vector<SnapshotMeta>& members);
 
 }  // namespace opcua_study

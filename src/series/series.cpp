@@ -103,8 +103,6 @@ double SeriesAnalysis::mean_link_confidence() const {
   return mean_match_confidence(links_by_address, links_by_cert_corroborated, links_by_cert_bare);
 }
 
-SeriesBuilder::SeriesBuilder(bool validate_ordering) : validate_ordering_(validate_ordering) {}
-
 void SeriesBuilder::close_timeline(SeriesAnalysis& out, const Timeline& state,
                                    bool censored) const {
   if (out.timelines.length_histogram.size() <= state.length) {
@@ -136,11 +134,9 @@ void SeriesBuilder::close_timeline(SeriesAnalysis& out, const Timeline& state,
 }
 
 void SeriesBuilder::add_member(SnapshotMeta final_meta, std::vector<HostPosture> postures) {
-  if (validate_ordering_) {
-    std::vector<SnapshotMeta> chain = finals_;
-    chain.push_back(final_meta);
-    validate_campaign_chain(chain);  // throws before any state mutates
-  }
+  std::vector<SnapshotMeta> chain = finals_;
+  chain.push_back(final_meta);
+  validate_campaign_chain(chain);  // throws before any state mutates
   const std::size_t m = finals_.size();
   if (m == 0) {
     // Member 0: one fresh timeline per host.
@@ -273,18 +269,16 @@ SeriesAnalysis analyze_series(const CampaignSet& set, const SeriesOptions& optio
                         std::to_string(set.size()) + ")");
   }
   ThreadPool pool(options.threads);
-  SeriesBuilder builder(options.validate_ordering);
+  SeriesBuilder builder;
   // Each member is opened exactly once, when the walk reaches it; its
   // identity is validated against the chain seen so far before any of
   // its postures are produced, so an out-of-order member fails before
   // its posture work (and a truncated file fails at its open).
   for (std::size_t m = 0; m < set.size(); ++m) {
     const CampaignSet::OpenMember member = set.open(m, options.chunk_records);
-    if (options.validate_ordering) {
-      std::vector<SnapshotMeta> chain = builder.finals();
-      chain.push_back(member.final_meta());
-      validate_campaign_chain(chain);
-    }
+    std::vector<SnapshotMeta> chain = builder.finals();
+    chain.push_back(member.final_meta());
+    validate_campaign_chain(chain);
     builder.add_member(member.final_meta(),
                        member_postures(set, m, member, options, pool));
   }

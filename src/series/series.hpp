@@ -115,8 +115,6 @@ struct SeriesOptions {
   /// Worker threads for the posture passes; 0 = hardware concurrency,
   /// 1 = inline. The resulting SeriesAnalysis is identical for any value.
   int threads = 1;
-  /// Enforce the campaign-chain ordering rules before analyzing.
-  bool validate_ordering = true;
   /// Chunk size when streaming in-memory members.
   std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords;
   /// Load posture sketch sidecars (src/series/sketch.hpp) for file-backed
@@ -216,13 +214,10 @@ struct SeriesAnalysis {
 /// collect_postures.
 class SeriesBuilder {
  public:
-  /// `validate_ordering`: enforce validate_campaign_chain over the metas
-  /// seen so far on every add (the offending add throws, leaving the
-  /// builder unchanged).
-  explicit SeriesBuilder(bool validate_ordering = true);
-
   /// Append the next campaign. `postures` must be the record-ordered
-  /// collect_postures output of the member's final measurement.
+  /// collect_postures output of the member's final measurement. Enforces
+  /// validate_campaign_chain over the metas seen so far: an add that
+  /// breaks the chain throws and leaves the builder unchanged.
   void add_member(SnapshotMeta final_meta, std::vector<HostPosture> postures);
 
   std::size_t size() const { return finals_.size(); }
@@ -249,7 +244,6 @@ class SeriesBuilder {
   };
   void close_timeline(SeriesAnalysis& out, const Timeline& state, bool censored) const;
 
-  bool validate_ordering_;
   std::vector<SnapshotMeta> finals_;
   std::vector<HostPosture> current_;   // previous member's postures
   std::vector<Timeline> active_;       // one per host of the previous member
@@ -258,7 +252,7 @@ class SeriesBuilder {
 
 /// Analyze an N-campaign series. Throws SnapshotError when the set has
 /// fewer than two members, a member holds no measurement, a file member
-/// fails to open, or (validate_ordering) the campaign chain is invalid.
+/// fails to open, or the campaign chain is invalid.
 /// Deterministic: byte-identical results for any thread count and for
 /// file-backed vs. in-memory members carrying the same records and
 /// identities.

@@ -1,9 +1,16 @@
 #include "study/study.hpp"
 
+#include <cstdlib>
+
 #include "crypto/x509.hpp"
 #include "study/sharded.hpp"
 
 namespace opcua_study {
+
+std::string study_snapshot_path() {
+  if (const char* env = std::getenv("OPCUA_STUDY_SNAPSHOT_CACHE")) return env;
+  return ".opcua_study_snapshots.bin";
+}
 
 ClientConfig make_scanner_identity(std::uint64_t seed, KeyFactory& keys) {
   ClientConfig config;

@@ -10,8 +10,16 @@
 
 namespace opcua_study {
 
+/// Seed of the recorded paper study: the campaign `reproduce` records and
+/// the examples read back.
+inline constexpr std::uint64_t kStudySeed = 20200209;
+
+/// Where the recorded study lives: $OPCUA_STUDY_SNAPSHOT_CACHE when set,
+/// else .opcua_study_snapshots.bin in the working directory.
+std::string study_snapshot_path();
+
 struct StudyConfig {
-  std::uint64_t seed = 20200209;
+  std::uint64_t seed = kStudySeed;
   int dummy_hosts = 20000;
   bool traverse_address_space = true;
   /// Keygen workers for deployment (see DeployConfig::key_threads);

@@ -93,7 +93,7 @@ class CampaignCatalog {
   };
   struct SeriesEntry {
     std::vector<std::string> members;
-    SeriesBuilder builder{true};
+    SeriesBuilder builder;
     /// Immutable analysis snapshot, refreshed at each append; null until
     /// the series holds two members.
     std::shared_ptr<const SeriesAnalysis> latest;

@@ -537,9 +537,6 @@ TEST(CampaignDiffTest, PairingValidation) {
   write_labeled(a, base, "study-2020", 2000);
   write_labeled(b, followup, "study-2022", 1000);
   EXPECT_THROW(diff_files(a, 42, b, 42, {}), SnapshotError);
-  DiffOptions unchecked;
-  unchecked.validate_pairing = false;
-  EXPECT_NO_THROW(diff_files(a, 42, b, 42, unchecked));
 
   // The same campaign on both sides is not a pair either.
   EXPECT_THROW(diff_files(a, 42, a, 42, {}), SnapshotError);

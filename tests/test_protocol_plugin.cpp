@@ -405,9 +405,7 @@ TEST(ProtocolAnalysis, DiffAndSeriesSplitByProtocol) {
   followup[0].measurement_index = 1;
   followup[0].date_days += 28;
 
-  DiffOptions options;
-  options.validate_pairing = false;
-  const CampaignDiff diff = diff_snapshots(base, followup, options);
+  const CampaignDiff diff = diff_snapshots(base, followup);
   ASSERT_EQ(diff.by_protocol.size(), 2u);
   const ProtocolDiffRow& opcua_row = diff.by_protocol.at(ProtocolId::opcua);
   const ProtocolDiffRow& mqtt_row = diff.by_protocol.at(ProtocolId::mqtt_tls);

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 
+#include "analysis/paper.hpp"
 #include "report/report.hpp"
 #include "scanner/snapshot_io.hpp"
 
@@ -94,6 +95,35 @@ ScanSnapshot sample_snapshot() {
   host.duration_seconds = 110.5;
   snapshot.hosts.push_back(std::move(host));
   return snapshot;
+}
+
+// The reproduction over studies too small to reproduce anything: every
+// section still prints in paper order, the result is a failure, and no
+// value is read from an empty container. The second study's accessible
+// host has variables but no method, so Fig. 7's exec curve is empty while
+// its read curve is not.
+TEST(Report, ReproductionOfDegenerateStudiesFailsCleanly) {
+  const std::vector<StudyAnalysis> studies = {StudyAnalysis{},
+                                              analyze_snapshots({sample_snapshot()})};
+  for (const StudyAnalysis& analysis : studies) {
+    std::FILE* out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    bool reproduced = true;
+    EXPECT_NO_THROW(reproduced = reproduce_paper(analysis, out));
+    EXPECT_FALSE(reproduced);
+    std::string text(static_cast<std::size_t>(std::ftell(out)), '\0');
+    std::rewind(out);
+    ASSERT_EQ(std::fread(text.data(), 1, text.size(), out), text.size());
+    std::fclose(out);
+    std::size_t pos = 0;
+    for (const char* title : {"Table 1", "Figure 2", "Figure 3", "Figure 4", "Figure 5",
+                              "Section 5.3", "Figure 6", "Table 2", "Figure 7",
+                              "Figure 8 / headline", "Section 5.5"}) {
+      pos = text.find("== " + std::string(title) + " vs paper ==", pos);
+      ASSERT_NE(pos, std::string::npos) << title;
+    }
+    EXPECT_NE(text.find("MISMATCH"), std::string::npos);
+  }
 }
 
 TEST(SnapshotIo, RoundTrip) {

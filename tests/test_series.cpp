@@ -437,9 +437,6 @@ TEST(SeriesChainValidation, OrderingRules) {
   backwards.add_snapshots({week}, "late", 300);
   backwards.add_snapshots({week}, "early", 200);
   EXPECT_THROW(analyze_series(backwards, {}), SnapshotError);
-  SeriesOptions unchecked;
-  unchecked.validate_ordering = false;
-  EXPECT_NO_THROW(analyze_series(backwards, unchecked));
 }
 
 // ---------------------------------------- early-merge thread invariance ----

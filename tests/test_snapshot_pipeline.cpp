@@ -563,7 +563,6 @@ TEST(Analysis, SharedPrimesMatchesReference) {
   const std::vector<ScanSnapshot> study = make_study(24, 1);
   AnalysisOptions options;
   options.shared_primes = true;
-  options.shared_prime_threads = 1;
   const StudyAnalysis analysis = analyze_snapshots(study, options);
   EXPECT_EQ(analysis.shared_primes, assess_shared_primes(study.back()));
   EXPECT_GT(analysis.shared_primes.distinct_moduli, 0u);
@@ -683,7 +682,6 @@ TEST(SnapshotV6, FiguresIdenticalAcrossFormatsAndThreads) {
     AnalysisOptions serial;
     serial.threads = 1;
     serial.shared_primes = true;
-    serial.shared_prime_threads = 1;
     AnalysisOptions parallel = serial;
     parallel.threads = 8;
     const StudyAnalysis reference = analyze_snapshots(*study, serial);
