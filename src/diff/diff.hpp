@@ -25,9 +25,9 @@
 //                     verbatim reuse, and deficiency evolution.
 //
 // Memory is bounded by the posture summaries (tens of bytes per host —
-// fingerprints are truncated to 64 bits, never DER), not by the records:
-// two 1M-host campaigns diff comfortably where the load-all path holds
-// ~2 GB of decoded records (bench/campaign_diff.cpp pins both).
+// fingerprints are truncated to 64 bits, never DER), not by the records
+// the load-all path decodes. benchmark/'s followup_batch workload times
+// the diff pass (diff.pass_s) on a 100k-host base.
 //
 // Since the series layer landed, the pairwise diff is the N=2
 // specialization of src/series/: collect_postures / match_postures /

@@ -69,8 +69,8 @@ struct FaultProfile {
   }
 
   /// A moderately hostile network: every fault class fires, yet a bounded
-  /// retry policy recovers the large majority of hosts. Used by the fault
-  /// bench and the determinism tests.
+  /// retry policy recovers the large majority of hosts. Used by the
+  /// fault-injection tests.
   static FaultProfile hostile() {
     FaultProfile p;
     p.connect_drop = 0.08;

@@ -59,12 +59,12 @@ struct FollowupConfig {
 
   /// Certificates minted for renewals and new deployments come from a
   /// fixed fleet of (keys x serials) DERs generated once up front —
-  /// renewal cost is O(fleet), not O(hosts), which is what keeps the
-  /// 1M-host bench cheap. Renewed hosts drawing the same fleet cert simply
-  /// extend the paper's certificate-reuse clusters. 2048-bit keys keep a
-  /// minted certificate conformant with the secure policies: a renewal
-  /// must not flip a clean host to "too weak certificate" by itself
-  /// (benches/tests that only need fingerprints may drop to 512).
+  /// renewal cost is O(fleet), not O(hosts), which is what keeps
+  /// million-host follow-ups cheap. Renewed hosts drawing the same fleet
+  /// cert simply extend the paper's certificate-reuse clusters. 2048-bit
+  /// keys keep a minted certificate conformant with the secure policies:
+  /// a renewal must not flip a clean host to "too weak certificate" by
+  /// itself (benches/tests that only need fingerprints may drop to 512).
   std::size_t mint_keys = 16;
   std::size_t mint_fleet = 1024;
   std::size_t mint_key_bits = 2048;

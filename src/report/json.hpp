@@ -1,10 +1,9 @@
-// Minimal ordered JSON emitter for the BENCH_*.json trend files.
+// Minimal ordered JSON emitter.
 //
-// The bench binaries emit machine-readable results that CI diffs against
-// checked-in baselines (bench/baselines/ + bench/check_bench.py); this
-// writer keeps that output well-formed without hand-managed commas. It
-// covers exactly what the benches need — objects, arrays, scalars — and
-// nothing else.
+// The library's diff, series, service and telemetry reports use it, and so
+// does crypto_throughput's BENCH_crypto.json; it keeps that output
+// well-formed without hand-managed commas. It covers exactly what those
+// need — objects, arrays, scalars — and nothing else.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,9 @@
 // Fault-injection resilience tests: deterministic fault streams across
 // engine concurrency and shard/thread layouts, fault-free byte identity,
-// scan-quality persistence (v6 tail), the scan-quality analysis section,
-// a streamed campaign whose writer hits a full disk, and crash-safe
-// checkpoint/resume campaigns, including a unit that fails.
+// the recovery floor of a hostile 120-host weekly sweep, scan-quality
+// persistence (v6 tail), the scan-quality analysis section, a streamed
+// campaign whose writer hits a full disk, and crash-safe checkpoint/resume
+// campaigns, including a unit that fails.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -122,10 +123,11 @@ PopulationPlan fault_plan() {
   return plan;
 }
 
-Deployer make_deployer(const PopulationPlan& plan) {
+Deployer make_deployer(const PopulationPlan& plan, std::uint64_t seed = 42,
+                       int dummy_hosts = 30) {
   DeployConfig deploy_config;
-  deploy_config.seed = 42;
-  deploy_config.dummy_hosts = 30;
+  deploy_config.seed = seed;
+  deploy_config.dummy_hosts = dummy_hosts;
   deploy_config.fast_keys = true;
   deploy_config.key_cache_path = "";
   return Deployer(plan, deploy_config);
@@ -247,6 +249,110 @@ TEST(FaultInjection, ShardedFaultedRunsDeterministicAcrossThreadsAndShards) {
   std::uint64_t faulted = 0;
   for (const auto& host : base.hosts) faulted += host.fault_events > 0;
   EXPECT_GT(faulted, 0u);
+}
+
+// ------------------------------------------- hostile weekly sweep ----
+
+/// A weekly-sweep population: `hosts` OPC UA hosts in four rotating
+/// postures (anonymous with a traversal, secure-channel probe, strict
+/// certificate validation, rejected sessions), Bachmann on every third.
+PopulationPlan sweep_plan(int hosts) {
+  PopulationPlan plan;
+  for (int i = 0; i < hosts; ++i) {
+    HostPlan host;
+    host.index = i;
+    host.cohort = "faults";
+    host.manufacturer = i % 3 == 0 ? "Bachmann" : "other";
+    host.application_uri = "urn:generic:opcua:fault-" + std::to_string(i);
+    host.product_uri = "http://example.org/faults";
+    host.application_name = "fault host " + std::to_string(i);
+    host.asn = 64503 + static_cast<std::uint32_t>(i % 6);
+    host.certificate.present = true;
+    host.certificate.key_bits = 1024;
+    host.certificate.not_before_days = days_from_civil({2019, 1, 1});
+    switch (i % 4) {
+      case 0:
+        host.modes = {MessageSecurityMode::None};
+        host.policies = {SecurityPolicy::None};
+        host.tokens = {UserTokenType::Anonymous};
+        host.outcome = PlannedOutcome::accessible;
+        host.classification = PlannedClass::production;
+        host.variable_count = 8;
+        host.method_count = 2;
+        host.writable_fraction = 0.25;
+        break;
+      case 1:
+        host.modes = {MessageSecurityMode::None, MessageSecurityMode::SignAndEncrypt};
+        host.policies = {SecurityPolicy::None, SecurityPolicy::Basic256Sha256};
+        host.tokens = {UserTokenType::UserName};
+        host.outcome = PlannedOutcome::auth_rejected;
+        break;
+      case 2:
+        host.modes = {MessageSecurityMode::SignAndEncrypt};
+        host.policies = {SecurityPolicy::Basic256Sha256};
+        host.tokens = {UserTokenType::UserName};
+        host.trust_all_client_certs = false;
+        host.outcome = PlannedOutcome::channel_rejected;
+        break;
+      default:
+        host.modes = {MessageSecurityMode::None};
+        host.policies = {SecurityPolicy::None};
+        host.tokens = {UserTokenType::Anonymous};
+        host.reject_all_sessions = true;
+        host.outcome = PlannedOutcome::auth_rejected;
+        break;
+    }
+    plan.hosts.push_back(std::move(host));
+  }
+  return plan;
+}
+
+/// 120 hosts among 300 non-OPC UA port-4840 services under the hostile
+/// profile: the default retry policy brings >= 90% of the faulted hosts
+/// back to a complete record, the faults really fire, and the faulted
+/// snapshot does not depend on thread count or shard layout.
+TEST(FaultInjection, HostileWeeklySweepRecoversDeterministically) {
+  constexpr std::uint64_t kSeed = 20200209;
+  const PopulationPlan plan = sweep_plan(120);
+  Deployer deployer = make_deployer(plan, kSeed, 300);
+  KeyFactory keys(kSeed, "");
+  const ClientConfig identity = make_scanner_identity(kSeed, keys);
+
+  auto run_sharded = [&](int shards, int threads) {
+    ShardedCampaignConfig config;
+    config.campaign.seed = kSeed;
+    config.campaign.grabber.client = identity;
+    config.shards = shards;
+    config.threads = threads;
+    config.faults = FaultProfile::hostile();
+    config.fault_seed = kSeed + 7;
+    return run_sharded_campaign(deployer, 7, config);
+  };
+  const ScanSnapshot faulted = run_sharded(4, 1);
+  EXPECT_EQ(faulted, run_sharded(4, 4));
+  EXPECT_EQ(faulted, run_sharded(2, 4));
+
+  // Reads 76 of 83 faulted hosts recovered, 305 fault events.
+  const ScanQualityStats quality = analyze_snapshots({faulted}, {}).scan_quality;
+  EXPECT_GE(quality.recovery_rate, 0.9);
+  EXPECT_GE(quality.faulted, 50u);
+  EXPECT_GE(quality.fault_events, 200u);
+
+  // A disabled fault plan attached to the network is never consulted.
+  auto run_single = [&](bool attach_disabled_plan) {
+    Network net;
+    deployer.deploy_week(net, 7);
+    if (attach_disabled_plan) {
+      net.set_fault_plan(std::make_unique<FaultPlan>(kSeed + 7, FaultProfile{}));
+    }
+    CampaignConfig config;
+    config.seed = kSeed;
+    config.max_in_flight = 256;
+    config.grabber.client = identity;
+    Campaign campaign(config, net);
+    return campaign.run(7);
+  };
+  EXPECT_EQ(run_single(false), run_single(true));
 }
 
 // ------------------------------------------------- quality persistence ----

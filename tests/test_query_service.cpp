@@ -6,7 +6,8 @@
 //  - sketch-fed series analysis is byte-identical to the full walk,
 //  - the incremental-append contract: appending a sketched campaign to a
 //    resident series reads zero snapshot chunks (pinned through the
-//    snapshot_chunks_read counter),
+//    snapshot_chunks_read counter), and a repeated study or posture query
+//    is one cache hit that computes nothing,
 //  - query responses are byte-identical across inline execution, a
 //    1-worker pool, and an 8-worker pool — including error documents,
 //  - admission control: submits beyond max_queue are rejected
@@ -14,6 +15,7 @@
 //  - parse_query_request round trips and rejects malformed input.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -302,6 +304,35 @@ TEST(CampaignCatalog, IncrementalAppendReadsZeroSnapshotChunks) {
   const SeriesAnalysis batch = analyze_series(set, batch_options);
   EXPECT_EQ(*after, batch);
   EXPECT_EQ(series_analysis_json(*after), series_analysis_json(batch));
+
+  // A repeated study or posture query is served from the resident
+  // artifact: the same body, one hit in its artifact cell, no miss and no
+  // chunk read.
+  svc::QueryService service(catalog);
+  const std::pair<const char*, std::string_view> repeats[] = {
+      {"kind=study campaign=m0", "study"},
+      {"kind=posture campaign=m1", "postures"},
+  };
+  for (const auto& [text, artifact] : repeats) {
+    const svc::QueryRequest request = svc::parse_query_request(text);
+    const std::string first = service.execute(request).body;
+    const obs::MetricsSample pre = obs::collect();
+    EXPECT_EQ(service.execute(request).body, first) << text;
+    const obs::MetricsSample post = obs::collect();
+    const auto delta = [&](obs::Metric metric) {
+      return post[metric].total() - pre[metric].total();
+    };
+    const std::size_t cell = static_cast<std::size_t>(
+        std::find(std::begin(obs::kArtifactCells), std::end(obs::kArtifactCells), artifact) -
+        std::begin(obs::kArtifactCells));
+    EXPECT_EQ(post[obs::Metric::svc_cache_hits].cells.at(cell) -
+                  pre[obs::Metric::svc_cache_hits].cells.at(cell),
+              1u)
+        << text;
+    EXPECT_EQ(delta(obs::Metric::svc_cache_hits), 1u) << text;
+    EXPECT_EQ(delta(obs::Metric::svc_cache_misses), 0u) << text;
+    EXPECT_EQ(delta(obs::Metric::snapshot_chunks_read), 0u) << text;
+  }
   obs::set_enabled(false);
   obs::reset();
 }

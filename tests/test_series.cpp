@@ -7,6 +7,8 @@
 //    field (the N=2 specialization contract),
 //  - extend_series grows deterministic file-backed and in-memory series
 //    that analyze byte-identically, for any thread count,
+//  - a 4-member series grown from 2,000 hosts keeps >= 18% of its
+//    timelines across every member, at a mean link confidence >= 0.9,
 //  - campaign-chain validation and SnapshotError on short sets, empty
 //    members, and a truncated middle member,
 //  - the early-prefix-merge aggregation stays thread-count-invariant.
@@ -20,6 +22,7 @@
 #include "diff/diff.hpp"
 #include "series/matcher.hpp"
 #include "series/series.hpp"
+#include "series/sketch.hpp"
 #include "study/followup.hpp"
 #include "util/date.hpp"
 #include "util/thread_pool.hpp"
@@ -344,6 +347,118 @@ TEST(SeriesDeterminism, ThreadCountAndStreamedVsLoadAllAreByteIdentical) {
   EXPECT_GT(streamed1.remediation.insecure_at_start, 0u);
   std::remove(base_path.c_str());
   for (const auto& path : followup_paths) std::remove(path.c_str());
+}
+
+/// Base host #i of the series-shape test: the study's posture archetypes,
+/// anonymous on every third host, an 80/20 split of per-host certificates
+/// (a signed fleet DER with perturbed trailing signature bytes) and
+/// fleet-shared ones.
+HostScanRecord fleet_host(std::size_t i, const std::vector<Bytes>& fleet) {
+  HostScanRecord host;
+  host.ip = static_cast<Ipv4>(0x0a000000u + static_cast<std::uint32_t>(i));
+  host.port = i % 13 == 0 ? 4841 : kOpcUaDefaultPort;
+  host.asn = 64500 + static_cast<std::uint32_t>(i % 48);
+  host.tcp_open = true;
+  host.speaks_opcua = true;
+  host.product_uri = "http://example.org/series";
+  host.application_name = "series host " + std::to_string(i);
+  host.application_uri = "urn:generic:opcua:series-" + std::to_string(i);
+  host.software_version = "2." + std::to_string(i % 4) + ".0";
+
+  Bytes cert = fleet[i % fleet.size()];
+  if (i % 5 != 4) {
+    for (std::size_t b = 0; b < 4; ++b) {
+      cert[cert.size() - 1 - b] ^= static_cast<std::uint8_t>(i >> (8 * b));
+    }
+  }
+  auto add_endpoint = [&](MessageSecurityMode mode, SecurityPolicy policy, bool with_cert) {
+    EndpointObservation ep;
+    ep.url = "opc.tcp://series" + std::to_string(i) + ":4840/";
+    ep.mode = mode;
+    ep.policy_uri = std::string(policy_info(policy).uri);
+    ep.policy = policy;
+    ep.policy_known = true;
+    ep.token_types = i % 3 == 0 ? std::vector<UserTokenType>{UserTokenType::Anonymous}
+                                : std::vector<UserTokenType>{UserTokenType::UserName};
+    if (with_cert) ep.certificate_der = cert;
+    host.endpoints.push_back(std::move(ep));
+  };
+  switch (i % 4) {
+    case 0: add_endpoint(MessageSecurityMode::None, SecurityPolicy::None, false); break;
+    case 1:
+      add_endpoint(MessageSecurityMode::None, SecurityPolicy::None, true);
+      add_endpoint(MessageSecurityMode::Sign, SecurityPolicy::Basic256, true);
+      break;
+    case 2:
+      add_endpoint(MessageSecurityMode::SignAndEncrypt, SecurityPolicy::Basic256Sha256, true);
+      break;
+    default:
+      add_endpoint(MessageSecurityMode::None, SecurityPolicy::None, true);
+      add_endpoint(MessageSecurityMode::SignAndEncrypt, SecurityPolicy::Basic256Sha256, true);
+      break;
+  }
+  host.channel = ChannelOutcome::established;
+  host.anonymous_offered = i % 3 == 0;
+  host.session = SessionOutcome::not_attempted;
+  host.bytes_sent = 40000 + (i % 1000);
+  host.duration_seconds = 90.0;
+  return host;
+}
+
+TEST(SeriesShape, EvolvedSeriesKeepsFullSpanTimelinesAndConfidentLinks) {
+  // Each step retires 12% of the hosts and churns a quarter of the
+  // addresses. Certificate links keep churned hosts on their timeline
+  // (without them the full-span share falls to 14%), and most links are
+  // address links, so the mean confidence stays near 1.
+  constexpr std::size_t kHosts = 2000;
+  constexpr std::uint64_t kBaseSeed = 20200830;
+  std::vector<Bytes> fleet;
+  KeyFactory keys(kBaseSeed, "");
+  for (int i = 0; i < 24; ++i) {
+    const RsaKeyPair kp = keys.get("series-base-" + std::to_string(i), 512);
+    CertificateSpec spec;
+    spec.subject = {"series device " + std::to_string(i), "Series Manufacturing", "DE"};
+    spec.signature_hash = i % 3 == 0 ? HashAlgorithm::sha1 : HashAlgorithm::sha256;
+    spec.serial = Bignum{static_cast<std::uint64_t>(3000 + i)};
+    spec.not_before_days = days_from_civil({i % 2 ? 2017 : 2019, 5, 1});
+    spec.not_after_days = spec.not_before_days + 3650;
+    spec.application_uri = "urn:series:device:" + std::to_string(i);
+    fleet.push_back(x509_create(spec, kp.pub, kp.priv));
+  }
+  std::vector<std::string> paths;
+  for (int m = 0; m < 4; ++m) {
+    paths.push_back("/tmp/opcua_series_shape_m" + std::to_string(m) + ".bin");
+  }
+  {
+    SnapshotWriter writer(paths[0], kBaseSeed);
+    writer.set_campaign("bench-series-2020", days_from_civil({2020, 8, 30}));
+    writer.begin_snapshot(0, days_from_civil({2020, 8, 30}));
+    for (std::size_t i = 0; i < kHosts; ++i) writer.add_host(fleet_host(i, fleet));
+    writer.end_snapshot(kHosts * 2, kHosts + kHosts / 2);
+    writer.finish();
+  }
+  CampaignSet series;
+  series.add_file(paths[0], kBaseSeed);
+  FollowupConfig config;
+  config.campaign_label = "bench-series-followup";
+  config.mint_key_bits = 512;
+  config.key_cache_path = "";
+  for (std::size_t m = 1; m < paths.size(); ++m) {
+    extend_series(series, config, paths[m], kBaseSeed + m);
+  }
+  SeriesOptions options;
+  options.threads = 1;
+  const SeriesAnalysis analysis = analyze_series(series, options);
+  ASSERT_GT(analysis.timelines.total, 0u);
+  // Reads 0.255 and 0.987.
+  EXPECT_GE(static_cast<double>(analysis.timelines.full_span),
+            0.18 * static_cast<double>(analysis.timelines.total))
+      << analysis.timelines.full_span << " of " << analysis.timelines.total;
+  EXPECT_GE(analysis.mean_link_confidence(), 0.9);
+  for (const auto& path : paths) {
+    std::remove(path.c_str());
+    std::remove(posture_sketch_path(path).c_str());
+  }
 }
 
 TEST(SeriesDeterminism, ExplicitEpochStillYieldsAValidChainWhenIterated) {

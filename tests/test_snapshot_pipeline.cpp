@@ -774,11 +774,12 @@ TEST(SnapshotV6, DictionaryCompressionShrinksFile) {
     writer.finish();
   }
   // The fleet shares 6 certificates across 96 host records: the v6
-  // dictionary stores each DER once, so the file must shrink well below
-  // the v5 row format's inline-DER size for the same records.
+  // dictionary stores each DER once, so the file must be at least 3x
+  // smaller than the v5 row format's inline-DER size for the same records
+  // (22,133 vs 70,266 bytes).
   const std::size_t v5_size = read_file_bytes(row_fixture("v5")).size();
   const std::size_t v6_size = read_file_bytes(v6_path).size();
-  EXPECT_LT(v6_size * 2, v5_size) << "v5=" << v5_size << " v6=" << v6_size;
+  EXPECT_LE(v6_size * 3, v5_size) << "v5=" << v5_size << " v6=" << v6_size;
   std::remove(v6_path.c_str());
 }
 
