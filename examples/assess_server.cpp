@@ -7,8 +7,9 @@
 //   ./build/examples/assess_server [none|deprecated|weakcert|good]
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
-#include "assess/assess.hpp"
+#include "analysis/analysis.hpp"
 #include "crypto/x509.hpp"
 #include "netsim/opcua_service.hpp"
 #include "report/report.hpp"
@@ -92,9 +93,29 @@ int main(int argc, char** argv) {
   }
   const HostScanRecord& record = snapshot.hosts.front();
 
+  // The same §5.2 classifier the study's analysis runs: the strongest
+  // announced policy, and the primary certificate (the first endpoint
+  // certificate that parses).
+  std::uint8_t policy_mask = 0;
+  for (const auto policy : record.advertised_policies()) {
+    policy_mask |= 1u << static_cast<int>(policy);
+  }
+  std::optional<Certificate> cert;
+  for (const Bytes& der : record.distinct_certificates()) {
+    try {
+      cert = x509_parse(der);
+      break;
+    } catch (const DecodeError&) {
+    }
+  }
+  CertStrength strength;
+  if (cert) strength = {true, cert->signature_hash, cert->key_bits()};
+  const std::uint8_t deficits =
+      classify_deficiencies(policy_mask, cert ? &strength : nullptr, record.anonymous_offered);
+
   TextTable report;
   report.set_header({"check", "finding", "verdict"});
-  const SecurityPolicy max_policy = strongest_policy(record);
+  const SecurityPolicy max_policy = strongest_policy_in(policy_mask);
   MessageSecurityMode max_mode = MessageSecurityMode::None;
   for (const auto mode : record.advertised_modes()) {
     if (security_mode_rank(mode) > security_mode_rank(max_mode)) max_mode = mode;
@@ -105,7 +126,7 @@ int main(int argc, char** argv) {
                   policy_info(max_policy).deprecated ? "FAIL: deprecated since 2017"
                   : policy_info(max_policy).secure  ? "ok"
                                                     : "FAIL: no security"});
-  if (const auto cert = primary_certificate(record)) {
+  if (cert) {
     const CertConformance conf =
         classify_certificate(max_policy, cert->signature_hash, cert->key_bits());
     report.add_row({"certificate",
@@ -127,7 +148,7 @@ int main(int argc, char** argv) {
   std::fputs(report.str().c_str(), stdout);
 
   std::printf("\noverall: %s\n",
-              is_deficient(record)
+              deficits != 0
                   ? "DEFICIENT configuration (would count towards the paper's 92%)"
                   : "no configuration deficits found");
   return 0;

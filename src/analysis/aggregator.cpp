@@ -4,11 +4,11 @@
 // merged on the caller in chunk-index order, so every statistic —
 // including order-sensitive ones like the Fig. 7 fraction vectors and the
 // renewal-event list — is identical to a sequential pass over the same
-// records, and therefore identical to the assess/ reference functions
-// (the tests pin both equalities). Both passes absorb v6 columns only:
-// scalar figures come from the fixed columns, identity strings and cert
-// ids from a lazy cursor over the var record, and per-certificate facts
-// from a table over the chunk's dictionary.
+// records (the tests pin this, and pin the result to recorded goldens).
+// Both passes absorb v6 columns only: scalar figures come from the fixed
+// columns, identity strings and cert ids from a lazy cursor over the var
+// record, and per-certificate facts from a table over the chunk's
+// dictionary.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -193,7 +193,7 @@ struct ChunkPartial {
   }
 
   /// Mask iteration runs in enum order, which is equivalent to the
-  /// reference's first-seen endpoint order because every mode/policy has a
+  /// records' first-seen endpoint order because every mode/policy has a
   /// distinct rank and no endpoint ever advertises Invalid mode.
   void absorb(const ColumnView& view, std::size_t i, const std::vector<FigureCert>& facts,
               std::vector<std::uint32_t>& ids, bool final_week, const FinalWeekSets& sets) {
@@ -220,8 +220,8 @@ struct ChunkPartial {
       software = cursor.software_version();
       if (final_week && accessible) nss = cursor.namespaces();
     }
-    // Fig. 7 is the one figure with no discovery-server filter (the
-    // reference assess_access_rights keys on session outcome alone).
+    // Fig. 7 is the one figure with no discovery-server filter: it keys
+    // on session outcome alone.
     if (final_week && accessible) {
       int vars = 0, readable = 0, writable = 0, methods = 0, executable = 0;
       cursor.visit_nodes([&](NodeClass node_class, bool r, bool w, bool x) {
@@ -834,7 +834,8 @@ StudyAnalysis analyze_file(const std::string& path, std::uint64_t seed,
 
 StudyAnalysis analyze_snapshots(const std::vector<ScanSnapshot>& snapshots,
                                 const AnalysisOptions& options) {
-  return analyze_source(SnapshotVectorSource(snapshots, options.chunk_records), options);
+  return analyze_source(SnapshotVectorSource(snapshots, SnapshotWriter::kDefaultChunkRecords),
+                        options);
 }
 
 }  // namespace opcua_study

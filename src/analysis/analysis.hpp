@@ -1,16 +1,17 @@
 // Shared analysis library — every figure/table of the paper computed in
 // one pass framework over a *stream* of host records.
 //
-// The assess/ layer holds the reference per-snapshot implementations (one
-// function per figure, whole snapshot in RAM). This library computes the
-// same statistics — bit-identical, the tests assert it — from a chunked
-// stream in bounded memory: chunk partials are aggregated by thread-pool
-// workers and merged in chunk-index order, so the result is independent
-// of thread count and scheduling. That is what lets one Aggregator serve
-// the 1k-host paper reproduction and a million-host follow-up campaign
-// alike (cf. Dahlmanns et al., PAM 2022). Every pass reads v6 columns:
-// a v6 file serves its mapped chunks as they are, every other source is
-// transposed chunk by chunk (RecordSource::visit_columns).
+// This is the one implementation of the §5 analyses (the result structs
+// live in analysis/figures.hpp). It works on a chunked stream in bounded
+// memory: chunk partials are aggregated by thread-pool workers and merged
+// in chunk-index order, so the result is independent of thread count and
+// scheduling. That is what lets one Aggregator serve the 1k-host paper
+// reproduction and a million-host follow-up campaign alike (cf. Dahlmanns
+// et al., PAM 2022). The tests pin it to golden dumps under tests/data/,
+// to the rules their generators plant and to hand-counted populations.
+// Every pass reads v6 columns: a v6 file serves its mapped chunks as they
+// are, every other source is transposed chunk by chunk
+// (RecordSource::visit_columns).
 //
 // Pass structure:
 //   pass 1  census of the final measurement's certificates (reuse
@@ -23,7 +24,7 @@
 
 #include <cstdint>
 
-#include "assess/assess.hpp"
+#include "analysis/figures.hpp"
 #include "scanner/snapshot_io.hpp"
 
 namespace opcua_study {
@@ -35,9 +36,6 @@ struct AnalysisOptions {
   int threads = 1;
   /// Run the §5.3 batch-GCD shared-prime sweep (expensive at scale).
   bool shared_primes = false;
-  /// Chunk size used when aggregating in-memory snapshots (streams from
-  /// a SnapshotReader use the chunking recorded in the file).
-  std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords;
 };
 
 /// Scan-quality tallies of one measurement: how completely the grabs ran
@@ -96,7 +94,6 @@ struct StudyAnalysis {
 
 /// §5.2 deficiency rules (the Fig. 8 deficits that make a host
 /// deficient), one bit each; a host is deficient when any bit is set.
-/// assess/is_deficient is the independent record-based reference.
 namespace deficiency {
 inline constexpr std::uint8_t kNoSecurity = 1u << 0;        // strongest policy is None
 inline constexpr std::uint8_t kDeprecatedPolicy = 1u << 1;  // strongest policy deprecated
@@ -193,8 +190,8 @@ const Facts& fact_at(const std::vector<Facts>& facts, std::uint32_t id) {
 }
 
 /// The primary certificate among a record's head ids: the first that
-/// parses, as assess/primary_certificate picks it (head ids are the
-/// distinct certificates in first-seen endpoint order).
+/// parses (head ids are the distinct certificates in first-seen endpoint
+/// order, so this is the first endpoint certificate that parses).
 template <typename Facts>
 const Facts* primary_cert(const std::vector<std::uint32_t>& ids,
                           const std::vector<Facts>& facts) {
@@ -247,7 +244,9 @@ class SnapshotVectorSource final : public RecordSource {
 
 /// Entry points. analyze_file/analyze_reader stream chunk-by-chunk and
 /// never materialize a full snapshot; analyze_snapshots serves callers
-/// that already hold the vector (and the equivalence tests).
+/// that already hold the vector, in chunks of
+/// SnapshotWriter::kDefaultChunkRecords (analyze_source over a
+/// SnapshotVectorSource picks another chunk size).
 StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& options = {});
 StudyAnalysis analyze_reader(const SnapshotReader& reader, const AnalysisOptions& options = {});
 StudyAnalysis analyze_file(const std::string& path, std::uint64_t seed,

@@ -1,18 +1,13 @@
-// Security assessment of scan snapshots — the paper's §5 analyses.
+// Result types of the paper's §5 analyses, one struct per table or
+// figure, plus the record-level helpers the streaming Aggregator
+// (analysis/aggregator.cpp) applies to each host: manufacturer clustering
+// and namespace classification.
 //
-// Everything here consumes only HostScanRecord data measured over the
-// wire; the population plans are never consulted. Each struct mirrors one
-// table or figure of the paper.
-//
-// These are the *reference* implementations: one function per figure,
-// whole snapshot in RAM. Production consumers (benches, examples) go
-// through src/analysis/, which computes the same statistics from a
-// chunked record stream in bounded memory; test_snapshot_pipeline pins
-// the two paths bit-for-bit against each other.
+// Everything here describes data measured over the wire; the population
+// plans are never consulted.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 
@@ -41,8 +36,6 @@ struct ModePolicyStats {
   friend bool operator==(const ModePolicyStats&, const ModePolicyStats&) = default;
 };
 
-ModePolicyStats assess_modes_policies(const ScanSnapshot& snapshot);
-
 // ------------------------------------------------------------- Fig. 4 ----
 
 struct CertClassKey {
@@ -65,8 +58,6 @@ struct CertConformanceStats {
   friend bool operator==(const CertConformanceStats&, const CertConformanceStats&) = default;
 };
 
-CertConformanceStats assess_certificates(const ScanSnapshot& snapshot);
-
 // ------------------------------------------------------------- Fig. 5 ----
 
 struct ReuseCluster {
@@ -87,8 +78,6 @@ struct ReuseStats {
   friend bool operator==(const ReuseStats&, const ReuseStats&) = default;
 };
 
-ReuseStats assess_reuse(const ScanSnapshot& snapshot);
-
 // ------------------------------------------------------------- §5.3 ----
 
 struct SharedPrimeStats {
@@ -97,8 +86,6 @@ struct SharedPrimeStats {
 
   friend bool operator==(const SharedPrimeStats&, const SharedPrimeStats&) = default;
 };
-
-SharedPrimeStats assess_shared_primes(const ScanSnapshot& snapshot);
 
 // ---------------------------------------------------- Fig. 6 / Table 2 ----
 
@@ -134,8 +121,6 @@ struct AuthStats {
   friend bool operator==(const AuthStats&, const AuthStats&) = default;
 };
 
-AuthStats assess_auth(const ScanSnapshot& snapshot);
-
 // ------------------------------------------------------------- Fig. 7 ----
 
 struct AccessRightsStats {
@@ -149,8 +134,6 @@ struct AccessRightsStats {
 
   friend bool operator==(const AccessRightsStats&, const AccessRightsStats&) = default;
 };
-
-AccessRightsStats assess_access_rights(const ScanSnapshot& snapshot);
 
 // ------------------------------------------------------------- Fig. 8 ----
 
@@ -168,8 +151,6 @@ struct DeficitBreakdown {
 
   friend bool operator==(const DeficitBreakdown&, const DeficitBreakdown&) = default;
 };
-
-DeficitBreakdown assess_deficits(const ScanSnapshot& snapshot);
 
 // ------------------------------------------------------ Fig. 2 / §5.5 ----
 
@@ -212,8 +193,6 @@ struct LongitudinalStats {
   friend bool operator==(const LongitudinalStats&, const LongitudinalStats&) = default;
 };
 
-LongitudinalStats assess_longitudinal(const std::vector<ScanSnapshot>& snapshots);
-
 // --------------------------------------------- cross-protocol populations ----
 
 /// One measurement's per-protocol record counts. Covers *every* record
@@ -234,17 +213,10 @@ struct ProtocolWeek {
 struct ProtocolStats {
   std::vector<ProtocolWeek> weeks;
   std::map<ProtocolId, std::uint64_t> servers;    // final measurement
-  std::map<ProtocolId, std::uint64_t> deficient;  // is_deficient() servers
+  std::map<ProtocolId, std::uint64_t> deficient;  // servers with a §5.2 deficit
   std::map<ProtocolId, std::uint64_t> anonymous;  // anonymous_offered servers
 
   friend bool operator==(const ProtocolStats&, const ProtocolStats&) = default;
 };
-
-ProtocolStats assess_protocols(const std::vector<ScanSnapshot>& snapshots);
-
-/// Shared helpers.
-bool is_deficient(const HostScanRecord& host);
-std::optional<Certificate> primary_certificate(const HostScanRecord& host);
-SecurityPolicy strongest_policy(const HostScanRecord& host);
 
 }  // namespace opcua_study

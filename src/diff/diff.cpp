@@ -79,13 +79,6 @@ CampaignDiff diff_files(const std::string& base_path, std::uint64_t base_seed,
   return diff_campaigns(ReaderRecordSource(base), ReaderRecordSource(followup), options);
 }
 
-CampaignDiff diff_snapshots(const std::vector<ScanSnapshot>& base,
-                            const std::vector<ScanSnapshot>& followup,
-                            const DiffOptions& options) {
-  return diff_campaigns(SnapshotVectorSource(base, options.chunk_records),
-                        SnapshotVectorSource(followup, options.chunk_records), options);
-}
-
 void append_campaign_diff_fields(JsonWriter& json, const CampaignDiff& diff) {
   auto campaign = [&](const char* key, const SnapshotMeta& week, std::uint64_t hosts) {
     json.key(key)

@@ -44,8 +44,6 @@ struct DiffOptions {
   /// Worker threads for the posture pass; 0 = hardware concurrency,
   /// 1 = inline. The resulting CampaignDiff is identical for any value.
   int threads = 1;
-  /// Chunk size when diffing in-memory snapshot vectors.
-  std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords;
 };
 
 /// 3x3 posture transition counts over matched hosts: rows = base bucket,
@@ -156,11 +154,6 @@ CampaignDiff diff_campaigns(const RecordSource& base, const RecordSource& follow
 CampaignDiff diff_files(const std::string& base_path, std::uint64_t base_seed,
                         const std::string& followup_path, std::uint64_t followup_seed,
                         const DiffOptions& options = {});
-
-/// Diff two in-memory campaigns (the load-all path).
-CampaignDiff diff_snapshots(const std::vector<ScanSnapshot>& base,
-                            const std::vector<ScanSnapshot>& followup,
-                            const DiffOptions& options = {});
 
 /// The machine-readable report (report/json.hpp formatting) —
 /// examples/diff_report.cpp writes this next to its tables.

@@ -144,7 +144,7 @@ struct MqttHostPlan {
   std::size_t key_bits = 2048;
   std::int64_t not_before_days = 0;
   /// Only deprecated TLS suites — the posture analog of a deprecated
-  /// OPC UA security policy (drives is_deficient()).
+  /// OPC UA security policy (drives classify_deficiencies()).
   bool legacy_tls = false;
   bool anonymous_allowed = false;  // CONNECT succeeds without credentials
   bool client_cert_auth = false;   // accepts mutual-TLS authentication

@@ -13,7 +13,7 @@ namespace opcua_study {
 
 namespace profiles {
 
-// Application-URI prefixes per manufacturer cluster: the assessor clusters
+// Application-URI prefixes per manufacturer cluster: the analysis clusters
 // hosts the way the paper "manually clustered the values of the
 // ApplicationURI field".
 struct ManufacturerProfile {

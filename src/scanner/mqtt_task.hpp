@@ -16,7 +16,7 @@
 // already classes as deprecated), broker auth methods become user-token
 // types, the broker certificate rides the usual certificate slot, and the
 // $SYS topic prefixes land in `namespaces`. Cross-protocol analyses then
-// fall out of the existing assess/diff/series machinery with ProtocolId
+// fall out of the existing analysis/diff/series machinery with ProtocolId
 // as the new dimension.
 #pragma once
 

@@ -1,5 +1,6 @@
 #include "scanner/protocol.hpp"
 
+#include <charconv>
 #include <stdexcept>
 
 #include "scanner/host_task.hpp"
@@ -79,13 +80,13 @@ std::optional<ParsedEndpoint> parse_endpoint_url(const std::string& url) {
   std::string host = rest;
   if (colon != std::string::npos) {
     host = rest.substr(0, colon);
-    try {
-      const int parsed = std::stoi(rest.substr(colon + 1));
-      if (parsed < 1 || parsed > 65535) return std::nullopt;
-      port = static_cast<std::uint16_t>(parsed);
-    } catch (const std::exception&) {
-      return std::nullopt;  // empty, non-numeric, or > INT_MAX
-    }
+    // Decimal digits only (from_chars takes no sign or space), 1-65535.
+    const char* const digits = rest.data() + colon + 1;
+    const char* const end = rest.data() + rest.size();
+    unsigned parsed = 0;
+    const auto [stop, error] = std::from_chars(digits, end, parsed);
+    if (error != std::errc() || stop != end || parsed < 1 || parsed > 65535) return std::nullopt;
+    port = static_cast<std::uint16_t>(parsed);
   }
   try {
     return ParsedEndpoint{probe->id(), parse_ipv4(host), port};

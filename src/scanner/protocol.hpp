@@ -91,8 +91,9 @@ struct ParsedEndpoint {
 /// Parse "opc.tcp://a.b.c.d[:port]/..." or "mqtts://a.b.c.d[:port]/..."
 /// into (protocol, ip, port). The port default follows the *scheme*
 /// (opc.tcp -> 4840, mqtts -> 8883) instead of the old parser's blanket
-/// OPC UA default. Rejects hostname URLs (the study follows IPs only),
-/// unknown schemes and out-of-range ports.
+/// OPC UA default. Rejects hostname URLs (the study follows IPs only; a
+/// hostname that starts with a dotted quad is still a hostname), unknown
+/// schemes, and ports that are not 1-65535 in decimal digits alone.
 std::optional<ParsedEndpoint> parse_endpoint_url(const std::string& url);
 
 }  // namespace opcua_study

@@ -66,24 +66,6 @@ void evolve_final_measurement(const RecordSource& base, const FollowupConfig& co
   model.visit_new_deployments(base.week_meta(final_week).host_count, emit);
 }
 
-std::vector<ScanSnapshot> run_followup_study(const std::vector<ScanSnapshot>& base,
-                                             const FollowupConfig& config) {
-  if (base.empty()) {
-    throw SnapshotError("follow-up study needs a base campaign with >= 1 measurement");
-  }
-  const SnapshotVectorSource source(base, SnapshotWriter::kDefaultChunkRecords);
-  const SnapshotMeta shell = followup_shell(config, source.week_meta(base.size() - 1));
-  ScanSnapshot snapshot;
-  snapshot.measurement_index = shell.measurement_index;
-  snapshot.date_days = shell.date_days;
-  snapshot.probes_sent = shell.probes_sent;
-  snapshot.tcp_open_count = shell.tcp_open_count;
-  snapshot.hosts.reserve(base.back().hosts.size());
-  evolve_final_measurement(source, config,
-                           [&](HostScanRecord&& host) { snapshot.hosts.push_back(std::move(host)); });
-  return {std::move(snapshot)};
-}
-
 void run_followup_study_streamed(const SnapshotReader& reader, const FollowupConfig& config,
                                  SnapshotWriter& writer) {
   if (reader.snapshots().empty()) {

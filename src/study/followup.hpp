@@ -6,10 +6,10 @@
 // Every entry point evolves the *final* measurement of its base campaign
 // (the paper's headline snapshot) host by host in record order —
 // survivors first, then the new deployments — through one shared
-// RecordSource-driven core, so the streamed, in-memory, and series paths
-// all produce identical measurements. The streamed variants hold one
-// decoded chunk plus the certificate mint fleet; the base campaign is
-// never materialized.
+// RecordSource-driven core (evolve_final_measurement), so the streamed
+// follow-up and the in-memory and file-backed series steps all produce
+// identical measurements. The file paths hold one decoded chunk plus the
+// certificate mint fleet; the base campaign is never materialized.
 #pragma once
 
 #include "population/followup.hpp"
@@ -18,14 +18,11 @@
 
 namespace opcua_study {
 
-/// Evolve `base` (full campaign, in memory) into a one-measurement
-/// follow-up campaign. Throws SnapshotError when `base` is empty.
-std::vector<ScanSnapshot> run_followup_study(const std::vector<ScanSnapshot>& base,
-                                             const FollowupConfig& config);
-
-/// Same campaign streamed: the base's final measurement is read chunk by
-/// chunk from `reader` and the evolved records appended to `writer`
-/// (campaign label/epoch stamped, finish() called on completion).
+/// Evolve the base campaign in `reader` into a one-measurement follow-up
+/// campaign, streamed: the base's final measurement is read chunk by
+/// chunk and the evolved records appended to `writer` (campaign
+/// label/epoch stamped, finish() called on completion). Throws
+/// SnapshotError when the base holds no measurement.
 void run_followup_study_streamed(const SnapshotReader& reader, const FollowupConfig& config,
                                  SnapshotWriter& writer);
 

@@ -1,7 +1,9 @@
 // QueryService — request parsing, JSON rendering, bounded worker pool.
 #include "svc/service.hpp"
 
+#include <charconv>
 #include <chrono>
+#include <limits>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -23,16 +25,15 @@ QueryRequest::Kind parse_kind(const std::string& name) {
   throw std::invalid_argument("unknown query kind: '" + name + "'");
 }
 
-std::uint64_t parse_number(const std::string& key, const std::string& value) {
-  std::size_t consumed = 0;
+/// A numeric query value: decimal digits only (from_chars takes no sign,
+/// space or prefix for an unsigned type) and at most `max`.
+std::uint64_t parse_number(const std::string& key, const std::string& value, std::uint64_t max) {
   std::uint64_t parsed = 0;
-  try {
-    parsed = std::stoull(value, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != value.size() || value.empty()) {
-    throw std::invalid_argument("query parameter " + key + "=" + value + " is not a number");
+  const char* const end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (error != std::errc() || stop != end || parsed > max) {
+    throw std::invalid_argument("query parameter " + key + "=" + value +
+                                " is not a number in [0, " + std::to_string(max) + "]");
   }
   return parsed;
 }
@@ -291,19 +292,22 @@ QueryRequest parse_query_request(const std::string& text) {
     } else if (key == "series") {
       request.series = value;
     } else if (key == "asn") {
-      request.asn = static_cast<std::uint32_t>(parse_number(key, value));
+      request.asn = static_cast<std::uint32_t>(
+          parse_number(key, value, std::numeric_limits<std::uint32_t>::max()));
     } else if (key == "protocol") {
       request.protocol = value;
     } else if (key == "mode") {
-      request.mode_bucket = static_cast<int>(parse_number(key, value));
+      request.mode_bucket = static_cast<int>(parse_number(key, value, std::size(kModeBuckets) - 1));
     } else if (key == "policy") {
-      request.policy_bucket = static_cast<int>(parse_number(key, value));
+      request.policy_bucket =
+          static_cast<int>(parse_number(key, value, std::size(kPolicyBuckets) - 1));
     } else if (key == "anonymous") {
-      request.anonymous_only = parse_number(key, value) != 0;
+      request.anonymous_only = parse_number(key, value, 1) != 0;
     } else if (key == "deficient") {
-      request.deficient_only = parse_number(key, value) != 0;
+      request.deficient_only = parse_number(key, value, 1) != 0;
     } else if (key == "as_limit") {
-      request.as_limit = static_cast<std::size_t>(parse_number(key, value));
+      request.as_limit = static_cast<std::size_t>(
+          parse_number(key, value, std::numeric_limits<std::size_t>::max()));
     } else {
       throw std::invalid_argument("unknown query parameter: '" + key + "'");
     }

@@ -72,8 +72,11 @@ struct QueryRequest {
 /// Parse "key=value ..." text into a request, e.g.
 ///   "kind=posture campaign=imc2020 asn=64503 deficient=1 as_limit=8"
 /// Keys: kind, campaign, base, followup, series, asn, protocol, mode,
-/// policy, anonymous, deficient, as_limit. Throws std::invalid_argument
-/// on unknown keys/kinds or malformed numbers.
+/// policy, anonymous, deficient, as_limit. A numeric value is decimal
+/// digits only and must fit its field: asn <= 4294967295, mode and policy
+/// <= 2 (bucket indices), anonymous and deficient 0 or 1, as_limit any
+/// std::size_t. Throws std::invalid_argument on unknown keys/kinds and on
+/// any other number, naming the key and the value.
 QueryRequest parse_query_request(const std::string& text);
 
 struct QueryResponse {

@@ -1,5 +1,6 @@
 #include "util/ipv4.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
@@ -13,12 +14,22 @@ std::string format_ipv4(Ipv4 addr) {
 }
 
 Ipv4 parse_ipv4(const std::string& dotted) {
-  unsigned a = 0, b = 0, c = 0, d = 0;
-  if (std::sscanf(dotted.c_str(), "%u.%u.%u.%u", &a, &b, &c, &d) != 4 || a > 255 || b > 255 ||
-      c > 255 || d > 255) {
-    throw std::invalid_argument("bad IPv4: " + dotted);
+  // Four octets of 1-3 decimal digits, each <= 255, joined by dots and
+  // with nothing around them (from_chars takes no sign or space).
+  Ipv4 addr = 0;
+  const char* at = dotted.data();
+  const char* const end = at + dotted.size();
+  for (int octet = 0; octet < 4; ++octet) {
+    unsigned value = 0;
+    const auto [stop, error] = std::from_chars(at, end, value);
+    if (error != std::errc() || stop - at > 3 || value > 255 ||
+        (octet < 3 ? stop == end || *stop != '.' : stop != end)) {
+      throw std::invalid_argument("bad IPv4: " + dotted);
+    }
+    addr = (addr << 8) | value;
+    at = octet < 3 ? stop + 1 : stop;
   }
-  return make_ipv4(a, b, c, d);
+  return addr;
 }
 
 Cidr parse_cidr(const std::string& text) {

@@ -9,6 +9,8 @@ namespace opcua_study {
 using Ipv4 = std::uint32_t;  // host byte order
 
 std::string format_ipv4(Ipv4 addr);
+/// "a.b.c.d" with each octet 1-3 decimal digits <= 255 and nothing else;
+/// throws std::invalid_argument otherwise.
 Ipv4 parse_ipv4(const std::string& dotted);
 constexpr Ipv4 make_ipv4(unsigned a, unsigned b, unsigned c, unsigned d) {
   return (static_cast<Ipv4>(a) << 24) | (static_cast<Ipv4>(b) << 16) |

@@ -36,12 +36,21 @@ TEST(ParseEndpointUrl, RejectsOutOfRangePorts) {
   EXPECT_FALSE(parse_endpoint_url("opc.tcp://1.2.3.4:0/").has_value());
   EXPECT_FALSE(parse_endpoint_url("opc.tcp://1.2.3.4:99999999999999/").has_value());
   EXPECT_FALSE(parse_endpoint_url("opc.tcp://1.2.3.4:x/").has_value());
+  // Digits only: no trailing text and no sign.
+  EXPECT_FALSE(parse_endpoint_url("opc.tcp://1.2.3.4:4841junk/").has_value());
+  EXPECT_FALSE(parse_endpoint_url("opc.tcp://1.2.3.4:+4841/").has_value());
+  EXPECT_FALSE(parse_endpoint_url("opc.tcp://1.2.3.4:/").has_value());
   EXPECT_TRUE(parse_endpoint_url("opc.tcp://1.2.3.4:65535/").has_value());
   EXPECT_TRUE(parse_endpoint_url("opc.tcp://1.2.3.4:1/").has_value());
 }
 
 TEST(ParseEndpointUrl, RejectsHostnamesAndForeignSchemes) {
   EXPECT_FALSE(parse_endpoint_url("opc.tcp://device.local:4840/").has_value());
+  // A hostname that starts with a dotted quad is still a hostname.
+  EXPECT_FALSE(parse_endpoint_url("opc.tcp://10.1.2.3.nip.io:4840/").has_value());
+  EXPECT_FALSE(parse_endpoint_url("opc.tcp://1.2.3.4.example.com/").has_value());
+  EXPECT_FALSE(parse_endpoint_url("opc.tcp://10.0.0.1evil:4840/").has_value());
+  EXPECT_FALSE(parse_endpoint_url("opc.tcp://1.2.3.4294967297:4840/").has_value());
   EXPECT_FALSE(parse_endpoint_url("http://1.2.3.4:4840/").has_value());
   EXPECT_FALSE(parse_endpoint_url("").has_value());
 }

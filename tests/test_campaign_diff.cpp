@@ -1,10 +1,11 @@
 // Cross-campaign differential analysis:
 //  - campaign label/epoch round-trips through the footer (files without
 //    it default, the committed v4 fixture included),
-//  - the follow-up evolution model is deterministic and its streamed and
-//    in-memory paths produce the identical campaign,
+//  - the follow-up evolution model is deterministic and the streamed
+//    follow-up equals its core run over the same records in memory,
 //  - the matcher re-identifies hosts by address and by certificate, and
-//    every CampaignDiff count matches hand-crafted expectations,
+//    every CampaignDiff count matches hand-crafted expectations; each
+//    host posture's deficiency follows the rules its generator plants,
 //  - the diff is identical for any thread count and for streamed vs.
 //    load-all inputs, and a corrupt second campaign fails with a
 //    descriptive SnapshotError,
@@ -18,7 +19,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "assess/assess.hpp"
 #include "diff/diff.hpp"
 #include "scanner/snapshot_io.hpp"
 #include "series/matcher.hpp"
@@ -122,6 +122,33 @@ std::vector<ScanSnapshot> make_base_study(std::size_t hosts_per_week, int weeks 
     snapshots.push_back(std::move(snapshot));
   }
   return snapshots;
+}
+
+/// The follow-up campaign of `base`, in memory: evolve_final_measurement
+/// (the core run_followup_study_streamed runs) over the same records.
+std::vector<ScanSnapshot> evolve_in_memory(const std::vector<ScanSnapshot>& base,
+                                           const FollowupConfig& config) {
+  const SnapshotVectorSource source(base, SnapshotWriter::kDefaultChunkRecords);
+  const SnapshotMeta shell = followup_shell(config, source.week_meta(base.size() - 1));
+  ScanSnapshot snapshot;
+  snapshot.measurement_index = shell.measurement_index;
+  snapshot.date_days = shell.date_days;
+  snapshot.probes_sent = shell.probes_sent;
+  snapshot.tcp_open_count = shell.tcp_open_count;
+  evolve_final_measurement(source, config, [&](HostScanRecord&& host) {
+    snapshot.hosts.push_back(std::move(host));
+  });
+  return {std::move(snapshot)};
+}
+
+/// diff_campaigns over two in-memory campaigns, chunked `chunk_records`
+/// records at a time.
+CampaignDiff diff_in_memory(const std::vector<ScanSnapshot>& base,
+                            const std::vector<ScanSnapshot>& followup,
+                            std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords,
+                            const DiffOptions& options = {}) {
+  return diff_campaigns(SnapshotVectorSource(base, chunk_records),
+                        SnapshotVectorSource(followup, chunk_records), options);
 }
 
 // ------------------------------------------------ campaign label/epoch ----
@@ -232,7 +259,7 @@ TEST(FollowupStudy, StreamedMatchesInMemory) {
 
   FollowupConfig config = small_followup_config();
   config.campaign_label = "followup-test";
-  const std::vector<ScanSnapshot> in_memory = run_followup_study(base, config);
+  const std::vector<ScanSnapshot> in_memory = evolve_in_memory(base, config);
   ASSERT_EQ(in_memory.size(), 1u);
   {
     const SnapshotReader reader(base_path, 42);
@@ -311,7 +338,7 @@ TEST(CampaignDiffTest, MatchesHandCraftedExpectations) {
   followup.hosts.push_back(
       with_cert(bare_host(14, MessageSecurityMode::None, SecurityPolicy::None, true), 4));
 
-  const CampaignDiff diff = diff_snapshots({base}, {followup}, {});
+  const CampaignDiff diff = diff_in_memory({base}, {followup});
   EXPECT_EQ(diff.base_hosts, 5u);
   EXPECT_EQ(diff.followup_hosts, 5u);
   EXPECT_EQ(diff.matched_by_address, 3u);      // hosts 1, 4 and 6
@@ -352,11 +379,15 @@ TEST(CampaignDiffTest, MatchesHandCraftedExpectations) {
 }
 
 TEST(CampaignDiffTest, PostureDeficiencyMatchesAssessReference) {
-  // Every §5.2 deficiency kind plus clean hosts (make_host: None, deprecated
-  // Basic256, 512-bit certificates too weak for Basic256Sha256, anonymous
-  // on odd hosts, certificate-less Basic256Sha256 hosts), and multi-endpoint
-  // hosts whose first certificate does not parse, so the primary
-  // certificate is a later endpoint's.
+  // Every §5.2 deficiency kind plus clean hosts, and multi-endpoint hosts
+  // whose first certificate does not parse. Each host's expected deficiency
+  // follows from the rules make_host plants:
+  //  - security None on i % 4 == 0, deprecated Basic256 on i % 4 == 1,
+  //    Basic256Sha256 otherwise;
+  //  - a 512-bit certificate, too weak for Basic256Sha256, on i % 5 != 0
+  //    and on every host rewritten below (i % 8 == 2): its leading DER does
+  //    not parse, so the next endpoint's certificate becomes primary;
+  //  - anonymous access on odd i.
   std::vector<ScanSnapshot> study = make_base_study(40, 1);
   for (std::size_t i = 2; i < study.back().hosts.size(); i += 8) {
     HostScanRecord& host = study.back().hosts[i];
@@ -369,17 +400,16 @@ TEST(CampaignDiffTest, PostureDeficiencyMatchesAssessReference) {
     host.endpoints = {garbled, second, host.endpoints.front()};
   }
   const std::vector<HostScanRecord>& hosts = study.back().hosts;
+  std::vector<bool> expected_deficient(hosts.size());
   int none = 0, deprecated = 0, weak = 0, anonymous = 0, clean = 0;
-  for (const HostScanRecord& host : hosts) {
-    const SecurityPolicy max = strongest_policy(host);
-    const auto cert = primary_certificate(host);
-    none += max == SecurityPolicy::None;
-    deprecated += policy_info(max).deprecated;
-    weak += cert && max != SecurityPolicy::None &&
-            classify_certificate(max, cert->signature_hash, cert->key_bits()) ==
-                CertConformance::too_weak;
-    anonymous += host.anonymous_offered;
-    clean += !is_deficient(host);
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    none += i % 4 == 0;
+    deprecated += i % 4 == 1;
+    const bool weak_cert = i % 4 >= 2 && (i % 5 != 0 || i % 8 == 2);
+    weak += weak_cert;
+    anonymous += i % 2;
+    expected_deficient[i] = i % 4 < 2 || weak_cert || i % 2 == 1;
+    clean += !expected_deficient[i];
   }
   EXPECT_GT(none, 0);
   EXPECT_GT(deprecated, 0);
@@ -407,7 +437,7 @@ TEST(CampaignDiffTest, PostureDeficiencyMatchesAssessReference) {
     fps.erase(std::unique(fps.begin(), fps.end()), fps.end());
     for (const std::vector<HostPosture>* postures : {&in_memory, &from_file}) {
       const HostPosture& p = (*postures)[i];
-      EXPECT_EQ(p.deficient, is_deficient(hosts[i])) << "host " << i;
+      EXPECT_EQ(p.deficient, expected_deficient[i]) << "host " << i;
       EXPECT_EQ(p.anonymous, hosts[i].anonymous_offered) << "host " << i;
       EXPECT_EQ(p.fps, fps) << "host " << i;
     }
@@ -437,7 +467,7 @@ TEST(CampaignDiffTest, ReusedCertificatesReIdentifyNobody) {
   ScanSnapshot base, followup;
   base.hosts = {host_with(1, 3), host_with(2, 3)};
   followup.hosts = {host_with(50, 3), host_with(51, 3)};
-  const CampaignDiff diff = diff_snapshots({base}, {followup}, {});
+  const CampaignDiff diff = diff_in_memory({base}, {followup});
   EXPECT_EQ(diff.matched_by_certificate, 0u);
   EXPECT_EQ(diff.retired, 2u);
   EXPECT_EQ(diff.arrived, 2u);
@@ -450,7 +480,7 @@ TEST(CampaignDiffTest, DeterministicAcrossThreadsAndStreamedVsLoadAll) {
   const std::string followup_path = "/tmp/opcua_diff_det_followup.bin";
   const std::vector<ScanSnapshot> base = make_base_study(80);
   const FollowupConfig config = small_followup_config();
-  const std::vector<ScanSnapshot> followup = run_followup_study(base, config);
+  const std::vector<ScanSnapshot> followup = evolve_in_memory(base, config);
   {
     // Small chunks -> many parallel posture work units with ragged tails.
     SnapshotWriter writer(base_path, 42, 17);
@@ -474,10 +504,7 @@ TEST(CampaignDiffTest, DeterministicAcrossThreadsAndStreamedVsLoadAll) {
 
   // Load-all inputs (in-memory vectors, no campaign labels) must produce
   // the identical counts, for any chunking.
-  DiffOptions tiny_chunks;
-  tiny_chunks.threads = 8;
-  tiny_chunks.chunk_records = 7;
-  const CampaignDiff load_all = diff_snapshots(base, followup, tiny_chunks);
+  const CampaignDiff load_all = diff_in_memory(base, followup, 7, parallel);
   EXPECT_TRUE(streamed1.counts_equal(load_all));
   EXPECT_GT(streamed1.matched(), 0u);
   EXPECT_GT(streamed1.matched_by_certificate, 0u);
@@ -616,7 +643,7 @@ TEST(CampaignDiffTest, CorruptSecondCampaignFailsWithSnapshotError) {
   const std::string base_path = "/tmp/opcua_diff_corrupt_base.bin";
   const std::string followup_path = "/tmp/opcua_diff_corrupt_followup.bin";
   const std::vector<ScanSnapshot> base = make_base_study(30);
-  const std::vector<ScanSnapshot> followup = run_followup_study(base, small_followup_config());
+  const std::vector<ScanSnapshot> followup = evolve_in_memory(base, small_followup_config());
   save_snapshots(base_path, 42, base);
   save_snapshots(followup_path, 42, followup);
   const Bytes full = read_file_bytes(followup_path);
@@ -652,7 +679,7 @@ TEST(CampaignDiffTest, CorruptSecondCampaignFailsWithSnapshotError) {
 
 TEST(CampaignDiffTest, PairingValidation) {
   const std::vector<ScanSnapshot> base = make_base_study(10, 1);
-  const std::vector<ScanSnapshot> followup = run_followup_study(base, small_followup_config());
+  const std::vector<ScanSnapshot> followup = evolve_in_memory(base, small_followup_config());
   auto write_labeled = [&](const std::string& path, const std::vector<ScanSnapshot>& study,
                            const std::string& label, std::int64_t epoch) {
     SnapshotWriter writer(path, 42);

@@ -1,8 +1,9 @@
-// Assessment-layer unit tests on synthetic scan records: deficiency rules,
-// renewal detection across weeks, survival curves.
+// Unit tests of the §5 analysis pieces: the deficiency classifier's rule
+// bits, renewal detection across weeks on synthetic scan records, and the
+// Fig. 7 survival-curve and threshold helpers.
 #include <gtest/gtest.h>
 
-#include "assess/assess.hpp"
+#include "analysis/analysis.hpp"
 #include "crypto/keycache.hpp"
 #include "util/date.hpp"
 
@@ -48,19 +49,36 @@ HostScanRecord make_host(Ipv4 ip, SecurityPolicy max_policy, HashAlgorithm cert_
   return host;
 }
 
+std::uint8_t mask_of(std::initializer_list<SecurityPolicy> policies) {
+  std::uint8_t mask = 0;
+  for (const SecurityPolicy policy : policies) mask |= 1u << static_cast<int>(policy);
+  return mask;
+}
+
 TEST(DeficiencyRules, EachDeficitTriggersIndependently) {
-  // None-only: deficient.
-  EXPECT_TRUE(is_deficient(make_host(1, SecurityPolicy::None, HashAlgorithm::sha256, false, 1)));
-  // Deprecated max policy: deficient.
-  EXPECT_TRUE(
-      is_deficient(make_host(2, SecurityPolicy::Basic256, HashAlgorithm::sha1, false, 2)));
-  // Strong policy + weak cert: deficient. (512-bit test keys are below every
-  // minimum, so any cert here is "too weak" — use the hash dimension too.)
-  EXPECT_TRUE(
-      is_deficient(make_host(3, SecurityPolicy::Basic256Sha256, HashAlgorithm::sha1, false, 3)));
-  // Anonymous access alone: deficient.
-  HostScanRecord anon = make_host(4, SecurityPolicy::Basic256Sha256, HashAlgorithm::sha256, true, 4);
-  EXPECT_TRUE(is_deficient(anon));
+  using namespace deficiency;
+  const CertStrength good{true, HashAlgorithm::sha256, 2048};
+  const CertStrength sha1{true, HashAlgorithm::sha1, 2048};
+  const CertStrength short_key{true, HashAlgorithm::sha256, 512};
+  const std::uint8_t strong = mask_of({SecurityPolicy::None, SecurityPolicy::Basic128Rsa15,
+                                       SecurityPolicy::Basic256Sha256});
+
+  // Clean: the strongest announced policy is secure and the certificate
+  // (if any parses) meets it.
+  EXPECT_EQ(classify_deficiencies(strong, &good, false), 0);
+  EXPECT_EQ(classify_deficiencies(strong, nullptr, false), 0);
+  // Each rule alone. No certificate is too weak for None.
+  EXPECT_EQ(classify_deficiencies(mask_of({SecurityPolicy::None}), &short_key, false), kNoSecurity);
+  EXPECT_EQ(classify_deficiencies(0, nullptr, false), kNoSecurity);
+  EXPECT_EQ(classify_deficiencies(mask_of({SecurityPolicy::Basic256}), nullptr, false),
+            kDeprecatedPolicy);
+  EXPECT_EQ(classify_deficiencies(strong, &sha1, false), kWeakCertificate);
+  EXPECT_EQ(classify_deficiencies(strong, &short_key, false), kWeakCertificate);
+  EXPECT_EQ(classify_deficiencies(strong, &good, true), kAnonymousAccess);
+  // The bits combine.
+  EXPECT_EQ(classify_deficiencies(mask_of({SecurityPolicy::Basic256}), &short_key, true),
+            kDeprecatedPolicy | kWeakCertificate | kAnonymousAccess);
+  EXPECT_EQ(strongest_policy_in(strong), SecurityPolicy::Basic256Sha256);
 }
 
 TEST(SurvivalCurve, MonotoneNonIncreasing) {
@@ -117,7 +135,7 @@ std::vector<ScanSnapshot> synthetic_weeks() {
 }
 
 TEST(Longitudinal, RenewalDetectionOnStaticIps) {
-  const LongitudinalStats stats = assess_longitudinal(synthetic_weeks());
+  const LongitudinalStats stats = analyze_snapshots(synthetic_weeks()).longitudinal;
   // Upgrade + downgrade detected; dynamic-IP host never pairs across weeks.
   ASSERT_EQ(stats.renewals.size(), 2u);
   EXPECT_EQ(stats.sha1_upgrades, 1);
@@ -133,7 +151,7 @@ TEST(Longitudinal, RenewalDetectionOnStaticIps) {
 }
 
 TEST(Longitudinal, DistinctCertificateCorpus) {
-  const LongitudinalStats stats = assess_longitudinal(synthetic_weeks());
+  const LongitudinalStats stats = analyze_snapshots(synthetic_weeks()).longitudinal;
   // stable(1) + upgrader(2) + downgrader(2) + dynamic(3 distinct NotBefore).
   EXPECT_EQ(stats.total_distinct_certificates, 8u);
   EXPECT_EQ(stats.weeks.size(), 3u);
@@ -141,7 +159,7 @@ TEST(Longitudinal, DistinctCertificateCorpus) {
 }
 
 TEST(Longitudinal, Sha1NotBeforeBuckets) {
-  const LongitudinalStats stats = assess_longitudinal(synthetic_weeks());
+  const LongitudinalStats stats = analyze_snapshots(synthetic_weeks()).longitudinal;
   // SHA-1 certs: upgrader week0 (2018), downgrader week2 (2018), dynamic ×3
   // (2020 scan dates). All are >= 2017; the three dynamic ones are >= 2019.
   EXPECT_EQ(stats.sha1_after_2017, 5u);
@@ -149,7 +167,7 @@ TEST(Longitudinal, Sha1NotBeforeBuckets) {
 }
 
 TEST(Longitudinal, EmptyInput) {
-  const LongitudinalStats stats = assess_longitudinal({});
+  const LongitudinalStats stats = analyze_snapshots({}).longitudinal;
   EXPECT_TRUE(stats.weeks.empty());
   EXPECT_EQ(stats.total_distinct_certificates, 0u);
   EXPECT_TRUE(stats.renewals.empty());

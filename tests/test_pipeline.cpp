@@ -1,9 +1,9 @@
 // End-to-end pipeline tests on a small hand-built population: deploy real
 // servers, sweep + grab + follow references with the scanner, and verify
-// the assessment recovers exactly the planted configurations.
+// the analysis recovers exactly the planted configurations.
 #include <gtest/gtest.h>
 
-#include "assess/assess.hpp"
+#include "analysis/analysis.hpp"
 #include "population/deploy.hpp"
 #include "scanner/campaign.hpp"
 #include "scanner/dataset.hpp"
@@ -203,14 +203,16 @@ TEST(Pipeline, FaultyAnonymousServerIsAuthRejected) {
 }
 
 TEST(Pipeline, AssessmentRecoversPlantedDistributions) {
-  const auto& snapshot = fixture().snapshot;
-  ModePolicyStats modes = assess_modes_policies(snapshot);
+  AnalysisOptions options;
+  options.shared_primes = true;
+  const StudyAnalysis analysis = analyze_snapshots({fixture().snapshot}, options);
+  ModePolicyStats modes = analysis.modes;
   EXPECT_EQ(modes.servers, 5);
   EXPECT_EQ(modes.none_only, 3);  // A, E, F
   EXPECT_EQ(modes.mode_support[MessageSecurityMode::SignAndEncrypt], 2);
   EXPECT_EQ(modes.policy_support[SecurityPolicy::Basic256Sha256], 2);
 
-  const AuthStats auth = assess_auth(snapshot);
+  const AuthStats& auth = analysis.auth;
   EXPECT_EQ(auth.accessible, 2);
   EXPECT_EQ(auth.auth_rejected, 2);
   EXPECT_EQ(auth.channel_rejected, 1);
@@ -218,15 +220,15 @@ TEST(Pipeline, AssessmentRecoversPlantedDistributions) {
   EXPECT_EQ(auth.production, 1);
   EXPECT_EQ(auth.test, 1);
 
-  const AccessRightsStats access = assess_access_rights(snapshot);
+  const AccessRightsStats& access = analysis.access_rights;
   ASSERT_EQ(access.read_fractions.size(), 2u);
   EXPECT_DOUBLE_EQ(access.read_fractions[0], 1.0);
 
-  const ReuseStats reuse = assess_reuse(snapshot);
+  const ReuseStats& reuse = analysis.reuse;
   EXPECT_EQ(reuse.clusters_ge3, 0);
   EXPECT_EQ(reuse.distinct_certificates, 5);  // A,B,C,E,F have distinct certs
 
-  const SharedPrimeStats primes = assess_shared_primes(snapshot);
+  const SharedPrimeStats& primes = analysis.shared_primes;
   EXPECT_EQ(primes.distinct_moduli, 5u);
   EXPECT_EQ(primes.moduli_with_shared_prime, 0u);
 }

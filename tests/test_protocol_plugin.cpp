@@ -7,15 +7,14 @@
 //    byte-identical across the two services,
 //  - the v6 protocol column round trips (and the mask footer with it),
 //    and campaign chains with differing protocol sets are rejected,
-//  - the per-protocol dimension agrees between the streaming Aggregator
-//    and the assess/ reference, and shows up in diff and series output.
+//  - the streaming Aggregator's per-protocol split matches counts read off
+//    the generator, and the dimension shows up in diff and series output.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
 #include "analysis/analysis.hpp"
-#include "assess/assess.hpp"
 #include "diff/diff.hpp"
 #include "population/deploy.hpp"
 #include "scanner/campaign.hpp"
@@ -382,20 +381,30 @@ TEST(ProtocolColumn, ChainValidationRejectsDifferingProtocolSets) {
 // ------------------------------------------- the per-protocol dimension
 
 TEST(ProtocolAnalysis, AggregatorMatchesAssessReference) {
+  // Counts read off synthetic_mixed_study: per week 14 OPC UA hosts and 6
+  // MQTT brokers (i % 3 == 2), all servers; even i announce only the
+  // deprecated Basic128Rsa15 (deficient: 7 and 3), i % 4 == 0 offers
+  // anonymous access (4 and 1). Odd i announce Basic256Sha256 with a
+  // certificate that does not parse, so no other rule fires.
   const std::vector<ScanSnapshot> study = synthetic_mixed_study();
-  const ProtocolStats reference = assess_protocols(study);
-  ASSERT_EQ(reference.weeks.size(), study.size());
-  EXPECT_EQ(reference.weeks[0].hosts.at(ProtocolId::opcua), 14u);
-  EXPECT_EQ(reference.weeks[0].hosts.at(ProtocolId::mqtt_tls), 6u);
+  ProtocolStats expected;
+  for (const ScanSnapshot& snapshot : study) {
+    expected.weeks.push_back({snapshot.measurement_index,
+                              {{ProtocolId::opcua, 14}, {ProtocolId::mqtt_tls, 6}}});
+  }
+  expected.servers = {{ProtocolId::opcua, 14}, {ProtocolId::mqtt_tls, 6}};
+  expected.deficient = {{ProtocolId::opcua, 7}, {ProtocolId::mqtt_tls, 3}};
+  expected.anonymous = {{ProtocolId::opcua, 4}, {ProtocolId::mqtt_tls, 1}};
+  ASSERT_EQ(expected.weeks.size(), 2u);
 
   const StudyAnalysis in_memory = analyze_snapshots(study);
-  EXPECT_EQ(in_memory.protocols, reference);
+  EXPECT_EQ(in_memory.protocols, expected);
 
   // The columnar fast path decodes the protocol tail the same way.
   const std::string path = "test_proto_analysis.bin";
   save_snapshots(path, 11, study);
   const StudyAnalysis from_file = analyze_file(path, 11);
-  EXPECT_EQ(from_file.protocols, reference);
+  EXPECT_EQ(from_file.protocols, expected);
   std::remove(path.c_str());
 }
 
@@ -405,7 +414,8 @@ TEST(ProtocolAnalysis, DiffAndSeriesSplitByProtocol) {
   followup[0].measurement_index = 1;
   followup[0].date_days += 28;
 
-  const CampaignDiff diff = diff_snapshots(base, followup);
+  const CampaignDiff diff =
+      diff_campaigns(SnapshotVectorSource(base, 7), SnapshotVectorSource(followup, 7));
   ASSERT_EQ(diff.by_protocol.size(), 2u);
   const ProtocolDiffRow& opcua_row = diff.by_protocol.at(ProtocolId::opcua);
   const ProtocolDiffRow& mqtt_row = diff.by_protocol.at(ProtocolId::mqtt_tls);

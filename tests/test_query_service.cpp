@@ -506,6 +506,20 @@ TEST(QueryParsing, RejectsMalformedInput) {
   EXPECT_THROW(svc::parse_query_request("kind=posture asn=notanumber"),
                std::invalid_argument);
   EXPECT_THROW(svc::parse_query_request("kind"), std::invalid_argument);
+  // Numbers outside their field are rejected, not wrapped or truncated,
+  // and the error names the key and the value.
+  for (const char* text : {"asn=4294967297", "asn=-1", "mode=4294967296", "mode=7", "policy=-2",
+                           "as_limit=-1", "anonymous=+5", "anonymous=2"}) {
+    try {
+      svc::parse_query_request(text);
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(text), std::string::npos) << e.what();
+    }
+  }
+  const svc::QueryRequest edge = svc::parse_query_request("asn=4294967295 mode=0");
+  EXPECT_EQ(edge.asn, std::optional<std::uint32_t>(4294967295u));
+  EXPECT_EQ(edge.mode_bucket, std::optional<int>(0));
 }
 
 }  // namespace

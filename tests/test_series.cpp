@@ -579,14 +579,13 @@ TEST(AnalysisEarlyMerge, ThrowingMergeNeverMergesAnIndexTwice) {
 
 TEST(AnalysisEarlyMerge, PrefixMergedAggregationStaysThreadInvariant) {
   const std::vector<ScanSnapshot> study = make_base_study(70, 3);
+  const SnapshotVectorSource source(study, 7);  // many ragged chunks -> many prefix merges
   AnalysisOptions serial;
   serial.threads = 1;
-  serial.chunk_records = 7;  // many ragged chunks -> many prefix merges
   AnalysisOptions parallel;
   parallel.threads = 8;
-  parallel.chunk_records = 7;
-  const StudyAnalysis a = analyze_snapshots(study, serial);
-  const StudyAnalysis b = analyze_snapshots(study, parallel);
+  const StudyAnalysis a = analyze_source(source, serial);
+  const StudyAnalysis b = analyze_source(source, parallel);
   EXPECT_TRUE(a.figures_equal(b));
 }
 

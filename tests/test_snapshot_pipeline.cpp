@@ -6,9 +6,10 @@
 //    yielding garbage records; out-of-range dictionary ids are rejected;
 //    a failed chunk write stops the writer at that chunk,
 //  - the streaming Aggregator is deterministic in the thread count and
-//    input format and bit-identical to the assess/ reference
-//    implementations, whether it reads mapped v6 columns or rows
-//    transposed into columns (multi-endpoint hosts included).
+//    input format, whether it reads mapped v6 columns or rows transposed
+//    into columns, and reproduces field for field the golden dumps under
+//    tests/data/ (multi-endpoint hosts included), which were recorded
+//    from the retired record-based reference.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,8 +17,8 @@
 #include <fstream>
 
 #include "analysis/analysis.hpp"
-#include "assess/assess.hpp"
 #include "crypto/keycache.hpp"
+#include "figure_dump.hpp"
 #include "scanner/snapshot_io.hpp"
 #include "util/date.hpp"
 
@@ -181,6 +182,21 @@ std::string row_fixture(const std::string& version) {
   return (std::filesystem::path(__FILE__).parent_path() / "data" /
           ("multi_endpoint_48." + version + ".bin"))
       .string();
+}
+
+/// Compares figure_dump_text(analysis) with tests/data/<golden>. Each
+/// golden is the dump of the record-based reference functions the
+/// Aggregator replaced (one per figure, whole snapshot in RAM), recorded
+/// on the same generator input; the Aggregator's dump equalled it there.
+void expect_golden_figures(const StudyAnalysis& analysis, const std::string& golden) {
+  std::ifstream in(std::filesystem::path(__FILE__).parent_path() / "data" / golden);
+  ASSERT_TRUE(in) << "missing golden tests/data/" << golden;
+  const std::string expected((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  const std::string actual = figure_dump_text(analysis);
+  EXPECT_TRUE(actual == expected) << "figures differ from tests/data/" << golden
+                                  << "\n--- expected\n" << expected << "--- actual\n"
+                                  << actual;
 }
 
 TEST(SnapshotV6, RoundTripAcrossChunkBoundaries) {
@@ -445,7 +461,9 @@ TEST(SnapshotV6, VarOffsetTableCorruptionRejected) {
     mutated[offsets + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     write_file_bytes(bad_path, mutated);
     const auto loaded = load_snapshots(bad_path, 42);
-    if (loaded.has_value()) EXPECT_EQ(loaded->front().hosts.size(), 10u);
+    if (loaded.has_value()) {
+      EXPECT_EQ(loaded->front().hosts.size(), 10u);
+    }
   }
 
   std::remove(path.c_str());
@@ -501,7 +519,9 @@ TEST(SnapshotV6, CertDictionaryCorruptionRejected) {
     mutated[at] ^= 0x40;
     write_file_bytes(bad_path, mutated);
     const auto loaded = load_snapshots(bad_path, 42);
-    if (loaded.has_value()) EXPECT_EQ(loaded->front().hosts.size(), 10u);
+    if (loaded.has_value()) {
+      EXPECT_EQ(loaded->front().hosts.size(), 10u);
+    }
   }
 
   std::remove(path.c_str());
@@ -524,16 +544,12 @@ TEST(SnapshotV6, EmptyAndRuntFilesNameTheirSize) {
 }
 
 TEST(Analysis, MatchesAssessReferenceBitForBit) {
-  for (const std::vector<ScanSnapshot>& study : {make_study(60), make_multi_endpoint_study(60)}) {
+  const std::pair<std::vector<ScanSnapshot>, const char*> inputs[] = {
+      {make_study(60), "figures.make_study_60.txt"},
+      {make_multi_endpoint_study(60), "figures.make_multi_endpoint_study_60.txt"}};
+  for (const auto& [study, golden] : inputs) {
     const StudyAnalysis analysis = analyze_snapshots(study, {});
-
-    EXPECT_EQ(analysis.modes, assess_modes_policies(study.back()));
-    EXPECT_EQ(analysis.certificates, assess_certificates(study.back()));
-    EXPECT_EQ(analysis.reuse, assess_reuse(study.back()));
-    EXPECT_EQ(analysis.auth, assess_auth(study.back()));
-    EXPECT_EQ(analysis.access_rights, assess_access_rights(study.back()));
-    EXPECT_EQ(analysis.deficits, assess_deficits(study.back()));
-    EXPECT_EQ(analysis.longitudinal, assess_longitudinal(study));
+    expect_golden_figures(analysis, golden);
 
     // The synthetic study is rich enough to exercise the interesting paths.
     EXPECT_GT(analysis.reuse.clusters_ge3, 0);
@@ -544,16 +560,16 @@ TEST(Analysis, MatchesAssessReferenceBitForBit) {
   }
 
   // The multi-endpoint input really carries the shapes it exists for: a
-  // host whose primary certificate is not its first, under a URI the
-  // policy table does not know, and a weaker policy listed after a
-  // stronger one.
+  // host whose primary certificate (the first endpoint certificate that
+  // parses) is not its first, under a URI the policy table does not
+  // know, and a weaker policy listed after a stronger one.
   const std::vector<ScanSnapshot> multi = make_multi_endpoint_study(60);
   const HostScanRecord& odd = multi.back().hosts[1];
   EXPECT_FALSE(odd.endpoints[0].policy_known);
   EXPECT_THROW(x509_parse(odd.endpoints[0].certificate_der), DecodeError);
-  const auto primary = primary_certificate(odd);
-  ASSERT_TRUE(primary.has_value());
-  EXPECT_NE(primary->der, odd.endpoints[0].certificate_der);
+  ASSERT_GE(odd.endpoints.size(), 2u);
+  EXPECT_NO_THROW(x509_parse(odd.endpoints[1].certificate_der));
+  EXPECT_NE(odd.endpoints[1].certificate_der, odd.endpoints[0].certificate_der);
   EXPECT_EQ(multi.back().hosts[10].advertised_policies(),
             (std::vector<SecurityPolicy>{SecurityPolicy::Basic256Sha256,
                                          SecurityPolicy::Aes128Sha256RsaOaep}));
@@ -564,7 +580,7 @@ TEST(Analysis, SharedPrimesMatchesReference) {
   AnalysisOptions options;
   options.shared_primes = true;
   const StudyAnalysis analysis = analyze_snapshots(study, options);
-  EXPECT_EQ(analysis.shared_primes, assess_shared_primes(study.back()));
+  expect_golden_figures(analysis, "figures.make_study_24x1.shared_primes.txt");
   EXPECT_GT(analysis.shared_primes.distinct_moduli, 0u);
 }
 
@@ -587,10 +603,7 @@ TEST(Analysis, DeterministicAcrossThreadsAndChunking) {
   EXPECT_TRUE(streamed1.figures_equal(reference));
   EXPECT_TRUE(streamed8.figures_equal(reference));
 
-  AnalysisOptions tiny_chunks;
-  tiny_chunks.threads = 8;
-  tiny_chunks.chunk_records = 7;
-  EXPECT_TRUE(analyze_snapshots(study, tiny_chunks).figures_equal(reference));
+  EXPECT_TRUE(analyze_source(SnapshotVectorSource(study, 7), parallel).figures_equal(reference));
   std::remove(path.c_str());
 }
 
@@ -607,10 +620,7 @@ TEST(Analysis, EmptyAndSingleWeekStudies) {
   EXPECT_TRUE(empty.weeks.empty());
   EXPECT_EQ(empty.modes.servers, 0);
 
-  const std::vector<ScanSnapshot> one_week = make_study(8, 1);
-  const StudyAnalysis analysis = analyze_snapshots(one_week, {});
-  EXPECT_EQ(analysis.modes, assess_modes_policies(one_week.back()));
-  EXPECT_EQ(analysis.longitudinal, assess_longitudinal(one_week));
+  expect_golden_figures(analyze_snapshots(make_study(8, 1), {}), "figures.make_study_8x1.txt");
   std::remove(path.c_str());
 }
 

@@ -97,6 +97,14 @@ TEST(Ipv4, FormatParse) {
   EXPECT_EQ(parse_ipv4("10.0.0.1"), make_ipv4(10, 0, 0, 1));
   EXPECT_THROW(parse_ipv4("300.0.0.1"), std::invalid_argument);
   EXPECT_THROW(parse_ipv4("foo"), std::invalid_argument);
+  EXPECT_EQ(parse_ipv4("255.255.255.255"), make_ipv4(255, 255, 255, 255));
+  // Nothing before, between or after the four octets, and no octet wider
+  // than three digits or out of range.
+  for (const char* bad : {"1.2.3.4.example.com", "10.0.0.1evil", "1.2.3.4294967297", "1.2.3",
+                          "1.2.3.", " 1.2.3.4", "1.2.3.4 ", "+1.2.3.4", "1.-2.3.4", "1..3.4",
+                          "1.2.3.0004", "1.2.3.256", ""}) {
+    EXPECT_THROW(parse_ipv4(bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Ipv4, CidrContainsAndSize) {
