@@ -1,7 +1,7 @@
 // Run a miniature Internet-wide measurement end to end: build a small
 // synthetic Internet, sweep it zmap-style, grab every OPC UA host plus an
-// MQTT-over-TLS broker fleet through the protocol-plugin registry, and
-// print a security assessment — the whole paper pipeline in one file.
+// MQTT-over-TLS broker fleet through the shared grab core, and print a
+// security assessment — the whole paper pipeline in one file.
 //
 // Telemetry rides along: the run always emits TELEMETRY_report.json and
 // TELEMETRY_metrics.prom (the deterministic metrics plane), --trace dumps
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     plan.hosts.push_back(std::move(host));
   }
   // A broker fleet on port 8883 rides along: the campaign below sweeps both
-  // protocol families in one pass through the plugin registry.
+  // protocol families in one campaign, one sweep pass per protocol.
   const int brokers = std::max(1, hosts / 3);
   add_mqtt_population(plan, 2024, brokers);
 

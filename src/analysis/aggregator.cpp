@@ -700,8 +700,13 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
           {fp, cluster.hosts, std::move(cluster.ases), std::move(cluster.org)});
     }
   }
+  // Fingerprint breaks host-count ties, so the order is the same under
+  // every standard library.
   std::sort(analysis.reuse.clusters.begin(), analysis.reuse.clusters.end(),
-            [](const ReuseCluster& a, const ReuseCluster& b) { return a.host_count > b.host_count; });
+            [](const ReuseCluster& a, const ReuseCluster& b) {
+              if (a.host_count != b.host_count) return a.host_count > b.host_count;
+              return a.fingerprint_hex < b.fingerprint_hex;
+            });
 
   // ---- finalize: §5.3 shared primes -------------------------------------
   if (options.shared_primes) {

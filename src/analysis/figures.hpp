@@ -70,7 +70,7 @@ struct ReuseCluster {
 };
 
 struct ReuseStats {
-  std::vector<ReuseCluster> clusters;  // sorted by host_count descending
+  std::vector<ReuseCluster> clusters;  // host_count descending, then fingerprint
   int clusters_ge3 = 0;                // certificates on >= 3 hosts (9)
   int hosts_in_ge3 = 0;
   int distinct_certificates = 0;
@@ -205,11 +205,10 @@ struct ProtocolWeek {
   friend bool operator==(const ProtocolWeek&, const ProtocolWeek&) = default;
 };
 
-/// Per-protocol population split along the ProtocolProbe registry
-/// dimension. The final-measurement maps count servers only (discovery
-/// filtered, like the figures). A pure OPC UA study yields a single
-/// ProtocolId::opcua key everywhere, so pre-registry outputs stay
-/// comparable.
+/// Per-protocol population split along the ProtocolId dimension. The
+/// final-measurement maps count servers only (discovery filtered, like
+/// the figures). A pure OPC UA study yields a single ProtocolId::opcua
+/// key everywhere, so single-protocol outputs stay comparable.
 struct ProtocolStats {
   std::vector<ProtocolWeek> weeks;
   std::map<ProtocolId, std::uint64_t> servers;    // final measurement

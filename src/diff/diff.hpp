@@ -123,7 +123,7 @@ struct CampaignDiff {
   std::uint64_t certs_lost = 0;      // some certificate before, none now
   std::uint64_t certs_absent = 0;    // no certificate on either side
 
-  // Per-protocol population split (the ProtocolProbe registry dimension).
+  // Per-protocol population split (the ProtocolId dimension).
   std::map<ProtocolId, ProtocolDiffRow> by_protocol;
 
   // Deficiency evolution (paper §5.2: None-only, deprecated maximum, weak

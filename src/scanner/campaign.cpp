@@ -37,7 +37,7 @@ bool Campaign::excluded(Ipv4 ip) const {
 
 std::vector<ProtocolTarget> Campaign::targets() const {
   if (!config_.protocols.empty()) return config_.protocols;
-  return {ProtocolTarget{ProtocolId::opcua, config_.port}};
+  return {ProtocolTarget{ProtocolId::opcua, kOpcUaDefaultPort}};
 }
 
 std::vector<Campaign::OpenHost> Campaign::sweep(ScanSnapshot& snapshot, int measurement_index) {

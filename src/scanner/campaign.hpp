@@ -15,12 +15,10 @@ struct CampaignConfig {
   /// true: enumerate bound sockets from the simulator instead of walking
   /// the whole universe — outcome-equivalent to the LFSR sweep and O(hosts).
   bool oracle_sweep = true;
-  std::uint16_t port = kOpcUaDefaultPort;
-  /// Protocol mix of the campaign. Empty = the legacy single-profile sweep
-  /// of `port` with the OPC UA backend (byte-identical to the pre-registry
-  /// engine). Non-empty: one sweep pass per target, in list order, each on
-  /// its own port; grabs from every pass share one scheduler and
-  /// interleave on the event heap. Ports must be pairwise distinct.
+  /// Protocol mix of the campaign. Empty = one OPC UA sweep of port 4840.
+  /// Non-empty: one sweep pass per target, in list order, each on its own
+  /// port; grabs from every pass share one scheduler and interleave on
+  /// the event heap. Ports must be pairwise distinct.
   std::vector<ProtocolTarget> protocols;
   /// Opt-out prefixes (the paper excludes 5.79 M addresses, §A.2).
   std::vector<Cidr> exclusions;
@@ -44,11 +42,11 @@ class Campaign {
 
   bool excluded(Ipv4 ip) const;
 
-  /// The effective protocol mix: config.protocols, or the legacy
-  /// single-OPC-UA profile of config.port when the list is empty.
+ private:
+  /// The effective protocol mix: config.protocols, or {opcua, 4840} when
+  /// the list is empty.
   std::vector<ProtocolTarget> targets() const;
 
- private:
   struct OpenHost {
     Ipv4 ip = 0;
     std::uint16_t port = 0;

@@ -1,7 +1,5 @@
 #include "scanner/host_task.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 
 namespace opcua_study {
@@ -13,43 +11,19 @@ constexpr unsigned kObsOpcua = static_cast<unsigned>(ProtocolId::opcua);
 
 HostGrabTask::HostGrabTask(const GrabberConfig& config, Network& network, std::uint64_t seed,
                            std::uint64_t task_id, Ipv4 ip, std::uint16_t port)
-    : config_(config),
-      network_(network),
+    : ProbeTask(config, network, seed, ip, port, ProtocolId::opcua),
       seed_(seed),
       task_id_(task_id),
-      ip_(ip),
-      port_(port),
-      // Keyed by endpoint, not task id: task ids depend on sweep order and
-      // shard layout, and retry jitter must not (fault streams are
-      // endpoint-keyed for the same reason, see netsim/faults.hpp).
-      retry_rng_(Rng(seed).child("retry-" + format_ipv4(ip) + ":" + std::to_string(port))) {
-  record_.ip = ip;
-  record_.port = port;
-  record_.asn = network_.as_db().asn_of(ip);
-  url_ = "opc.tcp://" + format_ipv4(ip) + ":" + std::to_string(port) + "/";
-}
-
-HostGrabTask::~HostGrabTask() = default;
+      url_("opc.tcp://" + format_ipv4(ip) + ":" + std::to_string(port) + "/") {}
 
 HostGrabTask::Step HostGrabTask::yield(std::uint64_t pace_us, Phase next) {
-  attempt_ = 0;  // a unit of work completed: the per-unit retry budget resets
-  const std::uint64_t wait = consumed_us_ + pace_us;
-  elapsed_us_ += wait;
-  consumed_us_ = 0;
   phase_ = next;
-  return Step{wait, false};
+  return ProbeTask::yield(pace_us);
 }
 
-HostGrabTask::Step HostGrabTask::finish(bool with_duration) {
-  if (conn_ != nullptr) fresh_fault();  // bank any unaccounted injected faults
-  const std::uint64_t wait = consumed_us_;
-  elapsed_us_ += wait;
-  consumed_us_ = 0;
-  if (with_duration) record_.duration_seconds = static_cast<double>(elapsed_us_) / 1e6;
+void HostGrabTask::drop_connection() {
   client_.reset();
   conn_.reset();
-  phase_ = Phase::Done;
-  return Step{wait, true};
 }
 
 bool HostGrabTask::budget_exhausted() const {
@@ -76,202 +50,95 @@ const EndpointObservation* HostGrabTask::strongest_endpoint() const {
 
 // ---------------------------------------------------------- fault plumbing
 
-void HostGrabTask::note_faults(std::uint32_t n) {
-  const std::uint32_t total = record_.fault_events + n;
-  record_.fault_events = total > 0xffff ? 0xffff : static_cast<std::uint16_t>(total);
-}
-
-bool HostGrabTask::fresh_fault() {
-  if (conn_ == nullptr) return false;
-  const std::uint32_t now = conn_->faults_injected();
-  if (now > conn_faults_seen_) {
-    note_faults(now - conn_faults_seen_);
-    conn_faults_seen_ = now;
-    return true;
-  }
-  return false;
-}
-
-void HostGrabTask::degrade(ProbeOutcome grade) {
-  if (static_cast<std::uint8_t>(grade) > static_cast<std::uint8_t>(record_.completeness)) {
-    record_.completeness = grade;
-  }
-}
-
-bool HostGrabTask::can_retry() const {
-  return attempt_ + 1 < config_.retry.max_attempts &&
-         record_.retries < config_.retry.max_host_retries;
-}
-
-std::uint64_t HostGrabTask::backoff_us() {
-  const RetryPolicy& policy = config_.retry;
-  double ms = static_cast<double>(policy.backoff_base_ms);
-  for (int i = 1; i < attempt_; ++i) ms *= policy.backoff_multiplier;
-  const std::uint64_t jitter_ms =
-      policy.backoff_jitter_ms > 0 ? retry_rng_.below(policy.backoff_jitter_ms + 1) : 0;
-  return static_cast<std::uint64_t>(ms * 1000.0) + jitter_ms * 1000;
-}
-
-std::uint64_t HostGrabTask::connect_timeout_us() const {
-  const FaultPlan* plan = network_.fault_plan();
-  return plan != nullptr ? plan->profile().connect_timeout_us : 5'000'000;
-}
-
-void HostGrabTask::reset_discovery_state() {
-  record_.speaks_opcua = false;
-  record_.endpoints.clear();
-  record_.referenced_targets.clear();
-  record_.application_uri.clear();
-  record_.product_uri.clear();
-  record_.application_name.clear();
-  record_.application_type = ApplicationType::Server;
-  record_.anonymous_offered = false;
-}
-
-void HostGrabTask::reset_probe_state() {
-  record_.channel = ChannelOutcome::not_attempted;
-  record_.channel_policy = SecurityPolicy::None;
-  record_.channel_mode = MessageSecurityMode::None;
-  record_.server_signature_valid = false;
-  record_.session = SessionOutcome::not_attempted;
-}
-
-HostGrabTask::Step HostGrabTask::retry_to(Phase next, bool drop_connection) {
-  if (drop_connection && conn_ != nullptr) {
-    charge(*conn_);
-    fresh_fault();
-    record_.bytes_sent += conn_->bytes_sent();
-    client_.reset();
-    conn_.reset();
-    conn_faults_seen_ = 0;
-  }
-  ++attempt_;
-  if (record_.retries < 0xffff) ++record_.retries;
-  if (next == Phase::Discovery) reset_discovery_state();
-  if (next == Phase::SecureProbe) reset_probe_state();
-  const std::uint64_t wait = consumed_us_ + backoff_us();
-  elapsed_us_ += wait;
-  consumed_us_ = 0;
-  phase_ = next;
-  return Step{wait, false};
-}
-
-HostGrabTask::Step HostGrabTask::give_up() {
-  if (conn_ != nullptr) {
-    charge(*conn_);
-    fresh_fault();
-    record_.bytes_sent += conn_->bytes_sent();
-    client_.reset();
-    conn_.reset();
-  }
+int HostGrabTask::phase_rank() const {
   switch (phase_) {
-    case Phase::Discovery:
-      degrade(record_.speaks_opcua ? ProbeOutcome::degraded : ProbeOutcome::unreachable);
-      return finish(/*with_duration=*/record_.tcp_open);
-    case Phase::SecureProbe:
-      degrade(ProbeOutcome::degraded);
-      return finish(/*with_duration=*/true);
-    default:
-      // Mid-assessment: whatever was collected before the faults stands.
-      degrade(ProbeOutcome::truncated);
-      return finish(/*with_duration=*/true);
+    case Phase::Discovery: return 0;
+    case Phase::SecureProbe: return 1;
+    default: return 2;
   }
+}
+
+HostGrabTask::Step HostGrabTask::retry_or_give_up(Phase next, bool drop) {
+  if (!can_retry()) return give_up();
+  if (next == Phase::Discovery) {
+    record_.speaks_opcua = false;
+    record_.endpoints.clear();
+    record_.referenced_targets.clear();
+    record_.application_uri.clear();
+    record_.product_uri.clear();
+    record_.application_name.clear();
+    record_.application_type = ApplicationType::Server;
+    record_.anonymous_offered = false;
+  }
+  if (next == Phase::SecureProbe) {
+    record_.channel = ChannelOutcome::not_attempted;
+    record_.channel_policy = SecurityPolicy::None;
+    record_.channel_mode = MessageSecurityMode::None;
+    record_.server_signature_valid = false;
+    record_.session = SessionOutcome::not_attempted;
+  }
+  phase_ = next;
+  return retry(drop);
 }
 
 HostGrabTask::Step HostGrabTask::on_net_fault() {
-  Phase target;
   switch (phase_) {
-    case Phase::Discovery: target = Phase::Discovery; break;
-    case Phase::SecureProbe: target = Phase::SecureProbe; break;
-    case Phase::Reconnect: target = Phase::Reconnect; break;
+    case Phase::Discovery:
+    case Phase::SecureProbe:
+    case Phase::Reconnect: return retry_or_give_up(phase_, /*drop=*/true);
     default:
+      // Mid-assessment: reconnect, then resume the interrupted phase.
       resume_phase_ = phase_;
-      target = Phase::Reconnect;
-      break;
+      return retry_or_give_up(Phase::Reconnect, /*drop=*/true);
   }
-  if (!can_retry()) return give_up();
-  return retry_to(target, /*drop_connection=*/true);
 }
 
-HostGrabTask::Step HostGrabTask::reconnect_failed() {
-  if (fresh_fault() && can_retry()) {
-    return retry_to(Phase::Reconnect, /*drop_connection=*/true);
+HostGrabTask::Step HostGrabTask::step_phase() {
+  switch (phase_) {
+    case Phase::Discovery: return step_discovery();
+    case Phase::SecureProbe: return step_secure_probe();
+    case Phase::ReadNamespaces: return step_read_namespaces();
+    case Phase::ReadVersion: return step_read_version();
+    case Phase::TraverseBrowse: return traverse_loop(/*browse_first=*/true);
+    case Phase::TraverseRead: return step_traverse_read();
+    case Phase::Reconnect: return step_reconnect();
   }
-  return give_up();  // phase_ == Reconnect grades the record `truncated`
-}
-
-HostGrabTask::Step HostGrabTask::step() {
-  try {
-    switch (phase_) {
-      case Phase::Discovery: return step_discovery();
-      case Phase::SecureProbe: return step_secure_probe();
-      case Phase::ReadNamespaces: return step_read_namespaces();
-      case Phase::ReadVersion: return step_read_version();
-      case Phase::TraverseBrowse: return traverse_loop(/*browse_first=*/true);
-      case Phase::TraverseRead: return step_traverse_read();
-      case Phase::Reconnect: return step_reconnect();
-      case Phase::Done: break;
-    }
-  } catch (const NetFault&) {
-    return on_net_fault();
-  }
-  return Step{0, true};
+  return Step{0, true};  // unreachable: every phase is handled above
 }
 
 HostGrabTask::Step HostGrabTask::step_discovery() {
-  ConnectFault connect_fault = ConnectFault::None;
-  conn_ = network_.connect(ip_, port_, &connect_fault);
-  if (!conn_) {
-    if (connect_fault != ConnectFault::None) {
-      note_faults(1);
-      consumed_us_ += connect_fault == ConnectFault::SynDrop ? connect_timeout_us()
-                                                             : network_.rtt_us(ip_);
-      if (can_retry()) return retry_to(Phase::Discovery, /*drop_connection=*/false);
-      return give_up();
-    }
-    consumed_us_ += network_.rtt_us(ip_);  // RST after one RTT
-    return finish(/*with_duration=*/false);
+  switch (dial()) {
+    case Dial::faulted: return retry_or_give_up(Phase::Discovery, /*drop=*/false);
+    case Dial::refused: return finish(/*with_duration=*/false);
+    case Dial::open: break;
   }
-  record_.tcp_open = true;
-  conn_faults_seen_ = 0;
-  conn_->set_request_timeout_us(config_.retry.request_timeout_ms * 1000);
-  charge(*conn_);  // three-way handshake
   obs::observe_us(obs::Metric::phase_connect_us, consumed_us_, kObsOpcua);
 
   client_ = std::make_unique<Client>(config_.client, *conn_,
                                      Rng(seed_).child("grab-" + std::to_string(task_id_)));
   const std::uint64_t hello_start_us = consumed_us_;
   const StatusCode hello_status = client_->hello(url_);
-  charge(*conn_);
+  charge();
   obs::observe_us(obs::Metric::phase_hello_us, consumed_us_ - hello_start_us, kObsOpcua);
   if (hello_status != StatusCode::Good) {
-    if (fresh_fault()) {
-      if (can_retry()) return retry_to(Phase::Discovery, /*drop_connection=*/true);
-      return give_up();
-    }
+    if (fresh_fault()) return retry_or_give_up(Phase::Discovery, /*drop=*/true);
     return finish(/*with_duration=*/true);  // not an OPC UA speaker
   }
   const StatusCode open_status =
       client_->open_channel(SecurityPolicy::None, MessageSecurityMode::None);
-  charge(*conn_);
+  charge();
   if (open_status != StatusCode::Good) {
-    if (fresh_fault()) {
-      if (can_retry()) return retry_to(Phase::Discovery, /*drop_connection=*/true);
-      return give_up();
-    }
+    if (fresh_fault()) return retry_or_give_up(Phase::Discovery, /*drop=*/true);
     return finish(/*with_duration=*/false);
   }
 
   std::vector<EndpointDescription> endpoints;
   const std::uint64_t endpoints_start_us = consumed_us_;
   const StatusCode endpoints_status = client_->get_endpoints(url_, endpoints);
-  charge(*conn_);
+  charge();
   obs::observe_us(obs::Metric::phase_endpoints_us, consumed_us_ - endpoints_start_us);
   if (endpoints_status != StatusCode::Good) {
-    if (fresh_fault()) {
-      if (can_retry()) return retry_to(Phase::Discovery, /*drop_connection=*/true);
-      return give_up();
-    }
+    if (fresh_fault()) return retry_or_give_up(Phase::Discovery, /*drop=*/true);
     return finish(/*with_duration=*/false);
   }
   record_.speaks_opcua = true;
@@ -309,10 +176,9 @@ HostGrabTask::Step HostGrabTask::step_discovery() {
   } catch (const NetFault&) {
     // A fault on the goodbye costs nothing: everything is already recorded.
   }
-  charge(*conn_);
+  charge();
   fresh_fault();
-  client_.reset();
-  conn_.reset();
+  drop_connection();
 
   for (const auto& ep : record_.endpoints) {
     for (UserTokenType t : ep.token_types) {
@@ -333,44 +199,27 @@ HostGrabTask::Step HostGrabTask::step_secure_probe() {
   const EndpointObservation* best = strongest_endpoint();
   assess_start_us_ = elapsed_us_;
 
-  ConnectFault connect_fault = ConnectFault::None;
-  conn_ = network_.connect(ip_, port_, &connect_fault);
-  if (!conn_) {
-    if (connect_fault != ConnectFault::None) {
-      note_faults(1);
-      consumed_us_ += connect_fault == ConnectFault::SynDrop ? connect_timeout_us()
-                                                             : network_.rtt_us(ip_);
-      if (can_retry()) return retry_to(Phase::SecureProbe, /*drop_connection=*/false);
-      return give_up();
-    }
-    consumed_us_ += network_.rtt_us(ip_);
-    return finish(/*with_duration=*/true);
+  switch (dial()) {
+    case Dial::faulted: return retry_or_give_up(Phase::SecureProbe, /*drop=*/false);
+    case Dial::refused: return finish(/*with_duration=*/true);
+    case Dial::open: break;
   }
-  conn_faults_seen_ = 0;
-  conn_->set_request_timeout_us(config_.retry.request_timeout_ms * 1000);
-  charge(*conn_);
   client_ = std::make_unique<Client>(config_.client, *conn_,
                                      Rng(seed_).child("sess-" + std::to_string(task_id_)));
   const StatusCode hello_status = client_->hello(url_);
-  charge(*conn_);
+  charge();
   if (hello_status != StatusCode::Good) {
-    if (fresh_fault()) {
-      if (can_retry()) return retry_to(Phase::SecureProbe, /*drop_connection=*/true);
-      return give_up();
-    }
+    if (fresh_fault()) return retry_or_give_up(Phase::SecureProbe, /*drop=*/true);
     return finish(/*with_duration=*/true);
   }
 
   const StatusCode channel_status =
       client_->open_channel(best->policy, best->mode, best->certificate_der);
-  charge(*conn_);
+  charge();
   record_.channel_policy = best->policy;
   record_.channel_mode = best->mode;
   if (is_bad(channel_status)) {
-    if (fresh_fault()) {
-      if (can_retry()) return retry_to(Phase::SecureProbe, /*drop_connection=*/true);
-      return give_up();
-    }
+    if (fresh_fault()) return retry_or_give_up(Phase::SecureProbe, /*drop=*/true);
     record_.channel = best->policy == SecurityPolicy::None ? ChannelOutcome::failed
                                                            : ChannelOutcome::cert_rejected;
     record_.session = SessionOutcome::channel_rejected;
@@ -385,17 +234,14 @@ HostGrabTask::Step HostGrabTask::step_secure_probe() {
   // "unaccessible, reason: authentication" population (Table 2).
   Client::SessionInfo info;
   StatusCode status = client_->create_session(&info);
-  charge(*conn_);
+  charge();
   record_.server_signature_valid = info.server_signature_valid;
   if (is_good(status)) {
     status = client_->activate_session_anonymous();
-    charge(*conn_);
+    charge();
   }
   if (is_bad(status)) {
-    if (fresh_fault()) {
-      if (can_retry()) return retry_to(Phase::SecureProbe, /*drop_connection=*/true);
-      return give_up();
-    }
+    if (fresh_fault()) return retry_or_give_up(Phase::SecureProbe, /*drop=*/true);
     record_.session = SessionOutcome::auth_rejected;
     record_.bytes_sent += conn_->bytes_sent();
     obs::observe_us(obs::Metric::phase_auth_probe_us, consumed_us_, kObsOpcua);
@@ -410,24 +256,13 @@ HostGrabTask::Step HostGrabTask::step_secure_probe() {
 }
 
 HostGrabTask::Step HostGrabTask::step_reconnect() {
-  ConnectFault connect_fault = ConnectFault::None;
-  conn_ = network_.connect(ip_, port_, &connect_fault);
-  if (!conn_) {
-    if (connect_fault != ConnectFault::None) {
-      note_faults(1);
-      consumed_us_ += connect_fault == ConnectFault::SynDrop ? connect_timeout_us()
-                                                             : network_.rtt_us(ip_);
-      if (can_retry()) return retry_to(Phase::Reconnect, /*drop_connection=*/false);
-      return give_up();
-    }
-    // The listener is genuinely gone mid-assessment.
-    consumed_us_ += network_.rtt_us(ip_);
-    degrade(ProbeOutcome::truncated);
-    return finish(/*with_duration=*/true);
+  switch (dial()) {
+    case Dial::faulted: return retry_or_give_up(Phase::Reconnect, /*drop=*/false);
+    case Dial::refused:  // the listener is genuinely gone mid-assessment
+      degrade(ProbeOutcome::truncated);
+      return finish(/*with_duration=*/true);
+    case Dial::open: break;
   }
-  conn_faults_seen_ = 0;
-  conn_->set_request_timeout_us(config_.retry.request_timeout_ms * 1000);
-  charge(*conn_);
   ++reconnects_;
   client_ = std::make_unique<Client>(
       config_.client, *conn_,
@@ -435,25 +270,31 @@ HostGrabTask::Step HostGrabTask::step_reconnect() {
 
   const EndpointObservation* best = strongest_endpoint();
   const StatusCode hello_status = client_->hello(url_);
-  charge(*conn_);
-  if (hello_status != StatusCode::Good) return reconnect_failed();
+  charge();
+  if (hello_status != StatusCode::Good) {
+    return fresh_fault() ? retry_or_give_up(Phase::Reconnect, /*drop=*/true) : give_up();
+  }
 
   const StatusCode channel_status =
       client_->open_channel(best->policy, best->mode, best->certificate_der);
-  charge(*conn_);
-  if (is_bad(channel_status)) return reconnect_failed();
+  charge();
+  if (is_bad(channel_status)) {
+    return fresh_fault() ? retry_or_give_up(Phase::Reconnect, /*drop=*/true) : give_up();
+  }
 
   // Re-establish the anonymous session; the original probe's verdicts
   // (server_signature_valid, session outcome) are already recorded and are
   // deliberately not overwritten here.
   Client::SessionInfo info;
   StatusCode status = client_->create_session(&info);
-  charge(*conn_);
+  charge();
   if (is_good(status)) {
     status = client_->activate_session_anonymous();
-    charge(*conn_);
+    charge();
   }
-  if (is_bad(status)) return reconnect_failed();
+  if (is_bad(status)) {
+    return fresh_fault() ? retry_or_give_up(Phase::Reconnect, /*drop=*/true) : give_up();
+  }
 
   return yield(config_.budget.inter_request_ms * 1000, resume_phase_);
 }
@@ -461,13 +302,12 @@ HostGrabTask::Step HostGrabTask::step_reconnect() {
 HostGrabTask::Step HostGrabTask::step_read_namespaces() {
   std::vector<std::string> namespaces;
   const StatusCode status = client_->read_string_array(node_ids::kNamespaceArray, namespaces);
-  charge(*conn_);
+  charge();
   if (status == StatusCode::Good) {
     record_.namespaces = std::move(namespaces);
   } else if (fresh_fault()) {
     // The connection survived (garbled reply): retry the read in place.
-    if (!can_retry()) return give_up();
-    return retry_to(Phase::ReadNamespaces, /*drop_connection=*/false);
+    return retry_or_give_up(Phase::ReadNamespaces, /*drop=*/false);
   }
   return yield(config_.budget.inter_request_ms * 1000, Phase::ReadVersion);
 }
@@ -475,12 +315,11 @@ HostGrabTask::Step HostGrabTask::step_read_namespaces() {
 HostGrabTask::Step HostGrabTask::step_read_version() {
   DataValue sv;
   const StatusCode status = client_->read(node_ids::kSoftwareVersion, AttributeId::Value, sv);
-  charge(*conn_);
+  charge();
   if (status == StatusCode::Good && sv.value.is<std::string>()) {
     record_.software_version = sv.value.as<std::string>();
   } else if (status != StatusCode::Good && fresh_fault()) {
-    if (!can_retry()) return give_up();
-    return retry_to(Phase::ReadVersion, /*drop_connection=*/false);
+    return retry_or_give_up(Phase::ReadVersion, /*drop=*/false);
   }
   if (!config_.traverse_address_space) return finish_assess();
 
@@ -498,13 +337,10 @@ HostGrabTask::Step HostGrabTask::traverse_loop(bool browse_first) {
     refs_.clear();
     ref_index_ = 0;
     const StatusCode status = client_->browse(current_node_, refs_, config_.browse_chunk);
-    charge(*conn_);
+    charge();
     if (status != StatusCode::Good) {
       refs_.clear();
-      if (fresh_fault()) {
-        if (!can_retry()) return give_up();
-        return retry_to(Phase::TraverseBrowse, /*drop_connection=*/false);
-      }
+      if (fresh_fault()) return retry_or_give_up(Phase::TraverseBrowse, /*drop=*/false);
     }
   }
   for (;;) {
@@ -546,7 +382,7 @@ HostGrabTask::Step HostGrabTask::traverse_loop(bool browse_first) {
 HostGrabTask::Step HostGrabTask::step_traverse_read() {
   DataValue dv;
   const StatusCode status = client_->read(refs_[ref_index_].node_id, pending_attr_, dv);
-  charge(*conn_);
+  charge();
   if (status == StatusCode::Good) {
     if (pending_attr_ == AttributeId::UserAccessLevel && dv.value.is<std::uint32_t>()) {
       const auto level = dv.value.as<std::uint32_t>();
@@ -556,8 +392,7 @@ HostGrabTask::Step HostGrabTask::step_traverse_read() {
       pending_obs_.executable = dv.value.as<bool>();
     }
   } else if (fresh_fault()) {
-    if (!can_retry()) return give_up();
-    return retry_to(Phase::TraverseRead, /*drop_connection=*/false);
+    return retry_or_give_up(Phase::TraverseRead, /*drop=*/false);
   }
   record_.nodes.push_back(pending_obs_);
   queue_.push_back(refs_[ref_index_].node_id);
@@ -572,7 +407,7 @@ HostGrabTask::Step HostGrabTask::finish_assess() {
   } catch (const NetFault&) {
     // Assessment is complete; a fault on the goodbye changes nothing.
   }
-  charge(*conn_);
+  charge();
   return finish(/*with_duration=*/true);
 }
 

@@ -23,7 +23,7 @@ enum class ProtocolId : std::uint8_t {
 inline constexpr std::uint8_t kProtocolCount = 2;
 inline constexpr std::uint16_t kMqttTlsDefaultPort = 8883;
 
-/// Stable registry name ("opcua", "mqtt-tls"); "protocol-<n>" for ids the
+/// Stable protocol name ("opcua", "mqtt-tls"); "protocol-<n>" for ids the
 /// build does not know (forward-compat error messages).
 std::string protocol_name(ProtocolId id);
 

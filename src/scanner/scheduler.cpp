@@ -23,12 +23,11 @@ void ScanScheduler::launch_next() {
   const Target target = pending_.front();
   pending_.pop_front();
   const std::size_t result_index = next_result_++;
-  // The registry supplies the state machine; the id sequence is shared
-  // across backends, so a mixed fleet assigns the same ids — and draws the
-  // same task-keyed RNG streams — as any other launch of the same sweep.
-  std::shared_ptr<ProbeTask> task = protocol_probe(target.protocol)
-                                        .make_task(config_, network_, seed_, ++task_counter_,
-                                                   target.ip, target.port);
+  // The id sequence is shared across backends, so a mixed fleet assigns
+  // the same ids — and draws the same task-keyed RNG streams — as any
+  // other launch of the same sweep.
+  std::shared_ptr<ProbeTask> task = make_probe_task(target.protocol, config_, network_, seed_,
+                                                    ++task_counter_, target.ip, target.port);
   obs::add(obs::Metric::scan_tasks_launched, 1, static_cast<unsigned>(target.protocol));
   obs::gauge_peak(obs::Metric::scheduler_in_flight_peak, next_result_ - completed_);
   // First step fires "now": the sweep already paid the probe cost.

@@ -2,7 +2,7 @@
 // in flight" model for the simulated Internet.
 //
 // Hosts are enqueued in sweep order; up to `max_in_flight` of them hold a
-// live HostGrabTask at any instant. Each task's pacing gaps (500 ms between
+// live ProbeTask at any instant. Each task's pacing gaps (500 ms between
 // requests, §A.2) become wake-up events on the Network's event heap instead
 // of blocking clock advances, so the simulated wall-clock of a campaign is
 // the *overlap* of the per-host timelines — the same reason the paper's
@@ -14,18 +14,17 @@
 // property the regression tests pin down. With max_in_flight = 1 the event
 // timeline degenerates to the sequential scanner's, byte for byte.
 //
-// The scheduler is protocol-agnostic: every target names a registered
-// ProtocolProbe backend and the scheduler drives whatever ProbeTask the
-// registry hands back. Heterogeneous targets (OPC UA + MQTT/TLS) share
-// one event heap and one id sequence, so a mixed fleet interleaves
-// deterministically under the same launch-order contract.
+// The scheduler is protocol-agnostic: every target names a protocol and
+// the scheduler drives whatever ProbeTask make_probe_task builds for it.
+// Heterogeneous targets (OPC UA + MQTT/TLS) share one event heap and one
+// id sequence, so a mixed fleet interleaves deterministically under the
+// same launch-order contract.
 #pragma once
 
 #include <deque>
 #include <memory>
 #include <vector>
 
-#include "scanner/host_task.hpp"
 #include "scanner/protocol.hpp"
 
 namespace opcua_study {
@@ -36,9 +35,8 @@ class ScanScheduler {
                 std::size_t max_in_flight = 256);
 
   /// Queue a host for grabbing. Order matters: ids (and therefore RNG
-  /// streams) are assigned in this order. `protocol` selects the registry
-  /// backend that drives the grab; the default keeps the historic
-  /// OPC UA-only call sites unchanged.
+  /// streams) are assigned in this order. `protocol` selects the backend
+  /// that drives the grab.
   void enqueue(Ipv4 ip, std::uint16_t port, ProtocolId protocol = ProtocolId::opcua);
 
   /// Run until every queued host is done; returns records in enqueue
@@ -46,9 +44,6 @@ class ScanScheduler {
   /// reference-following wave reuses the scheduler, continuing the id
   /// sequence exactly like the sequential scanner's grab counter did).
   std::vector<HostScanRecord> drain();
-
-  std::size_t max_in_flight() const { return max_in_flight_; }
-  std::uint64_t tasks_launched() const { return task_counter_; }
 
  private:
   struct Target {

@@ -130,8 +130,8 @@ struct SeriesMemberStats {
   SnapshotMeta meta;  // final measurement, annotation applied
   std::uint64_t hosts = 0;
   std::uint64_t deficient = 0;  // paper §5.2 definition
-  /// Per-protocol split of hosts/deficient (the ProtocolProbe registry
-  /// dimension); single-protocol members carry one "opcua" key.
+  /// Per-protocol split of hosts/deficient (the ProtocolId dimension);
+  /// single-protocol members carry one "opcua" key.
   std::map<ProtocolId, std::uint64_t> hosts_by_protocol;
   std::map<ProtocolId, std::uint64_t> deficient_by_protocol;
   /// Population flow: hosts linked from the previous member vs. fresh

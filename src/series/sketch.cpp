@@ -157,19 +157,30 @@ std::optional<std::vector<HostPosture>> read_posture_sketch(const std::string& s
   std::vector<HostPosture> postures;
   postures.reserve(count);
   const std::size_t payload_end = bytes.size() - 8;
+  // The checksum is no MAC: a sidecar can carry a valid checksum over
+  // out-of-range fields, and the bucket bytes index transition tables.
+  auto field = [&](std::uint64_t index, const char* name, std::uint8_t max) {
+    const std::uint8_t value = c.u8();
+    if (value > max) {
+      throw SnapshotError("posture sketch '" + sketch_path + "': posture " +
+                          std::to_string(index) + " has " + name + " " +
+                          std::to_string(value) + " (max " + std::to_string(max) + ")");
+    }
+    return value;
+  };
   for (std::uint64_t i = 0; i < count; ++i) {
     HostPosture p;
     p.ip = c.u32();
     p.port = c.u16();
-    p.protocol = static_cast<ProtocolId>(c.u8());
-    const std::uint8_t flags = c.u8();
+    p.protocol = static_cast<ProtocolId>(field(i, "protocol", kProtocolCount - 1));
+    const std::uint8_t flags = field(i, "flags", 7);
     p.supports_deprecated = (flags & 1u) != 0;
     p.anonymous = (flags & 2u) != 0;
     p.deficient = (flags & 4u) != 0;
     p.asn = c.u32();
     p.uri_hash = c.u64();
-    p.mode_bucket = c.u8();
-    p.policy_bucket = c.u8();
+    p.mode_bucket = field(i, "mode_bucket", 2);
+    p.policy_bucket = field(i, "policy_bucket", 2);
     const std::uint16_t fp_count = c.u16();
     p.fps.reserve(fp_count);
     for (std::uint16_t k = 0; k < fp_count; ++k) p.fps.push_back(c.u64());

@@ -15,7 +15,12 @@
 //     stale sketch is never silently served and never silently ignored —
 //     ignoring it would hide that a snapshot was swapped underneath its
 //     derived data;
-//   - short file / bad checksum -> SnapshotError naming the sidecar.
+//   - short file / bad checksum -> SnapshotError naming the sidecar;
+//   - a protocol id the build does not know, flag bits above bit 2, or
+//     a mode/policy bucket above 2 -> SnapshotError naming the sidecar,
+//     the posture index, the field and its value. The checksum is no
+//     MAC, so these pass it; unchecked, a bucket would index the
+//     transition tables out of bounds.
 // Sketch contents are validated against the snapshot's final host count,
 // and the payload carries its own hash64 checksum, so a truncated or
 // bit-flipped sidecar fails loudly instead of feeding the matcher

@@ -31,8 +31,7 @@ struct ScanOptions {
   /// independent of the shard layout and thread count.
   std::uint64_t fault_seed = 0;
   /// Protocol mix of the campaign (CampaignConfig::protocols). Empty =
-  /// the legacy single-profile OPC UA sweep, byte-identical to the
-  /// pre-registry engine.
+  /// one OPC UA sweep of port 4840.
   std::vector<ProtocolTarget> protocols;
 };
 

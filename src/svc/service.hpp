@@ -57,7 +57,7 @@ struct QueryRequest {
 
   // Cohort filters (posture queries; ignored elsewhere).
   std::optional<std::uint32_t> asn;
-  std::optional<std::string> protocol;  // registry name, e.g. "opcua"
+  std::optional<std::string> protocol;  // protocol_name(), e.g. "opcua"
   std::optional<int> mode_bucket;       // index into kModeBuckets
   std::optional<int> policy_bucket;     // index into kPolicyBuckets
   bool anonymous_only = false;

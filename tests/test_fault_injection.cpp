@@ -1,18 +1,23 @@
 // Fault-injection resilience tests: deterministic fault streams across
 // engine concurrency and shard/thread layouts, fault-free byte identity,
-// the recovery floor of a hostile 120-host weekly sweep, scan-quality
-// persistence (v6 tail), the scan-quality analysis section, a streamed
-// campaign whose writer hits a full disk, and crash-safe checkpoint/resume
-// campaigns, including a unit that fails.
+// the recovery floor of a hostile 120-host weekly sweep, grab records of
+// that sweep (alone, and with an MQTT fleet: hostile, hostile with one
+// attempt per unit, fault-free) pinned to goldens under tests/data/,
+// scan-quality persistence (v6 tail), the scan-quality analysis section,
+// a streamed campaign whose writer hits a full disk, and crash-safe
+// checkpoint/resume campaigns, including a unit that fails.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <typeinfo>
 
 #include "analysis/analysis.hpp"
+#include "grab_dump.hpp"
 #include "obs/trace.hpp"
 #include "population/deploy.hpp"
 #include "scanner/campaign.hpp"
@@ -307,30 +312,68 @@ PopulationPlan sweep_plan(int hosts) {
   return plan;
 }
 
+constexpr std::uint64_t kSweepSeed = 20200209;
+
+/// The weekly sweep's sharded campaign (week 7) under `faults`, seeded
+/// like HostileWeeklySweepRecoversDeterministically. `protocols` empty
+/// scans OPC UA only.
+ScanSnapshot run_sweep(Deployer& deployer, const ClientConfig& identity, int shards,
+                       int threads, const FaultProfile& faults,
+                       std::vector<ProtocolTarget> protocols = {}, RetryPolicy retry = {}) {
+  ShardedCampaignConfig config;
+  config.campaign.seed = kSweepSeed;
+  config.campaign.grabber.client = identity;
+  config.campaign.grabber.retry = retry;
+  config.campaign.protocols = std::move(protocols);
+  config.shards = shards;
+  config.threads = threads;
+  config.faults = faults;
+  config.fault_seed = kSweepSeed + 7;
+  return run_sharded_campaign(deployer, 7, config);
+}
+
+/// Compares the snapshot's grab lines (a header with the sweep counters,
+/// then grab_dump::line per record) with tests/data/<golden>, printing
+/// the expected and the actual line of every record that differs. The
+/// goldens hold recorded engine output, so they pin record values
+/// (bytes, durations, retries, fault counts, grades), not only the
+/// invariance the other tests check.
+void expect_golden_grabs(const ScanSnapshot& snapshot, const std::string& golden) {
+  std::ifstream in(std::filesystem::path(__FILE__).parent_path() / "data" / golden);
+  ASSERT_TRUE(in) << "missing golden tests/data/" << golden;
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(in, line);) expected.push_back(line);
+  std::vector<std::string> actual = {
+      "week=" + std::to_string(snapshot.measurement_index) +
+      " probes=" + std::to_string(snapshot.probes_sent) +
+      " tcp_open=" + std::to_string(snapshot.tcp_open_count) +
+      " hosts=" + std::to_string(snapshot.hosts.size())};
+  for (const HostScanRecord& host : snapshot.hosts) actual.push_back(grab_dump::line(host));
+
+  EXPECT_EQ(actual.size(), expected.size()) << "line count differs from tests/data/" << golden;
+  for (std::size_t i = 0; i < std::min(actual.size(), expected.size()); ++i) {
+    EXPECT_TRUE(actual[i] == expected[i]) << "tests/data/" << golden << " line " << i + 1
+                                          << "\n--- expected\n" << expected[i]
+                                          << "\n--- actual\n" << actual[i];
+  }
+}
+
 /// 120 hosts among 300 non-OPC UA port-4840 services under the hostile
 /// profile: the default retry policy brings >= 90% of the faulted hosts
-/// back to a complete record, the faults really fire, and the faulted
-/// snapshot does not depend on thread count or shard layout.
+/// back to a complete record, the faults really fire, the faulted
+/// snapshot does not depend on thread count or shard layout, and every
+/// record matches its golden line.
 TEST(FaultInjection, HostileWeeklySweepRecoversDeterministically) {
-  constexpr std::uint64_t kSeed = 20200209;
   const PopulationPlan plan = sweep_plan(120);
-  Deployer deployer = make_deployer(plan, kSeed, 300);
-  KeyFactory keys(kSeed, "");
-  const ClientConfig identity = make_scanner_identity(kSeed, keys);
+  Deployer deployer = make_deployer(plan, kSweepSeed, 300);
+  KeyFactory keys(kSweepSeed, "");
+  const ClientConfig identity = make_scanner_identity(kSweepSeed, keys);
 
-  auto run_sharded = [&](int shards, int threads) {
-    ShardedCampaignConfig config;
-    config.campaign.seed = kSeed;
-    config.campaign.grabber.client = identity;
-    config.shards = shards;
-    config.threads = threads;
-    config.faults = FaultProfile::hostile();
-    config.fault_seed = kSeed + 7;
-    return run_sharded_campaign(deployer, 7, config);
-  };
-  const ScanSnapshot faulted = run_sharded(4, 1);
-  EXPECT_EQ(faulted, run_sharded(4, 4));
-  EXPECT_EQ(faulted, run_sharded(2, 4));
+  const FaultProfile hostile = FaultProfile::hostile();
+  const ScanSnapshot faulted = run_sweep(deployer, identity, 4, 1, hostile);
+  EXPECT_EQ(faulted, run_sweep(deployer, identity, 4, 4, hostile));
+  EXPECT_EQ(faulted, run_sweep(deployer, identity, 2, 4, hostile));
+  expect_golden_grabs(faulted, "grab.hostile_sweep_120.txt");
 
   // Reads 76 of 83 faulted hosts recovered, 305 fault events.
   const ScanQualityStats quality = analyze_snapshots({faulted}, {}).scan_quality;
@@ -343,16 +386,60 @@ TEST(FaultInjection, HostileWeeklySweepRecoversDeterministically) {
     Network net;
     deployer.deploy_week(net, 7);
     if (attach_disabled_plan) {
-      net.set_fault_plan(std::make_unique<FaultPlan>(kSeed + 7, FaultProfile{}));
+      net.set_fault_plan(std::make_unique<FaultPlan>(kSweepSeed + 7, FaultProfile{}));
     }
     CampaignConfig config;
-    config.seed = kSeed;
+    config.seed = kSweepSeed;
     config.max_in_flight = 256;
     config.grabber.client = identity;
     Campaign campaign(config, net);
     return campaign.run(7);
   };
   EXPECT_EQ(run_single(false), run_single(true));
+}
+
+/// The same sweep with 60 MQTT-over-TLS brokers next to it, hostile,
+/// hostile with one attempt per unit, and fault-free: the goldens pin
+/// both backends' records, including the MQTT fault path (retries,
+/// banked bytes and fault counts, grades).
+TEST(FaultInjection, MixedFleetGrabsMatchGoldens) {
+  PopulationPlan plan = sweep_plan(120);
+  add_mqtt_population(plan, 99, 60);
+  Deployer deployer = make_deployer(plan, kSweepSeed, 300);
+  KeyFactory keys(kSweepSeed, "");
+  const ClientConfig identity = make_scanner_identity(kSweepSeed, keys);
+  const std::vector<ProtocolTarget> mix = {
+      ProtocolTarget{ProtocolId::opcua, kOpcUaDefaultPort},
+      ProtocolTarget{ProtocolId::mqtt_tls, kMqttTlsDefaultPort}};
+
+  const ScanSnapshot hostile =
+      run_sweep(deployer, identity, 4, 2, FaultProfile::hostile(), mix);
+  std::size_t brokers = 0, broker_retried = 0;
+  for (const auto& host : hostile.hosts) {
+    if (host.protocol != ProtocolId::mqtt_tls) continue;
+    ++brokers;
+    broker_retried += host.retries > 0;
+  }
+  EXPECT_GT(brokers, 0u);
+  EXPECT_GT(broker_retried, 0u);  // the MQTT fault path really ran
+  expect_golden_grabs(hostile, "grab.mixed_hostile.txt");
+
+  // With one attempt per unit every fault ends the grab where it struck,
+  // so give_up() grades brokers past the hello too.
+  RetryPolicy no_retry;
+  no_retry.max_attempts = 1;
+  const ScanSnapshot graded =
+      run_sweep(deployer, identity, 4, 2, FaultProfile::hostile(), mix, no_retry);
+  std::set<ProbeOutcome> broker_grades;
+  for (const auto& host : graded.hosts) {
+    if (host.protocol == ProtocolId::mqtt_tls) broker_grades.insert(host.completeness);
+  }
+  EXPECT_TRUE(broker_grades.contains(ProbeOutcome::degraded));   // gave up at CONNECT
+  EXPECT_TRUE(broker_grades.contains(ProbeOutcome::truncated));  // gave up at the $SYS read
+  expect_golden_grabs(graded, "grab.mixed_hostile_no_retry.txt");
+
+  expect_golden_grabs(run_sweep(deployer, identity, 4, 2, FaultProfile{}, mix),
+                      "grab.mixed_clean.txt");
 }
 
 // ------------------------------------------------- quality persistence ----

@@ -1,7 +1,8 @@
 // Protocol-plugin scan layer tests:
-//  - the ProtocolProbe registry and the scheme-aware endpoint parser,
-//  - OPC UA routed through the registry is byte-identical to the legacy
-//    single-protocol engine (including across scan-thread counts),
+//  - protocol names, the make_probe_task factory and the scheme-aware
+//    endpoint parser,
+//  - an empty protocol list and the explicit one-entry OPC UA list scan
+//    byte-identically,
 //  - mixed OPC UA + MQTT fleets scan deterministically across in-flight
 //    windows and shard layouts, and shared device certificates come out
 //    byte-identical across the two services,
@@ -18,7 +19,6 @@
 #include "diff/diff.hpp"
 #include "population/deploy.hpp"
 #include "scanner/campaign.hpp"
-#include "scanner/host_task.hpp"
 #include "scanner/protocol.hpp"
 #include "scanner/snapshot_io.hpp"
 #include "series/series.hpp"
@@ -34,26 +34,21 @@ Bytes read_file_bytes(const std::string& path) {
   return Bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
 }
 
-// ----------------------------------------------------------- the registry
+// ------------------------------------------------ names and the factory
 
 TEST(ProtocolRegistry, BuiltinBackendsInIdOrder) {
-  const auto& registry = protocol_registry();
-  ASSERT_EQ(registry.size(), static_cast<std::size_t>(kProtocolCount));
-  EXPECT_EQ(registry[0]->id(), ProtocolId::opcua);
-  EXPECT_EQ(registry[0]->name(), "opcua");
-  EXPECT_EQ(registry[0]->default_port(), kOpcUaDefaultPort);
-  EXPECT_EQ(registry[1]->id(), ProtocolId::mqtt_tls);
-  EXPECT_EQ(registry[1]->name(), "mqtt-tls");
-  EXPECT_EQ(registry[1]->default_port(), kMqttTlsDefaultPort);
-
-  EXPECT_EQ(&protocol_probe(ProtocolId::opcua), registry[0]);
-  EXPECT_EQ(&protocol_probe(ProtocolId::mqtt_tls), registry[1]);
-  EXPECT_EQ(find_protocol_probe("mqtt-tls"), registry[1]);
-  EXPECT_EQ(find_protocol_probe("opcua"), registry[0]);
-  EXPECT_EQ(find_protocol_probe("modbus"), nullptr);
-  EXPECT_THROW(protocol_probe(static_cast<ProtocolId>(200)), std::invalid_argument);
+  EXPECT_EQ(kProtocolCount, 2);
+  EXPECT_EQ(protocol_name(ProtocolId::opcua), "opcua");
   EXPECT_EQ(protocol_name(ProtocolId::mqtt_tls), "mqtt-tls");
   EXPECT_EQ(protocol_name(static_cast<ProtocolId>(7)), "protocol-7");
+
+  Network net;
+  const GrabberConfig config;
+  for (const ProtocolId id : {ProtocolId::opcua, ProtocolId::mqtt_tls}) {
+    EXPECT_NE(make_probe_task(id, config, net, 1, 1, make_ipv4(10, 1, 2, 3), 4840), nullptr);
+  }
+  EXPECT_THROW(make_probe_task(static_cast<ProtocolId>(200), config, net, 1, 1, 0, 4840),
+               std::invalid_argument);
 }
 
 TEST(ProtocolRegistry, SchemeAwareEndpointParser) {
@@ -147,12 +142,12 @@ ScanSnapshot run_mixed_campaign(const PopulationPlan& plan, std::size_t max_in_f
   return campaign.run(week);
 }
 
-// ------------------------------------- OPC UA through the registry: bytes
+// ------------------------------- OPC UA, empty vs explicit list: bytes
 
 TEST(ProtocolPlugin, OpcUaThroughRegistryIsByteIdentical) {
-  // The same campaign routed (a) through the legacy single-protocol
-  // default and (b) through an explicit one-entry registry mix must
-  // produce identical snapshots — and identical snapshot files.
+  // The same campaign run (a) with an empty protocol list and (b) with
+  // the explicit one-entry OPC UA list must produce identical snapshots —
+  // and identical snapshot files.
   PopulationPlan plan = mixed_plan();
   plan.mqtt_hosts.clear();  // OPC UA only, both ways
 

@@ -11,6 +11,8 @@
 //    timelines across every member, at a mean link confidence >= 0.9,
 //  - campaign-chain validation and SnapshotError on short sets, empty
 //    members, and a truncated middle member,
+//  - posture sketch sidecars with out-of-range fields under a valid
+//    checksum fail with SnapshotError naming the field,
 //  - the early-prefix-merge aggregation stays thread-count-invariant.
 #include <gtest/gtest.h>
 
@@ -587,6 +589,74 @@ TEST(AnalysisEarlyMerge, PrefixMergedAggregationStaysThreadInvariant) {
   const StudyAnalysis a = analyze_source(source, serial);
   const StudyAnalysis b = analyze_source(source, parallel);
   EXPECT_TRUE(a.figures_equal(b));
+}
+
+// The sidecar checksum is no MAC: write_posture_sketch checksums whatever
+// it is given, so out-of-range fields arrive with a valid checksum. The
+// reader must reject them before a bucket indexes a transition table.
+TEST(PostureSketch, OutOfRangeFieldsFailNamingTheField) {
+  const std::string sidecar = "/tmp/opcua_test_sketch_range.bin.sketch";
+  std::vector<HostPosture> postures(3);
+  for (std::size_t i = 0; i < postures.size(); ++i) {
+    postures[i].ip = make_ipv4(10, 9, 0, static_cast<std::uint8_t>(i + 1));
+    postures[i].port = kOpcUaDefaultPort;
+    postures[i].mode_bucket = 2;
+    postures[i].policy_bucket = 2;
+    postures[i].supports_deprecated = postures[i].anonymous = postures[i].deficient = true;
+  }
+  postures[2].protocol = ProtocolId::mqtt_tls;
+  write_posture_sketch(sidecar, 77, postures);
+  const auto in_range = read_posture_sketch(sidecar, "snap.bin", 77, postures.size());
+  ASSERT_TRUE(in_range.has_value());
+  EXPECT_EQ(*in_range, postures);
+
+  struct Case {
+    const char* field;
+    unsigned value;
+    void (*plant)(HostPosture&);
+  };
+  const Case cases[] = {
+      {"mode_bucket", 200, [](HostPosture& p) { p.mode_bucket = 200; }},
+      {"mode_bucket", 3, [](HostPosture& p) { p.mode_bucket = 3; }},
+      {"policy_bucket", 9, [](HostPosture& p) { p.policy_bucket = 9; }},
+      {"protocol", 77, [](HostPosture& p) { p.protocol = static_cast<ProtocolId>(77); }},
+      {"protocol", kProtocolCount, [](HostPosture& p) { p.protocol = static_cast<ProtocolId>(kProtocolCount); }},
+  };
+  for (const Case& c : cases) {
+    std::vector<HostPosture> bad = postures;
+    c.plant(bad[1]);
+    write_posture_sketch(sidecar, 77, bad);
+    try {
+      read_posture_sketch(sidecar, "snap.bin", 77, bad.size());
+      ADD_FAILURE() << c.field << " " << c.value << " was accepted";
+    } catch (const SnapshotError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(sidecar), std::string::npos) << what;
+      EXPECT_NE(what.find("posture 1 "), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string(c.field) + " " + std::to_string(c.value)),
+                std::string::npos)
+          << what;
+    }
+  }
+
+  // Flag bits above the three the writer sets: patch the flags byte of
+  // posture 0 (header 24 bytes, then ip 4 + port 2 + protocol 1) and
+  // re-stamp the payload checksum the way the writer computes it.
+  write_posture_sketch(sidecar, 77, postures);
+  std::ifstream in(sidecar, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  in.close();
+  bytes[24 + 4 + 2 + 1] = static_cast<char>(0x08);
+  const std::uint64_t sum = hash64(std::string_view(bytes).substr(24, bytes.size() - 24 - 8));
+  for (int i = 0; i < 8; ++i) bytes[bytes.size() - 8 + i] = static_cast<char>(sum >> (8 * i));
+  std::ofstream(sidecar, std::ios::binary | std::ios::trunc) << bytes;
+  try {
+    read_posture_sketch(sidecar, "snap.bin", 77, postures.size());
+    ADD_FAILURE() << "flags 8 was accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("posture 0 has flags 8"), std::string::npos) << e.what();
+  }
+  std::remove(sidecar.c_str());
 }
 
 }  // namespace
