@@ -10,10 +10,14 @@
 //  - batchgcd: shared-prime sweep time vs. modulus count (product +
 //              remainder trees on 512-bit moduli), checked for clearly
 //              sub-quadratic growth — the property that makes a 100k-host
-//              corpus feasible where pairwise GCD is O(n²).
-// The outputs of all three are pinned bit for bit by
-// RsaKeygen.GoldenKeysMatchRecordedDigests (tests/test_rsa.cpp); this
-// binary only times them. Results are emitted to BENCH_crypto.json, which
+//              corpus feasible where pairwise GCD is O(n²),
+//  - sha1/sha256: one-shot digests of 1 KiB messages, about the size of a
+//              certificate DER, so the SHA-1 rate is the thumbprint rate
+//              of the snapshot write, open and analysis paths.
+// The outputs of the first three are pinned bit for bit by
+// RsaKeygen.GoldenKeysMatchRecordedDigests (tests/test_rsa.cpp), the
+// digests by the known answers in tests/test_hash.cpp; this binary only
+// times them. Results are emitted to BENCH_crypto.json, which
 // CI checks against bench/baselines/crypto.json.
 //
 //   ./build/crypto_throughput [--quick] [--json PATH] [max_moduli]
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "crypto/batch_gcd.hpp"
+#include "crypto/hash.hpp"
 #include "crypto/rsa.hpp"
 #include "obs/log.hpp"
 #include "report/json.hpp"
@@ -39,6 +44,9 @@ using namespace opcua_study;
 namespace {
 
 constexpr std::uint64_t kSeed = 20200209;
+
+/// Written with the folded digest bytes so the timed hashing stays observable.
+volatile std::uint8_t g_hash_sink = 0;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -122,12 +130,31 @@ int main(int argc, char** argv) {
       std::log(seconds.back() / std::max(seconds.front(), 1e-12)) /
       std::log(static_cast<double>(counts.back()) / static_cast<double>(counts.front()));
 
+  // ---- hashing: one-shot digests of 1 KiB messages ----------------------
+  Rng hash_rng(kSeed ^ 0x6873);  // "hs"
+  const Bytes message = hash_rng.bytes(1024);
+  const int hash_messages = quick ? 32768 : 131072;
+  const auto megabytes_per_sec = [&](HashAlgorithm alg) {
+    obs::logf(obs::LogLevel::info, "[bench] %s: %d x 1 KiB...", hash_name(alg).c_str(),
+              hash_messages);
+    std::uint8_t sink = 0;
+    const auto hash_start = std::chrono::steady_clock::now();
+    for (int i = 0; i < hash_messages; ++i) sink ^= hash(alg, message)[0];
+    const double s = seconds_since(hash_start);
+    g_hash_sink = sink;
+    return static_cast<double>(hash_messages) * static_cast<double>(message.size()) / 1e6 / s;
+  };
+  const double sha1_mbps = megabytes_per_sec(HashAlgorithm::sha1);
+  const double sha256_mbps = megabytes_per_sec(HashAlgorithm::sha256);
+
   // ---- report -----------------------------------------------------------
   std::puts("Crypto throughput (64-bit limb core)\n");
   TextTable table;
   table.set_header({"primitive", "rate"});
   table.add_row({"2048-bit keygen", fmt_double(1.0 / keygen_s, 2) + " keys/s"});
   table.add_row({"2048-bit modexp", fmt_double(1.0 / modexp_s, 1) + " ops/s"});
+  table.add_row({"SHA-1, 1 KiB messages", fmt_double(sha1_mbps, 1) + " MB/s"});
+  table.add_row({"SHA-256, 1 KiB messages", fmt_double(sha256_mbps, 1) + " MB/s"});
   std::fputs(table.str().c_str(), stdout);
 
   std::puts("\nBatch-GCD scaling (512-bit moduli)");
@@ -156,6 +183,16 @@ int main(int argc, char** argv) {
       .begin_object()
       .field("reps", modexp_reps)
       .field("ops_per_sec", 1.0 / modexp_s)
+      .end_object()
+      .key("sha1_1k")
+      .begin_object()
+      .field("messages", hash_messages)
+      .field("mb_per_sec", sha1_mbps)
+      .end_object()
+      .key("sha256_1k")
+      .begin_object()
+      .field("messages", hash_messages)
+      .field("mb_per_sec", sha256_mbps)
       .end_object()
       .key("batch_gcd")
       .begin_object()

@@ -33,7 +33,7 @@ void merge_count_map(std::map<K, V>& into, const std::map<K, V>& from) {
 // Everything the figure passes derive from a certificate, computed once
 // per dictionary entry instead of once per host occurrence. On a fleet
 // where thousands of hosts share a handful of certificates this removes
-// all repeated SHA-1 thumbprints and DER parses.
+// all repeated DER parses; the thumbprint is the dictionary's own SHA-1.
 struct FigureCert : CertStrength {
   std::string fp_hex;
   bool self_signed = false;
@@ -43,12 +43,13 @@ struct FigureCert : CertStrength {
   Bignum modulus;
 };
 
-CertFactTable<FigureCert> figure_cert_table(const RecordSource& source, bool with_moduli) {
-  return {source, [with_moduli](std::span<const std::uint8_t> der, std::uint64_t) {
+CertFactTable<FigureCert> figure_cert_table(const RecordSource& source, const ThreadPool& pool,
+                                            bool with_moduli) {
+  return {source, pool, [with_moduli](const CertDictionary& dict, std::uint32_t id) {
             FigureCert entry;
-            entry.fp_hex = to_hex(x509_thumbprint(der));
+            entry.fp_hex = to_hex(dict.cert_sha1(id));
             try {
-              const Certificate cert = x509_parse(der);
+              const Certificate cert = x509_parse(dict.cert_der(id));
               entry.parsed = true;
               entry.hash = cert.signature_hash;
               entry.key_bits = cert.key_bits();
@@ -591,7 +592,8 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
   }
 
   ThreadPool pool(options.threads);
-  const CertFactTable<FigureCert> cert_table = figure_cert_table(source, options.shared_primes);
+  const CertFactTable<FigureCert> cert_table =
+      figure_cert_table(source, pool, options.shared_primes);
 
   // ---- pass 1: certificate census of the final measurement --------------
   // Early prefix merge: completed chunk partials are folded into the

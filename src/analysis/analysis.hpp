@@ -26,6 +26,7 @@
 
 #include "analysis/figures.hpp"
 #include "scanner/snapshot_io.hpp"
+#include "util/thread_pool.hpp"
 
 namespace opcua_study {
 
@@ -146,34 +147,33 @@ class RecordSource {
 
 /// Per-certificate facts by dictionary id, for the dictionaries a column
 /// visit hands out: a source's shared dictionary is digested once up
-/// front, a chunk-scoped one on every visit.
+/// front on the caller's pool (each entry into its own slot, so the table
+/// is the same for any thread count), a chunk-scoped one serially on
+/// every visit.
 template <typename Facts>
 class CertFactTable {
  public:
-  using Digest = std::function<Facts(std::span<const std::uint8_t> der, std::uint64_t fp64)>;
+  using Digest = std::function<Facts(const CertDictionary& dict, std::uint32_t cert_id)>;
 
-  CertFactTable(const RecordSource& source, Digest digest)
+  CertFactTable(const RecordSource& source, const ThreadPool& pool, Digest digest)
       : shared_(source.shared_dictionary()), digest_(std::move(digest)) {
-    if (shared_ != nullptr) shared_facts_ = build(*shared_);
+    if (shared_ == nullptr) return;
+    shared_facts_.resize(shared_->cert_count());
+    pool.parallel_for(shared_facts_.size(), [&](std::size_t id) {
+      shared_facts_[id] = digest_(*shared_, static_cast<std::uint32_t>(id));
+    });
   }
 
   /// Facts of `dict`; `scratch` holds them when `dict` is chunk-scoped.
   const std::vector<Facts>& of(const CertDictionary& dict, std::vector<Facts>& scratch) const {
     if (&dict == shared_) return shared_facts_;
-    scratch = build(dict);
+    scratch.clear();
+    scratch.reserve(dict.cert_count());
+    for (std::uint32_t id = 0; id < dict.cert_count(); ++id) scratch.push_back(digest_(dict, id));
     return scratch;
   }
 
  private:
-  std::vector<Facts> build(const CertDictionary& dict) const {
-    std::vector<Facts> facts;
-    facts.reserve(dict.cert_count());
-    for (std::uint32_t id = 0; id < dict.cert_count(); ++id) {
-      facts.push_back(digest_(dict.cert_der(id), dict.cert_fp64(id)));
-    }
-    return facts;
-  }
-
   const CertDictionary* shared_;
   Digest digest_;
   std::vector<Facts> shared_facts_;

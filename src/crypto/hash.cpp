@@ -1,5 +1,6 @@
 #include "crypto/hash.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -23,6 +24,67 @@ std::string hash_name(HashAlgorithm alg) {
   }
   return "?";
 }
+
+// ------------------------------------------------------- block buffer ----
+
+template <typename Compress>
+void HashBlocks::feed(std::span<const std::uint8_t> data, Compress compress) {
+  if (data.empty()) return;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  total_ += n;
+  if (len_ > 0) {
+    const std::size_t take = std::min(n, kBlockSize - len_);
+    std::memcpy(buf_ + len_, p, take);
+    len_ += take;
+    p += take;
+    n -= take;
+    if (len_ < kBlockSize) return;
+    compress(buf_);
+    len_ = 0;
+  }
+  for (; n >= kBlockSize; p += kBlockSize, n -= kBlockSize) compress(p);
+  if (n > 0) std::memcpy(buf_, p, n);
+  len_ = n;
+}
+
+template <typename Compress>
+void HashBlocks::pad(bool big_endian_length, Compress compress) {
+  const std::uint64_t bit_len = total_ * 8;
+  buf_[len_++] = 0x80;
+  if (len_ > kBlockSize - 8) {
+    std::memset(buf_ + len_, 0, kBlockSize - len_);
+    compress(buf_);
+    len_ = 0;
+  }
+  std::memset(buf_ + len_, 0, kBlockSize - 8 - len_);
+  for (int i = 0; i < 8; ++i) {
+    const int shift = big_endian_length ? 8 * (7 - i) : 8 * i;
+    buf_[kBlockSize - 8 + i] = static_cast<std::uint8_t>(bit_len >> shift);
+  }
+  compress(buf_);
+  len_ = 0;
+}
+
+namespace {
+
+std::uint32_t load_be32(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(p[0]) << 24) | (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) | static_cast<std::uint32_t>(p[3]);
+}
+
+template <std::size_t N>
+std::array<std::uint8_t, 4 * N> store_be32(const std::uint32_t (&h)[N]) {
+  std::array<std::uint8_t, 4 * N> out{};
+  for (std::size_t i = 0; i < N; ++i) {
+    for (std::size_t b = 0; b < 4; ++b) {
+      out[i * 4 + b] = static_cast<std::uint8_t>(h[i] >> (8 * (3 - b)));
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------- MD5 ----
 
@@ -87,25 +149,12 @@ void Md5::process_block(const std::uint8_t* block) {
 }
 
 void Md5::update(std::span<const std::uint8_t> data) {
-  total_ += data.size();
-  for (std::uint8_t byte : data) {
-    buf_[buf_len_++] = byte;
-    if (buf_len_ == 64) {
-      process_block(buf_);
-      buf_len_ = 0;
-    }
-  }
+  blocks_.feed(data, [this](const std::uint8_t* block) { process_block(block); });
 }
 
 std::array<std::uint8_t, Md5::kDigestSize> Md5::digest() {
-  const std::uint64_t bit_len = total_ * 8;
-  std::uint8_t pad[72] = {0x80};
-  std::size_t pad_len = (buf_len_ < 56) ? 56 - buf_len_ : 120 - buf_len_;
-  update({pad, pad_len});
-  std::uint8_t len_le[8];
-  for (int i = 0; i < 8; ++i) len_le[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-  // update() counts the length bytes too, but total_ is no longer used.
-  update({len_le, 8});
+  blocks_.pad(/*big_endian_length=*/false,
+              [this](const std::uint8_t* block) { process_block(block); });
   std::array<std::uint8_t, kDigestSize> out{};
   for (int i = 0; i < 4; ++i) {
     for (int b = 0; b < 4; ++b) out[static_cast<std::size_t>(i * 4 + b)] = static_cast<std::uint8_t>(h_[i] >> (8 * b));
@@ -123,38 +172,83 @@ Sha1::Sha1() {
   h_[4] = 0xc3d2e1f0;
 }
 
+namespace {
+
+// SHA-1 round functions, each with its round constant. Ch and Maj are
+// written in their two-operation forms.
+struct Sha1Choose {
+  static constexpr std::uint32_t k = 0x5a827999;
+  static std::uint32_t f(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+    return d ^ (b & (c ^ d));
+  }
+};
+template <std::uint32_t K>
+struct Sha1Parity {
+  static constexpr std::uint32_t k = K;
+  static std::uint32_t f(std::uint32_t b, std::uint32_t c, std::uint32_t d) { return b ^ c ^ d; }
+};
+struct Sha1Majority {
+  static constexpr std::uint32_t k = 0x8f1bbcdc;
+  static std::uint32_t f(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+    return (b & c) | (d & (b | c));
+  }
+};
+
+/// Schedule word T from the 16-word ring: W[0..15] as loaded, later words
+/// overwrite W[T mod 16] in place.
+template <int T>
+std::uint32_t sha1_word(std::uint32_t (&w)[16]) {
+  if constexpr (T < 16) {
+    return w[T];
+  } else {
+    const std::uint32_t x =
+        std::rotl(w[(T + 13) & 15] ^ w[(T + 8) & 15] ^ w[(T + 2) & 15] ^ w[T & 15], 1);
+    w[T & 15] = x;
+    return x;
+  }
+}
+
+/// One round with the roles of the five working variables passed in, so
+/// nothing is moved: the new `a` lands in `e` and `b` is rotated in place.
+template <typename Round>
+void sha1_round(std::uint32_t a, std::uint32_t& b, std::uint32_t c, std::uint32_t d,
+                std::uint32_t& e, std::uint32_t w) {
+  e += std::rotl(a, 5) + Round::f(b, c, d) + Round::k + w;
+  b = std::rotl(b, 30);
+}
+
+/// Rounds T..T+4. Five role rotations bring the variables back to
+/// (a, b, c, d, e), so groups chain without shuffling.
+template <typename Round, int T>
+void sha1_group(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c, std::uint32_t& d,
+                std::uint32_t& e, std::uint32_t (&w)[16]) {
+  sha1_round<Round>(a, b, c, d, e, sha1_word<T>(w));
+  sha1_round<Round>(e, a, b, c, d, sha1_word<T + 1>(w));
+  sha1_round<Round>(d, e, a, b, c, sha1_word<T + 2>(w));
+  sha1_round<Round>(c, d, e, a, b, sha1_word<T + 3>(w));
+  sha1_round<Round>(b, c, d, e, a, sha1_word<T + 4>(w));
+}
+
+/// Rounds T..T+19, which share one round function.
+template <typename Round, int T>
+void sha1_stage(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c, std::uint32_t& d,
+                std::uint32_t& e, std::uint32_t (&w)[16]) {
+  sha1_group<Round, T>(a, b, c, d, e, w);
+  sha1_group<Round, T + 5>(a, b, c, d, e, w);
+  sha1_group<Round, T + 10>(a, b, c, d, e, w);
+  sha1_group<Round, T + 15>(a, b, c, d, e, w);
+}
+
+}  // namespace
+
 void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-           (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 80; ++i) w[i] = std::rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
+  std::uint32_t w[16];
+  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
   std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5a827999;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ed9eba1;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8f1bbcdc;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xca62c1d6;
-    }
-    const std::uint32_t tmp = std::rotl(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = std::rotl(b, 30);
-    b = a;
-    a = tmp;
-  }
+  sha1_stage<Sha1Choose, 0>(a, b, c, d, e, w);
+  sha1_stage<Sha1Parity<0x6ed9eba1>, 20>(a, b, c, d, e, w);
+  sha1_stage<Sha1Majority, 40>(a, b, c, d, e, w);
+  sha1_stage<Sha1Parity<0xca62c1d6>, 60>(a, b, c, d, e, w);
   h_[0] += a;
   h_[1] += b;
   h_[2] += c;
@@ -163,31 +257,13 @@ void Sha1::process_block(const std::uint8_t* block) {
 }
 
 void Sha1::update(std::span<const std::uint8_t> data) {
-  total_ += data.size();
-  for (std::uint8_t byte : data) {
-    buf_[buf_len_++] = byte;
-    if (buf_len_ == 64) {
-      process_block(buf_);
-      buf_len_ = 0;
-    }
-  }
+  blocks_.feed(data, [this](const std::uint8_t* block) { process_block(block); });
 }
 
 std::array<std::uint8_t, Sha1::kDigestSize> Sha1::digest() {
-  const std::uint64_t bit_len = total_ * 8;
-  std::uint8_t pad[72] = {0x80};
-  std::size_t pad_len = (buf_len_ < 56) ? 56 - buf_len_ : 120 - buf_len_;
-  update({pad, pad_len});
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  update({len_be, 8});
-  std::array<std::uint8_t, kDigestSize> out{};
-  for (int i = 0; i < 5; ++i) {
-    for (int b = 0; b < 4; ++b) {
-      out[static_cast<std::size_t>(i * 4 + b)] = static_cast<std::uint8_t>(h_[i] >> (8 * (3 - b)));
-    }
-  }
-  return out;
+  blocks_.pad(/*big_endian_length=*/true,
+              [this](const std::uint8_t* block) { process_block(block); });
+  return store_be32(h_);
 }
 
 // ------------------------------------------------------------- SHA-256 ----
@@ -217,12 +293,7 @@ Sha256::Sha256() {
 
 void Sha256::process_block(const std::uint8_t* block) {
   std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-           (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
+  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
   for (int i = 16; i < 64; ++i) {
     const std::uint32_t s0 = std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
     const std::uint32_t s1 = std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
@@ -257,31 +328,13 @@ void Sha256::process_block(const std::uint8_t* block) {
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
-  total_ += data.size();
-  for (std::uint8_t byte : data) {
-    buf_[buf_len_++] = byte;
-    if (buf_len_ == 64) {
-      process_block(buf_);
-      buf_len_ = 0;
-    }
-  }
+  blocks_.feed(data, [this](const std::uint8_t* block) { process_block(block); });
 }
 
 std::array<std::uint8_t, Sha256::kDigestSize> Sha256::digest() {
-  const std::uint64_t bit_len = total_ * 8;
-  std::uint8_t pad[72] = {0x80};
-  std::size_t pad_len = (buf_len_ < 56) ? 56 - buf_len_ : 120 - buf_len_;
-  update({pad, pad_len});
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  update({len_be, 8});
-  std::array<std::uint8_t, kDigestSize> out{};
-  for (int i = 0; i < 8; ++i) {
-    for (int b = 0; b < 4; ++b) {
-      out[static_cast<std::size_t>(i * 4 + b)] = static_cast<std::uint8_t>(h_[i] >> (8 * (3 - b)));
-    }
-  }
-  return out;
+  blocks_.pad(/*big_endian_length=*/true,
+              [this](const std::uint8_t* block) { process_block(block); });
+  return store_be32(h_);
 }
 
 // ------------------------------------------------------------ one-shot ----

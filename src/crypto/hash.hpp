@@ -21,6 +21,27 @@ enum class HashAlgorithm { md5, sha1, sha256 };
 std::size_t digest_size(HashAlgorithm alg);
 std::string hash_name(HashAlgorithm alg);
 
+/// The 64-byte block buffer the three hashes share: update() hands whole
+/// blocks straight from the input span to the compression function and
+/// copies only a partial block's bytes.
+class HashBlocks {
+ public:
+  static constexpr std::size_t kBlockSize = 64;
+
+  /// compress(block) for every complete 64-byte block of the stream so far.
+  template <typename Compress>
+  void feed(std::span<const std::uint8_t> data, Compress compress);
+  /// Merkle-Damgard padding: 0x80, zeros, then the message length in bits
+  /// as 64 bits, big- or little-endian.
+  template <typename Compress>
+  void pad(bool big_endian_length, Compress compress);
+
+ private:
+  std::uint8_t buf_[kBlockSize];
+  std::size_t len_ = 0;
+  std::uint64_t total_ = 0;
+};
+
 class Md5 {
  public:
   static constexpr std::size_t kDigestSize = 16;
@@ -31,9 +52,7 @@ class Md5 {
  private:
   void process_block(const std::uint8_t* block);
   std::uint32_t h_[4];
-  std::uint64_t total_ = 0;
-  std::uint8_t buf_[64];
-  std::size_t buf_len_ = 0;
+  HashBlocks blocks_;
 };
 
 class Sha1 {
@@ -46,9 +65,7 @@ class Sha1 {
  private:
   void process_block(const std::uint8_t* block);
   std::uint32_t h_[5];
-  std::uint64_t total_ = 0;
-  std::uint8_t buf_[64];
-  std::size_t buf_len_ = 0;
+  HashBlocks blocks_;
 };
 
 class Sha256 {
@@ -61,10 +78,11 @@ class Sha256 {
  private:
   void process_block(const std::uint8_t* block);
   std::uint32_t h_[8];
-  std::uint64_t total_ = 0;
-  std::uint8_t buf_[64];
-  std::size_t buf_len_ = 0;
+  HashBlocks blocks_;
 };
+
+/// A SHA-1 digest held by value (certificate dictionaries keep one per entry).
+using Sha1Digest = std::array<std::uint8_t, Sha1::kDigestSize>;
 
 /// One-shot convenience.
 Bytes hash(HashAlgorithm alg, std::span<const std::uint8_t> data);

@@ -233,13 +233,20 @@ Bytes x509_thumbprint(std::span<const std::uint8_t> der_bytes) {
   return hash(HashAlgorithm::sha1, der_bytes);
 }
 
-std::uint64_t certificate_fingerprint64(std::span<const std::uint8_t> der_bytes) {
-  const Bytes thumb = x509_thumbprint(der_bytes);
+Sha1Digest certificate_sha1(std::span<const std::uint8_t> der_bytes) {
+  Sha1 h;
+  h.update(der_bytes);
+  return h.digest();
+}
+
+std::uint64_t fingerprint64(const Sha1Digest& thumbprint) {
   std::uint64_t fp = 0;
-  for (std::size_t i = 0; i < 8 && i < thumb.size(); ++i) {
-    fp = (fp << 8) | thumb[i];
-  }
+  for (std::size_t i = 0; i < 8; ++i) fp = (fp << 8) | thumbprint[i];
   return fp;
+}
+
+std::uint64_t certificate_fingerprint64(std::span<const std::uint8_t> der_bytes) {
+  return fingerprint64(certificate_sha1(der_bytes));
 }
 
 }  // namespace opcua_study

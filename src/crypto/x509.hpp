@@ -67,11 +67,14 @@ bool x509_verify(const Certificate& cert, const RsaPublicKey& issuer_key);
 
 /// OPC UA certificate thumbprint: SHA-1 over the DER encoding.
 Bytes x509_thumbprint(std::span<const std::uint8_t> der_bytes);
+/// The same thumbprint by value, without a heap buffer.
+Sha1Digest certificate_sha1(std::span<const std::uint8_t> der_bytes);
 
 /// 64-bit certificate fingerprint: the first 8 thumbprint bytes folded
 /// big-endian. Collision-free in practice at study scale; the key of the
 /// v6 certificate dictionary, whose stored fp64s are what posture
 /// matching compares.
+std::uint64_t fingerprint64(const Sha1Digest& thumbprint);
 std::uint64_t certificate_fingerprint64(std::span<const std::uint8_t> der_bytes);
 
 }  // namespace opcua_study

@@ -5,6 +5,7 @@
 #include "crypto/x509.hpp"
 #include "util/date.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace opcua_study {
 
@@ -28,7 +29,9 @@ bool offers_token(const EndpointObservation& ep, UserTokenType token) {
 FollowupModel::FollowupModel(FollowupConfig config) : config_(std::move(config)) {
   // Mint the renewal/new-deployment certificate fleet up front: a small
   // key pool crossed with per-cert serials gives mint_fleet distinct
-  // fingerprints for the price of mint_keys RSA generations.
+  // fingerprints for the price of mint_keys RSA generations. Each key is
+  // fetched once; the signatures run on a pool, certificate i into slot
+  // i, so the fleet is the same for any thread count.
   KeyFactory keys(config_.seed, config_.key_cache_path);
   const std::size_t key_count = std::max<std::size_t>(1, config_.mint_keys);
   const std::size_t fleet_size = std::max<std::size_t>(1, config_.mint_fleet);
@@ -37,9 +40,13 @@ FollowupModel::FollowupModel(FollowupConfig config) : config_(std::move(config))
     wants.emplace_back("followup-mint-" + std::to_string(k), config_.mint_key_bits);
   }
   keys.prefetch(wants);
-  fleet_.reserve(fleet_size);
-  for (std::size_t i = 0; i < fleet_size; ++i) {
-    const RsaKeyPair kp = keys.get(wants[i % key_count].first, config_.mint_key_bits);
+  std::vector<RsaKeyPair> pairs;
+  pairs.reserve(key_count);
+  for (const auto& [label, bits] : wants) pairs.push_back(keys.get(label, bits));
+  fleet_.resize(fleet_size);
+  const ThreadPool pool;
+  pool.parallel_for(fleet_size, [&](std::size_t i) {
+    const RsaKeyPair& kp = pairs[i % key_count];
     CertificateSpec spec;
     spec.subject = {"followup device " + std::to_string(i), "Followup Manufacturing", "DE"};
     // A sliver of the fleet still mints SHA-1 — the follow-up studies kept
@@ -49,8 +56,8 @@ FollowupModel::FollowupModel(FollowupConfig config) : config_(std::move(config))
     spec.not_before_days = days_from_civil({2021, 6, 1}) + static_cast<std::int64_t>(i % 365);
     spec.not_after_days = spec.not_before_days + 3650;
     spec.application_uri = "urn:followup:cert:" + std::to_string(i);
-    fleet_.push_back(x509_create(spec, kp.pub, kp.priv));
-  }
+    fleet_[i] = x509_create(spec, kp.pub, kp.priv);
+  });
 }
 
 const Bytes& FollowupModel::minted_cert(std::uint64_t slot) const {

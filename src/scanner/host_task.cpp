@@ -29,8 +29,12 @@ void HostGrabTask::drop_connection() {
 bool HostGrabTask::budget_exhausted() const {
   const double elapsed_s =
       static_cast<double>(elapsed_us_ + consumed_us_ - assess_start_us_) / 1e6;
+  // Bytes banked by connections a fault dropped count as well as the live
+  // one's, so a reconnect cannot restart the cap.
+  const std::uint64_t bytes_sent = record_.bytes_sent - assess_start_bytes_ +
+                                   (conn_ != nullptr ? conn_->bytes_sent() : 0);
   return elapsed_s > static_cast<double>(config_.budget.max_host_seconds) ||
-         (conn_ != nullptr && conn_->bytes_sent() > config_.budget.max_host_bytes);
+         bytes_sent > config_.budget.max_host_bytes;
 }
 
 const EndpointObservation* HostGrabTask::strongest_endpoint() const {
@@ -198,6 +202,7 @@ HostGrabTask::Step HostGrabTask::step_discovery() {
 HostGrabTask::Step HostGrabTask::step_secure_probe() {
   const EndpointObservation* best = strongest_endpoint();
   assess_start_us_ = elapsed_us_;
+  assess_start_bytes_ = record_.bytes_sent;
 
   switch (dial()) {
     case Dial::faulted: return retry_or_give_up(Phase::SecureProbe, /*drop=*/false);

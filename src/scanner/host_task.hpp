@@ -81,7 +81,8 @@ class HostGrabTask : public ProbeTask {
   const std::string url_;
 
   Phase phase_ = Phase::Discovery;
-  std::uint64_t assess_start_us_ = 0;  // elapsed_us_ when SecureProbe began
+  std::uint64_t assess_start_us_ = 0;     // elapsed_us_ when SecureProbe began
+  std::uint64_t assess_start_bytes_ = 0;  // record_.bytes_sent then
   Phase resume_phase_ = Phase::Discovery;  // where Reconnect returns to
   std::uint32_t reconnects_ = 0;           // feeds the re-probe RNG stream label
 

@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "opcua/encoding.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define OPCUA_STUDY_HAVE_MMAP 1
@@ -69,6 +70,31 @@ std::string protocol_context(std::uint32_t version, std::uint32_t mask) {
   if (version != kVersionV6) return "pre-protocol " + version_tag(version);
   return "protocols=" + (mask == 0 ? std::string("opcua") : protocol_set_name(mask));
 }
+
+/// ColumnEncoder's index key: a word-at-a-time multiply-xorshift mix of
+/// the DER. Only a bucket key (equal keys still compare bytes) that never
+/// leaves the process, so native byte order is fine.
+std::uint64_t content_key(std::span<const std::uint8_t> der) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t h = der.size() * kMul;
+  const std::uint8_t* p = der.data();
+  std::size_t n = der.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    h = (h ^ word) * kMul;
+    h ^= h >> 32;
+  }
+  std::uint64_t tail = 0;
+  if (n > 0) std::memcpy(&tail, p, n);
+  h = (h ^ tail) * kMul;
+  return h ^ (h >> 29);
+}
+
+/// Dictionary entries per work unit of the open-time fingerprint check:
+/// one SHA-1 of a ~1 KiB DER is a few microseconds, so single entries
+/// would mostly measure the pool, and a small dictionary stays inline.
+constexpr std::size_t kDigestBlock = 64;
 
 /// v6 chunk payloads are padded so every chunk header lands on an 8-byte
 /// boundary (the header itself is 24 bytes, the file header 16): typed
@@ -584,30 +610,47 @@ ColumnView::Quality ColumnView::quality(std::size_t i) const {
 
 // ------------------------------------------------------ column encoder ----
 
+std::uint64_t CertDictionary::cert_fp64(std::uint32_t cert_id) const {
+  return fingerprint64(cert_sha1(cert_id));
+}
+
 std::uint32_t ColumnEncoder::intern(const Bytes& der) {
-  const std::uint64_t fp = certificate_fingerprint64(der);
-  std::vector<std::uint32_t>& ids = index_[fp];
-  for (const std::uint32_t id : ids) {
+  const auto slot = index_.try_emplace(content_key(der), kNoCertId).first;
+  std::uint32_t last = kNoCertId;
+  for (std::uint32_t id = slot->second; id != kNoCertId; id = same_key_[id]) {
     if (ders_[id] == der) return id;
+    last = id;
   }
   if (ders_.size() >= kNoCertId) throw SnapshotError("certificate dictionary overflow");
   const std::uint32_t id = static_cast<std::uint32_t>(ders_.size());
   ders_.push_back(der);
-  fps_.push_back(fp);
-  ids.push_back(id);
+  sha1s_.push_back(certificate_sha1(der));
+  same_key_.push_back(kNoCertId);
+  (last == kNoCertId ? slot->second : same_key_[last]) = id;
   return id;
 }
 
-std::span<const std::uint8_t> ColumnEncoder::cert_der(std::uint32_t cert_id) const {
-  if (cert_id >= ders_.size()) {
+namespace {
+
+void check_cert_id(std::uint32_t cert_id, std::size_t count, const std::string& where) {
+  if (cert_id >= count) {
     throw SnapshotError("certificate id " + std::to_string(cert_id) +
-                        " out of dictionary range (" + std::to_string(ders_.size()) +
-                        " entries)");
+                        " out of dictionary range (" + std::to_string(count) + " entries)" +
+                        where);
   }
+}
+
+}  // namespace
+
+std::span<const std::uint8_t> ColumnEncoder::cert_der(std::uint32_t cert_id) const {
+  check_cert_id(cert_id, ders_.size(), "");
   return ders_[cert_id];
 }
 
-std::uint64_t ColumnEncoder::cert_fp64(std::uint32_t cert_id) const { return fps_.at(cert_id); }
+const Sha1Digest& ColumnEncoder::cert_sha1(std::uint32_t cert_id) const {
+  check_cert_id(cert_id, sha1s_.size(), "");
+  return sha1s_[cert_id];
+}
 
 void ColumnEncoder::add(const HostScanRecord& host) {
   ip_.push_back(host.ip);
@@ -1314,34 +1357,8 @@ void SnapshotReader::open_v6(std::uint64_t file_size) {
                         std::to_string(footer_offset) + "): " + e.what());
   }
 
-  // Certificate dictionary: every entry's stored fingerprint must match a
-  // recomputation from its DER — a flipped bit in either fails the open.
   try {
-    UaReader d(std::span<const std::uint8_t>(data_ + dict_offset,
-                                             static_cast<std::size_t>(dict_bytes)));
-    if (d.u32() != kDictMagic) throw DecodeError("bad certificate dictionary magic");
-    const std::uint32_t count = d.u32();
-    if (count != dict_count) {
-      throw DecodeError("dictionary declares " + std::to_string(count) +
-                        " entries but the footer indexes " + std::to_string(dict_count));
-    }
-    dict_.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      DictEntry entry;
-      entry.fp64 = d.u64();
-      const std::int32_t length = d.i32();
-      if (length <= 0) {
-        throw DecodeError("dictionary entry " + std::to_string(i) + " has no DER bytes");
-      }
-      entry.length = static_cast<std::uint32_t>(length);
-      entry.offset = dict_offset + d.base().position();
-      const auto der = d.base().view(entry.length);
-      if (certificate_fingerprint64(der) != entry.fp64) {
-        throw DecodeError("dictionary entry " + std::to_string(i) + " fingerprint mismatch");
-      }
-      dict_.push_back(entry);
-    }
-    if (!d.done()) throw DecodeError("trailing bytes in certificate dictionary");
+    open_dictionary(dict_offset, dict_bytes, dict_count);
   } catch (const DecodeError& e) {
     std::uint32_t mask = 0;
     for (const auto& meta : snapshots_) mask |= meta.protocol_mask;
@@ -1351,18 +1368,78 @@ void SnapshotReader::open_v6(std::uint64_t file_size) {
   }
 }
 
+void SnapshotReader::open_dictionary(std::uint64_t offset, std::uint64_t bytes,
+                                     std::uint32_t count) {
+  UaReader d(std::span<const std::uint8_t>(data_ + offset, static_cast<std::size_t>(bytes)));
+  if (d.u32() != kDictMagic) throw DecodeError("bad certificate dictionary magic");
+  if (const std::uint32_t declared = d.u32(); declared != count) {
+    throw DecodeError("dictionary declares " + std::to_string(declared) +
+                      " entries but the footer indexes " + std::to_string(count));
+  }
+  // An entry takes at least 13 bytes (fp64, length, one DER byte), which
+  // bounds the reservation by the extent rather than the declared count.
+  const auto capacity = static_cast<std::size_t>(std::min<std::uint64_t>(count, bytes / 13));
+  std::vector<std::uint64_t> stored_fp64;
+  stored_fp64.reserve(capacity);
+  dict_.reserve(capacity);
+  // Walk the entries first. A structural error is held back until the
+  // entries before it have been checked: a serial walk would have
+  // reported a fingerprint mismatch there first.
+  std::optional<DecodeError> structural;
+  try {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint64_t fp64 = d.u64();
+      const std::int32_t length = d.i32();
+      if (length <= 0) {
+        throw DecodeError("dictionary entry " + std::to_string(i) + " has no DER bytes");
+      }
+      DictEntry entry;
+      entry.length = static_cast<std::uint32_t>(length);
+      entry.offset = offset + d.base().position();
+      d.base().view(entry.length);
+      stored_fp64.push_back(fp64);
+      dict_.push_back(entry);
+    }
+    if (!d.done()) throw DecodeError("trailing bytes in certificate dictionary");
+  } catch (const DecodeError& e) {
+    structural = e;
+  }
+  // Every stored fingerprint must match a recomputation from its DER — a
+  // flipped bit in either fails the open. The SHA-1s fill disjoint slots
+  // on a pool and stay as cert_sha1; the comparison runs in entry order,
+  // so the first bad entry is the one reported, for any thread count.
+  const ThreadPool pool;
+  const std::size_t blocks = (dict_.size() + kDigestBlock - 1) / kDigestBlock;
+  pool.parallel_for(blocks, [&](std::size_t b) {
+    const std::size_t end = std::min(dict_.size(), (b + 1) * kDigestBlock);
+    for (std::size_t i = b * kDigestBlock; i < end; ++i) {
+      dict_[i].sha1 = certificate_sha1({data_ + dict_[i].offset, dict_[i].length});
+    }
+  });
+  for (std::size_t i = 0; i < dict_.size(); ++i) {
+    if (fingerprint64(dict_[i].sha1) != stored_fp64[i]) {
+      throw DecodeError("dictionary entry " + std::to_string(i) + " fingerprint mismatch");
+    }
+  }
+  if (structural) throw *structural;
+}
+
 bool SnapshotReader::columnar() const {
   return version_ == kVersionV6 && std::endian::native == std::endian::little;
 }
 
+const SnapshotReader::DictEntry& SnapshotReader::dict_entry(std::uint32_t cert_id) const {
+  check_cert_id(cert_id, dict_.size(), " in " + path_);
+  return dict_[cert_id];
+}
+
 std::span<const std::uint8_t> SnapshotReader::cert_der(std::uint32_t cert_id) const {
-  if (cert_id >= dict_.size()) {
-    throw SnapshotError("certificate id " + std::to_string(cert_id) +
-                        " out of dictionary range (" + std::to_string(dict_.size()) +
-                        " entries) in " + path_);
-  }
-  const DictEntry& entry = dict_[cert_id];
+  const DictEntry& entry = dict_entry(cert_id);
   return {data_ + entry.offset, entry.length};
+}
+
+const Sha1Digest& SnapshotReader::cert_sha1(std::uint32_t cert_id) const {
+  return dict_entry(cert_id).sha1;
 }
 
 std::uint64_t SnapshotReader::total_records() const {
@@ -1393,7 +1470,7 @@ std::uint64_t SnapshotReader::file_fingerprint() const {
            ',' + std::to_string(chunk.file_offset) + ',' + std::to_string(chunk.payload_bytes);
   }
   acc += "#dict:" + std::to_string(dict_.size());
-  for (const auto& entry : dict_) acc += ',' + std::to_string(entry.fp64);
+  for (const auto& entry : dict_) acc += ',' + std::to_string(fingerprint64(entry.sha1));
   return hash64(acc);
 }
 

@@ -94,6 +94,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "crypto/hash.hpp"
 #include "opcua/encoding.hpp"
 #include "scanner/record.hpp"
 
@@ -215,14 +216,20 @@ struct ColumnView {
 
 /// Certificate dictionary that a ColumnView's cert ids index: the
 /// file-level dictionary of a v6 SnapshotReader, or the chunk-scoped one a
-/// ColumnEncoder interns while transposing records.
+/// ColumnEncoder interns while transposing records. Each entry carries
+/// its DER's SHA-1 thumbprint, computed once: by the encoder when it
+/// inserts the entry, by the reader when it verifies the stored
+/// fingerprint at open. Accessors throw SnapshotError for an id at or past
+/// cert_count().
 class CertDictionary {
  public:
   virtual ~CertDictionary() = default;
   virtual std::size_t cert_count() const = 0;
-  /// cert_der throws SnapshotError for an id at or past cert_count().
   virtual std::span<const std::uint8_t> cert_der(std::uint32_t cert_id) const = 0;
-  virtual std::uint64_t cert_fp64(std::uint32_t cert_id) const = 0;
+  /// x509_thumbprint(cert_der(id)), kept rather than recomputed.
+  virtual const Sha1Digest& cert_sha1(std::uint32_t cert_id) const = 0;
+  /// The entry's 64-bit fingerprint: fingerprint64(cert_sha1(id)).
+  std::uint64_t cert_fp64(std::uint32_t cert_id) const;
 };
 
 /// The v6 chunk encoder: transposes records into one chunk's typed fixed
@@ -256,9 +263,12 @@ class ColumnEncoder final : public CertDictionary {
 
   std::size_t cert_count() const override { return ders_.size(); }
   std::span<const std::uint8_t> cert_der(std::uint32_t cert_id) const override;
-  std::uint64_t cert_fp64(std::uint32_t cert_id) const override;
+  const Sha1Digest& cert_sha1(std::uint32_t cert_id) const override;
 
  private:
+  /// The id of `der`'s entry, inserting it (and computing its SHA-1) when
+  /// the content is new. Lookups go by a cheap content key, so a repeated
+  /// certificate costs one word-wise pass and one comparison, not a hash.
   std::uint32_t intern(const Bytes& der);
 
   std::vector<std::uint64_t> bytes_sent_, uri_hash_;
@@ -271,8 +281,9 @@ class ColumnEncoder final : public CertDictionary {
   std::vector<std::uint32_t> head_scratch_, ep_scratch_;
   // Dictionary: id order == first appearance order.
   std::vector<Bytes> ders_;
-  std::vector<std::uint64_t> fps_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;  // fp64 -> ids
+  std::vector<Sha1Digest> sha1s_;
+  std::unordered_map<std::uint64_t, std::uint32_t> index_;  // content key -> first id
+  std::vector<std::uint32_t> same_key_;  // id -> next id with its content key, or kNoCertId
 };
 
 /// Lazy decoder over one record's var-column slice. Accessors must be
@@ -364,8 +375,10 @@ class SnapshotWriter {
 /// Random-access chunk reader. Opening validates the header, seed, the
 /// complete chunk index (offsets inside the file, record counts consistent
 /// with the per-snapshot host counts) and — for v6 — the certificate
-/// dictionary (every stored fingerprint is recomputed from its DER), and
-/// throws SnapshotError on any mismatch. v6 files are memory-mapped for
+/// dictionary (every stored fingerprint is recomputed from its DER; the
+/// SHA-1s are computed on a thread pool and kept as cert_sha1, the
+/// comparisons run in entry order so the first bad entry is the one
+/// reported), and throws SnapshotError on any mismatch. v6 files are memory-mapped for
 /// the reader's lifetime (falling back to a heap copy where mmap is
 /// unavailable); v5 files are streamed per chunk. read_chunk() and
 /// column_view() are const and thread-safe: workers may decode disjoint
@@ -423,15 +436,20 @@ class SnapshotReader final : public CertDictionary {
   /// v6 certificate dictionary: deduplicated DER in id order.
   std::size_t cert_count() const override { return dict_.size(); }
   std::span<const std::uint8_t> cert_der(std::uint32_t cert_id) const override;
-  std::uint64_t cert_fp64(std::uint32_t cert_id) const override { return dict_.at(cert_id).fp64; }
+  const Sha1Digest& cert_sha1(std::uint32_t cert_id) const override;
 
  private:
   void open_v6(std::uint64_t file_size);
+  /// Parses the dictionary at [offset, offset + bytes) into dict_ and
+  /// verifies every stored fingerprint (throws DecodeError).
+  void open_dictionary(std::uint64_t offset, std::uint64_t bytes, std::uint32_t count);
   struct DictEntry {
-    std::uint64_t fp64 = 0;
     std::uint64_t offset = 0;  // of the DER bytes inside the file
     std::uint32_t length = 0;
+    Sha1Digest sha1{};  // verified against the stored fingerprint at open
   };
+  /// dict_[cert_id]; SnapshotError naming the file when out of range.
+  const DictEntry& dict_entry(std::uint32_t cert_id) const;
 
   std::string path_;
   std::uint32_t version_ = 0;

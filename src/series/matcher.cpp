@@ -18,11 +18,11 @@ struct PostureCert : CertStrength {
   std::uint64_t fp64 = 0;
 };
 
-PostureCert digest_posture_cert(std::span<const std::uint8_t> der, std::uint64_t fp64) {
+PostureCert digest_posture_cert(const CertDictionary& dict, std::uint32_t id) {
   PostureCert entry;
-  entry.fp64 = fp64;
+  entry.fp64 = dict.cert_fp64(id);
   try {
-    const Certificate cert = x509_parse(der);
+    const Certificate cert = x509_parse(dict.cert_der(id));
     entry.parsed = true;
     entry.hash = cert.signature_hash;
     entry.key_bits = cert.key_bits();
@@ -117,7 +117,7 @@ std::vector<HostPosture> collect_postures(const RecordSource& source, ThreadPool
   std::vector<std::vector<HostPosture>> partials(final_chunks.size());
   std::vector<HostPosture> postures;
   postures.reserve(source.week_meta(final_week).host_count);
-  const CertFactTable<PostureCert> cert_table(source, digest_posture_cert);
+  const CertFactTable<PostureCert> cert_table(source, pool, digest_posture_cert);
   // Early prefix merge: completed chunk partials are appended (in chunk
   // order) and freed while later chunks are still being absorbed.
   pool.parallel_for_merged(

@@ -128,8 +128,8 @@ SnapshotMeta extend_series(CampaignSet& set, const FollowupConfig& config,
   // Cut the new member's posture sketch now, while the file is hot: one
   // posture pass here is what lets every later series append load the
   // sidecar instead of re-walking the member.
-  ThreadPool inline_pool(1);
-  ensure_posture_sketch(path, file_seed, inline_pool);
+  ThreadPool pool;
+  ensure_posture_sketch(path, file_seed, pool);
   set.add_file(path, file_seed);
   return shell;
 }

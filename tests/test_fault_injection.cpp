@@ -319,11 +319,13 @@ constexpr std::uint64_t kSweepSeed = 20200209;
 /// scans OPC UA only.
 ScanSnapshot run_sweep(Deployer& deployer, const ClientConfig& identity, int shards,
                        int threads, const FaultProfile& faults,
-                       std::vector<ProtocolTarget> protocols = {}, RetryPolicy retry = {}) {
+                       std::vector<ProtocolTarget> protocols = {}, RetryPolicy retry = {},
+                       EthicsBudget budget = {}) {
   ShardedCampaignConfig config;
   config.campaign.seed = kSweepSeed;
   config.campaign.grabber.client = identity;
   config.campaign.grabber.retry = retry;
+  config.campaign.grabber.budget = budget;
   config.campaign.protocols = std::move(protocols);
   config.shards = shards;
   config.threads = threads;
@@ -396,6 +398,30 @@ TEST(FaultInjection, HostileWeeklySweepRecoversDeterministically) {
     return campaign.run(7);
   };
   EXPECT_EQ(run_single(false), run_single(true));
+}
+
+/// The §A.2 byte cap counts every byte sent to a host since its
+/// assessment began, across fault-driven reconnects. Host 20.14.0.128
+/// hits a 3,000-byte cap on a clean network; under the hostile profile
+/// its reconnects must not restart the count.
+TEST(FaultInjection, ByteCapSpansReconnects) {
+  const PopulationPlan plan = sweep_plan(120);
+  Deployer deployer = make_deployer(plan, kSweepSeed, 300);
+  KeyFactory keys(kSweepSeed, "");
+  const ClientConfig identity = make_scanner_identity(kSweepSeed, keys);
+  EthicsBudget capped;
+  capped.max_host_bytes = 3000;
+  const Ipv4 probe_ip = make_ipv4(20, 14, 0, 128);
+  for (const FaultProfile& faults : {FaultProfile{}, FaultProfile::hostile()}) {
+    const ScanSnapshot sweep = run_sweep(deployer, identity, 4, 2, faults, {}, {}, capped);
+    const auto host = std::find_if(sweep.hosts.begin(), sweep.hosts.end(),
+                                   [&](const HostScanRecord& h) { return h.ip == probe_ip; });
+    ASSERT_NE(host, sweep.hosts.end());
+    SCOPED_TRACE("retries=" + std::to_string(host->retries) +
+                 " bytes=" + std::to_string(host->bytes_sent) +
+                 " nodes=" + std::to_string(host->nodes.size()));
+    EXPECT_TRUE(host->traversal_truncated);
+  }
 }
 
 /// The same sweep with 60 MQTT-over-TLS brokers next to it, hostile,

@@ -1,4 +1,5 @@
-// Known-answer and property tests for MD5 / SHA-1 / SHA-256.
+// Known-answer and property tests for MD5 / SHA-1 / SHA-256, including
+// multi-block published vectors streamed in block-straddling pieces.
 #include <gtest/gtest.h>
 
 #include "crypto/hash.hpp"
@@ -42,6 +43,40 @@ TEST(Sha256, MillionAs) {
   auto d = h.digest();
   EXPECT_EQ(to_hex(Bytes(d.begin(), d.end())),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+/// The digest of `message` fed to H in pieces of `piece` bytes (the last
+/// piece shorter).
+template <typename H>
+std::string streamed_hex(std::string_view message, std::size_t piece) {
+  H h;
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(message.data());
+  for (std::size_t off = 0; off < message.size(); off += piece) {
+    h.update({bytes + off, std::min(piece, message.size() - off)});
+  }
+  const auto d = h.digest();
+  return to_hex(Bytes(d.begin(), d.end()));
+}
+
+// Published digests (FIPS 180 and RFC 1321 test suites), fed in pieces
+// that start, straddle and fill the 64-byte block: a block-wise update
+// must agree with the reference values, not only with itself.
+TEST(HashKnownAnswers, LongMessagesInPieces) {
+  const std::string two_blocks =
+      "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqr"
+      "lmnopqrsmnopqrstnopqrstu";
+  ASSERT_EQ(two_blocks.size(), 112u);
+  const std::string million_a(1000000, 'a');
+  for (const std::size_t piece : {1, 63, 64, 65, 1000}) {
+    SCOPED_TRACE("piece " + std::to_string(piece));
+    EXPECT_EQ(streamed_hex<Sha1>(two_blocks, piece), "a49b2446a02c645bf419f995b67091253a04a259");
+    EXPECT_EQ(streamed_hex<Sha256>(two_blocks, piece),
+              "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+    EXPECT_EQ(streamed_hex<Sha1>(million_a, piece), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+    EXPECT_EQ(streamed_hex<Md5>(million_a, piece), "7707d6ae4e027c70eea2a935c2296f21");
+    EXPECT_EQ(streamed_hex<Sha256>(million_a, piece),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  }
 }
 
 TEST(HashProperties, DigestSizes) {

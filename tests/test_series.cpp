@@ -27,6 +27,7 @@
 #include "series/sketch.hpp"
 #include "study/followup.hpp"
 #include "util/date.hpp"
+#include "util/hex.hpp"
 #include "util/thread_pool.hpp"
 
 namespace opcua_study {
@@ -111,6 +112,17 @@ FollowupConfig small_followup_config() {
   config.key_cache_path = "";
   return config;
 }
+
+/// SHA-256 of the members and sketches ExtendedMembersMatchRecordedDigests
+/// writes.
+constexpr const char* kPinnedMember1Sha256 =
+    "db4658bdcafcb432aad0817d107cf9ee3c9a4f943c59435e2c3f723cb5bcb8a5";
+constexpr const char* kPinnedSketch1Sha256 =
+    "4ebb2740c2139f3e67f56499794f4b7fbb51f439c152090e6d5243c1f90c08a6";
+constexpr const char* kPinnedMember2Sha256 =
+    "09a79580b2c874a8265966739c63e6b2aabfbf3cd20b557ffa46b745d2318894";
+constexpr const char* kPinnedSketch2Sha256 =
+    "faa25aed4468e34194e92a5203bdd4ab6120faa190e09b70bcdf59a1e06f437a";
 
 /// A deterministic synthetic base campaign (same archetypes the diff
 /// tests use).
@@ -589,6 +601,43 @@ TEST(AnalysisEarlyMerge, PrefixMergedAggregationStaysThreadInvariant) {
   const StudyAnalysis a = analyze_source(source, serial);
   const StudyAnalysis b = analyze_source(source, parallel);
   EXPECT_TRUE(a.figures_equal(b));
+}
+
+// extend_series output, pinned: SHA-256 of two file-backed members grown
+// from a fixed base (512-bit mint keys) and of their posture sketches,
+// recorded with the library before the mint fleet was signed on a pool
+// and certificate hashing moved to block-wise SHA-1 and hash-on-insert
+// interning. The second member evolves the first, so minted certificates
+// pass through a dictionary open as well.
+TEST(SeriesDeterminism, ExtendedMembersMatchRecordedDigests) {
+  const std::string base_path = "/tmp/opcua_series_pinned_base.bin";
+  const std::vector<std::string> paths = {"/tmp/opcua_series_pinned_f1.bin",
+                                          "/tmp/opcua_series_pinned_f2.bin"};
+  {
+    SnapshotWriter writer(base_path, 42, 64);
+    writer.set_campaign("pinned-base", days_from_civil({2020, 8, 30}));
+    for (const auto& snapshot : make_base_study(400)) writer.add_snapshot(snapshot);
+    writer.finish();
+  }
+  CampaignSet set;
+  set.add_file(base_path, 42);
+  const char* const expected[][2] = {
+      {kPinnedMember1Sha256, kPinnedSketch1Sha256},
+      {kPinnedMember2Sha256, kPinnedSketch2Sha256},
+  };
+  for (std::size_t k = 0; k < paths.size(); ++k) {
+    extend_series(set, small_followup_config(), paths[k], 77 + k);
+    EXPECT_EQ(to_hex(hash(HashAlgorithm::sha256, read_file_bytes(paths[k]))), expected[k][0])
+        << paths[k];
+    EXPECT_EQ(to_hex(hash(HashAlgorithm::sha256, read_file_bytes(paths[k] + ".sketch"))),
+              expected[k][1])
+        << paths[k] << ".sketch";
+  }
+  for (const auto& path : paths) {
+    std::remove(path.c_str());
+    std::remove((path + ".sketch").c_str());
+  }
+  std::remove(base_path.c_str());
 }
 
 // The sidecar checksum is no MAC: write_posture_sketch checksums whatever

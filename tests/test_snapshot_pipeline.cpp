@@ -21,6 +21,7 @@
 #include "figure_dump.hpp"
 #include "scanner/snapshot_io.hpp"
 #include "util/date.hpp"
+#include "util/hex.hpp"
 
 namespace opcua_study {
 namespace {
@@ -386,6 +387,11 @@ TEST(SnapshotV5, RandomPayloadCorruptionNeverCrashes) {
   std::remove(bad_path.c_str());
 }
 
+/// SHA-256 and size of the v6 file WrittenBytesMatchRecordedDigest writes.
+constexpr std::size_t kPinnedV6Size = 98393;
+constexpr const char* kPinnedV6Sha256 =
+    "9ea6e7033ec6c1e30445602dca40ff581c89a97d3d5ca60557b3d36c7bfc77f3";
+
 std::uint32_t read_le32(const Bytes& b, std::size_t at) {
   return static_cast<std::uint32_t>(b[at]) | (static_cast<std::uint32_t>(b[at + 1]) << 8) |
          (static_cast<std::uint32_t>(b[at + 2]) << 16) |
@@ -526,6 +532,104 @@ TEST(SnapshotV6, CertDictionaryCorruptionRejected) {
 
   std::remove(path.c_str());
   std::remove(bad_path.c_str());
+}
+
+/// Byte offset of dictionary entry `index` (its stored fingerprint),
+/// walking the entries from the 'CDIC' header at `dict`.
+std::size_t v6_dict_entry_offset(const Bytes& b, std::size_t dict, std::uint32_t index) {
+  std::size_t at = dict + 8;
+  for (std::uint32_t i = 0; i < index; ++i) at += 12 + read_le32(b, at + 8);
+  return at;
+}
+
+// The dictionary hashes run on a pool, but the first bad entry in index
+// order is still the one reported, with the message a serial walk gives,
+// and a structural error behind a mismatch does not mask it.
+TEST(SnapshotV6, CertDictionaryReportsFirstBadEntry) {
+  const std::string path = "/tmp/opcua_test_v6_dict_order.bin";
+  const std::string bad_path = "/tmp/opcua_test_v6_dict_order_bad.bin";
+  save_snapshots(path, 42, make_multi_endpoint_study(48, 1));
+  const Bytes full = read_file_bytes(path);
+  const std::size_t dict = v6_dict_offset(full);
+  ASSERT_GE(read_le32(full, dict + 4), 6u);
+  const auto open_error = [&](const Bytes& mutated) {
+    write_file_bytes(bad_path, mutated);
+    try {
+      const SnapshotReader reader(bad_path, 42);
+    } catch (const SnapshotError& e) {
+      return std::string(e.what());
+    }
+    return std::string("opened");
+  };
+  const std::string prefix = "corrupt certificate dictionary in " + bad_path +
+                             " (v6, protocols=opcua, dictionary at byte " +
+                             std::to_string(dict) + "): ";
+
+  Bytes two_mismatches = full;
+  two_mismatches[v6_dict_entry_offset(full, dict, 5)] ^= 0x01;
+  two_mismatches[v6_dict_entry_offset(full, dict, 2)] ^= 0x01;
+  EXPECT_EQ(open_error(two_mismatches), prefix + "dictionary entry 2 fingerprint mismatch");
+
+  Bytes only_later = full;
+  only_later[v6_dict_entry_offset(full, dict, 5)] ^= 0x01;
+  EXPECT_EQ(open_error(only_later), prefix + "dictionary entry 5 fingerprint mismatch");
+
+  Bytes mismatch_then_empty = two_mismatches;
+  write_le32(mismatch_then_empty, v6_dict_entry_offset(full, dict, 5) + 8, 0);
+  EXPECT_EQ(open_error(mismatch_then_empty), prefix + "dictionary entry 2 fingerprint mismatch");
+
+  Bytes empty_then_mismatch = full;
+  write_le32(empty_then_mismatch, v6_dict_entry_offset(full, dict, 2) + 8, 0);
+  empty_then_mismatch[v6_dict_entry_offset(full, dict, 1)] ^= 0x01;
+  EXPECT_EQ(open_error(empty_then_mismatch), prefix + "dictionary entry 1 fingerprint mismatch");
+  empty_then_mismatch[v6_dict_entry_offset(full, dict, 1)] ^= 0x01;
+  EXPECT_EQ(open_error(empty_then_mismatch), prefix + "dictionary entry 2 has no DER bytes");
+
+  std::remove(path.c_str());
+  std::remove(bad_path.c_str());
+}
+
+// cert_sha1 is the thumbprint of cert_der for every entry, whether the
+// reader verified it at open or the encoder computed it on insert, and
+// whether or not the DER parses. Per-host certificate variants give the
+// reader several blocks of entries to hash in parallel.
+TEST(SnapshotV6, DictionaryDigestsAreThumbprints) {
+  std::vector<ScanSnapshot> study = make_multi_endpoint_study(300, 1);
+  for (std::size_t i = 2; i < study[0].hosts.size(); ++i) {
+    for (EndpointObservation& ep : study[0].hosts[i].endpoints) {
+      if (!ep.certificate_der.empty()) ep.certificate_der.back() ^= static_cast<std::uint8_t>(i);
+    }
+  }
+  const auto expect_thumbprints = [](const CertDictionary& dict) {
+    ASSERT_GT(dict.cert_count(), 200u);
+    bool saw_unparseable = false;
+    for (std::uint32_t id = 0; id < dict.cert_count(); ++id) {
+      const auto der = dict.cert_der(id);
+      const Sha1Digest& sha1 = dict.cert_sha1(id);
+      EXPECT_EQ(Bytes(sha1.begin(), sha1.end()), x509_thumbprint(der)) << "entry " << id;
+      EXPECT_EQ(dict.cert_fp64(id), certificate_fingerprint64(der)) << "entry " << id;
+      try {
+        x509_parse(der);
+      } catch (const DecodeError&) {
+        saw_unparseable = true;
+      }
+    }
+    EXPECT_TRUE(saw_unparseable);
+    EXPECT_THROW(dict.cert_sha1(static_cast<std::uint32_t>(dict.cert_count())), SnapshotError);
+  };
+
+  const std::string path = "/tmp/opcua_test_v6_thumbprints.bin";
+  save_snapshots(path, 42, study);
+  {
+    const SnapshotReader reader(path, 42);
+    expect_thumbprints(reader);
+  }
+  ColumnEncoder encoder;
+  for (const ScanSnapshot& snapshot : study) {
+    for (const HostScanRecord& host : snapshot.hosts) encoder.add(host);
+  }
+  expect_thumbprints(encoder);
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotV6, EmptyAndRuntFilesNameTheirSize) {
@@ -791,6 +895,24 @@ TEST(SnapshotV6, DictionaryCompressionShrinksFile) {
   const std::size_t v6_size = read_file_bytes(v6_path).size();
   EXPECT_LE(v6_size * 3, v5_size) << "v5=" << v5_size << " v6=" << v6_size;
   std::remove(v6_path.c_str());
+}
+
+// The v6 writer's bytes, pinned: the SHA-256 of a fixed synthetic study
+// written as v6 (ragged 37-record chunks, a campaign block, a dictionary
+// with an unparseable DER), recorded with the library before certificate
+// hashing moved to block-wise SHA-1 and hash-on-insert interning.
+TEST(SnapshotV6, WrittenBytesMatchRecordedDigest) {
+  const std::string path = "/tmp/opcua_test_v6_pinned.bin";
+  {
+    SnapshotWriter writer(path, 42, 37);
+    writer.set_campaign("pinned-study", days_from_civil({2020, 2, 9}));
+    for (const auto& snapshot : make_multi_endpoint_study(240)) writer.add_snapshot(snapshot);
+    writer.finish();
+  }
+  const Bytes bytes = read_file_bytes(path);
+  EXPECT_EQ(bytes.size(), kPinnedV6Size);
+  EXPECT_EQ(to_hex(hash(HashAlgorithm::sha256, bytes)), kPinnedV6Sha256);
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotV6, FailedChunkWriteThrowsBeforeFinish) {
