@@ -94,6 +94,22 @@ inline constexpr const char* kQueryKindCells[] = {"catalog", "posture", "study",
 inline constexpr const char* kArtifactCells[] = {"sketch", "postures", "study", "diff",
                                                  "series"};
 
+// Fixed histogram bounds (microseconds): kHistBucketCount finite buckets
+// plus the implicit +Inf bucket. Fixed bounds keep bucket counts
+// order-independent sums, i.e. stable.
+inline constexpr std::size_t kHistBucketCount = 8;
+using HistBounds = std::array<std::uint64_t, kHistBucketCount>;
+// The shared bounds: 100 µs .. 1000 s, one decade per bucket.
+inline constexpr HistBounds kHistBounds = {
+    100,        1'000,       10'000,        100'000,
+    1'000'000,  10'000'000,  100'000'000,   1'000'000'000,
+};
+// Service query latency: cached reads take tens of microseconds, so the
+// bounds split the first shared decade.
+inline constexpr HistBounds kQueryLatencyBounds = {
+    5, 10, 25, 50, 100, 1'000, 10'000, 1'000'000,
+};
+
 struct MetricDef {
   const char* name;
   MetricKind kind;
@@ -101,6 +117,7 @@ struct MetricDef {
   unsigned cells;                  // label arity; 1 = unlabeled
   const char* const* cell_names;   // nullptr when cells == 1
   const char* help;
+  const HistBounds* bounds = &kHistBounds;  // histograms only
 };
 
 inline constexpr MetricDef kMetricDefs[kMetricCount] = {
@@ -169,7 +186,7 @@ inline constexpr MetricDef kMetricDefs[kMetricCount] = {
     {"svc_cache_misses", MetricKind::counter, Stability::operational, 5, kArtifactCells,
      "catalog artifact-cache misses (artifact computed), by artifact class"},
     {"svc_query_us", MetricKind::histogram, Stability::operational, 5, kQueryKindCells,
-     "study-service query latency (wall clock)"},
+     "study-service query latency (wall clock)", &kQueryLatencyBounds},
     {"svc_resident_bytes", MetricKind::gauge, Stability::operational, 1, nullptr,
      "peak resident bytes held by the campaign catalog"},
 };
@@ -178,14 +195,6 @@ inline constexpr const MetricDef& metric_def(Metric m) {
   return kMetricDefs[static_cast<std::size_t>(m)];
 }
 
-// Shared fixed histogram bounds (microseconds): 100 µs .. 1000 s, one
-// decade per bucket, plus the implicit +Inf bucket. Fixed bounds keep
-// bucket counts order-independent sums, i.e. stable.
-inline constexpr std::uint64_t kHistBounds[] = {
-    100,        1'000,       10'000,        100'000,
-    1'000'000,  10'000'000,  100'000'000,   1'000'000'000,
-};
-inline constexpr std::size_t kHistBucketCount = std::size(kHistBounds);
 // Per-cell histogram storage: finite buckets, +Inf bucket, sum, count.
 inline constexpr std::size_t kHistStride = kHistBucketCount + 3;
 
@@ -243,9 +252,10 @@ inline void observe_us(Metric m, std::uint64_t us, unsigned cell = 0) {
   if (!enabled()) return;
   auto* base = &detail::local_shard()
                     .slots[kSlotOffsets[static_cast<std::size_t>(m)] + cell * kHistStride];
+  const HistBounds& bounds = *metric_def(m).bounds;
   std::size_t bucket = kHistBucketCount;  // +Inf
   for (std::size_t b = 0; b < kHistBucketCount; ++b) {
-    if (us <= kHistBounds[b]) {
+    if (us <= bounds[b]) {
       bucket = b;
       break;
     }

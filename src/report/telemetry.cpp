@@ -9,7 +9,6 @@ namespace opcua_study {
 
 namespace {
 
-using obs::kHistBounds;
 using obs::kHistBucketCount;
 using obs::kMetricCount;
 using obs::kMetricDefs;
@@ -22,11 +21,11 @@ std::string cell_name(const MetricDef& def, unsigned cell) {
   return def.cell_names != nullptr ? def.cell_names[cell] : std::string();
 }
 
-void emit_histogram_json(JsonWriter& json, const obs::HistogramValue& hist) {
+void emit_histogram_json(JsonWriter& json, const MetricDef& def, const obs::HistogramValue& hist) {
   json.begin_object();
   json.key("buckets").begin_object();
   for (std::size_t b = 0; b < kHistBucketCount; ++b) {
-    json.field(std::to_string(kHistBounds[b]), hist.buckets[b]);
+    json.field(std::to_string((*def.bounds)[b]), hist.buckets[b]);
   }
   json.field("+inf", hist.buckets[kHistBucketCount]);
   json.end_object();
@@ -39,13 +38,13 @@ void emit_metric_json(JsonWriter& json, const MetricDef& def, const MetricValue&
   json.key(def.name);
   if (def.kind == MetricKind::histogram) {
     if (def.cells == 1) {
-      emit_histogram_json(json, value.hists[0]);
+      emit_histogram_json(json, def, value.hists[0]);
       return;
     }
     json.begin_object();
     for (unsigned c = 0; c < def.cells; ++c) {
       json.key(cell_name(def, c));
-      emit_histogram_json(json, value.hists[c]);
+      emit_histogram_json(json, def, value.hists[c]);
     }
     json.end_object();
     return;
@@ -142,7 +141,7 @@ std::string telemetry_prometheus(const obs::MetricsSample& sample,
         for (std::size_t b = 0; b < kHistBucketCount; ++b) {
           cumulative += hist.buckets[b];
           out += name + "_bucket{" +
-                 join_labels(base, "le=\"" + std::to_string(kHistBounds[b]) + "\"") + "} " +
+                 join_labels(base, "le=\"" + std::to_string((*def.bounds)[b]) + "\"") + "} " +
                  std::to_string(cumulative) + "\n";
         }
         cumulative += hist.buckets[kHistBucketCount];

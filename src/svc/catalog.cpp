@@ -1,6 +1,8 @@
 // CampaignCatalog — resident readers + once-computed artifact caches.
 #include "svc/catalog.hpp"
 
+#include <algorithm>
+
 #include "obs/metrics.hpp"
 #include "series/matcher.hpp"
 #include "series/sketch.hpp"
@@ -25,7 +27,44 @@ std::size_t posture_vector_bytes(const std::vector<HostPosture>& postures) {
   return bytes;
 }
 
+/// A posture's cell key, packed so that integer order is the cells' order.
+std::uint64_t cohort_key(const HostPosture& p) {
+  return std::uint64_t{p.asn} << 32 | std::uint64_t{static_cast<std::uint8_t>(p.protocol)} << 24 |
+         std::uint64_t{p.mode_bucket} << 16 | std::uint64_t{p.policy_bucket} << 8 |
+         std::uint64_t{p.anonymous} << 2 | std::uint64_t{p.deficient} << 1 |
+         std::uint64_t{p.supports_deprecated};
+}
+
+CohortCell cohort_cell(std::uint64_t key, std::uint64_t hosts) {
+  CohortCell cell;
+  cell.asn = static_cast<std::uint32_t>(key >> 32);
+  cell.protocol = static_cast<ProtocolId>(key >> 24 & 0xff);
+  cell.mode_bucket = static_cast<std::uint8_t>(key >> 16 & 0xff);
+  cell.policy_bucket = static_cast<std::uint8_t>(key >> 8 & 0xff);
+  cell.anonymous = (key >> 2 & 1) != 0;
+  cell.deficient = (key >> 1 & 1) != 0;
+  cell.supports_deprecated = (key & 1) != 0;
+  cell.hosts = hosts;
+  return cell;
+}
+
 }  // namespace
+
+CohortIndex build_cohort_index(const std::vector<HostPosture>& postures) {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(postures.size());
+  for (const HostPosture& p : postures) keys.push_back(cohort_key(p));
+  std::sort(keys.begin(), keys.end());
+  CohortIndex index;
+  index.population = postures.size();
+  for (std::size_t i = 0, run = 0; i < keys.size(); i += run) {
+    run = 1;
+    while (i + run < keys.size() && keys[i + run] == keys[i]) ++run;
+    index.cells.push_back(cohort_cell(keys[i], run));
+  }
+  index.cells.shrink_to_fit();
+  return index;
+}
 
 CampaignCatalog::~CampaignCatalog() = default;
 
@@ -174,38 +213,56 @@ std::shared_ptr<const T> CampaignCatalog::cached(Cache<T>& cache, const std::str
   return future.get();  // rethrows a cached computation failure verbatim
 }
 
-std::shared_ptr<const std::vector<HostPosture>> CampaignCatalog::postures(
+std::shared_ptr<const CampaignCatalog::PostureArtifact> CampaignCatalog::posture_artifact(
     const std::string& campaign) {
+  const CampaignEntry& e = entry(campaign);  // unknown names throw before the cache
   return cached(posture_cache_, campaign, kCellPostures,
-                [this, campaign]() -> std::shared_ptr<const std::vector<HostPosture>> {
+                [&e]() -> std::shared_ptr<const PostureArtifact> {
     // A valid sketch sidecar stands in for the walk (a stale one throws —
     // see read_posture_sketch); a walk cuts one for the next cold start.
-    const CampaignEntry& e = entry(campaign);
+    PostureArtifact artifact;
     const std::string sidecar = posture_sketch_path(e.path);
     auto sketched = read_posture_sketch(sidecar, e.path, e.reader->file_fingerprint(),
                                         e.reader->snapshots().back().host_count);
     if (sketched) {
       obs::add(obs::Metric::svc_cache_hits, 1, kCellSketch);
-      return std::make_shared<const std::vector<HostPosture>>(*std::move(sketched));
+      artifact.postures = *std::move(sketched);
+    } else {
+      obs::add(obs::Metric::svc_cache_misses, 1, kCellSketch);
+      ThreadPool pool(1);
+      const ReaderRecordSource source(*e.reader);
+      artifact.postures = collect_postures(source, pool);
+      write_posture_sketch(sidecar, e.reader->file_fingerprint(), artifact.postures);
     }
-    obs::add(obs::Metric::svc_cache_misses, 1, kCellSketch);
-    ThreadPool pool(1);
-    const ReaderRecordSource source(*e.reader);
-    std::vector<HostPosture> postures = collect_postures(source, pool);
-    write_posture_sketch(sidecar, e.reader->file_fingerprint(), postures);
-    return std::make_shared<const std::vector<HostPosture>>(std::move(postures));
+    artifact.cohorts = build_cohort_index(artifact.postures);
+    return std::make_shared<const PostureArtifact>(std::move(artifact));
   });
 }
 
+std::shared_ptr<const std::vector<HostPosture>> CampaignCatalog::postures(
+    const std::string& campaign) {
+  const std::shared_ptr<const PostureArtifact> artifact = posture_artifact(campaign);
+  return {artifact, &artifact->postures};
+}
+
+std::shared_ptr<const CohortIndex> CampaignCatalog::cohorts(const std::string& campaign) {
+  const std::shared_ptr<const PostureArtifact> artifact = posture_artifact(campaign);
+  return {artifact, &artifact->cohorts};
+}
+
 std::shared_ptr<const StudyAnalysis> CampaignCatalog::study(const std::string& campaign) {
+  const CampaignEntry& e = entry(campaign);
   return cached(study_cache_, campaign, kCellStudy,
-                [this, campaign]() -> std::shared_ptr<const StudyAnalysis> {
-    return std::make_shared<const StudyAnalysis>(analyze_reader(*entry(campaign).reader));
+                [&e]() -> std::shared_ptr<const StudyAnalysis> {
+    return std::make_shared<const StudyAnalysis>(analyze_reader(*e.reader));
   });
 }
 
 std::shared_ptr<const CampaignDiff> CampaignCatalog::diff(const std::string& base,
                                                           const std::string& followup) {
+  // Unknown names throw here, before the cache sees the key.
+  entry(base);
+  entry(followup);
   const std::string key = base + '\x1f' + followup;
   return cached(diff_cache_, key, kCellDiff,
                 [this, base, followup]() -> std::shared_ptr<const CampaignDiff> {
@@ -252,7 +309,9 @@ std::size_t CampaignCatalog::resident_bytes() const {
     (void)key;
     if (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) continue;
     try {
-      bytes += posture_vector_bytes(*future.get());
+      const PostureArtifact& artifact = *future.get();
+      bytes += posture_vector_bytes(artifact.postures) +
+               artifact.cohorts.cells.capacity() * sizeof(CohortCell);
     } catch (const std::exception&) {
       // cached failures pin no postures
     }

@@ -12,7 +12,15 @@
 // artifact is never computed twice and every caller observes the same
 // object. A computation that throws stays cached as that exception:
 // repeating the failing query deterministically re-raises the same
-// error instead of retrying the work.
+// error instead of retrying the work. Names are resolved before the
+// cache is consulted, so an unknown campaign fails without a cache entry
+// and the same name answers normally once it is registered.
+//
+// The posture artifact carries the campaign's cohort index beside the
+// posture vector: host counts per (AS, protocol, mode bucket, policy
+// bucket, anonymous, deficient, supports-deprecated) cell, built once in
+// the same computation. Posture queries sum cells instead of walking
+// every host.
 //
 // Series are resident SeriesBuilders. Registering a series feeds each
 // member's posture vector (sketch sidecar when present and valid —
@@ -43,6 +51,29 @@
 #include "series/series.hpp"
 
 namespace opcua_study::svc {
+
+/// One cohort cell: how many of a campaign's final-measurement hosts
+/// share every posture key a posture query filters or groups on.
+struct CohortCell {
+  std::uint32_t asn = 0;
+  ProtocolId protocol = ProtocolId::opcua;
+  std::uint8_t mode_bucket = 0;    // index into kModeBuckets
+  std::uint8_t policy_bucket = 0;  // index into kPolicyBuckets
+  bool anonymous = false;
+  bool deficient = false;
+  bool supports_deprecated = false;
+  std::uint64_t hosts = 0;
+};
+
+/// A campaign's postures counted per cell. Cells are sorted by (asn,
+/// protocol, mode, policy, anonymous, deficient, supports_deprecated), so
+/// one AS's cells are adjacent and ASes come in ascending order.
+struct CohortIndex {
+  std::uint64_t population = 0;  // hosts over all cells
+  std::vector<CohortCell> cells;
+};
+
+CohortIndex build_cohort_index(const std::vector<HostPosture>& postures);
 
 class CampaignCatalog {
  public:
@@ -77,12 +108,14 @@ class CampaignCatalog {
   // Cached artifacts. Each is computed at most once (racing callers
   // dedupe), immutable once published, and safe to hold past the call.
   std::shared_ptr<const std::vector<HostPosture>> postures(const std::string& campaign);
+  /// The cohort index of the same posture artifact (one cache lookup).
+  std::shared_ptr<const CohortIndex> cohorts(const std::string& campaign);
   std::shared_ptr<const StudyAnalysis> study(const std::string& campaign);
   std::shared_ptr<const CampaignDiff> diff(const std::string& base, const std::string& followup);
   std::shared_ptr<const SeriesAnalysis> series(const std::string& series);
 
   /// Estimated heap/mapping bytes held resident: snapshot payloads,
-  /// cached posture vectors, live series builders.
+  /// cached posture vectors and cohort indexes, live series builders.
   std::size_t resident_bytes() const;
 
  private:
@@ -98,6 +131,10 @@ class CampaignCatalog {
     /// the series holds two members.
     std::shared_ptr<const SeriesAnalysis> latest;
   };
+  struct PostureArtifact {
+    std::vector<HostPosture> postures;
+    CohortIndex cohorts;
+  };
   template <typename T>
   using Cache = std::map<std::string, std::shared_future<std::shared_ptr<const T>>>;
 
@@ -105,10 +142,11 @@ class CampaignCatalog {
   /// get-or-compute through `cache`: the first caller for `key` computes
   /// on its own thread with the lock released; racing callers block on
   /// the same shared_future. A throwing compute stays cached as its
-  /// exception.
+  /// exception, so callers resolve the names in `key` first.
   template <typename T, typename Fn>
   std::shared_ptr<const T> cached(Cache<T>& cache, const std::string& key, unsigned artifact_cell,
                                   Fn compute);
+  std::shared_ptr<const PostureArtifact> posture_artifact(const std::string& campaign);
   void note_resident_bytes() const;
 
   mutable std::mutex mutex_;  // registries + caches + series builders
@@ -116,7 +154,7 @@ class CampaignCatalog {
   std::vector<std::string> campaign_order_;
   std::map<std::string, SeriesEntry> series_;
   std::vector<std::string> series_order_;
-  Cache<std::vector<HostPosture>> posture_cache_;
+  Cache<PostureArtifact> posture_cache_;
   Cache<StudyAnalysis> study_cache_;
   Cache<CampaignDiff> diff_cache_;  // key: base + '\x1f' + followup
 };

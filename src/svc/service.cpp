@@ -25,6 +25,14 @@ QueryRequest::Kind parse_kind(const std::string& name) {
   throw std::invalid_argument("unknown query kind: '" + name + "'");
 }
 
+/// The protocol a request names; nullopt when no backend has that name.
+std::optional<ProtocolId> find_protocol(const std::string& name) {
+  for (std::uint8_t id = 0; id < kProtocolCount; ++id) {
+    if (protocol_name(static_cast<ProtocolId>(id)) == name) return static_cast<ProtocolId>(id);
+  }
+  return std::nullopt;
+}
+
 /// A numeric query value: decimal digits only (from_chars takes no sign,
 /// space or prefix for an unsigned type) and at most `max`.
 std::uint64_t parse_number(const std::string& key, const std::string& value, std::uint64_t max) {
@@ -67,54 +75,60 @@ void render_catalog(JsonWriter& json, CampaignCatalog& catalog) {
   json.end_array();
 }
 
-bool posture_selected(const HostPosture& p, const QueryRequest& request) {
-  if (request.asn && p.asn != *request.asn) return false;
-  if (request.protocol && protocol_name(p.protocol) != *request.protocol) return false;
-  if (request.mode_bucket && static_cast<int>(p.mode_bucket) != *request.mode_bucket) return false;
-  if (request.policy_bucket && static_cast<int>(p.policy_bucket) != *request.policy_bucket) {
-    return false;
-  }
-  if (request.anonymous_only && !p.anonymous) return false;
-  if (request.deficient_only && !p.deficient) return false;
+/// `protocol` is the request's protocol filter, resolved once per query.
+bool cohort_selected(const CohortCell& cell, const QueryRequest& request,
+                     std::optional<ProtocolId> protocol) {
+  if (request.asn && cell.asn != *request.asn) return false;
+  if (request.protocol && cell.protocol != protocol) return false;
+  if (request.mode_bucket && cell.mode_bucket != *request.mode_bucket) return false;
+  if (request.policy_bucket && cell.policy_bucket != *request.policy_bucket) return false;
+  if (request.anonymous_only && !cell.anonymous) return false;
+  if (request.deficient_only && !cell.deficient) return false;
   return true;
 }
+
+struct CohortRow {
+  std::uint64_t hosts = 0, deficient = 0, anonymous = 0;
+  void add(const CohortCell& cell) {
+    hosts += cell.hosts;
+    deficient += cell.deficient ? cell.hosts : 0;
+    anonymous += cell.anonymous ? cell.hosts : 0;
+  }
+};
 
 void render_posture(JsonWriter& json, CampaignCatalog& catalog, const QueryRequest& request) {
   if (request.campaign.empty()) {
     throw std::invalid_argument("posture query needs campaign=<name>");
   }
-  const auto postures = catalog.postures(request.campaign);
+  const auto index = catalog.cohorts(request.campaign);
   const SnapshotMeta meta = catalog.final_meta(request.campaign);
+  // A name no backend has (a request built without parse_query_request)
+  // selects no host.
+  const std::optional<ProtocolId> protocol =
+      request.protocol ? find_protocol(*request.protocol) : std::nullopt;
 
-  struct AsRow {
-    std::uint64_t hosts = 0, deficient = 0, anonymous = 0;
-  };
-  std::uint64_t hosts = 0, deficient = 0, anonymous = 0, deprecated = 0;
+  CohortRow total;
+  std::uint64_t deprecated = 0;
   std::uint64_t mode_buckets[3] = {};
   std::uint64_t policy_buckets[3] = {};
-  std::map<ProtocolId, AsRow> by_protocol;     // ordered: deterministic emit
-  std::map<std::uint32_t, AsRow> by_as;        // ascending ASN
-  for (const HostPosture& p : *postures) {
-    if (!posture_selected(p, request)) continue;
-    ++hosts;
-    deficient += p.deficient;
-    anonymous += p.anonymous;
-    deprecated += p.supports_deprecated;
-    if (p.mode_bucket < 3) ++mode_buckets[p.mode_bucket];
-    if (p.policy_bucket < 3) ++policy_buckets[p.policy_bucket];
-    AsRow& prow = by_protocol[p.protocol];
-    ++prow.hosts;
-    prow.deficient += p.deficient;
-    prow.anonymous += p.anonymous;
-    AsRow& row = by_as[p.asn];
-    ++row.hosts;
-    row.deficient += p.deficient;
-    row.anonymous += p.anonymous;
+  // Protocol ids are < kProtocolCount: the sketch and column readers
+  // reject any other.
+  CohortRow by_protocol[kProtocolCount];
+  std::vector<std::pair<std::uint32_t, CohortRow>> by_as;  // ascending ASN, as the cells
+  for (const CohortCell& cell : index->cells) {
+    if (!cohort_selected(cell, request, protocol)) continue;
+    total.add(cell);
+    deprecated += cell.supports_deprecated ? cell.hosts : 0;
+    if (cell.mode_bucket < 3) mode_buckets[cell.mode_bucket] += cell.hosts;
+    if (cell.policy_bucket < 3) policy_buckets[cell.policy_bucket] += cell.hosts;
+    by_protocol[static_cast<std::size_t>(cell.protocol)].add(cell);
+    if (by_as.empty() || by_as.back().first != cell.asn) by_as.emplace_back(cell.asn, CohortRow{});
+    by_as.back().second.add(cell);
   }
 
   json.field("campaign", request.campaign)
       .field("label", meta.campaign_label)
-      .field("population", postures->size());
+      .field("population", index->population);
   json.key("filters").begin_object();
   if (request.asn) json.field("asn", static_cast<std::uint64_t>(*request.asn));
   if (request.protocol) json.field("protocol", *request.protocol);
@@ -123,9 +137,9 @@ void render_posture(JsonWriter& json, CampaignCatalog& catalog, const QueryReque
   if (request.anonymous_only) json.field("anonymous_only", true);
   if (request.deficient_only) json.field("deficient_only", true);
   json.end_object();
-  json.field("hosts", hosts)
-      .field("deficient", deficient)
-      .field("anonymous", anonymous)
+  json.field("hosts", total.hosts)
+      .field("deficient", total.deficient)
+      .field("anonymous", total.anonymous)
       .field("supports_deprecated", deprecated);
   json.key("mode_buckets").begin_object();
   for (std::size_t b = 0; b < 3; ++b) json.field(kModeBuckets[b], mode_buckets[b]);
@@ -134,8 +148,10 @@ void render_posture(JsonWriter& json, CampaignCatalog& catalog, const QueryReque
   for (std::size_t b = 0; b < 3; ++b) json.field(kPolicyBuckets[b], policy_buckets[b]);
   json.end_object();
   json.key("by_protocol").begin_object();
-  for (const auto& [protocol, row] : by_protocol) {
-    json.key(protocol_name(protocol))
+  for (std::uint8_t id = 0; id < kProtocolCount; ++id) {
+    const CohortRow& row = by_protocol[id];
+    if (row.hosts == 0) continue;  // a selected cell holds >= 1 host
+    json.key(protocol_name(static_cast<ProtocolId>(id)))
         .begin_object()
         .field("hosts", row.hosts)
         .field("deficient", row.deficient)
@@ -146,9 +162,8 @@ void render_posture(JsonWriter& json, CampaignCatalog& catalog, const QueryReque
   json.field("as_total", static_cast<std::uint64_t>(by_as.size()))
       .field("as_truncated", by_as.size() > request.as_limit);
   json.key("by_as").begin_array();
-  std::size_t emitted = 0;
-  for (const auto& [asn, row] : by_as) {
-    if (emitted++ >= request.as_limit) break;
+  for (std::size_t r = 0; r < by_as.size() && r < request.as_limit; ++r) {
+    const auto& [asn, row] = by_as[r];
     json.begin_object()
         .field("asn", static_cast<std::uint64_t>(asn))
         .field("hosts", row.hosts)
@@ -295,6 +310,10 @@ QueryRequest parse_query_request(const std::string& text) {
       request.asn = static_cast<std::uint32_t>(
           parse_number(key, value, std::numeric_limits<std::uint32_t>::max()));
     } else if (key == "protocol") {
+      if (!find_protocol(value)) {
+        throw std::invalid_argument("query parameter " + key + "=" + value +
+                                    " names no known protocol");
+      }
       request.protocol = value;
     } else if (key == "mode") {
       request.mode_bucket = static_cast<int>(parse_number(key, value, std::size(kModeBuckets) - 1));

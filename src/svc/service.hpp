@@ -6,7 +6,8 @@
 //   catalog — registered campaigns and series, with identities;
 //   posture — cohort-filtered population cuts of one campaign's final
 //             measurement (per-AS, per-protocol, security-mode/policy
-//             buckets, anonymous/deficient subsets);
+//             buckets, anonymous/deficient subsets), summed over the
+//             catalog's cohort index;
 //   study   — the paper's figure statistics (analyze_reader summary);
 //   diff    — the pairwise CampaignDiff (exactly the campaign_diff_json
 //             fields);
@@ -75,8 +76,10 @@ struct QueryRequest {
 /// policy, anonymous, deficient, as_limit. A numeric value is decimal
 /// digits only and must fit its field: asn <= 4294967295, mode and policy
 /// <= 2 (bucket indices), anonymous and deficient 0 or 1, as_limit any
-/// std::size_t. Throws std::invalid_argument on unknown keys/kinds and on
-/// any other number, naming the key and the value.
+/// std::size_t. protocol is a protocol_name() ("opcua", "mqtt-tls"),
+/// matched exactly. Throws std::invalid_argument on unknown keys/kinds,
+/// on any other number and on any other protocol, naming the key and the
+/// value.
 QueryRequest parse_query_request(const std::string& text);
 
 struct QueryResponse {

@@ -402,6 +402,7 @@ TEST(Observability, ExpositionFormatsAndDisabledPlane) {
   const ObsGuard guard;
   obs::add(obs::Metric::grab_outcome, 3, 0);               // opcua/complete
   obs::observe_us(obs::Metric::phase_connect_us, 500, 1);  // mqtt-tls cell
+  obs::observe_us(obs::Metric::svc_query_us, 7, 1);        // posture cell
   obs::gauge_peak(obs::Metric::scheduler_in_flight_peak, 7);
   obs::add(obs::Metric::snapshot_bytes_written, 1234);
   const auto sample = obs::collect();
@@ -435,6 +436,17 @@ TEST(Observability, ExpositionFormatsAndDisabledPlane) {
   EXPECT_NE(
       telemetry_prometheus(sample, operational).find("opcua_study_scheduler_in_flight_peak 7"),
       std::string::npos);
+  // svc_query_us has bounds of its own: a 7 µs query lands under le="10",
+  // where the shared decade bounds hold every read up to 100 µs in one
+  // bucket. The stable histograms above keep the shared bounds.
+  const std::string prom_all = telemetry_prometheus(sample, operational);
+  EXPECT_NE(prom_all.find("opcua_study_svc_query_us_bucket{cell=\"posture\",le=\"5\"} 0"),
+            std::string::npos);
+  EXPECT_NE(prom_all.find("opcua_study_svc_query_us_bucket{cell=\"posture\",le=\"10\"} 1"),
+            std::string::npos);
+  EXPECT_NE(full.find("\"posture\": {\"buckets\": {\"5\": 0, \"10\": 1, \"25\": 0"),
+            std::string::npos);
+  EXPECT_EQ(prom.find("le=\"10\""), std::string::npos);
 
   // Equal samples serialize to equal bytes — the exposition adds nothing
   // non-deterministic (no timestamps, no map iteration order).

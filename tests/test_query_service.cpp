@@ -8,8 +8,12 @@
 //    resident series reads zero snapshot chunks (pinned through the
 //    snapshot_chunks_read counter), and a repeated study or posture query
 //    is one cache hit that computes nothing,
+//  - a query for a campaign not yet registered fails without a cache
+//    entry, so the name answers normally once it is registered,
 //  - query responses are byte-identical across inline execution, a
 //    1-worker pool, and an 8-worker pool — including error documents,
+//  - posture responses over a mixed OPC UA + MQTT fleet equal the
+//    goldens in tests/data/svc.posture_battery.txt,
 //  - admission control: submits beyond max_queue are rejected
 //    immediately; workers == 0 + drain() runs the queue deterministically,
 //  - parse_query_request round trips and rejects malformed input.
@@ -17,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "obs/metrics.hpp"
@@ -89,13 +94,65 @@ HostScanRecord make_host(std::size_t i) {
 
 /// Write a one-measurement campaign of `hosts` hosts to `path`.
 void write_campaign(const std::string& path, std::uint64_t seed, const std::string& label,
-                    std::int64_t epoch_days, std::size_t hosts) {
+                    std::int64_t epoch_days, std::size_t hosts,
+                    HostScanRecord (*host_at)(std::size_t) = make_host) {
   SnapshotWriter writer(path, seed);
   writer.set_campaign(label, epoch_days);
   writer.begin_snapshot(0, epoch_days);
-  for (std::size_t i = 0; i < hosts; ++i) writer.add_host(make_host(i));
+  for (std::size_t i = 0; i < hosts; ++i) writer.add_host(host_at(i));
   writer.end_snapshot(hosts * 2, hosts);
   writer.finish();
+}
+
+/// A mixed OPC UA + MQTT fleet for the posture goldens: all three mode
+/// and policy buckets, 48 ASes (AS 0 among them, so the default as_limit
+/// truncates), anonymous and deficient hosts beside clean ones.
+HostScanRecord make_fleet_host(std::size_t i) {
+  HostScanRecord host;
+  host.ip = static_cast<Ipv4>(0x30000000u + static_cast<std::uint32_t>(i));
+  host.asn = i % 41 == 0 ? 0 : 64500 + static_cast<std::uint32_t>((i * 7) % 47);
+  host.speaks_opcua = true;
+  host.application_uri = "urn:generic:svcfleet-" + std::to_string(i);
+  const bool mqtt = i % 5 == 2;
+  host.protocol = mqtt ? ProtocolId::mqtt_tls : ProtocolId::opcua;
+  host.port = mqtt ? kMqttTlsDefaultPort : kOpcUaDefaultPort;
+  host.anonymous_offered = i % 4 == 1;
+  using Mode = MessageSecurityMode;
+  using Policy = SecurityPolicy;
+  std::vector<std::pair<Mode, Policy>> endpoints;
+  if (mqtt) {
+    const Policy tls = i % 3 == 0 ? Policy::Basic128Rsa15 : Policy::Basic256Sha256;
+    endpoints = {{Mode::SignAndEncrypt, tls}};
+  } else {
+    switch ((i / 3) % 6) {
+      case 0: endpoints = {{Mode::None, Policy::None}}; break;
+      case 1: endpoints = {{Mode::Sign, Policy::Basic128Rsa15}}; break;
+      case 2: endpoints = {{Mode::SignAndEncrypt, Policy::Basic256Sha256}}; break;
+      case 3:
+        endpoints = {{Mode::None, Policy::None}, {Mode::SignAndEncrypt, Policy::Basic256}};
+        break;
+      case 4:
+        endpoints = {{Mode::Sign, Policy::Basic256Sha256},
+                     {Mode::SignAndEncrypt, Policy::Basic128Rsa15}};
+        break;
+      default: endpoints = {{Mode::None, Policy::None}, {Mode::Sign, Policy::Basic256Sha256}};
+    }
+  }
+  for (const auto& [mode, policy] : endpoints) {
+    EndpointObservation ep;
+    ep.url = mqtt ? "mqtts://x:8883/" : "opc.tcp://x:4840/";
+    ep.mode = mode;
+    ep.policy = policy;
+    ep.policy_uri = std::string(policy_info(policy).uri);
+    ep.policy_known = true;
+    ep.token_types = host.anonymous_offered
+                         ? std::vector<UserTokenType>{UserTokenType::Anonymous}
+                         : std::vector<UserTokenType>{UserTokenType::UserName};
+    // 512-bit keys: a certificate makes a secure-policy host deficient.
+    if (i % 3 == 1) ep.certificate_der = unique_certs()[i % unique_certs().size()];
+    host.endpoints.push_back(std::move(ep));
+  }
+  return host;
 }
 
 std::vector<HostPosture> walk_postures(const std::string& path, std::uint64_t seed) {
@@ -337,6 +394,57 @@ TEST(CampaignCatalog, IncrementalAppendReadsZeroSnapshotChunks) {
   obs::reset();
 }
 
+TEST(CampaignCatalog, UnknownNameDoesNotPoisonLaterRegistration) {
+  TempFiles tmp;
+  const std::string base = tmp.add("/tmp/opcua_svc_unknown_base.bin");
+  write_campaign(base, 42, "svc-unknown-base", 100, 40);
+  CampaignSet set;
+  set.add_file(base, 42);
+  extend_series(set, small_followup_config(), tmp.add("/tmp/opcua_svc_unknown_f1.bin"), 43);
+
+  const std::vector<std::string> battery = {
+      "kind=posture campaign=m1",
+      "kind=study campaign=m1",
+      "kind=diff base=m0 followup=m1",
+  };
+  svc::CampaignCatalog catalog;
+  catalog.register_campaign("m0", tmp.paths[0], 42);
+  catalog.register_series("history", {"m0"});
+  svc::QueryService service(catalog);
+  obs::reset();
+  obs::set_enabled(true);
+  // Before m1 exists: error documents naming it, and no artifact computed.
+  for (const std::string& text : battery) {
+    const svc::QueryResponse response = service.execute(svc::parse_query_request(text));
+    EXPECT_FALSE(response.ok) << text;
+    EXPECT_NE(response.body.find("unknown campaign 'm1'"), std::string::npos) << response.body;
+  }
+  EXPECT_THROW(catalog.append_to_series("history", "m1"), SnapshotError);
+  for (int i = 0; i < 100; ++i) {
+    service.execute(svc::parse_query_request("kind=posture campaign=x" + std::to_string(i)));
+  }
+  EXPECT_EQ(obs::collect()[obs::Metric::svc_cache_misses].total(), 0u);
+  obs::set_enabled(false);
+  obs::reset();
+
+  // Registered later, m1 answers exactly as in a catalog that never saw
+  // the unknown name.
+  catalog.register_campaign("m1", tmp.paths[1], 43);
+  std::size_t members = 0;
+  EXPECT_NO_THROW(members = catalog.append_to_series("history", "m1"));
+  EXPECT_EQ(members, 2u);
+  svc::CampaignCatalog fresh;
+  fresh.register_campaign("m0", tmp.paths[0], 42);
+  fresh.register_campaign("m1", tmp.paths[1], 43);
+  svc::QueryService fresh_service(fresh);
+  for (const std::string& text : battery) {
+    const svc::QueryRequest request = svc::parse_query_request(text);
+    const svc::QueryResponse response = service.execute(request);
+    EXPECT_TRUE(response.ok) << text << ": " << response.body;
+    EXPECT_EQ(response.body, fresh_service.execute(request).body) << text;
+  }
+}
+
 // ------------------------------------------------ concurrent query API ----
 
 TEST(QueryService, ResponsesAreByteIdenticalAcrossWorkerCounts) {
@@ -391,6 +499,92 @@ TEST(QueryService, ResponsesAreByteIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(response.body, inline_bodies[i % requests.size()])
           << "workers=" << workers << " request " << i % requests.size();
     }
+  }
+}
+
+/// Posture requests over the golden fleet: every single filter, pairs and
+/// triples, as_limit 0 and 1 and below, at and above the 48 ASes, a
+/// filter no host passes, and error documents. c0 is sketch-fed, c1
+/// walked.
+const char* const kPostureBattery[] = {
+    "kind=posture campaign=c0",
+    "kind=posture campaign=c1",
+    "kind=posture campaign=c0 asn=64503",
+    "kind=posture campaign=c1 asn=0",
+    "kind=posture campaign=c0 protocol=opcua",
+    "kind=posture campaign=c0 protocol=mqtt-tls",
+    "kind=posture campaign=c1 protocol=mqtt-tls",
+    "kind=posture campaign=c0 mode=0",
+    "kind=posture campaign=c0 mode=1",
+    "kind=posture campaign=c1 mode=2",
+    "kind=posture campaign=c0 policy=0",
+    "kind=posture campaign=c1 policy=1",
+    "kind=posture campaign=c0 policy=2",
+    "kind=posture campaign=c0 anonymous=1",
+    "kind=posture campaign=c1 anonymous=0",
+    "kind=posture campaign=c0 deficient=1",
+    "kind=posture campaign=c1 deficient=1",
+    "kind=posture campaign=c0 deficient=0",
+    "kind=posture campaign=c0 protocol=mqtt-tls deficient=1",
+    "kind=posture campaign=c1 mode=0 anonymous=1",
+    "kind=posture campaign=c0 asn=64510 policy=2",
+    "kind=posture campaign=c1 policy=1 deficient=1",
+    "kind=posture campaign=c0 protocol=opcua mode=2",
+    "kind=posture campaign=c0 protocol=opcua policy=1 anonymous=1",
+    "kind=posture campaign=c1 asn=64520 mode=2 deficient=1",
+    "kind=posture campaign=c0 protocol=mqtt-tls mode=2 policy=2",
+    "kind=posture campaign=c0 asn=64501 protocol=opcua mode=2 policy=2 anonymous=1 deficient=1",
+    "kind=posture campaign=c0 as_limit=0",
+    "kind=posture campaign=c1 as_limit=1",
+    "kind=posture campaign=c0 as_limit=8",
+    "kind=posture campaign=c0 as_limit=47",
+    "kind=posture campaign=c0 as_limit=48",
+    "kind=posture campaign=c0 as_limit=49",
+    "kind=posture campaign=c1 as_limit=100000",
+    "kind=posture campaign=c0 deficient=1 as_limit=3",
+    "kind=posture campaign=c0 asn=1",
+    "kind=posture campaign=c0 protocol=mqtt-tls mode=0",
+    "kind=posture campaign=c1 asn=64505 protocol=mqtt-tls anonymous=1 as_limit=0",
+    "kind=posture campaign=nope",
+    "kind=posture",
+};
+
+TEST(QueryService, PostureResponsesMatchGoldens) {
+  TempFiles tmp;
+  const std::string sketched = tmp.add("/tmp/opcua_svc_gold_c0.bin");
+  const std::string walked = tmp.add("/tmp/opcua_svc_gold_c1.bin");
+  write_campaign(sketched, 42, "svc-gold-sketched", 120, 300, make_fleet_host);
+  write_campaign(walked, 43, "svc-gold-walked", 127, 200,
+                 [](std::size_t i) { return make_fleet_host(2 * i + 1); });
+  ThreadPool pool(1);
+  ensure_posture_sketch(sketched, 42, pool);
+  ASSERT_TRUE(std::ifstream(posture_sketch_path(sketched)).good());
+  ASSERT_FALSE(std::ifstream(posture_sketch_path(walked)).good());
+
+  svc::CampaignCatalog catalog;
+  catalog.register_campaign("c0", sketched, 42);
+  catalog.register_campaign("c1", walked, 43);
+  svc::QueryService service(catalog);
+  std::vector<std::string> actual;
+  for (const char* text : kPostureBattery) {
+    actual.push_back(std::string("> ") + text);
+    std::string body = service.execute(svc::parse_query_request(text)).body;
+    body.pop_back();  // the document's closing newline
+    actual.push_back(std::move(body));
+  }
+  // The walked campaign cut its sidecar on the way.
+  EXPECT_TRUE(std::ifstream(posture_sketch_path(walked)).good());
+
+  const std::string golden = "svc.posture_battery.txt";
+  std::ifstream in(std::filesystem::path(__FILE__).parent_path() / "data" / golden);
+  ASSERT_TRUE(in) << "missing golden tests/data/" << golden;
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(in, line);) expected.push_back(line);
+  EXPECT_EQ(actual.size(), expected.size()) << "line count differs from tests/data/" << golden;
+  for (std::size_t i = 0; i < std::min(actual.size(), expected.size()); ++i) {
+    EXPECT_TRUE(actual[i] == expected[i]) << "tests/data/" << golden << " line " << i + 1
+                                          << "\n  golden: " << expected[i]
+                                          << "\n  actual: " << actual[i];
   }
 }
 
@@ -509,7 +703,8 @@ TEST(QueryParsing, RejectsMalformedInput) {
   // Numbers outside their field are rejected, not wrapped or truncated,
   // and the error names the key and the value.
   for (const char* text : {"asn=4294967297", "asn=-1", "mode=4294967296", "mode=7", "policy=-2",
-                           "as_limit=-1", "anonymous=+5", "anonymous=2"}) {
+                           "as_limit=-1", "anonymous=+5", "anonymous=2", "protocol=modbus",
+                           "protocol=", "protocol=OPCUA"}) {
     try {
       svc::parse_query_request(text);
       ADD_FAILURE() << text << " was accepted";
@@ -520,6 +715,8 @@ TEST(QueryParsing, RejectsMalformedInput) {
   const svc::QueryRequest edge = svc::parse_query_request("asn=4294967295 mode=0");
   EXPECT_EQ(edge.asn, std::optional<std::uint32_t>(4294967295u));
   EXPECT_EQ(edge.mode_bucket, std::optional<int>(0));
+  EXPECT_EQ(svc::parse_query_request("protocol=mqtt-tls").protocol,
+            std::optional<std::string>("mqtt-tls"));
 }
 
 }  // namespace
