@@ -189,14 +189,6 @@ std::uint64_t FollowupModel::new_deployment_count(std::uint64_t base_hosts) cons
                                     std::max(0.0, config_.new_deployment_rate));
 }
 
-std::vector<HostScanRecord> FollowupModel::new_deployments(std::uint64_t base_hosts) const {
-  std::vector<HostScanRecord> hosts;
-  hosts.reserve(static_cast<std::size_t>(new_deployment_count(base_hosts)));
-  visit_new_deployments(base_hosts,
-                        [&](HostScanRecord&& host) { hosts.push_back(std::move(host)); });
-  return hosts;
-}
-
 void FollowupModel::visit_new_deployments(
     std::uint64_t base_hosts, const std::function<void(HostScanRecord&&)>& fn) const {
   const std::uint64_t count = new_deployment_count(base_hosts);

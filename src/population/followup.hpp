@@ -25,9 +25,9 @@
 //                     (the §5.3 copying behaviour the matcher exploits)
 //   anonymous drop/add  anonymous token removed from / added to endpoints
 //
-// On top of the survivors, new_deployments() emits brand-new hosts (the
-// population growth every follow-up study observed), with a posture mix
-// skewed more secure than the 2020 base — but not clean.
+// On top of the survivors, visit_new_deployments() emits brand-new hosts
+// (the population growth every follow-up study observed), with a posture
+// mix skewed more secure than the 2020 base — but not clean.
 #pragma once
 
 #include <functional>
@@ -79,14 +79,12 @@ class FollowupModel {
   /// (config, base) — thread-safe, order-independent.
   std::optional<HostScanRecord> evolve(const HostScanRecord& base) const;
 
-  /// Brand-new deployments for a base population of `base_hosts` servers;
-  /// deterministic, disjoint address range from both base and churn.
-  /// visit_new_deployments generates one record at a time (the streamed
-  /// study path never materializes the arrivals).
-  std::vector<HostScanRecord> new_deployments(std::uint64_t base_hosts) const;
+  /// Brand-new deployments for a base population of `base_hosts` servers,
+  /// handed to `fn` one record at a time (the streamed study path never
+  /// materializes the arrivals); deterministic, disjoint address range from
+  /// both base and churn.
   void visit_new_deployments(std::uint64_t base_hosts,
                              const std::function<void(HostScanRecord&&)>& fn) const;
-  std::uint64_t new_deployment_count(std::uint64_t base_hosts) const;
 
   /// The churned address of `ip`: a 31-bit multiplicative bijection with
   /// the top bit forced on, so churned addresses never collide with each
@@ -96,6 +94,7 @@ class FollowupModel {
   const FollowupConfig& config() const { return config_; }
 
  private:
+  std::uint64_t new_deployment_count(std::uint64_t base_hosts) const;
   const Bytes& minted_cert(std::uint64_t slot) const;
 
   FollowupConfig config_;

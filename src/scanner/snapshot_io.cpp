@@ -288,6 +288,21 @@ void validate_var_offsets(const V6Layout& lay) {
   if (prev != lay.var_bytes) throw DecodeError("var offsets do not cover the var column");
 }
 
+/// Columns of the v6 chunk `info` indexes in the file bytes at `data`,
+/// for read_chunk and column_view alike: the chunk header must repeat its
+/// index entry, and the var offsets must chain through the var column.
+V6Layout locate_v6_chunk(const std::uint8_t* data, const SnapshotChunkInfo& info) {
+  const std::uint8_t* base = data + info.file_offset;
+  UaReader h(std::span<const std::uint8_t>(base, kV6ChunkHeaderBytes));
+  if (h.u32() != kChunkMagic || h.u32() != info.snapshot_ordinal ||
+      h.u32() != info.record_count || h.u32() != 0 || h.u64() != info.payload_bytes) {
+    throw DecodeError("chunk header disagrees with footer index");
+  }
+  const V6Layout lay = v6_layout(base + kV6ChunkHeaderBytes, info.payload_bytes, info.record_count);
+  validate_var_offsets(lay);
+  return lay;
+}
+
 std::uint32_t checked_cert_id(std::uint32_t id, std::size_t dict_size) {
   if (id >= dict_size) {
     throw DecodeError("certificate id " + std::to_string(id) + " out of dictionary range (" +
@@ -1013,230 +1028,123 @@ void SnapshotWriter::finish() {
 
 // ------------------------------------------------------------- reader ----
 
-SnapshotReader::SnapshotReader(const std::string& path, std::uint64_t seed) : path_(path) {
-  std::uint64_t file_size = 0;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw SnapshotError("snapshot file not found: " + path);
-    in.seekg(0, std::ios::end);
-    file_size = static_cast<std::uint64_t>(in.tellg());
-    if (file_size == 0) {
-      throw SnapshotError("snapshot file is empty (0 bytes): " + path);
-    }
-    if (file_size < kHeaderBytes) {
-      throw SnapshotError("snapshot file truncated: " + path + " holds only " +
-                          std::to_string(file_size) + " bytes, need at least " +
-                          std::to_string(kHeaderBytes) + " for the header");
-    }
-    Bytes header(kHeaderBytes);
-    in.seekg(0);
-    in.read(reinterpret_cast<char*>(header.data()),
-            static_cast<std::streamsize>(header.size()));
-    UaReader hr(header);
-    if (hr.u32() != kMagic) throw SnapshotError("not a snapshot file (bad magic): " + path);
-    version_ = hr.u32();
-    if (version_ != kVersionV4 && version_ != kVersionV5 && version_ != kVersionV6) {
-      throw SnapshotError("unsupported snapshot version " + std::to_string(version_) + ": " +
-                          path);
-    }
-    const std::uint64_t file_seed = hr.u64();
-    if (file_seed != seed) {
-      throw SnapshotError("snapshot seed mismatch at byte offset 8 (" + version_tag(version_) +
-                          " file seed " + std::to_string(file_seed) + ", expected " +
-                          std::to_string(seed) + "): " + path);
-    }
-
-    if (version_ == kVersionV5) {
-      // v5: trailer -> footer -> validated chunk index.
-      if (file_size < kHeaderBytes + kTrailerBytes) {
-        throw SnapshotError("snapshot file truncated before trailer (v5): " + path +
-                            " holds only " + std::to_string(file_size) + " bytes, need at least " +
-                            std::to_string(kHeaderBytes + kTrailerBytes));
-      }
-      Bytes trailer(kTrailerBytes);
-      in.seekg(static_cast<std::streamoff>(file_size - kTrailerBytes));
-      in.read(reinterpret_cast<char*>(trailer.data()),
-              static_cast<std::streamsize>(trailer.size()));
-      UaReader tr(trailer);
-      const std::uint64_t footer_offset = tr.u64();
-      if (tr.u32() != kEndMagic) {
-        throw SnapshotError(
-            "snapshot file truncated or unsealed (missing end marker at byte offset " +
-            std::to_string(file_size - 4) + ", v5): " + path);
-      }
-      if (footer_offset < kHeaderBytes || footer_offset > file_size - kTrailerBytes) {
-        throw SnapshotError("snapshot footer offset out of range (v5): " + path);
-      }
-      Bytes footer(static_cast<std::size_t>(file_size - kTrailerBytes - footer_offset));
-      in.seekg(static_cast<std::streamoff>(footer_offset));
-      in.read(reinterpret_cast<char*>(footer.data()),
-              static_cast<std::streamsize>(footer.size()));
-      if (!in) throw SnapshotError("read failure in snapshot footer: " + path);
-      try {
-        UaReader r(footer);
-        if (r.u32() != kFooterMagic) throw DecodeError("bad footer magic");
-        const std::uint32_t snapshot_count = r.u32();
-        if (snapshot_count > kMaxSnapshots) {
-          throw DecodeError("implausible snapshot count " + std::to_string(snapshot_count));
-        }
-        snapshots_.reserve(snapshot_count);
-        for (std::uint32_t i = 0; i < snapshot_count; ++i) {
-          SnapshotMeta meta;
-          meta.measurement_index = r.i32();
-          meta.date_days = r.i64();
-          meta.probes_sent = r.u64();
-          meta.tcp_open_count = r.u64();
-          meta.host_count = r.u64();
-          snapshots_.push_back(meta);
-        }
-        const std::uint32_t chunk_count = r.u32();
-        if (chunk_count > kMaxChunks) {
-          throw DecodeError("implausible chunk count " + std::to_string(chunk_count));
-        }
-        chunks_.reserve(chunk_count);
-        std::vector<std::uint64_t> records_seen(snapshot_count, 0);
-        std::uint64_t min_offset = kHeaderBytes;
-        for (std::uint32_t i = 0; i < chunk_count; ++i) {
-          SnapshotChunkInfo chunk;
-          chunk.snapshot_ordinal = r.u32();
-          chunk.record_count = r.u32();
-          chunk.file_offset = r.u64();
-          chunk.payload_bytes = r.u64();
-          if (chunk.snapshot_ordinal >= snapshot_count) {
-            throw DecodeError("chunk " + std::to_string(i) + " references snapshot " +
-                              std::to_string(chunk.snapshot_ordinal) + " of " +
-                              std::to_string(snapshot_count));
-          }
-          if (chunk.record_count == 0) {
-            throw DecodeError("chunk " + std::to_string(i) + " is empty");
-          }
-          // Chunks are written back to back in index order; each must lie
-          // fully inside the data region [header, footer).
-          if (chunk.file_offset < min_offset ||
-              chunk.payload_bytes > footer_offset - kChunkHeaderBytes ||
-              chunk.file_offset + kChunkHeaderBytes + chunk.payload_bytes > footer_offset) {
-            throw DecodeError("chunk " + std::to_string(i) + " extent out of range");
-          }
-          min_offset = chunk.file_offset + kChunkHeaderBytes + chunk.payload_bytes;
-          records_seen[chunk.snapshot_ordinal] += chunk.record_count;
-          if (!chunks_.empty() && chunk.snapshot_ordinal < chunks_.back().snapshot_ordinal) {
-            throw DecodeError("chunk index not ordered by snapshot");
-          }
-          chunks_.push_back(chunk);
-        }
-        if (!r.done()) {
-          // Optional campaign block: files written before labels existed
-          // (or without set_campaign) simply end after the chunk table.
-          if (r.u32() != kCampaignMagic) throw DecodeError("bad campaign block magic");
-          for (std::uint32_t i = 0; i < snapshot_count; ++i) {
-            snapshots_[i].campaign_label = r.string();
-            snapshots_[i].campaign_epoch_days = r.i64();
-          }
-        }
-        if (!r.done()) throw DecodeError("trailing bytes in footer");
-        for (std::uint32_t i = 0; i < snapshot_count; ++i) {
-          if (records_seen[i] != snapshots_[i].host_count) {
-            throw DecodeError("snapshot " + std::to_string(i) + " indexes " +
-                              std::to_string(records_seen[i]) + " records but declares " +
-                              std::to_string(snapshots_[i].host_count));
-          }
-        }
-      } catch (const DecodeError& e) {
-        throw SnapshotError("corrupt snapshot footer in " + path + " (v5, footer at byte " +
-                            std::to_string(footer_offset) + "): " + e.what());
-      }
-      return;
-    }
-  }
-
-  if (version_ == kVersionV4) {
-    // v4: monolithic stream — decode once to synthesize the chunk index.
-    // Legacy files are the small pre-chunking caches, so keeping the raw
-    // bytes resident is acceptable; v5/v6 readers never decode-at-open.
-    heap_data_ = read_file(path);
-    data_ = heap_data_.data();
-    data_size_ = heap_data_.size();
-    UaReader r(heap_data_);
-    try {
-      r.u32();  // magic
-      r.u32();  // version
-      r.u64();  // seed
-      const std::uint32_t count = r.u32();
-      if (count > kMaxSnapshots) {
-        throw DecodeError("implausible snapshot count " + std::to_string(count));
-      }
-      for (std::uint32_t i = 0; i < count; ++i) {
-        SnapshotMeta meta;
-        meta.measurement_index = r.i32();
-        meta.date_days = r.i64();
-        meta.probes_sent = r.u64();
-        meta.tcp_open_count = r.u64();
-        const std::uint32_t n_hosts = r.u32();
-        meta.host_count = n_hosts;
-        std::uint32_t remaining_hosts = n_hosts;
-        while (remaining_hosts > 0) {
-          SnapshotChunkInfo chunk;
-          chunk.snapshot_ordinal = i;
-          chunk.record_count =
-              std::min<std::uint32_t>(remaining_hosts, SnapshotWriter::kDefaultChunkRecords);
-          chunk.file_offset = r.base().position();
-          for (std::uint32_t h = 0; h < chunk.record_count; ++h) read_host(r);
-          chunk.payload_bytes = r.base().position() - chunk.file_offset;
-          chunks_.push_back(chunk);
-          remaining_hosts -= chunk.record_count;
-        }
-        snapshots_.push_back(meta);
-      }
-      if (!r.done()) {
-        throw DecodeError(std::to_string(r.remaining()) + " trailing bytes after last snapshot");
-      }
-    } catch (const DecodeError& e) {
-      throw SnapshotError("corrupt v4 snapshot file " + path + " (at byte " +
-                          std::to_string(r.base().position()) + "): " + e.what());
-    }
-    return;
-  }
-
-  if (version_ == kVersionV6) open_v6(file_size);
-}
-
-SnapshotReader::~SnapshotReader() {
+void SnapshotReader::Unmap::operator()(void* p) const {
 #if OPCUA_STUDY_HAVE_MMAP
-  if (mmap_ptr_ != nullptr) ::munmap(mmap_ptr_, mmap_len_);
+  ::munmap(p, length);
+#else
+  (void)p;
 #endif
 }
 
-void SnapshotReader::open_v6(std::uint64_t file_size) {
+SnapshotReader::SnapshotReader(const std::string& path, std::uint64_t seed) : path_(path) {
+  map_file();
+  if (data_size_ == 0) {
+    throw SnapshotError("snapshot file is empty (0 bytes): " + path);
+  }
+  if (data_size_ < kHeaderBytes) {
+    throw SnapshotError("snapshot file truncated: " + path + " holds only " +
+                        std::to_string(data_size_) + " bytes, need at least " +
+                        std::to_string(kHeaderBytes) + " for the header");
+  }
+  UaReader hr(std::span<const std::uint8_t>(data_, kHeaderBytes));
+  if (hr.u32() != kMagic) throw SnapshotError("not a snapshot file (bad magic): " + path);
+  version_ = hr.u32();
+  if (version_ != kVersionV4 && version_ != kVersionV5 && version_ != kVersionV6) {
+    throw SnapshotError("unsupported snapshot version " + std::to_string(version_) + ": " +
+                        path);
+  }
+  const std::uint64_t file_seed = hr.u64();
+  if (file_seed != seed) {
+    throw SnapshotError("snapshot seed mismatch at byte offset 8 (" + version_tag(version_) +
+                        " file seed " + std::to_string(file_seed) + ", expected " +
+                        std::to_string(seed) + "): " + path);
+  }
+  if (version_ != kVersionV4) {
+    open_indexed();
+    return;
+  }
+
+  // v4: monolithic stream — decode once to synthesize the chunk index;
+  // read_chunk decodes each chunk again from the file bytes.
+  UaReader r(std::span<const std::uint8_t>(data_, data_size_));
+  try {
+    r.u32();  // magic
+    r.u32();  // version
+    r.u64();  // seed
+    const std::uint32_t count = r.u32();
+    if (count > kMaxSnapshots) {
+      throw DecodeError("implausible snapshot count " + std::to_string(count));
+    }
+    for (std::uint32_t i = 0; i < count; ++i) {
+      SnapshotMeta meta;
+      meta.measurement_index = r.i32();
+      meta.date_days = r.i64();
+      meta.probes_sent = r.u64();
+      meta.tcp_open_count = r.u64();
+      const std::uint32_t n_hosts = r.u32();
+      meta.host_count = n_hosts;
+      std::uint32_t remaining_hosts = n_hosts;
+      while (remaining_hosts > 0) {
+        SnapshotChunkInfo chunk;
+        chunk.snapshot_ordinal = i;
+        chunk.record_count =
+            std::min<std::uint32_t>(remaining_hosts, SnapshotWriter::kDefaultChunkRecords);
+        chunk.file_offset = r.base().position();
+        for (std::uint32_t h = 0; h < chunk.record_count; ++h) read_host(r);
+        chunk.payload_bytes = r.base().position() - chunk.file_offset;
+        chunks_.push_back(chunk);
+        remaining_hosts -= chunk.record_count;
+      }
+      snapshots_.push_back(meta);
+    }
+    if (!r.done()) {
+      throw DecodeError(std::to_string(r.remaining()) + " trailing bytes after last snapshot");
+    }
+  } catch (const DecodeError& e) {
+    throw SnapshotError("corrupt v4 snapshot file " + path + " (at byte " +
+                        std::to_string(r.base().position()) + "): " + e.what());
+  }
+}
+
+SnapshotReader::~SnapshotReader() = default;
+
+void SnapshotReader::map_file() {
 #if OPCUA_STUDY_HAVE_MMAP
   const int fd = ::open(path_.c_str(), O_RDONLY);
   if (fd >= 0) {
     struct stat st {};
     if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-      void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ, MAP_PRIVATE,
-                       fd, 0);
+      const auto length = static_cast<std::size_t>(st.st_size);
+      void* p = ::mmap(nullptr, length, PROT_READ, MAP_PRIVATE, fd, 0);
       if (p != MAP_FAILED) {
-        mmap_ptr_ = p;
-        mmap_len_ = static_cast<std::size_t>(st.st_size);
+        mapping_ = {p, Unmap{length}};
         data_ = static_cast<const std::uint8_t*>(p);
-        data_size_ = mmap_len_;
+        data_size_ = length;
       }
     }
     ::close(fd);
   }
 #endif
-  if (data_ == nullptr) {
-    // Heap fallback (no mmap on this platform, or the map failed): one
-    // resident copy, same lifetime and alignment guarantees.
+  if (mapping_ == nullptr) {
+    // Heap fallback (no mmap on this platform, an empty or missing file,
+    // or the map failed): one resident copy, same lifetime and alignment
+    // guarantees; read_file names a missing file.
     heap_data_ = read_file(path_);
     data_ = heap_data_.data();
     data_size_ = heap_data_.size();
   }
-  if (data_size_ != file_size) {
-    throw SnapshotError("snapshot file changed size while opening: " + path_);
-  }
+}
 
+void SnapshotReader::open_indexed() {
+  // v5 and v6 share the framing: trailer -> footer (metas, chunk table,
+  // optional blocks). Only the chunk rules differ. v5 chunks sit back to
+  // back at any alignment and end at the footer; v6 chunks are 8-aligned
+  // and padded, end at the dictionary, whose extent the footer gives after
+  // the chunk table, and only v6 has the 'PROT' block.
+  const bool v6 = version_ == kVersionV6;
+  const std::string tag = version_tag(version_);
   if (data_size_ < kHeaderBytes + kTrailerBytes) {
-    throw SnapshotError("snapshot file truncated before trailer (v6): " + path_ +
+    throw SnapshotError("snapshot file truncated before trailer (" + tag + "): " + path_ +
                         " holds only " + std::to_string(data_size_) + " bytes, need at least " +
                         std::to_string(kHeaderBytes + kTrailerBytes));
   }
@@ -1245,10 +1153,10 @@ void SnapshotReader::open_v6(std::uint64_t file_size) {
   if (tr.u32() != kEndMagic) {
     throw SnapshotError(
         "snapshot file truncated or unsealed (missing end marker at byte offset " +
-        std::to_string(data_size_ - 4) + ", v6): " + path_);
+        std::to_string(data_size_ - 4) + ", " + tag + "): " + path_);
   }
   if (footer_offset < kHeaderBytes || footer_offset > data_size_ - kTrailerBytes) {
-    throw SnapshotError("snapshot footer offset out of range (v6): " + path_);
+    throw SnapshotError("snapshot footer offset out of range (" + tag + "): " + path_);
   }
   std::uint64_t dict_offset = 0;
   std::uint64_t dict_bytes = 0;
@@ -1276,6 +1184,21 @@ void SnapshotReader::open_v6(std::uint64_t file_size) {
       throw DecodeError("implausible chunk count " + std::to_string(chunk_count));
     }
     chunks_.reserve(chunk_count);
+    // Chunks are written back to back in index order; each must lie fully
+    // inside [the previous chunk's end, end). Checked without forming any
+    // sum past `end`, so no offset or size can wrap around.
+    const std::uint64_t chunk_header = v6 ? kV6ChunkHeaderBytes : kChunkHeaderBytes;
+    std::uint64_t min_offset = kHeaderBytes;
+    const auto check_extent = [&](std::uint32_t i, const SnapshotChunkInfo& chunk,
+                                  std::uint64_t end) {
+      const std::uint64_t framing = chunk_header + (v6 ? v6_padding(chunk.payload_bytes) : 0);
+      if (chunk.file_offset < min_offset || chunk.file_offset > end ||
+          end - chunk.file_offset < framing ||
+          chunk.payload_bytes > end - chunk.file_offset - framing) {
+        throw DecodeError("chunk " + std::to_string(i) + " extent out of range");
+      }
+      min_offset = chunk.file_offset + framing + chunk.payload_bytes;
+    };
     std::vector<std::uint64_t> records_seen(snapshot_count, 0);
     for (std::uint32_t i = 0; i < chunk_count; ++i) {
       SnapshotChunkInfo chunk;
@@ -1289,46 +1212,39 @@ void SnapshotReader::open_v6(std::uint64_t file_size) {
                           std::to_string(snapshot_count));
       }
       if (chunk.record_count == 0) throw DecodeError("chunk " + std::to_string(i) + " is empty");
+      if (!v6) check_extent(i, chunk, footer_offset);
       records_seen[chunk.snapshot_ordinal] += chunk.record_count;
       if (!chunks_.empty() && chunk.snapshot_ordinal < chunks_.back().snapshot_ordinal) {
         throw DecodeError("chunk index not ordered by snapshot");
       }
       chunks_.push_back(chunk);
     }
-    dict_offset = r.u64();
-    dict_bytes = r.u64();
-    dict_count = r.u32();
-    if (dict_count > kMaxDictEntries) {
-      throw DecodeError("implausible certificate dictionary size " + std::to_string(dict_count));
-    }
-    if (dict_offset < kHeaderBytes || dict_bytes < 8 || dict_bytes > footer_offset ||
-        dict_offset > footer_offset - dict_bytes) {
-      throw DecodeError("certificate dictionary extent out of range");
-    }
-    // Chunk extents validate against the dictionary, which begins where
-    // the (8-aligned, padded) chunk region ends.
-    std::uint64_t min_offset = kHeaderBytes;
-    for (std::uint32_t i = 0; i < chunks_.size(); ++i) {
-      const SnapshotChunkInfo& chunk = chunks_[i];
-      if (chunk.file_offset % 8 != 0) {
-        throw DecodeError("chunk " + std::to_string(i) + " misaligned");
+    if (v6) {
+      dict_offset = r.u64();
+      dict_bytes = r.u64();
+      dict_count = r.u32();
+      if (dict_count > kMaxDictEntries) {
+        throw DecodeError("implausible certificate dictionary size " +
+                          std::to_string(dict_count));
       }
-      if (chunk.file_offset < min_offset ||
-          chunk.payload_bytes > dict_offset - kV6ChunkHeaderBytes ||
-          chunk.file_offset + kV6ChunkHeaderBytes + chunk.payload_bytes +
-                  v6_padding(chunk.payload_bytes) >
-              dict_offset) {
-        throw DecodeError("chunk " + std::to_string(i) + " extent out of range");
+      if (dict_offset < kHeaderBytes || dict_bytes < 8 || dict_bytes > footer_offset ||
+          dict_offset > footer_offset - dict_bytes) {
+        throw DecodeError("certificate dictionary extent out of range");
       }
-      min_offset = chunk.file_offset + kV6ChunkHeaderBytes + chunk.payload_bytes +
-                   v6_padding(chunk.payload_bytes);
+      for (std::uint32_t i = 0; i < chunks_.size(); ++i) {
+        if (chunks_[i].file_offset % 8 != 0) {
+          throw DecodeError("chunk " + std::to_string(i) + " misaligned");
+        }
+        check_extent(i, chunks_[i], dict_offset);
+      }
     }
     // Optional blocks, each at most once, in write order: campaign
-    // identity ('CAMP'), then per-snapshot protocol masks ('PROT').
-    // Files predating either block simply end after the dictionary info.
+    // identity ('CAMP'), then (v6 only) per-snapshot protocol masks
+    // ('PROT'). Files predating either block simply end before it.
     bool saw_campaign = false;
     bool saw_protocol = false;
     while (!r.done()) {
+      if (!v6 && saw_campaign) throw DecodeError("trailing bytes in footer");
       const std::uint32_t block_magic = r.u32();
       if (block_magic == kCampaignMagic && !saw_campaign && !saw_protocol) {
         saw_campaign = true;
@@ -1336,13 +1252,13 @@ void SnapshotReader::open_v6(std::uint64_t file_size) {
           snapshots_[i].campaign_label = r.string();
           snapshots_[i].campaign_epoch_days = r.i64();
         }
-      } else if (block_magic == kProtocolMagic && !saw_protocol) {
+      } else if (v6 && block_magic == kProtocolMagic && !saw_protocol) {
         saw_protocol = true;
         for (std::uint32_t i = 0; i < snapshot_count; ++i) {
           snapshots_[i].protocol_mask = r.u32();
         }
       } else {
-        throw DecodeError("bad optional footer block magic");
+        throw DecodeError(v6 ? "bad optional footer block magic" : "bad campaign block magic");
       }
     }
     for (std::uint32_t i = 0; i < snapshot_count; ++i) {
@@ -1353,9 +1269,10 @@ void SnapshotReader::open_v6(std::uint64_t file_size) {
       }
     }
   } catch (const DecodeError& e) {
-    throw SnapshotError("corrupt snapshot footer in " + path_ + " (v6, footer at byte " +
-                        std::to_string(footer_offset) + "): " + e.what());
+    throw SnapshotError("corrupt snapshot footer in " + path_ + " (" + tag +
+                        ", footer at byte " + std::to_string(footer_offset) + "): " + e.what());
   }
+  if (!v6) return;
 
   try {
     open_dictionary(dict_offset, dict_bytes, dict_count);
@@ -1474,6 +1391,23 @@ std::uint64_t SnapshotReader::file_fingerprint() const {
   return hash64(acc);
 }
 
+const SnapshotChunkInfo& SnapshotReader::chunk_info(std::size_t chunk_index) const {
+  if (chunk_index >= chunks_.size()) {
+    throw SnapshotError("chunk index " + std::to_string(chunk_index) + " out of range in " +
+                        path_);
+  }
+  return chunks_[chunk_index];
+}
+
+SnapshotError SnapshotReader::corrupt_chunk(std::size_t chunk_index, const DecodeError& e) const {
+  const SnapshotChunkInfo& info = chunks_[chunk_index];
+  return SnapshotError(
+      "corrupt chunk " + std::to_string(chunk_index) + " in " + path_ + " (" +
+      version_tag(version_) + ", " +
+      protocol_context(version_, snapshots_[info.snapshot_ordinal].protocol_mask) +
+      ", chunk at byte " + std::to_string(info.file_offset) + "): " + e.what());
+}
+
 std::vector<HostScanRecord> SnapshotReader::read_chunk(std::size_t chunk_index) const {
   std::vector<HostScanRecord> records;
   read_chunk(chunk_index, records);
@@ -1483,69 +1417,40 @@ std::vector<HostScanRecord> SnapshotReader::read_chunk(std::size_t chunk_index) 
 void SnapshotReader::read_chunk(std::size_t chunk_index,
                                 std::vector<HostScanRecord>& out) const {
   out.clear();
-  if (chunk_index >= chunks_.size()) {
-    throw SnapshotError("chunk index " + std::to_string(chunk_index) + " out of range in " +
-                        path_);
-  }
-  const SnapshotChunkInfo& info = chunks_[chunk_index];
+  const SnapshotChunkInfo& info = chunk_info(chunk_index);
   out.reserve(info.record_count);
   const bool obs_on = obs::enabled();
   const auto wall_start =
       obs_on ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
-  const auto note_read = [&] {
-    if (!obs_on) return;
+  try {
+    if (version_ == kVersionV6) {
+      const V6Layout lay = locate_v6_chunk(data_, info);
+      for (std::uint32_t i = 0; i < info.record_count; ++i) {
+        out.push_back(read_host_v6(*this, lay, i));
+      }
+    } else {
+      // Rows decode straight from the file bytes. A v5 chunk opens with a
+      // header that must repeat its index entry; a v4 chunk has none.
+      const std::uint64_t header = version_ == kVersionV5 ? kChunkHeaderBytes : 0;
+      UaReader r(std::span<const std::uint8_t>(data_ + info.file_offset,
+                                               header + info.payload_bytes));
+      if (header != 0 && (r.u32() != kChunkMagic || r.u32() != info.snapshot_ordinal ||
+                          r.u32() != info.record_count || r.u64() != info.payload_bytes)) {
+        throw DecodeError("chunk header disagrees with footer index");
+      }
+      for (std::uint32_t i = 0; i < info.record_count; ++i) out.push_back(read_host(r));
+      if (!r.done()) throw DecodeError("chunk payload longer than its records");
+    }
+  } catch (const DecodeError& e) {
+    throw corrupt_chunk(chunk_index, e);
+  }
+  if (obs_on) {
     obs::add(obs::Metric::snapshot_chunks_read);
     obs::add(obs::Metric::snapshot_bytes_read, info.payload_bytes);
     obs::add(obs::Metric::snapshot_read_wall_us,
              static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
                                             std::chrono::steady_clock::now() - wall_start)
                                             .count()));
-  };
-  try {
-    if (version_ == kVersionV4) {
-      UaReader r(std::span<const std::uint8_t>(data_ + info.file_offset, info.payload_bytes));
-      for (std::uint32_t i = 0; i < info.record_count; ++i) out.push_back(read_host(r));
-      note_read();
-      return;
-    }
-    if (version_ == kVersionV6) {
-      const std::uint8_t* base = data_ + info.file_offset;
-      UaReader h(std::span<const std::uint8_t>(base, kV6ChunkHeaderBytes));
-      if (h.u32() != kChunkMagic || h.u32() != info.snapshot_ordinal ||
-          h.u32() != info.record_count || h.u32() != 0 || h.u64() != info.payload_bytes) {
-        throw DecodeError("chunk header disagrees with footer index");
-      }
-      const V6Layout lay =
-          v6_layout(base + kV6ChunkHeaderBytes, info.payload_bytes, info.record_count);
-      validate_var_offsets(lay);
-      for (std::uint32_t i = 0; i < info.record_count; ++i) {
-        out.push_back(read_host_v6(*this, lay, i));
-      }
-      note_read();
-      return;
-    }
-    // v5: each call opens its own stream so thread-pool workers can decode
-    // disjoint chunks concurrently without sharing a file cursor.
-    std::ifstream in(path_, std::ios::binary);
-    if (!in) throw SnapshotError("snapshot file vanished: " + path_);
-    in.seekg(static_cast<std::streamoff>(info.file_offset));
-    Bytes data(kChunkHeaderBytes + info.payload_bytes);
-    in.read(reinterpret_cast<char*>(data.data()), static_cast<std::streamsize>(data.size()));
-    if (!in) throw SnapshotError("read failure in chunk of " + path_);
-    UaReader r(data);
-    if (r.u32() != kChunkMagic || r.u32() != info.snapshot_ordinal ||
-        r.u32() != info.record_count || r.u64() != info.payload_bytes) {
-      throw DecodeError("chunk header disagrees with footer index");
-    }
-    for (std::uint32_t i = 0; i < info.record_count; ++i) out.push_back(read_host(r));
-    if (!r.done()) throw DecodeError("chunk payload longer than its records");
-    note_read();
-  } catch (const DecodeError& e) {
-    throw SnapshotError(
-        "corrupt chunk " + std::to_string(chunk_index) + " in " + path_ + " (" +
-        version_tag(version_) + ", " +
-        protocol_context(version_, snapshots_[info.snapshot_ordinal].protocol_mask) +
-        ", chunk at byte " + std::to_string(info.file_offset) + "): " + e.what());
   }
 }
 
@@ -1553,52 +1458,38 @@ ColumnView SnapshotReader::column_view(std::size_t chunk_index) const {
   if (!columnar()) {
     throw SnapshotError("column_view requires a v6 snapshot on a little-endian host: " + path_);
   }
-  if (chunk_index >= chunks_.size()) {
-    throw SnapshotError("chunk index " + std::to_string(chunk_index) + " out of range in " +
-                        path_);
-  }
-  const SnapshotChunkInfo& info = chunks_[chunk_index];
+  const SnapshotChunkInfo& info = chunk_info(chunk_index);
+  V6Layout lay;
   try {
-    const std::uint8_t* base = data_ + info.file_offset;
-    UaReader h(std::span<const std::uint8_t>(base, kV6ChunkHeaderBytes));
-    if (h.u32() != kChunkMagic || h.u32() != info.snapshot_ordinal ||
-        h.u32() != info.record_count || h.u32() != 0 || h.u64() != info.payload_bytes) {
-      throw DecodeError("chunk header disagrees with footer index");
-    }
-    const V6Layout lay =
-        v6_layout(base + kV6ChunkHeaderBytes, info.payload_bytes, info.record_count);
-    validate_var_offsets(lay);
-    ColumnView view;
-    view.snapshot_ordinal = info.snapshot_ordinal;
-    view.records = lay.n;
-    view.bytes_sent = {reinterpret_cast<const std::uint64_t*>(lay.bytes_sent), lay.n};
-    view.uri_hash = {reinterpret_cast<const std::uint64_t*>(lay.uri_hash), lay.n};
-    view.duration_seconds = {reinterpret_cast<const double*>(lay.duration), lay.n};
-    view.ip = {reinterpret_cast<const std::uint32_t*>(lay.ip), lay.n};
-    view.asn = {reinterpret_cast<const std::uint32_t*>(lay.asn), lay.n};
-    view.var_offsets = {reinterpret_cast<const std::uint32_t*>(lay.var_offsets), lay.n + 1};
-    view.port = {reinterpret_cast<const std::uint16_t*>(lay.port), lay.n};
-    view.application_type = {lay.application_type, lay.n};
-    view.channel = {lay.channel, lay.n};
-    view.channel_policy = {lay.channel_policy, lay.n};
-    view.channel_mode = {lay.channel_mode, lay.n};
-    view.session = {lay.session, lay.n};
-    view.flags = {lay.flags, lay.n};
-    view.mode_mask = {lay.mode_mask, lay.n};
-    view.policy_mask = {lay.policy_mask, lay.n};
-    view.token_mask = {lay.token_mask, lay.n};
-    view.var_blob = {lay.var, static_cast<std::size_t>(lay.var_bytes)};
-    // A column view is a zero-copy chunk read: same coverage accounting as
-    // the record-decoding path, just without the decode cost.
-    obs::add(obs::Metric::snapshot_chunks_read);
-    obs::add(obs::Metric::snapshot_bytes_read, info.payload_bytes);
-    return view;
+    lay = locate_v6_chunk(data_, info);
   } catch (const DecodeError& e) {
-    throw SnapshotError(
-        "corrupt chunk " + std::to_string(chunk_index) + " in " + path_ + " (v6, " +
-        protocol_context(version_, snapshots_[info.snapshot_ordinal].protocol_mask) +
-        ", chunk at byte " + std::to_string(info.file_offset) + "): " + e.what());
+    throw corrupt_chunk(chunk_index, e);
   }
+  ColumnView view;
+  view.snapshot_ordinal = info.snapshot_ordinal;
+  view.records = lay.n;
+  view.bytes_sent = {reinterpret_cast<const std::uint64_t*>(lay.bytes_sent), lay.n};
+  view.uri_hash = {reinterpret_cast<const std::uint64_t*>(lay.uri_hash), lay.n};
+  view.duration_seconds = {reinterpret_cast<const double*>(lay.duration), lay.n};
+  view.ip = {reinterpret_cast<const std::uint32_t*>(lay.ip), lay.n};
+  view.asn = {reinterpret_cast<const std::uint32_t*>(lay.asn), lay.n};
+  view.var_offsets = {reinterpret_cast<const std::uint32_t*>(lay.var_offsets), lay.n + 1};
+  view.port = {reinterpret_cast<const std::uint16_t*>(lay.port), lay.n};
+  view.application_type = {lay.application_type, lay.n};
+  view.channel = {lay.channel, lay.n};
+  view.channel_policy = {lay.channel_policy, lay.n};
+  view.channel_mode = {lay.channel_mode, lay.n};
+  view.session = {lay.session, lay.n};
+  view.flags = {lay.flags, lay.n};
+  view.mode_mask = {lay.mode_mask, lay.n};
+  view.policy_mask = {lay.policy_mask, lay.n};
+  view.token_mask = {lay.token_mask, lay.n};
+  view.var_blob = {lay.var, static_cast<std::size_t>(lay.var_bytes)};
+  // A column view is a zero-copy chunk read: same coverage accounting as
+  // the record-decoding path, just without the decode cost.
+  obs::add(obs::Metric::snapshot_chunks_read);
+  obs::add(obs::Metric::snapshot_bytes_read, info.payload_bytes);
+  return view;
 }
 
 void SnapshotReader::for_each_host(

@@ -87,6 +87,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -378,11 +379,11 @@ class SnapshotWriter {
 /// dictionary (every stored fingerprint is recomputed from its DER; the
 /// SHA-1s are computed on a thread pool and kept as cert_sha1, the
 /// comparisons run in entry order so the first bad entry is the one
-/// reported), and throws SnapshotError on any mismatch. v6 files are memory-mapped for
-/// the reader's lifetime (falling back to a heap copy where mmap is
-/// unavailable); v5 files are streamed per chunk. read_chunk() and
-/// column_view() are const and thread-safe: workers may decode disjoint
-/// chunks concurrently.
+/// reported), and throws SnapshotError on any mismatch. Every format is
+/// memory-mapped once for the reader's lifetime (falling back to a heap
+/// copy where mmap is unavailable or fails), and every read decodes from
+/// that one image. read_chunk() and column_view() are const and
+/// thread-safe: workers may decode disjoint chunks concurrently.
 class SnapshotReader final : public CertDictionary {
  public:
   SnapshotReader(const std::string& path, std::uint64_t seed);
@@ -439,10 +440,18 @@ class SnapshotReader final : public CertDictionary {
   const Sha1Digest& cert_sha1(std::uint32_t cert_id) const override;
 
  private:
-  void open_v6(std::uint64_t file_size);
+  /// Maps the file into data_/data_size_ (heap copy as the fallback).
+  void map_file();
+  /// v5 and v6: trailer, footer and chunk index (and the v6 dictionary),
+  /// one parser with the version rules as its only branches.
+  void open_indexed();
   /// Parses the dictionary at [offset, offset + bytes) into dict_ and
   /// verifies every stored fingerprint (throws DecodeError).
   void open_dictionary(std::uint64_t offset, std::uint64_t bytes, std::uint32_t count);
+  /// chunks_[chunk_index]; SnapshotError naming the file when out of range.
+  const SnapshotChunkInfo& chunk_info(std::size_t chunk_index) const;
+  /// The SnapshotError for a chunk that failed to decode with `e`.
+  SnapshotError corrupt_chunk(std::size_t chunk_index, const DecodeError& e) const;
   struct DictEntry {
     std::uint64_t offset = 0;  // of the DER bytes inside the file
     std::uint32_t length = 0;
@@ -456,13 +465,20 @@ class SnapshotReader final : public CertDictionary {
   std::vector<SnapshotMeta> snapshots_;
   std::vector<SnapshotChunkInfo> chunks_;
   std::vector<DictEntry> dict_;  // v6 only
-  // v4: whole file on the heap. v6: memory mapping (or heap fallback).
-  // v5 retains nothing; chunks are read on demand.
+  // The whole file, every format: a read-only mapping, or heap_data_
+  // where mmap is unavailable or fails. mapping_ unmaps it with the
+  // reader, also when the constructor throws.
   const std::uint8_t* data_ = nullptr;
   std::size_t data_size_ = 0;
   Bytes heap_data_;
-  void* mmap_ptr_ = nullptr;
-  std::size_t mmap_len_ = 0;
+  struct Unmap {
+    // No initializer: with one, this nested type is not yet
+    // default-constructible where unique_ptr needs it to be; unique_ptr
+    // value-initializes it to 0.
+    std::size_t length;
+    void operator()(void* p) const;
+  };
+  std::unique_ptr<void, Unmap> mapping_;
 };
 
 /// Streams `snapshots` into a snapshot file (current format, v6) via

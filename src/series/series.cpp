@@ -44,8 +44,7 @@ void CampaignSet::add_snapshots(std::shared_ptr<const std::vector<ScanSnapshot>>
   members_.push_back(std::move(member));
 }
 
-CampaignSet::OpenMember CampaignSet::open(std::size_t index,
-                                          std::uint32_t chunk_records) const {
+CampaignSet::OpenMember CampaignSet::open(std::size_t index) const {
   const CampaignMember& member = members_.at(index);
   OpenMember open;
   if (member.file_backed()) {
@@ -53,7 +52,8 @@ CampaignSet::OpenMember CampaignSet::open(std::size_t index,
     open.source_ = std::make_unique<ReaderRecordSource>(*open.reader_);
   } else {
     open.pin_ = member.snapshots;
-    open.source_ = std::make_unique<SnapshotVectorSource>(*member.snapshots, chunk_records);
+    open.source_ = std::make_unique<SnapshotVectorSource>(*member.snapshots,
+                                                          SnapshotWriter::kDefaultChunkRecords);
   }
   if (open.source_->week_count() == 0) {
     throw SnapshotError("campaign series: member " + std::to_string(index) +
@@ -67,17 +67,17 @@ CampaignSet::OpenMember CampaignSet::open(std::size_t index,
   return open;
 }
 
-std::vector<SnapshotMeta> CampaignSet::final_metas(std::uint32_t chunk_records) const {
+std::vector<SnapshotMeta> CampaignSet::final_metas() const {
   std::vector<SnapshotMeta> metas;
   metas.reserve(members_.size());
   for (std::size_t i = 0; i < members_.size(); ++i) {
-    metas.push_back(open(i, chunk_records).final_meta());
+    metas.push_back(open(i).final_meta());
   }
   return metas;
 }
 
-void CampaignSet::validate(std::uint32_t chunk_records) const {
-  validate_campaign_chain(final_metas(chunk_records));
+void CampaignSet::validate() const {
+  validate_campaign_chain(final_metas());
 }
 
 // ---------------------------------------------------------- SeriesBuilder
@@ -275,7 +275,7 @@ SeriesAnalysis analyze_series(const CampaignSet& set, const SeriesOptions& optio
   // its postures are produced, so an out-of-order member fails before
   // its posture work (and a truncated file fails at its open).
   for (std::size_t m = 0; m < set.size(); ++m) {
-    const CampaignSet::OpenMember member = set.open(m, options.chunk_records);
+    const CampaignSet::OpenMember member = set.open(m);
     std::vector<SnapshotMeta> chain = builder.finals();
     chain.push_back(member.final_meta());
     validate_campaign_chain(chain);

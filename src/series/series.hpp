@@ -93,19 +93,17 @@ class CampaignSet {
 
   /// Open member `index`. Throws SnapshotError when the file is missing,
   /// truncated, seed-mismatched, or the campaign holds no measurement.
-  OpenMember open(std::size_t index,
-                  std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords) const;
+  OpenMember open(std::size_t index) const;
 
   /// Final-measurement metadata of every member (each opened briefly —
   /// footer only, no record decode). The cheap prepass validation and
   /// reporting build on.
-  std::vector<SnapshotMeta> final_metas(
-      std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords) const;
+  std::vector<SnapshotMeta> final_metas() const;
 
   /// Chain validation over the members' final measurements
   /// (validate_campaign_chain): epochs strictly increasing across
   /// declared members, no duplicate consecutive identity.
-  void validate(std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords) const;
+  void validate() const;
 
  private:
   std::vector<CampaignMember> members_;
@@ -115,8 +113,6 @@ struct SeriesOptions {
   /// Worker threads for the posture passes; 0 = hardware concurrency,
   /// 1 = inline. The resulting SeriesAnalysis is identical for any value.
   int threads = 1;
-  /// Chunk size when streaming in-memory members.
-  std::uint32_t chunk_records = SnapshotWriter::kDefaultChunkRecords;
   /// Load posture sketch sidecars (src/series/sketch.hpp) for file-backed
   /// members instead of re-walking their records. A missing sidecar falls
   /// back to the posture pass; a *stale* one (snapshot fingerprint

@@ -299,8 +299,8 @@ std::size_t CampaignCatalog::resident_bytes() const {
   std::size_t bytes = 0;
   for (const auto& [name, e] : campaigns_) {
     (void)name;
-    // The mapped (v6) or streamed (v5) snapshot payload, chunk index, and
-    // dictionary — the bytes the resident reader pins.
+    // The mapped snapshot payload, chunk index, and dictionary — the bytes
+    // the resident reader pins.
     for (const SnapshotChunkInfo& chunk : e.reader->chunks()) bytes += chunk.payload_bytes;
     bytes += e.reader->chunks().size() * sizeof(SnapshotChunkInfo);
     bytes += e.reader->cert_count() * 64;  // dict entries + index estimate

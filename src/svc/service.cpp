@@ -320,10 +320,14 @@ QueryRequest parse_query_request(const std::string& text) {
     } else if (key == "policy") {
       request.policy_bucket =
           static_cast<int>(parse_number(key, value, std::size(kPolicyBuckets) - 1));
-    } else if (key == "anonymous") {
-      request.anonymous_only = parse_number(key, value, 1) != 0;
-    } else if (key == "deficient") {
-      request.deficient_only = parse_number(key, value, 1) != 0;
+    } else if (key == "anonymous" || key == "deficient") {
+      // A cohort filter takes only 1. "0" reads as the complement, which no
+      // filter selects, and must not quietly count every host.
+      if (value != "1") {
+        throw std::invalid_argument("query parameter " + key + "=" + value +
+                                    " is not 1 (leave the key out to count every host)");
+      }
+      (key == "anonymous" ? request.anonymous_only : request.deficient_only) = true;
     } else if (key == "as_limit") {
       request.as_limit = static_cast<std::size_t>(
           parse_number(key, value, std::numeric_limits<std::size_t>::max()));

@@ -75,10 +75,11 @@ struct QueryRequest {
 /// Keys: kind, campaign, base, followup, series, asn, protocol, mode,
 /// policy, anonymous, deficient, as_limit. A numeric value is decimal
 /// digits only and must fit its field: asn <= 4294967295, mode and policy
-/// <= 2 (bucket indices), anonymous and deficient 0 or 1, as_limit any
-/// std::size_t. protocol is a protocol_name() ("opcua", "mqtt-tls"),
+/// <= 2 (bucket indices), as_limit any std::size_t. anonymous and
+/// deficient take only 1, which selects that cohort; without the key every
+/// host counts. protocol is a protocol_name() ("opcua", "mqtt-tls"),
 /// matched exactly. Throws std::invalid_argument on unknown keys/kinds,
-/// on any other number and on any other protocol, naming the key and the
+/// on any other number, flag value or protocol, naming the key and the
 /// value.
 QueryRequest parse_query_request(const std::string& text);
 

@@ -521,10 +521,8 @@ const char* const kPostureBattery[] = {
     "kind=posture campaign=c1 policy=1",
     "kind=posture campaign=c0 policy=2",
     "kind=posture campaign=c0 anonymous=1",
-    "kind=posture campaign=c1 anonymous=0",
     "kind=posture campaign=c0 deficient=1",
     "kind=posture campaign=c1 deficient=1",
-    "kind=posture campaign=c0 deficient=0",
     "kind=posture campaign=c0 protocol=mqtt-tls deficient=1",
     "kind=posture campaign=c1 mode=0 anonymous=1",
     "kind=posture campaign=c0 asn=64510 policy=2",
@@ -700,11 +698,13 @@ TEST(QueryParsing, RejectsMalformedInput) {
   EXPECT_THROW(svc::parse_query_request("kind=posture asn=notanumber"),
                std::invalid_argument);
   EXPECT_THROW(svc::parse_query_request("kind"), std::invalid_argument);
-  // Numbers outside their field are rejected, not wrapped or truncated,
-  // and the error names the key and the value.
+  // Numbers outside their field are rejected, not wrapped or truncated, a
+  // cohort filter takes only 1 ("0" would count every host), and the error
+  // names the key and the value.
   for (const char* text : {"asn=4294967297", "asn=-1", "mode=4294967296", "mode=7", "policy=-2",
                            "as_limit=-1", "anonymous=+5", "anonymous=2", "protocol=modbus",
-                           "protocol=", "protocol=OPCUA"}) {
+                           "protocol=", "protocol=OPCUA", "anonymous=0", "deficient=0",
+                           "deficient=01"}) {
     try {
       svc::parse_query_request(text);
       ADD_FAILURE() << text << " was accepted";

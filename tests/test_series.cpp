@@ -340,17 +340,14 @@ TEST(SeriesDeterminism, ThreadCountAndStreamedVsLoadAllAreByteIdentical) {
   EXPECT_EQ(series_analysis_json(streamed1), series_analysis_json(streamed8));
 
   // Load-all members (annotated with the files' identities) must analyze
-  // byte-identically, for any chunking.
+  // byte-identically.
   CampaignSet memory;
   for (std::size_t i = 0; i < files.size(); ++i) {
     const CampaignMember& member = files.member(i);
     memory.add_snapshots(SnapshotReader(member.path, member.seed).load_all(),
                          metas[i].campaign_label, metas[i].campaign_epoch_days);
   }
-  SeriesOptions tiny_chunks;
-  tiny_chunks.threads = 8;
-  tiny_chunks.chunk_records = 7;
-  const SeriesAnalysis load_all = analyze_series(memory, tiny_chunks);
+  const SeriesAnalysis load_all = analyze_series(memory, parallel);
   EXPECT_EQ(streamed1, load_all);
   EXPECT_EQ(series_analysis_json(streamed1), series_analysis_json(load_all));
 

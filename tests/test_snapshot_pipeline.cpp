@@ -19,6 +19,7 @@
 #include "analysis/analysis.hpp"
 #include "crypto/keycache.hpp"
 #include "figure_dump.hpp"
+#include "grab_dump.hpp"
 #include "scanner/snapshot_io.hpp"
 #include "util/date.hpp"
 #include "util/hex.hpp"
@@ -200,6 +201,67 @@ void expect_golden_figures(const StudyAnalysis& analysis, const std::string& gol
                                   << actual;
 }
 
+/// First 16 hex digits of the SHA-256 of `text`.
+std::string short_digest(const std::string& text) {
+  return to_hex(hash(HashAlgorithm::sha256, text)).substr(0, 16);
+}
+
+/// What the reader makes of the (mutated) file at `path`, as one line. A
+/// rejected file gives the load_snapshots error, with `path` written as
+/// <file>. A loaded file gives its week count, the hosts of each week, a
+/// digest of its records as grab_dump renders them, and what analyze_file
+/// makes of it: a digest of the figure dump, or the SnapshotError text.
+std::string reader_outcome(const std::string& path) {
+  const auto normalized = [&](std::string text) {
+    for (std::size_t at; (at = text.find(path)) != std::string::npos;) {
+      text.replace(at, path.size(), "<file>");
+    }
+    return text;
+  };
+  std::string error;
+  const auto loaded = load_snapshots(path, 42, &error);
+  if (!loaded.has_value()) return "rejected: " + normalized(error);
+  std::string out = "loaded weeks=" + std::to_string(loaded->size()) + " hosts=";
+  std::string records;
+  for (const ScanSnapshot& snapshot : *loaded) {
+    if (&snapshot != &loaded->front()) out += '+';
+    out += std::to_string(snapshot.hosts.size());
+    for (const HostScanRecord& host : snapshot.hosts) records += grab_dump::line(host) + '\n';
+  }
+  out += " records=" + short_digest(records);
+  try {
+    out += " analysis=" + short_digest(figure_dump_text(analyze_file(path, 42, {})));
+  } catch (const SnapshotError& e) {
+    out += " analysis rejected: " + normalized(e.what());
+  }
+  return out;
+}
+
+/// Compares `actual` with the lines of the reader-outcome golden
+/// (tests/data/snapshot.reader_outcomes.txt) that belong to `sweep`,
+/// printing the golden and the actual line of every case that differs.
+/// Each line names its sweep, input and case, then the reader_outcome.
+/// The golden was recorded with the reader that stream-read the v4 and v5
+/// files and parsed the v5 and v6 footers in two copies, so it pins that
+/// every truncated or flipped file is still rejected with the same message,
+/// or still loads the same records.
+void expect_golden_outcomes(const std::string& sweep, const std::vector<std::string>& actual) {
+  const std::string golden = "snapshot.reader_outcomes.txt";
+  std::ifstream in(std::filesystem::path(__FILE__).parent_path() / "data" / golden);
+  ASSERT_TRUE(in) << "missing golden tests/data/" << golden;
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with(sweep + ' ')) expected.push_back(line);
+  }
+  EXPECT_EQ(actual.size(), expected.size())
+      << sweep << " case count differs from tests/data/" << golden;
+  for (std::size_t i = 0; i < std::min(actual.size(), expected.size()); ++i) {
+    EXPECT_TRUE(actual[i] == expected[i]) << "tests/data/" << golden << " " << sweep << " case "
+                                          << i << "\n  golden: " << expected[i]
+                                          << "\n  actual: " << actual[i];
+  }
+}
+
 TEST(SnapshotV6, RoundTripAcrossChunkBoundaries) {
   const std::string path = "/tmp/opcua_test_v6_chunks.bin";
   const std::vector<ScanSnapshot> study = make_study(10);
@@ -303,8 +365,11 @@ TEST(SnapshotV5, TruncationAlwaysFailsCleanly) {
 
   // Every truncation point (dense near both ends, strided through the
   // middle) must produce a SnapshotError — never garbage records, never a
-  // crash — in v6 and in both row formats.
-  for (const std::string& input : {path, row_fixture("v4"), row_fixture("v5")}) {
+  // crash — in v6 and in both row formats, with the golden's message.
+  std::vector<std::string> outcomes;
+  for (const auto& [tag, input] : {std::pair<std::string, std::string>{"v6", path},
+                                   {"v4", row_fixture("v4")},
+                                   {"v5", row_fixture("v5")}}) {
     const Bytes full = read_file_bytes(input);
     ASSERT_GT(full.size(), 64u) << input;
     std::vector<std::size_t> cuts;
@@ -318,8 +383,11 @@ TEST(SnapshotV5, TruncationAlwaysFailsCleanly) {
       std::string error;
       EXPECT_FALSE(load_snapshots(cut_path, 42, &error).has_value()) << input << " cut at " << cut;
       EXPECT_FALSE(error.empty()) << input << " cut at " << cut;
+      outcomes.push_back("truncate " + tag + " cut=" + std::to_string(cut) + ": " +
+                         reader_outcome(cut_path));
     }
   }
+  expect_golden_outcomes("truncate", outcomes);
   std::remove(path.c_str());
   std::remove(cut_path.c_str());
 }
@@ -348,14 +416,15 @@ TEST(SnapshotV5, RandomPayloadCorruptionNeverCrashes) {
   const std::string bad_path = "/tmp/opcua_test_v5_fuzz_bad.bin";
   save_snapshots(path, 42, make_study(5, 1));
   struct Input {
-    std::string path;
+    std::string tag, path;
     std::size_t weeks, hosts_per_week;
   };
   // v6 rejects a flipped DER byte at open (dictionary fingerprints); the
   // row formats store DER inline, so their flips reach the certificate
-  // parser inside the analysis.
-  for (const Input& input : {Input{path, 1, 5}, Input{row_fixture("v4"), 2, 48},
-                             Input{row_fixture("v5"), 2, 48}}) {
+  // parser inside the analysis. Every outcome must match the golden.
+  std::vector<std::string> outcomes;
+  for (const Input& input : {Input{"v6", path, 1, 5}, Input{"v4", row_fixture("v4"), 2, 48},
+                             Input{"v5", row_fixture("v5"), 2, 48}}) {
     const Bytes full = read_file_bytes(input.path);
     // Deterministic xorshift so the sweep is reproducible.
     std::uint64_t state = 0x9e3779b97f4a7c15ull;
@@ -366,6 +435,9 @@ TEST(SnapshotV5, RandomPayloadCorruptionNeverCrashes) {
       Bytes mutated = full;
       mutated[state % mutated.size()] ^= static_cast<std::uint8_t>(1u << (state % 8));
       write_file_bytes(bad_path, mutated);
+      outcomes.push_back("flip " + input.tag + " trial=" + std::to_string(trial) +
+                         " byte=" + std::to_string(state % mutated.size()) +
+                         " bit=" + std::to_string(state % 8) + ": " + reader_outcome(bad_path));
       // Either the flip lands somewhere harmless (a string byte) and the
       // file still loads, or it must be rejected — never UB, never garbage
       // enum values (gtest would flag a crash/sanitizer fault here). A
@@ -383,6 +455,7 @@ TEST(SnapshotV5, RandomPayloadCorruptionNeverCrashes) {
       }) << input.path << " trial " << trial;
     }
   }
+  expect_golden_outcomes("flip", outcomes);
   std::remove(path.c_str());
   std::remove(bad_path.c_str());
 }
@@ -644,6 +717,218 @@ TEST(SnapshotV6, EmptyAndRuntFilesNameTheirSize) {
   EXPECT_FALSE(load_snapshots(path, 42, &error).has_value());
   EXPECT_NE(error.find("5"), std::string::npos) << error;
   EXPECT_NE(error.find(path), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+/// `bytes` cut at `keep_until`, then `block`, then the 12-byte trailer:
+/// the footer offset stays valid and the footer ends with `block`.
+Bytes with_footer_tail(const Bytes& bytes, std::size_t keep_until, const Bytes& block) {
+  Bytes out(bytes.begin(), bytes.begin() + static_cast<long>(keep_until));
+  out.insert(out.end(), block.begin(), block.end());
+  out.insert(out.end(), bytes.end() - 12, bytes.end());
+  return out;
+}
+
+/// The load_snapshots error for `bytes` written to `path`, or "loaded".
+std::string load_error(const std::string& path, const Bytes& bytes) {
+  write_file_bytes(path, bytes);
+  std::string error;
+  return load_snapshots(path, 42, &error).has_value() ? "loaded" : error;
+}
+
+// The footer rules only v6 has: chunk offsets are 8-aligned, and the
+// optional blocks come at most once each, 'CAMP' before 'PROT'.
+TEST(SnapshotV6, FooterRejectsMisalignedChunksAndMisorderedBlocks) {
+  const std::string path = "/tmp/opcua_test_v6_footer.bin";
+  const std::string bad_path = "/tmp/opcua_test_v6_footer_bad.bin";
+  std::vector<ScanSnapshot> study = make_study(10, 1);
+  study[0].hosts[3].protocol = ProtocolId::mqtt_tls;  // the footer gains a 'PROT' block
+  {
+    SnapshotWriter writer(path, 42, 4);
+    writer.set_campaign("footer-rules", days_from_civil({2020, 2, 9}));
+    for (const auto& snapshot : study) writer.add_snapshot(snapshot);
+    writer.finish();
+  }
+  const Bytes full = read_file_bytes(path);
+  const std::size_t footer = static_cast<std::size_t>(read_le64(full, full.size() - 12));
+  // One week: 'FOOT', the count and one meta, then the chunk table; the
+  // dictionary's offset, size and count (20 bytes) precede the blocks.
+  const std::size_t chunk_table = footer + 8 + 36 + 4;
+  ASSERT_EQ(read_le32(full, chunk_table - 4), 3u);
+  const std::size_t camp = chunk_table + 3 * 24 + 20;
+  const std::size_t prot = full.size() - 12 - 8;  // 'PROT' and one mask
+  ASSERT_EQ(read_le32(full, camp), 0x504d4143u);  // 'CAMP'
+  ASSERT_EQ(read_le32(full, prot), 0x544f5250u);  // 'PROT'
+  const Bytes camp_block(full.begin() + static_cast<long>(camp),
+                         full.begin() + static_cast<long>(prot));
+  const Bytes prot_block(full.begin() + static_cast<long>(prot), full.end() - 12);
+  const std::string prefix = "corrupt snapshot footer in " + bad_path + " (v6, footer at byte " +
+                             std::to_string(footer) + "): ";
+
+  Bytes blocks = camp_block;
+  blocks.insert(blocks.end(), prot_block.begin(), prot_block.end());
+  EXPECT_EQ(load_error(bad_path, with_footer_tail(full, camp, blocks)), "loaded");
+  EXPECT_EQ(load_error(bad_path, with_footer_tail(full, camp, prot_block)), "loaded");
+
+  Bytes prot_first = prot_block;
+  prot_first.insert(prot_first.end(), camp_block.begin(), camp_block.end());
+  EXPECT_EQ(load_error(bad_path, with_footer_tail(full, camp, prot_first)),
+            prefix + "bad optional footer block magic");
+
+  Bytes prot_twice = blocks;
+  prot_twice.insert(prot_twice.end(), prot_block.begin(), prot_block.end());
+  EXPECT_EQ(load_error(bad_path, with_footer_tail(full, camp, prot_twice)),
+            prefix + "bad optional footer block magic");
+
+  // Chunk 1's offset moved 4 bytes on: still inside the chunk region and
+  // in order, but off the 8-byte grid the column spans need.
+  Bytes misaligned = full;
+  const std::size_t chunk1_offset = chunk_table + 24 + 8;
+  ASSERT_EQ(read_le64(full, chunk1_offset) % 8, 0u);
+  write_le32(misaligned, chunk1_offset, read_le32(full, chunk1_offset) + 4);
+  EXPECT_EQ(load_error(bad_path, misaligned), prefix + "chunk 1 misaligned");
+
+  std::remove(path.c_str());
+  std::remove(bad_path.c_str());
+}
+
+// The footer rules only v5 has: chunks sit back to back at any alignment,
+// and its one optional block is 'CAMP'.
+TEST(SnapshotV5, FooterTakesOnlyACampaignBlockAndUnalignedChunks) {
+  const std::string bad_path = "/tmp/opcua_test_v5_footer_bad.bin";
+  const Bytes full = read_file_bytes(row_fixture("v5"));
+  const std::size_t footer = static_cast<std::size_t>(read_le64(full, full.size() - 12));
+  const std::size_t footer_end = full.size() - 12;
+  const std::vector<ScanSnapshot> study = make_multi_endpoint_study(48);
+
+  // A 'PROT' block (a mask per week) is no v5 block.
+  const Bytes prot = {0x50, 0x52, 0x4f, 0x54, 3, 0, 0, 0, 3, 0, 0, 0};
+  write_file_bytes(bad_path, with_footer_tail(full, footer_end, prot));
+  try {
+    const SnapshotReader reader(bad_path, 42);
+    ADD_FAILURE() << "a v5 footer with a 'PROT' block opened";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(std::string(e.what()), "corrupt snapshot footer in " + bad_path +
+                                         " (v5, footer at byte " + std::to_string(footer) +
+                                         "): bad campaign block magic");
+  }
+
+  // A 'CAMP' block (label string and epoch per week) labels the weeks.
+  Bytes camp = {0x43, 0x41, 0x4d, 0x50};
+  for (const char* label : {"v5-base", "v5-followup"}) {
+    const std::string text = label;
+    const Bytes length = {static_cast<std::uint8_t>(text.size()), 0, 0, 0};
+    camp.insert(camp.end(), length.begin(), length.end());
+    camp.insert(camp.end(), text.begin(), text.end());
+    const Bytes epoch = {0x7d, 0x47, 0, 0, 0, 0, 0, 0};  // 18301 days
+    camp.insert(camp.end(), epoch.begin(), epoch.end());
+  }
+  write_file_bytes(bad_path, with_footer_tail(full, footer_end, camp));
+  {
+    const SnapshotReader reader(bad_path, 42);
+    ASSERT_EQ(reader.snapshots().size(), 2u);
+    EXPECT_EQ(reader.snapshots()[0].campaign_label, "v5-base");
+    EXPECT_EQ(reader.snapshots()[1].campaign_label, "v5-followup");
+    EXPECT_EQ(reader.snapshots()[1].campaign_epoch_days, 18301);
+    EXPECT_EQ(reader.load_all(), study);
+  }
+
+  // Chunks of 11 rows sit back to back: six of the ten start off the
+  // 8-byte grid, and each decodes to its rows.
+  const SnapshotReader reader(row_fixture("v5"), 42);
+  std::vector<std::size_t> unaligned;
+  std::vector<std::size_t> first_row(study.size(), 0);
+  for (std::size_t c = 0; c < reader.chunks().size(); ++c) {
+    const SnapshotChunkInfo& info = reader.chunks()[c];
+    const auto& hosts = study[info.snapshot_ordinal].hosts;
+    const auto first = hosts.begin() + static_cast<long>(first_row[info.snapshot_ordinal]);
+    first_row[info.snapshot_ordinal] += info.record_count;
+    if (info.file_offset % 8 == 0) continue;
+    unaligned.push_back(c);
+    EXPECT_EQ(reader.read_chunk(c), std::vector<HostScanRecord>(first, first + info.record_count))
+        << "chunk " << c;
+  }
+  EXPECT_EQ(unaligned, (std::vector<std::size_t>{2, 4, 5, 6, 7, 9}));
+  std::remove(bad_path.c_str());
+}
+
+/// Appends the `width` low bytes of `value`, little-endian.
+void put_le(Bytes& out, std::uint64_t value, int width) {
+  for (int i = 0; i < width; ++i) out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+}
+
+// A chunk whose offset plus size wraps past 2^64 back into the chunk
+// region is rejected at open in both footers, before a read could reach
+// past the file's bytes.
+TEST(SnapshotV6, WrappingChunkExtentsRejectedAtOpen) {
+  const std::string path = "/tmp/opcua_test_wrapping_extent.bin";
+  // One week of one host in one chunk, the footer right behind the header
+  // (v5) or behind an empty dictionary (v6).
+  const auto crafted = [](std::uint32_t version, std::uint64_t offset, std::uint64_t payload) {
+    Bytes b;
+    put_le(b, 0x4f554153, 4);  // 'OUAS'
+    put_le(b, version, 4);
+    put_le(b, 42, 8);
+    if (version == 6) {
+      put_le(b, 0x43494443, 4);  // 'CDIC', no entries
+      put_le(b, 0, 4);
+    }
+    const std::uint64_t footer = b.size();
+    put_le(b, 0x544f4f46, 4);  // 'FOOT'
+    put_le(b, 1, 4);
+    for (const int width : {4, 8, 8, 8}) put_le(b, 0, width);
+    put_le(b, 1, 8);  // host_count
+    put_le(b, 1, 4);  // chunk_count
+    put_le(b, 0, 4);
+    put_le(b, 1, 4);
+    put_le(b, offset, 8);
+    put_le(b, payload, 8);
+    if (version == 6) {
+      put_le(b, 16, 8);  // dict_offset
+      put_le(b, 8, 8);   // dict_bytes
+      put_le(b, 0, 4);   // dict_count
+    }
+    put_le(b, footer, 8);
+    put_le(b, 0x50414e53, 4);  // 'SNAP'
+    return b;
+  };
+  // v6: 2^63 + 24 header bytes + (2^63 - 24) wraps to 0.
+  EXPECT_EQ(load_error(path, crafted(6, 1ull << 63, (1ull << 63) - 24)),
+            "corrupt snapshot footer in " + path +
+                " (v6, footer at byte 24): chunk 0 extent out of range");
+  // v5: 100 + 20 header bytes + (2^64 - 120) wraps to 0.
+  EXPECT_EQ(load_error(path, crafted(5, 100, 0 - 120ull)),
+            "corrupt snapshot footer in " + path +
+                " (v5, footer at byte 16): chunk 0 extent out of range");
+  std::remove(path.c_str());
+}
+
+// The reader maps every file it opens, and unmaps it with the reader,
+// also when the open fails after mapping.
+TEST(SnapshotV6, FailedOpenReleasesItsMapping) {
+  if (!std::filesystem::exists("/proc/self/maps")) GTEST_SKIP() << "no /proc/self/maps here";
+  const std::string path = "/tmp/opcua_test_v6_unmapped.bin";
+  const auto mapped = [&] {
+    std::ifstream maps("/proc/self/maps");
+    for (std::string line; std::getline(maps, line);) {
+      if (line.find(path) != std::string::npos) return true;
+    }
+    return false;
+  };
+  save_snapshots(path, 42, make_study(3, 1));
+  {
+    const SnapshotReader reader(path, 42);
+    EXPECT_TRUE(mapped());
+  }
+  EXPECT_FALSE(mapped());
+  EXPECT_THROW(SnapshotReader(path, 43), SnapshotError);
+  EXPECT_FALSE(mapped()) << "seed mismatch";
+
+  Bytes bad_footer = read_file_bytes(path);
+  bad_footer[static_cast<std::size_t>(read_le64(bad_footer, bad_footer.size() - 12))] ^= 0xff;
+  write_file_bytes(path, bad_footer);
+  EXPECT_THROW(SnapshotReader(path, 42), SnapshotError);
+  EXPECT_FALSE(mapped()) << "bad footer magic";
   std::remove(path.c_str());
 }
 
