@@ -174,10 +174,6 @@ struct ChunkPartial {
   /// Quality tallies cover *every* record (discovery servers included —
   /// the section measures the scan process, not the server population).
   void absorb_quality(const ColumnView::Quality& quality) {
-    if (quality.completeness > 3) {
-      throw DecodeError("snapshot record: invalid completeness value " +
-                        std::to_string(quality.completeness));
-    }
     ++q_hosts;
     switch (quality.completeness) {
       case 0: ++q_complete; break;
@@ -527,7 +523,7 @@ void ReaderRecordSource::visit_chunk(std::size_t chunk,
 }
 
 void ReaderRecordSource::visit_columns(std::size_t chunk, const ColumnVisitor& fn) const {
-  if (!reader_.columnar()) return RecordSource::visit_columns(chunk, fn);
+  if (shared_dictionary() == nullptr) return RecordSource::visit_columns(chunk, fn);
   const ColumnView view = reader_.column_view(chunk);
   try {
     fn(view, reader_);

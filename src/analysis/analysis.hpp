@@ -11,7 +11,9 @@
 // to the rules their generators plant and to hand-counted populations.
 // Every pass reads v6 columns: a v6 file serves its mapped chunks as they
 // are, every other source is transposed chunk by chunk
-// (RecordSource::visit_columns).
+// (RecordSource::visit_columns). Either way one builder makes the view
+// and range-checks its enum columns, so a pass rejects an out-of-range
+// value with a SnapshotError, as the row reader does.
 //
 // Pass structure:
 //   pass 1  census of the final measurement's certificates (reuse
@@ -137,7 +139,8 @@ class RecordSource {
   /// only input of the census, figure and posture passes. The default
   /// transposes visit_chunk's records through a ColumnEncoder with a
   /// chunk-scoped dictionary; records the v6 format cannot hold throw the
-  /// SnapshotError their write would.
+  /// SnapshotError their write would, and out-of-range enum fields the
+  /// one a read of their payload would.
   virtual void visit_columns(std::size_t chunk, const ColumnVisitor& fn) const;
   /// The dictionary every chunk's ids index when the source has one
   /// file-wide, so per-certificate facts are computed once per file;
@@ -213,11 +216,13 @@ class ReaderRecordSource final : public RecordSource {
   }
   void visit_chunk(std::size_t chunk,
                    const std::function<void(const HostScanRecord&)>& fn) const override;
-  /// Zero-copy mapped columns and the file dictionary when the reader is
-  /// columnar(); the transposing default otherwise.
+  /// A v6 file's chunk as the reader's column view, on any host, with the
+  /// file dictionary: the view checks the chunk as read_chunk does, short
+  /// of the cross-checks only rows need. v4/v5 rows take the transposing
+  /// default.
   void visit_columns(std::size_t chunk, const ColumnVisitor& fn) const override;
   const CertDictionary* shared_dictionary() const override {
-    return reader_.columnar() ? &reader_ : nullptr;
+    return reader_.version() == 6 ? &reader_ : nullptr;
   }
 
  private:

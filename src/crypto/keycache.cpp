@@ -18,17 +18,25 @@ std::string KeyFactory::default_cache_path() {
 
 KeyFactory::KeyFactory(std::uint64_t seed, std::string cache_path)
     : seed_(seed), cache_path_(std::move(cache_path)) {
-  if (cache_path_.empty()) return;
+  if (!cache_path_.empty()) read_cache(nullptr);
+}
+
+void KeyFactory::read_cache(std::vector<std::string>* foreign) {
   std::ifstream in(cache_path_);
   std::string line;
   while (std::getline(in, line)) {
     std::istringstream fields(line);
     std::uint64_t file_seed = 0;
+    if (!(fields >> file_seed)) continue;
+    if (file_seed != seed_) {
+      if (foreign != nullptr) foreign->push_back(line);
+      continue;
+    }
     std::string label, p_hex, q_hex;
     std::size_t bits = 0;
-    if (!(fields >> file_seed >> label >> bits >> p_hex >> q_hex)) continue;
-    if (file_seed != seed_) continue;
-    entries_[{label, bits}] = {p_hex, q_hex};
+    if (fields >> label >> bits >> p_hex >> q_hex) {
+      entries_.try_emplace({label, bits}, std::move(p_hex), std::move(q_hex));
+    }
   }
 }
 
@@ -47,19 +55,13 @@ std::size_t KeyFactory::cache_hits() const {
 void KeyFactory::flush() {
   const std::lock_guard<std::mutex> lock(mu_);
   if (cache_path_.empty() || !dirty_) return;
-  // Preserve other seeds' rows, then write everything to a temp file and
-  // rename it into place — the old in-place truncate lost the entire
-  // corpus (every seed's primes) when a run died mid-flush.
+  // Preserve other seeds' rows and merge in this seed's rows that another
+  // factory flushed since this one loaded the file (the same keys: a key
+  // is a pure function of (seed, label, bits)). Then write everything to
+  // a temp file and rename it into place — the old in-place truncate lost
+  // the entire corpus (every seed's primes) when a run died mid-flush.
   std::vector<std::string> foreign;
-  {
-    std::ifstream in(cache_path_);
-    std::string line;
-    while (std::getline(in, line)) {
-      std::istringstream fields(line);
-      std::uint64_t file_seed = 0;
-      if ((fields >> file_seed) && file_seed != seed_) foreign.push_back(line);
-    }
-  }
+  read_cache(&foreign);
   const std::string tmp_path = cache_path_ + ".tmp";
   {
     std::ofstream out(tmp_path, std::ios::trunc);

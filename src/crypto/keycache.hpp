@@ -47,7 +47,8 @@ class KeyFactory {
 
   std::size_t generated() const;
   std::size_t cache_hits() const;
-  /// Persist newly generated entries; called by the destructor as well.
+  /// Persist newly generated entries, merged with this seed's rows other
+  /// factories flushed meanwhile; called by the destructor as well.
   /// Writes the whole file to `<path>.tmp` and atomically renames it over
   /// the cache, so a crash mid-flush never clobbers the existing corpus.
   void flush();
@@ -55,6 +56,9 @@ class KeyFactory {
   static std::string default_cache_path();
 
  private:
+  /// Adds this seed's cache-file rows that entries_ lacks; `foreign`, when
+  /// given, receives every other seed's line verbatim.
+  void read_cache(std::vector<std::string>* foreign);
   RsaKeyPair assemble(const Bignum& p, const Bignum& q) const;
   /// The deterministic generation loop for one entry; pure function of
   /// (seed, label, bits) — safe to run on any thread.

@@ -1,7 +1,6 @@
 #include "scanner/snapshot_io.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -97,45 +96,13 @@ std::uint64_t content_key(std::span<const std::uint8_t> der) {
 constexpr std::size_t kDigestBlock = 64;
 
 /// v6 chunk payloads are padded so every chunk header lands on an 8-byte
-/// boundary (the header itself is 24 bytes, the file header 16): typed
-/// column spans over the mapping are always aligned.
+/// boundary (the header itself is 24 bytes, the file header 16).
 std::uint64_t v6_padding(std::uint64_t payload_bytes) { return (8 - payload_bytes % 8) % 8; }
-
-// Portable little-endian loads for the v6 row decoder (works on any host
-// endianness; the zero-copy ColumnView tier is little-endian only and
-// gated by SnapshotReader::columnar()).
-std::uint16_t le16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-std::uint32_t le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
-}
-std::uint64_t le64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-double lef64(const std::uint8_t* p) {
-  const std::uint64_t bits = le64(p);
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
 
 // Enum fields come off disk as raw integers; a flipped bit must surface as
 // a DecodeError, not as an out-of-range enum that downstream switch
 // statements silently misclassify.
-std::uint32_t checked_enum(UaReader& r, std::uint32_t max, const char* field) {
-  const std::uint32_t v = r.u32();
-  if (v > max) {
-    throw DecodeError(std::string("snapshot record: invalid ") + field + " value " +
-                      std::to_string(v));
-  }
-  return v;
-}
-
-std::uint32_t checked_enum8(std::uint8_t v, std::uint32_t max, const char* field) {
+std::uint32_t checked_enum(std::uint32_t v, std::uint32_t max, const char* field) {
   if (v > max) {
     throw DecodeError(std::string("snapshot record: invalid ") + field + " value " +
                       std::to_string(v));
@@ -154,7 +121,35 @@ NodeClass node_class_from_value(std::uint32_t v) {
   }
 }
 
-NodeClass checked_node_class(UaReader& r) { return node_class_from_value(r.u32()); }
+/// A v6 endpoint's policy code: true when an explicit policy URI follows
+/// (255), false for a table policy (0..5).
+bool explicit_policy_uri(std::uint8_t code) {
+  if (code == 0xff) return true;
+  if (code > 5) {
+    throw DecodeError("snapshot record: invalid policy code value " + std::to_string(code));
+  }
+  return false;
+}
+
+ProtocolId checked_protocol(std::uint8_t code) {
+  if (code == 0) {
+    throw DecodeError(
+        "snapshot record: zero protocol tail byte (non-canonical; OPC UA records carry no "
+        "protocol tail)");
+  }
+  if (code >= kProtocolCount) {
+    throw DecodeError("snapshot record: invalid protocol value " + std::to_string(code));
+  }
+  return static_cast<ProtocolId>(code);
+}
+
+std::uint32_t checked_cert_id(std::uint32_t id, std::size_t dict_size) {
+  if (id >= dict_size) {
+    throw DecodeError("certificate id " + std::to_string(id) + " out of dictionary range (" +
+                      std::to_string(dict_size) + " entries)");
+  }
+  return id;
+}
 
 HostScanRecord read_host(UaReader& r) {
   HostScanRecord host;
@@ -167,13 +162,14 @@ HostScanRecord read_host(UaReader& r) {
   host.application_uri = r.string();
   host.product_uri = r.string();
   host.application_name = r.string();
-  host.application_type = static_cast<ApplicationType>(checked_enum(r, 3, "application type"));
+  host.application_type =
+      static_cast<ApplicationType>(checked_enum(r.u32(), 3, "application type"));
   host.software_version = r.string();
   const std::uint32_t n_eps = r.u32();
   for (std::uint32_t i = 0; i < n_eps; ++i) {
     EndpointObservation ep;
     ep.url = r.string();
-    ep.mode = static_cast<MessageSecurityMode>(checked_enum(r, 3, "security mode"));
+    ep.mode = static_cast<MessageSecurityMode>(checked_enum(r.u32(), 3, "security mode"));
     ep.policy_uri = r.string();
     if (const auto policy = policy_from_uri(ep.policy_uri)) {
       ep.policy = *policy;
@@ -182,7 +178,7 @@ HostScanRecord read_host(UaReader& r) {
     const std::uint32_t n_tokens = r.u32();
     for (std::uint32_t t = 0; t < n_tokens; ++t) {
       ep.token_types.push_back(
-          static_cast<UserTokenType>(checked_enum(r, 3, "user token type")));
+          static_cast<UserTokenType>(checked_enum(r.u32(), 3, "user token type")));
     }
     ep.certificate_der = r.byte_string();
     host.endpoints.push_back(std::move(ep));
@@ -193,18 +189,18 @@ HostScanRecord read_host(UaReader& r) {
     const std::uint16_t port = r.u16();
     host.referenced_targets.emplace_back(ip, port);
   }
-  host.channel = static_cast<ChannelOutcome>(checked_enum(r, 3, "channel outcome"));
-  host.channel_policy = static_cast<SecurityPolicy>(checked_enum(r, 5, "channel policy"));
-  host.channel_mode = static_cast<MessageSecurityMode>(checked_enum(r, 3, "channel mode"));
+  host.channel = static_cast<ChannelOutcome>(checked_enum(r.u32(), 3, "channel outcome"));
+  host.channel_policy = static_cast<SecurityPolicy>(checked_enum(r.u32(), 5, "channel policy"));
+  host.channel_mode = static_cast<MessageSecurityMode>(checked_enum(r.u32(), 3, "channel mode"));
   host.server_signature_valid = r.boolean();
   host.anonymous_offered = r.boolean();
-  host.session = static_cast<SessionOutcome>(checked_enum(r, 3, "session outcome"));
+  host.session = static_cast<SessionOutcome>(checked_enum(r.u32(), 3, "session outcome"));
   host.namespaces = r.string_array();
   const std::uint32_t n_nodes = r.u32();
   for (std::uint32_t i = 0; i < n_nodes; ++i) {
     NodeObservation node;
     node.browse_name = r.string();
-    node.node_class = checked_node_class(r);
+    node.node_class = node_class_from_value(r.u32());
     node.readable = r.boolean();
     node.writable = r.boolean();
     node.executable = r.boolean();
@@ -222,219 +218,113 @@ Bytes read_file(const std::string& path) {
   return Bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
 }
 
-/// Column base pointers of one v6 chunk payload. Offsets follow the
-/// format comment in snapshot_io.hpp: columns in decreasing alignment,
-/// fixed section 47n+4 bytes, var column behind it.
-struct V6Layout {
-  std::size_t n = 0;
-  std::uint64_t var_bytes = 0;
-  const std::uint8_t* bytes_sent = nullptr;
-  const std::uint8_t* uri_hash = nullptr;
-  const std::uint8_t* duration = nullptr;
-  const std::uint8_t* ip = nullptr;
-  const std::uint8_t* asn = nullptr;
-  const std::uint8_t* var_offsets = nullptr;  // n + 1 little-endian u32s
-  const std::uint8_t* port = nullptr;
-  const std::uint8_t* application_type = nullptr;
-  const std::uint8_t* channel = nullptr;
-  const std::uint8_t* channel_policy = nullptr;
-  const std::uint8_t* channel_mode = nullptr;
-  const std::uint8_t* session = nullptr;
-  const std::uint8_t* flags = nullptr;
-  const std::uint8_t* mode_mask = nullptr;
-  const std::uint8_t* policy_mask = nullptr;
-  const std::uint8_t* token_mask = nullptr;
-  const std::uint8_t* var = nullptr;
-};
-
-V6Layout v6_layout(const std::uint8_t* payload, std::uint64_t payload_bytes, std::uint32_t n) {
-  const std::uint64_t fixed = 47ull * n + 4;
-  if (payload_bytes < fixed) throw DecodeError("chunk payload shorter than its fixed columns");
-  V6Layout lay;
-  lay.n = n;
-  lay.var_bytes = payload_bytes - fixed;
-  if (lay.var_bytes > std::numeric_limits<std::uint32_t>::max()) {
+/// The one builder of a ColumnView: the columns of a v6 chunk payload
+/// holding `records` records, laid out as the format comment in
+/// snapshot_io.hpp says (fixed section 47n+4 bytes, var column behind
+/// it). Checks the fixed section's size, the var_offsets chain and,
+/// record by record, the five enum columns; DecodeError names the first
+/// violation.
+ColumnView view_payload(std::span<const std::uint8_t> payload, std::uint32_t records,
+                        std::uint32_t snapshot_ordinal) {
+  const std::uint64_t fixed = 47ull * records + 4;
+  if (payload.size() < fixed) throw DecodeError("chunk payload shorter than its fixed columns");
+  const std::uint64_t var_bytes = payload.size() - fixed;
+  if (var_bytes > std::numeric_limits<std::uint32_t>::max()) {
     throw DecodeError("var column too large for its u32 offsets");
   }
-  const std::uint8_t* p = payload;
-  lay.bytes_sent = p; p += 8ull * n;
-  lay.uri_hash = p; p += 8ull * n;
-  lay.duration = p; p += 8ull * n;
-  lay.ip = p; p += 4ull * n;
-  lay.asn = p; p += 4ull * n;
-  lay.var_offsets = p; p += 4ull * (n + 1);
-  lay.port = p; p += 2ull * n;
-  lay.application_type = p; p += n;
-  lay.channel = p; p += n;
-  lay.channel_policy = p; p += n;
-  lay.channel_mode = p; p += n;
-  lay.session = p; p += n;
-  lay.flags = p; p += n;
-  lay.mode_mask = p; p += n;
-  lay.policy_mask = p; p += n;
-  lay.token_mask = p; p += n;
-  lay.var = p;
-  return lay;
-}
+  const std::size_t n = records;
+  const auto column = [&payload](std::size_t bytes) {
+    const auto out = payload.first(bytes);
+    payload = payload.subspan(bytes);
+    return out;
+  };
+  ColumnView v;
+  v.snapshot_ordinal = snapshot_ordinal;
+  v.records = n;
+  v.bytes_sent = LeColumn<std::uint64_t>(column(8 * n));
+  v.uri_hash = LeColumn<std::uint64_t>(column(8 * n));
+  v.duration_seconds = LeColumn<double>(column(8 * n));
+  v.ip = LeColumn<std::uint32_t>(column(4 * n));
+  v.asn = LeColumn<std::uint32_t>(column(4 * n));
+  v.var_offsets = LeColumn<std::uint32_t>(column(4 * (n + 1)));
+  v.port = LeColumn<std::uint16_t>(column(2 * n));
+  for (auto* bytes : {&v.application_type, &v.channel, &v.channel_policy, &v.channel_mode,
+                      &v.session, &v.flags, &v.mode_mask, &v.policy_mask, &v.token_mask}) {
+    *bytes = column(n);
+  }
+  v.var_blob = payload;
 
-void validate_var_offsets(const V6Layout& lay) {
-  std::uint32_t prev = le32(lay.var_offsets);
+  std::uint32_t prev = v.var_offsets[0];
   if (prev != 0) throw DecodeError("var offsets do not start at zero");
-  for (std::size_t i = 1; i <= lay.n; ++i) {
-    const std::uint32_t cur = le32(lay.var_offsets + 4 * i);
+  for (std::size_t i = 1; i <= n; ++i) {
+    const std::uint32_t cur = v.var_offsets[i];
     if (cur < prev) throw DecodeError("var offsets not monotone");
     prev = cur;
   }
-  if (prev != lay.var_bytes) throw DecodeError("var offsets do not cover the var column");
+  if (prev != var_bytes) throw DecodeError("var offsets do not cover the var column");
+  for (std::size_t i = 0; i < n; ++i) {
+    checked_enum(v.application_type[i], 3, "application type");
+    checked_enum(v.channel[i], 3, "channel outcome");
+    checked_enum(v.channel_policy[i], 5, "channel policy");
+    checked_enum(v.channel_mode[i], 3, "channel mode");
+    checked_enum(v.session[i], 3, "session outcome");
+  }
+  return v;
 }
 
-/// Columns of the v6 chunk `info` indexes in the file bytes at `data`,
+/// The view of the v6 chunk `info` indexes in the file bytes at `data`,
 /// for read_chunk and column_view alike: the chunk header must repeat its
-/// index entry, and the var offsets must chain through the var column.
-V6Layout locate_v6_chunk(const std::uint8_t* data, const SnapshotChunkInfo& info) {
+/// index entry before view_payload checks the payload.
+ColumnView locate_v6_chunk(const std::uint8_t* data, const SnapshotChunkInfo& info) {
   const std::uint8_t* base = data + info.file_offset;
   UaReader h(std::span<const std::uint8_t>(base, kV6ChunkHeaderBytes));
   if (h.u32() != kChunkMagic || h.u32() != info.snapshot_ordinal ||
       h.u32() != info.record_count || h.u32() != 0 || h.u64() != info.payload_bytes) {
     throw DecodeError("chunk header disagrees with footer index");
   }
-  const V6Layout lay = v6_layout(base + kV6ChunkHeaderBytes, info.payload_bytes, info.record_count);
-  validate_var_offsets(lay);
-  return lay;
+  return view_payload({base + kV6ChunkHeaderBytes, static_cast<std::size_t>(info.payload_bytes)},
+                      info.record_count, info.snapshot_ordinal);
 }
 
-std::uint32_t checked_cert_id(std::uint32_t id, std::size_t dict_size) {
-  if (id >= dict_size) {
-    throw DecodeError("certificate id " + std::to_string(id) + " out of dictionary range (" +
-                      std::to_string(dict_size) + " entries)");
-  }
-  return id;
-}
-
-/// Decode record i of a v6 chunk back into a full HostScanRecord. The
-/// derived columns (uri_hash, mode/policy/token masks) and the head cert
-/// id list are re-derived from the decoded fields and cross-checked, so
-/// corruption in either representation surfaces as a DecodeError.
-HostScanRecord read_host_v6(const SnapshotReader& reader, const V6Layout& lay, std::size_t i) {
+/// Record i of a v6 chunk's view as a full HostScanRecord, certificates
+/// copied out of `dict`. The derived columns (uri_hash, mode/policy/token
+/// masks) and the head cert id list are re-derived from the decoded
+/// fields and cross-checked, so corruption in either representation
+/// surfaces as a DecodeError.
+HostScanRecord read_row(const ColumnView& view, const CertDictionary& dict, std::size_t i) {
   HostScanRecord host;
-  host.ip = le32(lay.ip + 4 * i);
-  host.port = le16(lay.port + 2 * i);
-  host.asn = le32(lay.asn + 4 * i);
-  const std::uint8_t flags = lay.flags[i];
-  if (flags & ~snapshot_flags::kAllFlags) {
-    throw DecodeError("snapshot record: invalid flags value " + std::to_string(flags));
-  }
+  host.ip = view.ip[i];
+  host.port = view.port[i];
+  host.asn = view.asn[i];
+  const std::uint8_t flags = view.flags[i];
   host.tcp_open = flags & snapshot_flags::kTcpOpen;
   host.speaks_opcua = flags & snapshot_flags::kSpeaksOpcua;
   host.found_via_reference = flags & snapshot_flags::kFoundViaReference;
   host.server_signature_valid = flags & snapshot_flags::kServerSignatureValid;
   host.anonymous_offered = flags & snapshot_flags::kAnonymousOffered;
   host.traversal_truncated = flags & snapshot_flags::kTraversalTruncated;
-  host.application_type = static_cast<ApplicationType>(
-      checked_enum8(lay.application_type[i], 3, "application type"));
-  host.channel = static_cast<ChannelOutcome>(checked_enum8(lay.channel[i], 3, "channel outcome"));
-  host.channel_policy =
-      static_cast<SecurityPolicy>(checked_enum8(lay.channel_policy[i], 5, "channel policy"));
-  host.channel_mode =
-      static_cast<MessageSecurityMode>(checked_enum8(lay.channel_mode[i], 3, "channel mode"));
-  host.session = static_cast<SessionOutcome>(checked_enum8(lay.session[i], 3, "session outcome"));
-  host.bytes_sent = le64(lay.bytes_sent + 8 * i);
-  host.duration_seconds = lef64(lay.duration + 8 * i);
+  // The view range-checked the enum columns.
+  host.application_type = static_cast<ApplicationType>(view.application_type[i]);
+  host.channel = static_cast<ChannelOutcome>(view.channel[i]);
+  host.channel_policy = static_cast<SecurityPolicy>(view.channel_policy[i]);
+  host.channel_mode = static_cast<MessageSecurityMode>(view.channel_mode[i]);
+  host.session = static_cast<SessionOutcome>(view.session[i]);
+  host.bytes_sent = view.bytes_sent[i];
+  host.duration_seconds = view.duration_seconds[i];
 
-  const std::uint32_t var_begin = le32(lay.var_offsets + 4 * i);
-  const std::uint32_t var_end = le32(lay.var_offsets + 4 * (i + 1));
-  UaReader r(std::span<const std::uint8_t>(lay.var + var_begin, var_end - var_begin));
-  const std::uint16_t head_n = r.u16();
+  VarRecordCursor cursor(view.var_record(i));
   std::vector<std::uint32_t> head;
-  head.reserve(head_n);
-  for (std::uint16_t k = 0; k < head_n; ++k) {
-    head.push_back(checked_cert_id(r.u32(), reader.cert_count()));
-  }
-  host.application_uri = r.string();
-  host.product_uri = r.string();
-  host.application_name = r.string();
-  host.software_version = r.string();
-  const std::uint32_t n_eps = r.u32();
+  cursor.cert_ids(head, &dict);
+  host.application_uri = cursor.application_uri();
+  host.product_uri = cursor.product_uri();
+  host.application_name = cursor.application_name();
+  host.software_version = cursor.software_version();
   std::vector<std::uint32_t> ep_ids;
-  for (std::uint32_t e = 0; e < n_eps; ++e) {
-    EndpointObservation ep;
-    ep.url = r.string();
-    ep.mode = static_cast<MessageSecurityMode>(checked_enum8(r.byte(), 3, "security mode"));
-    const std::uint8_t code = r.byte();
-    if (code == 0xff) {
-      ep.policy_uri = r.string();
-      if (const auto policy = policy_from_uri(ep.policy_uri)) {
-        ep.policy = *policy;
-        ep.policy_known = true;
-      }
-    } else if (code <= 5) {
-      ep.policy = static_cast<SecurityPolicy>(code);
-      ep.policy_known = true;
-      ep.policy_uri = std::string(policy_info(ep.policy).uri);
-    } else {
-      throw DecodeError("snapshot record: invalid policy code value " + std::to_string(code));
-    }
-    const std::uint8_t n_tokens = r.byte();
-    for (std::uint8_t t = 0; t < n_tokens; ++t) {
-      ep.token_types.push_back(
-          static_cast<UserTokenType>(checked_enum8(r.byte(), 3, "user token type")));
-    }
-    const std::uint32_t cert_id = r.u32();
-    if (cert_id != kNoCertId) {
-      checked_cert_id(cert_id, reader.cert_count());
-      const auto der = reader.cert_der(cert_id);
-      ep.certificate_der.assign(der.begin(), der.end());
-    }
-    ep_ids.push_back(cert_id);
-    host.endpoints.push_back(std::move(ep));
-  }
-  const std::uint32_t n_refs = r.u32();
-  for (std::uint32_t k = 0; k < n_refs; ++k) {
-    const Ipv4 ip = r.u32();
-    const std::uint16_t port = r.u16();
-    host.referenced_targets.emplace_back(ip, port);
-  }
-  host.namespaces = r.string_array();
-  const std::uint32_t n_nodes = r.u32();
-  for (std::uint32_t k = 0; k < n_nodes; ++k) {
-    NodeObservation node;
-    node.browse_name = r.string();
-    node.node_class = node_class_from_value(r.byte());
-    const std::uint8_t access = r.byte();
-    if (access & ~0x7u) {
-      throw DecodeError("snapshot record: invalid node access bits " + std::to_string(access));
-    }
-    node.readable = access & 0x1;
-    node.writable = access & 0x2;
-    node.executable = access & 0x4;
-    host.nodes.push_back(std::move(node));
-  }
-  if (flags & snapshot_flags::kScanQuality) {
-    const std::uint8_t completeness = r.byte();
-    if (completeness > 3) {
-      throw DecodeError("snapshot record: invalid completeness value " +
-                        std::to_string(completeness));
-    }
-    host.completeness = static_cast<ProbeOutcome>(completeness);
-    host.retries = r.u16();
-    host.fault_events = r.u16();
-    if (completeness == 0 && host.retries == 0 && host.fault_events == 0) {
-      throw DecodeError("snapshot record: all-zero scan-quality tail (non-canonical)");
-    }
-  }
-  if (flags & snapshot_flags::kProtocol) {
-    const std::uint8_t protocol = r.byte();
-    if (protocol == 0) {
-      throw DecodeError(
-          "snapshot record: zero protocol tail byte (non-canonical; OPC UA records carry "
-          "no protocol tail)");
-    }
-    if (protocol >= kProtocolCount) {
-      throw DecodeError("snapshot record: invalid protocol value " + std::to_string(protocol));
-    }
-    host.protocol = static_cast<ProtocolId>(protocol);
-  }
-  if (!r.done()) throw DecodeError("var record longer than its fields");
+  host.endpoints = cursor.endpoints(dict, ep_ids);
+  host.referenced_targets = cursor.referenced_targets();
+  host.namespaces = cursor.namespaces();
+  host.nodes = cursor.nodes();
+  cursor.tails(flags, host);
 
   // Cross-check every derived representation against the decoded record.
   std::vector<std::uint32_t> expect_head;
@@ -457,13 +347,13 @@ HostScanRecord read_host_v6(const SnapshotReader& reader, const V6Layout& lay, s
   if (head != expect_head) {
     throw DecodeError("certificate id list disagrees with the record's endpoints");
   }
-  if (mode_mask != lay.mode_mask[i] || policy_mask != lay.policy_mask[i] ||
-      token_mask != lay.token_mask[i]) {
+  if (mode_mask != view.mode_mask[i] || policy_mask != view.policy_mask[i] ||
+      token_mask != view.token_mask[i]) {
     throw DecodeError("derived security columns disagree with the record's endpoints");
   }
   const std::uint64_t uri_hash =
       host.application_uri.empty() ? 0 : hash64(host.application_uri);
-  if (uri_hash != le64(lay.uri_hash + 8 * i)) {
+  if (uri_hash != view.uri_hash[i]) {
     throw DecodeError("uri hash column disagrees with the record's application URI");
   }
   return host;
@@ -500,13 +390,7 @@ void VarRecordCursor::advance(int target) {
         for (std::uint32_t e = 0; e < n; ++e) {
           skip_string();  // url
           r_.byte();      // mode
-          const std::uint8_t code = r_.byte();
-          if (code == 0xff) {
-            skip_string();  // explicit policy URI
-          } else if (code > 5) {
-            throw DecodeError("snapshot record: invalid policy code value " +
-                              std::to_string(code));
-          }
+          if (explicit_policy_uri(r_.byte())) skip_string();
           const std::uint8_t n_tokens = r_.byte();
           r_.base().skip(n_tokens);
           r_.u32();  // cert id
@@ -523,6 +407,14 @@ void VarRecordCursor::advance(int target) {
         for (std::int32_t k = 0; k < n; ++k) skip_string();
         break;
       }
+      case kNodes: {
+        const std::uint32_t n = r_.u32();
+        for (std::uint32_t k = 0; k < n; ++k) {
+          skip_string();  // browse name
+          r_.base().skip(2);  // node class, access bits
+        }
+        break;
+      }
       default:
         break;
     }
@@ -530,12 +422,15 @@ void VarRecordCursor::advance(int target) {
   }
 }
 
-void VarRecordCursor::cert_ids(std::vector<std::uint32_t>& out) {
+void VarRecordCursor::cert_ids(std::vector<std::uint32_t>& out, const CertDictionary* dict) {
   advance(kCertIds);
   out.clear();
   const std::uint16_t n = r_.u16();
   out.reserve(n);
-  for (std::uint16_t k = 0; k < n; ++k) out.push_back(r_.u32());
+  for (std::uint16_t k = 0; k < n; ++k) {
+    const std::uint32_t id = r_.u32();
+    out.push_back(dict != nullptr ? checked_cert_id(id, dict->cert_count()) : id);
+  }
   stage_ = kApplicationUri;
 }
 
@@ -567,10 +462,87 @@ std::string VarRecordCursor::software_version() {
   return s;
 }
 
+std::vector<EndpointObservation> VarRecordCursor::endpoints(
+    const CertDictionary& dict, std::vector<std::uint32_t>& cert_ids) {
+  advance(kEndpoints);
+  cert_ids.clear();
+  std::vector<EndpointObservation> out;
+  const std::uint32_t n = r_.u32();
+  for (std::uint32_t e = 0; e < n; ++e) {
+    EndpointObservation ep;
+    ep.url = r_.string();
+    ep.mode = static_cast<MessageSecurityMode>(checked_enum(r_.byte(), 3, "security mode"));
+    const std::uint8_t code = r_.byte();
+    if (explicit_policy_uri(code)) {
+      ep.policy_uri = r_.string();
+      if (const auto policy = policy_from_uri(ep.policy_uri)) {
+        ep.policy = *policy;
+        ep.policy_known = true;
+      }
+    } else {
+      ep.policy = static_cast<SecurityPolicy>(code);
+      ep.policy_known = true;
+      ep.policy_uri = std::string(policy_info(ep.policy).uri);
+    }
+    const std::uint8_t n_tokens = r_.byte();
+    for (std::uint8_t t = 0; t < n_tokens; ++t) {
+      ep.token_types.push_back(
+          static_cast<UserTokenType>(checked_enum(r_.byte(), 3, "user token type")));
+    }
+    const std::uint32_t cert_id = r_.u32();
+    if (cert_id != kNoCertId) {
+      const auto der = dict.cert_der(checked_cert_id(cert_id, dict.cert_count()));
+      ep.certificate_der.assign(der.begin(), der.end());
+    }
+    cert_ids.push_back(cert_id);
+    out.push_back(std::move(ep));
+  }
+  stage_ = kRefs;
+  return out;
+}
+
+std::vector<std::pair<Ipv4, std::uint16_t>> VarRecordCursor::referenced_targets() {
+  advance(kRefs);
+  std::vector<std::pair<Ipv4, std::uint16_t>> out;
+  const std::uint32_t n = r_.u32();
+  for (std::uint32_t k = 0; k < n; ++k) {
+    const Ipv4 ip = r_.u32();
+    out.emplace_back(ip, r_.u16());
+  }
+  stage_ = kNamespaces;
+  return out;
+}
+
 std::vector<std::string> VarRecordCursor::namespaces() {
   advance(kNamespaces);
   std::vector<std::string> out = r_.string_array();
   stage_ = kNodes;
+  return out;
+}
+
+NodeObservation VarRecordCursor::node_fields() {
+  NodeObservation node;
+  node.node_class = node_class_from_value(r_.byte());
+  const std::uint8_t access = r_.byte();
+  if (access & ~0x7u) {
+    throw DecodeError("snapshot record: invalid node access bits " + std::to_string(access));
+  }
+  node.readable = access & 0x1;
+  node.writable = access & 0x2;
+  node.executable = access & 0x4;
+  return node;
+}
+
+std::vector<NodeObservation> VarRecordCursor::nodes() {
+  advance(kNodes);
+  std::vector<NodeObservation> out;
+  const std::uint32_t n = r_.u32();
+  for (std::uint32_t k = 0; k < n; ++k) {
+    std::string browse_name = r_.string();
+    out.push_back(node_fields());
+    out.back().browse_name = std::move(browse_name);
+  }
+  stage_ = kTails;
   return out;
 }
 
@@ -580,14 +552,26 @@ void VarRecordCursor::visit_nodes(
   const std::uint32_t n = r_.u32();
   for (std::uint32_t k = 0; k < n; ++k) {
     skip_string();  // browse name
-    const NodeClass node_class = node_class_from_value(r_.byte());
-    const std::uint8_t access = r_.byte();
-    if (access & ~0x7u) {
-      throw DecodeError("snapshot record: invalid node access bits " + std::to_string(access));
-    }
-    fn(node_class, access & 0x1, access & 0x2, access & 0x4);
+    const NodeObservation node = node_fields();
+    fn(node.node_class, node.readable, node.writable, node.executable);
   }
-  stage_ = kNodes + 1;
+  stage_ = kTails;
+}
+
+void VarRecordCursor::tails(std::uint8_t flags, HostScanRecord& host) {
+  advance(kTails);
+  if (flags & snapshot_flags::kScanQuality) {
+    host.completeness = static_cast<ProbeOutcome>(checked_enum(r_.byte(), 3, "completeness"));
+    host.retries = r_.u16();
+    host.fault_events = r_.u16();
+    if (host.completeness == ProbeOutcome::complete && host.retries == 0 &&
+        host.fault_events == 0) {
+      throw DecodeError("snapshot record: all-zero scan-quality tail (non-canonical)");
+    }
+  }
+  if (flags & snapshot_flags::kProtocol) host.protocol = checked_protocol(r_.byte());
+  if (!r_.done()) throw DecodeError("var record longer than its fields");
+  stage_ = kTails + 1;
 }
 
 // ------------------------------------------------------ column access ----
@@ -596,16 +580,7 @@ ProtocolId ColumnView::protocol(std::size_t i) const {
   if (!(flags[i] & snapshot_flags::kProtocol)) return ProtocolId::opcua;
   const std::uint32_t end = var_offsets[i + 1];
   if (end == var_offsets[i]) throw DecodeError("var record too short for its protocol tail");
-  const std::uint8_t code = var_blob[end - 1];
-  if (code == 0) {
-    throw DecodeError(
-        "snapshot record: zero protocol tail byte (non-canonical; OPC UA records carry no "
-        "protocol tail)");
-  }
-  if (code >= kProtocolCount) {
-    throw DecodeError("snapshot record: invalid protocol value " + std::to_string(code));
-  }
-  return static_cast<ProtocolId>(code);
+  return checked_protocol(var_blob[end - 1]);
 }
 
 ColumnView::Quality ColumnView::quality(std::size_t i) const {
@@ -613,13 +588,14 @@ ColumnView::Quality ColumnView::quality(std::size_t i) const {
   if (!(flags[i] & snapshot_flags::kScanQuality)) return q;
   // Tails sit at the end of the var slice: [quality 5B][protocol 1B].
   const std::uint32_t tails = (flags[i] & snapshot_flags::kProtocol) ? 6 : 5;
-  if (var_offsets[i + 1] - var_offsets[i] < tails) {
+  const std::uint32_t end = var_offsets[i + 1];
+  if (end - var_offsets[i] < tails) {
     throw DecodeError("var record too short for its scan-quality tail");
   }
-  const std::uint8_t* t = var_blob.data() + var_offsets[i + 1] - tails;
-  q.completeness = t[0];
-  q.retries = le16(t + 1);
-  q.fault_events = le16(t + 3);
+  UaReader t(var_blob.subspan(end - tails, 5));
+  q.completeness = static_cast<std::uint8_t>(checked_enum(t.byte(), 3, "completeness"));
+  q.retries = t.u16();
+  q.fault_events = t.u16();
   return q;
 }
 
@@ -784,28 +760,15 @@ void ColumnEncoder::add(const HostScanRecord& host) {
   var_offsets_.push_back(static_cast<std::uint32_t>(w.bytes().size()));
 }
 
-ColumnView ColumnEncoder::view(std::uint32_t snapshot_ordinal) const {
-  ColumnView v;
-  v.snapshot_ordinal = snapshot_ordinal;
-  v.records = records();
-  v.bytes_sent = bytes_sent_;
-  v.uri_hash = uri_hash_;
-  v.duration_seconds = duration_;
-  v.ip = ip_;
-  v.asn = asn_;
-  v.var_offsets = var_offsets_;
-  v.port = port_;
-  v.application_type = application_type_;
-  v.channel = channel_;
-  v.channel_policy = channel_policy_;
-  v.channel_mode = channel_mode_;
-  v.session = session_;
-  v.flags = flags_;
-  v.mode_mask = mode_mask_;
-  v.policy_mask = policy_mask_;
-  v.token_mask = token_mask_;
-  v.var_blob = var_.bytes();
-  return v;
+ColumnView ColumnEncoder::view(std::uint32_t snapshot_ordinal) {
+  payload_ = UaWriter();
+  write_payload(payload_);
+  try {
+    return view_payload(payload_.bytes(), static_cast<std::uint32_t>(records()),
+                        snapshot_ordinal);
+  } catch (const DecodeError& e) {
+    throw SnapshotError(e.what());
+  }
 }
 
 std::uint64_t ColumnEncoder::payload_bytes() const {
@@ -1341,10 +1304,6 @@ void SnapshotReader::open_dictionary(std::uint64_t offset, std::uint64_t bytes,
   if (structural) throw *structural;
 }
 
-bool SnapshotReader::columnar() const {
-  return version_ == kVersionV6 && std::endian::native == std::endian::little;
-}
-
 const SnapshotReader::DictEntry& SnapshotReader::dict_entry(std::uint32_t cert_id) const {
   check_cert_id(cert_id, dict_.size(), " in " + path_);
   return dict_[cert_id];
@@ -1424,10 +1383,8 @@ void SnapshotReader::read_chunk(std::size_t chunk_index,
       obs_on ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
   try {
     if (version_ == kVersionV6) {
-      const V6Layout lay = locate_v6_chunk(data_, info);
-      for (std::uint32_t i = 0; i < info.record_count; ++i) {
-        out.push_back(read_host_v6(*this, lay, i));
-      }
+      const ColumnView view = locate_v6_chunk(data_, info);
+      for (std::size_t i = 0; i < view.records; ++i) out.push_back(read_row(view, *this, i));
     } else {
       // Rows decode straight from the file bytes. A v5 chunk opens with a
       // header that must repeat its index entry; a v4 chunk has none.
@@ -1455,36 +1412,16 @@ void SnapshotReader::read_chunk(std::size_t chunk_index,
 }
 
 ColumnView SnapshotReader::column_view(std::size_t chunk_index) const {
-  if (!columnar()) {
-    throw SnapshotError("column_view requires a v6 snapshot on a little-endian host: " + path_);
+  if (version_ != kVersionV6) {
+    throw SnapshotError("column_view requires a v6 snapshot: " + path_);
   }
   const SnapshotChunkInfo& info = chunk_info(chunk_index);
-  V6Layout lay;
+  ColumnView view;
   try {
-    lay = locate_v6_chunk(data_, info);
+    view = locate_v6_chunk(data_, info);
   } catch (const DecodeError& e) {
     throw corrupt_chunk(chunk_index, e);
   }
-  ColumnView view;
-  view.snapshot_ordinal = info.snapshot_ordinal;
-  view.records = lay.n;
-  view.bytes_sent = {reinterpret_cast<const std::uint64_t*>(lay.bytes_sent), lay.n};
-  view.uri_hash = {reinterpret_cast<const std::uint64_t*>(lay.uri_hash), lay.n};
-  view.duration_seconds = {reinterpret_cast<const double*>(lay.duration), lay.n};
-  view.ip = {reinterpret_cast<const std::uint32_t*>(lay.ip), lay.n};
-  view.asn = {reinterpret_cast<const std::uint32_t*>(lay.asn), lay.n};
-  view.var_offsets = {reinterpret_cast<const std::uint32_t*>(lay.var_offsets), lay.n + 1};
-  view.port = {reinterpret_cast<const std::uint16_t*>(lay.port), lay.n};
-  view.application_type = {lay.application_type, lay.n};
-  view.channel = {lay.channel, lay.n};
-  view.channel_policy = {lay.channel_policy, lay.n};
-  view.channel_mode = {lay.channel_mode, lay.n};
-  view.session = {lay.session, lay.n};
-  view.flags = {lay.flags, lay.n};
-  view.mode_mask = {lay.mode_mask, lay.n};
-  view.policy_mask = {lay.policy_mask, lay.n};
-  view.token_mask = {lay.token_mask, lay.n};
-  view.var_blob = {lay.var, static_cast<std::size_t>(lay.var_bytes)};
   // A column view is a zero-copy chunk read: same coverage accounting as
   // the record-decoding path, just without the decode cost.
   obs::add(obs::Metric::snapshot_chunks_read);

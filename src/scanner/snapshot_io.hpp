@@ -71,12 +71,12 @@
 // (hash64 of the application URI; one bit per advertised endpoint mode /
 // canonical policy / token type) so posture passes never touch the var
 // column; the row decoder re-derives and cross-checks them, turning a
-// flipped bit into a DecodeError instead of a silent misclassification.
+// flipped bit into a SnapshotError instead of a silent misclassification.
 // Dictionary ids are assigned by first appearance in the record stream
 // and entries are stored in id order, which makes v6 output a pure
 // function of (records, seed): byte-identical across runs, shard layouts
-// and thread counts. v6 files are memory-mapped on open; ColumnView spans
-// alias the mapping and stay valid exactly as long as the reader lives.
+// and thread counts. v6 files are memory-mapped on open; a ColumnView
+// aliases the mapping and stays valid exactly as long as the reader lives.
 //
 // The campaign block makes diff inputs self-describing (src/diff/ checks
 // that a follow-up campaign really is later than its base). Files written
@@ -84,7 +84,11 @@
 // absent labels to ""/0, and the v4/v5 load paths are unaffected.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -158,31 +162,48 @@ inline constexpr std::uint8_t kScanQuality = 1u << 6;
 /// no tail, so OPC-UA-only files stay byte-identical to pre-registry
 /// output, and a zero tail byte is rejected as non-canonical.
 inline constexpr std::uint8_t kProtocol = 1u << 7;
-inline constexpr std::uint8_t kAllFlags = 0xff;
 }  // namespace snapshot_flags
 
 /// The v6 "no certificate" sentinel in endpoint cert_id slots.
 inline constexpr std::uint32_t kNoCertId = 0xffffffffu;
 
-/// Typed view over one v6 chunk's columns — the one input shape of the
-/// census, figure and posture passes. A SnapshotReader hands out views
-/// whose spans alias its memory mapping (little-endian hosts only, gated
-/// by SnapshotReader::columnar()); a ColumnEncoder hands out views over
-/// the columns it transposed from records, which is how every other input
-/// reaches the passes. Either way a view (and every UaReader handed out by
-/// var_record) must not outlive its owner, and the bytes stay immutable
-/// while it lives, so concurrent readers never race.
+/// One multi-byte column of a v6 payload: column[i] loads element i
+/// little-endian with a memcpy (bytes reversed only on a big-endian
+/// host), so views read payload bytes as they are, on every host.
+template <typename T>
+class LeColumn {
+ public:
+  LeColumn() = default;
+  explicit LeColumn(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+  T operator[](std::size_t i) const {
+    std::array<std::uint8_t, sizeof(T)> raw;
+    std::memcpy(raw.data(), &bytes_[i * sizeof(T)], sizeof(T));
+    if constexpr (std::endian::native == std::endian::big) std::reverse(raw.begin(), raw.end());
+    return std::bit_cast<T>(raw);
+  }
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+};
+
+/// View over one v6 chunk's columns: the one input shape of the census,
+/// figure and posture passes, and what v6 rows decode from. One builder
+/// makes every view, over a SnapshotReader's mapping or over the payload
+/// a ColumnEncoder would write, and checks the fixed section's size, the
+/// var_offsets chain and the range of the five enum columns. A view (and
+/// every UaReader from var_record) must not outlive its owner; the bytes
+/// stay immutable while it lives, so concurrent readers never race.
 struct ColumnView {
   std::uint32_t snapshot_ordinal = 0;
   std::size_t records = 0;
 
-  std::span<const std::uint64_t> bytes_sent;
-  std::span<const std::uint64_t> uri_hash;
-  std::span<const double> duration_seconds;
-  std::span<const std::uint32_t> ip;
-  std::span<const std::uint32_t> asn;
-  std::span<const std::uint32_t> var_offsets;  // records + 1 entries
-  std::span<const std::uint16_t> port;
+  LeColumn<std::uint64_t> bytes_sent;
+  LeColumn<std::uint64_t> uri_hash;
+  LeColumn<double> duration_seconds;
+  LeColumn<std::uint32_t> ip;
+  LeColumn<std::uint32_t> asn;
+  LeColumn<std::uint32_t> var_offsets;  // records + 1 entries
+  LeColumn<std::uint16_t> port;
   std::span<const std::uint8_t> application_type;
   std::span<const std::uint8_t> channel;
   std::span<const std::uint8_t> channel_policy;
@@ -195,7 +216,7 @@ struct ColumnView {
   std::span<const std::uint8_t> var_blob;
 
   /// Reader positioned at record i's slice of the var column (validated
-  /// monotone and in-bounds when the view was created).
+  /// monotone and in-bounds when the view was built).
   UaReader var_record(std::size_t i) const {
     return UaReader(var_blob.subspan(var_offsets[i], var_offsets[i + 1] - var_offsets[i]));
   }
@@ -207,6 +228,7 @@ struct ColumnView {
 
   /// Record i's scan-quality tail (all zero when flags bit 6 is clear).
   /// Read from the end of the var slice, so no cursor walk is needed.
+  /// Throws DecodeError on a short slice or an out-of-range completeness.
   struct Quality {
     std::uint8_t completeness = 0;
     std::uint16_t retries = 0;
@@ -250,9 +272,10 @@ class ColumnEncoder final : public CertDictionary {
   void add(const HostScanRecord& host);
   std::size_t records() const { return ip_.size(); }
 
-  /// View over the buffered records; valid until the next add() or
-  /// clear_records().
-  ColumnView view(std::uint32_t snapshot_ordinal) const;
+  /// View over the buffered records, built from the payload
+  /// write_payload() writes and checked as a reader's view is (throws
+  /// SnapshotError); valid until the next add(), view() or clear_records().
+  ColumnView view(std::uint32_t snapshot_ordinal);
 
   /// Payload size (47n + 4 fixed-column bytes plus the var column) and
   /// payload bytes, little-endian, in the layout documented above.
@@ -279,6 +302,7 @@ class ColumnEncoder final : public CertDictionary {
   std::vector<std::uint8_t> application_type_, channel_, channel_policy_, channel_mode_,
       session_, flags_, mode_mask_, policy_mask_, token_mask_;
   UaWriter var_;
+  UaWriter payload_;  // what view() reads
   std::vector<std::uint32_t> head_scratch_, ep_scratch_;
   // Dictionary: id order == first appearance order.
   std::vector<Bytes> ders_;
@@ -289,31 +313,45 @@ class ColumnEncoder final : public CertDictionary {
 
 /// Lazy decoder over one record's var-column slice. Accessors must be
 /// called in field order (cert_ids, application_uri, product_uri,
-/// application_name, software_version, namespaces, visit_nodes); any
-/// prefix may be skipped and the cursor skips the intervening fields
-/// without materializing them. Throws DecodeError on malformed bytes.
+/// application_name, software_version, endpoints, referenced_targets,
+/// namespaces, nodes or visit_nodes, tails); any prefix may be skipped
+/// and the cursor skips the intervening fields without materializing
+/// them. Throws DecodeError on malformed bytes.
 class VarRecordCursor {
  public:
   explicit VarRecordCursor(UaReader r) : r_(std::move(r)) {}
 
-  /// Distinct certificate dictionary ids, first-seen endpoint order.
-  void cert_ids(std::vector<std::uint32_t>& out);
+  /// Distinct certificate dictionary ids, first-seen endpoint order. With
+  /// `dict`, each id is checked against it as it is read.
+  void cert_ids(std::vector<std::uint32_t>& out, const CertDictionary* dict = nullptr);
   std::string application_uri();
   std::string product_uri();
   std::string application_name();
   std::string software_version();
+  /// The endpoints, each certificate copied out of `dict`; `cert_ids`
+  /// receives every endpoint's id (kNoCertId for none), in order.
+  std::vector<EndpointObservation> endpoints(const CertDictionary& dict,
+                                             std::vector<std::uint32_t>& cert_ids);
+  std::vector<std::pair<Ipv4, std::uint16_t>> referenced_targets();
   std::vector<std::string> namespaces();
+  /// The traversed nodes, browse names included.
+  std::vector<NodeObservation> nodes();
   /// fn(node_class, readable, writable, executable) per traversed node;
   /// browse names are skipped, not decoded.
   void visit_nodes(const std::function<void(NodeClass, bool, bool, bool)>& fn);
+  /// Reads the tails `flags` announces into `host` (scan quality, then
+  /// protocol, each checked); the slice must end there.
+  void tails(std::uint8_t flags, HostScanRecord& host);
 
  private:
   enum Stage {
     kCertIds = 0, kApplicationUri, kProductUri, kApplicationName,
-    kSoftwareVersion, kEndpoints, kRefs, kNamespaces, kNodes,
+    kSoftwareVersion, kEndpoints, kRefs, kNamespaces, kNodes, kTails,
   };
   void advance(int target);
   void skip_string();
+  /// The class and access bits that follow a node's browse name, checked.
+  NodeObservation node_fields();
 
   UaReader r_;
   int stage_ = 0;
@@ -406,8 +444,10 @@ class SnapshotReader final : public CertDictionary {
   /// contents are allowed to stand in for a record walk.
   std::uint64_t file_fingerprint() const;
 
-  /// Decode one chunk into records (throws SnapshotError / DecodeError on
-  /// corrupt payload bytes).
+  /// Decode one chunk into records (throws SnapshotError on corrupt
+  /// payload bytes). A v6 chunk's rows decode from its column view; each
+  /// record's derived columns (uri_hash, the mode/policy/token masks) and
+  /// head cert ids are then re-derived and cross-checked.
   std::vector<HostScanRecord> read_chunk(std::size_t chunk_index) const;
 
   /// Decode one chunk into a caller-owned buffer (cleared first). The
@@ -423,15 +463,12 @@ class SnapshotReader final : public CertDictionary {
   /// Materialize everything (the legacy load-all path).
   std::vector<ScanSnapshot> load_all() const;
 
-  /// True when column_view() is available: a v6 file on a little-endian
-  /// host. Every other input reaches the passes transposed into columns
+  /// Zero-copy column access to one v6 chunk, on any host. The view
+  /// aliases the reader's mapping and must not outlive it. Throws
+  /// SnapshotError for a v4/v5 file or a malformed chunk (bad header,
+  /// short columns, non-monotone var offsets, an out-of-range enum
+  /// column). v4/v5 rows reach the passes transposed into columns
   /// (RecordSource::visit_columns).
-  bool columnar() const;
-
-  /// Zero-copy column access to one v6 chunk. The returned spans alias
-  /// the reader's mapping and must not outlive it. Throws SnapshotError
-  /// when !columnar() or on a malformed chunk (bad header, short columns,
-  /// non-monotone var offsets).
   ColumnView column_view(std::size_t chunk_index) const;
 
   /// v6 certificate dictionary: deduplicated DER in id order.

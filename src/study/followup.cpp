@@ -23,7 +23,8 @@ FollowupConfig series_step_config(const FollowupConfig& config, std::size_t ordi
   if (step.campaign_label.empty()) {
     step.campaign_label = "followup-" + std::to_string(ordinal);
   } else if (ordinal > 1) {
-    step.campaign_label += "-" + std::to_string(ordinal);
+    step.campaign_label += '-';
+    step.campaign_label += std::to_string(ordinal);
   }
   if (step.epoch_days != 0) {
     step.epoch_days += static_cast<std::int64_t>(ordinal - 1) * kTwoYearsDays;

@@ -87,6 +87,23 @@ TEST(KeyFactoryParallel, FlushIsAtomicAndPreservesForeignSeeds) {
   mine_again.get("host-1", 512);
   EXPECT_EQ(other_again.generated(), 0u);
   EXPECT_EQ(mine_again.generated(), 0u);
+
+  // Two factories of one seed share the file: one that loaded it before
+  // the other flushed must not drop the other's rows when it flushes.
+  {
+    KeyFactory first(2, cache);
+    {
+      KeyFactory second(2, cache);
+      second.get("host-2", 512);
+      second.flush();
+    }
+    first.get("host-3", 512);
+    first.flush();
+  }
+  KeyFactory fresh(2, cache);
+  fresh.get("host-2", 512);
+  fresh.get("host-3", 512);
+  EXPECT_EQ(fresh.generated(), 0u);
   std::remove(cache.c_str());
 }
 

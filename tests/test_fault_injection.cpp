@@ -506,8 +506,7 @@ TEST(FaultInjection, QualityFieldsRoundTripThroughV6) {
   EXPECT_EQ(loaded->front(), snapshot);
 
   // The scan-quality section sees the same numbers through both the row
-  // decoder and the columnar fast path (analyze_file uses the latter on
-  // little-endian hosts).
+  // decoder and the columnar fast path (analyze_file uses the latter).
   const StudyAnalysis from_file = analyze_file(path, 42, {});
   const StudyAnalysis from_memory = analyze_snapshots({snapshot}, {});
   EXPECT_TRUE(from_file.figures_equal(from_memory));

@@ -457,7 +457,9 @@ TEST(ClientServer, BrowseContinuationPoints) {
   const std::uint16_t ns = space->add_namespace("urn:many");
   space->add_object(NodeId(ns, 1), node_ids::kObjectsFolder, "Bucket");
   for (std::uint32_t i = 0; i < 25; ++i) {
-    space->add_variable(NodeId(ns, 100 + i), NodeId(ns, 1), "v" + std::to_string(i), Variant{1.0},
+    std::string name = "v";
+    name += std::to_string(i);
+    space->add_variable(NodeId(ns, 100 + i), NodeId(ns, 1), name, Variant{1.0},
                         access_level::kCurrentRead);
   }
   config.address_space = space;

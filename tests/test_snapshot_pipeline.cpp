@@ -21,6 +21,7 @@
 #include "figure_dump.hpp"
 #include "grab_dump.hpp"
 #include "scanner/snapshot_io.hpp"
+#include "series/matcher.hpp"
 #include "util/date.hpp"
 #include "util/hex.hpp"
 
@@ -318,7 +319,6 @@ TEST(SnapshotV5, LegacyV4FilesStillLoad) {
 TEST(SnapshotV5, V5FilesStillLoad) {
   const SnapshotReader reader(row_fixture("v5"), 42);
   EXPECT_EQ(reader.version(), 5u);
-  EXPECT_FALSE(reader.columnar());
   EXPECT_EQ(reader.cert_count(), 0u);
   EXPECT_EQ(reader.load_all(), make_multi_endpoint_study(48));
   EXPECT_THROW(reader.column_view(0), SnapshotError);
@@ -392,22 +392,45 @@ TEST(SnapshotV5, TruncationAlwaysFailsCleanly) {
   std::remove(cut_path.c_str());
 }
 
+/// The SnapshotError text `run` throws, or "no error" when it returns.
+template <typename Fn>
+std::string snapshot_error_of(Fn&& run) {
+  try {
+    run();
+  } catch (const SnapshotError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
 TEST(SnapshotV5, CorruptEnumValuesRejected) {
   const std::string path = "/tmp/opcua_test_v5_enum.bin";
   std::vector<ScanSnapshot> study = make_study(3, 1);
   // An out-of-range enum hidden behind a reinterpreted cast — exactly what
-  // a flipped bit in a record payload produces.
+  // a flipped bit in a record payload produces. The column passes reject
+  // it as the row reader does: over the file with the load error's text,
+  // over the in-memory records naming the same field and value.
+  const auto expect_rejected = [&](const std::string& named) {
+    save_snapshots(path, 42, study);
+    std::string error;
+    EXPECT_FALSE(load_snapshots(path, 42, &error).has_value());
+    EXPECT_NE(error.find(named), std::string::npos) << error;
+    EXPECT_EQ(snapshot_error_of([&] { analyze_file(path, 42, {}); }), error);
+    EXPECT_EQ(snapshot_error_of([&] {
+                const SnapshotReader reader(path, 42);
+                ThreadPool pool(1);
+                collect_postures(ReaderRecordSource(reader), pool);
+              }),
+              error);
+    const std::string in_memory = snapshot_error_of([&] { analyze_snapshots(study); });
+    EXPECT_NE(in_memory.find(named), std::string::npos) << in_memory;
+  };
   study[0].hosts[1].application_type = static_cast<ApplicationType>(0x2a);
-  save_snapshots(path, 42, study);
-  std::string error;
-  EXPECT_FALSE(load_snapshots(path, 42, &error).has_value());
-  EXPECT_NE(error.find("application type"), std::string::npos);
+  expect_rejected("invalid application type value 42");
 
   study[0].hosts[1].application_type = ApplicationType::Server;
   study[0].hosts[2].session = static_cast<SessionOutcome>(9);
-  save_snapshots(path, 42, study);
-  EXPECT_FALSE(load_snapshots(path, 42, &error).has_value());
-  EXPECT_NE(error.find("session outcome"), std::string::npos);
+  expect_rejected("invalid session outcome value 9");
   std::remove(path.c_str());
 }
 
