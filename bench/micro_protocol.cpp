@@ -5,6 +5,7 @@
 #include "crypto/aes.hpp"
 #include "crypto/batch_gcd.hpp"
 #include "crypto/x509.hpp"
+#include "opcua/messages.hpp"
 #include "opcua/secureconv.hpp"
 #include "scanner/lfsr.hpp"
 #include "util/rng.hpp"
@@ -103,6 +104,57 @@ void BM_MsgSignEncrypt_Basic256Sha256(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 512);
 }
 BENCHMARK(BM_MsgSignEncrypt_Basic256Sha256);
+
+// OPC UA message codec: one pack_service + unpack_service round trip per
+// iteration, the work every grab does for each reply (and the simulated
+// server for each request).
+void BM_GetEndpointsResponseCodec(benchmark::State& state) {
+  GetEndpointsResponse resp;
+  for (int i = 0; i < 6; ++i) {
+    EndpointDescription ep;
+    ep.endpoint_url = "opc.tcp://192.0.2.1:4840/";
+    ep.server.application_uri = "urn:bench:server";
+    ep.server.product_uri = "urn:bench:product";
+    ep.server.application_name = {"en", "Bench Server"};
+    ep.server.discovery_urls = {"opc.tcp://192.0.2.1:4840/"};
+    ep.server_certificate = bench_cert();
+    ep.security_mode = static_cast<MessageSecurityMode>(1 + i % 3);
+    ep.security_policy_uri = std::string(policy_info(kAllPolicies[i]).uri);
+    for (const UserTokenType t : {UserTokenType::Anonymous, UserTokenType::UserName}) {
+      ep.user_identity_tokens.push_back({"policy-" + user_token_type_name(t), t, ""});
+    }
+    resp.endpoints.push_back(std::move(ep));
+  }
+  const std::size_t bytes = pack_service(resp).size();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(unpack_service<GetEndpointsResponse>(pack_service(resp)));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_GetEndpointsResponseCodec);
+
+void BM_BrowseResponseCodec(benchmark::State& state) {
+  BrowseResult result;
+  result.continuation_point = {0xc0, 0x01};
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    ReferenceDescription ref;
+    ref.reference_type_id = NodeId(0, 47);
+    ref.node_id = NodeId(2, 1000 + i);
+    ref.browse_name = {2, "Sensor" + std::to_string(i)};
+    ref.display_name = {"", "Sensor " + std::to_string(i)};
+    ref.node_class = i % 4 == 3 ? NodeClass::Method : NodeClass::Variable;
+    ref.type_definition = NodeId(0, 63);
+    result.references.push_back(std::move(ref));
+  }
+  BrowseResponse resp;
+  resp.results.push_back(std::move(result));
+  const std::size_t bytes = pack_service(resp).size();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(unpack_service<BrowseResponse>(pack_service(resp)));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_BrowseResponseCodec);
 
 void BM_LfsrSweep(benchmark::State& state) {
   // Full pseudo-random pass over a /16 (zmap-style address permutation).

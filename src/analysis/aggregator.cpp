@@ -510,7 +510,16 @@ std::uint8_t classify_deficiencies(std::uint8_t policy_mask, const CertStrength*
 void RecordSource::visit_columns(std::size_t chunk, const ColumnVisitor& fn) const {
   ColumnEncoder columns;
   visit_chunk(chunk, [&](const HostScanRecord& host) { columns.add(host); });
-  fn(columns.view(static_cast<std::uint32_t>(chunk_week(chunk))), columns);
+  try {
+    fn(columns.view(static_cast<std::uint32_t>(chunk_week(chunk))), columns);
+  } catch (const DecodeError& e) {
+    throw corrupt_chunk(chunk, e);
+  }
+}
+
+SnapshotError RecordSource::corrupt_chunk(std::size_t chunk, const DecodeError& e) const {
+  return SnapshotError("corrupt chunk " + std::to_string(chunk) + " (week " +
+                       std::to_string(chunk_week(chunk)) + "): " + e.what());
 }
 
 void ReaderRecordSource::visit_chunk(std::size_t chunk,
@@ -528,11 +537,12 @@ void ReaderRecordSource::visit_columns(std::size_t chunk, const ColumnVisitor& f
   try {
     fn(view, reader_);
   } catch (const DecodeError& e) {
-    // Same shape as read_chunk's report: a malformed var record or cert id
-    // met by a pass is a corrupt file, not a decoder bug.
-    throw SnapshotError("corrupt chunk " + std::to_string(chunk) + " (v6, chunk at byte " +
-                        std::to_string(reader_.chunks()[chunk].file_offset) + "): " + e.what());
+    throw corrupt_chunk(chunk, e);
   }
+}
+
+SnapshotError ReaderRecordSource::corrupt_chunk(std::size_t chunk, const DecodeError& e) const {
+  return reader_.corrupt_chunk(chunk, e);
 }
 
 SnapshotVectorSource::SnapshotVectorSource(const std::vector<ScanSnapshot>& snapshots,

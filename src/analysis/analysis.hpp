@@ -139,13 +139,18 @@ class RecordSource {
   /// only input of the census, figure and posture passes. The default
   /// transposes visit_chunk's records through a ColumnEncoder with a
   /// chunk-scoped dictionary; records the v6 format cannot hold throw the
-  /// SnapshotError their write would, and out-of-range enum fields the
-  /// one a read of their payload would.
+  /// SnapshotError their write would. A value the view's checks or the
+  /// pass reject (a DecodeError) becomes corrupt_chunk's SnapshotError.
   virtual void visit_columns(std::size_t chunk, const ColumnVisitor& fn) const;
   /// The dictionary every chunk's ids index when the source has one
   /// file-wide, so per-certificate facts are computed once per file;
   /// nullptr when each visit hands out its own.
   virtual const CertDictionary* shared_dictionary() const { return nullptr; }
+
+ protected:
+  /// The one SnapshotError for chunk `chunk` failing a pass with `e`; the
+  /// default names the chunk and its week.
+  virtual SnapshotError corrupt_chunk(std::size_t chunk, const DecodeError& e) const;
 };
 
 /// Per-certificate facts by dictionary id, for the dictionaries a column
@@ -224,6 +229,10 @@ class ReaderRecordSource final : public RecordSource {
   const CertDictionary* shared_dictionary() const override {
     return reader_.version() == 6 ? &reader_ : nullptr;
   }
+
+ protected:
+  /// The reader's own report, as load_snapshots gives it (v4, v5 and v6).
+  SnapshotError corrupt_chunk(std::size_t chunk, const DecodeError& e) const override;
 
  private:
   const SnapshotReader& reader_;

@@ -27,7 +27,6 @@ class SimClock {
   }
 
   std::uint64_t now_us() const { return micros_; }
-  double now_seconds() const { return static_cast<double>(micros_) / 1e6; }
   std::int64_t today_days() const {
     return start_days_ + static_cast<std::int64_t>(micros_ / (86400ULL * 1000000ULL));
   }

@@ -37,7 +37,6 @@ class EventScheduler {
   std::size_t run_until_idle();
 
   std::size_t pending() const { return heap_.size(); }
-  bool idle() const { return heap_.empty(); }
 
  private:
   struct Event {

@@ -4,13 +4,6 @@ namespace opcua_study {
 
 namespace {
 
-constexpr std::uint32_t kHello = 0x4c48514du;     // 'MQHL'
-constexpr std::uint32_t kHelloAck = 0x4148514du;  // 'MQHA'
-constexpr std::uint32_t kConnect = 0x4f43514du;   // 'MQCO'
-constexpr std::uint32_t kConnAck = 0x4143514du;   // 'MQCA'
-constexpr std::uint32_t kSysRead = 0x5253514du;   // 'MQSR'
-constexpr std::uint32_t kSysVal = 0x5653514du;    // 'MQSV'
-
 constexpr std::uint8_t kConnAccepted = 0;
 constexpr std::uint8_t kConnNotAuthorized = 5;
 
@@ -26,17 +19,17 @@ Bytes MqttTlsService::on_message(std::span<const std::uint8_t> request) {
     return {};
   }
 
-  if (magic == kHello && !hello_done_) {
+  if (magic == mqtt_frame::kHello && !hello_done_) {
     hello_done_ = true;
     UaWriter w;
-    w.u32(kHelloAck);
+    w.u32(mqtt_frame::kHelloAck);
     w.byte(config_->legacy_tls ? 1 : 0);
     w.byte(config_->auth_mask);
     w.byte_string(config_->certificate_der);
     w.string(config_->software_version);
     return w.take();
   }
-  if (magic == kConnect && hello_done_ && !session_up_) {
+  if (magic == mqtt_frame::kConnect && hello_done_ && !session_up_) {
     std::uint8_t credentials = 0;
     try {
       credentials = r.byte();
@@ -45,7 +38,7 @@ Bytes MqttTlsService::on_message(std::span<const std::uint8_t> request) {
       return {};
     }
     UaWriter w;
-    w.u32(kConnAck);
+    w.u32(mqtt_frame::kConnAck);
     if (credentials == 0 && (config_->auth_mask & mqtt_auth::kAnonymous) != 0) {
       session_up_ = true;
       w.byte(kConnAccepted);
@@ -57,9 +50,9 @@ Bytes MqttTlsService::on_message(std::span<const std::uint8_t> request) {
     }
     return w.take();
   }
-  if (magic == kSysRead && session_up_) {
+  if (magic == mqtt_frame::kSysRead && session_up_) {
     UaWriter w;
-    w.u32(kSysVal);
+    w.u32(mqtt_frame::kSysVal);
     w.string(config_->software_version);
     w.string_array(config_->topics);
     return w.take();

@@ -27,6 +27,16 @@ inline constexpr std::uint8_t kPassword = 1u << 1;
 inline constexpr std::uint8_t kClientCert = 1u << 2;
 }  // namespace mqtt_auth
 
+/// The magic leading each frame, for the broker and the grab task alike.
+namespace mqtt_frame {
+inline constexpr std::uint32_t kHello = 0x4c48514du;     // 'MQHL'
+inline constexpr std::uint32_t kHelloAck = 0x4148514du;  // 'MQHA'
+inline constexpr std::uint32_t kConnect = 0x4f43514du;   // 'MQCO'
+inline constexpr std::uint32_t kConnAck = 0x4143514du;   // 'MQCA'
+inline constexpr std::uint32_t kSysRead = 0x5253514du;   // 'MQSR'
+inline constexpr std::uint32_t kSysVal = 0x5653514du;    // 'MQSV'
+}  // namespace mqtt_frame
+
 /// Everything one simulated broker presents on the wire.
 struct MqttBrokerConfig {
   Bytes certificate_der;

@@ -134,7 +134,6 @@ Bytes NetConnection::roundtrip(const Bytes& request) {
     throw DecodeError("connection closed by peer");
   }
   bytes_received_ += response.size();
-  net_.total_bytes_received_ += response.size();
   charge(response.size() / 10);
   if (truncate) {
     // Garble the reply down to a prefix too short for a UA message header:

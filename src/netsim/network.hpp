@@ -93,7 +93,6 @@ class Network {
   std::uint64_t rtt_us(Ipv4 ip) const;
 
   std::uint64_t total_bytes_sent() const { return total_bytes_sent_; }
-  std::uint64_t total_bytes_received() const { return total_bytes_received_; }
 
  private:
   friend class NetConnection;
@@ -107,7 +106,6 @@ class Network {
   std::unordered_map<std::uint64_t, HandlerFactory> listeners_;
   std::unique_ptr<FaultPlan> fault_plan_;
   std::uint64_t total_bytes_sent_ = 0;
-  std::uint64_t total_bytes_received_ = 0;
 };
 
 /// Client end of an established connection; implements the OPC UA client's

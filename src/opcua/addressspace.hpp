@@ -60,10 +60,7 @@ class AddressSpace {
   void set_software_version(std::string version) { software_version_ = std::move(version); }
   const std::string& software_version() const { return software_version_; }
 
-  std::size_t node_count() const { return nodes_.size(); }
   std::size_t count_of_class(NodeClass cls) const;
-
-  const std::map<NodeId, Node>& all_nodes() const { return nodes_; }
 
  private:
   void link(const NodeId& parent, const NodeId& child, const NodeId& ref_type);

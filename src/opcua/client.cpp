@@ -14,7 +14,6 @@ StatusCode Client::hello(const std::string& endpoint_url) {
     const Frame frame = parse_frame(response);
     if (frame.type == "ERR") {
       const ErrorMessage err = ErrorMessage::decode(frame.body);
-      transport_error_ = err.error;
       return err.error;
     }
     if (frame.type != "ACK") return StatusCode::BadTcpMessageTypeInvalid;
@@ -66,7 +65,6 @@ StatusCode Client::open_channel(SecurityPolicy policy, MessageSecurityMode mode,
     const Frame frame = parse_frame(response);
     if (frame.type == "ERR") {
       const ErrorMessage err = ErrorMessage::decode(frame.body);
-      transport_error_ = err.error;
       return err.error;
     }
     // Server→client OPN is encrypted with *our* public key.
@@ -106,7 +104,6 @@ StatusCode Client::call(const Request& req, Response& resp) {
     const Frame frame = parse_frame(response);
     if (frame.type == "ERR") {
       const ErrorMessage err = ErrorMessage::decode(frame.body);
-      transport_error_ = err.error;
       channel_open_ = false;
       return err.error;
     }

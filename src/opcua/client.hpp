@@ -69,8 +69,6 @@ class Client {
   bool channel_open() const { return channel_open_; }
   SecurityPolicy channel_policy() const { return policy_; }
   MessageSecurityMode channel_mode() const { return mode_; }
-  /// Status carried by the last transport-level ERR frame, if any.
-  std::optional<StatusCode> last_transport_error() const { return transport_error_; }
 
  private:
   template <typename Request, typename Response>
@@ -95,7 +93,6 @@ class Client {
   DerivedKeys server_keys_;
   std::optional<Certificate> server_cert_;
   NodeId auth_token_;
-  std::optional<StatusCode> transport_error_;
 };
 
 }  // namespace opcua_study

@@ -1,25 +1,8 @@
 #include "opcua/messages.hpp"
 
-namespace opcua_study {
+#include "opcua/wire.hpp"
 
-namespace {
-/// Null extension object (TypeId 0 + no body) for fields we carry but do not
-/// interpret (additional headers, diagnostics).
-void write_null_extension(UaWriter& w) {
-  w.node_id(NodeId(0, 0));
-  w.byte(0x00);
-}
-void skip_extension(UaReader& r) {
-  r.node_id();
-  const std::uint8_t encoding = r.byte();
-  if (encoding & 0x01) {
-    const std::int32_t len = r.i32();
-    if (len > 0) r.base().skip(static_cast<std::size_t>(len));
-  }
-}
-void write_null_diagnostic(UaWriter& w) { w.byte(0x00); }
-void skip_diagnostic(UaReader& r) { r.byte(); }
-}  // namespace
+namespace opcua_study {
 
 std::string user_token_type_name(UserTokenType t) {
   switch (t) {
@@ -31,133 +14,86 @@ std::string user_token_type_name(UserTokenType t) {
   return "?";
 }
 
-void RequestHeader::encode(UaWriter& w) const {
-  w.node_id(authentication_token);
-  w.datetime(timestamp);
-  w.u32(request_handle);
-  w.u32(0);  // returnDiagnostics
-  w.null_string();  // auditEntryId
-  w.u32(timeout_hint);
-  write_null_extension(w);
-}
+namespace {
+// The enum fields a grab copies into its record are checked at decode, so
+// a value the record formats cannot hold fails the reply, not the file.
+constexpr EnumValues kApplicationTypes{"application type", 0b1111};
+constexpr EnumValues kSecurityModes{"security mode", 0b1111};
+constexpr EnumValues kUserTokenTypes{"user token type", 0b1111};
+constexpr EnumValues kNodeClasses{"node class", 0b10111};  // 0, 1, 2, 4
+}  // namespace
 
-RequestHeader RequestHeader::decode(UaReader& r) {
-  RequestHeader h;
-  h.authentication_token = r.node_id();
-  h.timestamp = r.datetime();
-  h.request_handle = r.u32();
-  r.u32();
-  r.string();
-  h.timeout_hint = r.u32();
-  skip_extension(r);
-  return h;
-}
-
-void ResponseHeader::encode(UaWriter& w) const {
-  w.datetime(timestamp);
-  w.u32(request_handle);
-  w.status(service_result);
-  write_null_diagnostic(w);
-  w.i32(-1);  // stringTable: null array
-  write_null_extension(w);
-}
-
-ResponseHeader ResponseHeader::decode(UaReader& r) {
-  ResponseHeader h;
-  h.timestamp = r.datetime();
-  h.request_handle = r.u32();
-  h.service_result = r.status();
-  skip_diagnostic(r);
-  r.string_array();
-  skip_extension(r);
-  return h;
-}
-
-void ApplicationDescription::encode(UaWriter& w) const {
-  w.string(application_uri);
-  w.string(product_uri);
-  w.localized_text(application_name);
-  w.u32(static_cast<std::uint32_t>(application_type));
-  w.null_string();  // gatewayServerUri
-  w.null_string();  // discoveryProfileUri
-  w.string_array(discovery_urls);
-}
-
-ApplicationDescription ApplicationDescription::decode(UaReader& r) {
-  ApplicationDescription a;
-  a.application_uri = r.string();
-  a.product_uri = r.string();
-  a.application_name = r.localized_text();
-  a.application_type = static_cast<ApplicationType>(r.u32());
-  r.string();
-  r.string();
-  a.discovery_urls = r.string_array();
-  return a;
-}
-
-void UserTokenPolicy::encode(UaWriter& w) const {
-  w.string(policy_id);
-  w.u32(static_cast<std::uint32_t>(token_type));
-  w.null_string();  // issuedTokenType
-  w.null_string();  // issuerEndpointUrl
-  w.string(security_policy_uri);
-}
-
-UserTokenPolicy UserTokenPolicy::decode(UaReader& r) {
-  UserTokenPolicy p;
-  p.policy_id = r.string();
-  p.token_type = static_cast<UserTokenType>(r.u32());
-  r.string();
-  r.string();
-  p.security_policy_uri = r.string();
-  return p;
-}
-
-void EndpointDescription::encode(UaWriter& w) const {
-  w.string(endpoint_url);
-  server.encode(w);
-  w.byte_string(server_certificate);
-  w.u32(static_cast<std::uint32_t>(security_mode));
-  w.string(security_policy_uri);
-  w.array(user_identity_tokens, [](UaWriter& ww, const UserTokenPolicy& p) { p.encode(ww); });
-  w.string(transport_profile_uri);
-  w.byte(security_level);
-}
-
-EndpointDescription EndpointDescription::decode(UaReader& r) {
-  EndpointDescription e;
-  e.endpoint_url = r.string();
-  e.server = ApplicationDescription::decode(r);
-  e.server_certificate = r.byte_string();
-  e.security_mode = static_cast<MessageSecurityMode>(r.u32());
-  e.security_policy_uri = r.string();
-  e.user_identity_tokens =
-      r.array<UserTokenPolicy>([](UaReader& rr) { return UserTokenPolicy::decode(rr); });
-  e.transport_profile_uri = r.string();
-  e.security_level = r.byte();
-  return e;
-}
-
-void SignatureData::encode(UaWriter& w) const {
-  if (algorithm.empty()) {
-    w.null_string();
-  } else {
-    w.string(algorithm);
+// Field lists in wire order (see opcua/wire.hpp), each followed by the
+// structure's encode and decode, which walk it.
+#define OPCUA_WIRE_ENTRY_POINTS(T)                                       \
+  void T::encode(UaWriter& w) const { WireEncoder(w).structure(*this); } \
+  T T::decode(UaReader& r) {                                             \
+    T m;                                                                 \
+    WireDecoder(r).structure(m);                                         \
+    return m;                                                            \
   }
-  if (signature.empty()) {
-    w.null_byte_string();
-  } else {
-    w.byte_string(signature);
-  }
-}
 
-SignatureData SignatureData::decode(UaReader& r) {
-  SignatureData s;
-  s.algorithm = r.string();
-  s.signature = r.byte_string();
-  return s;
+void fields(auto& io, Visited<RequestHeader> auto& m) {
+  io.node_id(m.authentication_token);
+  io.datetime(m.timestamp);
+  io.u32(m.request_handle);
+  io.zero_u32();         // returnDiagnostics
+  io.null_string();      // auditEntryId
+  io.u32(m.timeout_hint);
+  io.null_extension();   // additionalHeader
 }
+OPCUA_WIRE_ENTRY_POINTS(RequestHeader)
 
+void fields(auto& io, Visited<ResponseHeader> auto& m) {
+  io.datetime(m.timestamp);
+  io.u32(m.request_handle);
+  io.status(m.service_result);
+  io.null_diagnostic();    // serviceDiagnostics
+  io.null_string_array();  // stringTable
+  io.null_extension();     // additionalHeader
+}
+OPCUA_WIRE_ENTRY_POINTS(ResponseHeader)
+
+void fields(auto& io, Visited<ApplicationDescription> auto& m) {
+  io.string(m.application_uri);
+  io.string(m.product_uri);
+  io.localized_text(m.application_name);
+  io.enumeration(m.application_type, &kApplicationTypes);
+  io.null_string();  // gatewayServerUri
+  io.null_string();  // discoveryProfileUri
+  io.string_array(m.discovery_urls);
+}
+OPCUA_WIRE_ENTRY_POINTS(ApplicationDescription)
+
+void fields(auto& io, Visited<UserTokenPolicy> auto& m) {
+  io.string(m.policy_id);
+  io.enumeration(m.token_type, &kUserTokenTypes);
+  io.null_string();  // issuedTokenType
+  io.null_string();  // issuerEndpointUrl
+  io.string(m.security_policy_uri);
+}
+OPCUA_WIRE_ENTRY_POINTS(UserTokenPolicy)
+
+void fields(auto& io, Visited<EndpointDescription> auto& m) {
+  io.string(m.endpoint_url);
+  io.structure(m.server);
+  io.byte_string(m.server_certificate);
+  io.enumeration(m.security_mode, &kSecurityModes);
+  io.string(m.security_policy_uri);
+  io.array(m.user_identity_tokens);
+  io.string(m.transport_profile_uri);
+  io.byte(m.security_level);
+}
+OPCUA_WIRE_ENTRY_POINTS(EndpointDescription)
+
+void fields(auto& io, Visited<SignatureData> auto& m) {
+  io.nullable_string(m.algorithm);
+  io.nullable_byte_string(m.signature);
+}
+OPCUA_WIRE_ENTRY_POINTS(SignatureData)
+
+// The identity token's body layout depends on its type id, so it keeps a
+// hand-written pair.
 void UserIdentityToken::encode(UaWriter& w) const {
   std::uint32_t type_id = type_ids::kAnonymousIdentityToken;
   switch (kind) {
@@ -218,513 +154,258 @@ UserIdentityToken UserIdentityToken::decode(UaReader& r) {
 
 // ------------------------------------------------------------- services ----
 
-void OpenSecureChannelRequest::encode(UaWriter& w) const {
-  header.encode(w);
-  w.u32(client_protocol_version);
-  w.u32(request_type);
-  w.u32(static_cast<std::uint32_t>(security_mode));
-  w.byte_string(client_nonce);
-  w.u32(requested_lifetime_ms);
+void fields(auto& io, Visited<OpenSecureChannelRequest> auto& m) {
+  io.structure(m.header);
+  io.u32(m.client_protocol_version);
+  io.u32(m.request_type);
+  io.enumeration(m.security_mode);
+  io.byte_string(m.client_nonce);
+  io.u32(m.requested_lifetime_ms);
 }
+OPCUA_WIRE_ENTRY_POINTS(OpenSecureChannelRequest)
 
-OpenSecureChannelRequest OpenSecureChannelRequest::decode(UaReader& r) {
-  OpenSecureChannelRequest m;
-  m.header = RequestHeader::decode(r);
-  m.client_protocol_version = r.u32();
-  m.request_type = r.u32();
-  m.security_mode = static_cast<MessageSecurityMode>(r.u32());
-  m.client_nonce = r.byte_string();
-  m.requested_lifetime_ms = r.u32();
-  return m;
+void fields(auto& io, Visited<OpenSecureChannelResponse> auto& m) {
+  io.structure(m.header);
+  io.u32(m.server_protocol_version);
+  io.u32(m.channel_id);
+  io.u32(m.token_id);
+  io.datetime(m.created_at);
+  io.u32(m.revised_lifetime_ms);
+  io.byte_string(m.server_nonce);
 }
+OPCUA_WIRE_ENTRY_POINTS(OpenSecureChannelResponse)
 
-void OpenSecureChannelResponse::encode(UaWriter& w) const {
-  header.encode(w);
-  w.u32(server_protocol_version);
-  w.u32(channel_id);
-  w.u32(token_id);
-  w.datetime(created_at);
-  w.u32(revised_lifetime_ms);
-  w.byte_string(server_nonce);
+void fields(auto& io, Visited<CloseSecureChannelRequest> auto& m) { io.structure(m.header); }
+OPCUA_WIRE_ENTRY_POINTS(CloseSecureChannelRequest)
+
+void fields(auto& io, Visited<GetEndpointsRequest> auto& m) {
+  io.structure(m.header);
+  io.string(m.endpoint_url);
+  io.null_string_array();  // localeIds
+  io.null_string_array();  // profileUris
 }
+OPCUA_WIRE_ENTRY_POINTS(GetEndpointsRequest)
 
-OpenSecureChannelResponse OpenSecureChannelResponse::decode(UaReader& r) {
-  OpenSecureChannelResponse m;
-  m.header = ResponseHeader::decode(r);
-  m.server_protocol_version = r.u32();
-  m.channel_id = r.u32();
-  m.token_id = r.u32();
-  m.created_at = r.datetime();
-  m.revised_lifetime_ms = r.u32();
-  m.server_nonce = r.byte_string();
-  return m;
+void fields(auto& io, Visited<GetEndpointsResponse> auto& m) {
+  io.structure(m.header);
+  io.array(m.endpoints);
 }
+OPCUA_WIRE_ENTRY_POINTS(GetEndpointsResponse)
 
-void CloseSecureChannelRequest::encode(UaWriter& w) const { header.encode(w); }
-
-CloseSecureChannelRequest CloseSecureChannelRequest::decode(UaReader& r) {
-  CloseSecureChannelRequest m;
-  m.header = RequestHeader::decode(r);
-  return m;
+void fields(auto& io, Visited<FindServersRequest> auto& m) {
+  io.structure(m.header);
+  io.string(m.endpoint_url);
+  io.null_string_array();  // localeIds
+  io.null_string_array();  // serverUris
 }
+OPCUA_WIRE_ENTRY_POINTS(FindServersRequest)
 
-void GetEndpointsRequest::encode(UaWriter& w) const {
-  header.encode(w);
-  w.string(endpoint_url);
-  w.i32(-1);  // localeIds
-  w.i32(-1);  // profileUris
+void fields(auto& io, Visited<FindServersResponse> auto& m) {
+  io.structure(m.header);
+  io.array(m.servers);
 }
+OPCUA_WIRE_ENTRY_POINTS(FindServersResponse)
 
-GetEndpointsRequest GetEndpointsRequest::decode(UaReader& r) {
-  GetEndpointsRequest m;
-  m.header = RequestHeader::decode(r);
-  m.endpoint_url = r.string();
-  r.string_array();
-  r.string_array();
-  return m;
+void fields(auto& io, Visited<CreateSessionRequest> auto& m) {
+  io.structure(m.header);
+  io.structure(m.client_description);
+  io.null_string();  // serverUri
+  io.string(m.endpoint_url);
+  io.string(m.session_name);
+  io.byte_string(m.client_nonce);
+  io.nullable_byte_string(m.client_certificate);
+  io.f64(m.requested_session_timeout_ms);
+  io.zero_u32();  // maxResponseMessageSize
 }
+OPCUA_WIRE_ENTRY_POINTS(CreateSessionRequest)
 
-void GetEndpointsResponse::encode(UaWriter& w) const {
-  header.encode(w);
-  w.array(endpoints, [](UaWriter& ww, const EndpointDescription& e) { e.encode(ww); });
+void fields(auto& io, Visited<CreateSessionResponse> auto& m) {
+  io.structure(m.header);
+  io.node_id(m.session_id);
+  io.node_id(m.authentication_token);
+  io.f64(m.revised_session_timeout_ms);
+  io.byte_string(m.server_nonce);
+  io.nullable_byte_string(m.server_certificate);
+  io.array(m.server_endpoints);
+  io.no_software_certificates();  // serverSoftwareCertificates
+  io.structure(m.server_signature);
+  io.zero_u32();  // maxRequestMessageSize
 }
+OPCUA_WIRE_ENTRY_POINTS(CreateSessionResponse)
 
-GetEndpointsResponse GetEndpointsResponse::decode(UaReader& r) {
-  GetEndpointsResponse m;
-  m.header = ResponseHeader::decode(r);
-  m.endpoints =
-      r.array<EndpointDescription>([](UaReader& rr) { return EndpointDescription::decode(rr); });
-  return m;
+void fields(auto& io, Visited<ActivateSessionRequest> auto& m) {
+  io.structure(m.header);
+  io.structure(m.client_signature);
+  io.no_software_certificates();  // clientSoftwareCertificates
+  io.null_string_array();  // localeIds
+  io.coded(m.user_identity_token);
+  io.ignored_structure(SignatureData{});  // userTokenSignature
 }
+OPCUA_WIRE_ENTRY_POINTS(ActivateSessionRequest)
 
-void FindServersRequest::encode(UaWriter& w) const {
-  header.encode(w);
-  w.string(endpoint_url);
-  w.i32(-1);
-  w.i32(-1);
+void fields(auto& io, Visited<ActivateSessionResponse> auto& m) {
+  io.structure(m.header);
+  io.byte_string(m.server_nonce);
+  io.null_array();  // results
+  io.null_array();  // diagnosticInfos
 }
+OPCUA_WIRE_ENTRY_POINTS(ActivateSessionResponse)
 
-FindServersRequest FindServersRequest::decode(UaReader& r) {
-  FindServersRequest m;
-  m.header = RequestHeader::decode(r);
-  m.endpoint_url = r.string();
-  r.string_array();
-  r.string_array();
-  return m;
+void fields(auto& io, Visited<CloseSessionRequest> auto& m) {
+  io.structure(m.header);
+  io.boolean(m.delete_subscriptions);
 }
+OPCUA_WIRE_ENTRY_POINTS(CloseSessionRequest)
 
-void FindServersResponse::encode(UaWriter& w) const {
-  header.encode(w);
-  w.array(servers, [](UaWriter& ww, const ApplicationDescription& a) { a.encode(ww); });
+void fields(auto& io, Visited<CloseSessionResponse> auto& m) { io.structure(m.header); }
+OPCUA_WIRE_ENTRY_POINTS(CloseSessionResponse)
+
+void fields(auto& io, Visited<BrowseDescription> auto& m) {
+  io.node_id(m.node_id);
+  io.enumeration(m.direction);
+  io.node_id(m.reference_type_id);
+  io.boolean(m.include_subtypes);
+  io.u32(m.node_class_mask);
+  io.u32(m.result_mask);
 }
+OPCUA_WIRE_ENTRY_POINTS(BrowseDescription)
 
-FindServersResponse FindServersResponse::decode(UaReader& r) {
-  FindServersResponse m;
-  m.header = ResponseHeader::decode(r);
-  m.servers = r.array<ApplicationDescription>(
-      [](UaReader& rr) { return ApplicationDescription::decode(rr); });
-  return m;
+void fields(auto& io, Visited<ReferenceDescription> auto& m) {
+  io.node_id(m.reference_type_id);
+  io.boolean(m.is_forward);
+  io.expanded_node_id(m.node_id);
+  io.qualified_name(m.browse_name);
+  io.localized_text(m.display_name);
+  io.enumeration(m.node_class, &kNodeClasses);
+  io.expanded_node_id(m.type_definition);
 }
+OPCUA_WIRE_ENTRY_POINTS(ReferenceDescription)
 
-void CreateSessionRequest::encode(UaWriter& w) const {
-  header.encode(w);
-  client_description.encode(w);
-  w.null_string();  // serverUri
-  w.string(endpoint_url);
-  w.string(session_name);
-  w.byte_string(client_nonce);
-  if (client_certificate.empty()) {
-    w.null_byte_string();
-  } else {
-    w.byte_string(client_certificate);
-  }
-  w.f64(requested_session_timeout_ms);
-  w.u32(0);  // maxResponseMessageSize
+void fields(auto& io, Visited<BrowseResult> auto& m) {
+  io.status(m.status);
+  io.nullable_byte_string(m.continuation_point);
+  io.array(m.references);
 }
+OPCUA_WIRE_ENTRY_POINTS(BrowseResult)
 
-CreateSessionRequest CreateSessionRequest::decode(UaReader& r) {
-  CreateSessionRequest m;
-  m.header = RequestHeader::decode(r);
-  m.client_description = ApplicationDescription::decode(r);
-  r.string();
-  m.endpoint_url = r.string();
-  m.session_name = r.string();
-  m.client_nonce = r.byte_string();
-  m.client_certificate = r.byte_string();
-  m.requested_session_timeout_ms = r.f64();
-  r.u32();
-  return m;
+namespace {
+/// The view of a Browse request, sent null: browse the whole address space.
+struct ViewDescription {
+  NodeId view_id;
+  std::int64_t timestamp = 0;
+  std::uint32_t view_version = 0;
+};
+
+void fields(auto& io, Visited<ViewDescription> auto& m) {
+  io.node_id(m.view_id);
+  io.datetime(m.timestamp);
+  io.u32(m.view_version);
 }
+}  // namespace
 
-void CreateSessionResponse::encode(UaWriter& w) const {
-  header.encode(w);
-  w.node_id(session_id);
-  w.node_id(authentication_token);
-  w.f64(revised_session_timeout_ms);
-  w.byte_string(server_nonce);
-  if (server_certificate.empty()) {
-    w.null_byte_string();
-  } else {
-    w.byte_string(server_certificate);
-  }
-  w.array(server_endpoints, [](UaWriter& ww, const EndpointDescription& e) { e.encode(ww); });
-  w.i32(-1);  // serverSoftwareCertificates
-  server_signature.encode(w);
-  w.u32(0);  // maxRequestMessageSize
+void fields(auto& io, Visited<BrowseRequest> auto& m) {
+  io.structure(m.header);
+  io.ignored_structure(ViewDescription{});  // view
+  io.u32(m.requested_max_references_per_node);
+  io.array(m.nodes_to_browse);
 }
+OPCUA_WIRE_ENTRY_POINTS(BrowseRequest)
 
-CreateSessionResponse CreateSessionResponse::decode(UaReader& r) {
-  CreateSessionResponse m;
-  m.header = ResponseHeader::decode(r);
-  m.session_id = r.node_id();
-  m.authentication_token = r.node_id();
-  m.revised_session_timeout_ms = r.f64();
-  m.server_nonce = r.byte_string();
-  m.server_certificate = r.byte_string();
-  m.server_endpoints =
-      r.array<EndpointDescription>([](UaReader& rr) { return EndpointDescription::decode(rr); });
-  const std::int32_t n_sw = r.i32();
-  for (std::int32_t i = 0; i < n_sw; ++i) throw DecodeError("software certificates unsupported");
-  m.server_signature = SignatureData::decode(r);
-  r.u32();
-  return m;
+void fields(auto& io, Visited<BrowseResponse> auto& m) {
+  io.structure(m.header);
+  io.array(m.results);
+  io.null_array();  // diagnosticInfos
 }
+OPCUA_WIRE_ENTRY_POINTS(BrowseResponse)
 
-void ActivateSessionRequest::encode(UaWriter& w) const {
-  header.encode(w);
-  client_signature.encode(w);
-  w.i32(-1);  // clientSoftwareCertificates
-  w.i32(-1);  // localeIds
-  user_identity_token.encode(w);
-  SignatureData{}.encode(w);  // userTokenSignature
+void fields(auto& io, Visited<BrowseNextRequest> auto& m) {
+  io.structure(m.header);
+  io.boolean(m.release_continuation_points);
+  io.array(m.continuation_points);
 }
+OPCUA_WIRE_ENTRY_POINTS(BrowseNextRequest)
 
-ActivateSessionRequest ActivateSessionRequest::decode(UaReader& r) {
-  ActivateSessionRequest m;
-  m.header = RequestHeader::decode(r);
-  m.client_signature = SignatureData::decode(r);
-  const std::int32_t n_sw = r.i32();
-  for (std::int32_t i = 0; i < n_sw; ++i) throw DecodeError("software certificates unsupported");
-  r.string_array();
-  m.user_identity_token = UserIdentityToken::decode(r);
-  SignatureData::decode(r);
-  return m;
+void fields(auto& io, Visited<BrowseNextResponse> auto& m) {
+  io.structure(m.header);
+  io.array(m.results);
+  io.null_array();  // diagnosticInfos
 }
+OPCUA_WIRE_ENTRY_POINTS(BrowseNextResponse)
 
-void ActivateSessionResponse::encode(UaWriter& w) const {
-  header.encode(w);
-  w.byte_string(server_nonce);
-  w.i32(-1);  // results
-  w.i32(-1);  // diagnosticInfos
+void fields(auto& io, Visited<ReadValueId> auto& m) {
+  io.node_id(m.node_id);
+  io.enumeration(m.attribute_id);
+  io.null_string();          // indexRange
+  io.null_qualified_name();  // dataEncoding
 }
+OPCUA_WIRE_ENTRY_POINTS(ReadValueId)
 
-ActivateSessionResponse ActivateSessionResponse::decode(UaReader& r) {
-  ActivateSessionResponse m;
-  m.header = ResponseHeader::decode(r);
-  m.server_nonce = r.byte_string();
-  r.i32();
-  r.i32();
-  return m;
+void fields(auto& io, Visited<ReadRequest> auto& m) {
+  io.structure(m.header);
+  io.f64(m.max_age);
+  io.u32(m.timestamps_to_return);
+  io.array(m.nodes_to_read);
 }
+OPCUA_WIRE_ENTRY_POINTS(ReadRequest)
 
-void CloseSessionRequest::encode(UaWriter& w) const {
-  header.encode(w);
-  w.boolean(delete_subscriptions);
+void fields(auto& io, Visited<ReadResponse> auto& m) {
+  io.structure(m.header);
+  io.array(m.results);
+  io.null_array();  // diagnosticInfos
 }
+OPCUA_WIRE_ENTRY_POINTS(ReadResponse)
 
-CloseSessionRequest CloseSessionRequest::decode(UaReader& r) {
-  CloseSessionRequest m;
-  m.header = RequestHeader::decode(r);
-  m.delete_subscriptions = r.boolean();
-  return m;
+void fields(auto& io, Visited<WriteValue> auto& m) {
+  io.node_id(m.node_id);
+  io.enumeration(m.attribute_id);
+  io.null_string();  // indexRange
+  io.data_value(m.value);
 }
+OPCUA_WIRE_ENTRY_POINTS(WriteValue)
 
-void CloseSessionResponse::encode(UaWriter& w) const { header.encode(w); }
-
-CloseSessionResponse CloseSessionResponse::decode(UaReader& r) {
-  CloseSessionResponse m;
-  m.header = ResponseHeader::decode(r);
-  return m;
+void fields(auto& io, Visited<WriteRequest> auto& m) {
+  io.structure(m.header);
+  io.array(m.nodes_to_write);
 }
+OPCUA_WIRE_ENTRY_POINTS(WriteRequest)
 
-void BrowseDescription::encode(UaWriter& w) const {
-  w.node_id(node_id);
-  w.u32(static_cast<std::uint32_t>(direction));
-  w.node_id(reference_type_id);
-  w.boolean(include_subtypes);
-  w.u32(node_class_mask);
-  w.u32(result_mask);
+void fields(auto& io, Visited<WriteResponse> auto& m) {
+  io.structure(m.header);
+  io.array(m.results);
+  io.null_array();  // diagnosticInfos
 }
+OPCUA_WIRE_ENTRY_POINTS(WriteResponse)
 
-BrowseDescription BrowseDescription::decode(UaReader& r) {
-  BrowseDescription b;
-  b.node_id = r.node_id();
-  b.direction = static_cast<BrowseDirection>(r.u32());
-  b.reference_type_id = r.node_id();
-  b.include_subtypes = r.boolean();
-  b.node_class_mask = r.u32();
-  b.result_mask = r.u32();
-  return b;
+void fields(auto& io, Visited<CallMethodRequest> auto& m) {
+  io.node_id(m.object_id);
+  io.node_id(m.method_id);
+  io.array(m.input_arguments);
 }
+OPCUA_WIRE_ENTRY_POINTS(CallMethodRequest)
 
-void ReferenceDescription::encode(UaWriter& w) const {
-  w.node_id(reference_type_id);
-  w.boolean(is_forward);
-  w.expanded_node_id(node_id);
-  w.qualified_name(browse_name);
-  w.localized_text(display_name);
-  w.u32(static_cast<std::uint32_t>(node_class));
-  w.expanded_node_id(type_definition);
+void fields(auto& io, Visited<CallMethodResult> auto& m) {
+  io.status(m.status);
+  io.null_array();  // inputArgumentResults
+  io.null_array();  // inputArgumentDiagnosticInfos
+  io.array(m.output_arguments);
 }
+OPCUA_WIRE_ENTRY_POINTS(CallMethodResult)
 
-ReferenceDescription ReferenceDescription::decode(UaReader& r) {
-  ReferenceDescription d;
-  d.reference_type_id = r.node_id();
-  d.is_forward = r.boolean();
-  d.node_id = r.expanded_node_id();
-  d.browse_name = r.qualified_name();
-  d.display_name = r.localized_text();
-  d.node_class = static_cast<NodeClass>(r.u32());
-  d.type_definition = r.expanded_node_id();
-  return d;
+void fields(auto& io, Visited<CallRequest> auto& m) {
+  io.structure(m.header);
+  io.array(m.methods_to_call);
 }
+OPCUA_WIRE_ENTRY_POINTS(CallRequest)
 
-void BrowseResult::encode(UaWriter& w) const {
-  w.status(status);
-  if (continuation_point.empty()) {
-    w.null_byte_string();
-  } else {
-    w.byte_string(continuation_point);
-  }
-  w.array(references, [](UaWriter& ww, const ReferenceDescription& d) { d.encode(ww); });
+void fields(auto& io, Visited<CallResponse> auto& m) {
+  io.structure(m.header);
+  io.array(m.results);
+  io.null_array();  // diagnosticInfos
 }
+OPCUA_WIRE_ENTRY_POINTS(CallResponse)
 
-BrowseResult BrowseResult::decode(UaReader& r) {
-  BrowseResult b;
-  b.status = r.status();
-  b.continuation_point = r.byte_string();
-  b.references = r.array<ReferenceDescription>(
-      [](UaReader& rr) { return ReferenceDescription::decode(rr); });
-  return b;
-}
-
-void BrowseRequest::encode(UaWriter& w) const {
-  header.encode(w);
-  // ViewDescription: null view id + timestamp + version
-  w.node_id(NodeId(0, 0));
-  w.datetime(0);
-  w.u32(0);
-  w.u32(requested_max_references_per_node);
-  w.array(nodes_to_browse, [](UaWriter& ww, const BrowseDescription& b) { b.encode(ww); });
-}
-
-BrowseRequest BrowseRequest::decode(UaReader& r) {
-  BrowseRequest m;
-  m.header = RequestHeader::decode(r);
-  r.node_id();
-  r.datetime();
-  r.u32();
-  m.requested_max_references_per_node = r.u32();
-  m.nodes_to_browse =
-      r.array<BrowseDescription>([](UaReader& rr) { return BrowseDescription::decode(rr); });
-  return m;
-}
-
-void BrowseResponse::encode(UaWriter& w) const {
-  header.encode(w);
-  w.array(results, [](UaWriter& ww, const BrowseResult& b) { b.encode(ww); });
-  w.i32(-1);  // diagnosticInfos
-}
-
-BrowseResponse BrowseResponse::decode(UaReader& r) {
-  BrowseResponse m;
-  m.header = ResponseHeader::decode(r);
-  m.results = r.array<BrowseResult>([](UaReader& rr) { return BrowseResult::decode(rr); });
-  r.i32();
-  return m;
-}
-
-void BrowseNextRequest::encode(UaWriter& w) const {
-  header.encode(w);
-  w.boolean(release_continuation_points);
-  w.array(continuation_points, [](UaWriter& ww, const Bytes& b) { ww.byte_string(b); });
-}
-
-BrowseNextRequest BrowseNextRequest::decode(UaReader& r) {
-  BrowseNextRequest m;
-  m.header = RequestHeader::decode(r);
-  m.release_continuation_points = r.boolean();
-  m.continuation_points = r.array<Bytes>([](UaReader& rr) { return rr.byte_string(); });
-  return m;
-}
-
-void BrowseNextResponse::encode(UaWriter& w) const {
-  header.encode(w);
-  w.array(results, [](UaWriter& ww, const BrowseResult& b) { b.encode(ww); });
-  w.i32(-1);
-}
-
-BrowseNextResponse BrowseNextResponse::decode(UaReader& r) {
-  BrowseNextResponse m;
-  m.header = ResponseHeader::decode(r);
-  m.results = r.array<BrowseResult>([](UaReader& rr) { return BrowseResult::decode(rr); });
-  r.i32();
-  return m;
-}
-
-void ReadValueId::encode(UaWriter& w) const {
-  w.node_id(node_id);
-  w.u32(static_cast<std::uint32_t>(attribute_id));
-  w.null_string();  // indexRange
-  w.qualified_name(QualifiedName{});  // dataEncoding
-}
-
-ReadValueId ReadValueId::decode(UaReader& r) {
-  ReadValueId v;
-  v.node_id = r.node_id();
-  v.attribute_id = static_cast<AttributeId>(r.u32());
-  r.string();
-  r.qualified_name();
-  return v;
-}
-
-void ReadRequest::encode(UaWriter& w) const {
-  header.encode(w);
-  w.f64(max_age);
-  w.u32(timestamps_to_return);
-  w.array(nodes_to_read, [](UaWriter& ww, const ReadValueId& v) { v.encode(ww); });
-}
-
-ReadRequest ReadRequest::decode(UaReader& r) {
-  ReadRequest m;
-  m.header = RequestHeader::decode(r);
-  m.max_age = r.f64();
-  m.timestamps_to_return = r.u32();
-  m.nodes_to_read = r.array<ReadValueId>([](UaReader& rr) { return ReadValueId::decode(rr); });
-  return m;
-}
-
-void ReadResponse::encode(UaWriter& w) const {
-  header.encode(w);
-  w.array(results, [](UaWriter& ww, const DataValue& v) { ww.data_value(v); });
-  w.i32(-1);
-}
-
-ReadResponse ReadResponse::decode(UaReader& r) {
-  ReadResponse m;
-  m.header = ResponseHeader::decode(r);
-  m.results = r.array<DataValue>([](UaReader& rr) { return rr.data_value(); });
-  r.i32();
-  return m;
-}
-
-void WriteValue::encode(UaWriter& w) const {
-  w.node_id(node_id);
-  w.u32(static_cast<std::uint32_t>(attribute_id));
-  w.null_string();  // indexRange
-  w.data_value(value);
-}
-
-WriteValue WriteValue::decode(UaReader& r) {
-  WriteValue v;
-  v.node_id = r.node_id();
-  v.attribute_id = static_cast<AttributeId>(r.u32());
-  r.string();
-  v.value = r.data_value();
-  return v;
-}
-
-void WriteRequest::encode(UaWriter& w) const {
-  header.encode(w);
-  w.array(nodes_to_write, [](UaWriter& ww, const WriteValue& v) { v.encode(ww); });
-}
-
-WriteRequest WriteRequest::decode(UaReader& r) {
-  WriteRequest m;
-  m.header = RequestHeader::decode(r);
-  m.nodes_to_write = r.array<WriteValue>([](UaReader& rr) { return WriteValue::decode(rr); });
-  return m;
-}
-
-void WriteResponse::encode(UaWriter& w) const {
-  header.encode(w);
-  w.array(results, [](UaWriter& ww, const StatusCode& s) { ww.status(s); });
-  w.i32(-1);  // diagnosticInfos
-}
-
-WriteResponse WriteResponse::decode(UaReader& r) {
-  WriteResponse m;
-  m.header = ResponseHeader::decode(r);
-  m.results = r.array<StatusCode>([](UaReader& rr) { return rr.status(); });
-  r.i32();
-  return m;
-}
-
-void CallMethodRequest::encode(UaWriter& w) const {
-  w.node_id(object_id);
-  w.node_id(method_id);
-  w.array(input_arguments, [](UaWriter& ww, const Variant& v) { ww.variant(v); });
-}
-
-CallMethodRequest CallMethodRequest::decode(UaReader& r) {
-  CallMethodRequest m;
-  m.object_id = r.node_id();
-  m.method_id = r.node_id();
-  m.input_arguments = r.array<Variant>([](UaReader& rr) { return rr.variant(); });
-  return m;
-}
-
-void CallMethodResult::encode(UaWriter& w) const {
-  w.status(status);
-  w.i32(-1);  // inputArgumentResults
-  w.i32(-1);  // inputArgumentDiagnosticInfos
-  w.array(output_arguments, [](UaWriter& ww, const Variant& v) { ww.variant(v); });
-}
-
-CallMethodResult CallMethodResult::decode(UaReader& r) {
-  CallMethodResult m;
-  m.status = r.status();
-  r.i32();
-  r.i32();
-  m.output_arguments = r.array<Variant>([](UaReader& rr) { return rr.variant(); });
-  return m;
-}
-
-void CallRequest::encode(UaWriter& w) const {
-  header.encode(w);
-  w.array(methods_to_call, [](UaWriter& ww, const CallMethodRequest& m) { m.encode(ww); });
-}
-
-CallRequest CallRequest::decode(UaReader& r) {
-  CallRequest m;
-  m.header = RequestHeader::decode(r);
-  m.methods_to_call =
-      r.array<CallMethodRequest>([](UaReader& rr) { return CallMethodRequest::decode(rr); });
-  return m;
-}
-
-void CallResponse::encode(UaWriter& w) const {
-  header.encode(w);
-  w.array(results, [](UaWriter& ww, const CallMethodResult& m) { m.encode(ww); });
-  w.i32(-1);
-}
-
-CallResponse CallResponse::decode(UaReader& r) {
-  CallResponse m;
-  m.header = ResponseHeader::decode(r);
-  m.results =
-      r.array<CallMethodResult>([](UaReader& rr) { return CallMethodResult::decode(rr); });
-  r.i32();
-  return m;
-}
-
-void ServiceFault::encode(UaWriter& w) const { header.encode(w); }
-
-ServiceFault ServiceFault::decode(UaReader& r) {
-  ServiceFault m;
-  m.header = ResponseHeader::decode(r);
-  return m;
-}
+void fields(auto& io, Visited<ServiceFault> auto& m) { io.structure(m.header); }
+OPCUA_WIRE_ENTRY_POINTS(ServiceFault)
 
 std::uint32_t peek_type_id(std::span<const std::uint8_t> packed) {
   UaReader r(packed);

@@ -4,6 +4,15 @@
 // FindServers + GetEndpoints (discovery), OpenSecureChannel (channel
 // assessment), CreateSession/ActivateSession (authorization assessment),
 // Browse/BrowseNext/Read (address-space traversal of §5.4).
+//
+// Every structure here but UserIdentityToken has one field list in wire
+// order (messages.cpp); its encode and decode walk that list through the
+// visitors of opcua/wire.hpp. UserIdentityToken, whose body depends on its
+// type id, keeps a hand-written pair, as Variant and DataValue do in
+// opcua/encoding.cpp. Decoding checks the enum fields a grab records
+// (application type, endpoint security mode, user token type, node
+// class) against the values their enums define and throws DecodeError
+// for any other value.
 #pragma once
 
 #include <cstdint>

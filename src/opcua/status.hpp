@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace opcua_study {
 
@@ -48,7 +47,5 @@ inline bool is_good(StatusCode code) {
   return (static_cast<std::uint32_t>(code) & 0x80000000u) == 0;
 }
 inline bool is_bad(StatusCode code) { return !is_good(code); }
-
-std::string status_name(StatusCode code);
 
 }  // namespace opcua_study

@@ -1,66 +1,58 @@
 #include "opcua/transport.hpp"
 
-#include "opcua/encoding.hpp"
+#include "opcua/wire.hpp"
 
 namespace opcua_study {
 
-Bytes HelloMessage::encode() const {
-  UaWriter w;
-  w.u32(protocol_version);
-  w.u32(receive_buffer_size);
-  w.u32(send_buffer_size);
-  w.u32(max_message_size);
-  w.u32(max_chunk_count);
-  w.string(endpoint_url);
-  return w.take();
+void fields(auto& io, Visited<HelloMessage> auto& m) {
+  io.u32(m.protocol_version);
+  io.u32(m.receive_buffer_size);
+  io.u32(m.send_buffer_size);
+  io.u32(m.max_message_size);
+  io.u32(m.max_chunk_count);
+  io.string(m.endpoint_url);
 }
 
+void fields(auto& io, Visited<AcknowledgeMessage> auto& m) {
+  io.u32(m.protocol_version);
+  io.u32(m.receive_buffer_size);
+  io.u32(m.send_buffer_size);
+  io.u32(m.max_message_size);
+  io.u32(m.max_chunk_count);
+}
+
+void fields(auto& io, Visited<ErrorMessage> auto& m) {
+  io.status(m.error);
+  io.string(m.reason);
+}
+
+namespace {
+template <typename T>
+Bytes encode_body(const T& m) {
+  UaWriter w;
+  WireEncoder(w).structure(m);
+  return w.take();
+}
+template <typename T>
+T decode_body(std::span<const std::uint8_t> body) {
+  UaReader r(body);
+  T m;
+  WireDecoder(r).structure(m);
+  return m;
+}
+}  // namespace
+
+Bytes HelloMessage::encode() const { return encode_body(*this); }
 HelloMessage HelloMessage::decode(std::span<const std::uint8_t> body) {
-  UaReader r(body);
-  HelloMessage m;
-  m.protocol_version = r.u32();
-  m.receive_buffer_size = r.u32();
-  m.send_buffer_size = r.u32();
-  m.max_message_size = r.u32();
-  m.max_chunk_count = r.u32();
-  m.endpoint_url = r.string();
-  return m;
+  return decode_body<HelloMessage>(body);
 }
-
-Bytes AcknowledgeMessage::encode() const {
-  UaWriter w;
-  w.u32(protocol_version);
-  w.u32(receive_buffer_size);
-  w.u32(send_buffer_size);
-  w.u32(max_message_size);
-  w.u32(max_chunk_count);
-  return w.take();
-}
-
+Bytes AcknowledgeMessage::encode() const { return encode_body(*this); }
 AcknowledgeMessage AcknowledgeMessage::decode(std::span<const std::uint8_t> body) {
-  UaReader r(body);
-  AcknowledgeMessage m;
-  m.protocol_version = r.u32();
-  m.receive_buffer_size = r.u32();
-  m.send_buffer_size = r.u32();
-  m.max_message_size = r.u32();
-  m.max_chunk_count = r.u32();
-  return m;
+  return decode_body<AcknowledgeMessage>(body);
 }
-
-Bytes ErrorMessage::encode() const {
-  UaWriter w;
-  w.u32(static_cast<std::uint32_t>(error));
-  w.string(reason);
-  return w.take();
-}
-
+Bytes ErrorMessage::encode() const { return encode_body(*this); }
 ErrorMessage ErrorMessage::decode(std::span<const std::uint8_t> body) {
-  UaReader r(body);
-  ErrorMessage m;
-  m.error = static_cast<StatusCode>(r.u32());
-  m.reason = r.string();
-  return m;
+  return decode_body<ErrorMessage>(body);
 }
 
 Bytes frame_message(std::string_view type, std::span<const std::uint8_t> body) {

@@ -24,7 +24,6 @@ struct NodeId {
   bool is_numeric() const { return std::holds_alternative<std::uint32_t>(identifier); }
   std::uint32_t numeric() const { return std::get<std::uint32_t>(identifier); }
   const std::string& text() const { return std::get<std::string>(identifier); }
-  bool is_null() const { return namespace_index == 0 && is_numeric() && numeric() == 0; }
 
   std::string to_string() const;
 

@@ -58,22 +58,6 @@ void verify(std::vector<Check> checks) {
 
 }  // namespace
 
-std::vector<const HostPlan*> PopulationPlan::servers_in_week(int week) const {
-  std::vector<const HostPlan*> out;
-  for (const auto& host : hosts) {
-    if (!host.discovery && host.present_in_week(week)) out.push_back(&host);
-  }
-  return out;
-}
-
-std::vector<const HostPlan*> PopulationPlan::discovery_in_week(int week) const {
-  std::vector<const HostPlan*> out;
-  for (const auto& host : hosts) {
-    if (host.discovery && host.present_in_week(week)) out.push_back(&host);
-  }
-  return out;
-}
-
 PopulationPlan build_population_plan(std::uint64_t seed) {
   Rng rng = Rng(seed).child("population");
   PopulationPlan plan;

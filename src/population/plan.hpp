@@ -174,9 +174,6 @@ struct PopulationPlan {
   std::vector<std::pair<int, int>> discovery_references;
   /// MQTT-over-TLS brokers; empty unless add_mqtt_population() was called.
   std::vector<MqttHostPlan> mqtt_hosts;
-
-  std::vector<const HostPlan*> servers_in_week(int week) const;
-  std::vector<const HostPlan*> discovery_in_week(int week) const;
 };
 
 /// Weekly target totals (Fig. 2): found hosts = servers + discovery.

@@ -124,8 +124,7 @@ ScanSnapshot Campaign::run(int measurement_index) {
 
   // Phase 3: feed references to other host/port combinations back into the
   // scheduler (the paper enabled this as of 2020-05-04 = measurement 3).
-  const bool follow = config_.follow_references && measurement_index >= 3;
-  if (follow) {
+  if (measurement_index >= 3) {
     std::sort(referenced.begin(), referenced.end());
     referenced.erase(std::unique(referenced.begin(), referenced.end()), referenced.end());
     std::vector<std::pair<Ipv4, std::uint16_t>> wave;

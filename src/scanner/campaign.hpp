@@ -22,9 +22,6 @@ struct CampaignConfig {
   std::vector<ProtocolTarget> protocols;
   /// Opt-out prefixes (the paper excludes 5.79 M addresses, §A.2).
   std::vector<Cidr> exclusions;
-  /// Follow endpoint references to other host/port combinations — the paper
-  /// enabled this with the 2020-05-04 measurement.
-  bool follow_references = true;
   GrabberConfig grabber;
   /// Hosts concurrently in flight in the grab engine. 1 degenerates to the
   /// old lock-step scanner; records are identical either way (DESIGN.md).

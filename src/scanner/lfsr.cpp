@@ -45,7 +45,7 @@ constexpr std::uint32_t tap_mask(int width) {
 
 }  // namespace
 
-LfsrSequence::LfsrSequence(int width, std::uint32_t seed) : width_(width), mask_(tap_mask(width)) {
+LfsrSequence::LfsrSequence(int width, std::uint32_t seed) : mask_(tap_mask(width)) {
   if (mask_ == 0) throw std::invalid_argument("LFSR width must be in [4, 32]");
   const std::uint32_t range_mask =
       width >= 32 ? 0xffffffffu : ((std::uint32_t{1} << width) - 1);

@@ -22,12 +22,8 @@ class LfsrSequence {
   LfsrSequence(int width, std::uint32_t seed);
 
   std::uint32_t next();
-  std::uint32_t period_length() const {
-    return width_ >= 32 ? 0xffffffffu : ((std::uint32_t{1} << width_) - 1);
-  }
 
  private:
-  int width_;
   std::uint32_t mask_;
   std::uint32_t state_;
 };
@@ -41,7 +37,6 @@ class AddressSweep {
   /// Next address, or nullopt when the sweep is complete.
   std::optional<Ipv4> next();
   std::uint64_t emitted() const { return emitted_; }
-  std::uint64_t universe_size() const { return size_; }
 
  private:
   Ipv4 base_;

@@ -11,13 +11,6 @@ namespace {
 // Phase-timing cells are keyed by protocol; this task is the MQTT backend.
 constexpr unsigned kObsMqtt = static_cast<unsigned>(ProtocolId::mqtt_tls);
 
-constexpr std::uint32_t kHello = 0x4c48514du;     // 'MQHL'
-constexpr std::uint32_t kHelloAck = 0x4148514du;  // 'MQHA'
-constexpr std::uint32_t kConnect = 0x4f43514du;   // 'MQCO'
-constexpr std::uint32_t kConnAck = 0x4143514du;   // 'MQCA'
-constexpr std::uint32_t kSysRead = 0x5253514du;   // 'MQSR'
-constexpr std::uint32_t kSysVal = 0x5653514du;    // 'MQSV'
-
 }  // namespace
 
 MqttGrabTask::MqttGrabTask(const GrabberConfig& config, Network& network, std::uint64_t seed,
@@ -78,14 +71,14 @@ MqttGrabTask::Step MqttGrabTask::step_hello() {
   obs::observe_us(obs::Metric::phase_connect_us, consumed_us_, kObsMqtt);
 
   UaWriter hello;
-  hello.u32(kHello);
+  hello.u32(mqtt_frame::kHello);
   hello.u16(0x0303);
   const std::uint64_t hello_start_us = consumed_us_;
   const Bytes reply = conn_->roundtrip(hello.take());
   charge();
   obs::observe_us(obs::Metric::phase_hello_us, consumed_us_ - hello_start_us, kObsMqtt);
   UaReader r(reply);
-  if (reply.empty() || r.u32() != kHelloAck) {
+  if (reply.empty() || r.u32() != mqtt_frame::kHelloAck) {
     // Whatever answered is not our broker (dummy service / port reuse).
     return finish_banked(/*with_duration=*/true);
   }
@@ -133,13 +126,15 @@ MqttGrabTask::Step MqttGrabTask::step_hello() {
 
 MqttGrabTask::Step MqttGrabTask::step_connect() {
   UaWriter connect;
-  connect.u32(kConnect);
+  connect.u32(mqtt_frame::kConnect);
   connect.byte(0);  // anonymous
   const Bytes reply = conn_->roundtrip(connect.take());
   charge();
   obs::observe_us(obs::Metric::phase_auth_probe_us, consumed_us_, kObsMqtt);
   UaReader r(reply);
-  if (reply.empty() || r.u32() != kConnAck) return finish_banked(/*with_duration=*/true);
+  if (reply.empty() || r.u32() != mqtt_frame::kConnAck) {
+    return finish_banked(/*with_duration=*/true);
+  }
   if (r.byte() != 0) {
     record_.session = SessionOutcome::auth_rejected;
     return finish_banked(/*with_duration=*/true);
@@ -151,11 +146,13 @@ MqttGrabTask::Step MqttGrabTask::step_connect() {
 
 MqttGrabTask::Step MqttGrabTask::step_sys_read() {
   UaWriter read;
-  read.u32(kSysRead);
+  read.u32(mqtt_frame::kSysRead);
   const Bytes reply = conn_->roundtrip(read.take());
   charge();
   UaReader r(reply);
-  if (reply.empty() || r.u32() != kSysVal) return finish_banked(/*with_duration=*/true);
+  if (reply.empty() || r.u32() != mqtt_frame::kSysVal) {
+    return finish_banked(/*with_duration=*/true);
+  }
   record_.software_version = r.string();
   record_.namespaces = r.string_array();
   return finish_banked(/*with_duration=*/true);

@@ -631,6 +631,17 @@ void check_cert_id(std::uint32_t cert_id, std::size_t count, const std::string& 
   }
 }
 
+/// The mask bit of an endpoint's security mode or token type. A value the
+/// enum does not define (one a read of the record rejects) is refused here
+/// rather than shifted past the mask.
+std::uint8_t mask_bit(std::uint32_t v, const char* field) {
+  if (v > 3) {
+    throw SnapshotError(std::string("snapshot record: invalid ") + field + " value " +
+                        std::to_string(v));
+  }
+  return static_cast<std::uint8_t>(1u << v);
+}
+
 }  // namespace
 
 std::span<const std::uint8_t> ColumnEncoder::cert_der(std::uint32_t cert_id) const {
@@ -679,12 +690,12 @@ void ColumnEncoder::add(const HostScanRecord& host) {
   head.clear();
   ep_ids.clear();
   for (const EndpointObservation& ep : host.endpoints) {
-    mode_mask |= static_cast<std::uint8_t>(1u << static_cast<std::uint32_t>(ep.mode));
+    mode_mask |= mask_bit(static_cast<std::uint32_t>(ep.mode), "security mode");
     if (const auto policy = policy_from_uri(ep.policy_uri)) {
       policy_mask |= static_cast<std::uint8_t>(1u << static_cast<std::uint32_t>(*policy));
     }
     for (const UserTokenType t : ep.token_types) {
-      token_mask |= static_cast<std::uint8_t>(1u << static_cast<std::uint32_t>(t));
+      token_mask |= mask_bit(static_cast<std::uint32_t>(t), "user token type");
     }
     std::uint32_t id = kNoCertId;
     if (!ep.certificate_der.empty()) {
@@ -763,12 +774,7 @@ void ColumnEncoder::add(const HostScanRecord& host) {
 ColumnView ColumnEncoder::view(std::uint32_t snapshot_ordinal) {
   payload_ = UaWriter();
   write_payload(payload_);
-  try {
-    return view_payload(payload_.bytes(), static_cast<std::uint32_t>(records()),
-                        snapshot_ordinal);
-  } catch (const DecodeError& e) {
-    throw SnapshotError(e.what());
-  }
+  return view_payload(payload_.bytes(), static_cast<std::uint32_t>(records()), snapshot_ordinal);
 }
 
 std::uint64_t ColumnEncoder::payload_bytes() const {

@@ -267,14 +267,16 @@ class ColumnEncoder final : public CertDictionary {
   ColumnEncoder() { var_offsets_.push_back(0); }
 
   /// Append one record. Throws SnapshotError for a record the format
-  /// cannot hold: more than 255 token types on one endpoint, more than
+  /// cannot hold: an endpoint security mode or token type its enum does
+  /// not define, more than 255 token types on one endpoint, more than
   /// 65535 distinct certificates on one host, or a var column past 4 GiB.
   void add(const HostScanRecord& host);
   std::size_t records() const { return ip_.size(); }
 
   /// View over the buffered records, built from the payload
   /// write_payload() writes and checked as a reader's view is (throws
-  /// SnapshotError); valid until the next add(), view() or clear_records().
+  /// DecodeError, as a read of the payload would); valid until the next
+  /// add(), view() or clear_records().
   ColumnView view(std::uint32_t snapshot_ordinal);
 
   /// Payload size (47n + 4 fixed-column bytes plus the var column) and
@@ -471,6 +473,12 @@ class SnapshotReader final : public CertDictionary {
   /// (RecordSource::visit_columns).
   ColumnView column_view(std::size_t chunk_index) const;
 
+  /// The SnapshotError for chunk `chunk_index` failing to decode with `e`,
+  /// naming the file, format, protocol set and chunk offset. read_chunk,
+  /// column_view and the analysis passes over this reader all report
+  /// through it.
+  SnapshotError corrupt_chunk(std::size_t chunk_index, const DecodeError& e) const;
+
   /// v6 certificate dictionary: deduplicated DER in id order.
   std::size_t cert_count() const override { return dict_.size(); }
   std::span<const std::uint8_t> cert_der(std::uint32_t cert_id) const override;
@@ -487,8 +495,6 @@ class SnapshotReader final : public CertDictionary {
   void open_dictionary(std::uint64_t offset, std::uint64_t bytes, std::uint32_t count);
   /// chunks_[chunk_index]; SnapshotError naming the file when out of range.
   const SnapshotChunkInfo& chunk_info(std::size_t chunk_index) const;
-  /// The SnapshotError for a chunk that failed to decode with `e`.
-  SnapshotError corrupt_chunk(std::size_t chunk_index, const DecodeError& e) const;
   struct DictEntry {
     std::uint64_t offset = 0;  // of the DER bytes inside the file
     std::uint32_t length = 0;

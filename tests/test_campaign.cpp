@@ -1,11 +1,16 @@
 // Campaign-level behaviour: endpoint-URL parsing (port-range hardening),
-// exclusion-prefix filtering, reference-following dedup, and the paper's
-// calendar gate (references only followed from measurement 3 onwards).
+// exclusion-prefix filtering, reference-following dedup, the paper's
+// calendar gate (references only followed from measurement 3 onwards), and
+// a hostile server reply that must not reach the written snapshot.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "netsim/opcua_service.hpp"
 #include "population/deploy.hpp"
 #include "scanner/campaign.hpp"
 #include "scanner/protocol.hpp"
+#include "scanner/snapshot_io.hpp"
 #include "study/study.hpp"
 
 namespace opcua_study {
@@ -237,6 +242,41 @@ TEST(Campaign, ReferencesOnlyFollowedFromMeasurementThree) {
   // 2020-05-04 (index 3): the paper switched reference-following on.
   CampaignRun after_gate(plan, 3);
   EXPECT_EQ(after_gate.count("camp-1"), 1);
+}
+
+// ---------------------------------------------------------- hostile replies
+
+TEST(Campaign, UndefinedApplicationTypeNeverReachesTheSnapshot) {
+  // A server advertising application type 7, which no OPC UA application
+  // has: its GetEndpoints reply fails to decode, so the grab drops the host
+  // like any other undecodable server, and the written snapshot loads.
+  ServerConfig server;
+  server.identity.application_uri = "urn:hostile";
+  server.identity.application_type = static_cast<ApplicationType>(7);
+  EndpointConfig ep;
+  ep.url = "opc.tcp://10.7.0.1:4840/";
+  ep.certificate_index = -1;
+  server.endpoints.push_back(ep);
+  Network net;
+  net.listen(make_ipv4(10, 7, 0, 1), kOpcUaDefaultPort,
+             make_opcua_factory(std::make_shared<Server>(std::move(server), 1)));
+
+  KeyFactory keys(31, "");
+  CampaignConfig config;
+  config.grabber.client = make_scanner_identity(31, keys);
+  config.grabber.traverse_address_space = false;
+  Campaign campaign(config, net);
+  const ScanSnapshot snapshot = campaign.run(7);
+  EXPECT_EQ(snapshot.tcp_open_count, 1u);
+  EXPECT_TRUE(snapshot.hosts.empty());
+
+  const std::string path = "/tmp/opcua_test_campaign_app_type7.bin";
+  save_snapshots(path, 31, {snapshot});
+  std::string error;
+  const auto loaded = load_snapshots(path, 31, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->front().hosts.size(), snapshot.hosts.size());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -409,8 +409,10 @@ TEST(SnapshotV5, CorruptEnumValuesRejected) {
   // An out-of-range enum hidden behind a reinterpreted cast — exactly what
   // a flipped bit in a record payload produces. The column passes reject
   // it as the row reader does: over the file with the load error's text,
-  // over the in-memory records naming the same field and value.
-  const auto expect_rejected = [&](const std::string& named) {
+  // over the in-memory records naming the same field and value. The
+  // posture pass never reads the quality tail, so a bad completeness
+  // value does not reach it.
+  const auto expect_rejected = [&](const std::string& named, bool postures_read_it = true) {
     save_snapshots(path, 42, study);
     std::string error;
     EXPECT_FALSE(load_snapshots(path, 42, &error).has_value());
@@ -421,17 +423,50 @@ TEST(SnapshotV5, CorruptEnumValuesRejected) {
                 ThreadPool pool(1);
                 collect_postures(ReaderRecordSource(reader), pool);
               }),
-              error);
+              postures_read_it ? error : "no error");
     const std::string in_memory = snapshot_error_of([&] { analyze_snapshots(study); });
     EXPECT_NE(in_memory.find(named), std::string::npos) << in_memory;
   };
-  study[0].hosts[1].application_type = static_cast<ApplicationType>(0x2a);
+  HostScanRecord& host1 = study[0].hosts[1];
+  HostScanRecord& host2 = study[0].hosts[2];
+  host1.application_type = static_cast<ApplicationType>(0x2a);
   expect_rejected("invalid application type value 42");
+  host1.application_type = ApplicationType::Server;
 
-  study[0].hosts[1].application_type = ApplicationType::Server;
-  study[0].hosts[2].session = static_cast<SessionOutcome>(9);
+  const SessionOutcome session = host2.session;
+  host2.session = static_cast<SessionOutcome>(9);
   expect_rejected("invalid session outcome value 9");
+  host2.session = session;
+
+  host1.completeness = static_cast<ProbeOutcome>(7);
+  expect_rejected("invalid completeness value 7", /*postures_read_it=*/false);
+  host1.completeness = ProbeOutcome::complete;
+
+  host2.protocol = static_cast<ProtocolId>(9);
+  expect_rejected("invalid protocol value 9");
   std::remove(path.c_str());
+}
+
+TEST(SnapshotV6, UndefinedEndpointEnumsRejectedAtWrite) {
+  // The v6 mode and token masks hold one bit per defined value; a record
+  // with a value past its enum is refused by the write, not shifted past
+  // the mask (or written for every later read to reject).
+  const std::string path = "/tmp/opcua_test_v6_endpoint_enum.bin";
+  std::vector<ScanSnapshot> study = make_study(3, 1);
+  EndpointObservation& ep = study[0].hosts[1].endpoints[0];
+  ep.mode = static_cast<MessageSecurityMode>(40);
+  const std::string mode_error = snapshot_error_of([&] { save_snapshots(path, 42, study); });
+  EXPECT_NE(mode_error.find("invalid security mode value 40"), std::string::npos) << mode_error;
+  ep.mode = MessageSecurityMode::Sign;
+  ep.token_types.push_back(static_cast<UserTokenType>(40));
+  const std::string token_error = snapshot_error_of([&] { save_snapshots(path, 42, study); });
+  EXPECT_NE(token_error.find("invalid user token type value 40"), std::string::npos)
+      << token_error;
+  ep.token_types.pop_back();
+  save_snapshots(path, 42, study);
+  EXPECT_TRUE(load_snapshots(path, 42).has_value());
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
 }
 
 TEST(SnapshotV5, RandomPayloadCorruptionNeverCrashes) {
