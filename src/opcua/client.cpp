@@ -30,13 +30,13 @@ StatusCode Client::open_channel(SecurityPolicy policy, MessageSecurityMode mode,
   if (!hello_done_) return StatusCode::BadConnectionRejected;
   const SecurityPolicyInfo& info = policy_info(policy);
 
-  server_cert_.reset();
+  std::optional<Certificate> server_cert;
   if (policy != SecurityPolicy::None) {
     if (!config_.private_key || config_.certificate_der.empty()) {
       return StatusCode::BadSecurityChecksFailed;
     }
     try {
-      server_cert_ = x509_parse(server_cert_der);
+      server_cert = x509_parse(server_cert_der);
     } catch (const DecodeError&) {
       return StatusCode::BadCertificateInvalid;
     }
@@ -45,15 +45,14 @@ StatusCode Client::open_channel(SecurityPolicy policy, MessageSecurityMode mode,
   OpenSecureChannelRequest req;
   req.header.request_handle = request_handle_++;
   req.security_mode = mode;
-  client_nonce_ = policy == SecurityPolicy::None ? Bytes{} : rng_.bytes(info.nonce_bytes);
-  req.client_nonce = client_nonce_;
+  req.client_nonce = policy == SecurityPolicy::None ? Bytes{} : rng_.bytes(info.nonce_bytes);
 
   OpnSecurity sec;
   sec.policy = policy;
   if (policy != SecurityPolicy::None) {
     sec.local_private = &*config_.private_key;
     sec.local_cert_der = config_.certificate_der;
-    sec.remote_public = &server_cert_->public_key;
+    sec.remote_public = &server_cert->public_key;
     sec.remote_cert_thumbprint = x509_thumbprint(server_cert_der);
   }
 
@@ -75,10 +74,9 @@ StatusCode Client::open_channel(SecurityPolicy policy, MessageSecurityMode mode,
     if (is_bad(resp.header.service_result)) return resp.header.service_result;
     channel_id_ = resp.channel_id;
     token_id_ = resp.token_id;
-    server_nonce_ = resp.server_nonce;
     if (policy != SecurityPolicy::None) {
-      client_keys_ = derive_keys(policy, server_nonce_, client_nonce_);
-      server_keys_ = derive_keys(policy, client_nonce_, server_nonce_);
+      client_keys_ = derive_keys(policy, resp.server_nonce, req.client_nonce);
+      server_keys_ = derive_keys(policy, req.client_nonce, resp.server_nonce);
     }
   } catch (const DecodeError&) {
     return StatusCode::BadSecurityChecksFailed;
@@ -89,17 +87,13 @@ StatusCode Client::open_channel(SecurityPolicy policy, MessageSecurityMode mode,
   return StatusCode::Good;
 }
 
-Bytes Client::secure_request(std::span<const std::uint8_t> packed) {
-  return build_msg("MSG", channel_id_, token_id_, SequenceHeader{seq_, seq_}, packed, policy_,
-                   mode_, client_keys_);
-}
-
 template <typename Request, typename Response>
 StatusCode Client::call(const Request& req, Response& resp) {
   if (!channel_open_) return StatusCode::BadSecureChannelIdInvalid;
   try {
     ++seq_;
-    const Bytes wire = secure_request(pack_service(req));
+    const Bytes wire = build_msg("MSG", channel_id_, token_id_, SequenceHeader{seq_, seq_},
+                                 pack_service(req), policy_, mode_, client_keys_);
     const Bytes response = transport_.roundtrip(wire);
     const Frame frame = parse_frame(response);
     if (frame.type == "ERR") {
@@ -161,23 +155,8 @@ StatusCode Client::create_session(SessionInfo* info) {
         const Certificate cert = x509_parse(resp.server_certificate);
         Bytes signed_data = req.client_certificate;
         signed_data.insert(signed_data.end(), req.client_nonce.begin(), req.client_nonce.end());
-        const SecurityPolicyInfo& pinfo = policy_info(policy_);
-        switch (pinfo.asym_signature) {
-          case AsymmetricSignature::pkcs1v15_sha1:
-            info->server_signature_valid = rsa_pkcs1v15_verify(
-                cert.public_key, HashAlgorithm::sha1, signed_data, resp.server_signature.signature);
-            break;
-          case AsymmetricSignature::pkcs1v15_sha256:
-            info->server_signature_valid =
-                rsa_pkcs1v15_verify(cert.public_key, HashAlgorithm::sha256, signed_data,
-                                    resp.server_signature.signature);
-            break;
-          case AsymmetricSignature::pss_sha256:
-            info->server_signature_valid = rsa_pss_verify(
-                cert.public_key, HashAlgorithm::sha256, signed_data, resp.server_signature.signature);
-            break;
-          case AsymmetricSignature::none: break;
-        }
+        info->server_signature_valid = asymmetric_signer(policy_).verify(
+            cert.public_key, signed_data, resp.server_signature.signature);
       } catch (const DecodeError&) {
         info->server_signature_valid = false;
       }

@@ -73,7 +73,6 @@ class Client {
  private:
   template <typename Request, typename Response>
   StatusCode call(const Request& req, Response& resp);
-  Bytes secure_request(std::span<const std::uint8_t> packed);
 
   ClientConfig config_;
   MessageTransport& transport_;
@@ -87,11 +86,8 @@ class Client {
   std::uint32_t token_id_ = 0;
   std::uint32_t seq_ = 1;
   std::uint32_t request_handle_ = 1;
-  Bytes client_nonce_;
-  Bytes server_nonce_;
   DerivedKeys client_keys_;
   DerivedKeys server_keys_;
-  std::optional<Certificate> server_cert_;
   NodeId auth_token_;
 };
 

@@ -246,8 +246,8 @@ OPCUA_WIRE_ENTRY_POINTS(ActivateSessionRequest)
 void fields(auto& io, Visited<ActivateSessionResponse> auto& m) {
   io.structure(m.header);
   io.byte_string(m.server_nonce);
-  io.null_array();  // results
-  io.null_array();  // diagnosticInfos
+  io.null_status_array();  // results
+  io.null_diagnostic_array();  // diagnosticInfos
 }
 OPCUA_WIRE_ENTRY_POINTS(ActivateSessionResponse)
 
@@ -314,7 +314,7 @@ OPCUA_WIRE_ENTRY_POINTS(BrowseRequest)
 void fields(auto& io, Visited<BrowseResponse> auto& m) {
   io.structure(m.header);
   io.array(m.results);
-  io.null_array();  // diagnosticInfos
+  io.null_diagnostic_array();  // diagnosticInfos
 }
 OPCUA_WIRE_ENTRY_POINTS(BrowseResponse)
 
@@ -328,7 +328,7 @@ OPCUA_WIRE_ENTRY_POINTS(BrowseNextRequest)
 void fields(auto& io, Visited<BrowseNextResponse> auto& m) {
   io.structure(m.header);
   io.array(m.results);
-  io.null_array();  // diagnosticInfos
+  io.null_diagnostic_array();  // diagnosticInfos
 }
 OPCUA_WIRE_ENTRY_POINTS(BrowseNextResponse)
 
@@ -351,7 +351,7 @@ OPCUA_WIRE_ENTRY_POINTS(ReadRequest)
 void fields(auto& io, Visited<ReadResponse> auto& m) {
   io.structure(m.header);
   io.array(m.results);
-  io.null_array();  // diagnosticInfos
+  io.null_diagnostic_array();  // diagnosticInfos
 }
 OPCUA_WIRE_ENTRY_POINTS(ReadResponse)
 
@@ -372,7 +372,7 @@ OPCUA_WIRE_ENTRY_POINTS(WriteRequest)
 void fields(auto& io, Visited<WriteResponse> auto& m) {
   io.structure(m.header);
   io.array(m.results);
-  io.null_array();  // diagnosticInfos
+  io.null_diagnostic_array();  // diagnosticInfos
 }
 OPCUA_WIRE_ENTRY_POINTS(WriteResponse)
 
@@ -385,8 +385,8 @@ OPCUA_WIRE_ENTRY_POINTS(CallMethodRequest)
 
 void fields(auto& io, Visited<CallMethodResult> auto& m) {
   io.status(m.status);
-  io.null_array();  // inputArgumentResults
-  io.null_array();  // inputArgumentDiagnosticInfos
+  io.null_status_array();  // inputArgumentResults
+  io.null_diagnostic_array();  // inputArgumentDiagnosticInfos
   io.array(m.output_arguments);
 }
 OPCUA_WIRE_ENTRY_POINTS(CallMethodResult)
@@ -400,7 +400,7 @@ OPCUA_WIRE_ENTRY_POINTS(CallRequest)
 void fields(auto& io, Visited<CallResponse> auto& m) {
   io.structure(m.header);
   io.array(m.results);
-  io.null_array();  // diagnosticInfos
+  io.null_diagnostic_array();  // diagnosticInfos
 }
 OPCUA_WIRE_ENTRY_POINTS(CallResponse)
 

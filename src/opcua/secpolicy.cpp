@@ -105,13 +105,4 @@ CertConformance classify_certificate(SecurityPolicy policy, HashAlgorithm cert_h
   return CertConformance::conformant;
 }
 
-std::string conformance_name(CertConformance c) {
-  switch (c) {
-    case CertConformance::conformant: return "conformant";
-    case CertConformance::too_weak: return "too weak";
-    case CertConformance::too_strong: return "too strong";
-  }
-  return "?";
-}
-
 }  // namespace opcua_study

@@ -88,8 +88,6 @@ enum class CertConformance { conformant, too_weak, too_strong };
 CertConformance classify_certificate(SecurityPolicy policy, HashAlgorithm cert_hash,
                                      std::size_t key_bits);
 
-std::string conformance_name(CertConformance c);
-
 /// Strength order used for both cert hashes and the weak/strong decision.
 int hash_rank(HashAlgorithm alg);  // MD5(0) < SHA-1(1) < SHA-256(2)
 

@@ -1,5 +1,7 @@
 #include "opcua/secureconv.hpp"
 
+#include <algorithm>
+
 #include "crypto/aes.hpp"
 #include "crypto/hmac.hpp"
 #include "opcua/encoding.hpp"
@@ -22,344 +24,325 @@ DerivedKeys derive_keys(SecurityPolicy policy, std::span<const std::uint8_t> sec
   return keys;
 }
 
+AsymmetricSigner asymmetric_signer(SecurityPolicy policy) {
+  switch (policy_info(policy).asym_signature) {
+    case AsymmetricSignature::pkcs1v15_sha1:
+      return {"http://www.w3.org/2000/09/xmldsig#rsa-sha1", HashAlgorithm::sha1, false};
+    case AsymmetricSignature::pkcs1v15_sha256:
+      return {"http://www.w3.org/2001/04/xmldsig-more#rsa-sha256", HashAlgorithm::sha256, false};
+    case AsymmetricSignature::pss_sha256:
+      return {"http://opcfoundation.org/UA/security/rsa-pss-sha2-256", HashAlgorithm::sha256,
+              true};
+    case AsymmetricSignature::none: break;
+  }
+  return {};
+}
+
+Bytes AsymmetricSigner::sign(const RsaPrivateKey& key, std::span<const std::uint8_t> data,
+                             Rng& rng) const {
+  if (algorithm_uri.empty()) return {};
+  return pss ? rsa_pss_sign(key, hash, data, rng) : rsa_pkcs1v15_sign(key, hash, data);
+}
+
+bool AsymmetricSigner::verify(const RsaPublicKey& key, std::span<const std::uint8_t> data,
+                              std::span<const std::uint8_t> signature) const {
+  if (algorithm_uri.empty()) return false;
+  return pss ? rsa_pss_verify(key, hash, data, signature)
+             : rsa_pkcs1v15_verify(key, hash, data, signature);
+}
+
 namespace {
 
-Bytes asym_sign(const SecurityPolicyInfo& info, const RsaPrivateKey& key,
-                std::span<const std::uint8_t> data, Rng& rng) {
-  switch (info.asym_signature) {
-    case AsymmetricSignature::pkcs1v15_sha1:
-      return rsa_pkcs1v15_sign(key, HashAlgorithm::sha1, data);
-    case AsymmetricSignature::pkcs1v15_sha256:
-      return rsa_pkcs1v15_sign(key, HashAlgorithm::sha256, data);
-    case AsymmetricSignature::pss_sha256:
-      return rsa_pss_sign(key, HashAlgorithm::sha256, data, rng);
-    case AsymmetricSignature::none: return {};
+/// A policy's RSA encryption scheme: OAEP with its hash, or PKCS#1 v1.5.
+struct RsaCipher {
+  bool oaep = false;
+  HashAlgorithm hash = HashAlgorithm::sha1;
+
+  explicit RsaCipher(SecurityPolicy policy) {
+    switch (policy_info(policy).asym_encryption) {
+      case AsymmetricEncryption::oaep_sha256: hash = HashAlgorithm::sha256; [[fallthrough]];
+      case AsymmetricEncryption::oaep_sha1: oaep = true; break;
+      case AsymmetricEncryption::pkcs1v15: break;
+      case AsymmetricEncryption::none: throw std::logic_error("policy None has no RSA cipher");
+    }
   }
-  return {};
+  std::size_t plain_block(const RsaPublicKey& key) const {
+    return oaep ? rsa_oaep_max_plaintext(key, hash) : rsa_pkcs1v15_max_plaintext(key);
+  }
+  Bytes encrypt(const RsaPublicKey& key, std::span<const std::uint8_t> block, Rng& rng) const {
+    return oaep ? rsa_oaep_encrypt(key, hash, block, rng) : rsa_pkcs1v15_encrypt(key, block, rng);
+  }
+  std::optional<Bytes> decrypt(const RsaPrivateKey& key, std::span<const std::uint8_t> block) const {
+    return oaep ? rsa_oaep_decrypt(key, hash, block) : rsa_pkcs1v15_decrypt(key, block);
+  }
+};
+
+// A chunk's protection tells the seal and the open how its secured region
+// is signed and encrypted, and names the chunk in the open's errors.
+
+/// OPN under a secured policy, as the sender seals it: signed with the
+/// sender's key (PSS draws its salt first), then encrypted block by block
+/// under the receiver's public key.
+class OpnSeal {
+ public:
+  OpnSeal(const OpnSecurity& sec, Rng& rng) : sec_(sec), cipher_(sec.policy), rng_(rng) {
+    if (sec.local_private == nullptr || sec.remote_public == nullptr) {
+      throw std::invalid_argument("secured OPN requires both keys");
+    }
+  }
+  bool encrypted() const { return true; }
+  std::size_t signature_size() const { return sec_.local_private->modulus_bytes(); }
+  std::size_t plain_block() const { return cipher_.plain_block(*sec_.remote_public); }
+  std::size_t cipher_block() const { return sec_.remote_public->modulus_bytes(); }
+  Bytes sign(std::span<const std::uint8_t> data) const {
+    return asymmetric_signer(sec_.policy).sign(*sec_.local_private, data, rng_);
+  }
+  Bytes encrypt(std::span<const std::uint8_t> plain) const {
+    const std::size_t block = plain_block();
+    Bytes out;
+    for (std::size_t off = 0; off < plain.size(); off += block) {
+      const Bytes cipher = cipher_.encrypt(*sec_.remote_public, plain.subspan(off, block), rng_);
+      out.insert(out.end(), cipher.begin(), cipher.end());
+    }
+    return out;
+  }
+
+ private:
+  const OpnSecurity& sec_;
+  RsaCipher cipher_;
+  Rng& rng_;
+};
+
+/// OPN under a secured policy, as the receiver opens it: decrypted block by
+/// block with its private key, then verified against the certificate the
+/// chunk carries, which is parsed once the chunk has decrypted.
+class OpnOpen {
+ public:
+  static constexpr std::string_view kind = "OPN";
+  static constexpr std::string_view too_short = "OPN plaintext too short";
+
+  OpnOpen(SecurityPolicy policy, const RsaPrivateKey& local_private, const Bytes& sender_cert_der)
+      : policy_(policy), cipher_(policy), local_(local_private), sender_der_(sender_cert_der) {}
+  bool encrypted() const { return true; }
+  Bytes decrypt(std::span<const std::uint8_t> region) const {
+    const std::size_t block = local_.modulus_bytes();
+    if (region.empty() || region.size() % block != 0) {
+      throw DecodeError("OPN encrypted region not block-aligned");
+    }
+    Bytes plain;
+    for (std::size_t off = 0; off < region.size(); off += block) {
+      const auto decrypted = cipher_.decrypt(local_, region.subspan(off, block));
+      if (!decrypted) throw DecodeError("OPN block decryption failed");
+      plain.insert(plain.end(), decrypted->begin(), decrypted->end());
+    }
+    return plain;
+  }
+  std::size_t signature_size() {
+    sender_ = x509_parse(sender_der_).public_key;
+    return sender_.modulus_bytes();
+  }
+  bool verify(std::span<const std::uint8_t> data, std::span<const std::uint8_t> signature) const {
+    return asymmetric_signer(policy_).verify(sender_, data, signature);
+  }
+
+ private:
+  SecurityPolicy policy_;
+  RsaCipher cipher_;
+  const RsaPrivateKey& local_;
+  const Bytes& sender_der_;
+  RsaPublicKey sender_;
+};
+
+/// MSG and CLO in Sign or SignAndEncrypt: an HMAC with the sender's signing
+/// key and, when encrypted, AES-CBC under its encryption key.
+class MsgProtection {
+ public:
+  static constexpr std::string_view kind = "MSG";
+  static constexpr std::string_view too_short = "MSG too short";
+
+  MsgProtection(SecurityPolicy policy, MessageSecurityMode mode, const DerivedKeys& keys)
+      : mac_(policy_info(policy).sym_mac_hash),
+        encrypted_(mode == MessageSecurityMode::SignAndEncrypt),
+        keys_(keys) {}
+  bool encrypted() const { return encrypted_; }
+  std::size_t signature_size() const { return digest_size(mac_); }
+  std::size_t plain_block() const { return 16; }
+  std::size_t cipher_block() const { return 16; }
+  Bytes sign(std::span<const std::uint8_t> data) const { return hmac(mac_, keys_.sig_key, data); }
+  bool verify(std::span<const std::uint8_t> data, std::span<const std::uint8_t> signature) const {
+    return std::ranges::equal(sign(data), signature);
+  }
+  Bytes encrypt(std::span<const std::uint8_t> plain) const {
+    return aes_cbc_encrypt(keys_.enc_key, keys_.iv, plain);
+  }
+  Bytes decrypt(std::span<const std::uint8_t> region) const {
+    if (region.size() % 16 != 0) throw DecodeError("MSG ciphertext not block-aligned");
+    return aes_cbc_decrypt(keys_.enc_key, keys_.iv, region);
+  }
+
+ private:
+  HashAlgorithm mac_;
+  bool encrypted_;
+  const DerivedKeys& keys_;
+};
+
+/// MSG and CLO are protected unless the policy or the mode is None.
+std::optional<MsgProtection> msg_protection(SecurityPolicy policy, MessageSecurityMode mode,
+                                            const DerivedKeys& keys) {
+  if (mode == MessageSecurityMode::None || policy == SecurityPolicy::None) return std::nullopt;
+  return MsgProtection(policy, mode, keys);
 }
 
-bool asym_verify(const SecurityPolicyInfo& info, const RsaPublicKey& key,
-                 std::span<const std::uint8_t> data, std::span<const std::uint8_t> sig) {
-  switch (info.asym_signature) {
-    case AsymmetricSignature::pkcs1v15_sha1:
-      return rsa_pkcs1v15_verify(key, HashAlgorithm::sha1, data, sig);
-    case AsymmetricSignature::pkcs1v15_sha256:
-      return rsa_pkcs1v15_verify(key, HashAlgorithm::sha256, data, sig);
-    case AsymmetricSignature::pss_sha256:
-      return rsa_pss_verify(key, HashAlgorithm::sha256, data, sig);
-    case AsymmetricSignature::none: return true;
+// ------------------------------------------------------ seal and open ----
+
+/// Seals one chunk: the sequence header and body; when `protection` is
+/// set, padding to whole blocks if it encrypts, the signature over the
+/// whole chunk so far (the header already holding the final size), and the
+/// encryption of the secured region.
+template <typename Protection>
+Bytes seal_chunk(std::string_view type, std::span<const std::uint8_t> prefix, SequenceHeader seq,
+                 std::span<const std::uint8_t> body,
+                 const std::optional<Protection>& protection) {
+  const bool encrypted = protection && protection->encrypted();
+  const std::size_t sig_len = protection ? protection->signature_size() : 0;
+  const std::size_t block = encrypted ? protection->plain_block() : 1;
+  // Encrypted: plain + padding + padding-size byte + signature fill blocks.
+  const std::size_t unpadded = 8 + body.size() + sig_len + (encrypted ? 1 : 0);
+  const std::size_t padding = (block - unpadded % block) % block;
+  const std::size_t secured_size =
+      encrypted ? (unpadded + padding) / block * protection->cipher_block() : unpadded;
+  const std::size_t final_size = 8 + prefix.size() + secured_size;
+
+  ByteWriter w;
+  w.raw(type);
+  w.u8('F');
+  w.u32(static_cast<std::uint32_t>(final_size));
+  w.raw(prefix);
+  const std::size_t region = w.size();
+  w.u32(seq.sequence_number);
+  w.u32(seq.request_id);
+  w.raw(body);
+  if (encrypted) {
+    for (std::size_t i = 0; i <= padding; ++i) w.u8(static_cast<std::uint8_t>(padding));
   }
-  return false;
+  if (protection) {
+    const Bytes signature = protection->sign(w.bytes());
+    if (signature.size() != sig_len) throw std::logic_error("chunk signature length mismatch");
+    w.raw(signature);
+  }
+  Bytes out = w.take();
+  if (encrypted) {
+    const Bytes cipher = protection->encrypt(std::span<const std::uint8_t>(out).subspan(region));
+    out.resize(region);
+    out.insert(out.end(), cipher.begin(), cipher.end());
+  }
+  if (out.size() != final_size) throw std::logic_error(std::string(type) + " size bookkeeping error");
+  return out;
 }
 
-std::size_t asym_plain_block(const SecurityPolicyInfo& info, const RsaPublicKey& key) {
-  switch (info.asym_encryption) {
-    case AsymmetricEncryption::pkcs1v15: return rsa_pkcs1v15_max_plaintext(key);
-    case AsymmetricEncryption::oaep_sha1: return rsa_oaep_max_plaintext(key, HashAlgorithm::sha1);
-    case AsymmetricEncryption::oaep_sha256:
-      return rsa_oaep_max_plaintext(key, HashAlgorithm::sha256);
-    case AsymmetricEncryption::none: return 0;
+/// Opens one chunk: the framing, then the prefix, which `read_prefix(type,
+/// reader)` checks and reads and which names the chunk's protection (none:
+/// an empty optional). A protected chunk is decrypted if it is encrypted;
+/// its signature is split off and checked; its padding is checked and
+/// stripped, within the bound that leaves the sequence header whole. Then
+/// the sequence header, into `seq`. Returns the body.
+template <typename ReadPrefix>
+Bytes open_chunk(std::span<const std::uint8_t> wire, SequenceHeader& seq,
+                 ReadPrefix&& read_prefix) {
+  const Frame frame = parse_frame(wire);
+  UaReader r(frame.body);
+  auto protection = read_prefix(frame.type, r);
+  const std::size_t head = wire.size() - r.remaining();  // frame header + prefix
+  Bytes secured = r.base().raw(r.remaining());
+  std::size_t body_end = secured.size();
+  if (protection) {
+    auto& p = *protection;
+    const std::string kind(p.kind);
+    if (p.encrypted()) secured = p.decrypt(secured);
+    const std::size_t sig_len = p.signature_size();
+    if (secured.size() < 8 + (p.encrypted() ? 1 : 0) + sig_len) {
+      throw DecodeError(std::string(p.too_short));
+    }
+    body_end = secured.size() - sig_len;
+    Bytes signed_view(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(head));
+    signed_view.insert(signed_view.end(), secured.begin(),
+                       secured.begin() + static_cast<std::ptrdiff_t>(body_end));
+    if (!p.verify(signed_view, std::span<const std::uint8_t>(secured).subspan(body_end))) {
+      throw DecodeError(kind + " signature verification failed");
+    }
+    if (p.encrypted()) {
+      const std::size_t padding = secured[body_end - 1];
+      if (body_end < padding + 1 + 8) throw DecodeError(kind + " padding underflow");
+      for (std::size_t i = 0; i < padding; ++i) {
+        if (secured[body_end - 2 - i] != padding) throw DecodeError(kind + " padding corrupt");
+      }
+      body_end -= padding + 1;
+    }
   }
-  return 0;
-}
-
-Bytes asym_encrypt_block(const SecurityPolicyInfo& info, const RsaPublicKey& key,
-                         std::span<const std::uint8_t> block, Rng& rng) {
-  switch (info.asym_encryption) {
-    case AsymmetricEncryption::pkcs1v15: return rsa_pkcs1v15_encrypt(key, block, rng);
-    case AsymmetricEncryption::oaep_sha1:
-      return rsa_oaep_encrypt(key, HashAlgorithm::sha1, block, rng);
-    case AsymmetricEncryption::oaep_sha256:
-      return rsa_oaep_encrypt(key, HashAlgorithm::sha256, block, rng);
-    case AsymmetricEncryption::none: return Bytes(block.begin(), block.end());
-  }
-  return {};
-}
-
-std::optional<Bytes> asym_decrypt_block(const SecurityPolicyInfo& info, const RsaPrivateKey& key,
-                                        std::span<const std::uint8_t> block) {
-  switch (info.asym_encryption) {
-    case AsymmetricEncryption::pkcs1v15: return rsa_pkcs1v15_decrypt(key, block);
-    case AsymmetricEncryption::oaep_sha1:
-      return rsa_oaep_decrypt(key, HashAlgorithm::sha1, block);
-    case AsymmetricEncryption::oaep_sha256:
-      return rsa_oaep_decrypt(key, HashAlgorithm::sha256, block);
-    case AsymmetricEncryption::none: return Bytes(block.begin(), block.end());
-  }
-  return std::nullopt;
-}
-
-void write_asym_security_header(UaWriter& w, const OpnSecurity& sec) {
-  w.string(std::string(policy_info(sec.policy).uri));
-  if (sec.policy == SecurityPolicy::None || sec.local_cert_der.empty()) {
-    w.null_byte_string();
-  } else {
-    w.byte_string(sec.local_cert_der);
-  }
-  if (sec.policy == SecurityPolicy::None || sec.remote_cert_thumbprint.empty()) {
-    w.null_byte_string();
-  } else {
-    w.byte_string(sec.remote_cert_thumbprint);
-  }
+  UaReader body(std::span<const std::uint8_t>(secured).first(body_end));
+  seq.sequence_number = body.u32();
+  seq.request_id = body.u32();
+  return body.base().raw(body.remaining());
 }
 
 }  // namespace
 
+// ------------------------------------------------------------ entry points ----
+
 Bytes build_opn(std::uint32_t channel_id, const OpnSecurity& sec, SequenceHeader seq,
                 std::span<const std::uint8_t> body, Rng& rng) {
-  const SecurityPolicyInfo& info = policy_info(sec.policy);
-
-  // Unencrypted prefix: channel id + asymmetric security header.
-  UaWriter prefix_writer;
-  prefix_writer.u32(channel_id);
-  write_asym_security_header(prefix_writer, sec);
-  const Bytes prefix = prefix_writer.take();
-
-  // Plain region: sequence header + body.
-  UaWriter plain_writer;
-  plain_writer.u32(seq.sequence_number);
-  plain_writer.u32(seq.request_id);
-  plain_writer.base().raw(body);
-  Bytes plain = plain_writer.take();
-
-  if (sec.policy == SecurityPolicy::None) {
-    Bytes full = prefix;
-    full.insert(full.end(), plain.begin(), plain.end());
-    return frame_message("OPN", full);
+  const bool secured = sec.policy != SecurityPolicy::None;
+  UaWriter prefix;
+  prefix.u32(channel_id);
+  prefix.string(std::string(policy_info(sec.policy).uri));
+  for (const Bytes* field : {&sec.local_cert_der, &sec.remote_cert_thumbprint}) {
+    secured && !field->empty() ? prefix.byte_string(*field) : prefix.null_byte_string();
   }
-  if (sec.local_private == nullptr || sec.remote_public == nullptr) {
-    throw std::invalid_argument("secured OPN requires both keys");
-  }
-
-  const std::size_t sig_len = sec.local_private->modulus_bytes();
-  const std::size_t plain_block = asym_plain_block(info, *sec.remote_public);
-  const std::size_t cipher_block = sec.remote_public->modulus_bytes();
-  // plain + padding + 1 (padding size byte) + signature must fill blocks.
-  const std::size_t unpadded = plain.size() + 1 + sig_len;
-  const std::size_t padding = (plain_block - unpadded % plain_block) % plain_block;
-  const std::size_t n_blocks = (unpadded + padding) / plain_block;
-  const std::size_t final_size = 8 + prefix.size() + n_blocks * cipher_block;
-
-  // To-be-signed: header (with final size) + prefix + plain + padding + size byte.
-  Bytes to_sign;
-  {
-    ByteWriter w;
-    w.raw(std::string_view("OPN"));
-    w.u8('F');
-    w.u32(static_cast<std::uint32_t>(final_size));
-    w.raw(prefix);
-    w.raw(plain);
-    for (std::size_t i = 0; i < padding; ++i) w.u8(static_cast<std::uint8_t>(padding));
-    w.u8(static_cast<std::uint8_t>(padding));
-    to_sign = w.take();
-  }
-  const Bytes signature = asym_sign(info, *sec.local_private, to_sign, rng);
-  if (signature.size() != sig_len) throw std::logic_error("asym signature length mismatch");
-
-  // Full plaintext to encrypt = plain + padding + size byte + signature.
-  Bytes full_plain = plain;
-  for (std::size_t i = 0; i < padding; ++i) full_plain.push_back(static_cast<std::uint8_t>(padding));
-  full_plain.push_back(static_cast<std::uint8_t>(padding));
-  full_plain.insert(full_plain.end(), signature.begin(), signature.end());
-
-  Bytes out;
-  out.reserve(final_size);
-  {
-    ByteWriter w;
-    w.raw(std::string_view("OPN"));
-    w.u8('F');
-    w.u32(static_cast<std::uint32_t>(final_size));
-    w.raw(prefix);
-    out = w.take();
-  }
-  for (std::size_t off = 0; off < full_plain.size(); off += plain_block) {
-    const std::size_t n = std::min(plain_block, full_plain.size() - off);
-    const Bytes block = asym_encrypt_block(
-        info, *sec.remote_public, std::span<const std::uint8_t>(full_plain).subspan(off, n), rng);
-    out.insert(out.end(), block.begin(), block.end());
-  }
-  if (out.size() != final_size) throw std::logic_error("OPN size bookkeeping error");
-  return out;
+  std::optional<OpnSeal> protection;
+  if (secured) protection.emplace(sec, rng);
+  return seal_chunk("OPN", prefix.bytes(), seq, body, protection);
 }
 
 OpnParsed parse_opn(std::span<const std::uint8_t> wire, const RsaPrivateKey* local_private) {
-  const Frame frame = parse_frame(wire);
-  if (frame.type != "OPN") throw DecodeError("not an OPN frame");
-  UaReader r(frame.body);
   OpnParsed out;
-  out.channel_id = r.u32();
-  out.policy_uri = r.string();
-  const auto policy = policy_from_uri(out.policy_uri);
-  if (!policy) throw DecodeError("unknown security policy URI: " + out.policy_uri);
-  out.policy = *policy;
-  out.sender_cert_der = r.byte_string();
-  out.receiver_cert_thumbprint = r.byte_string();
-
-  if (out.policy == SecurityPolicy::None) {
-    out.seq.sequence_number = r.u32();
-    out.seq.request_id = r.u32();
-    out.body = r.base().raw(r.remaining());
-    return out;
-  }
-  if (local_private == nullptr) throw DecodeError("secured OPN but no private key to decrypt");
-  const SecurityPolicyInfo& info = policy_info(out.policy);
-
-  const std::size_t cipher_block = local_private->modulus_bytes();
-  const std::size_t encrypted_len = r.remaining();
-  if (encrypted_len == 0 || encrypted_len % cipher_block != 0) {
-    throw DecodeError("OPN encrypted region not block-aligned");
-  }
-  Bytes plain;
-  for (std::size_t off = 0; off < encrypted_len; off += cipher_block) {
-    const auto block = asym_decrypt_block(info, *local_private, r.base().view(cipher_block));
-    if (!block) throw DecodeError("OPN block decryption failed");
-    plain.insert(plain.end(), block->begin(), block->end());
-  }
-
-  const Certificate sender_cert = x509_parse(out.sender_cert_der);
-  const std::size_t sig_len = sender_cert.public_key.modulus_bytes();
-  if (plain.size() < sig_len + 9) throw DecodeError("OPN plaintext too short");
-  const Bytes signature(plain.end() - static_cast<std::ptrdiff_t>(sig_len), plain.end());
-  const std::size_t padding = plain[plain.size() - sig_len - 1];
-
-  // Rebuild the signed view: wire prefix (header + channel id + security
-  // header) + plaintext up to and including the padding-size byte.
-  const std::size_t prefix_len = wire.size() - encrypted_len;
-  Bytes signed_view(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(prefix_len));
-  signed_view.insert(signed_view.end(), plain.begin(),
-                     plain.end() - static_cast<std::ptrdiff_t>(sig_len));
-  if (!asym_verify(info, sender_cert.public_key, signed_view, signature)) {
-    throw DecodeError("OPN signature verification failed");
-  }
-
-  const std::size_t body_end = plain.size() - sig_len - 1 - padding;
-  if (body_end < 8) throw DecodeError("OPN body underflow");
-  for (std::size_t i = 0; i < padding; ++i) {
-    if (plain[body_end + i] != padding) throw DecodeError("OPN padding corrupt");
-  }
-  UaReader pr(std::span<const std::uint8_t>(plain).first(body_end));
-  out.seq.sequence_number = pr.u32();
-  out.seq.request_id = pr.u32();
-  out.body = pr.base().raw(pr.remaining());
+  out.body = open_chunk(wire, out.seq, [&](const std::string& type, UaReader& r) {
+    if (type != "OPN") throw DecodeError("not an OPN frame");
+    out.channel_id = r.u32();
+    out.policy_uri = r.string();
+    const auto policy = policy_from_uri(out.policy_uri);
+    if (!policy) throw DecodeError("unknown security policy URI: " + out.policy_uri);
+    out.policy = *policy;
+    out.sender_cert_der = r.byte_string();
+    out.receiver_cert_thumbprint = r.byte_string();
+    std::optional<OpnOpen> protection;
+    if (out.policy != SecurityPolicy::None) {
+      if (local_private == nullptr) throw DecodeError("secured OPN but no private key to decrypt");
+      protection.emplace(out.policy, *local_private, out.sender_cert_der);
+    }
+    return protection;
+  });
   return out;
 }
-
-// ------------------------------------------------------------------ MSG ----
 
 Bytes build_msg(std::string_view frame_type, std::uint32_t channel_id, std::uint32_t token_id,
                 SequenceHeader seq, std::span<const std::uint8_t> body, SecurityPolicy policy,
                 MessageSecurityMode mode, const DerivedKeys& sender_keys) {
-  const SecurityPolicyInfo& info = policy_info(policy);
-  UaWriter plain_writer;
-  plain_writer.u32(seq.sequence_number);
-  plain_writer.u32(seq.request_id);
-  plain_writer.base().raw(body);
-  Bytes plain = plain_writer.take();
-
-  UaWriter prefix_writer;
-  prefix_writer.u32(channel_id);
-  prefix_writer.u32(token_id);
-  const Bytes prefix = prefix_writer.take();
-
-  if (mode == MessageSecurityMode::None || policy == SecurityPolicy::None) {
-    Bytes full = prefix;
-    full.insert(full.end(), plain.begin(), plain.end());
-    return frame_message(frame_type, full);
-  }
-
-  const std::size_t sig_len = digest_size(info.sym_mac_hash);
-  const bool encrypt = mode == MessageSecurityMode::SignAndEncrypt;
-  std::size_t padding = 0;
-  if (encrypt) {
-    const std::size_t unpadded = plain.size() + 1 + sig_len;
-    padding = (16 - unpadded % 16) % 16;
-  }
-  const std::size_t secured_len = plain.size() + (encrypt ? padding + 1 : 0) + sig_len;
-  const std::size_t final_size = 8 + prefix.size() + secured_len;
-
-  Bytes to_sign;
-  {
-    ByteWriter w;
-    w.raw(frame_type);
-    w.u8('F');
-    w.u32(static_cast<std::uint32_t>(final_size));
-    w.raw(prefix);
-    w.raw(plain);
-    if (encrypt) {
-      for (std::size_t i = 0; i < padding; ++i) w.u8(static_cast<std::uint8_t>(padding));
-      w.u8(static_cast<std::uint8_t>(padding));
-    }
-    to_sign = w.take();
-  }
-  const Bytes signature = hmac(info.sym_mac_hash, sender_keys.sig_key, to_sign);
-
-  Bytes secured = plain;
-  if (encrypt) {
-    for (std::size_t i = 0; i < padding; ++i) secured.push_back(static_cast<std::uint8_t>(padding));
-    secured.push_back(static_cast<std::uint8_t>(padding));
-  }
-  secured.insert(secured.end(), signature.begin(), signature.end());
-  if (encrypt) secured = aes_cbc_encrypt(sender_keys.enc_key, sender_keys.iv, secured);
-
-  ByteWriter w;
-  w.raw(frame_type);
-  w.u8('F');
-  w.u32(static_cast<std::uint32_t>(final_size));
-  w.raw(prefix);
-  w.raw(secured);
-  Bytes out = w.take();
-  if (out.size() != final_size) throw std::logic_error("MSG size bookkeeping error");
-  return out;
+  UaWriter prefix;
+  prefix.u32(channel_id);
+  prefix.u32(token_id);
+  return seal_chunk(frame_type, prefix.bytes(), seq, body,
+                    msg_protection(policy, mode, sender_keys));
 }
 
 MsgParsed parse_msg(std::span<const std::uint8_t> wire, SecurityPolicy policy,
                     MessageSecurityMode mode, const DerivedKeys& sender_keys) {
-  const Frame frame = parse_frame(wire);
-  if (frame.type != "MSG" && frame.type != "CLO") throw DecodeError("not a MSG/CLO frame");
-  const SecurityPolicyInfo& info = policy_info(policy);
-  UaReader r(frame.body);
   MsgParsed out;
-  out.channel_id = r.u32();
-  out.token_id = r.u32();
-
-  if (mode == MessageSecurityMode::None || policy == SecurityPolicy::None) {
-    out.seq.sequence_number = r.u32();
-    out.seq.request_id = r.u32();
-    out.body = r.base().raw(r.remaining());
-    return out;
-  }
-
-  const std::size_t sig_len = digest_size(info.sym_mac_hash);
-  const bool encrypted = mode == MessageSecurityMode::SignAndEncrypt;
-  Bytes secured = r.base().raw(r.remaining());
-  if (encrypted) {
-    if (secured.size() % 16 != 0) throw DecodeError("MSG ciphertext not block-aligned");
-    secured = aes_cbc_decrypt(sender_keys.enc_key, sender_keys.iv, secured);
-  }
-  if (secured.size() < sig_len + 8) throw DecodeError("MSG too short");
-  const Bytes signature(secured.end() - static_cast<std::ptrdiff_t>(sig_len), secured.end());
-
-  const std::size_t prefix_len = 8 + 8;  // frame header + channel/token ids
-  Bytes signed_view(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(prefix_len));
-  signed_view.insert(signed_view.end(), secured.begin(),
-                     secured.end() - static_cast<std::ptrdiff_t>(sig_len));
-  if (hmac(info.sym_mac_hash, sender_keys.sig_key, signed_view) != signature) {
-    throw DecodeError("MSG signature verification failed");
-  }
-
-  std::size_t body_end = secured.size() - sig_len;
-  if (encrypted) {
-    const std::size_t padding = secured[body_end - 1];
-    if (body_end < padding + 1 + 8) throw DecodeError("MSG padding underflow");
-    for (std::size_t i = 0; i < padding; ++i) {
-      if (secured[body_end - 2 - i] != padding) throw DecodeError("MSG padding corrupt");
-    }
-    body_end -= padding + 1;
-  }
-  UaReader pr(std::span<const std::uint8_t>(secured).first(body_end));
-  out.seq.sequence_number = pr.u32();
-  out.seq.request_id = pr.u32();
-  out.body = pr.base().raw(pr.remaining());
+  out.body = open_chunk(wire, out.seq, [&](const std::string& type, UaReader& r) {
+    if (type != "MSG" && type != "CLO") throw DecodeError("not a MSG/CLO frame");
+    out.channel_id = r.u32();
+    out.token_id = r.u32();
+    return msg_protection(policy, mode, sender_keys);
+  });
   return out;
 }
 

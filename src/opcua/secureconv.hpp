@@ -1,17 +1,25 @@
 // UA SecureConversation (OPC 10000-6 §6): securing OPN and MSG chunks.
 //
-// OPN chunks carry an asymmetric security header (policy URI, sender
-// certificate, receiver certificate thumbprint) and — for any policy other
-// than None — are signed with the sender's private key and encrypted with
-// the receiver's public key. MSG chunks carry a symmetric header (token id)
-// and use keys derived from the handshake nonces via P_SHA.
-//
-// Layout of the secured region (after the security header):
+// Every chunk is one frame header, a prefix in the clear and a secured
+// region:
+//   OPN:      channel id | asymmetric security header (policy URI, sender
+//             certificate, receiver certificate thumbprint)
+//   MSG, CLO: channel id | token id
+// followed by
 //   SequenceHeader | Body | Padding* | PaddingSize | Signature
-// The signature covers the whole chunk up to (excluding) itself, with the
-// final message size already patched into the header, exactly as the spec
-// requires. Single-chunk messages only ('F'), which the study's message
-// sizes never exceed.
+// One seal and one open (secureconv.cpp) handle that layout for every
+// chunk; the four entry points below only write or read their prefix and
+// name their chunk's protection:
+//   OPN under any policy but None: the policy's asymmetric signature with
+//     the sender's key, RSA blocks under the receiver's public key;
+//   MSG and CLO in Sign or SignAndEncrypt: HMAC, and AES-CBC when
+//     encrypted, with keys derived from the handshake nonces via P_SHA.
+// Padding fills whole cipher blocks and is present only when the chunk is
+// encrypted. The signature covers the whole chunk up to (excluding) itself,
+// with the final message size already in the header, as the spec requires.
+// The open checks the signature before it strips the padding, and rejects a
+// padding size that would reach into the sequence header. Single-chunk
+// messages only ('F'), which the study's message sizes never exceed.
 #pragma once
 
 #include <optional>
@@ -40,6 +48,22 @@ struct SequenceHeader {
   std::uint32_t sequence_number = 1;
   std::uint32_t request_id = 1;
 };
+
+/// A policy's asymmetric signature (OPC 10000-6 §6.1): the RSA call that
+/// signs and verifies with it, and the algorithm URI a SignatureData names.
+/// It signs OPN chunks and the CreateSession proof of possession. Policy
+/// None has no URI, signs nothing and verifies nothing (false).
+struct AsymmetricSigner {
+  std::string_view algorithm_uri;
+  HashAlgorithm hash = HashAlgorithm::sha1;
+  bool pss = false;  // RSA-PSS; otherwise PKCS#1 v1.5
+
+  Bytes sign(const RsaPrivateKey& key, std::span<const std::uint8_t> data, Rng& rng) const;
+  bool verify(const RsaPublicKey& key, std::span<const std::uint8_t> data,
+              std::span<const std::uint8_t> signature) const;
+};
+
+AsymmetricSigner asymmetric_signer(SecurityPolicy policy);
 
 // ------------------------------------------------------------------ OPN ----
 

@@ -282,7 +282,6 @@ Bytes ServerConnection::handle_create_session(const CreateSessionRequest& req) {
   session_activated_ = false;
   session_auth_token_ = NodeId(1, 0x53000000u + server_.next_session_id_);
   const NodeId session_id = NodeId(1, server_.next_session_id_++);
-  session_client_nonce_ = req.client_nonce;
 
   CreateSessionResponse resp;
   resp.header.request_handle = req.header.request_handle;
@@ -302,18 +301,9 @@ Bytes ServerConnection::handle_create_session(const CreateSessionRequest& req) {
       to_sign.insert(to_sign.end(), req.client_nonce.begin(), req.client_nonce.end());
       const auto& key =
           server_.config_.private_keys[static_cast<std::size_t>(ep.certificate_index)];
-      const SecurityPolicyInfo& info = policy_info(channel_policy_);
-      if (info.asym_signature == AsymmetricSignature::pkcs1v15_sha1) {
-        resp.server_signature.algorithm = "http://www.w3.org/2000/09/xmldsig#rsa-sha1";
-        resp.server_signature.signature = rsa_pkcs1v15_sign(key, HashAlgorithm::sha1, to_sign);
-      } else if (info.asym_signature == AsymmetricSignature::pkcs1v15_sha256) {
-        resp.server_signature.algorithm = "http://www.w3.org/2001/04/xmldsig-more#rsa-sha256";
-        resp.server_signature.signature = rsa_pkcs1v15_sign(key, HashAlgorithm::sha256, to_sign);
-      } else if (info.asym_signature == AsymmetricSignature::pss_sha256) {
-        resp.server_signature.algorithm =
-            "http://opcfoundation.org/UA/security/rsa-pss-sha2-256";
-        resp.server_signature.signature = rsa_pss_sign(key, HashAlgorithm::sha256, to_sign, rng_);
-      }
+      const AsymmetricSigner signer = asymmetric_signer(channel_policy_);
+      resp.server_signature.algorithm = std::string(signer.algorithm_uri);
+      resp.server_signature.signature = signer.sign(key, to_sign, rng_);
     }
   }
   return secure_response(pack_service(resp));

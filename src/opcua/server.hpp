@@ -138,7 +138,6 @@ class ServerConnection {
   bool session_created_ = false;
   bool session_activated_ = false;
   NodeId session_auth_token_;
-  Bytes session_client_nonce_;
 
   // Browse continuation points.
   std::map<std::uint32_t, std::vector<ReferenceDescription>> continuations_;

@@ -69,7 +69,6 @@ Frame parse_frame(std::span<const std::uint8_t> wire) {
   if (wire.size() < 8) throw DecodeError("frame too short");
   Frame f;
   f.type.assign(wire.begin(), wire.begin() + 3);
-  f.chunk = wire[3];
   ByteReader r(wire.subspan(4, 4));
   const std::uint32_t size = r.u32();
   if (size != wire.size()) throw DecodeError("frame size mismatch");

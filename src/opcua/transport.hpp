@@ -50,7 +50,6 @@ struct ErrorMessage {
 /// A complete framed transport message.
 struct Frame {
   std::string type;  // "HEL", "ACK", "ERR", "OPN", "MSG", "CLO"
-  std::uint8_t chunk = 'F';
   Bytes body;
 };
 

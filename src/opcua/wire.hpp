@@ -11,8 +11,9 @@
 //
 // Fields the project carries but does not interpret are named once too:
 // each encodes the fixed value the stack sends and decodes by consuming
-// exactly what the stack has always consumed for it (a whole String
-// array, or only an array length, ...).
+// the whole field a peer may send in its place (a String array, a
+// StatusCode or DiagnosticInfo array, ...), so the fields after it stay
+// aligned.
 #pragma once
 
 #include <concepts>
@@ -73,8 +74,9 @@ class WireEncoder {
   // decoder consumes what the comment says.
   void null_string() { w_.null_string(); }               // a String
   void zero_u32() { w_.u32(0); }                         // a UInt32
-  void null_diagnostic() { w_.byte(0x00); }              // the mask byte
-  void null_array() { w_.i32(-1); }                      // the length only
+  void null_diagnostic() { w_.byte(0x00); }              // a DiagnosticInfo
+  void null_status_array() { w_.i32(-1); }               // a StatusCode array
+  void null_diagnostic_array() { w_.i32(-1); }           // a DiagnosticInfo array
   void null_string_array() { w_.i32(-1); }               // a String array
   void no_software_certificates() { w_.i32(-1); }        // a length, which must be <= 0
   void null_qualified_name() { w_.qualified_name({}); }  // a QualifiedName
@@ -142,8 +144,11 @@ class WireDecoder {
 
   void null_string() { r_.string(); }
   void zero_u32() { r_.u32(); }
-  void null_diagnostic() { r_.byte(); }
-  void null_array() { r_.i32(); }
+  void null_diagnostic() { skip_diagnostic(); }
+  void null_status_array() { r_.array<StatusCode>([](UaReader& r) { return r.status(); }); }
+  void null_diagnostic_array() {
+    r_.array<int>([this](UaReader&) { skip_diagnostic(); return 0; });
+  }
   void null_string_array() { r_.string_array(); }
   void no_software_certificates() {
     if (r_.i32() > 0) throw DecodeError("software certificates unsupported");
@@ -168,6 +173,21 @@ class WireDecoder {
   void element(DataValue& v) { v = r_.data_value(); }
   template <typename T>
   void element(T& m) { structure(m); }
+
+  /// A DiagnosticInfo: its mask byte and the fields the mask flags (four
+  /// Int32s, additionalInfo, innerStatusCode, then innerDiagnosticInfo).
+  /// The inner one is the last field, so a loop walks the nesting and
+  /// hostile input has no stack depth to exhaust.
+  void skip_diagnostic() {
+    for (std::uint8_t mask = r_.byte();; mask = r_.byte()) {
+      for (unsigned bit = 0; bit < 4; ++bit) {
+        if ((mask >> bit & 1u) != 0) r_.i32();
+      }
+      if ((mask & 0x10) != 0) r_.string();
+      if ((mask & 0x20) != 0) r_.status();
+      if ((mask & 0x40) == 0) return;
+    }
+  }
 
   UaReader& r_;
 };

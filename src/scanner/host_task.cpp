@@ -199,8 +199,39 @@ HostGrabTask::Step HostGrabTask::step_discovery() {
   return finish(/*with_duration=*/true);
 }
 
-HostGrabTask::Step HostGrabTask::step_secure_probe() {
+HostGrabTask::SessionStep HostGrabTask::open_session(const std::string& rng_stream,
+                                                     bool record_verdicts) {
+  client_ = std::make_unique<Client>(config_.client, *conn_, Rng(seed_).child(rng_stream));
+  const StatusCode hello_status = client_->hello(url_);
+  charge();
+  if (hello_status != StatusCode::Good) return SessionStep::hello;
+
   const EndpointObservation* best = strongest_endpoint();
+  const StatusCode channel_status =
+      client_->open_channel(best->policy, best->mode, best->certificate_der);
+  charge();
+  if (record_verdicts) {
+    record_.channel_policy = best->policy;
+    record_.channel_mode = best->mode;
+  }
+  if (is_bad(channel_status)) return SessionStep::channel;
+  if (record_verdicts) record_.channel = ChannelOutcome::established;
+
+  // An anonymous session on every reachable server: servers without an
+  // anonymous token reject it, which is exactly the paper's "unaccessible,
+  // reason: authentication" population (Table 2).
+  Client::SessionInfo info;
+  StatusCode status = client_->create_session(&info);
+  charge();
+  if (record_verdicts) record_.server_signature_valid = info.server_signature_valid;
+  if (is_good(status)) {
+    status = client_->activate_session_anonymous();
+    charge();
+  }
+  return is_bad(status) ? SessionStep::session : SessionStep::open;
+}
+
+HostGrabTask::Step HostGrabTask::step_secure_probe() {
   assess_start_us_ = elapsed_us_;
   assess_start_bytes_ = record_.bytes_sent;
 
@@ -209,55 +240,28 @@ HostGrabTask::Step HostGrabTask::step_secure_probe() {
     case Dial::refused: return finish(/*with_duration=*/true);
     case Dial::open: break;
   }
-  client_ = std::make_unique<Client>(config_.client, *conn_,
-                                     Rng(seed_).child("sess-" + std::to_string(task_id_)));
-  const StatusCode hello_status = client_->hello(url_);
-  charge();
-  if (hello_status != StatusCode::Good) {
-    if (fresh_fault()) return retry_or_give_up(Phase::SecureProbe, /*drop=*/true);
-    return finish(/*with_duration=*/true);
+  const SessionStep stopped =
+      open_session("sess-" + std::to_string(task_id_), /*record_verdicts=*/true);
+  if (stopped == SessionStep::open) {
+    record_.session = SessionOutcome::accessible;
+    obs::observe_us(obs::Metric::phase_auth_probe_us, consumed_us_, kObsOpcua);
+    // Namespaces (classification input) and software version (§5.5)
+    // follow after the inter-request pause.
+    return yield(config_.budget.inter_request_ms * 1000, Phase::ReadNamespaces);
   }
-
-  const StatusCode channel_status =
-      client_->open_channel(best->policy, best->mode, best->certificate_der);
-  charge();
-  record_.channel_policy = best->policy;
-  record_.channel_mode = best->mode;
-  if (is_bad(channel_status)) {
-    if (fresh_fault()) return retry_or_give_up(Phase::SecureProbe, /*drop=*/true);
-    record_.channel = best->policy == SecurityPolicy::None ? ChannelOutcome::failed
-                                                           : ChannelOutcome::cert_rejected;
+  if (fresh_fault()) return retry_or_give_up(Phase::SecureProbe, /*drop=*/true);
+  if (stopped == SessionStep::hello) return finish(/*with_duration=*/true);
+  if (stopped == SessionStep::channel) {
+    record_.channel = record_.channel_policy == SecurityPolicy::None
+                          ? ChannelOutcome::failed
+                          : ChannelOutcome::cert_rejected;
     record_.session = SessionOutcome::channel_rejected;
-    record_.bytes_sent += conn_->bytes_sent();
-    obs::observe_us(obs::Metric::phase_auth_probe_us, consumed_us_, kObsOpcua);
-    return finish(/*with_duration=*/true);
-  }
-  record_.channel = ChannelOutcome::established;
-
-  // Attempt an anonymous session on every reachable server: servers without
-  // an anonymous token reject it, which is exactly the paper's
-  // "unaccessible, reason: authentication" population (Table 2).
-  Client::SessionInfo info;
-  StatusCode status = client_->create_session(&info);
-  charge();
-  record_.server_signature_valid = info.server_signature_valid;
-  if (is_good(status)) {
-    status = client_->activate_session_anonymous();
-    charge();
-  }
-  if (is_bad(status)) {
-    if (fresh_fault()) return retry_or_give_up(Phase::SecureProbe, /*drop=*/true);
+  } else {
     record_.session = SessionOutcome::auth_rejected;
-    record_.bytes_sent += conn_->bytes_sent();
-    obs::observe_us(obs::Metric::phase_auth_probe_us, consumed_us_, kObsOpcua);
-    return finish(/*with_duration=*/true);
   }
-  record_.session = SessionOutcome::accessible;
+  record_.bytes_sent += conn_->bytes_sent();
   obs::observe_us(obs::Metric::phase_auth_probe_us, consumed_us_, kObsOpcua);
-
-  // Namespaces (classification input) and software version (§5.5) follow
-  // after the inter-request pause.
-  return yield(config_.budget.inter_request_ms * 1000, Phase::ReadNamespaces);
+  return finish(/*with_duration=*/true);
 }
 
 HostGrabTask::Step HostGrabTask::step_reconnect() {
@@ -269,38 +273,14 @@ HostGrabTask::Step HostGrabTask::step_reconnect() {
     case Dial::open: break;
   }
   ++reconnects_;
-  client_ = std::make_unique<Client>(
-      config_.client, *conn_,
-      Rng(seed_).child("sess-" + std::to_string(task_id_) + "-r" + std::to_string(reconnects_)));
-
-  const EndpointObservation* best = strongest_endpoint();
-  const StatusCode hello_status = client_->hello(url_);
-  charge();
-  if (hello_status != StatusCode::Good) {
-    return fresh_fault() ? retry_or_give_up(Phase::Reconnect, /*drop=*/true) : give_up();
-  }
-
-  const StatusCode channel_status =
-      client_->open_channel(best->policy, best->mode, best->certificate_der);
-  charge();
-  if (is_bad(channel_status)) {
-    return fresh_fault() ? retry_or_give_up(Phase::Reconnect, /*drop=*/true) : give_up();
-  }
-
   // Re-establish the anonymous session; the original probe's verdicts
   // (server_signature_valid, session outcome) are already recorded and are
   // deliberately not overwritten here.
-  Client::SessionInfo info;
-  StatusCode status = client_->create_session(&info);
-  charge();
-  if (is_good(status)) {
-    status = client_->activate_session_anonymous();
-    charge();
-  }
-  if (is_bad(status)) {
+  const std::string rng_stream =
+      "sess-" + std::to_string(task_id_) + "-r" + std::to_string(reconnects_);
+  if (open_session(rng_stream, /*record_verdicts=*/false) != SessionStep::open) {
     return fresh_fault() ? retry_or_give_up(Phase::Reconnect, /*drop=*/true) : give_up();
   }
-
   return yield(config_.budget.inter_request_ms * 1000, resume_phase_);
 }
 

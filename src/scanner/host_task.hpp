@@ -58,7 +58,18 @@ class HostGrabTask : public ProbeTask {
   int phase_rank() const override;
   void drop_connection() override;
 
+  /// Where open_session stopped: at the step that failed, or `open`.
+  enum class SessionStep { hello, channel, session, open };
+
   Step step_discovery();
+  /// On the connection just dialed: a Client on the Rng stream
+  /// `rng_stream`, then HEL, OPN on the strongest endpoint, CreateSession
+  /// and anonymous activation, with a charge() after each. With
+  /// `record_verdicts` (the secure probe) the channel's policy, mode and
+  /// establishment and the server's signature verdict go into the record
+  /// as each step returns, so a NetFault thrown by a later step finds them
+  /// there. Each phase reacts to where the step stopped.
+  SessionStep open_session(const std::string& rng_stream, bool record_verdicts);
   Step step_secure_probe();
   Step step_read_namespaces();
   Step step_read_version();

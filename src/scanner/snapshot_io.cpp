@@ -612,7 +612,6 @@ std::uint32_t ColumnEncoder::intern(const Bytes& der) {
     if (ders_[id] == der) return id;
     last = id;
   }
-  if (ders_.size() >= kNoCertId) throw SnapshotError("certificate dictionary overflow");
   const std::uint32_t id = static_cast<std::uint32_t>(ders_.size());
   ders_.push_back(der);
   sha1s_.push_back(certificate_sha1(der));
@@ -655,48 +654,40 @@ const Sha1Digest& ColumnEncoder::cert_sha1(std::uint32_t cert_id) const {
 }
 
 void ColumnEncoder::add(const HostScanRecord& host) {
-  ip_.push_back(host.ip);
-  port_.push_back(host.port);
-  asn_.push_back(host.asn);
-  bytes_sent_.push_back(host.bytes_sent);
-  duration_.push_back(host.duration_seconds);
-  uri_hash_.push_back(host.application_uri.empty() ? 0 : hash64(host.application_uri));
-  application_type_.push_back(static_cast<std::uint8_t>(host.application_type));
-  channel_.push_back(static_cast<std::uint8_t>(host.channel));
-  channel_policy_.push_back(static_cast<std::uint8_t>(host.channel_policy));
-  channel_mode_.push_back(static_cast<std::uint8_t>(host.channel_mode));
-  session_.push_back(static_cast<std::uint8_t>(host.session));
-  std::uint8_t flags = 0;
-  if (host.tcp_open) flags |= snapshot_flags::kTcpOpen;
-  if (host.speaks_opcua) flags |= snapshot_flags::kSpeaksOpcua;
-  if (host.found_via_reference) flags |= snapshot_flags::kFoundViaReference;
-  if (host.server_signature_valid) flags |= snapshot_flags::kServerSignatureValid;
-  if (host.anonymous_offered) flags |= snapshot_flags::kAnonymousOffered;
-  if (host.traversal_truncated) flags |= snapshot_flags::kTraversalTruncated;
-  const bool scan_quality = host.completeness != ProbeOutcome::complete ||
-                            host.retries != 0 || host.fault_events != 0;
-  if (scan_quality) flags |= snapshot_flags::kScanQuality;
-  const bool foreign_protocol = host.protocol != ProtocolId::opcua;
-  if (foreign_protocol) flags |= snapshot_flags::kProtocol;
-  flags_.push_back(flags);
-
-  // Per-endpoint pass: derived masks + dictionary interning. The head id
-  // list mirrors distinct_certificates(): distinct ids, first-seen
-  // endpoint order (interning dedups by DER content, so id identity is
-  // content identity).
+  // The record's checks run before any column, var byte, offset or
+  // dictionary entry grows, so a rejected record leaves the encoder as it
+  // was. Only the var column's 4 GiB bound needs the record's var bytes
+  // (and so its certificate ids): it takes the bytes back when they do not
+  // fit, and a certificate the record interned stays unreferenced.
+  if (static_cast<std::uint32_t>(host.protocol) >= kProtocolCount) {
+    throw SnapshotError("snapshot record: invalid protocol value " +
+                        std::to_string(static_cast<std::uint32_t>(host.protocol)));
+  }
   std::uint8_t mode_mask = 0, policy_mask = 0, token_mask = 0;
+  std::size_t certified = 0;
+  for (const EndpointObservation& ep : host.endpoints) {
+    mode_mask |= mask_bit(static_cast<std::uint32_t>(ep.mode), "security mode");
+    if (ep.token_types.size() > 0xff) {
+      throw SnapshotError("endpoint advertises more than 255 token types");
+    }
+    for (const UserTokenType t : ep.token_types) {
+      token_mask |= mask_bit(static_cast<std::uint32_t>(t), "user token type");
+    }
+    if (!ep.certificate_der.empty()) ++certified;
+  }
+  if (certified > 0xffff && host.distinct_certificates().size() > 0xffff) {
+    throw SnapshotError("host advertises more than 65535 distinct certificates");
+  }
+  if (certified > kNoCertId - ders_.size()) throw SnapshotError("certificate dictionary overflow");
+
+  // Dictionary interning. The head id list mirrors distinct_certificates():
+  // distinct ids, first-seen endpoint order (interning dedups by DER
+  // content, so id identity is content identity).
   std::vector<std::uint32_t>& head = head_scratch_;
   std::vector<std::uint32_t>& ep_ids = ep_scratch_;
   head.clear();
   ep_ids.clear();
   for (const EndpointObservation& ep : host.endpoints) {
-    mode_mask |= mask_bit(static_cast<std::uint32_t>(ep.mode), "security mode");
-    if (const auto policy = policy_from_uri(ep.policy_uri)) {
-      policy_mask |= static_cast<std::uint8_t>(1u << static_cast<std::uint32_t>(*policy));
-    }
-    for (const UserTokenType t : ep.token_types) {
-      token_mask |= mask_bit(static_cast<std::uint32_t>(t), "user token type");
-    }
     std::uint32_t id = kNoCertId;
     if (!ep.certificate_der.empty()) {
       id = intern(ep.certificate_der);
@@ -704,14 +695,9 @@ void ColumnEncoder::add(const HostScanRecord& host) {
     }
     ep_ids.push_back(id);
   }
-  mode_mask_.push_back(mode_mask);
-  policy_mask_.push_back(policy_mask);
-  token_mask_.push_back(token_mask);
 
   UaWriter& w = var_;
-  if (head.size() > 0xffff) {
-    throw SnapshotError("host advertises more than 65535 distinct certificates");
-  }
+  const std::size_t var_start = w.bytes().size();
   w.u16(static_cast<std::uint16_t>(head.size()));
   for (const std::uint32_t id : head) w.u32(id);
   w.string(host.application_uri);
@@ -728,13 +714,11 @@ void ColumnEncoder::add(const HostScanRecord& host) {
     // identity is stored — canonically (one byte) when it names a table
     // policy, verbatim behind the 255 escape otherwise.
     if (const auto policy = policy_from_uri(ep.policy_uri)) {
+      policy_mask |= static_cast<std::uint8_t>(1u << static_cast<std::uint32_t>(*policy));
       w.byte(static_cast<std::uint8_t>(*policy));
     } else {
       w.byte(0xff);
       w.string(ep.policy_uri);
-    }
-    if (ep.token_types.size() > 0xff) {
-      throw SnapshotError("endpoint advertises more than 255 token types");
     }
     w.byte(static_cast<std::uint8_t>(ep.token_types.size()));
     for (const UserTokenType t : ep.token_types) w.byte(static_cast<std::uint8_t>(t));
@@ -756,6 +740,8 @@ void ColumnEncoder::add(const HostScanRecord& host) {
     if (node.executable) access |= 0x4;
     w.byte(access);
   }
+  const bool scan_quality = host.completeness != ProbeOutcome::complete ||
+                            host.retries != 0 || host.fault_events != 0;
   if (scan_quality) {
     w.byte(static_cast<std::uint8_t>(host.completeness));
     w.u16(host.retries);
@@ -764,11 +750,38 @@ void ColumnEncoder::add(const HostScanRecord& host) {
   // The protocol byte is always the last byte of the slice, so columnar
   // consumers can peel it off without a cursor walk (nonzero by
   // construction: protocol 0 never sets the flag).
+  const bool foreign_protocol = host.protocol != ProtocolId::opcua;
   if (foreign_protocol) w.byte(static_cast<std::uint8_t>(host.protocol));
   if (w.bytes().size() > std::numeric_limits<std::uint32_t>::max()) {
+    w.base().truncate(var_start);
     throw SnapshotError("chunk var column exceeds 4 GiB; lower chunk_records");
   }
   var_offsets_.push_back(static_cast<std::uint32_t>(w.bytes().size()));
+
+  ip_.push_back(host.ip);
+  port_.push_back(host.port);
+  asn_.push_back(host.asn);
+  bytes_sent_.push_back(host.bytes_sent);
+  duration_.push_back(host.duration_seconds);
+  uri_hash_.push_back(host.application_uri.empty() ? 0 : hash64(host.application_uri));
+  application_type_.push_back(static_cast<std::uint8_t>(host.application_type));
+  channel_.push_back(static_cast<std::uint8_t>(host.channel));
+  channel_policy_.push_back(static_cast<std::uint8_t>(host.channel_policy));
+  channel_mode_.push_back(static_cast<std::uint8_t>(host.channel_mode));
+  session_.push_back(static_cast<std::uint8_t>(host.session));
+  std::uint8_t flags = 0;
+  if (host.tcp_open) flags |= snapshot_flags::kTcpOpen;
+  if (host.speaks_opcua) flags |= snapshot_flags::kSpeaksOpcua;
+  if (host.found_via_reference) flags |= snapshot_flags::kFoundViaReference;
+  if (host.server_signature_valid) flags |= snapshot_flags::kServerSignatureValid;
+  if (host.anonymous_offered) flags |= snapshot_flags::kAnonymousOffered;
+  if (host.traversal_truncated) flags |= snapshot_flags::kTraversalTruncated;
+  if (scan_quality) flags |= snapshot_flags::kScanQuality;
+  if (foreign_protocol) flags |= snapshot_flags::kProtocol;
+  flags_.push_back(flags);
+  mode_mask_.push_back(mode_mask);
+  policy_mask_.push_back(policy_mask);
+  token_mask_.push_back(token_mask);
 }
 
 ColumnView ColumnEncoder::view(std::uint32_t snapshot_ordinal) {

@@ -267,9 +267,12 @@ class ColumnEncoder final : public CertDictionary {
   ColumnEncoder() { var_offsets_.push_back(0); }
 
   /// Append one record. Throws SnapshotError for a record the format
-  /// cannot hold: an endpoint security mode or token type its enum does
-  /// not define, more than 255 token types on one endpoint, more than
-  /// 65535 distinct certificates on one host, or a var column past 4 GiB.
+  /// cannot hold: a protocol id past kProtocolCount, an endpoint security
+  /// mode or token type its enum does not define, more than 255 token
+  /// types on one endpoint, more than 65535 distinct certificates on one
+  /// host, a full dictionary, or a var column past 4 GiB. A record
+  /// rejected for its content leaves the encoder as it was, so the next
+  /// one can follow it.
   void add(const HostScanRecord& host);
   std::size_t records() const { return ip_.size(); }
 

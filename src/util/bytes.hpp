@@ -53,8 +53,6 @@ class ByteWriter {
     for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
 
-  void i8(std::int8_t v) { u8(static_cast<std::uint8_t>(v)); }
-  void i16(std::int16_t v) { u16(static_cast<std::uint16_t>(v)); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -76,6 +74,10 @@ class ByteWriter {
   }
 
   std::size_t size() const { return buf_.size(); }
+  /// Drop what was written past the first `n` bytes.
+  void truncate(std::size_t n) {
+    if (n < buf_.size()) buf_.resize(n);
+  }
   const Bytes& bytes() const { return buf_; }
   Bytes take() { return std::move(buf_); }
 
@@ -117,8 +119,6 @@ class ByteReader {
     return v;
   }
 
-  std::int8_t i8() { return static_cast<std::int8_t>(u8()); }
-  std::int16_t i16() { return static_cast<std::int16_t>(u16()); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "analysis/analysis.hpp"
 #include "crypto/keycache.hpp"
@@ -412,8 +413,9 @@ TEST(SnapshotV5, CorruptEnumValuesRejected) {
   // over the in-memory records naming the same field and value. The
   // posture pass never reads the quality tail, so a bad completeness
   // value does not reach it.
-  const auto expect_rejected = [&](const std::string& named, bool postures_read_it = true) {
-    save_snapshots(path, 42, study);
+  const auto expect_rejected = [&](const std::string& named, bool postures_read_it = true,
+                                   const std::function<void()>& write_file = nullptr) {
+    write_file ? write_file() : save_snapshots(path, 42, study);
     std::string error;
     EXPECT_FALSE(load_snapshots(path, 42, &error).has_value());
     EXPECT_NE(error.find(named), std::string::npos) << error;
@@ -442,8 +444,24 @@ TEST(SnapshotV5, CorruptEnumValuesRejected) {
   expect_rejected("invalid completeness value 7", /*postures_read_it=*/false);
   host1.completeness = ProbeOutcome::complete;
 
+  // The writer refuses a protocol id past kProtocolCount, so the file gets
+  // its bad protocol byte after the write: host 2 is the chunk's last
+  // record, and its foreign protocol id is the var column's last byte.
   host2.protocol = static_cast<ProtocolId>(9);
-  expect_rejected("invalid protocol value 9");
+  EXPECT_NE(snapshot_error_of([&] { save_snapshots(path, 42, study); })
+                .find("invalid protocol value 9"),
+            std::string::npos);
+  expect_rejected("invalid protocol value 9", /*postures_read_it=*/true, [&] {
+    host2.protocol = ProtocolId::mqtt_tls;
+    save_snapshots(path, 42, study);
+    host2.protocol = static_cast<ProtocolId>(9);
+    const SnapshotChunkInfo chunk = SnapshotReader(path, 42).chunks().at(0);
+    Bytes bytes = read_file_bytes(path);
+    Bytes::value_type& protocol_byte = bytes.at(chunk.file_offset + 24 + chunk.payload_bytes - 1);
+    ASSERT_EQ(protocol_byte, static_cast<std::uint8_t>(ProtocolId::mqtt_tls));
+    protocol_byte = 9;
+    write_file_bytes(path, bytes);
+  });
   std::remove(path.c_str());
 }
 
@@ -463,8 +481,37 @@ TEST(SnapshotV6, UndefinedEndpointEnumsRejectedAtWrite) {
   EXPECT_NE(token_error.find("invalid user token type value 40"), std::string::npos)
       << token_error;
   ep.token_types.pop_back();
+  study[0].hosts[1].protocol = static_cast<ProtocolId>(40);  // past the 32-bit week mask too
+  const std::string protocol_error = snapshot_error_of([&] { save_snapshots(path, 42, study); });
+  EXPECT_NE(protocol_error.find("snapshot record: invalid protocol value 40"), std::string::npos)
+      << protocol_error;
+  study[0].hosts[1].protocol = ProtocolId::opcua;
   save_snapshots(path, 42, study);
   EXPECT_TRUE(load_snapshots(path, 42).has_value());
+
+  // A rejected record leaves the writer as it was: the file holds exactly
+  // the records around it.
+  {
+    SnapshotWriter writer(path, 42);
+    writer.begin_snapshot(study[0].measurement_index, study[0].date_days);
+    writer.add_host(study[0].hosts[0]);
+    HostScanRecord bad = study[0].hosts[1];
+    bad.endpoints[0].mode = static_cast<MessageSecurityMode>(40);
+    EXPECT_NE(snapshot_error_of([&] { writer.add_host(bad); }).find("security mode value 40"),
+              std::string::npos);
+    bad = study[0].hosts[1];
+    bad.protocol = static_cast<ProtocolId>(40);
+    EXPECT_NE(snapshot_error_of([&] { writer.add_host(bad); }).find("protocol value 40"),
+              std::string::npos);
+    writer.add_host(study[0].hosts[2]);
+    writer.end_snapshot(study[0].probes_sent, study[0].tcp_open_count);
+    writer.finish();
+  }
+  const auto loaded = load_snapshots(path, 42);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ(loaded->front().hosts,
+            (std::vector<HostScanRecord>{study[0].hosts[0], study[0].hosts[2]}));
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
 }
