@@ -5,13 +5,14 @@
 // including order-sensitive ones like the Fig. 7 fraction vectors and the
 // renewal-event list — is identical to a sequential pass over the same
 // records (the tests pin this, and pin the result to recorded goldens).
-// Both passes absorb v6 columns only: scalar figures come from the fixed
-// columns, identity strings and cert ids from a lazy cursor over the var
-// record, and per-certificate facts from a table over the chunk's
+// The one pass absorbs v6 columns only: scalar figures come from the
+// fixed columns, identity strings and cert ids from a lazy cursor over the
+// var record, and per-certificate facts from a table over the chunk's
 // dictionary.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <tuple>
 
 #include "analysis/analysis.hpp"
@@ -30,129 +31,50 @@ void merge_count_map(std::map<K, V>& into, const std::map<K, V>& from) {
   for (const auto& [key, count] : from) into[key] += count;
 }
 
-// Everything the figure passes derive from a certificate, computed once
-// per dictionary entry instead of once per host occurrence. On a fleet
-// where thousands of hosts share a handful of certificates this removes
-// all repeated DER parses; the thumbprint is the dictionary's own SHA-1.
-struct FigureCert : CertStrength {
-  std::string fp_hex;
-  bool self_signed = false;
-  std::string org;
-  std::int64_t not_before_days = 0;
-  std::string modulus_hex;  // only filled when the §5.3 sweep runs
-  Bignum modulus;
-};
-
-CertFactTable<FigureCert> figure_cert_table(const RecordSource& source, const ThreadPool& pool,
-                                            bool with_moduli) {
-  return {source, pool, [with_moduli](const CertDictionary& dict, std::uint32_t id) {
-            FigureCert entry;
-            entry.fp_hex = to_hex(dict.cert_sha1(id));
-            try {
-              const Certificate cert = x509_parse(dict.cert_der(id));
-              entry.parsed = true;
-              entry.hash = cert.signature_hash;
-              entry.key_bits = cert.key_bits();
-              entry.self_signed = cert.self_signed();
-              entry.org = cert.subject.organization;
-              entry.not_before_days = cert.not_before_days;
-              if (with_moduli) {
-                entry.modulus_hex = cert.public_key.n.to_hex();
-                entry.modulus = cert.public_key.n;
-              }
-            } catch (const DecodeError&) {
-            }
-            return entry;
-          }};
+/// Adds one server to a Fig. 8 deficit: `count` (a field of `d`) and the
+/// deficit's manufacturer and AS rows.
+void tally_deficit(DeficitBreakdown& d, int& count, const char* deficit,
+                   const std::string& manufacturer, std::uint32_t asn) {
+  ++count;
+  d.by_manufacturer[deficit][manufacturer]++;
+  d.by_as[deficit][asn]++;
 }
 
-/// Runs absorb(view, record, facts, ids) over every record of one chunk.
-template <typename Absorb>
-void absorb_chunk(const RecordSource& source, const CertFactTable<FigureCert>& table,
-                  std::size_t chunk, Absorb&& absorb) {
-  source.visit_columns(chunk, [&](const ColumnView& view, const CertDictionary& dict) {
-    std::vector<FigureCert> scratch;
-    const std::vector<FigureCert>& facts = table.of(dict, scratch);
-    std::vector<std::uint32_t> ids;
-    for (std::size_t r = 0; r < view.records; ++r) absorb(view, r, facts, ids);
-  });
-}
-
-// ------------------------------------------------- pass 1: cert census ----
-
-/// Certificate census of the final measurement: reuse clusters over the
-/// servers' distinct certificates (Fig. 5, Fig. 8 reuse sets, §5.5 fleet
-/// tracking) and optionally the deduplicated RSA modulus corpus (§5.3).
-/// The head id list *is* the distinct certificate list (the encoder
-/// interns by content), so every per-DER computation is a table lookup.
-struct CensusPartial {
-  struct Cluster {
-    int hosts = 0;
-    std::set<std::uint32_t> ases;
-    std::string org;
-  };
-  std::map<std::string, Cluster> clusters;
-  std::map<std::string, Bignum> moduli;  // hex(n) -> n, deduplicated
-
-  void absorb(const ColumnView& view, std::size_t i, const std::vector<FigureCert>& facts,
-              std::vector<std::uint32_t>& ids, bool collect_moduli) {
-    VarRecordCursor(view.var_record(i)).cert_ids(ids);
-    if (collect_moduli) {
-      for (const std::uint32_t id : ids) {
-        const FigureCert& entry = fact_at(facts, id);
-        if (entry.parsed) moduli.try_emplace(entry.modulus_hex, entry.modulus);
-      }
-    }
-    if (view.application_type[i] == static_cast<std::uint8_t>(ApplicationType::DiscoveryServer)) {
-      return;
-    }
-    for (const std::uint32_t id : ids) {
-      const FigureCert& entry = fact_at(facts, id);
-      Cluster& cluster = clusters[entry.fp_hex];
-      ++cluster.hosts;
-      cluster.ases.insert(view.asn[i]);
-      if (cluster.org.empty()) cluster.org = entry.org;
-    }
-  }
-
-  void merge(CensusPartial&& other) {
-    for (auto& [fp, cluster] : other.clusters) {
-      Cluster& into = clusters[fp];
-      into.hosts += cluster.hosts;
-      into.ases.merge(cluster.ases);
-      if (into.org.empty()) into.org = std::move(cluster.org);
-    }
-    moduli.merge(other.moduli);
-  }
+/// One server record as the finalize reads it: renewal detection (§5.5)
+/// compares an endpoint's consecutive observations, and the two tallies
+/// that need the final week's finished >= 3-host reuse sets count them.
+struct HostObs {
+  Ipv4 ip = 0;
+  std::uint16_t port = 0;
+  std::size_t week = 0;  // ordinal in the source
+  std::uint32_t asn = 0;
+  std::string manufacturer;
+  std::string software;
+  /// The record's distinct certificates: each one's signature hash, or
+  /// nullopt when its DER does not parse.
+  std::map<Sha1Digest, std::optional<HashAlgorithm>> certs;
 };
 
-/// Fingerprint sets derived from the census before pass 2 runs.
-struct FinalWeekSets {
-  std::set<std::string> reused_fps;       // certificates on >= 3 hosts (Fig. 8)
-  std::set<std::string> big_cluster_fps;  // the distributor fleet (§5.5)
-};
-
-// ---------------------------------------------- pass 2: chunk partials ----
+// ------------------------------------------------------ chunk partials ----
 
 /// Everything one chunk of records contributes. A chunk belongs to exactly
 /// one measurement; the final measurement's chunks additionally feed the
-/// figure statistics.
+/// figure statistics and the certificate census.
 struct ChunkPartial {
   // Weekly tallies (Fig. 2 / §5.5), servers unless noted.
   int servers = 0, discovery = 0, via_reference = 0, non_default_port = 0, deficient = 0;
-  int reuse_devices = 0;
   std::map<std::string, int> by_manufacturer;
 
-  // Cross-week certificate corpus and per-host history (record order).
-  std::map<std::string, std::pair<HashAlgorithm, std::int64_t>> corpus;
-  struct HostObs {
-    Ipv4 ip = 0;
-    std::uint16_t port = 0;
-    std::set<std::string> fps;
-    std::map<std::string, HashAlgorithm> hashes;
-    std::string software;
-  };
+  // Cross-week certificate corpus and per-server history (record order).
+  std::map<Sha1Digest, std::pair<HashAlgorithm, std::int64_t>> corpus;
   std::vector<HostObs> history;
+
+  // Final-measurement certificate census: reuse clusters over the servers'
+  // distinct certificates (Fig. 5; the hex fingerprint is set for the ones
+  // reported) and, for §5.3, the distinct RSA moduli of every record's
+  // certificates, discovery servers included.
+  std::map<Sha1Digest, ReuseCluster> clusters;
+  std::set<Bignum> moduli;
 
   // Scan quality (fault-injection resilience; all zero on fault-free data).
   std::uint64_t q_hosts = 0, q_complete = 0, q_truncated = 0, q_degraded = 0, q_unreachable = 0;
@@ -192,8 +114,8 @@ struct ChunkPartial {
   /// Mask iteration runs in enum order, which is equivalent to the
   /// records' first-seen endpoint order because every mode/policy has a
   /// distinct rank and no endpoint ever advertises Invalid mode.
-  void absorb(const ColumnView& view, std::size_t i, const std::vector<FigureCert>& facts,
-              std::vector<std::uint32_t>& ids, bool final_week, const FinalWeekSets& sets) {
+  void absorb(const ColumnView& view, std::size_t i, const std::vector<CertFacts>& facts,
+              std::vector<std::uint32_t>& ids, bool final_week, bool collect_moduli) {
     const std::uint8_t host_flags = view.flags[i];
     const ProtocolId protocol = view.protocol(i);
     absorb_quality(view.quality(i));
@@ -211,8 +133,11 @@ struct ChunkPartial {
     std::string app_uri;
     std::string software;
     std::vector<std::string> nss;
+    // A final-week discovery server's certificates are §5.3 moduli, never
+    // cluster hosts. Its id list is read with the sweep off too, so a
+    // final-week record whose ids do not decode fails the pass either way.
+    if (!is_discovery || final_week) cursor.cert_ids(ids);
     if (!is_discovery) {
-      cursor.cert_ids(ids);
       app_uri = cursor.application_uri();
       software = cursor.software_version();
       if (final_week && accessible) nss = cursor.namespaces();
@@ -240,6 +165,12 @@ struct ChunkPartial {
       }
     }
 
+    if (final_week && collect_moduli) {
+      for (const std::uint32_t id : ids) {
+        const CertFacts& entry = fact_at(facts, id);
+        if (entry.parsed) moduli.insert(entry.modulus);
+      }
+    }
     if (is_discovery) {
       ++discovery;
       return;
@@ -251,7 +182,7 @@ struct ChunkPartial {
     non_default_port += view.port[i] != kOpcUaDefaultPort;
 
     const std::uint8_t policy_mask = view.policy_mask[i];
-    const FigureCert* cert = primary_cert(ids, facts);
+    const CertFacts* cert = primary_cert(ids, facts);
     const std::uint8_t rules = classify_deficiencies(policy_mask, cert, anonymous_offered);
     deficient += rules != 0;
     if (final_week) {
@@ -260,25 +191,34 @@ struct ChunkPartial {
       if (anonymous_offered) proto_anonymous[protocol]++;
     }
 
-    // History / corpus / fleet membership (§5.5).
+    // History / corpus (§5.5).
     HostObs obs;
     obs.ip = view.ip[i];
     obs.port = view.port[i];
+    obs.asn = view.asn[i];
+    obs.manufacturer = cluster;
     obs.software = std::move(software);
-    bool in_big_cluster = false;
     for (const std::uint32_t id : ids) {
-      const FigureCert& entry = fact_at(facts, id);
-      obs.fps.insert(entry.fp_hex);
+      const CertFacts& entry = fact_at(facts, id);
+      std::optional<HashAlgorithm> hash;
       if (entry.parsed) {
-        obs.hashes[entry.fp_hex] = entry.hash;
-        corpus.try_emplace(entry.fp_hex, entry.hash, entry.not_before_days);
+        hash = entry.hash;
+        corpus.try_emplace(entry.sha1, entry.hash, entry.not_before_days);
       }
-      in_big_cluster |= sets.big_cluster_fps.contains(entry.fp_hex);
+      obs.certs.emplace(entry.sha1, hash);
     }
-    reuse_devices += in_big_cluster;
     history.push_back(std::move(obs));
 
     if (!final_week) return;
+
+    // ----- Fig. 5: reuse clusters ---------------------------------------
+    for (const std::uint32_t id : ids) {
+      const CertFacts& entry = fact_at(facts, id);
+      ReuseCluster& c = clusters[entry.sha1];
+      ++c.host_count;
+      c.ases.insert(view.asn[i]);
+      if (c.subject_organization.empty()) c.subject_organization = entry.org;
+    }
 
     // ----- Fig. 3: security modes and policies --------------------------
     ++modes.servers;
@@ -386,20 +326,13 @@ struct ChunkPartial {
 
     // ----- Fig. 8: deficit breakdown ------------------------------------
     ++deficits.servers;
+    // Certificate reuse needs the finished clusters: counted at finalize.
     auto tally = [&](bool fired, int& count, const char* deficit) {
-      if (!fired) return;
-      ++count;
-      deficits.by_manufacturer[deficit][cluster]++;
-      deficits.by_as[deficit][view.asn[i]]++;
+      if (fired) tally_deficit(deficits, count, deficit, cluster, view.asn[i]);
     };
     tally(rules & deficiency::kNoSecurity, deficits.none_only, "None");
     tally(rules & deficiency::kDeprecatedPolicy, deficits.deprecated_only, "Deprecated Policies");
     tally(rules & deficiency::kWeakCertificate, deficits.weak_certificate, "Too Weak Certificate");
-    bool reused = false;
-    for (const std::uint32_t id : ids) {
-      reused |= sets.reused_fps.contains(fact_at(facts, id).fp_hex);
-    }
-    tally(reused, deficits.cert_reuse, "Certificate Reuse");
     tally(rules & deficiency::kAnonymousAccess, deficits.anonymous_access, "Anonymous Access");
     if (rules != 0) ++deficits.deficient_total;
   }
@@ -434,6 +367,16 @@ void merge_figures(ChunkPartial& into, ChunkPartial&& from) {
   into.certs.weaker_than_max += from.certs.weaker_than_max;
   into.certs.hosts_with_cert += from.certs.hosts_with_cert;
   into.certs.ca_signed += from.certs.ca_signed;
+  // Fig. 5 / §5.3
+  for (auto& [fp, cluster] : from.clusters) {
+    ReuseCluster& c = into.clusters[fp];
+    c.host_count += cluster.host_count;
+    c.ases.merge(cluster.ases);
+    if (c.subject_organization.empty()) {
+      c.subject_organization = std::move(cluster.subject_organization);
+    }
+  }
+  into.moduli.merge(from.moduli);
   // Fig. 6 / Table 2
   for (auto& [key, row] : from.auth_rows) {
     const auto [it, inserted] = into.auth_rows.try_emplace(key, row);
@@ -505,6 +448,65 @@ std::uint8_t classify_deficiencies(std::uint8_t policy_mask, const CertStrength*
   }
   if (anonymous_offered) rules |= deficiency::kAnonymousAccess;
   return rules;
+}
+
+namespace {
+
+/// The facts of dictionary entry `cert_id`; the one DER parse every pass
+/// makes of an entry.
+CertFacts cert_facts(const CertDictionary& dict, std::uint32_t cert_id, bool with_modulus) {
+  CertFacts facts;
+  facts.sha1 = dict.cert_sha1(cert_id);
+  try {
+    Certificate cert = x509_parse(dict.cert_der(cert_id));
+    facts.parsed = true;
+    facts.hash = cert.signature_hash;
+    facts.key_bits = cert.key_bits();
+    facts.self_signed = cert.self_signed();
+    facts.org = std::move(cert.subject.organization);
+    facts.not_before_days = cert.not_before_days;
+    if (with_modulus) facts.modulus = std::move(cert.public_key.n);
+  } catch (const DecodeError&) {
+  }
+  return facts;
+}
+
+}  // namespace
+
+CertFactTable::CertFactTable(const RecordSource& source, const ThreadPool& pool, bool with_modulus)
+    : shared_(source.shared_dictionary()), with_modulus_(with_modulus) {
+  if (shared_ == nullptr) return;
+  shared_facts_.resize(shared_->cert_count());
+  pool.parallel_for(shared_facts_.size(), [&](std::size_t id) {
+    shared_facts_[id] = cert_facts(*shared_, static_cast<std::uint32_t>(id), with_modulus_);
+  });
+}
+
+const std::vector<CertFacts>& CertFactTable::of(const CertDictionary& dict,
+                                                std::vector<CertFacts>& scratch) const {
+  if (&dict == shared_) return shared_facts_;
+  scratch.clear();
+  scratch.reserve(dict.cert_count());
+  for (std::uint32_t id = 0; id < dict.cert_count(); ++id) {
+    scratch.push_back(cert_facts(dict, id, with_modulus_));
+  }
+  return scratch;
+}
+
+const CertFacts& fact_at(const std::vector<CertFacts>& facts, std::uint32_t id) {
+  if (id >= facts.size()) {
+    throw DecodeError("certificate id " + std::to_string(id) + " out of dictionary range (" +
+                      std::to_string(facts.size()) + " entries)");
+  }
+  return facts[id];
+}
+
+const CertFacts* primary_cert(const std::vector<std::uint32_t>& ids,
+                              const std::vector<CertFacts>& facts) {
+  for (const std::uint32_t id : ids) {
+    if (fact_at(facts, id).parsed) return &facts[id];
+  }
+  return nullptr;
 }
 
 void RecordSource::visit_columns(std::size_t chunk, const ColumnVisitor& fn) const {
@@ -592,73 +594,34 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
 
   const std::size_t final_week = weeks - 1;
   const std::size_t chunk_count = source.chunk_count();
-  std::vector<std::size_t> final_chunks;
-  for (std::size_t c = 0; c < chunk_count; ++c) {
-    if (source.chunk_week(c) == final_week) final_chunks.push_back(c);
-  }
-
   ThreadPool pool(options.threads);
-  const CertFactTable<FigureCert> cert_table =
-      figure_cert_table(source, pool, options.shared_primes);
+  const CertFactTable cert_table(source, pool, options.shared_primes);
 
-  // ---- pass 1: certificate census of the final measurement --------------
-  // Early prefix merge: completed chunk partials are folded into the
-  // census as workers advance (in chunk order, so the result is identical
-  // to the old merge-at-the-end pass), and each merged partial is freed
-  // immediately — the peak is the in-flight chunks, not every chunk.
-  std::vector<CensusPartial> census_partials(final_chunks.size());
-  CensusPartial census;
-  pool.parallel_for_merged(
-      final_chunks.size(),
-      [&](std::size_t i) {
-        absorb_chunk(source, cert_table, final_chunks[i],
-                     [&](const ColumnView& view, std::size_t r,
-                         const std::vector<FigureCert>& facts, std::vector<std::uint32_t>& ids) {
-                       census_partials[i].absorb(view, r, facts, ids, options.shared_primes);
-                     });
-      },
-      [&](std::size_t i) {
-        census.merge(std::move(census_partials[i]));
-        census_partials[i] = CensusPartial{};
-      });
-  census_partials.clear();
-
-  FinalWeekSets sets;
-  for (const auto& [fp, cluster] : census.clusters) {
-    if (cluster.hosts >= 3) {
-      sets.reused_fps.insert(fp);
-      if (cluster.org == "Bachmann electronic") sets.big_cluster_fps.insert(fp);
-    }
-  }
-
-  // ---- pass 2: figures + weekly tallies + host history ------------------
-  // The ordered merge runs *inside* the parallel pass: as soon as the
-  // contiguous prefix of chunks has been aggregated, those partials fold
-  // into the running totals (in chunk-index order — bit-identical to the
-  // old merge-after-everything loop) and die. On a 10M-host stream the
-  // per-host history summaries of every chunk used to coexist until the
-  // end; now at most the unmerged suffix does.
+  // ---- the pass: figures + census + weekly tallies + host history -------
+  // Early prefix merge: as soon as the contiguous prefix of chunks has
+  // been aggregated, those partials fold into the running totals (in
+  // chunk-index order, so the result is that of a sequential pass) and
+  // die. On a 10M-host stream the per-host history summaries of every
+  // chunk would otherwise coexist until the end; this way at most the
+  // unmerged suffix does.
   ChunkPartial total;
   std::vector<WeeklyObservation> week_obs(weeks);
   std::vector<ScanQualityWeek> quality_weeks(weeks);
   std::vector<std::map<ProtocolId, std::uint64_t>> proto_week_hosts(weeks);
-  struct HostHistory {
-    std::vector<int> weeks;
-    std::vector<std::set<std::string>> cert_sets;
-    std::vector<std::map<std::string, HashAlgorithm>> hashes;
-    std::vector<std::string> software;
-  };
-  std::map<std::pair<Ipv4, std::uint16_t>, HostHistory> history;
+  std::map<std::pair<Ipv4, std::uint16_t>, std::vector<HostObs>> history;
   std::vector<ChunkPartial> partials(chunk_count);
   pool.parallel_for_merged(
       chunk_count,
       [&](std::size_t c) {
         const bool is_final = source.chunk_week(c) == final_week;
-        absorb_chunk(source, cert_table, c,
-                     [&](const ColumnView& view, std::size_t r,
-                         const std::vector<FigureCert>& facts, std::vector<std::uint32_t>& ids) {
-                       partials[c].absorb(view, r, facts, ids, is_final, sets);
-                     });
+        source.visit_columns(c, [&](const ColumnView& view, const CertDictionary& dict) {
+          std::vector<CertFacts> scratch;
+          const std::vector<CertFacts>& facts = cert_table.of(dict, scratch);
+          std::vector<std::uint32_t> ids;
+          for (std::size_t r = 0; r < view.records; ++r) {
+            partials[c].absorb(view, r, facts, ids, is_final, options.shared_primes);
+          }
+        });
       },
       [&](std::size_t c) {
         ChunkPartial& partial = partials[c];
@@ -669,7 +632,6 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
         obs.via_reference += partial.via_reference;
         obs.non_default_port += partial.non_default_port;
         obs.deficient += partial.deficient;
-        obs.reuse_devices += partial.reuse_devices;
         ScanQualityWeek& q = quality_weeks[week];
         q.hosts += partial.q_hosts;
         q.complete += partial.q_complete;
@@ -682,14 +644,10 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
         q.fault_events += partial.q_fault_events;
         merge_count_map(proto_week_hosts[week], partial.proto_hosts);
         merge_count_map(obs.by_manufacturer, partial.by_manufacturer);
-        for (auto& [fp, info] : partial.corpus) total.corpus.try_emplace(fp, info);
-        const int measurement_index = analysis.weeks[week].measurement_index;
-        for (auto& host_obs : partial.history) {
-          HostHistory& h = history[{host_obs.ip, host_obs.port}];
-          h.weeks.push_back(measurement_index);
-          h.cert_sets.push_back(std::move(host_obs.fps));
-          h.hashes.push_back(std::move(host_obs.hashes));
-          h.software.push_back(std::move(host_obs.software));
+        total.corpus.merge(partial.corpus);
+        for (HostObs& host_obs : partial.history) {
+          host_obs.week = week;
+          history[{host_obs.ip, host_obs.port}].push_back(std::move(host_obs));
         }
         merge_figures(total, std::move(partial));
         partial = ChunkPartial{};
@@ -697,15 +655,18 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
   partials.clear();
 
   // ---- finalize: Fig. 5 reuse clusters ----------------------------------
-  analysis.reuse.distinct_certificates = static_cast<int>(census.clusters.size());
-  for (auto& [fp, cluster] : census.clusters) {
-    if (cluster.hosts >= 3) {
+  analysis.reuse.distinct_certificates = static_cast<int>(total.clusters.size());
+  std::set<Sha1Digest> reused, fleet;  // >= 3 hosts; of those, the distributor's
+  for (auto& [fp, cluster] : total.clusters) {
+    if (cluster.host_count >= 3) {
       ++analysis.reuse.clusters_ge3;
-      analysis.reuse.hosts_in_ge3 += cluster.hosts;
+      analysis.reuse.hosts_in_ge3 += cluster.host_count;
+      reused.insert(fp);
+      if (cluster.subject_organization == "Bachmann electronic") fleet.insert(fp);
     }
-    if (cluster.hosts >= 2) {
-      analysis.reuse.clusters.push_back(
-          {fp, cluster.hosts, std::move(cluster.ases), std::move(cluster.org)});
+    if (cluster.host_count >= 2) {
+      cluster.fingerprint_hex = to_hex(fp);
+      analysis.reuse.clusters.push_back(std::move(cluster));
     }
   }
   // Fingerprint breaks host-count ties, so the order is the same under
@@ -716,11 +677,27 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
               return a.fingerprint_hex < b.fingerprint_hex;
             });
 
+  // ---- finalize: the tallies that need the finished reuse sets ----------
+  // Fig. 8 counts a final-week server once however many reused
+  // certificates it carries; §5.5 counts, in every week, the servers that
+  // carry a certificate of the final week's distributor fleet.
+  const auto carries = [](const HostObs& obs, const std::set<Sha1Digest>& set) {
+    return std::ranges::any_of(obs.certs,
+                               [&](const auto& cert) { return set.contains(cert.first); });
+  };
+  for (const auto& [endpoint, observations] : history) {
+    for (const HostObs& obs : observations) {
+      week_obs[obs.week].reuse_devices += carries(obs, fleet);
+      if (obs.week == final_week && carries(obs, reused)) {
+        tally_deficit(total.deficits, total.deficits.cert_reuse, "Certificate Reuse",
+                      obs.manufacturer, obs.asn);
+      }
+    }
+  }
+
   // ---- finalize: §5.3 shared primes -------------------------------------
   if (options.shared_primes) {
-    std::vector<Bignum> moduli;
-    moduli.reserve(census.moduli.size());
-    for (auto& [hex, n] : census.moduli) moduli.push_back(std::move(n));
+    const std::vector<Bignum> moduli(total.moduli.begin(), total.moduli.end());
     analysis.shared_primes.distinct_moduli = moduli.size();
     const auto started = std::chrono::steady_clock::now();
     analysis.shared_primes.moduli_with_shared_prime =
@@ -798,31 +775,26 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
     if (info.second >= y2017) ++lng.sha1_after_2017;
     if (info.second >= y2019) ++lng.sha1_after_2019;
   }
-  for (const auto& [endpoint, h] : history) {
-    for (std::size_t i = 1; i < h.weeks.size(); ++i) {
-      if (h.cert_sets[i] == h.cert_sets[i - 1] || h.cert_sets[i].empty() ||
-          h.cert_sets[i - 1].empty()) {
-        continue;
-      }
+  for (const auto& [endpoint, observations] : history) {
+    for (std::size_t i = 1; i < observations.size(); ++i) {
+      const HostObs& before = observations[i - 1];
+      const HostObs& after = observations[i];
+      if (after.certs == before.certs || after.certs.empty() || before.certs.empty()) continue;
       RenewalEvent event;
       event.ip = endpoint.first;
-      event.week = h.weeks[i];
-      event.software_update = !h.software[i].empty() && !h.software[i - 1].empty() &&
-                              h.software[i] != h.software[i - 1];
+      event.week = analysis.weeks[after.week].measurement_index;
+      event.software_update = !after.software.empty() && !before.software.empty() &&
+                              after.software != before.software;
       bool removed_sha1 = false, added_sha1 = false, removed_sha256 = false, added_sha256 = false;
-      for (const auto& fp : h.cert_sets[i - 1]) {
-        if (h.cert_sets[i].contains(fp)) continue;
-        const auto it = h.hashes[i - 1].find(fp);
-        if (it == h.hashes[i - 1].end()) continue;
-        removed_sha1 |= it->second == HashAlgorithm::sha1;
-        removed_sha256 |= it->second == HashAlgorithm::sha256;
+      for (const auto& [fp, hash] : before.certs) {
+        if (after.certs.contains(fp) || !hash) continue;
+        removed_sha1 |= *hash == HashAlgorithm::sha1;
+        removed_sha256 |= *hash == HashAlgorithm::sha256;
       }
-      for (const auto& fp : h.cert_sets[i]) {
-        if (h.cert_sets[i - 1].contains(fp)) continue;
-        const auto it = h.hashes[i].find(fp);
-        if (it == h.hashes[i].end()) continue;
-        added_sha1 |= it->second == HashAlgorithm::sha1;
-        added_sha256 |= it->second == HashAlgorithm::sha256;
+      for (const auto& [fp, hash] : after.certs) {
+        if (before.certs.contains(fp) || !hash) continue;
+        added_sha1 |= *hash == HashAlgorithm::sha1;
+        added_sha256 |= *hash == HashAlgorithm::sha256;
       }
       event.sha1_replaced = removed_sha1 && added_sha256 && !added_sha1;
       event.downgraded_to_sha1 = removed_sha256 && added_sha1 && !added_sha256;

@@ -16,12 +16,16 @@
 // value with a SnapshotError, as the row reader does.
 //
 // Pass structure:
-//   pass 1  census of the final measurement's certificates (reuse
-//           clusters; optionally the RSA modulus corpus for §5.3)
-//   pass 2  everything else: per-week tallies, the final measurement's
-//           figure statistics (which need the pass-1 reuse sets), and the
-//           cross-week host history for renewal detection
-//   finalize  ordered merges -> StudyAnalysis
+//   pass      one walk over every chunk: per-week tallies, the cross-week
+//             host history, and from the final measurement's chunks its
+//             figure statistics, reuse clusters and (optionally) the RSA
+//             modulus corpus for §5.3
+//   finalize  ordered merges -> StudyAnalysis. The two tallies that need
+//             the finished >= 3-host reuse sets (Fig. 8's reuse deficit and
+//             each week's §5.5 distributor fleet) count over the host
+//             history here, as do the renewal events.
+// Certificates are facts of their dictionary entry (CertFacts, one parse
+// per entry), and every certificate set is keyed by its SHA-1 digest.
 #pragma once
 
 #include <cstdint>
@@ -136,7 +140,7 @@ class RecordSource {
   virtual void visit_chunk(std::size_t chunk,
                            const std::function<void(const HostScanRecord&)>& fn) const = 0;
   /// One chunk as v6 columns plus the dictionary its cert ids index — the
-  /// only input of the census, figure and posture passes. The default
+  /// only input of the analysis and posture passes. The default
   /// transposes visit_chunk's records through a ColumnEncoder with a
   /// chunk-scoped dictionary; records the v6 format cannot hold throw the
   /// SnapshotError their write would. A value the view's checks or the
@@ -153,61 +157,48 @@ class RecordSource {
   virtual SnapshotError corrupt_chunk(std::size_t chunk, const DecodeError& e) const;
 };
 
-/// Per-certificate facts by dictionary id, for the dictionaries a column
-/// visit hands out: a source's shared dictionary is digested once up
-/// front on the caller's pool (each entry into its own slot, so the table
-/// is the same for any thread count), a chunk-scoped one serially on
-/// every visit.
-template <typename Facts>
+/// Everything the figure and posture passes read of one certificate
+/// dictionary entry, computed once per entry rather than once per host:
+/// the entry's SHA-1 (the key of every certificate set and the posture
+/// fingerprint), and what its DER parse yields (CertStrength's fields,
+/// the self-signed flag, the subject organization, NotBefore and, for the
+/// §5.3 sweep only, the RSA modulus). An entry whose DER does not parse
+/// keeps its SHA-1 and nothing else.
+struct CertFacts : CertStrength {
+  Sha1Digest sha1{};
+  bool self_signed = false;
+  std::string org;
+  std::int64_t not_before_days = 0;
+  Bignum modulus;  // only in a table built with_modulus
+};
+
+/// CertFacts by dictionary id, for the dictionaries a column visit hands
+/// out, each entry filled by one function (one DER parse per entry): a
+/// source's shared dictionary is digested once up front on the
+/// caller's pool (each entry into its own slot, so the table is the same
+/// for any thread count), a chunk-scoped one serially on every visit.
 class CertFactTable {
  public:
-  using Digest = std::function<Facts(const CertDictionary& dict, std::uint32_t cert_id)>;
-
-  CertFactTable(const RecordSource& source, const ThreadPool& pool, Digest digest)
-      : shared_(source.shared_dictionary()), digest_(std::move(digest)) {
-    if (shared_ == nullptr) return;
-    shared_facts_.resize(shared_->cert_count());
-    pool.parallel_for(shared_facts_.size(), [&](std::size_t id) {
-      shared_facts_[id] = digest_(*shared_, static_cast<std::uint32_t>(id));
-    });
-  }
+  CertFactTable(const RecordSource& source, const ThreadPool& pool, bool with_modulus);
 
   /// Facts of `dict`; `scratch` holds them when `dict` is chunk-scoped.
-  const std::vector<Facts>& of(const CertDictionary& dict, std::vector<Facts>& scratch) const {
-    if (&dict == shared_) return shared_facts_;
-    scratch.clear();
-    scratch.reserve(dict.cert_count());
-    for (std::uint32_t id = 0; id < dict.cert_count(); ++id) scratch.push_back(digest_(dict, id));
-    return scratch;
-  }
+  const std::vector<CertFacts>& of(const CertDictionary& dict,
+                                   std::vector<CertFacts>& scratch) const;
 
  private:
   const CertDictionary* shared_;
-  Digest digest_;
-  std::vector<Facts> shared_facts_;
+  bool with_modulus_;
+  std::vector<CertFacts> shared_facts_;
 };
 
 /// facts[id]; a cert id past the dictionary is a DecodeError.
-template <typename Facts>
-const Facts& fact_at(const std::vector<Facts>& facts, std::uint32_t id) {
-  if (id >= facts.size()) {
-    throw DecodeError("certificate id " + std::to_string(id) + " out of dictionary range (" +
-                      std::to_string(facts.size()) + " entries)");
-  }
-  return facts[id];
-}
+const CertFacts& fact_at(const std::vector<CertFacts>& facts, std::uint32_t id);
 
 /// The primary certificate among a record's head ids: the first that
 /// parses (head ids are the distinct certificates in first-seen endpoint
 /// order, so this is the first endpoint certificate that parses).
-template <typename Facts>
-const Facts* primary_cert(const std::vector<std::uint32_t>& ids,
-                          const std::vector<Facts>& facts) {
-  for (const std::uint32_t id : ids) {
-    if (fact_at(facts, id).parsed) return &facts[id];
-  }
-  return nullptr;
-}
+const CertFacts* primary_cert(const std::vector<std::uint32_t>& ids,
+                              const std::vector<CertFacts>& facts);
 
 /// Adapters.
 class ReaderRecordSource final : public RecordSource {

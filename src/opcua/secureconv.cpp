@@ -78,7 +78,11 @@ struct RsaCipher {
 };
 
 // A chunk's protection tells the seal and the open how its secured region
-// is signed and encrypted, and names the chunk in the open's errors.
+// is signed and encrypted, whether its padding size carries the
+// ExtraPaddingSize byte, and names the chunk in the open's errors.
+
+/// The encrypting key is wider than 2048 bits (OPC 10000-6 §6.7.2).
+bool needs_extra_padding(std::size_t modulus_bytes) { return modulus_bytes > 256; }
 
 /// OPN under a secured policy, as the sender seals it: signed with the
 /// sender's key (PSS draws its salt first), then encrypted block by block
@@ -91,6 +95,7 @@ class OpnSeal {
     }
   }
   bool encrypted() const { return true; }
+  bool extra_padding() const { return needs_extra_padding(cipher_block()); }
   std::size_t signature_size() const { return sec_.local_private->modulus_bytes(); }
   std::size_t plain_block() const { return cipher_.plain_block(*sec_.remote_public); }
   std::size_t cipher_block() const { return sec_.remote_public->modulus_bytes(); }
@@ -115,15 +120,22 @@ class OpnSeal {
 
 /// OPN under a secured policy, as the receiver opens it: decrypted block by
 /// block with its private key, then verified against the certificate the
-/// chunk carries, which is parsed once the chunk has decrypted.
+/// chunk carries, whose public key is parsed into `sender` once the chunk
+/// has decrypted.
 class OpnOpen {
  public:
   static constexpr std::string_view kind = "OPN";
   static constexpr std::string_view too_short = "OPN plaintext too short";
 
-  OpnOpen(SecurityPolicy policy, const RsaPrivateKey& local_private, const Bytes& sender_cert_der)
-      : policy_(policy), cipher_(policy), local_(local_private), sender_der_(sender_cert_der) {}
+  OpnOpen(SecurityPolicy policy, const RsaPrivateKey& local_private, const Bytes& sender_cert_der,
+          RsaPublicKey& sender)
+      : policy_(policy),
+        cipher_(policy),
+        local_(local_private),
+        sender_der_(sender_cert_der),
+        sender_(sender) {}
   bool encrypted() const { return true; }
+  bool extra_padding() const { return needs_extra_padding(local_.modulus_bytes()); }
   Bytes decrypt(std::span<const std::uint8_t> region) const {
     const std::size_t block = local_.modulus_bytes();
     if (region.empty() || region.size() % block != 0) {
@@ -150,7 +162,7 @@ class OpnOpen {
   RsaCipher cipher_;
   const RsaPrivateKey& local_;
   const Bytes& sender_der_;
-  RsaPublicKey sender_;
+  RsaPublicKey& sender_;
 };
 
 /// MSG and CLO in Sign or SignAndEncrypt: an HMAC with the sender's signing
@@ -165,6 +177,7 @@ class MsgProtection {
         encrypted_(mode == MessageSecurityMode::SignAndEncrypt),
         keys_(keys) {}
   bool encrypted() const { return encrypted_; }
+  bool extra_padding() const { return false; }
   std::size_t signature_size() const { return digest_size(mac_); }
   std::size_t plain_block() const { return 16; }
   std::size_t cipher_block() const { return 16; }
@@ -195,6 +208,15 @@ std::optional<MsgProtection> msg_protection(SecurityPolicy policy, MessageSecuri
 
 // ------------------------------------------------------ seal and open ----
 
+/// Bytes that carry a chunk's padding size: none unless it is encrypted,
+/// then PaddingSize, and ExtraPaddingSize (the high byte) after it when
+/// the protection says so.
+template <typename Protection>
+std::size_t padding_size_bytes(const Protection& protection) {
+  if (!protection.encrypted()) return 0;
+  return protection.extra_padding() ? 2 : 1;
+}
+
 /// Seals one chunk: the sequence header and body; when `protection` is
 /// set, padding to whole blocks if it encrypts, the signature over the
 /// whole chunk so far (the header already holding the final size), and the
@@ -205,9 +227,10 @@ Bytes seal_chunk(std::string_view type, std::span<const std::uint8_t> prefix, Se
                  const std::optional<Protection>& protection) {
   const bool encrypted = protection && protection->encrypted();
   const std::size_t sig_len = protection ? protection->signature_size() : 0;
+  const std::size_t size_bytes = protection ? padding_size_bytes(*protection) : 0;
   const std::size_t block = encrypted ? protection->plain_block() : 1;
-  // Encrypted: plain + padding + padding-size byte + signature fill blocks.
-  const std::size_t unpadded = 8 + body.size() + sig_len + (encrypted ? 1 : 0);
+  // Encrypted: plain + padding + padding-size bytes + signature fill blocks.
+  const std::size_t unpadded = 8 + body.size() + sig_len + size_bytes;
   const std::size_t padding = (block - unpadded % block) % block;
   const std::size_t secured_size =
       encrypted ? (unpadded + padding) / block * protection->cipher_block() : unpadded;
@@ -223,7 +246,9 @@ Bytes seal_chunk(std::string_view type, std::span<const std::uint8_t> prefix, Se
   w.u32(seq.request_id);
   w.raw(body);
   if (encrypted) {
+    // Each padding byte and PaddingSize hold the size's low byte.
     for (std::size_t i = 0; i <= padding; ++i) w.u8(static_cast<std::uint8_t>(padding));
+    if (size_bytes == 2) w.u8(static_cast<std::uint8_t>(padding >> 8));
   }
   if (protection) {
     const Bytes signature = protection->sign(w.bytes());
@@ -260,9 +285,8 @@ Bytes open_chunk(std::span<const std::uint8_t> wire, SequenceHeader& seq,
     const std::string kind(p.kind);
     if (p.encrypted()) secured = p.decrypt(secured);
     const std::size_t sig_len = p.signature_size();
-    if (secured.size() < 8 + (p.encrypted() ? 1 : 0) + sig_len) {
-      throw DecodeError(std::string(p.too_short));
-    }
+    const std::size_t size_bytes = padding_size_bytes(p);
+    if (secured.size() < 8 + size_bytes + sig_len) throw DecodeError(std::string(p.too_short));
     body_end = secured.size() - sig_len;
     Bytes signed_view(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(head));
     signed_view.insert(signed_view.end(), secured.begin(),
@@ -270,13 +294,17 @@ Bytes open_chunk(std::span<const std::uint8_t> wire, SequenceHeader& seq,
     if (!p.verify(signed_view, std::span<const std::uint8_t>(secured).subspan(body_end))) {
       throw DecodeError(kind + " signature verification failed");
     }
-    if (p.encrypted()) {
-      const std::size_t padding = secured[body_end - 1];
-      if (body_end < padding + 1 + 8) throw DecodeError(kind + " padding underflow");
+    if (size_bytes > 0) {
+      const std::uint8_t low = secured[body_end - size_bytes];
+      std::size_t padding = low;
+      if (size_bytes == 2) padding |= std::size_t{secured[body_end - 1]} << 8;
+      if (body_end < padding + size_bytes + 8) throw DecodeError(kind + " padding underflow");
       for (std::size_t i = 0; i < padding; ++i) {
-        if (secured[body_end - 2 - i] != padding) throw DecodeError(kind + " padding corrupt");
+        if (secured[body_end - size_bytes - 1 - i] != low) {
+          throw DecodeError(kind + " padding corrupt");
+        }
       }
-      body_end -= padding + 1;
+      body_end -= padding + size_bytes;
     }
   }
   UaReader body(std::span<const std::uint8_t>(secured).first(body_end));
@@ -317,7 +345,7 @@ OpnParsed parse_opn(std::span<const std::uint8_t> wire, const RsaPrivateKey* loc
     std::optional<OpnOpen> protection;
     if (out.policy != SecurityPolicy::None) {
       if (local_private == nullptr) throw DecodeError("secured OPN but no private key to decrypt");
-      protection.emplace(out.policy, *local_private, out.sender_cert_der);
+      protection.emplace(out.policy, *local_private, out.sender_cert_der, out.sender_public);
     }
     return protection;
   });

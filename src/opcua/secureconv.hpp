@@ -6,7 +6,8 @@
 //             certificate, receiver certificate thumbprint)
 //   MSG, CLO: channel id | token id
 // followed by
-//   SequenceHeader | Body | Padding* | PaddingSize | Signature
+//   SequenceHeader | Body | Padding* | PaddingSize | ExtraPaddingSize? |
+//   Signature
 // One seal and one open (secureconv.cpp) handle that layout for every
 // chunk; the four entry points below only write or read their prefix and
 // name their chunk's protection:
@@ -15,8 +16,11 @@
 //   MSG and CLO in Sign or SignAndEncrypt: HMAC, and AES-CBC when
 //     encrypted, with keys derived from the handshake nonces via P_SHA.
 // Padding fills whole cipher blocks and is present only when the chunk is
-// encrypted. The signature covers the whole chunk up to (excluding) itself,
-// with the final message size already in the header, as the spec requires.
+// encrypted. Every padding byte and PaddingSize hold the padding size's low
+// byte; an OPN whose encrypting key (the receiver's) is wider than 2048
+// bits adds ExtraPaddingSize, the high byte (OPC 10000-6 §6.7.2). The
+// signature covers the whole chunk up to (excluding) itself, with the
+// final message size already in the header, as the spec requires.
 // The open checks the signature before it strips the padding, and rejects a
 // padding size that would reach into the sequence header. Single-chunk
 // messages only ('F'), which the study's message sizes never exceed.
@@ -85,6 +89,7 @@ struct OpnParsed {
   std::string policy_uri;
   SecurityPolicy policy = SecurityPolicy::None;
   Bytes sender_cert_der;           // empty if none sent
+  RsaPublicKey sender_public;      // its key, as the open parsed it; empty under None
   Bytes receiver_cert_thumbprint;  // empty if none sent
   SequenceHeader seq;
   Bytes body;

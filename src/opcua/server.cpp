@@ -145,8 +145,7 @@ Bytes ServerConnection::handle_opn(std::span<const std::uint8_t> wire) {
       return error_frame(StatusCode::BadSecurityChecksFailed,
                          "client certificate not trusted");
     }
-    const Certificate client_cert = x509_parse(parsed.sender_cert_der);
-    client_public_key_ = client_cert.public_key;
+    client_public_key_ = std::move(parsed.sender_public);
     client_cert_der_ = parsed.sender_cert_der;
   } else if (req.security_mode != MessageSecurityMode::None) {
     return error_frame(StatusCode::BadSecurityModeRejected, "policy None requires mode None");

@@ -186,8 +186,8 @@ class LeColumn {
   std::span<const std::uint8_t> bytes_;
 };
 
-/// View over one v6 chunk's columns: the one input shape of the census,
-/// figure and posture passes, and what v6 rows decode from. One builder
+/// View over one v6 chunk's columns: the one input shape of the analysis
+/// and posture passes, and what v6 rows decode from. view_payload alone
 /// makes every view, over a SnapshotReader's mapping or over the payload
 /// a ColumnEncoder would write, and checks the fixed section's size, the
 /// var_offsets chain and the range of the five enum columns. A view (and

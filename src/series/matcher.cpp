@@ -3,7 +3,9 @@
 // by workers in any order but appended in chunk-index order (so the
 // posture vectors are record-ordered), and every matching pass iterates
 // those vectors front to back — ties and duplicates therefore resolve
-// identically for any thread count.
+// identically for any thread count. Certificates come from the
+// Aggregator's CertFactTable, so a posture reads the same per-entry facts
+// (its strength and SHA-1) as the figures do.
 #include "series/matcher.hpp"
 
 #include <unordered_map>
@@ -12,29 +14,10 @@ namespace opcua_study {
 
 namespace {
 
-/// Per-dictionary-entry facts the posture absorb needs — computed once per
-/// distinct certificate in a file (or chunk) instead of once per host.
-struct PostureCert : CertStrength {
-  std::uint64_t fp64 = 0;
-};
-
-PostureCert digest_posture_cert(const CertDictionary& dict, std::uint32_t id) {
-  PostureCert entry;
-  entry.fp64 = dict.cert_fp64(id);
-  try {
-    const Certificate cert = x509_parse(dict.cert_der(id));
-    entry.parsed = true;
-    entry.hash = cert.signature_hash;
-    entry.key_bits = cert.key_bits();
-  } catch (const DecodeError&) {
-  }
-  return entry;
-}
-
 /// Every posture field is a fixed column, a mask derivation, or a table
 /// lookup keyed by the record's cert id head list. The var record is only
 /// touched for that head list — strings, endpoints and nodes stay encoded.
-HostPosture absorb(const ColumnView& view, std::size_t i, const std::vector<PostureCert>& certs,
+HostPosture absorb(const ColumnView& view, std::size_t i, const std::vector<CertFacts>& certs,
                    std::vector<std::uint32_t>& ids) {
   HostPosture p;
   p.ip = view.ip[i];
@@ -58,7 +41,7 @@ HostPosture absorb(const ColumnView& view, std::size_t i, const std::vector<Post
   p.anonymous = (view.flags[i] & snapshot_flags::kAnonymousOffered) != 0;
 
   VarRecordCursor(view.var_record(i)).cert_ids(ids);
-  for (const std::uint32_t id : ids) p.fps.push_back(fact_at(certs, id).fp64);
+  for (const std::uint32_t id : ids) p.fps.push_back(fingerprint64(fact_at(certs, id).sha1));
   // The paper's §5.2 deficiency definition — the same classifier the
   // analysis passes use, so the diff can never drift from them.
   p.deficient = classify_deficiencies(policy_mask, primary_cert(ids, certs), p.anonymous) != 0;
@@ -117,7 +100,7 @@ std::vector<HostPosture> collect_postures(const RecordSource& source, ThreadPool
   std::vector<std::vector<HostPosture>> partials(final_chunks.size());
   std::vector<HostPosture> postures;
   postures.reserve(source.week_meta(final_week).host_count);
-  const CertFactTable<PostureCert> cert_table(source, pool, digest_posture_cert);
+  const CertFactTable cert_table(source, pool, /*with_modulus=*/false);
   // Early prefix merge: completed chunk partials are appended (in chunk
   // order) and freed while later chunks are still being absorbed.
   pool.parallel_for_merged(
@@ -125,8 +108,8 @@ std::vector<HostPosture> collect_postures(const RecordSource& source, ThreadPool
       [&](std::size_t i) {
         source.visit_columns(final_chunks[i], [&](const ColumnView& view,
                                                   const CertDictionary& dict) {
-          std::vector<PostureCert> scratch;
-          const std::vector<PostureCert>& certs = cert_table.of(dict, scratch);
+          std::vector<CertFacts> scratch;
+          const std::vector<CertFacts>& certs = cert_table.of(dict, scratch);
           std::vector<std::uint32_t> ids;
           partials[i].reserve(view.records);
           for (std::size_t r = 0; r < view.records; ++r) {

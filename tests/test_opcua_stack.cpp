@@ -847,6 +847,50 @@ TEST(SecureConversationNegative, OversizedPaddingRejected) {
   EXPECT_THROW(parse_msg(hostile_msg(200), msg_policy, mode, keys), DecodeError);
 }
 
+// Under an encrypting key wider than 2048 bits the padding size takes two
+// bytes, PaddingSize and then ExtraPaddingSize, its high byte (OPC 10000-6
+// §6.7.2). A 181-byte OPN body from the 768-bit scanner key to a 2560-bit
+// receiver under Basic256Sha256 pads 269 bytes into two 278-byte OAEP
+// blocks; sent as one byte, the size would lose its high bit and the open
+// would leave 256 padding bytes on the body.
+TEST(SecureConversation, ExtraPaddingAboveTwoKilobitKeys) {
+  const TestIdentity receiver =
+      make_identity("wide-receiver", 9003, HashAlgorithm::sha256, 2560);
+  const RsaPublicKey& receiver_public = receiver.keys.pub;
+  ASSERT_EQ(rsa_oaep_max_plaintext(receiver_public, HashAlgorithm::sha1), 278u);
+  OpnSecurity sec;
+  sec.policy = SecurityPolicy::Basic256Sha256;
+  sec.local_private = &client_identity().keys.priv;
+  sec.local_cert_der = client_identity().cert_der;
+  sec.remote_public = &receiver_public;
+  sec.remote_cert_thumbprint = x509_thumbprint(receiver.cert_der);
+  const Bytes body(181, 0x5a);
+  Rng rng(12);
+  const Bytes wire = build_opn(5, sec, SequenceHeader{1, 2}, body, rng);
+
+  // The plaintext: sequence header, body, 269 padding bytes and
+  // PaddingSize (each 0x0d), ExtraPaddingSize 0x01, a 96-byte signature.
+  const std::size_t cipher_block = receiver_public.modulus_bytes();
+  ASSERT_GT(wire.size(), 2 * cipher_block);
+  Bytes plain;
+  for (std::size_t off = wire.size() - 2 * cipher_block; off < wire.size(); off += cipher_block) {
+    const auto block = rsa_oaep_decrypt(receiver.keys.priv, HashAlgorithm::sha1,
+                                        std::span(wire).subspan(off, cipher_block));
+    ASSERT_TRUE(block.has_value());
+    plain.insert(plain.end(), block->begin(), block->end());
+  }
+  ASSERT_EQ(plain.size(), 2 * 278u);
+  const std::size_t extra_at = plain.size() - 96 - 1;
+  EXPECT_EQ(plain[extra_at], 0x01);
+  const auto padding_begin = plain.begin() + static_cast<std::ptrdiff_t>(8 + body.size());
+  EXPECT_EQ(Bytes(padding_begin, plain.begin() + static_cast<std::ptrdiff_t>(extra_at)),
+            Bytes(270, 0x0d));
+
+  const OpnParsed parsed = parse_opn(wire, &receiver.keys.priv);
+  EXPECT_EQ(parsed.body, body);
+  EXPECT_EQ(parsed.sender_public, client_identity().keys.pub);
+}
+
 class SymmetricSecurity
     : public ::testing::TestWithParam<std::tuple<SecurityPolicy, MessageSecurityMode>> {};
 
@@ -950,7 +994,7 @@ std::vector<ChunkCase> chunk_cases() {
     req.client_nonce = Bytes(info.nonce_bytes, 0xc1);
     OpnSecurity sec;
     sec.policy = policy;
-    OpnParsed sent{42, std::string(info.uri), policy, {}, {}, {7, 9}, pack_service(req)};
+    OpnParsed sent{42, std::string(info.uri), policy, {}, {}, {}, {7, 9}, pack_service(req)};
     if (policy != SecurityPolicy::None) {
       sec.local_private = &client_identity().keys.priv;
       sec.local_cert_der = sent.sender_cert_der = client_identity().cert_der;

@@ -177,6 +177,110 @@ std::vector<ScanSnapshot> make_multi_endpoint_study(std::size_t hosts_per_week, 
   return study;
 }
 
+/// Certificates of make_reuse_churn_study, indexed by ChurnCert.
+enum ChurnCert : std::size_t { kB0, kB1, kB2, kT0, kT1, kT2, kT3, kD0, kUnparseable };
+
+const std::vector<Bytes>& churn_fleet() {
+  static const std::vector<Bytes> fleet = [] {
+    KeyFactory keys(778, "");
+    struct Spec {
+      const char* org;
+      HashAlgorithm hash;
+    };
+    const Spec specs[] = {{"Bachmann electronic", HashAlgorithm::sha256},
+                          {"Bachmann electronic", HashAlgorithm::sha1},
+                          {"Bachmann electronic", HashAlgorithm::sha256},
+                          {"Test Org", HashAlgorithm::sha1},
+                          {"Test Org", HashAlgorithm::sha256},
+                          {"Test Org", HashAlgorithm::sha256},
+                          {"Test Org", HashAlgorithm::sha1},
+                          {"Test Org", HashAlgorithm::sha256}};
+    std::vector<Bytes> ders;
+    for (std::size_t i = 0; i < std::size(specs); ++i) {
+      const RsaKeyPair kp = keys.get("churn-" + std::to_string(i), 512);
+      RsaPublicKey subject_key = kp.pub;
+      // kD0's modulus shares its first prime with kT0's, so the §5.3
+      // sweep finds a shared prime only if it reads discovery servers.
+      if (i == kD0) {
+        subject_key.n = keys.get("churn-" + std::to_string(kT0), 512).priv.p * kp.priv.q;
+      }
+      CertificateSpec spec;
+      spec.subject = {"churn " + std::to_string(i), specs[i].org, "DE"};
+      spec.signature_hash = specs[i].hash;
+      spec.serial = Bignum{static_cast<std::uint64_t>(200 + i)};
+      spec.not_before_days = days_from_civil({2016 + static_cast<int>(i % 4), 6, 1});
+      spec.not_after_days = spec.not_before_days + 3650;
+      spec.application_uri = "urn:test:churn:" + std::to_string(i);
+      ders.push_back(x509_create(spec, subject_key, kp.priv));
+    }
+    ders.push_back({0x30, 0x03, 0x02, 0x01, 0x09});  // kUnparseable
+    return ders;
+  }();
+  return fleet;
+}
+
+/// Three weeks over different host sets (ids 0-29, 6-35, 12-41), built
+/// to pin the two tallies that need the final week's >= 3-host
+/// certificate sets (Fig. 8's reuse deficit and each week's distributor
+/// fleet, §5.5) when weeks differ:
+///  - kB0 ("Bachmann electronic") sits on four final-week servers, on
+///    servers 0, 3 and 7 of earlier weeks, which the final week lacks,
+///    twice on server 33 (two endpoints) and on discovery server 19;
+///  - kB1 (Bachmann) is on two servers only; kB2 (Bachmann) is on four
+///    servers of week 0 (two of them also in week 1) and on discovery
+///    server 9, never in the final week;
+///  - server 25 carries two reused certificates, kT0 and kT1;
+///  - kD0 is on discovery servers 29 and 39 only, and its modulus shares a
+///    prime with kT0's;
+///  - an unparseable DER is on three final-week servers;
+///  - server 22 renews a SHA-1 certificate to SHA-256 with a software
+///    update, server 24 a SHA-256 one to SHA-1.
+/// At 7 records per chunk every final-week reuse cluster straddles chunks.
+std::vector<ScanSnapshot> make_reuse_churn_study() {
+  const std::pair<ChurnCert, std::vector<std::size_t>> carriers[] = {
+      {kB0, {0, 3, 7, 12, 19, 20, 27, 33, 33}},
+      {kB1, {1, 14, 30}},
+      {kB2, {2, 5, 8, 9, 11}},
+      {kT0, {13, 18, 25, 32, 40}},
+      {kT1, {16, 25, 34, 41}},
+      {kD0, {29, 39}},
+      {kUnparseable, {15, 21, 35}}};
+  std::vector<ScanSnapshot> study;
+  for (int week = 0; week < 3; ++week) {
+    ScanSnapshot snapshot;
+    snapshot.measurement_index = week;
+    snapshot.date_days = days_from_civil({2020, 2, 9}) + 28 * week;
+    snapshot.probes_sent = 1000 * (week + 1);
+    snapshot.tcp_open_count = 100 * (week + 1);
+    const std::size_t first_id = 6 * static_cast<std::size_t>(week);
+    for (std::size_t id = first_id; id < first_id + 30; ++id) {
+      HostScanRecord host = make_host(id, week);
+      std::vector<ChurnCert> certs;
+      for (const auto& [cert, ids] : carriers) {
+        for (const std::size_t carrier : ids) {
+          if (carrier == id) certs.push_back(cert);
+        }
+      }
+      if (id == 22) {
+        certs = {week < 2 ? kT3 : kT2};
+        host.software_version = week < 2 ? "1.0" : "1.1";
+      }
+      if (id == 24) certs = {week < 2 ? kT1 : kT3};
+      const EndpointObservation first = host.endpoints.front();
+      host.endpoints.clear();
+      for (std::size_t e = 0; e < std::max<std::size_t>(1, certs.size()); ++e) {
+        EndpointObservation ep = first;
+        ep.url = "opc.tcp://c" + std::to_string(id) + ":" + std::to_string(4840 + e) + "/";
+        ep.certificate_der = e < certs.size() ? churn_fleet()[certs[e]] : Bytes{};
+        host.endpoints.push_back(std::move(ep));
+      }
+      snapshot.hosts.push_back(std::move(host));
+    }
+    study.push_back(std::move(snapshot));
+  }
+  return study;
+}
+
 /// Path of a committed row-format fixture. tests/data holds the output of
 /// make_multi_endpoint_study(48) above, seed 42, written by the retired
 /// row writers: "v4" by the monolithic v4 writer, "v5" by the chunked row
@@ -1098,6 +1202,46 @@ TEST(Analysis, DeterministicAcrossThreadsAndChunking) {
   EXPECT_TRUE(streamed8.figures_equal(reference));
 
   EXPECT_TRUE(analyze_source(SnapshotVectorSource(study, 7), parallel).figures_equal(reference));
+  std::remove(path.c_str());
+}
+
+// The two reuse tallies that read the final week's >= 3-host sets, on a
+// study whose weeks hold different hosts: one golden, the same from
+// in-memory chunks of 1, 7 and the default size and from a v6 file, at 1
+// and 8 threads.
+TEST(Analysis, ReuseTalliesMatchGoldenWhenWeeksDiffer) {
+  const std::string golden = "figures.make_reuse_churn_study.shared_primes.txt";
+  const std::string path = "/tmp/opcua_test_reuse_churn.bin";
+  const std::vector<ScanSnapshot> study = make_reuse_churn_study();
+  {
+    SnapshotWriter writer(path, 42, 7);
+    for (const auto& snapshot : study) writer.add_snapshot(snapshot);
+    writer.finish();
+  }
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    AnalysisOptions options;
+    options.threads = threads;
+    options.shared_primes = true;
+    const StudyAnalysis analysis = analyze_snapshots(study, options);
+    expect_golden_figures(analysis, golden);
+    expect_golden_figures(analyze_source(SnapshotVectorSource(study, 1), options), golden);
+    expect_golden_figures(analyze_source(SnapshotVectorSource(study, 7), options), golden);
+    expect_golden_figures(analyze_file(path, 42, options), golden);
+
+    // Hand counts of the shapes the generator plants: kB0 on six, five
+    // and four servers of weeks 0-2 (discovery server 19 never counts);
+    // fifteen final-week servers carry a reused certificate, server 25
+    // two of them; kD0's discovery-only modulus shares a prime with kT0's.
+    ASSERT_EQ(analysis.longitudinal.weeks.size(), 3u);
+    EXPECT_EQ(analysis.longitudinal.weeks[0].reuse_devices, 6);
+    EXPECT_EQ(analysis.longitudinal.weeks[1].reuse_devices, 5);
+    EXPECT_EQ(analysis.longitudinal.weeks[2].reuse_devices, 4);
+    EXPECT_EQ(analysis.deficits.cert_reuse, 15);
+    EXPECT_EQ(analysis.shared_primes.moduli_with_shared_prime, 2u);
+    ASSERT_FALSE(analysis.reuse.clusters.empty());
+    EXPECT_EQ(analysis.reuse.clusters.front().host_count, 5);
+  }
   std::remove(path.c_str());
 }
 
