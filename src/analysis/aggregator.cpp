@@ -9,11 +9,22 @@
 // fixed columns, identity strings and cert ids from a lazy cursor over the
 // var record, and per-certificate facts from a table over the chunk's
 // dictionary.
+//
+// What one record cannot settle alone (the host history, the certificate
+// corpus, the final week's reuse clusters and RSA moduli) is kept as flat
+// rows of digests and small integers: absorbing a record appends rows, and
+// the merge appends each partial's rows in chunk order, so neither makes a
+// map node per record. Finalize sorts each row kind once and reads its
+// runs; Fig. 8 and the weekly manufacturer split count over the history.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <optional>
+#include <span>
 #include <tuple>
+#include <unordered_map>
 
 #include "analysis/analysis.hpp"
 #include "crypto/batch_gcd.hpp"
@@ -31,67 +42,139 @@ void merge_count_map(std::map<K, V>& into, const std::map<K, V>& from) {
   for (const auto& [key, count] : from) into[key] += count;
 }
 
-/// Adds one server to a Fig. 8 deficit: `count` (a field of `d`) and the
-/// deficit's manufacturer and AS rows.
-void tally_deficit(DeficitBreakdown& d, int& count, const char* deficit,
-                   const std::string& manufacturer, std::uint32_t asn) {
-  ++count;
-  d.by_manufacturer[deficit][manufacturer]++;
-  d.by_as[deficit][asn]++;
+template <typename T>
+void append(std::vector<T>& into, const std::vector<T>& from) {
+  into.insert(into.end(), from.begin(), from.end());
 }
 
+/// Calls fn(first, last) for each run of rows with equal `proj(row)` in
+/// `rows`, which are sorted by it.
+template <typename Row, typename Proj, typename Fn>
+void for_each_run(const std::vector<Row>& rows, Proj proj, Fn fn) {
+  for (auto first = rows.begin(); first != rows.end();) {
+    const auto last = std::find_if(first, rows.end(), [&](const Row& row) {
+      return std::invoke(proj, row) != std::invoke(proj, *first);
+    });
+    fn(first, last);
+    first = last;
+  }
+}
+
+/// Byte order of two digests, which is the order of their lowercase hex.
+/// Their fingerprint64s (the first eight bytes as one integer) decide all
+/// but rare ties, so sorts and searches compare integers, not byte arrays.
+constexpr auto digest_less = [](const Sha1Digest& a, const Sha1Digest& b) {
+  const std::uint64_t x = fingerprint64(a), y = fingerprint64(b);
+  return x != y ? x < y : a < b;
+};
+
+/// Record counts by ProtocolId.
+using ProtocolCounts = std::array<std::uint64_t, kProtocolCount>;
+
+void add_counts(ProtocolCounts& into, const ProtocolCounts& from) {
+  for (std::size_t p = 0; p < into.size(); ++p) into[p] += from[p];
+}
+
+/// The protocols counted at least once, as the result structs key them.
+std::map<ProtocolId, std::uint64_t> protocol_map(const ProtocolCounts& counts) {
+  std::map<ProtocolId, std::uint64_t> out;
+  for (std::size_t p = 0; p < counts.size(); ++p) {
+    if (counts[p] != 0) out.emplace(static_cast<ProtocolId>(p), counts[p]);
+  }
+  return out;
+}
+
+/// Distinct strings in order of first appearance; rows hold the index.
+struct StringTable {
+  std::vector<std::string> values;
+  std::unordered_map<std::string, std::uint32_t> index;
+
+  std::uint32_t intern(const std::string& value) {
+    const auto [it, added] = index.try_emplace(value, static_cast<std::uint32_t>(values.size()));
+    if (added) values.push_back(value);
+    return it->second;
+  }
+};
+
+/// One certificate of a history row: the entry's digest and signature
+/// hash, nullopt when its DER does not parse.
+struct CertRef {
+  Sha1Digest digest{};
+  std::optional<HashAlgorithm> hash;
+
+  friend bool operator==(const CertRef&, const CertRef&) = default;
+};
+
 /// One server record as the finalize reads it: renewal detection (§5.5)
-/// compares an endpoint's consecutive observations, and the two tallies
-/// that need the final week's finished >= 3-host reuse sets count them.
-struct HostObs {
+/// compares an endpoint's consecutive observations, and the tallies that
+/// need the final week's finished >= 3-host reuse sets count over them.
+struct HistoryRow {
   Ipv4 ip = 0;
   std::uint16_t port = 0;
-  std::size_t week = 0;  // ordinal in the source
+  std::uint8_t rules = 0;      // classify_deficiencies bits
+  std::uint32_t week = 0;      // ordinal in the source
   std::uint32_t asn = 0;
-  std::string manufacturer;
-  std::string software;
-  /// The record's distinct certificates: each one's signature hash, or
-  /// nullopt when its DER does not parse.
-  std::map<Sha1Digest, std::optional<HashAlgorithm>> certs;
+  std::uint32_t label = 0;     // manufacturer label, in the labels table
+  std::uint32_t software = 0;  // software version, in the versions table
+  /// The record's distinct certificates, ascending by digest:
+  /// cert_refs[first_cert, first_cert + cert_count).
+  std::uint32_t cert_count = 0;
+  std::size_t first_cert = 0;
+};
+
+/// A parsed certificate of a server record, for the cross-week corpus.
+struct CorpusRow {
+  Sha1Digest digest{};
+  HashAlgorithm hash = HashAlgorithm::sha1;
+  std::int64_t not_before_days = 0;
+};
+
+/// A certificate of a final-week server record (Fig. 5). `facts` is the
+/// entry's, read at finalize for its subject organization.
+struct ClusterRow {
+  Sha1Digest digest{};
+  std::uint32_t asn = 0;
+  const CertFacts* facts = nullptr;
 };
 
 // ------------------------------------------------------ chunk partials ----
 
 /// Everything one chunk of records contributes. A chunk belongs to exactly
 /// one measurement; the final measurement's chunks additionally feed the
-/// figure statistics and the certificate census.
+/// figure statistics, the reuse clusters and the §5.3 moduli.
 struct ChunkPartial {
   // Weekly tallies (Fig. 2 / §5.5), servers unless noted.
   int servers = 0, discovery = 0, via_reference = 0, non_default_port = 0, deficient = 0;
-  std::map<std::string, int> by_manufacturer;
 
-  // Cross-week certificate corpus and per-server history (record order).
-  std::map<Sha1Digest, std::pair<HashAlgorithm, std::int64_t>> corpus;
-  std::vector<HostObs> history;
-
-  // Final-measurement certificate census: reuse clusters over the servers'
-  // distinct certificates (Fig. 5; the hex fingerprint is set for the ones
-  // reported) and, for §5.3, the distinct RSA moduli of every record's
-  // certificates, discovery servers included.
-  std::map<Sha1Digest, ReuseCluster> clusters;
-  std::set<Bignum> moduli;
+  // Rows, in record order: every server record's history row and its
+  // certificates, its parsed certificates for the corpus, and in the final
+  // week its certificates for the clusters and, for §5.3, the moduli of
+  // every record's parsed certificates, discovery servers included.
+  std::vector<HistoryRow> history;
+  std::vector<CertRef> cert_refs;
+  std::vector<CorpusRow> corpus;
+  std::vector<ClusterRow> clusters;
+  std::vector<const Bignum*> moduli;
+  StringTable labels, versions;
+  /// The facts of a chunk-scoped dictionary, which the final week's
+  /// cluster and modulus rows point into; empty for a shared dictionary.
+  std::vector<CertFacts> chunk_facts;
 
   // Scan quality (fault-injection resilience; all zero on fault-free data).
   std::uint64_t q_hosts = 0, q_complete = 0, q_truncated = 0, q_degraded = 0, q_unreachable = 0;
   std::uint64_t q_faulted = 0, q_recovered = 0, q_retries = 0, q_fault_events = 0;
 
   // Per-protocol population split. proto_hosts covers every record (like
-  // the quality tallies); the final-week maps cover servers only.
-  std::map<ProtocolId, std::uint64_t> proto_hosts;
-  std::map<ProtocolId, std::uint64_t> proto_servers, proto_deficient, proto_anonymous;
+  // the quality tallies); the final-week counts cover servers only.
+  ProtocolCounts proto_hosts{};
+  ProtocolCounts proto_servers{}, proto_deficient{}, proto_anonymous{};
 
-  // Final-measurement figures.
+  // Final-measurement figures (Fig. 8 counts over the history at finalize).
   ModePolicyStats modes;
   CertConformanceStats certs;
   std::map<std::tuple<bool, bool, bool, bool>, AuthRow> auth_rows;
   AuthStats auth;  // scalar fields; rows assembled at finalize
   AccessRightsStats access;
-  DeficitBreakdown deficits;
 
   /// Quality tallies cover *every* record (discovery servers included —
   /// the section measures the scan process, not the server population).
@@ -115,11 +198,12 @@ struct ChunkPartial {
   /// records' first-seen endpoint order because every mode/policy has a
   /// distinct rank and no endpoint ever advertises Invalid mode.
   void absorb(const ColumnView& view, std::size_t i, const std::vector<CertFacts>& facts,
-              std::vector<std::uint32_t>& ids, bool final_week, bool collect_moduli) {
+              std::vector<std::uint32_t>& ids, std::uint32_t week, bool final_week,
+              bool collect_moduli) {
     const std::uint8_t host_flags = view.flags[i];
-    const ProtocolId protocol = view.protocol(i);
+    const auto protocol = static_cast<std::size_t>(view.protocol(i));
     absorb_quality(view.quality(i));
-    proto_hosts[protocol]++;
+    ++proto_hosts[protocol];
     const bool anonymous_offered = (host_flags & snapshot_flags::kAnonymousOffered) != 0;
     const bool is_discovery = view.application_type[i] ==
                               static_cast<std::uint8_t>(ApplicationType::DiscoveryServer);
@@ -168,7 +252,7 @@ struct ChunkPartial {
     if (final_week && collect_moduli) {
       for (const std::uint32_t id : ids) {
         const CertFacts& entry = fact_at(facts, id);
-        if (entry.parsed) moduli.insert(entry.modulus);
+        if (entry.parsed) moduli.push_back(&entry.modulus);
       }
     }
     if (is_discovery) {
@@ -176,8 +260,6 @@ struct ChunkPartial {
       return;
     }
     ++servers;
-    const std::string cluster = manufacturer_cluster(app_uri);
-    by_manufacturer[cluster]++;
     via_reference += (host_flags & snapshot_flags::kFoundViaReference) != 0;
     non_default_port += view.port[i] != kOpcUaDefaultPort;
 
@@ -186,39 +268,41 @@ struct ChunkPartial {
     const std::uint8_t rules = classify_deficiencies(policy_mask, cert, anonymous_offered);
     deficient += rules != 0;
     if (final_week) {
-      proto_servers[protocol]++;
-      if (rules != 0) proto_deficient[protocol]++;
-      if (anonymous_offered) proto_anonymous[protocol]++;
+      ++proto_servers[protocol];
+      if (rules != 0) ++proto_deficient[protocol];
+      if (anonymous_offered) ++proto_anonymous[protocol];
     }
 
-    // History / corpus (§5.5).
-    HostObs obs;
-    obs.ip = view.ip[i];
-    obs.port = view.port[i];
-    obs.asn = view.asn[i];
-    obs.manufacturer = cluster;
-    obs.software = std::move(software);
+    // ----- History, corpus (§5.5) and Fig. 5 clusters ---------------------
+    HistoryRow host;
+    host.ip = view.ip[i];
+    host.port = view.port[i];
+    host.rules = rules;
+    host.week = week;
+    host.asn = view.asn[i];
+    host.label = labels.intern(manufacturer_cluster(app_uri));
+    host.software = versions.intern(software);
+    host.first_cert = cert_refs.size();
     for (const std::uint32_t id : ids) {
       const CertFacts& entry = fact_at(facts, id);
       std::optional<HashAlgorithm> hash;
       if (entry.parsed) {
         hash = entry.hash;
-        corpus.try_emplace(entry.sha1, entry.hash, entry.not_before_days);
+        corpus.push_back({entry.sha1, entry.hash, entry.not_before_days});
       }
-      obs.certs.emplace(entry.sha1, hash);
+      cert_refs.push_back({entry.sha1, hash});
+      if (final_week) clusters.push_back({entry.sha1, host.asn, &entry});
     }
-    history.push_back(std::move(obs));
+    // Entries with one digest have one DER, so the refs unique drops equal
+    // the one it keeps.
+    const std::span<CertRef> record_certs = std::span(cert_refs).subspan(host.first_cert);
+    std::ranges::sort(record_certs, digest_less, &CertRef::digest);
+    const auto repeats = std::ranges::unique(record_certs, {}, &CertRef::digest);
+    cert_refs.resize(cert_refs.size() - repeats.size());
+    host.cert_count = static_cast<std::uint32_t>(cert_refs.size() - host.first_cert);
+    history.push_back(host);
 
     if (!final_week) return;
-
-    // ----- Fig. 5: reuse clusters ---------------------------------------
-    for (const std::uint32_t id : ids) {
-      const CertFacts& entry = fact_at(facts, id);
-      ReuseCluster& c = clusters[entry.sha1];
-      ++c.host_count;
-      c.ases.insert(view.asn[i]);
-      if (c.subject_organization.empty()) c.subject_organization = entry.org;
-    }
 
     // ----- Fig. 3: security modes and policies --------------------------
     ++modes.servers;
@@ -324,25 +408,37 @@ struct ChunkPartial {
       ++row.auth_rejected;
     }
 
-    // ----- Fig. 8: deficit breakdown ------------------------------------
-    ++deficits.servers;
-    // Certificate reuse needs the finished clusters: counted at finalize.
-    auto tally = [&](bool fired, int& count, const char* deficit) {
-      if (fired) tally_deficit(deficits, count, deficit, cluster, view.asn[i]);
-    };
-    tally(rules & deficiency::kNoSecurity, deficits.none_only, "None");
-    tally(rules & deficiency::kDeprecatedPolicy, deficits.deprecated_only, "Deprecated Policies");
-    tally(rules & deficiency::kWeakCertificate, deficits.weak_certificate, "Too Weak Certificate");
-    tally(rules & deficiency::kAnonymousAccess, deficits.anonymous_access, "Anonymous Access");
-    if (rules != 0) ++deficits.deficient_total;
   }
 };
 
-void merge_figures(ChunkPartial& into, ChunkPartial&& from) {
+/// Appends `from`'s rows to `into`'s, re-indexing labels, versions and
+/// certificate ranges into `into`'s tables.
+void append_rows(ChunkPartial& into, const ChunkPartial& from) {
+  const auto reindex = [](StringTable& table, const StringTable& from_table) {
+    std::vector<std::uint32_t> index;
+    for (const std::string& value : from_table.values) index.push_back(table.intern(value));
+    return index;
+  };
+  const std::vector<std::uint32_t> label = reindex(into.labels, from.labels);
+  const std::vector<std::uint32_t> software = reindex(into.versions, from.versions);
+  const std::size_t cert_base = into.cert_refs.size();
+  for (HistoryRow host : from.history) {
+    host.label = label[host.label];
+    host.software = software[host.software];
+    host.first_cert += cert_base;
+    into.history.push_back(host);
+  }
+  append(into.cert_refs, from.cert_refs);
+  append(into.corpus, from.corpus);
+  append(into.clusters, from.clusters);
+  append(into.moduli, from.moduli);
+}
+
+void merge_figures(ChunkPartial& into, const ChunkPartial& from) {
   // Cross-protocol split (final week, servers only)
-  merge_count_map(into.proto_servers, from.proto_servers);
-  merge_count_map(into.proto_deficient, from.proto_deficient);
-  merge_count_map(into.proto_anonymous, from.proto_anonymous);
+  add_counts(into.proto_servers, from.proto_servers);
+  add_counts(into.proto_deficient, from.proto_deficient);
+  add_counts(into.proto_anonymous, from.proto_anonymous);
   // Fig. 3
   into.modes.servers += from.modes.servers;
   merge_count_map(into.modes.mode_support, from.modes.mode_support);
@@ -367,18 +463,8 @@ void merge_figures(ChunkPartial& into, ChunkPartial&& from) {
   into.certs.weaker_than_max += from.certs.weaker_than_max;
   into.certs.hosts_with_cert += from.certs.hosts_with_cert;
   into.certs.ca_signed += from.certs.ca_signed;
-  // Fig. 5 / §5.3
-  for (auto& [fp, cluster] : from.clusters) {
-    ReuseCluster& c = into.clusters[fp];
-    c.host_count += cluster.host_count;
-    c.ases.merge(cluster.ases);
-    if (c.subject_organization.empty()) {
-      c.subject_organization = std::move(cluster.subject_organization);
-    }
-  }
-  into.moduli.merge(from.moduli);
   // Fig. 6 / Table 2
-  for (auto& [key, row] : from.auth_rows) {
+  for (const auto& [key, row] : from.auth_rows) {
     const auto [it, inserted] = into.auth_rows.try_emplace(key, row);
     if (!inserted) {
       it->second.production += row.production;
@@ -400,26 +486,9 @@ void merge_figures(ChunkPartial& into, ChunkPartial&& from) {
   into.auth.test += from.auth.test;
   into.auth.unclassified += from.auth.unclassified;
   // Fig. 7 (record order == chunk order)
-  auto append = [](std::vector<double>& into_vec, std::vector<double>& from_vec) {
-    into_vec.insert(into_vec.end(), from_vec.begin(), from_vec.end());
-  };
   append(into.access.read_fractions, from.access.read_fractions);
   append(into.access.write_fractions, from.access.write_fractions);
   append(into.access.exec_fractions, from.access.exec_fractions);
-  // Fig. 8
-  for (const auto& [deficit, labels] : from.deficits.by_manufacturer) {
-    merge_count_map(into.deficits.by_manufacturer[deficit], labels);
-  }
-  for (const auto& [deficit, ases] : from.deficits.by_as) {
-    merge_count_map(into.deficits.by_as[deficit], ases);
-  }
-  into.deficits.none_only += from.deficits.none_only;
-  into.deficits.deprecated_only += from.deficits.deprecated_only;
-  into.deficits.weak_certificate += from.deficits.weak_certificate;
-  into.deficits.cert_reuse += from.deficits.cert_reuse;
-  into.deficits.anonymous_access += from.deficits.anonymous_access;
-  into.deficits.deficient_total += from.deficits.deficient_total;
-  into.deficits.servers += from.deficits.servers;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -597,29 +666,31 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
   ThreadPool pool(options.threads);
   const CertFactTable cert_table(source, pool, options.shared_primes);
 
-  // ---- the pass: figures + census + weekly tallies + host history -------
+  // ---- the pass: figures + rows + weekly tallies ------------------------
   // Early prefix merge: as soon as the contiguous prefix of chunks has
-  // been aggregated, those partials fold into the running totals (in
-  // chunk-index order, so the result is that of a sequential pass) and
-  // die. On a 10M-host stream the per-host history summaries of every
-  // chunk would otherwise coexist until the end; this way at most the
-  // unmerged suffix does.
+  // been aggregated, those partials append their rows to the running total
+  // and fold their counters into it (in chunk-index order, so the result
+  // is that of a sequential pass) and die. On a 10M-host stream every
+  // chunk's partial would otherwise coexist until the end; this way at
+  // most the unmerged suffix does.
   ChunkPartial total;
   std::vector<WeeklyObservation> week_obs(weeks);
   std::vector<ScanQualityWeek> quality_weeks(weeks);
-  std::vector<std::map<ProtocolId, std::uint64_t>> proto_week_hosts(weeks);
-  std::map<std::pair<Ipv4, std::uint16_t>, std::vector<HostObs>> history;
+  std::vector<ProtocolCounts> proto_week_hosts(weeks);
+  // The chunk-scoped facts the final week's rows point into.
+  std::vector<std::vector<CertFacts>> final_week_facts;
   std::vector<ChunkPartial> partials(chunk_count);
   pool.parallel_for_merged(
       chunk_count,
       [&](std::size_t c) {
-        const bool is_final = source.chunk_week(c) == final_week;
+        const std::size_t week = source.chunk_week(c);
+        ChunkPartial& partial = partials[c];
         source.visit_columns(c, [&](const ColumnView& view, const CertDictionary& dict) {
-          std::vector<CertFacts> scratch;
-          const std::vector<CertFacts>& facts = cert_table.of(dict, scratch);
+          const std::vector<CertFacts>& facts = cert_table.of(dict, partial.chunk_facts);
           std::vector<std::uint32_t> ids;
           for (std::size_t r = 0; r < view.records; ++r) {
-            partials[c].absorb(view, r, facts, ids, is_final, options.shared_primes);
+            partial.absorb(view, r, facts, ids, static_cast<std::uint32_t>(week),
+                           week == final_week, options.shared_primes);
           }
         });
       },
@@ -642,33 +713,56 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
         q.recovered += partial.q_recovered;
         q.retries += partial.q_retries;
         q.fault_events += partial.q_fault_events;
-        merge_count_map(proto_week_hosts[week], partial.proto_hosts);
-        merge_count_map(obs.by_manufacturer, partial.by_manufacturer);
-        total.corpus.merge(partial.corpus);
-        for (HostObs& host_obs : partial.history) {
-          host_obs.week = week;
-          history[{host_obs.ip, host_obs.port}].push_back(std::move(host_obs));
+        add_counts(proto_week_hosts[week], partial.proto_hosts);
+        append_rows(total, partial);
+        merge_figures(total, partial);
+        if (week == final_week && !partial.chunk_facts.empty()) {
+          final_week_facts.push_back(std::move(partial.chunk_facts));
         }
-        merge_figures(total, std::move(partial));
         partial = ChunkPartial{};
       });
   partials.clear();
 
+  // ---- finalize: one sort per row kind ----------------------------------
+  // Stable sorts, so the rows of one key keep merge order, which is record
+  // order: cluster and corpus rows by digest (the first row of a digest is
+  // its first sighting), history rows by endpoint (an endpoint's rows in
+  // the order renewal detection compares them). The sorts are independent,
+  // so each is one task on the pool.
+  std::vector<HistoryRow>& history = total.history;
+  pool.parallel_for(3, [&](std::size_t kind) {
+    if (kind == 0) std::ranges::stable_sort(total.clusters, digest_less, &ClusterRow::digest);
+    if (kind == 1) std::ranges::stable_sort(total.corpus, digest_less, &CorpusRow::digest);
+    if (kind == 2) {
+      std::ranges::stable_sort(history, {}, [](const HistoryRow& host) {
+        return std::uint64_t{host.ip} << 16 | host.port;
+      });
+    }
+  });
+
   // ---- finalize: Fig. 5 reuse clusters ----------------------------------
-  analysis.reuse.distinct_certificates = static_cast<int>(total.clusters.size());
-  std::set<Sha1Digest> reused, fleet;  // >= 3 hosts; of those, the distributor's
-  for (auto& [fp, cluster] : total.clusters) {
-    if (cluster.host_count >= 3) {
+  // Each run of one digest is one certificate; only runs on two or more
+  // hosts become clusters.
+  std::vector<Sha1Digest> reused, fleet;  // >= 3 hosts; of those, the distributor's
+  for_each_run(total.clusters, &ClusterRow::digest, [&](auto first, auto last) {
+    ++analysis.reuse.distinct_certificates;
+    const int hosts = static_cast<int>(last - first);
+    if (hosts < 2) return;
+    ReuseCluster cluster;
+    cluster.fingerprint_hex = to_hex(first->digest);
+    cluster.host_count = hosts;
+    for (auto row = first; row != last; ++row) cluster.ases.insert(row->asn);
+    const auto named =
+        std::find_if(first, last, [](const ClusterRow& row) { return !row.facts->org.empty(); });
+    if (named != last) cluster.subject_organization = named->facts->org;
+    if (hosts >= 3) {
       ++analysis.reuse.clusters_ge3;
-      analysis.reuse.hosts_in_ge3 += cluster.host_count;
-      reused.insert(fp);
-      if (cluster.subject_organization == "Bachmann electronic") fleet.insert(fp);
+      analysis.reuse.hosts_in_ge3 += hosts;
+      reused.push_back(first->digest);
+      if (cluster.subject_organization == "Bachmann electronic") fleet.push_back(first->digest);
     }
-    if (cluster.host_count >= 2) {
-      cluster.fingerprint_hex = to_hex(fp);
-      analysis.reuse.clusters.push_back(std::move(cluster));
-    }
-  }
+    analysis.reuse.clusters.push_back(std::move(cluster));
+  });
   // Fingerprint breaks host-count ties, so the order is the same under
   // every standard library.
   std::sort(analysis.reuse.clusters.begin(), analysis.reuse.clusters.end(),
@@ -677,27 +771,76 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
               return a.fingerprint_hex < b.fingerprint_hex;
             });
 
-  // ---- finalize: the tallies that need the finished reuse sets ----------
-  // Fig. 8 counts a final-week server once however many reused
-  // certificates it carries; §5.5 counts, in every week, the servers that
-  // carry a certificate of the final week's distributor fleet.
-  const auto carries = [](const HostObs& obs, const std::set<Sha1Digest>& set) {
-    return std::ranges::any_of(obs.certs,
-                               [&](const auto& cert) { return set.contains(cert.first); });
+  // ---- finalize: the tallies over the host history ----------------------
+  const auto certs_of = [&](const HistoryRow& host) {
+    return std::span<const CertRef>(total.cert_refs).subspan(host.first_cert, host.cert_count);
   };
-  for (const auto& [endpoint, observations] : history) {
-    for (const HostObs& obs : observations) {
-      week_obs[obs.week].reuse_devices += carries(obs, fleet);
-      if (obs.week == final_week && carries(obs, reused)) {
-        tally_deficit(total.deficits, total.deficits.cert_reuse, "Certificate Reuse",
-                      obs.manufacturer, obs.asn);
-      }
+  const auto carries = [&](const HistoryRow& host, const std::vector<Sha1Digest>& set) {
+    return std::ranges::any_of(certs_of(host), [&](const CertRef& cert) {
+      return std::ranges::binary_search(set, cert.digest, digest_less);
+    });
+  };
+  // Fig. 8 counts a final-week server once per deficit it shows, the
+  // certificate-reuse one however many reused certificates it carries;
+  // §5.5 counts, in every week, the servers that carry a certificate of
+  // the final week's distributor fleet.
+  struct Deficit {
+    std::uint8_t bit;
+    const char* name;
+    int DeficitBreakdown::*count;
+  };
+  constexpr std::uint8_t kCertReuse = 1u << 4;  // beside the §5.2 rule bits
+  static constexpr Deficit kDeficits[] = {
+      {deficiency::kNoSecurity, "None", &DeficitBreakdown::none_only},
+      {deficiency::kDeprecatedPolicy, "Deprecated Policies", &DeficitBreakdown::deprecated_only},
+      {deficiency::kWeakCertificate, "Too Weak Certificate", &DeficitBreakdown::weak_certificate},
+      {kCertReuse, "Certificate Reuse", &DeficitBreakdown::cert_reuse},
+      {deficiency::kAnonymousAccess, "Anonymous Access", &DeficitBreakdown::anonymous_access}};
+  constexpr std::size_t kDeficitCount = std::size(kDeficits);
+  const std::vector<std::string>& labels = total.labels.values;
+  DeficitBreakdown& deficits = analysis.deficits;
+  std::vector<std::vector<int>> week_labels(weeks, std::vector<int>(labels.size()));
+  std::vector<std::array<int, kDeficitCount>> label_deficits(labels.size());
+  std::array<std::vector<std::uint32_t>, kDeficitCount> deficit_ases;  // an AS per server
+  for (const HistoryRow& host : history) {
+    ++week_labels[host.week][host.label];
+    week_obs[host.week].reuse_devices += carries(host, fleet);
+    if (host.week != final_week) continue;
+    const std::uint8_t bits = host.rules | (carries(host, reused) ? kCertReuse : 0);
+    ++deficits.servers;
+    deficits.deficient_total += host.rules != 0;
+    for (std::size_t d = 0; d < kDeficitCount; ++d) {
+      if (!(bits & kDeficits[d].bit)) continue;
+      ++(deficits.*kDeficits[d].count);
+      ++label_deficits[host.label][d];
+      deficit_ases[d].push_back(host.asn);
     }
+  }
+  for (std::size_t w = 0; w < weeks; ++w) {
+    for (std::size_t l = 0; l < labels.size(); ++l) {
+      if (week_labels[w][l] != 0) week_obs[w].by_manufacturer.emplace(labels[l], week_labels[w][l]);
+    }
+  }
+  for (std::size_t d = 0; d < kDeficitCount; ++d) {
+    if (deficit_ases[d].empty()) continue;
+    std::map<std::string, int>& by_label = deficits.by_manufacturer[kDeficits[d].name];
+    for (std::size_t l = 0; l < labels.size(); ++l) {
+      if (label_deficits[l][d] != 0) by_label.emplace(labels[l], label_deficits[l][d]);
+    }
+    std::map<std::uint32_t, int>& by_as = deficits.by_as[kDeficits[d].name];
+    std::ranges::sort(deficit_ases[d]);
+    for_each_run(deficit_ases[d], std::identity{}, [&](auto first, auto last) {
+      by_as.emplace_hint(by_as.end(), *first, static_cast<int>(last - first));
+    });
   }
 
   // ---- finalize: §5.3 shared primes -------------------------------------
   if (options.shared_primes) {
-    const std::vector<Bignum> moduli(total.moduli.begin(), total.moduli.end());
+    std::ranges::sort(total.moduli, [](const Bignum* a, const Bignum* b) { return *a < *b; });
+    std::vector<Bignum> moduli;
+    for (const Bignum* modulus : total.moduli) {
+      if (moduli.empty() || !(moduli.back() == *modulus)) moduli.push_back(*modulus);
+    }
     analysis.shared_primes.distinct_moduli = moduli.size();
     const auto started = std::chrono::steady_clock::now();
     analysis.shared_primes.moduli_with_shared_prime =
@@ -711,7 +854,6 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
   analysis.auth = std::move(total.auth);
   for (auto& [key, row] : total.auth_rows) analysis.auth.rows.push_back(row);
   analysis.access_rights = std::move(total.access);
-  analysis.deficits = std::move(total.deficits);
 
   // ---- finalize: scan quality -------------------------------------------
   ScanQualityStats& quality = analysis.scan_quality;
@@ -738,12 +880,12 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
   for (std::size_t w = 0; w < weeks; ++w) {
     ProtocolWeek pw;
     pw.measurement_index = analysis.weeks[w].measurement_index;
-    pw.hosts = std::move(proto_week_hosts[w]);
+    pw.hosts = protocol_map(proto_week_hosts[w]);
     analysis.protocols.weeks.push_back(std::move(pw));
   }
-  analysis.protocols.servers = std::move(total.proto_servers);
-  analysis.protocols.deficient = std::move(total.proto_deficient);
-  analysis.protocols.anonymous = std::move(total.proto_anonymous);
+  analysis.protocols.servers = protocol_map(total.proto_servers);
+  analysis.protocols.deficient = protocol_map(total.proto_deficient);
+  analysis.protocols.anonymous = protocol_map(total.proto_anonymous);
 
   // ---- finalize: Fig. 2 / §5.5 longitudinal -----------------------------
   LongitudinalStats& lng = analysis.longitudinal;
@@ -767,42 +909,47 @@ StudyAnalysis analyze_source(const RecordSource& source, const AnalysisOptions& 
     lng.deficiency_std =
         std::sqrt(std::max(0.0, sum_sq / n - lng.deficiency_avg * lng.deficiency_avg));
   }
-  lng.total_distinct_certificates = total.corpus.size();
+  // Each certificate's first corpus row is the first record that carried it.
   const std::int64_t y2017 = days_from_civil({2017, 1, 1});
   const std::int64_t y2019 = days_from_civil({2019, 1, 1});
-  for (const auto& [fp, info] : total.corpus) {
-    if (info.first != HashAlgorithm::sha1) continue;
-    if (info.second >= y2017) ++lng.sha1_after_2017;
-    if (info.second >= y2019) ++lng.sha1_after_2019;
-  }
-  for (const auto& [endpoint, observations] : history) {
-    for (std::size_t i = 1; i < observations.size(); ++i) {
-      const HostObs& before = observations[i - 1];
-      const HostObs& after = observations[i];
-      if (after.certs == before.certs || after.certs.empty() || before.certs.empty()) continue;
-      RenewalEvent event;
-      event.ip = endpoint.first;
-      event.week = analysis.weeks[after.week].measurement_index;
-      event.software_update = !after.software.empty() && !before.software.empty() &&
-                              after.software != before.software;
-      bool removed_sha1 = false, added_sha1 = false, removed_sha256 = false, added_sha256 = false;
-      for (const auto& [fp, hash] : before.certs) {
-        if (after.certs.contains(fp) || !hash) continue;
-        removed_sha1 |= *hash == HashAlgorithm::sha1;
-        removed_sha256 |= *hash == HashAlgorithm::sha256;
-      }
-      for (const auto& [fp, hash] : after.certs) {
-        if (before.certs.contains(fp) || !hash) continue;
-        added_sha1 |= *hash == HashAlgorithm::sha1;
-        added_sha256 |= *hash == HashAlgorithm::sha256;
-      }
-      event.sha1_replaced = removed_sha1 && added_sha256 && !added_sha1;
-      event.downgraded_to_sha1 = removed_sha256 && added_sha1 && !added_sha256;
-      lng.renewals_with_software_update += event.software_update;
-      lng.sha1_upgrades += event.sha1_replaced;
-      lng.downgrades += event.downgraded_to_sha1;
-      lng.renewals.push_back(event);
-    }
+  for_each_run(total.corpus, &CorpusRow::digest, [&](auto first, auto) {
+    ++lng.total_distinct_certificates;
+    if (first->hash != HashAlgorithm::sha1) return;
+    if (first->not_before_days >= y2017) ++lng.sha1_after_2017;
+    if (first->not_before_days >= y2019) ++lng.sha1_after_2019;
+  });
+  const std::vector<std::string>& versions = total.versions.values;
+  for (std::size_t i = 1; i < history.size(); ++i) {
+    const HistoryRow& before = history[i - 1];
+    const HistoryRow& after = history[i];
+    if (after.ip != before.ip || after.port != before.port) continue;
+    const std::span<const CertRef> was = certs_of(before), now = certs_of(after);
+    if (std::ranges::equal(now, was) || now.empty() || was.empty()) continue;
+    RenewalEvent event;
+    event.ip = after.ip;
+    event.week = analysis.weeks[after.week].measurement_index;
+    event.software_update = !versions[after.software].empty() &&
+                            !versions[before.software].empty() &&
+                            after.software != before.software;
+    // A parsed certificate of `from` with signature hash `hash` that `to`
+    // lacks.
+    const auto leaves = [](std::span<const CertRef> from, std::span<const CertRef> to,
+                           HashAlgorithm hash) {
+      return std::ranges::any_of(from, [&](const CertRef& cert) {
+        return cert.hash == hash &&
+               !std::ranges::binary_search(to, cert.digest, digest_less, &CertRef::digest);
+      });
+    };
+    const bool removed_sha1 = leaves(was, now, HashAlgorithm::sha1);
+    const bool removed_sha256 = leaves(was, now, HashAlgorithm::sha256);
+    const bool added_sha1 = leaves(now, was, HashAlgorithm::sha1);
+    const bool added_sha256 = leaves(now, was, HashAlgorithm::sha256);
+    event.sha1_replaced = removed_sha1 && added_sha256 && !added_sha1;
+    event.downgraded_to_sha1 = removed_sha256 && added_sha1 && !added_sha256;
+    lng.renewals_with_software_update += event.software_update;
+    lng.sha1_upgrades += event.sha1_replaced;
+    lng.downgrades += event.downgraded_to_sha1;
+    lng.renewals.push_back(event);
   }
   return analysis;
 }

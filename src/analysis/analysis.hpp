@@ -16,14 +16,17 @@
 // value with a SnapshotError, as the row reader does.
 //
 // Pass structure:
-//   pass      one walk over every chunk: per-week tallies, the cross-week
-//             host history, and from the final measurement's chunks its
-//             figure statistics, reuse clusters and (optionally) the RSA
-//             modulus corpus for §5.3
-//   finalize  ordered merges -> StudyAnalysis. The two tallies that need
-//             the finished >= 3-host reuse sets (Fig. 8's reuse deficit and
-//             each week's §5.5 distributor fleet) count over the host
-//             history here, as do the renewal events.
+//   pass      one walk over every chunk: per-week tallies, the final
+//             measurement's figure counters, and flat rows each record
+//             appends to (a history row per server with its certificates,
+//             corpus rows, and from the final measurement reuse-cluster
+//             rows and, optionally, the RSA moduli for §5.3). The merge
+//             adds counters and appends rows in chunk order.
+//   finalize  one sort per row kind -> StudyAnalysis: the reuse clusters
+//             (only certificates on >= 2 hosts become ReuseClusters), the
+//             corpus, and over the history sorted by endpoint the renewal
+//             events, Fig. 8 and each week's §5.5 distributor fleet, the
+//             tallies that need the finished >= 3-host reuse sets.
 // Certificates are facts of their dictionary entry (CertFacts, one parse
 // per entry), and every certificate set is keyed by its SHA-1 digest.
 #pragma once

@@ -164,8 +164,6 @@ Bytes x509_create(const CertificateSpec& spec, const RsaPublicKey& subject_key,
 
 Certificate x509_parse(std::span<const std::uint8_t> der_bytes) {
   Certificate cert;
-  cert.der.assign(der_bytes.begin(), der_bytes.end());
-
   DerParser outer(der_bytes);
   auto cert_tlv = outer.expect(der::kSequence);
   if (!outer.done()) throw DecodeError("trailing bytes after certificate");
@@ -237,12 +235,6 @@ Sha1Digest certificate_sha1(std::span<const std::uint8_t> der_bytes) {
   Sha1 h;
   h.update(der_bytes);
   return h.digest();
-}
-
-std::uint64_t fingerprint64(const Sha1Digest& thumbprint) {
-  std::uint64_t fp = 0;
-  for (std::size_t i = 0; i < 8; ++i) fp = (fp << 8) | thumbprint[i];
-  return fp;
 }
 
 std::uint64_t certificate_fingerprint64(std::span<const std::uint8_t> der_bytes) {

@@ -48,7 +48,6 @@ struct Certificate {
   std::string application_uri;
   Bytes tbs_der;     // signed portion
   Bytes signature;   // raw RSA signature bytes
-  Bytes der;         // complete certificate
 
   bool self_signed() const { return issuer == subject; }
   std::size_t key_bits() const { return public_key.modulus_bits(); }
@@ -74,7 +73,11 @@ Sha1Digest certificate_sha1(std::span<const std::uint8_t> der_bytes);
 /// big-endian. Collision-free in practice at study scale; the key of the
 /// v6 certificate dictionary, whose stored fp64s are what posture
 /// matching compares.
-std::uint64_t fingerprint64(const Sha1Digest& thumbprint);
+inline std::uint64_t fingerprint64(const Sha1Digest& thumbprint) {
+  std::uint64_t fp = 0;
+  for (std::size_t i = 0; i < 8; ++i) fp = (fp << 8) | thumbprint[i];
+  return fp;
+}
 std::uint64_t certificate_fingerprint64(std::span<const std::uint8_t> der_bytes);
 
 }  // namespace opcua_study

@@ -10,6 +10,8 @@
 //    is one cache hit that computes nothing,
 //  - a query for a campaign not yet registered fails without a cache
 //    entry, so the name answers normally once it is registered,
+//  - the cold study artifact (analyze_reader inline on the worker) of a
+//    grown member with minted certificates equals an 8-thread analysis,
 //  - query responses are byte-identical across inline execution, a
 //    1-worker pool, and an 8-worker pool — including error documents,
 //  - posture responses over a mixed OPC UA + MQTT fleet equal the
@@ -24,6 +26,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "analysis/analysis.hpp"
+#include "figure_dump.hpp"
 #include "obs/metrics.hpp"
 #include "series/sketch.hpp"
 #include "study/followup.hpp"
@@ -443,6 +447,41 @@ TEST(CampaignCatalog, UnknownNameDoesNotPoisonLaterRegistration) {
     EXPECT_TRUE(response.ok) << text << ": " << response.body;
     EXPECT_EQ(response.body, fresh_service.execute(request).body) << text;
   }
+}
+
+// The catalog computes a study artifact inline on the querying worker, at
+// threads=1. On a single-week member grown the way the service benchmark
+// grows its history (512-bit mint keys, one mint fleet, a sketch sidecar)
+// it equals the 8-thread analysis of the same file, struct for struct and
+// in its figure dump.
+TEST(CampaignCatalog, ColdStudyEqualsEightThreadAnalysis) {
+  TempFiles tmp;
+  const std::string base = tmp.add("/tmp/opcua_svc_study_base.bin");
+  write_campaign(base, 42, "svc-study-base", 100, 400);
+  CampaignSet set;
+  set.add_file(base, 42);
+  FollowupConfig config;
+  config.campaign_label = "svc-study-followup";
+  config.mint_key_bits = 512;
+  config.key_cache_path = "";
+  const std::string grown = tmp.add("/tmp/opcua_svc_study_f1.bin");
+  extend_series(set, config, grown, 43);
+  ASSERT_TRUE(std::ifstream(posture_sketch_path(grown)).good());
+
+  svc::CampaignCatalog catalog;
+  catalog.register_campaign("m1", grown, 43);
+  const std::shared_ptr<const StudyAnalysis> study = catalog.study("m1");
+  AnalysisOptions options;
+  options.threads = 8;
+  const StudyAnalysis reference = analyze_file(grown, 43, options);
+  EXPECT_TRUE(study->figures_equal(reference));
+  EXPECT_EQ(figure_dump_text(*study), figure_dump_text(reference));
+
+  // Minted certificates sit beside the base's 24, and the base's reuse
+  // clusters survive the evolution.
+  ASSERT_EQ(reference.weeks.size(), 1u);
+  EXPECT_GT(reference.longitudinal.total_distinct_certificates, unique_certs().size());
+  EXPECT_GT(reference.reuse.clusters_ge3, 0);
 }
 
 // ------------------------------------------------ concurrent query API ----

@@ -8,10 +8,12 @@
 //  - the streaming Aggregator is deterministic in the thread count and
 //    input format, whether it reads mapped v6 columns or rows transposed
 //    into columns, and reproduces field for field the golden dumps under
-//    tests/data/ (multi-endpoint hosts included), which were recorded
-//    from the retired record-based reference.
+//    tests/data/ (multi-endpoint hosts included, and a study whose records
+//    arrive out of endpoint order), which were recorded from earlier
+//    implementations of the same figures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +27,7 @@
 #include "series/matcher.hpp"
 #include "util/date.hpp"
 #include "util/hex.hpp"
+#include "util/rng.hpp"
 
 namespace opcua_study {
 namespace {
@@ -277,6 +280,28 @@ std::vector<ScanSnapshot> make_reuse_churn_study() {
       snapshot.hosts.push_back(std::move(host));
     }
     study.push_back(std::move(snapshot));
+  }
+  return study;
+}
+
+/// make_reuse_churn_study with the records of each week in a fixed seeded
+/// permutation, so no endpoint's records arrive in (ip, port) order, and
+/// with server 22 also on port 4841 (kT1 in week 0, kT0 from week 1): one
+/// IP renews on two ports, at week 2 on 4840 and at week 1 on 4841.
+std::vector<ScanSnapshot> make_shuffled_churn_study() {
+  std::vector<ScanSnapshot> study = make_reuse_churn_study();
+  Rng rng(2027);
+  for (std::size_t week = 0; week < study.size(); ++week) {
+    auto& hosts = study[week].hosts;
+    const auto server22 = std::ranges::find(hosts, static_cast<Ipv4>(0x14000000u + 22),
+                                            &HostScanRecord::ip);
+    HostScanRecord second = *server22;
+    second.port = 4841;
+    second.endpoints.resize(1);
+    second.endpoints[0].url = "opc.tcp://c22:4841/";
+    second.endpoints[0].certificate_der = churn_fleet()[week == 0 ? kT1 : kT0];
+    hosts.push_back(std::move(second));
+    rng.shuffle(hosts);
   }
   return study;
 }
@@ -1241,6 +1266,43 @@ TEST(Analysis, ReuseTalliesMatchGoldenWhenWeeksDiffer) {
     EXPECT_EQ(analysis.shared_primes.moduli_with_shared_prime, 2u);
     ASSERT_FALSE(analysis.reuse.clusters.empty());
     EXPECT_EQ(analysis.reuse.clusters.front().host_count, 5);
+  }
+  std::remove(path.c_str());
+}
+
+// Every generator above emits records in ascending (ip, port) order, so
+// only a shuffled study shows whether the host history is grouped by
+// endpoint: one golden, the same from in-memory chunks of 1, 7 and the
+// default size and from a v6 file, at 1 and 8 threads.
+TEST(Analysis, EndpointHistoryIndependentOfRecordOrder) {
+  const std::string golden = "figures.make_reuse_churn_study.shuffled.txt";
+  const std::string path = "/tmp/opcua_test_reuse_churn_shuffled.bin";
+  const std::vector<ScanSnapshot> study = make_shuffled_churn_study();
+  ASSERT_FALSE(std::ranges::is_sorted(study.back().hosts, {}, &HostScanRecord::ip));
+  {
+    SnapshotWriter writer(path, 42, 7);
+    for (const auto& snapshot : study) writer.add_snapshot(snapshot);
+    writer.finish();
+  }
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    AnalysisOptions options;
+    options.threads = threads;
+    const StudyAnalysis analysis = analyze_snapshots(study, options);
+    expect_golden_figures(analysis, golden);
+    expect_golden_figures(analyze_source(SnapshotVectorSource(study, 1), options), golden);
+    expect_golden_figures(analyze_source(SnapshotVectorSource(study, 7), options), golden);
+    expect_golden_figures(analyze_file(path, 42, options), golden);
+
+    // Renewals in (ip, port, week) order: server 22 on 4840 (week 2,
+    // SHA-1 -> SHA-256 with a software update), then on 4841 (week 1,
+    // SHA-256 -> SHA-1), then server 24 (week 2, SHA-256 -> SHA-1).
+    const auto renewal = [](std::uint32_t id, int week, bool update, bool upgrade) {
+      return RenewalEvent{static_cast<Ipv4>(0x14000000u + id), week, update, upgrade, !upgrade};
+    };
+    EXPECT_EQ(analysis.longitudinal.renewals,
+              (std::vector<RenewalEvent>{renewal(22, 2, true, true), renewal(22, 1, false, false),
+                                         renewal(24, 2, false, false)}));
   }
   std::remove(path.c_str());
 }
