@@ -12,6 +12,10 @@
 //    entry, so the name answers normally once it is registered,
 //  - the cold study artifact (analyze_reader inline on the worker) of a
 //    grown member with minted certificates equals an 8-thread analysis,
+//  - every comparison path (diff_files, a walked diff_campaigns, the
+//    catalog's diff, the steps of analyze_series and of the resident
+//    series) computes the same step, with sidecars and without, and a
+//    backwards pair fails on each with one error text,
 //  - query responses are byte-identical across inline execution, a
 //    1-worker pool, and an 8-worker pool — including error documents,
 //  - posture responses over a mixed OPC UA + MQTT fleet equal the
@@ -25,6 +29,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "analysis/analysis.hpp"
 #include "figure_dump.hpp"
@@ -482,6 +487,104 @@ TEST(CampaignCatalog, ColdStudyEqualsEightThreadAnalysis) {
   ASSERT_EQ(reference.weeks.size(), 1u);
   EXPECT_GT(reference.longitudinal.total_distinct_certificates, unique_certs().size());
   EXPECT_GT(reference.reuse.clusters_ge3, 0);
+}
+
+// Every way into the comparison computes the same step. Over a grown
+// three-member history, each adjacent pair's diff_files, diff_campaigns
+// over two walked readers, the catalog's diff, and the step of
+// analyze_series and of the catalog's resident series are equal, struct
+// for struct and in their JSON, with every sidecar present and again with
+// none. A backwards pair fails on every path with one error text.
+TEST(CampaignCatalog, ComparisonPathsAgree) {
+  TempFiles tmp;
+  const std::string base = tmp.add("/tmp/opcua_svc_paths_m0.bin");
+  write_campaign(base, 42, "svc-paths-base", 100, 80);
+  CampaignSet set;
+  set.add_file(base, 42);
+  extend_series(set, small_followup_config(), tmp.add("/tmp/opcua_svc_paths_m1.bin"), 43);
+  extend_series(set, small_followup_config(), tmp.add("/tmp/opcua_svc_paths_m2.bin"), 44);
+  {
+    ThreadPool pool(1);
+    ensure_posture_sketch(base, 42, pool);
+  }
+  const std::uint64_t seeds[] = {42, 43, 44};
+  const std::vector<std::string> names = {"m0", "m1", "m2"};
+
+  for (const bool sidecars : {true, false}) {
+    if (!sidecars) {
+      for (const std::string& path : tmp.paths) std::remove(posture_sketch_path(path).c_str());
+    }
+    for (const std::string& path : tmp.paths) {
+      ASSERT_EQ(std::ifstream(posture_sketch_path(path)).good(), sidecars) << path;
+    }
+    const char* const round = sidecars ? "with sidecars" : "without sidecars";
+    SeriesOptions series_options;
+    series_options.threads = 1;
+    const SeriesAnalysis batch = analyze_series(set, series_options);
+    std::vector<CampaignDiff> walked;
+    std::vector<CampaignDiff> files;
+    for (std::size_t k = 0; k + 1 < names.size(); ++k) {
+      const SnapshotReader from(tmp.paths[k], seeds[k]);
+      const SnapshotReader to(tmp.paths[k + 1], seeds[k + 1]);
+      walked.push_back(diff_campaigns(ReaderRecordSource(from), ReaderRecordSource(to)));
+      files.push_back(diff_files(tmp.paths[k], seeds[k], tmp.paths[k + 1], seeds[k + 1]));
+    }
+    // The catalog cuts a sidecar for each member it walks, so it runs
+    // after the batch paths.
+    svc::CampaignCatalog catalog;
+    for (std::size_t m = 0; m < names.size(); ++m) {
+      catalog.register_campaign(names[m], tmp.paths[m], seeds[m]);
+    }
+    catalog.register_series("history", names);
+    const std::shared_ptr<const SeriesAnalysis> resident = catalog.series("history");
+    ASSERT_EQ(batch.steps.size(), walked.size()) << round;
+    ASSERT_EQ(resident->steps.size(), walked.size()) << round;
+    for (std::size_t k = 0; k < walked.size(); ++k) {
+      const CampaignDiff& reference = walked[k];
+      EXPECT_GT(reference.matched(), 0u) << round;
+      const std::string json = campaign_diff_json(reference);
+      const std::pair<const char*, CampaignDiff> paths[] = {
+          {"diff_files", files[k]},
+          {"catalog.diff", *catalog.diff(names[k], names[k + 1])},
+          {"analyze_series", batch.steps[k]},
+          {"catalog.series", resident->steps[k]},
+      };
+      for (const auto& [path, diff] : paths) {
+        EXPECT_TRUE(diff == reference) << path << ", step " << k << ", " << round;
+        EXPECT_EQ(campaign_diff_json(diff), json) << path << ", step " << k << ", " << round;
+      }
+    }
+  }
+
+  // The pair (m1, m0) runs backwards in time.
+  const auto error_of = [](const std::function<void()>& run) {
+    try {
+      run();
+    } catch (const SnapshotError& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no error)");
+  };
+  const SnapshotReader r0(tmp.paths[0], 42);
+  const SnapshotReader r1(tmp.paths[1], 43);
+  const std::string expected =
+      error_of([&] { diff_campaigns(ReaderRecordSource(r1), ReaderRecordSource(r0)); });
+  EXPECT_NE(expected.find("campaign chain"), std::string::npos) << expected;
+  svc::CampaignCatalog catalog;
+  catalog.register_campaign("m0", tmp.paths[0], 42);
+  catalog.register_campaign("m1", tmp.paths[1], 43);
+  catalog.register_series("forward", {"m1"});
+  CampaignSet backwards;
+  backwards.add_file(tmp.paths[1], 43);
+  backwards.add_file(tmp.paths[0], 42);
+  const std::pair<const char*, std::function<void()>> paths[] = {
+      {"diff_files", [&] { diff_files(tmp.paths[1], 43, tmp.paths[0], 42); }},
+      {"catalog.diff", [&] { catalog.diff("m1", "m0"); }},
+      {"analyze_series", [&] { analyze_series(backwards); }},
+      {"catalog.register_series", [&] { catalog.register_series("backwards", {"m1", "m0"}); }},
+      {"catalog.append_to_series", [&] { catalog.append_to_series("forward", "m0"); }},
+  };
+  for (const auto& [path, run] : paths) EXPECT_EQ(error_of(run), expected) << path;
 }
 
 // ------------------------------------------------ concurrent query API ----
