@@ -4,8 +4,9 @@
 // Diffs the study campaign ./build/reproduce records against a
 // follow-up campaign. When no follow-up file exists yet, one is generated
 // on the spot with the deterministic evolution model — the repo's own
-// "PAM 2022" — and cached next to the base. Both campaigns stream chunk
-// by chunk; neither is materialized.
+// "PAM 2022" — and cached next to the base. Each campaign loads from its
+// posture sketch sidecar when a valid one exists (a stale one is an
+// error) and otherwise streams chunk by chunk; neither is materialized.
 //
 //   ./build/diff_report [base-file [followup-file]] [--verbose]
 #include <cstdio>

@@ -170,7 +170,6 @@ Certificate x509_parse(std::span<const std::uint8_t> der_bytes) {
 
   DerParser fields(cert_tlv.content);
   auto tbs_tlv = fields.expect(der::kSequence);
-  cert.tbs_der.assign(tbs_tlv.full.begin(), tbs_tlv.full.end());
 
   {
     DerParser tbs(tbs_tlv.content);
@@ -218,13 +217,16 @@ Certificate x509_parse(std::span<const std::uint8_t> der_bytes) {
   DerParser sig_alg(sig_alg_tlv.content);
   const HashAlgorithm outer_hash = hash_from_oid(sig_alg.read_oid());
   if (outer_hash != cert.signature_hash) throw DecodeError("signature algorithm mismatch");
-  cert.signature = fields.read_bit_string();
+  fields.read_bit_string();  // the signature, which only x509_verify reads
   if (!fields.done()) throw DecodeError("trailing certificate fields");
   return cert;
 }
 
-bool x509_verify(const Certificate& cert, const RsaPublicKey& issuer_key) {
-  return rsa_pkcs1v15_verify(issuer_key, cert.signature_hash, cert.tbs_der, cert.signature);
+bool x509_verify(std::span<const std::uint8_t> der_bytes, const RsaPublicKey& issuer_key) {
+  DerParser fields(DerParser(der_bytes).expect(der::kSequence).content);
+  const std::span<const std::uint8_t> tbs = fields.expect(der::kSequence).full;
+  const Oid algorithm = DerParser(fields.expect(der::kSequence).content).read_oid();
+  return rsa_pkcs1v15_verify(issuer_key, hash_from_oid(algorithm), tbs, fields.read_bit_string());
 }
 
 Bytes x509_thumbprint(std::span<const std::uint8_t> der_bytes) {

@@ -46,8 +46,6 @@ struct Certificate {
   std::int64_t not_after_days = 0;
   RsaPublicKey public_key;
   std::string application_uri;
-  Bytes tbs_der;     // signed portion
-  Bytes signature;   // raw RSA signature bytes
 
   bool self_signed() const { return issuer == subject; }
   std::size_t key_bits() const { return public_key.modulus_bits(); }
@@ -60,9 +58,11 @@ Bytes x509_create(const CertificateSpec& spec, const RsaPublicKey& subject_key,
 /// Parse DER; throws DecodeError on malformed input.
 Certificate x509_parse(std::span<const std::uint8_t> der_bytes);
 
-/// Verify the certificate's signature against an issuer key (the subject's
-/// own key for self-signed certificates).
-bool x509_verify(const Certificate& cert, const RsaPublicKey& issuer_key);
+/// Verify the signature of the certificate `der_bytes` over its TBS
+/// portion against an issuer key (the subject's own key for self-signed
+/// certificates), under the certificate's outer signature algorithm.
+/// Throws DecodeError when the outer structure is malformed.
+bool x509_verify(std::span<const std::uint8_t> der_bytes, const RsaPublicKey& issuer_key);
 
 /// OPC UA certificate thumbprint: SHA-1 over the DER encoding.
 Bytes x509_thumbprint(std::span<const std::uint8_t> der_bytes);

@@ -1,13 +1,15 @@
-// The pairwise campaign diff, re-expressed as the N=2 specialization of
-// the series matcher: collect postures for both campaigns, run the
-// two-pass matcher, tally the transition report. All the determinism
-// reasoning lives with the shared core in src/series/matcher.cpp.
+// The pairwise campaign diff, the N=2 specialization of the series
+// matcher: check the two final measurements form a chain, load both
+// sides' postures, run the one comparison step (compare_step). All the
+// determinism reasoning lives with the shared core in
+// src/series/matcher.cpp.
 #include "diff/diff.hpp"
 
 #include "obs/metrics.hpp"
 #include "report/json.hpp"
 #include "scanner/snapshot_io.hpp"
 #include "series/matcher.hpp"
+#include "series/sketch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace opcua_study {
@@ -52,8 +54,15 @@ bool CampaignDiff::counts_equal(const CampaignDiff& other) const {
   return strip(*this) == strip(other);
 }
 
-CampaignDiff diff_campaigns(const RecordSource& base, const RecordSource& followup,
-                            const DiffOptions& options) {
+namespace {
+
+/// The one pairwise diff: both final measurements are checked (non-empty,
+/// a base -> follow-up chain) before `load(side, pool)` produces the
+/// base's (side 0) and then the follow-up's (side 1) postures, then one
+/// comparison step.
+template <typename Load>
+CampaignDiff diff_pair(const RecordSource& base, const RecordSource& followup,
+                       const DiffOptions& options, Load load) {
   const obs::WallTimer pass_timer(obs::Metric::diff_pass_wall_us);
   if (base.week_count() == 0 || followup.week_count() == 0) {
     throw SnapshotError("campaign diff needs >= 1 measurement per campaign");
@@ -61,14 +70,19 @@ CampaignDiff diff_campaigns(const RecordSource& base, const RecordSource& follow
   const SnapshotMeta base_week = base.week_meta(base.week_count() - 1);
   const SnapshotMeta followup_week = followup.week_meta(followup.week_count() - 1);
   validate_campaign_chain({base_week, followup_week});
-
   ThreadPool pool(options.threads);
-  const std::vector<HostPosture> a = collect_postures(base, pool);
-  const std::vector<HostPosture> b = collect_postures(followup, pool);
-  CampaignDiff diff = tally_step(a, b, match_postures(a, b));
-  diff.base_week = base_week;
-  diff.followup_week = followup_week;
-  return diff;
+  const std::vector<HostPosture> a = load(0, pool);
+  const std::vector<HostPosture> b = load(1, pool);
+  return compare_step(base_week, a, followup_week, b).diff;
+}
+
+}  // namespace
+
+CampaignDiff diff_campaigns(const RecordSource& base, const RecordSource& followup,
+                            const DiffOptions& options) {
+  return diff_pair(base, followup, options, [&](int side, ThreadPool& pool) {
+    return collect_postures(side == 0 ? base : followup, pool);
+  });
 }
 
 CampaignDiff diff_files(const std::string& base_path, std::uint64_t base_seed,
@@ -76,7 +90,12 @@ CampaignDiff diff_files(const std::string& base_path, std::uint64_t base_seed,
                         const DiffOptions& options) {
   const SnapshotReader base(base_path, base_seed);
   const SnapshotReader followup(followup_path, followup_seed);
-  return diff_campaigns(ReaderRecordSource(base), ReaderRecordSource(followup), options);
+  return diff_pair(ReaderRecordSource(base), ReaderRecordSource(followup), options,
+                   [&](int side, ThreadPool& pool) {
+    return load_postures(side == 0 ? base : followup, side == 0 ? base_path : followup_path,
+                         pool, SidecarWrite::never)
+        .postures;
+  });
 }
 
 void append_campaign_diff_fields(JsonWriter& json, const CampaignDiff& diff) {

@@ -30,10 +30,10 @@
 // the diff pass (diff.pass_s) on a 100k-host base.
 //
 // Since the series layer landed, the pairwise diff is the N=2
-// specialization of src/series/: collect_postures / match_postures /
-// tally_step (src/series/matcher.hpp) are the shared core, and
-// analyze_series over a two-member CampaignSet reproduces every
-// CampaignDiff count field for field (tests/test_series.cpp pins it).
+// specialization of src/series/: compare_step (src/series/matcher.hpp) is
+// the one step it, analyze_series and the study service's catalog run,
+// so a two-member series reproduces every CampaignDiff count field for
+// field (tests/test_series.cpp pins it).
 #pragma once
 
 #include "analysis/analysis.hpp"
@@ -143,14 +143,17 @@ struct CampaignDiff {
   friend bool operator==(const CampaignDiff&, const CampaignDiff&) = default;
 };
 
-/// Diff the final measurements of two campaigns. Throws SnapshotError when
-/// either campaign is empty, or when the inputs declare campaign
-/// identities that do not form a base -> follow-up pair
+/// Diff the final measurements of two campaigns, walking both. Throws
+/// SnapshotError when either campaign is empty, or when the inputs declare
+/// campaign identities that do not form a base -> follow-up pair
 /// (validate_campaign_chain).
 CampaignDiff diff_campaigns(const RecordSource& base, const RecordSource& followup,
                             const DiffOptions& options = {});
 
-/// Diff two recorded snapshot files, streaming both chunk by chunk.
+/// Diff two recorded snapshot files. Each side loads as in analyze_series
+/// (load_postures, series/sketch.hpp): a valid sketch sidecar replaces the
+/// walk, a stale or malformed one throws SnapshotError naming the sidecar
+/// and the snapshot, and no sidecar is ever written.
 CampaignDiff diff_files(const std::string& base_path, std::uint64_t base_seed,
                         const std::string& followup_path, std::uint64_t followup_seed,
                         const DiffOptions& options = {});

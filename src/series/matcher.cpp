@@ -1,11 +1,13 @@
-// The shared posture/match/tally core. Determinism rests on two
-// invariants mirrored from the Aggregator: posture partials are produced
-// by workers in any order but appended in chunk-index order (so the
-// posture vectors are record-ordered), and every matching pass iterates
-// those vectors front to back — ties and duplicates therefore resolve
-// identically for any thread count. Certificates come from the
-// Aggregator's CertFactTable, so a posture reads the same per-entry facts
-// (its strength and SHA-1) as the figures do.
+// The shared posture/match/tally core: collect_postures, and
+// compare_step, the one step that runs the file-local matcher and tallies
+// the diff. Determinism rests on two invariants mirrored from the
+// Aggregator: posture partials are produced by workers in any order but
+// appended in chunk-index order (so the posture vectors are
+// record-ordered), and every matching pass iterates those vectors front
+// to back — ties and duplicates therefore resolve identically for any
+// thread count. Certificates come from the Aggregator's CertFactTable, so
+// a posture reads the same per-entry facts (its strength and SHA-1) as
+// the figures do.
 #include "series/matcher.hpp"
 
 #include <unordered_map>
@@ -124,6 +126,8 @@ std::vector<HostPosture> collect_postures(const RecordSource& source, ThreadPool
   return postures;
 }
 
+namespace {
+
 MatchResult match_postures(const std::vector<HostPosture>& base,
                            const std::vector<HostPosture>& followup) {
   MatchResult match;
@@ -186,9 +190,17 @@ MatchResult match_postures(const std::vector<HostPosture>& base,
   return match;
 }
 
-CampaignDiff tally_step(const std::vector<HostPosture>& base,
-                        const std::vector<HostPosture>& followup, const MatchResult& match) {
-  CampaignDiff diff;
+}  // namespace
+
+ComparisonStep compare_step(const SnapshotMeta& base_week, const std::vector<HostPosture>& base,
+                            const SnapshotMeta& followup_week,
+                            const std::vector<HostPosture>& followup) {
+  ComparisonStep step;
+  step.match = match_postures(base, followup);
+  const MatchResult& match = step.match;
+  CampaignDiff& diff = step.diff;
+  diff.base_week = base_week;
+  diff.followup_week = followup_week;
   diff.base_hosts = base.size();
   diff.followup_hosts = followup.size();
 
@@ -257,7 +269,7 @@ CampaignDiff tally_step(const std::vector<HostPosture>& base,
     if (!from.deficient && !to.deficient) ++diff.never_deficient;
   }
   for (std::uint32_t ai = 0; ai < base.size(); ++ai) diff.retired += !match.base_matched[ai];
-  return diff;
+  return step;
 }
 
 }  // namespace opcua_study

@@ -1,5 +1,6 @@
 // Host re-identification matcher — the shared core under src/diff/ (the
-// N=2 pairwise diff) and src/series/ (the N-way trajectory analysis).
+// N=2 pairwise diff), src/series/ (the N-way trajectory analysis) and the
+// study service's catalog (src/svc/).
 //
 // A campaign's final measurement is reduced to a vector of HostPosture
 // summaries (chunk-parallel, concatenated in chunk-index order, so the
@@ -16,10 +17,10 @@
 // grade feeds the per-link confidence surfaced in campaign_diff_json and
 // the series report, so re-identification quality is auditable.
 //
-// tally_step() folds one matched pair into the CampaignDiff counters —
-// diff_campaigns() is exactly collect + match + tally, and analyze_series
-// runs the same three calls per adjacent member pair, which is what makes
-// the N=2 series reproduce the pairwise diff field for field.
+// compare_step() is the one comparison step (match, tally, stamp):
+// diff_campaigns, diff_files, the series builder and the catalog's diff
+// all run it, which is what makes the N=2 series reproduce the pairwise
+// diff field for field.
 #pragma once
 
 #include "analysis/analysis.hpp"
@@ -85,17 +86,17 @@ struct MatchResult {
 /// as workers advance). Identical output for any thread count.
 std::vector<HostPosture> collect_postures(const RecordSource& source, ThreadPool& pool);
 
-/// The deterministic two-pass matcher. Both passes iterate the
-/// record-ordered vectors front to back, so ties and duplicates resolve
-/// identically on every run.
-MatchResult match_postures(const std::vector<HostPosture>& base,
-                           const std::vector<HostPosture>& followup);
+struct ComparisonStep {
+  CampaignDiff diff;
+  MatchResult match;
+};
 
-/// Fold one matched pair into the diff counters (population, transition
-/// matrices, deprecated/anonymous retention, certificate evolution,
-/// deficiency evolution, match evidence). Campaign identity metadata is
-/// the caller's to stamp.
-CampaignDiff tally_step(const std::vector<HostPosture>& base,
-                        const std::vector<HostPosture>& followup, const MatchResult& match);
+/// Match `followup` against `base` (both passes iterate the record-ordered
+/// vectors front to back, so ties resolve identically on every run), tally
+/// the diff counters and stamp both final-measurement identities. The
+/// caller checks the chain before it loads the postures.
+ComparisonStep compare_step(const SnapshotMeta& base_week, const std::vector<HostPosture>& base,
+                            const SnapshotMeta& followup_week,
+                            const std::vector<HostPosture>& followup);
 
 }  // namespace opcua_study

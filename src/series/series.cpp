@@ -1,14 +1,15 @@
 // CampaignSet plumbing and the N-way series analysis.
 //
 // The analysis engine is SeriesBuilder: it holds at most two posture
-// vectors (the adjacent pair being matched) plus one Timeline per live
-// host. Timelines advance sequentially over record-ordered posture
-// vectors, so every derived statistic inherits the matcher's
+// vectors (the adjacent pair being compared) plus one Timeline per live
+// host. Each add is one chain check and one comparison step
+// (compare_step); timelines advance sequentially over record-ordered
+// posture vectors, so every derived statistic inherits the matcher's
 // determinism: identical for any thread count, for streamed vs.
 // in-memory members, and for sketch-fed vs. record-walked postures.
-// analyze_series is the batch driver — open each member, produce its
-// postures (sketch sidecar when present and valid, posture pass
-// otherwise), feed the builder; the study service keeps a builder
+// analyze_series is the batch driver — open each member, feed the
+// builder a loader for its postures (load_postures for file members, the
+// posture pass for in-memory ones); the study service keeps a builder
 // resident and appends to it instead.
 #include "series/series.hpp"
 
@@ -82,23 +83,6 @@ void CampaignSet::validate() const {
 
 // ---------------------------------------------------------- SeriesBuilder
 
-namespace {
-
-std::uint64_t count_deficient(const std::vector<HostPosture>& postures) {
-  std::uint64_t deficient = 0;
-  for (const HostPosture& p : postures) deficient += p.deficient;
-  return deficient;
-}
-
-void split_by_protocol(const std::vector<HostPosture>& postures, SeriesMemberStats& stats) {
-  for (const HostPosture& p : postures) {
-    stats.hosts_by_protocol[p.protocol]++;
-    stats.deficient_by_protocol[p.protocol] += p.deficient;
-  }
-}
-
-}  // namespace
-
 double SeriesAnalysis::mean_link_confidence() const {
   return mean_match_confidence(links_by_address, links_by_cert_corroborated, links_by_cert_bare);
 }
@@ -133,51 +117,41 @@ void SeriesBuilder::close_timeline(SeriesAnalysis& out, const Timeline& state,
   }
 }
 
-void SeriesBuilder::add_member(SnapshotMeta final_meta, std::vector<HostPosture> postures) {
+void SeriesBuilder::add_member(SnapshotMeta final_meta,
+                               const std::function<std::vector<HostPosture>()>& load) {
   std::vector<SnapshotMeta> chain = finals_;
   chain.push_back(final_meta);
-  validate_campaign_chain(chain);  // throws before any state mutates
+  validate_campaign_chain(chain);  // throws before the postures load or any state mutates
+  std::vector<HostPosture> postures = load();
   const std::size_t m = finals_.size();
-  if (m == 0) {
-    // Member 0: one fresh timeline per host.
-    active_.resize(postures.size());
-    for (std::size_t i = 0; i < postures.size(); ++i) {
-      active_[i] = {0, 1, postures[i].policy_bucket < 2,
-                    postures[i].policy_bucket == 2 ? 0 : -1, false};
-    }
-    acc_.timelines.total = postures.size();
-    SeriesMemberStats stats;
-    stats.meta = final_meta;
-    stats.hosts = postures.size();
-    stats.deficient = count_deficient(postures);
-    split_by_protocol(postures, stats);
-    stats.arrived = postures.size();
-    acc_.members.push_back(std::move(stats));
-    finals_.push_back(std::move(final_meta));
-    current_ = std::move(postures);
-    return;
-  }
-
-  // One match + one tally against the retained previous postures — no
-  // earlier member is touched, whatever m is.
-  const MatchResult match = match_postures(current_, postures);
-  CampaignDiff step = tally_step(current_, postures, match);
-  step.base_week = finals_[m - 1];
-  step.followup_week = final_meta;
-  acc_.links_by_address += step.matched_by_address;
-  acc_.links_by_cert_corroborated += step.cert_matches_corroborated;
-  acc_.links_by_cert_bare += step.cert_matches_bare;
 
   SeriesMemberStats stats;
   stats.meta = final_meta;
   stats.hosts = postures.size();
-  stats.deficient = count_deficient(postures);
-  split_by_protocol(postures, stats);
-  stats.matched_from_previous = step.matched();
-  stats.arrived = step.arrived;
-  acc_.members[m - 1].retired_into_next = step.retired;
+  for (const HostPosture& p : postures) {
+    stats.deficient += p.deficient;
+    stats.hosts_by_protocol[p.protocol]++;
+    stats.deficient_by_protocol[p.protocol] += p.deficient;
+  }
+  MatchResult match;
+  if (m == 0) {
+    // Member 0: every host arrives.
+    match.base_of.assign(postures.size(), MatchResult::kUnmatched);
+    stats.arrived = postures.size();
+  } else {
+    // One step against the retained previous postures — no earlier
+    // member is touched, whatever m is.
+    ComparisonStep step = compare_step(finals_[m - 1], current_, final_meta, postures);
+    acc_.links_by_address += step.diff.matched_by_address;
+    acc_.links_by_cert_corroborated += step.diff.cert_matches_corroborated;
+    acc_.links_by_cert_bare += step.diff.cert_matches_bare;
+    stats.matched_from_previous = step.diff.matched();
+    stats.arrived = step.diff.arrived;
+    acc_.members[m - 1].retired_into_next = step.diff.retired;
+    acc_.steps.push_back(std::move(step.diff));
+    match = std::move(step.match);
+  }
   acc_.members.push_back(std::move(stats));
-  acc_.steps.push_back(std::move(step));
 
   std::vector<Timeline> next_active(postures.size());
   for (std::uint32_t bi = 0; bi < postures.size(); ++bi) {
@@ -241,27 +215,6 @@ std::size_t SeriesBuilder::resident_bytes() const {
 
 // --------------------------------------------------------- analyze_series
 
-namespace {
-
-/// Postures for one opened member: the sketch sidecar when enabled,
-/// file-backed, present and fingerprint-valid; the posture pass
-/// otherwise. A stale sidecar throws (read_posture_sketch) — it is never
-/// silently skipped.
-std::vector<HostPosture> member_postures(const CampaignSet& set, std::size_t index,
-                                         const CampaignSet::OpenMember& member,
-                                         const SeriesOptions& options, ThreadPool& pool) {
-  if (options.use_sketches && member.reader() != nullptr) {
-    const std::string& path = set.member(index).path;
-    auto sketched = read_posture_sketch(posture_sketch_path(path), path,
-                                        member.reader()->file_fingerprint(),
-                                        member.reader()->snapshots().back().host_count);
-    if (sketched) return *std::move(sketched);
-  }
-  return collect_postures(member.source(), pool);
-}
-
-}  // namespace
-
 SeriesAnalysis analyze_series(const CampaignSet& set, const SeriesOptions& options) {
   const obs::WallTimer pass_timer(obs::Metric::series_pass_wall_us);
   if (set.size() < 2) {
@@ -270,17 +223,22 @@ SeriesAnalysis analyze_series(const CampaignSet& set, const SeriesOptions& optio
   }
   ThreadPool pool(options.threads);
   SeriesBuilder builder;
-  // Each member is opened exactly once, when the walk reaches it; its
-  // identity is validated against the chain seen so far before any of
-  // its postures are produced, so an out-of-order member fails before
-  // its posture work (and a truncated file fails at its open).
+  // Each member is opened exactly once, when the walk reaches it; the
+  // builder checks its identity against the chain seen so far before its
+  // postures load, so an out-of-order member fails before its posture
+  // work (and a truncated file fails at its open). A file member's
+  // postures load as diff_files loads them: a valid sketch sidecar, or
+  // the posture pass (a stale sidecar throws — it is never silently
+  // skipped).
   for (std::size_t m = 0; m < set.size(); ++m) {
     const CampaignSet::OpenMember member = set.open(m);
-    std::vector<SnapshotMeta> chain = builder.finals();
-    chain.push_back(member.final_meta());
-    validate_campaign_chain(chain);
-    builder.add_member(member.final_meta(),
-                       member_postures(set, m, member, options, pool));
+    builder.add_member(member.final_meta(), [&] {
+      if (options.use_sketches && member.reader() != nullptr) {
+        return load_postures(*member.reader(), set.member(m).path, pool, SidecarWrite::never)
+            .postures;
+      }
+      return collect_postures(member.source(), pool);
+    });
   }
   return builder.analysis();
 }

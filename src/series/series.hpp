@@ -13,12 +13,12 @@
 // the chain rules generalized from the pairwise diff (epochs strictly
 // increasing over declared members, no duplicate consecutive identity).
 //
-// analyze_series() walks the set pairwise: postures of two adjacent
-// members are collected (chunk-parallel, chunk-order-merged — the result
-// is identical for any thread count), matched with the two-pass
-// address-then-unique-certificate matcher, tallied into a per-step
-// CampaignDiff, and the accepted links are transitively chained into
-// per-host *timelines*. Memory stays bounded by two posture vectors plus
+// analyze_series() walks the set pairwise: each member's postures load
+// (a valid sketch sidecar, or the chunk-parallel, chunk-order-merged
+// posture pass — identical for any thread count), compare_step matches
+// them against the previous member's and tallies a per-step CampaignDiff,
+// and the accepted links are transitively chained into per-host
+// *timelines*. Memory stays bounded by two posture vectors plus
 // one timeline state per live host — never by the records — so an
 // N-member, million-host series streams in the same footprint as one
 // pairwise diff. From the timelines the analysis reports what no
@@ -28,6 +28,7 @@
 // transition-matrix steps.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "diff/diff.hpp"
@@ -196,28 +197,27 @@ struct SeriesAnalysis {
 /// the study service's resident series.
 ///
 /// Members are fed one at a time as (final-measurement meta, posture
-/// vector) pairs; each add matches against the *previous* member's
-/// retained postures, tallies the step diff, and advances the per-host
-/// timelines. Appending member N+1 therefore costs one posture pass
-/// (done by the caller — usually a sketch load) plus one match,
-/// independent of how many members came before: earlier members are
-/// never re-walked. analysis() closes a *copy* of the live timelines, so
-/// it can be called after every add and the builder keeps growing.
+/// vector) pairs; each add runs compare_step against the *previous*
+/// member's retained postures and advances the per-host timelines.
+/// Appending member N+1 therefore costs one posture load (usually a
+/// sketch load) plus one match, independent of how many members came
+/// before: earlier members are never re-walked. analysis() closes a
+/// *copy* of the live timelines, so it can be called after every add and
+/// the builder keeps growing.
 ///
 /// Determinism: feeding the same (meta, postures) sequence produces a
 /// SeriesAnalysis identical to analyze_series over the equivalent
-/// CampaignSet — the batch path is literally this builder fed from
-/// collect_postures.
+/// CampaignSet — the batch path is literally this builder.
 class SeriesBuilder {
  public:
-  /// Append the next campaign. `postures` must be the record-ordered
-  /// collect_postures output of the member's final measurement. Enforces
-  /// validate_campaign_chain over the metas seen so far: an add that
-  /// breaks the chain throws and leaves the builder unchanged.
-  void add_member(SnapshotMeta final_meta, std::vector<HostPosture> postures);
+  /// Append the next campaign. Checks `final_meta` against the chain so
+  /// far (the series' only validate_campaign_chain): a break throws before
+  /// `load` runs and leaves the builder unchanged. `load` then returns the
+  /// record-ordered postures of the member's final measurement.
+  void add_member(SnapshotMeta final_meta,
+                  const std::function<std::vector<HostPosture>()>& load);
 
   std::size_t size() const { return finals_.size(); }
-  const std::vector<SnapshotMeta>& finals() const { return finals_; }
 
   /// The analysis over every member added so far (throws SnapshotError
   /// below two members). Closes live timelines into a copy; the builder

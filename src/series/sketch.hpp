@@ -10,12 +10,13 @@
 // Staleness contract. Every sketch is stamped with the snapshot's
 // structural fingerprint (SnapshotReader::file_fingerprint) at write
 // time. A reader validates that stamp before anything else:
-//   - sidecar absent            -> caller falls back to a posture pass;
+//   - sidecar absent            -> load_postures runs the posture pass;
 //   - fingerprint mismatch      -> SnapshotError naming BOTH paths. A
 //     stale sketch is never silently served and never silently ignored —
 //     ignoring it would hide that a snapshot was swapped underneath its
 //     derived data;
-//   - short file / bad checksum -> SnapshotError naming the sidecar;
+//   - short file / bad checksum -> SnapshotError naming the sidecar (a
+//     short file also the offset, from the shared ByteReader);
 //   - a protocol id the build does not know, flag bits above bit 2, or
 //     a mode/policy bucket above 2 -> SnapshotError naming the sidecar,
 //     the posture index, the field and its value. The checksum is no
@@ -51,7 +52,8 @@ std::string posture_sketch_path(const std::string& snapshot_path);
 /// Serialize `postures` (a campaign's final-measurement collect_postures
 /// output, record-ordered) to `sketch_path`, stamped with
 /// `snapshot_fingerprint`. Writes `<path>.tmp` then renames, so an
-/// interrupted write never leaves a half-sketch that could load.
+/// interrupted write never leaves a half-sketch that could load; a write
+/// that fails (a full disk) throws SnapshotError and removes the `.tmp`.
 void write_posture_sketch(const std::string& sketch_path, std::uint64_t snapshot_fingerprint,
                           const std::vector<HostPosture>& postures);
 
@@ -68,6 +70,24 @@ std::optional<std::vector<HostPosture>> read_posture_sketch(const std::string& s
                                                             const std::string& snapshot_path,
                                                             std::uint64_t snapshot_fingerprint,
                                                             std::uint64_t expected_postures);
+
+/// Whether load_postures cuts a sidecar after it walks a member.
+enum class SidecarWrite : std::uint8_t { never, after_walk };
+
+struct LoadedPostures {
+  std::vector<HostPosture> postures;
+  bool from_sidecar = false;  // the sidecar answered; no walk ran
+};
+
+/// The one posture loader of diff_files, analyze_series,
+/// ensure_posture_sketch and the study service's catalog: the
+/// final-measurement postures of the snapshot file at `path`, open as
+/// `reader`. The sidecar's when one exists and is valid (a stale or
+/// malformed one throws, see read_posture_sketch); otherwise the posture
+/// pass on `pool`, then the sidecar written if `write` is after_walk.
+/// Throws SnapshotError when the file holds no measurement.
+LoadedPostures load_postures(const SnapshotReader& reader, const std::string& path,
+                             ThreadPool& pool, SidecarWrite write);
 
 /// Ensure the snapshot at `path` (opened with `seed`) has a valid sketch
 /// sidecar: loads and returns an existing valid one, otherwise runs the

@@ -102,19 +102,15 @@ void CampaignCatalog::register_series(const std::string& name,
       throw SnapshotError("catalog: series name '" + name + "' is already registered");
     }
   }
-  // Feed a local builder first — a chain violation or missing campaign
+  // Feed a local entry first — a chain violation or missing campaign
   // leaves no half-registered series behind. Posture loads go through the
   // artifact cache, so members shared across series are loaded once.
-  SeriesEntry entry;
-  entry.members = campaigns;
+  std::vector<SeriesInput> inputs;
   for (const std::string& campaign : campaigns) {
-    const std::shared_ptr<const std::vector<HostPosture>> p = postures(campaign);
-    entry.builder.add_member(final_meta(campaign), *p);
+    inputs.push_back({campaign, final_meta(campaign), postures(campaign)});
   }
-  if (entry.builder.size() >= 2) {
-    entry.latest = std::make_shared<const SeriesAnalysis>(entry.builder.analysis());
-    obs::add(obs::Metric::svc_cache_misses, 1, kCellSeries);
-  }
+  SeriesEntry entry;
+  feed_series(entry, inputs);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (series_.count(name) != 0) {
@@ -128,10 +124,9 @@ void CampaignCatalog::register_series(const std::string& name,
 
 std::size_t CampaignCatalog::append_to_series(const std::string& series,
                                               const std::string& campaign) {
-  // One posture load (cached/sketched) + one builder match. No lock is
+  // One posture load (cached/sketched) + one builder step. No lock is
   // held while the postures materialize, so queries stay live.
-  const std::shared_ptr<const std::vector<HostPosture>> p = postures(campaign);
-  const SnapshotMeta meta = final_meta(campaign);
+  const SeriesInput input{campaign, final_meta(campaign), postures(campaign)};
   std::size_t count = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -139,16 +134,22 @@ std::size_t CampaignCatalog::append_to_series(const std::string& series,
     if (it == series_.end()) {
       throw SnapshotError("catalog: unknown series '" + series + "'");
     }
-    it->second.builder.add_member(meta, *p);
-    it->second.members.push_back(campaign);
+    feed_series(it->second, {input});
     count = it->second.builder.size();
-    if (count >= 2) {
-      it->second.latest = std::make_shared<const SeriesAnalysis>(it->second.builder.analysis());
-      obs::add(obs::Metric::svc_cache_misses, 1, kCellSeries);
-    }
   }
   note_resident_bytes();
   return count;
+}
+
+void CampaignCatalog::feed_series(SeriesEntry& entry, const std::vector<SeriesInput>& inputs) {
+  for (const SeriesInput& input : inputs) {
+    entry.builder.add_member(input.meta, [&] { return *input.postures; });
+    entry.members.push_back(input.campaign);
+  }
+  if (entry.builder.size() >= 2) {
+    entry.latest = std::make_shared<const SeriesAnalysis>(entry.builder.analysis());
+    obs::add(obs::Metric::svc_cache_misses, 1, kCellSeries);
+  }
 }
 
 std::vector<std::string> CampaignCatalog::campaign_names() const {
@@ -220,20 +221,12 @@ std::shared_ptr<const CampaignCatalog::PostureArtifact> CampaignCatalog::posture
                 [&e]() -> std::shared_ptr<const PostureArtifact> {
     // A valid sketch sidecar stands in for the walk (a stale one throws —
     // see read_posture_sketch); a walk cuts one for the next cold start.
+    ThreadPool pool(1);
+    LoadedPostures loaded = load_postures(*e.reader, e.path, pool, SidecarWrite::after_walk);
+    obs::add(loaded.from_sidecar ? obs::Metric::svc_cache_hits : obs::Metric::svc_cache_misses,
+             1, kCellSketch);
     PostureArtifact artifact;
-    const std::string sidecar = posture_sketch_path(e.path);
-    auto sketched = read_posture_sketch(sidecar, e.path, e.reader->file_fingerprint(),
-                                        e.reader->snapshots().back().host_count);
-    if (sketched) {
-      obs::add(obs::Metric::svc_cache_hits, 1, kCellSketch);
-      artifact.postures = *std::move(sketched);
-    } else {
-      obs::add(obs::Metric::svc_cache_misses, 1, kCellSketch);
-      ThreadPool pool(1);
-      const ReaderRecordSource source(*e.reader);
-      artifact.postures = collect_postures(source, pool);
-      write_posture_sketch(sidecar, e.reader->file_fingerprint(), artifact.postures);
-    }
+    artifact.postures = std::move(loaded.postures);
     artifact.cohorts = build_cohort_index(artifact.postures);
     return std::make_shared<const PostureArtifact>(std::move(artifact));
   });
@@ -269,15 +262,12 @@ std::shared_ptr<const CampaignDiff> CampaignCatalog::diff(const std::string& bas
     const SnapshotMeta base_week = final_meta(base);
     const SnapshotMeta followup_week = final_meta(followup);
     validate_campaign_chain({base_week, followup_week});
-    // Cached postures + one match + one tally — byte-identical to
-    // diff_campaigns over the same two files (which is exactly
-    // collect + match + tally, see src/diff/diff.cpp).
+    // Cached postures + the one comparison step diff_files runs over the
+    // same two files — so the bytes are the batch path's.
     const auto b = postures(base);
     const auto f = postures(followup);
-    CampaignDiff diff = tally_step(*b, *f, match_postures(*b, *f));
-    diff.base_week = base_week;
-    diff.followup_week = followup_week;
-    return std::make_shared<const CampaignDiff>(std::move(diff));
+    return std::make_shared<const CampaignDiff>(
+        compare_step(base_week, *b, followup_week, *f).diff);
   });
 }
 

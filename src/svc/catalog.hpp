@@ -3,34 +3,33 @@
 // The batch pipeline re-walks snapshot files per report; the catalog
 // instead keeps every registered campaign's SnapshotReader open for its
 // whole lifetime (v6 files stay memory-mapped, so column reads are
-// zero-copy and concurrent readers never race) and caches the derived
-// immutable artifacts — posture vectors, StudyAnalysis, CampaignDiff,
-// SeriesAnalysis — behind a shared-nothing read path: every artifact is
-// computed exactly once, published as shared_ptr<const T>, and then only
-// ever read. Queries that race on a cold artifact dedupe through a
-// shared_future (one computes, the rest wait on the same result), so an
-// artifact is never computed twice and every caller observes the same
-// object. A computation that throws stays cached as that exception:
-// repeating the failing query deterministically re-raises the same
-// error instead of retrying the work. Names are resolved before the
-// cache is consulted, so an unknown campaign fails without a cache entry
-// and the same name answers normally once it is registered.
+// zero-copy and concurrent readers never race) and caches what the batch
+// functions compute — posture vectors (load_postures), StudyAnalysis
+// (analyze_reader), CampaignDiff (compare_step), SeriesAnalysis
+// (SeriesBuilder) — behind a shared-nothing read path: every artifact is
+// computed exactly once, by the batch path's own function, published as
+// shared_ptr<const T>, and then only ever read. Queries that race on a
+// cold artifact dedupe through a shared_future (one computes, the rest
+// wait on the same result). A computation that throws stays cached as
+// that exception: repeating the failing query deterministically re-raises
+// the same error. Names are resolved before the cache is consulted, so an
+// unknown campaign fails without a cache entry and the same name answers
+// normally once it is registered.
 //
 // The posture artifact carries the campaign's cohort index beside the
 // posture vector: host counts per (AS, protocol, mode bucket, policy
 // bucket, anonymous, deficient, supports-deprecated) cell, built once in
 // the same computation. Posture queries sum cells instead of walking
-// every host.
+// every host. A valid sketch sidecar supplies the postures (a stale one
+// is a hard error); a walk cuts one for the next cold start.
 //
-// Series are resident SeriesBuilders. Registering a series feeds each
-// member's posture vector (sketch sidecar when present and valid —
-// src/series/sketch.hpp; a stale sidecar is a hard error) into a
-// builder; appending a campaign later costs one posture load plus one
-// match, never a re-walk of earlier members. The SeriesAnalysis snapshot
-// is refreshed at each append (closing live timelines is cheap next to a
-// member walk), so series queries are pure pointer reads and a query
-// racing an append sees either the old or the new immutable snapshot —
-// never a half-updated one.
+// Series are resident SeriesBuilders, fed through one place for a
+// register and an append: appending a campaign costs one posture load
+// plus one comparison step, never a re-walk of earlier members. The
+// SeriesAnalysis snapshot is refreshed once per register or append, so
+// series queries are pure pointer reads and a query racing an append
+// sees either the old or the new immutable snapshot — never a
+// half-updated one.
 //
 // Lifetime rules: registration is append-only — campaigns and series are
 // never evicted, readers live as long as the catalog, and artifact
@@ -135,6 +134,12 @@ class CampaignCatalog {
     std::vector<HostPosture> postures;
     CohortIndex cohorts;
   };
+  /// A campaign joining a series, fetched before the series is touched.
+  struct SeriesInput {
+    std::string campaign;
+    SnapshotMeta meta;
+    std::shared_ptr<const std::vector<HostPosture>> postures;
+  };
   template <typename T>
   using Cache = std::map<std::string, std::shared_future<std::shared_ptr<const T>>>;
 
@@ -147,6 +152,10 @@ class CampaignCatalog {
   std::shared_ptr<const T> cached(Cache<T>& cache, const std::string& key, unsigned artifact_cell,
                                   Fn compute);
   std::shared_ptr<const PostureArtifact> posture_artifact(const std::string& campaign);
+  /// The one series feed: adds each input through the builder (which
+  /// checks it against the chain), then, from two members on, refreshes
+  /// `latest` once and counts one series miss.
+  static void feed_series(SeriesEntry& entry, const std::vector<SeriesInput>& inputs);
   void note_resident_bytes() const;
 
   mutable std::mutex mutex_;  // registries + caches + series builders

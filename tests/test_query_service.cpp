@@ -3,7 +3,10 @@
 //    the staleness contract (a sidecar whose fingerprint mismatches its
 //    snapshot fails with an error naming BOTH paths — never served,
 //    never silently skipped; truncation and bit flips fail the checksum),
-//  - sketch-fed series analysis is byte-identical to the full walk,
+//    and a write the disk refuses throws and leaves no sidecar,
+//  - sketch-fed series analysis is byte-identical to the full walk, and
+//    diff_files serves valid sidecars without reading a snapshot chunk
+//    and rejects a stale one naming both paths,
 //  - the incremental-append contract: appending a sketched campaign to a
 //    resident series reads zero snapshot chunks (pinned through the
 //    snapshot_chunks_read counter), and a repeated study or posture query
@@ -302,6 +305,28 @@ TEST(PostureSketch, EnsureWritesOnceThenLoads) {
   EXPECT_EQ(read_file_bytes(posture_sketch_path(path)), sidecar_bytes);
 }
 
+// A write the disk refuses must throw and leave nothing at the sidecar
+// path: the .tmp is a link to /dev/full, so the bytes are refused when the
+// stream flushes. The sidecar path is never opened, since a write that
+// wrongly succeeded renames that link into place.
+TEST(PostureSketch, FailedWriteLeavesNoSidecar) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  const std::string sidecar = "/tmp/opcua_svc_sketch_full.bin.sketch";
+  std::filesystem::remove(sidecar);
+  std::filesystem::remove(sidecar + ".tmp");
+  std::filesystem::create_symlink("/dev/full", sidecar + ".tmp");
+  std::vector<HostPosture> postures(5);
+  for (std::size_t i = 0; i < postures.size(); ++i) {
+    postures[i].ip = make_ipv4(10, 8, 0, static_cast<std::uint8_t>(i + 1));
+    postures[i].port = kOpcUaDefaultPort;
+  }
+  EXPECT_THROW(write_posture_sketch(sidecar, 77, postures), SnapshotError);
+  EXPECT_FALSE(std::filesystem::exists(std::filesystem::symlink_status(sidecar)));
+  EXPECT_FALSE(std::filesystem::exists(std::filesystem::symlink_status(sidecar + ".tmp")));
+  std::filesystem::remove(sidecar);
+  std::filesystem::remove(sidecar + ".tmp");
+}
+
 // -------------------------------------------- sketch-fed series analysis ----
 
 TEST(SeriesSketches, SketchFedAnalysisIsByteIdenticalToTheWalk) {
@@ -327,6 +352,47 @@ TEST(SeriesSketches, SketchFedAnalysisIsByteIdenticalToTheWalk) {
   const SeriesAnalysis walked = analyze_series(set, without_sketches);
   EXPECT_EQ(fed, walked);
   EXPECT_EQ(series_analysis_json(fed), series_analysis_json(walked));
+}
+
+// diff_files loads its members' postures as analyze_series does: valid
+// sidecars stand in for the walk (no snapshot chunk is read), and a stale
+// one fails naming the sidecar and the snapshot instead of being walked
+// past.
+TEST(SeriesSketches, DiffFilesServesValidSidecarsAndRejectsStaleOnes) {
+  TempFiles tmp;
+  const std::string base = tmp.add("/tmp/opcua_svc_diff_sketch_m0.bin");
+  write_campaign(base, 42, "svc-diff-sketch-base", 100, 60);
+  CampaignSet set;
+  set.add_file(base, 42);
+  const std::string grown = tmp.add("/tmp/opcua_svc_diff_sketch_m1.bin");
+  extend_series(set, small_followup_config(), grown, 43);
+  ThreadPool pool(1);
+  ensure_posture_sketch(base, 42, pool);
+  const SnapshotReader base_reader(base, 42);
+  const SnapshotReader grown_reader(grown, 43);
+  const CampaignDiff walked =
+      diff_campaigns(ReaderRecordSource(base_reader), ReaderRecordSource(grown_reader));
+
+  obs::reset();
+  obs::set_enabled(true);
+  const CampaignDiff sketched = diff_files(base, 42, grown, 43);
+  EXPECT_EQ(obs::collect()[obs::Metric::snapshot_chunks_read].total(), 0u);
+  obs::set_enabled(false);
+  obs::reset();
+  EXPECT_TRUE(sketched == walked);
+  EXPECT_EQ(campaign_diff_json(sketched), campaign_diff_json(walked));
+
+  const std::string sidecar = posture_sketch_path(grown);
+  write_posture_sketch(sidecar, grown_reader.file_fingerprint() ^ 1, walk_postures(grown, 43));
+  try {
+    diff_files(base, 42, grown, 43);
+    FAIL() << "diff_files served a stale sidecar";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("stale"), std::string::npos) << what;
+    EXPECT_NE(what.find("sidecar '" + sidecar + "'"), std::string::npos) << what;
+    EXPECT_NE(what.find("snapshot '" + grown + "'"), std::string::npos) << what;
+  }
 }
 
 // ------------------------------------------------- incremental appends ----

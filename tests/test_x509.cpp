@@ -123,7 +123,7 @@ TEST(X509, SelfSignedRoundTrip) {
   EXPECT_EQ(cert.application_uri, "urn:device-7:bachmann:opcua");
   EXPECT_EQ(cert.public_key, kp.pub);
   EXPECT_EQ(cert.key_bits(), 768u);
-  EXPECT_TRUE(x509_verify(cert, kp.pub));
+  EXPECT_TRUE(x509_verify(der, kp.pub));
 }
 
 class X509SignatureHashes : public ::testing::TestWithParam<HashAlgorithm> {};
@@ -135,7 +135,7 @@ TEST_P(X509SignatureHashes, AllStudyHashesSupported) {
   const Bytes der = x509_create(spec, kp.pub, kp.priv);
   const Certificate cert = x509_parse(der);
   EXPECT_EQ(cert.signature_hash, GetParam());
-  EXPECT_TRUE(x509_verify(cert, kp.pub));
+  EXPECT_TRUE(x509_verify(der, kp.pub));
 }
 
 INSTANTIATE_TEST_SUITE_P(Md5Sha1Sha256, X509SignatureHashes,
@@ -151,16 +151,19 @@ TEST(X509, CaSignedCertificateIsNotSelfSigned) {
   const Certificate cert = x509_parse(der);
   EXPECT_FALSE(cert.self_signed());
   EXPECT_EQ(cert.issuer.common_name, "Study CA");
-  EXPECT_TRUE(x509_verify(cert, ca.pub));
-  EXPECT_FALSE(x509_verify(cert, cert_key().pub));
+  EXPECT_TRUE(x509_verify(der, ca.pub));
+  EXPECT_FALSE(x509_verify(der, cert_key().pub));
 }
 
 TEST(X509, TamperedCertificateFailsVerification) {
   const auto& kp = cert_key();
   Bytes der = x509_create(base_spec(), kp.pub, kp.priv);
-  Certificate cert = x509_parse(der);
-  cert.tbs_der[40] ^= 1;
-  EXPECT_FALSE(x509_verify(cert, kp.pub));
+  EXPECT_TRUE(x509_verify(der, kp.pub));
+  // The TBS starts after the certificate's 4-byte SEQUENCE header
+  // (30 82 LL LL); flip its byte 40.
+  ASSERT_EQ(der[1], 0x82);
+  der[4 + 40] ^= 1;
+  EXPECT_FALSE(x509_verify(der, kp.pub));
 }
 
 TEST(X509, ThumbprintIsSha1OfDer) {
