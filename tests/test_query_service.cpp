@@ -22,7 +22,9 @@
 //  - query responses are byte-identical across inline execution, a
 //    1-worker pool, and an 8-worker pool — including error documents,
 //  - posture responses over a mixed OPC UA + MQTT fleet equal the
-//    goldens in tests/data/svc.posture_battery.txt,
+//    goldens in tests/data/svc.posture_battery.txt, and study, diff,
+//    series and catalog responses over that fleet, with error and
+//    rejected documents, equal tests/data/svc.response_battery.txt,
 //  - admission control: submits beyond max_queue are rejected
 //    immediately; workers == 0 + drain() runs the queue deterministically,
 //  - parse_query_request round trips and rejects malformed input.
@@ -782,6 +784,80 @@ TEST(QueryService, PostureResponsesMatchGoldens) {
   EXPECT_TRUE(std::ifstream(posture_sketch_path(walked)).good());
 
   const std::string golden = "svc.posture_battery.txt";
+  std::ifstream in(std::filesystem::path(__FILE__).parent_path() / "data" / golden);
+  ASSERT_TRUE(in) << "missing golden tests/data/" << golden;
+  std::vector<std::string> expected;
+  for (std::string line; std::getline(in, line);) expected.push_back(line);
+  EXPECT_EQ(actual.size(), expected.size()) << "line count differs from tests/data/" << golden;
+  for (std::size_t i = 0; i < std::min(actual.size(), expected.size()); ++i) {
+    EXPECT_TRUE(actual[i] == expected[i]) << "tests/data/" << golden << " line " << i + 1
+                                          << "\n  golden: " << expected[i]
+                                          << "\n  actual: " << actual[i];
+  }
+}
+
+/// Study, diff, series and catalog requests over the posture goldens'
+/// campaigns, a third that remediates, and a series of all three; an
+/// unknown name, a backwards pair and, below, one rejected document.
+const char* const kResponseBattery[] = {
+    "kind=catalog",
+    "kind=study campaign=c0",
+    "kind=study campaign=c1",
+    "kind=study campaign=c2",
+    "kind=diff base=c0 followup=c1",
+    "kind=diff base=c1 followup=c2",
+    "kind=series series=history",
+    "kind=study campaign=nope",
+    "kind=diff base=c1 followup=c0",
+};
+
+TEST(QueryService, EveryKindMatchesGoldens) {
+  TempFiles tmp;
+  const std::string sketched = tmp.add("/tmp/opcua_svc_kinds_c0.bin");
+  const std::string walked = tmp.add("/tmp/opcua_svc_kinds_c1.bin");
+  write_campaign(sketched, 42, "svc-gold-sketched", 120, 300, make_fleet_host);
+  write_campaign(walked, 43, "svc-gold-walked", 127, 200,
+                 [](std::size_t i) { return make_fleet_host(2 * i + 1); });
+  // c2 sees c1's hosts again, and every other one now offers only
+  // Basic256Sha256, so the remediation curve's fractions are not 0.
+  const std::string upgraded = tmp.add("/tmp/opcua_svc_kinds_c2.bin");
+  write_campaign(upgraded, 44, "svc-gold-upgraded", 134, 200, [](std::size_t i) {
+    HostScanRecord host = make_fleet_host(2 * i + 1);
+    if (i % 2 == 0) {
+      for (EndpointObservation& ep : host.endpoints) {
+        ep.mode = MessageSecurityMode::SignAndEncrypt;
+        ep.policy = SecurityPolicy::Basic256Sha256;
+        ep.policy_uri = std::string(policy_info(ep.policy).uri);
+      }
+    }
+    return host;
+  });
+  ThreadPool pool(1);
+  ensure_posture_sketch(sketched, 42, pool);
+
+  svc::CampaignCatalog catalog;
+  catalog.register_campaign("c0", sketched, 42);
+  catalog.register_campaign("c1", walked, 43);
+  catalog.register_campaign("c2", upgraded, 44);
+  catalog.register_series("history", {"c0", "c1", "c2"});
+  std::vector<std::string> actual;
+  const auto record = [&actual](const std::string& request, std::string body) {
+    actual.push_back("> " + request);
+    body.pop_back();  // the document's closing newline
+    actual.push_back(std::move(body));
+  };
+  svc::QueryService service(catalog);
+  for (const char* text : kResponseBattery) {
+    record(text, service.execute(svc::parse_query_request(text)).body);
+  }
+  svc::QueryServiceOptions options;
+  options.workers = 0;
+  options.max_queue = 0;
+  svc::QueryService full(catalog, options);
+  record("submit kind=catalog (max_queue=0)",
+         full.submit(svc::parse_query_request("kind=catalog")).get().body);
+
+  const std::string golden = "svc.response_battery.txt";
   std::ifstream in(std::filesystem::path(__FILE__).parent_path() / "data" / golden);
   ASSERT_TRUE(in) << "missing golden tests/data/" << golden;
   std::vector<std::string> expected;

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 
 #include "analysis/paper.hpp"
+#include "report/json.hpp"
 #include "report/report.hpp"
 #include "scanner/snapshot_io.hpp"
 
@@ -53,6 +55,58 @@ TEST(Report, ComparisonMarksMismatches) {
   EXPECT_NE(block.find("DEVIATIONS PRESENT"), std::string::npos);
   const std::string clean = render_comparison("t", {good});
   EXPECT_NE(clean.find("[all reproduced]"), std::string::npos);
+}
+
+// Every report, the service's responses and BENCH_crypto.json render
+// through JsonWriter. One document over each value form, each escape and
+// each nesting it emits, compared with the bytes it rendered when it wrote
+// through a std::ostringstream at precision 12.
+TEST(Report, JsonWriterMatchesRecordedBytes) {
+  std::string controls;
+  for (char c = 1; c < 0x20; ++c) controls.push_back(c);
+  controls.push_back('\x7f');
+  JsonWriter json;
+  json.begin_object()
+      .field("schema", "json-writer-pin")
+      .key("empty_object").begin_object().end_object()
+      .key("empty_array").begin_array().end_array()
+      .key("nested").begin_array()
+      .begin_object().key("inner").begin_array().value(1).begin_array().end_array().end_array()
+      .end_object()
+      .begin_array().begin_object().end_object().begin_object().field("k", 2).end_object()
+      .end_array()
+      .end_array()
+      .field("quote\"back\\slash\nnew\ttab\rret", std::string("a\"b\\c\nd\te\rf"))
+      .field(controls, controls)
+      .field("utf8", std::string("Gr\xc3\xbc\xc3\x9f" "e \xe2\x82\xac \xf0\x9f\x94\x92"))
+      .key("doubles").begin_array()
+      .value(0.0).value(-0.0).value(0.1).value(1.0 / 3).value(2.5).value(1e-7)
+      .value(123456789012.5).value(1e21).value(1e300)
+      .end_array()
+      .key("integers").begin_array()
+      .value(std::numeric_limits<int>::min()).value(-1).value(0)
+      .value(std::numeric_limits<std::uint64_t>::max())
+      .end_array()
+      .field("yes", true)
+      .field("no", false)
+      .field("c_string", "plain")
+      .field("std_string", std::string("owned"))
+      .end_object();
+  const std::string expected =
+      "{\"schema\": \"json-writer-pin\", \"empty_object\": {}, "
+      "\"empty_array\": [], \"nested\": [{\"inner\": [1, []]}, [{}, {\"k\": 2}]], "
+      "\"quote\\\"back\\\\slash\\nnew\\ttab\\rret\": \"a\\\"b\\\\c\\nd\\te\\rf\", "
+      "\"\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\\r"
+      "\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018"
+      "\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\x7f\": "
+      "\"\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\\r"
+      "\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018"
+      "\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\x7f\", "
+      "\"utf8\": \"Gr\xc3\xbc\xc3\x9f" "e \xe2\x82\xac \xf0\x9f\x94\x92\", "
+      "\"doubles\": [0, -0, 0.1, 0.333333333333, 2.5, 1e-07, 123456789012, 1e+21, "
+      "1e+300], \"integers\": [-2147483648, -1, 0, 18446744073709551615], "
+      "\"yes\": true, \"no\": false, \"c_string\": \"plain\", \"std_string\": \"owned\"}\n";
+  EXPECT_EQ(json.str(), expected);
 }
 
 ScanSnapshot sample_snapshot() {
