@@ -117,12 +117,12 @@ void SeriesBuilder::close_timeline(SeriesAnalysis& out, const Timeline& state,
   }
 }
 
-void SeriesBuilder::add_member(SnapshotMeta final_meta,
-                               const std::function<std::vector<HostPosture>()>& load) {
+void SeriesBuilder::add_member(SnapshotMeta final_meta, const std::function<Postures()>& load) {
   std::vector<SnapshotMeta> chain = finals_;
   chain.push_back(final_meta);
   validate_campaign_chain(chain);  // throws before the postures load or any state mutates
-  std::vector<HostPosture> postures = load();
+  Postures loaded = load();
+  const std::vector<HostPosture>& postures = *loaded;
   const std::size_t m = finals_.size();
 
   SeriesMemberStats stats;
@@ -141,7 +141,7 @@ void SeriesBuilder::add_member(SnapshotMeta final_meta,
   } else {
     // One step against the retained previous postures — no earlier
     // member is touched, whatever m is.
-    ComparisonStep step = compare_step(finals_[m - 1], current_, final_meta, postures);
+    ComparisonStep step = compare_step(finals_[m - 1], *current_, final_meta, postures);
     acc_.links_by_address += step.diff.matched_by_address;
     acc_.links_by_cert_corroborated += step.diff.cert_matches_corroborated;
     acc_.links_by_cert_bare += step.diff.cert_matches_bare;
@@ -173,10 +173,10 @@ void SeriesBuilder::add_member(SnapshotMeta final_meta,
     next_active[bi] = state;
   }
   // Timelines without a successor close now (their host retired).
-  for (std::uint32_t ai = 0; ai < current_.size(); ++ai) {
+  for (std::uint32_t ai = 0; ai < active_.size(); ++ai) {
     if (!match.base_matched[ai]) close_timeline(acc_, active_[ai], /*censored=*/false);
   }
-  current_ = std::move(postures);
+  current_ = std::move(loaded);
   active_ = std::move(next_active);
   finals_.push_back(std::move(final_meta));
 }
@@ -201,8 +201,6 @@ SeriesAnalysis SeriesBuilder::analysis() const {
 
 std::size_t SeriesBuilder::resident_bytes() const {
   std::size_t bytes = sizeof(*this);
-  bytes += current_.capacity() * sizeof(HostPosture);
-  for (const HostPosture& p : current_) bytes += p.fps.capacity() * sizeof(std::uint64_t);
   bytes += active_.capacity() * sizeof(Timeline);
   bytes += finals_.capacity() * sizeof(SnapshotMeta);
   for (const SnapshotMeta& meta : finals_) bytes += meta.campaign_label.capacity();
@@ -233,11 +231,12 @@ SeriesAnalysis analyze_series(const CampaignSet& set, const SeriesOptions& optio
   for (std::size_t m = 0; m < set.size(); ++m) {
     const CampaignSet::OpenMember member = set.open(m);
     builder.add_member(member.final_meta(), [&] {
-      if (options.use_sketches && member.reader() != nullptr) {
-        return load_postures(*member.reader(), set.member(m).path, pool, SidecarWrite::never)
-            .postures;
-      }
-      return collect_postures(member.source(), pool);
+      std::vector<HostPosture> postures =
+          options.use_sketches && member.reader() != nullptr
+              ? load_postures(*member.reader(), set.member(m).path, pool, SidecarWrite::never)
+                    .postures
+              : collect_postures(member.source(), pool);
+      return std::make_shared<const std::vector<HostPosture>>(std::move(postures));
     });
   }
   return builder.analysis();

@@ -208,14 +208,18 @@ struct SeriesAnalysis {
 /// Determinism: feeding the same (meta, postures) sequence produces a
 /// SeriesAnalysis identical to analyze_series over the equivalent
 /// CampaignSet — the batch path is literally this builder.
+///
+/// The builder keeps the last member's postures by shared pointer, so a
+/// resident series holds the catalog's cached vector, not a copy.
 class SeriesBuilder {
  public:
+  using Postures = std::shared_ptr<const std::vector<HostPosture>>;
+
   /// Append the next campaign. Checks `final_meta` against the chain so
   /// far (the series' only validate_campaign_chain): a break throws before
   /// `load` runs and leaves the builder unchanged. `load` then returns the
   /// record-ordered postures of the member's final measurement.
-  void add_member(SnapshotMeta final_meta,
-                  const std::function<std::vector<HostPosture>()>& load);
+  void add_member(SnapshotMeta final_meta, const std::function<Postures()>& load);
 
   std::size_t size() const { return finals_.size(); }
 
@@ -224,8 +228,9 @@ class SeriesBuilder {
   /// itself is untouched and can keep accepting members.
   SeriesAnalysis analysis() const;
 
-  /// Heap bytes retained by the builder (postures + timelines + partial
-  /// analysis) — the study service's resident-size accounting.
+  /// Heap bytes retained by the builder (timelines + partial analysis) —
+  /// the study service's resident-size accounting. The last member's
+  /// posture vector is shared and counted by whoever loaded it.
   std::size_t resident_bytes() const;
 
  private:
@@ -241,7 +246,7 @@ class SeriesBuilder {
   void close_timeline(SeriesAnalysis& out, const Timeline& state, bool censored) const;
 
   std::vector<SnapshotMeta> finals_;
-  std::vector<HostPosture> current_;   // previous member's postures
+  Postures current_;                   // previous member's postures
   std::vector<Timeline> active_;       // one per host of the previous member
   SeriesAnalysis acc_;                 // closed-timeline totals + members/steps
 };

@@ -3,6 +3,7 @@
 #include "series/sketch.hpp"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "scanner/snapshot_io.hpp"
@@ -163,7 +164,14 @@ std::optional<std::vector<HostPosture>> read_posture_sketch(const std::string& s
                                                             std::uint64_t expected_postures) {
   std::ifstream in(sketch_path, std::ios::binary);
   if (!in) return std::nullopt;  // no sidecar: caller runs the posture pass
-  const Bytes bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  // One sized read. A path with no size (a directory) reads as empty and a
+  // file that shrank since it was sized reads short; the decode below
+  // reports either as truncated.
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(sketch_path, error);
+  Bytes bytes(error ? 0 : static_cast<std::size_t>(size));
+  in.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
   ByteReader r(bytes);
   try {
     return decode_sketch(r, bytes, sketch_path, snapshot_path, snapshot_fingerprint,

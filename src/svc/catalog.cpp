@@ -143,7 +143,7 @@ std::size_t CampaignCatalog::append_to_series(const std::string& series,
 
 void CampaignCatalog::feed_series(SeriesEntry& entry, const std::vector<SeriesInput>& inputs) {
   for (const SeriesInput& input : inputs) {
-    entry.builder.add_member(input.meta, [&] { return *input.postures; });
+    entry.builder.add_member(input.meta, [&] { return input.postures; });
     entry.members.push_back(input.campaign);
   }
   if (entry.builder.size() >= 2) {
@@ -221,7 +221,7 @@ std::shared_ptr<const CampaignCatalog::PostureArtifact> CampaignCatalog::posture
                 [&e]() -> std::shared_ptr<const PostureArtifact> {
     // A valid sketch sidecar stands in for the walk (a stale one throws —
     // see read_posture_sketch); a walk cuts one for the next cold start.
-    ThreadPool pool(1);
+    ThreadPool pool(0);  // hardware width; the postures are the same at any width
     LoadedPostures loaded = load_postures(*e.reader, e.path, pool, SidecarWrite::after_walk);
     obs::add(loaded.from_sidecar ? obs::Metric::svc_cache_hits : obs::Metric::svc_cache_misses,
              1, kCellSketch);
@@ -247,7 +247,9 @@ std::shared_ptr<const StudyAnalysis> CampaignCatalog::study(const std::string& c
   const CampaignEntry& e = entry(campaign);
   return cached(study_cache_, campaign, kCellStudy,
                 [&e]() -> std::shared_ptr<const StudyAnalysis> {
-    return std::make_shared<const StudyAnalysis>(analyze_reader(*e.reader));
+    AnalysisOptions options;
+    options.threads = 0;  // hardware width; the analysis is the same at any width
+    return std::make_shared<const StudyAnalysis>(analyze_reader(*e.reader, options));
   });
 }
 

@@ -10,7 +10,9 @@
 // computed exactly once, by the batch path's own function, published as
 // shared_ptr<const T>, and then only ever read. Queries that race on a
 // cold artifact dedupe through a shared_future (one computes, the rest
-// wait on the same result). A computation that throws stays cached as
+// wait on the same result). The computing query runs a posture walk or a
+// study's analysis on a ThreadPool of hardware width; the artifact is the
+// same at any width. A computation that throws stays cached as
 // that exception: repeating the failing query deterministically re-raises
 // the same error. Names are resolved before the cache is consulted, so an
 // unknown campaign fails without a cache entry and the same name answers
@@ -25,7 +27,9 @@
 //
 // Series are resident SeriesBuilders, fed through one place for a
 // register and an append: appending a campaign costs one posture load
-// plus one comparison step, never a re-walk of earlier members. The
+// plus one comparison step, never a re-walk of earlier members. A builder
+// holds its last member's cached posture vector, not a copy, so
+// resident_bytes() counts each vector once. The
 // SeriesAnalysis snapshot is refreshed once per register or append, so
 // series queries are pure pointer reads and a query racing an append
 // sees either the old or the new immutable snapshot — never a
@@ -114,7 +118,8 @@ class CampaignCatalog {
   std::shared_ptr<const SeriesAnalysis> series(const std::string& series);
 
   /// Estimated heap/mapping bytes held resident: snapshot payloads,
-  /// cached posture vectors and cohort indexes, live series builders.
+  /// cached posture vectors and cohort indexes (each once, though series
+  /// share them), live series builders.
   std::size_t resident_bytes() const;
 
  private:

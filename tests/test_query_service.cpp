@@ -13,8 +13,10 @@
 //    is one cache hit that computes nothing,
 //  - a query for a campaign not yet registered fails without a cache
 //    entry, so the name answers normally once it is registered,
-//  - the cold study artifact (analyze_reader inline on the worker) of a
+//  - the cold study artifact (analyze_reader at hardware width) of a
 //    grown member with minted certificates equals an 8-thread analysis,
+//    and cold studies raced through 2 and 8 workers of a fresh catalog
+//    render the inline bodies,
 //  - every comparison path (diff_files, a walked diff_campaigns, the
 //    catalog's diff, the steps of analyze_series and of the resident
 //    series) computes the same step, with sidecars and without, and a
@@ -555,6 +557,62 @@ TEST(CampaignCatalog, ColdStudyEqualsEightThreadAnalysis) {
   ASSERT_EQ(reference.weeks.size(), 1u);
   EXPECT_GT(reference.longitudinal.total_distinct_certificates, unique_certs().size());
   EXPECT_GT(reference.reuse.clusters_ge3, 0);
+}
+
+// Cold studies race on pool workers. Each round registers the members in
+// a fresh catalog and submits every study query twice before any is
+// cached: the first of a pair computes on a worker, its analysis on a
+// pool of hardware width started there, and the second waits on the same
+// future or hits the cache. Members of about 9,000 hosts span three
+// chunks, so the analysis pool starts threads.
+TEST(CampaignCatalog, ConcurrentColdStudiesMatchInline) {
+  TempFiles tmp;
+  const std::string base = tmp.add("/tmp/opcua_svc_cold_m0.bin");
+  write_campaign(base, 42, "svc-cold-base", 100, 9000);
+  CampaignSet set;
+  set.add_file(base, 42);
+  extend_series(set, small_followup_config(), tmp.add("/tmp/opcua_svc_cold_m1.bin"), 43);
+  extend_series(set, small_followup_config(), tmp.add("/tmp/opcua_svc_cold_m2.bin"), 44);
+  extend_series(set, small_followup_config(), tmp.add("/tmp/opcua_svc_cold_m3.bin"), 45);
+  const std::uint64_t seeds[] = {42, 43, 44, 45};
+  const auto register_members = [&](svc::CampaignCatalog& catalog) {
+    for (std::size_t m = 0; m < tmp.paths.size(); ++m) {
+      catalog.register_campaign("m" + std::to_string(m), tmp.paths[m], seeds[m]);
+    }
+  };
+
+  std::vector<svc::QueryRequest> requests;
+  std::vector<std::string> inline_bodies;
+  {
+    svc::CampaignCatalog catalog;
+    register_members(catalog);
+    ASSERT_GT(catalog.reader("m3").chunks().size(), 1u);
+    svc::QueryService service(catalog);
+    for (std::size_t m = 0; m < tmp.paths.size(); ++m) {
+      requests.push_back(svc::parse_query_request("kind=study campaign=m" + std::to_string(m)));
+      const svc::QueryResponse response = service.execute(requests.back());
+      EXPECT_TRUE(response.ok) << response.body;
+      inline_bodies.push_back(response.body);
+    }
+  }
+  for (const int workers : {2, 8}) {
+    svc::CampaignCatalog catalog;
+    register_members(catalog);
+    svc::QueryServiceOptions options;
+    options.workers = workers;
+    options.max_queue = 64;
+    svc::QueryService service(catalog, options);
+    std::vector<std::future<svc::QueryResponse>> futures;
+    for (const svc::QueryRequest& request : requests) {
+      futures.push_back(service.submit(request));
+      futures.push_back(service.submit(request));
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const svc::QueryResponse response = futures[i].get();
+      EXPECT_FALSE(response.rejected);
+      EXPECT_EQ(response.body, inline_bodies[i / 2]) << "workers=" << workers << " m" << i / 2;
+    }
+  }
 }
 
 // Every way into the comparison computes the same step. Over a grown
