@@ -1250,6 +1250,13 @@ void SnapshotReader::open_indexed() {
                           std::to_string(snapshots_[i].host_count));
       }
     }
+    // Every record takes 47 bytes of its chunk's fixed columns, so a
+    // record count no payload could hold never sizes a reservation.
+    for (std::uint32_t i = 0; v6 && i < chunks_.size(); ++i) {
+      if (chunks_[i].payload_bytes < 47ull * chunks_[i].record_count + 4) {
+        throw DecodeError("chunk " + std::to_string(i) + " payload shorter than its fixed columns");
+      }
+    }
   } catch (const DecodeError& e) {
     throw SnapshotError("corrupt snapshot footer in " + path_ + " (" + tag +
                         ", footer at byte " + std::to_string(footer_offset) + "): " + e.what());

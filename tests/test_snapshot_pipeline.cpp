@@ -1137,6 +1137,56 @@ TEST(SnapshotV6, WrappingChunkExtentsRejectedAtOpen) {
   std::remove(path.c_str());
 }
 
+// A footer's record counts must be backed by payload bytes: a chunk of 8
+// payload bytes whose header and footer entry both claim 2^32 - 1 records,
+// in a week that declares as many hosts, is rejected at open, before any
+// load or pass sizes a reservation by those counts.
+TEST(SnapshotV6, RecordCountsBeyondChunkPayloadRejectedAtOpen) {
+  const std::string path = "/tmp/opcua_test_v6_unbacked_counts.bin";
+  constexpr std::uint32_t kClaimed = 0xffffffffu;
+  Bytes b;
+  put_le(b, 0x4f554153, 4);  // 'OUAS'
+  put_le(b, 6, 4);
+  put_le(b, 42, 8);
+  put_le(b, 0x4b4e4843, 4);  // 'CHNK' at byte 16
+  put_le(b, 0, 4);
+  put_le(b, kClaimed, 4);
+  put_le(b, 0, 4);
+  put_le(b, 8, 8);  // payload_bytes
+  put_le(b, 0, 8);
+  put_le(b, 0x43494443, 4);  // 'CDIC' at byte 48, no entries
+  put_le(b, 0, 4);
+  const std::uint64_t footer = b.size();
+  put_le(b, 0x544f4f46, 4);  // 'FOOT'
+  put_le(b, 1, 4);
+  for (const int width : {4, 8, 8, 8}) put_le(b, 0, width);
+  put_le(b, kClaimed, 8);  // host_count
+  put_le(b, 1, 4);         // chunk_count
+  put_le(b, 0, 4);
+  put_le(b, kClaimed, 4);
+  put_le(b, 16, 8);
+  put_le(b, 8, 8);
+  put_le(b, 48, 8);  // dict_offset
+  put_le(b, 8, 8);   // dict_bytes
+  put_le(b, 0, 4);   // dict_count
+  put_le(b, footer, 8);
+  put_le(b, 0x50414e53, 4);  // 'SNAP'
+  ASSERT_EQ(b.size(), 160u);
+
+  const std::string expected = "corrupt snapshot footer in " + path +
+                               " (v6, footer at byte 56): chunk 0 payload shorter than its "
+                               "fixed columns";
+  EXPECT_EQ(load_error(path, b), expected);
+  EXPECT_EQ(snapshot_error_of([&] { analyze_file(path, 42, {}); }), expected);
+  EXPECT_EQ(snapshot_error_of([&] {
+              const SnapshotReader reader(path, 42);
+              ThreadPool pool(1);
+              collect_postures(ReaderRecordSource(reader), pool);
+            }),
+            expected);
+  std::remove(path.c_str());
+}
+
 // The reader maps every file it opens, and unmaps it with the reader,
 // also when the open fails after mapping.
 TEST(SnapshotV6, FailedOpenReleasesItsMapping) {
