@@ -317,6 +317,61 @@ std::string row_fixture(const std::string& version) {
       .string();
 }
 
+std::uint32_t read_le32(const Bytes& b, std::size_t at) {
+  return static_cast<std::uint32_t>(b[at]) | (static_cast<std::uint32_t>(b[at + 1]) << 8) |
+         (static_cast<std::uint32_t>(b[at + 2]) << 16) |
+         (static_cast<std::uint32_t>(b[at + 3]) << 24);
+}
+
+std::uint64_t read_le64(const Bytes& b, std::size_t at) {
+  return static_cast<std::uint64_t>(read_le32(b, at)) |
+         (static_cast<std::uint64_t>(read_le32(b, at + 4)) << 32);
+}
+
+void write_le32(Bytes& b, std::size_t at, std::uint32_t value) {
+  b[at] = static_cast<std::uint8_t>(value);
+  b[at + 1] = static_cast<std::uint8_t>(value >> 8);
+  b[at + 2] = static_cast<std::uint8_t>(value >> 16);
+  b[at + 3] = static_cast<std::uint8_t>(value >> 24);
+}
+
+/// Byte offset of the v6 certificate dictionary, recovered the same way
+/// the reader finds it: trailer -> footer -> dict_offset field.
+std::size_t v6_dict_offset(const Bytes& b) {
+  const std::size_t footer = static_cast<std::size_t>(read_le64(b, b.size() - 12));
+  const std::uint32_t snapshot_count = read_le32(b, footer + 4);
+  std::size_t at = footer + 8 + 36ull * snapshot_count;
+  const std::uint32_t chunk_count = read_le32(b, at);
+  at += 4 + 24ull * chunk_count;
+  return static_cast<std::size_t>(read_le64(b, at));
+}
+
+/// Byte offset of dictionary entry `index` (its stored fingerprint),
+/// walking the entries from the 'CDIC' header at `dict`.
+std::size_t v6_dict_entry_offset(const Bytes& b, std::size_t dict, std::uint32_t index) {
+  std::size_t at = dict + 8;
+  for (std::uint32_t i = 0; i < index; ++i) at += 12 + read_le32(b, at + 8);
+  return at;
+}
+
+/// Writes a v6 file to `path` holding every optional part the format has:
+/// make_multi_endpoint_study(6) with week 0's host 2 on MQTT over TLS (a
+/// protocol tail and a 'PROT' block), week 1's hosts 3 and 4 with
+/// scan-quality tails, a campaign block, and 3 records per chunk (four
+/// chunks over a six-entry dictionary).
+void write_rich_v6(const std::string& path) {
+  std::vector<ScanSnapshot> study = make_multi_endpoint_study(6);
+  study[0].hosts[2].protocol = ProtocolId::mqtt_tls;
+  for (const std::size_t i : {3, 4}) {
+    study[1].hosts[i].retries = 2;
+    study[1].hosts[i].completeness = ProbeOutcome::degraded;
+  }
+  SnapshotWriter writer(path, 42, 3);
+  writer.set_campaign("rich", days_from_civil({2020, 2, 9}));
+  for (const auto& snapshot : study) writer.add_snapshot(snapshot);
+  writer.finish();
+}
+
 /// Compares figure_dump_text(analysis) with tests/data/<golden>. Each
 /// golden is the dump of the record-based reference functions the
 /// Aggregator replaced (one per figure, whole snapshot in RAM), recorded
@@ -490,16 +545,20 @@ TEST(SnapshotV5, SeedAndVersionMismatchRejected) {
 
 TEST(SnapshotV5, TruncationAlwaysFailsCleanly) {
   const std::string path = "/tmp/opcua_test_v5_trunc.bin";
+  const std::string rich_path = "/tmp/opcua_test_v5_trunc_rich.bin";
   const std::string cut_path = "/tmp/opcua_test_v5_trunc_cut.bin";
   save_snapshots(path, 42, make_study(6, 1));
+  write_rich_v6(rich_path);
 
   // Every truncation point (dense near both ends, strided through the
   // middle) must produce a SnapshotError — never garbage records, never a
-  // crash — in v6 and in both row formats, with the golden's message.
+  // crash — in v6, in both row formats and in the v6 file with every
+  // optional part, with the golden's message.
   std::vector<std::string> outcomes;
   for (const auto& [tag, input] : {std::pair<std::string, std::string>{"v6", path},
                                    {"v4", row_fixture("v4")},
-                                   {"v5", row_fixture("v5")}}) {
+                                   {"v5", row_fixture("v5")},
+                                   {"v6-rich", rich_path}}) {
     const Bytes full = read_file_bytes(input);
     ASSERT_GT(full.size(), 64u) << input;
     std::vector<std::size_t> cuts;
@@ -519,6 +578,7 @@ TEST(SnapshotV5, TruncationAlwaysFailsCleanly) {
   }
   expect_golden_outcomes("truncate", outcomes);
   std::remove(path.c_str());
+  std::remove(rich_path.c_str());
   std::remove(cut_path.c_str());
 }
 
@@ -647,6 +707,7 @@ TEST(SnapshotV6, UndefinedEndpointEnumsRejectedAtWrite) {
 
 TEST(SnapshotV5, RandomPayloadCorruptionNeverCrashes) {
   const std::string path = "/tmp/opcua_test_v5_fuzz.bin";
+  const std::string rich_path = "/tmp/opcua_test_v5_fuzz_rich.bin";
   const std::string bad_path = "/tmp/opcua_test_v5_fuzz_bad.bin";
   save_snapshots(path, 42, make_study(5, 1));
   struct Input {
@@ -689,8 +750,56 @@ TEST(SnapshotV5, RandomPayloadCorruptionNeverCrashes) {
       }) << input.path << " trial " << trial;
     }
   }
+
+  // The v6 file with every optional part: one seeded bit flipped at every
+  // byte offset, then seeded flips inside the dictionary's DER bodies, each
+  // with its entry's stored fingerprint rewritten to match, so the mutated
+  // DER passes open and reaches the certificate parse inside the analysis.
+  // reader_outcome lets only a SnapshotError escape the analysis, and a
+  // file that loads holds both weeks with all six hosts each.
+  write_rich_v6(rich_path);
+  const Bytes rich = read_file_bytes(rich_path);
+  const auto rich_case = [&](const std::string& name, const Bytes& mutated) {
+    write_file_bytes(bad_path, mutated);
+    const std::string outcome = reader_outcome(bad_path);
+    EXPECT_TRUE(outcome.starts_with("rejected: ") ||
+                outcome.starts_with("loaded weeks=2 hosts=6+6 "))
+        << name << ": " << outcome;
+    outcomes.push_back("flip v6-rich" + name + ": " + outcome);
+  };
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (std::size_t at = 0; at < rich.size(); ++at) {
+    const unsigned bit = next() % 8;
+    Bytes mutated = rich;
+    mutated[at] ^= static_cast<std::uint8_t>(1u << bit);
+    rich_case(" byte=" + std::to_string(at) + " bit=" + std::to_string(bit), mutated);
+  }
+  const std::size_t dict = v6_dict_offset(rich);
+  const std::uint32_t entries = read_le32(rich, dict + 4);
+  ASSERT_EQ(entries, 6u);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto entry = static_cast<std::uint32_t>(next() % entries);
+    const std::size_t fp_at = v6_dict_entry_offset(rich, dict, entry);
+    const std::uint32_t length = read_le32(rich, fp_at + 8);
+    const std::size_t at = fp_at + 12 + next() % length;
+    const unsigned bit = next() % 8;
+    Bytes mutated = rich;
+    mutated[at] ^= static_cast<std::uint8_t>(1u << bit);
+    const std::uint64_t fp = certificate_fingerprint64({mutated.data() + fp_at + 12, length});
+    for (int k = 0; k < 8; ++k) mutated[fp_at + k] = static_cast<std::uint8_t>(fp >> (8 * k));
+    rich_case("-der trial=" + std::to_string(trial) + " entry=" + std::to_string(entry) +
+                  " byte=" + std::to_string(at) + " bit=" + std::to_string(bit),
+              mutated);
+  }
   expect_golden_outcomes("flip", outcomes);
   std::remove(path.c_str());
+  std::remove(rich_path.c_str());
   std::remove(bad_path.c_str());
 }
 
@@ -698,35 +807,6 @@ TEST(SnapshotV5, RandomPayloadCorruptionNeverCrashes) {
 constexpr std::size_t kPinnedV6Size = 98393;
 constexpr const char* kPinnedV6Sha256 =
     "9ea6e7033ec6c1e30445602dca40ff581c89a97d3d5ca60557b3d36c7bfc77f3";
-
-std::uint32_t read_le32(const Bytes& b, std::size_t at) {
-  return static_cast<std::uint32_t>(b[at]) | (static_cast<std::uint32_t>(b[at + 1]) << 8) |
-         (static_cast<std::uint32_t>(b[at + 2]) << 16) |
-         (static_cast<std::uint32_t>(b[at + 3]) << 24);
-}
-
-std::uint64_t read_le64(const Bytes& b, std::size_t at) {
-  return static_cast<std::uint64_t>(read_le32(b, at)) |
-         (static_cast<std::uint64_t>(read_le32(b, at + 4)) << 32);
-}
-
-void write_le32(Bytes& b, std::size_t at, std::uint32_t value) {
-  b[at] = static_cast<std::uint8_t>(value);
-  b[at + 1] = static_cast<std::uint8_t>(value >> 8);
-  b[at + 2] = static_cast<std::uint8_t>(value >> 16);
-  b[at + 3] = static_cast<std::uint8_t>(value >> 24);
-}
-
-/// Byte offset of the v6 certificate dictionary, recovered the same way
-/// the reader finds it: trailer -> footer -> dict_offset field.
-std::size_t v6_dict_offset(const Bytes& b) {
-  const std::size_t footer = static_cast<std::size_t>(read_le64(b, b.size() - 12));
-  const std::uint32_t snapshot_count = read_le32(b, footer + 4);
-  std::size_t at = footer + 8 + 36ull * snapshot_count;
-  const std::uint32_t chunk_count = read_le32(b, at);
-  at += 4 + 24ull * chunk_count;
-  return static_cast<std::size_t>(read_le64(b, at));
-}
 
 TEST(SnapshotV6, VarOffsetTableCorruptionRejected) {
   const std::string path = "/tmp/opcua_test_v6_offsets.bin";
@@ -839,14 +919,6 @@ TEST(SnapshotV6, CertDictionaryCorruptionRejected) {
 
   std::remove(path.c_str());
   std::remove(bad_path.c_str());
-}
-
-/// Byte offset of dictionary entry `index` (its stored fingerprint),
-/// walking the entries from the 'CDIC' header at `dict`.
-std::size_t v6_dict_entry_offset(const Bytes& b, std::size_t dict, std::uint32_t index) {
-  std::size_t at = dict + 8;
-  for (std::uint32_t i = 0; i < index; ++i) at += 12 + read_le32(b, at + 8);
-  return at;
 }
 
 // The dictionary hashes run on a pool, but the first bad entry in index
