@@ -603,7 +603,6 @@ void ReaderRecordSource::visit_chunk(std::size_t chunk,
 }
 
 void ReaderRecordSource::visit_columns(std::size_t chunk, const ColumnVisitor& fn) const {
-  if (shared_dictionary() == nullptr) return RecordSource::visit_columns(chunk, fn);
   const ColumnView view = reader_.column_view(chunk);
   try {
     fn(view, reader_);

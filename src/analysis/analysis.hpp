@@ -9,8 +9,8 @@
 // reproduction and a million-host follow-up campaign alike (cf. Dahlmanns
 // et al., PAM 2022). The tests pin it to golden dumps under tests/data/,
 // to the rules their generators plant and to hand-counted populations.
-// Every pass reads v6 columns: a v6 file serves its mapped chunks as they
-// are, every other source is transposed chunk by chunk
+// Every pass reads v6 columns: a snapshot file serves its mapped chunks as
+// they are, in-memory records are transposed chunk by chunk
 // (RecordSource::visit_columns). Either way one builder makes the view
 // and range-checks its enum columns, so a pass rejects an out-of-range
 // value with a SnapshotError, as the row reader does.
@@ -143,11 +143,12 @@ class RecordSource {
   virtual void visit_chunk(std::size_t chunk,
                            const std::function<void(const HostScanRecord&)>& fn) const = 0;
   /// One chunk as v6 columns plus the dictionary its cert ids index — the
-  /// only input of the analysis and posture passes. The default
-  /// transposes visit_chunk's records through a ColumnEncoder with a
-  /// chunk-scoped dictionary; records the v6 format cannot hold throw the
-  /// SnapshotError their write would. A value the view's checks or the
-  /// pass reject (a DecodeError) becomes corrupt_chunk's SnapshotError.
+  /// only input of the analysis and posture passes. The default, which
+  /// serves SnapshotVectorSource, transposes visit_chunk's records through
+  /// a ColumnEncoder with a chunk-scoped dictionary; records the v6 format
+  /// cannot hold throw the SnapshotError their write would. A value the
+  /// view's checks or the pass reject (a DecodeError) becomes
+  /// corrupt_chunk's SnapshotError.
   virtual void visit_columns(std::size_t chunk, const ColumnVisitor& fn) const;
   /// The dictionary every chunk's ids index when the source has one
   /// file-wide, so per-certificate facts are computed once per file;
@@ -215,17 +216,14 @@ class ReaderRecordSource final : public RecordSource {
   }
   void visit_chunk(std::size_t chunk,
                    const std::function<void(const HostScanRecord&)>& fn) const override;
-  /// A v6 file's chunk as the reader's column view, on any host, with the
-  /// file dictionary: the view checks the chunk as read_chunk does, short
-  /// of the cross-checks only rows need. v4/v5 rows take the transposing
-  /// default.
+  /// The chunk as the reader's column view, on any host, with the file
+  /// dictionary: the view checks the chunk as read_chunk does, short of
+  /// the cross-checks only rows need.
   void visit_columns(std::size_t chunk, const ColumnVisitor& fn) const override;
-  const CertDictionary* shared_dictionary() const override {
-    return reader_.version() == 6 ? &reader_ : nullptr;
-  }
+  const CertDictionary* shared_dictionary() const override { return &reader_; }
 
  protected:
-  /// The reader's own report, as load_snapshots gives it (v4, v5 and v6).
+  /// The reader's own report, as load_snapshots gives it.
   SnapshotError corrupt_chunk(std::size_t chunk, const DecodeError& e) const override;
 
  private:

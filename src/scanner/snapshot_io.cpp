@@ -28,9 +28,7 @@ namespace opcua_study {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4f554153;       // "OUAS"
-constexpr std::uint32_t kVersionV4 = 4;
-constexpr std::uint32_t kVersionV5 = 5;
-constexpr std::uint32_t kVersionV6 = 6;
+constexpr std::uint32_t kVersion = 6;
 constexpr std::uint32_t kChunkMagic = 0x4b4e4843;  // "CHNK"
 constexpr std::uint32_t kFooterMagic = 0x544f4f46; // "FOOT"
 constexpr std::uint32_t kDictMagic = 0x43494443;   // "CDIC"
@@ -38,16 +36,13 @@ constexpr std::uint32_t kCampaignMagic = 0x504d4143;  // "CAMP"
 constexpr std::uint32_t kProtocolMagic = 0x544f5250;  // "PROT"
 constexpr std::uint32_t kEndMagic = 0x50414e53;    // "SNAP"
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
-constexpr std::size_t kChunkHeaderBytes = 4 + 4 + 4 + 8;        // v5
-constexpr std::size_t kV6ChunkHeaderBytes = 4 + 4 + 4 + 4 + 8;  // v6, 8-aligned
+constexpr std::size_t kChunkHeaderBytes = 4 + 4 + 4 + 4 + 8;  // 8-aligned
 constexpr std::size_t kTrailerBytes = 8 + 4;
 // Sanity ceilings: a corrupt length field must fail fast, not drive a
 // multi-gigabyte reserve() or an hours-long decode loop.
 constexpr std::uint32_t kMaxSnapshots = 100000;
 constexpr std::uint64_t kMaxChunks = 1u << 26;
 constexpr std::uint64_t kMaxDictEntries = 1u << 26;
-
-std::string version_tag(std::uint32_t version) { return "v" + std::to_string(version); }
 
 /// "opcua+mqtt-tls" for a protocol mask (bit p = protocol id p).
 std::string protocol_set_name(std::uint32_t mask) {
@@ -62,11 +57,9 @@ std::string protocol_set_name(std::uint32_t mask) {
 }
 
 /// Error-message context naming what protocol family the failing data
-/// claims to hold: "protocols=opcua+mqtt-tls" for v6 (a v6 file without a
-/// protocol block is OPC-UA-only by construction), "pre-protocol v5/v4"
-/// for the row formats, which predate the protocol column entirely.
-std::string protocol_context(std::uint32_t version, std::uint32_t mask) {
-  if (version != kVersionV6) return "pre-protocol " + version_tag(version);
+/// claims to hold: "protocols=opcua+mqtt-tls" (a file without a protocol
+/// block is OPC-UA-only by construction).
+std::string protocol_context(std::uint32_t mask) {
   return "protocols=" + (mask == 0 ? std::string("opcua") : protocol_set_name(mask));
 }
 
@@ -151,67 +144,6 @@ std::uint32_t checked_cert_id(std::uint32_t id, std::size_t dict_size) {
   return id;
 }
 
-HostScanRecord read_host(UaReader& r) {
-  HostScanRecord host;
-  host.ip = r.u32();
-  host.port = r.u16();
-  host.asn = r.u32();
-  host.tcp_open = r.boolean();
-  host.speaks_opcua = r.boolean();
-  host.found_via_reference = r.boolean();
-  host.application_uri = r.string();
-  host.product_uri = r.string();
-  host.application_name = r.string();
-  host.application_type =
-      static_cast<ApplicationType>(checked_enum(r.u32(), 3, "application type"));
-  host.software_version = r.string();
-  const std::uint32_t n_eps = r.u32();
-  for (std::uint32_t i = 0; i < n_eps; ++i) {
-    EndpointObservation ep;
-    ep.url = r.string();
-    ep.mode = static_cast<MessageSecurityMode>(checked_enum(r.u32(), 3, "security mode"));
-    ep.policy_uri = r.string();
-    if (const auto policy = policy_from_uri(ep.policy_uri)) {
-      ep.policy = *policy;
-      ep.policy_known = true;
-    }
-    const std::uint32_t n_tokens = r.u32();
-    for (std::uint32_t t = 0; t < n_tokens; ++t) {
-      ep.token_types.push_back(
-          static_cast<UserTokenType>(checked_enum(r.u32(), 3, "user token type")));
-    }
-    ep.certificate_der = r.byte_string();
-    host.endpoints.push_back(std::move(ep));
-  }
-  const std::uint32_t n_refs = r.u32();
-  for (std::uint32_t i = 0; i < n_refs; ++i) {
-    const Ipv4 ip = r.u32();
-    const std::uint16_t port = r.u16();
-    host.referenced_targets.emplace_back(ip, port);
-  }
-  host.channel = static_cast<ChannelOutcome>(checked_enum(r.u32(), 3, "channel outcome"));
-  host.channel_policy = static_cast<SecurityPolicy>(checked_enum(r.u32(), 5, "channel policy"));
-  host.channel_mode = static_cast<MessageSecurityMode>(checked_enum(r.u32(), 3, "channel mode"));
-  host.server_signature_valid = r.boolean();
-  host.anonymous_offered = r.boolean();
-  host.session = static_cast<SessionOutcome>(checked_enum(r.u32(), 3, "session outcome"));
-  host.namespaces = r.string_array();
-  const std::uint32_t n_nodes = r.u32();
-  for (std::uint32_t i = 0; i < n_nodes; ++i) {
-    NodeObservation node;
-    node.browse_name = r.string();
-    node.node_class = node_class_from_value(r.u32());
-    node.readable = r.boolean();
-    node.writable = r.boolean();
-    node.executable = r.boolean();
-    host.nodes.push_back(std::move(node));
-  }
-  host.traversal_truncated = r.boolean();
-  host.bytes_sent = r.u64();
-  host.duration_seconds = r.f64();
-  return host;
-}
-
 Bytes read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw SnapshotError("snapshot file not found: " + path);
@@ -277,12 +209,12 @@ ColumnView view_payload(std::span<const std::uint8_t> payload, std::uint32_t rec
 /// index entry before view_payload checks the payload.
 ColumnView locate_v6_chunk(const std::uint8_t* data, const SnapshotChunkInfo& info) {
   const std::uint8_t* base = data + info.file_offset;
-  UaReader h(std::span<const std::uint8_t>(base, kV6ChunkHeaderBytes));
+  UaReader h(std::span<const std::uint8_t>(base, kChunkHeaderBytes));
   if (h.u32() != kChunkMagic || h.u32() != info.snapshot_ordinal ||
       h.u32() != info.record_count || h.u32() != 0 || h.u64() != info.payload_bytes) {
     throw DecodeError("chunk header disagrees with footer index");
   }
-  return view_payload({base + kV6ChunkHeaderBytes, static_cast<std::size_t>(info.payload_bytes)},
+  return view_payload({base + kChunkHeaderBytes, static_cast<std::size_t>(info.payload_bytes)},
                       info.record_count, info.snapshot_ordinal);
 }
 
@@ -709,10 +641,9 @@ void ColumnEncoder::add(const HostScanRecord& host) {
     const EndpointObservation& ep = host.endpoints[e];
     w.string(ep.url);
     w.byte(static_cast<std::uint8_t>(ep.mode));
-    // The policy code mirrors the read-side normalization: v5 readers
-    // re-derive (policy, policy_known) from the URI, so only the URI's
-    // identity is stored — canonically (one byte) when it names a table
-    // policy, verbatim behind the 255 escape otherwise.
+    // A read derives (policy, policy_known) from the policy URI alone, so
+    // only the URI's identity is stored: canonically (one byte) when it
+    // names a table policy, verbatim behind the 255 escape otherwise.
     if (const auto policy = policy_from_uri(ep.policy_uri)) {
       policy_mask |= static_cast<std::uint8_t>(1u << static_cast<std::uint32_t>(*policy));
       w.byte(static_cast<std::uint8_t>(*policy));
@@ -834,7 +765,7 @@ SnapshotWriter::SnapshotWriter(const std::string& path, std::uint64_t seed,
   if (!out_) throw SnapshotError("cannot open snapshot file for writing: " + path + ".tmp");
   UaWriter header;
   header.u32(kMagic);
-  header.u32(kVersionV6);
+  header.u32(kVersion);
   header.u64(seed);
   const Bytes& bytes = header.bytes();
   out_.write(reinterpret_cast<const char*>(bytes.data()),
@@ -1031,61 +962,17 @@ SnapshotReader::SnapshotReader(const std::string& path, std::uint64_t seed) : pa
   UaReader hr(std::span<const std::uint8_t>(data_, kHeaderBytes));
   if (hr.u32() != kMagic) throw SnapshotError("not a snapshot file (bad magic): " + path);
   version_ = hr.u32();
-  if (version_ != kVersionV4 && version_ != kVersionV5 && version_ != kVersionV6) {
+  if (version_ != kVersion) {
     throw SnapshotError("unsupported snapshot version " + std::to_string(version_) + ": " +
                         path);
   }
   const std::uint64_t file_seed = hr.u64();
   if (file_seed != seed) {
-    throw SnapshotError("snapshot seed mismatch at byte offset 8 (" + version_tag(version_) +
-                        " file seed " + std::to_string(file_seed) + ", expected " +
-                        std::to_string(seed) + "): " + path);
+    throw SnapshotError("snapshot seed mismatch at byte offset 8 (v6 file seed " +
+                        std::to_string(file_seed) + ", expected " + std::to_string(seed) +
+                        "): " + path);
   }
-  if (version_ != kVersionV4) {
-    open_indexed();
-    return;
-  }
-
-  // v4: monolithic stream — decode once to synthesize the chunk index;
-  // read_chunk decodes each chunk again from the file bytes.
-  UaReader r(std::span<const std::uint8_t>(data_, data_size_));
-  try {
-    r.u32();  // magic
-    r.u32();  // version
-    r.u64();  // seed
-    const std::uint32_t count = r.u32();
-    if (count > kMaxSnapshots) {
-      throw DecodeError("implausible snapshot count " + std::to_string(count));
-    }
-    for (std::uint32_t i = 0; i < count; ++i) {
-      SnapshotMeta meta;
-      meta.measurement_index = r.i32();
-      meta.date_days = r.i64();
-      meta.probes_sent = r.u64();
-      meta.tcp_open_count = r.u64();
-      const std::uint32_t n_hosts = r.u32();
-      meta.host_count = n_hosts;
-      std::uint32_t remaining_hosts = n_hosts;
-      while (remaining_hosts > 0) {
-        SnapshotChunkInfo chunk;
-        chunk.snapshot_ordinal = i;
-        chunk.record_count =
-            std::min<std::uint32_t>(remaining_hosts, SnapshotWriter::kDefaultChunkRecords);
-        chunk.file_offset = r.base().position();
-        for (std::uint32_t h = 0; h < chunk.record_count; ++h) read_host(r);
-        chunk.payload_bytes = r.base().position() - chunk.file_offset;
-        chunks_.push_back(chunk);
-        remaining_hosts -= chunk.record_count;
-      }
-      snapshots_.push_back(meta);
-    }
-    if (!r.done()) {
-      throw DecodeError(std::to_string(r.remaining()) + " trailing bytes after last snapshot");
-    }
-  } catch (const DecodeError& e) {
-    throw SnapshotError("corrupt v4 snapshot file " + path + " (at byte " +
-                        std::to_string(r.base().position()) + "): " + e.what());
-  }
+  open_indexed();
 }
 
 SnapshotReader::~SnapshotReader() = default;
@@ -1118,16 +1005,12 @@ void SnapshotReader::map_file() {
 }
 
 void SnapshotReader::open_indexed() {
-  // v5 and v6 share the framing: trailer -> footer (metas, chunk table,
-  // optional blocks). Only the chunk rules differ. v5 chunks sit back to
-  // back at any alignment and end at the footer; v6 chunks are 8-aligned
-  // and padded, end at the dictionary, whose extent the footer gives after
-  // the chunk table, and only v6 has the 'PROT' block.
-  const bool v6 = version_ == kVersionV6;
-  const std::string tag = version_tag(version_);
+  // Trailer -> footer: measurement metas, chunk table, the dictionary's
+  // extent, then the optional blocks. Chunks are 8-aligned, padded, and
+  // end at the dictionary.
   if (data_size_ < kHeaderBytes + kTrailerBytes) {
-    throw SnapshotError("snapshot file truncated before trailer (" + tag + "): " + path_ +
-                        " holds only " + std::to_string(data_size_) + " bytes, need at least " +
+    throw SnapshotError("snapshot file truncated before trailer (v6): " + path_ + " holds only " +
+                        std::to_string(data_size_) + " bytes, need at least " +
                         std::to_string(kHeaderBytes + kTrailerBytes));
   }
   UaReader tr(std::span<const std::uint8_t>(data_ + data_size_ - kTrailerBytes, kTrailerBytes));
@@ -1135,10 +1018,10 @@ void SnapshotReader::open_indexed() {
   if (tr.u32() != kEndMagic) {
     throw SnapshotError(
         "snapshot file truncated or unsealed (missing end marker at byte offset " +
-        std::to_string(data_size_ - 4) + ", " + tag + "): " + path_);
+        std::to_string(data_size_ - 4) + ", v6): " + path_);
   }
   if (footer_offset < kHeaderBytes || footer_offset > data_size_ - kTrailerBytes) {
-    throw SnapshotError("snapshot footer offset out of range (" + tag + "): " + path_);
+    throw SnapshotError("snapshot footer offset out of range (v6): " + path_);
   }
   std::uint64_t dict_offset = 0;
   std::uint64_t dict_bytes = 0;
@@ -1166,21 +1049,6 @@ void SnapshotReader::open_indexed() {
       throw DecodeError("implausible chunk count " + std::to_string(chunk_count));
     }
     chunks_.reserve(chunk_count);
-    // Chunks are written back to back in index order; each must lie fully
-    // inside [the previous chunk's end, end). Checked without forming any
-    // sum past `end`, so no offset or size can wrap around.
-    const std::uint64_t chunk_header = v6 ? kV6ChunkHeaderBytes : kChunkHeaderBytes;
-    std::uint64_t min_offset = kHeaderBytes;
-    const auto check_extent = [&](std::uint32_t i, const SnapshotChunkInfo& chunk,
-                                  std::uint64_t end) {
-      const std::uint64_t framing = chunk_header + (v6 ? v6_padding(chunk.payload_bytes) : 0);
-      if (chunk.file_offset < min_offset || chunk.file_offset > end ||
-          end - chunk.file_offset < framing ||
-          chunk.payload_bytes > end - chunk.file_offset - framing) {
-        throw DecodeError("chunk " + std::to_string(i) + " extent out of range");
-      }
-      min_offset = chunk.file_offset + framing + chunk.payload_bytes;
-    };
     std::vector<std::uint64_t> records_seen(snapshot_count, 0);
     for (std::uint32_t i = 0; i < chunk_count; ++i) {
       SnapshotChunkInfo chunk;
@@ -1194,39 +1062,45 @@ void SnapshotReader::open_indexed() {
                           std::to_string(snapshot_count));
       }
       if (chunk.record_count == 0) throw DecodeError("chunk " + std::to_string(i) + " is empty");
-      if (!v6) check_extent(i, chunk, footer_offset);
       records_seen[chunk.snapshot_ordinal] += chunk.record_count;
       if (!chunks_.empty() && chunk.snapshot_ordinal < chunks_.back().snapshot_ordinal) {
         throw DecodeError("chunk index not ordered by snapshot");
       }
       chunks_.push_back(chunk);
     }
-    if (v6) {
-      dict_offset = r.u64();
-      dict_bytes = r.u64();
-      dict_count = r.u32();
-      if (dict_count > kMaxDictEntries) {
-        throw DecodeError("implausible certificate dictionary size " +
-                          std::to_string(dict_count));
+    dict_offset = r.u64();
+    dict_bytes = r.u64();
+    dict_count = r.u32();
+    if (dict_count > kMaxDictEntries) {
+      throw DecodeError("implausible certificate dictionary size " + std::to_string(dict_count));
+    }
+    if (dict_offset < kHeaderBytes || dict_bytes < 8 || dict_bytes > footer_offset ||
+        dict_offset > footer_offset - dict_bytes) {
+      throw DecodeError("certificate dictionary extent out of range");
+    }
+    // Chunks are written back to back in index order; each must lie fully
+    // inside [the previous chunk's end, the dictionary). Checked without
+    // forming any sum past the dictionary's offset, so no offset or size
+    // can wrap around.
+    std::uint64_t min_offset = kHeaderBytes;
+    for (std::uint32_t i = 0; i < chunks_.size(); ++i) {
+      const SnapshotChunkInfo& chunk = chunks_[i];
+      if (chunk.file_offset % 8 != 0) {
+        throw DecodeError("chunk " + std::to_string(i) + " misaligned");
       }
-      if (dict_offset < kHeaderBytes || dict_bytes < 8 || dict_bytes > footer_offset ||
-          dict_offset > footer_offset - dict_bytes) {
-        throw DecodeError("certificate dictionary extent out of range");
+      const std::uint64_t framing = kChunkHeaderBytes + v6_padding(chunk.payload_bytes);
+      if (chunk.file_offset < min_offset || chunk.file_offset > dict_offset ||
+          dict_offset - chunk.file_offset < framing ||
+          chunk.payload_bytes > dict_offset - chunk.file_offset - framing) {
+        throw DecodeError("chunk " + std::to_string(i) + " extent out of range");
       }
-      for (std::uint32_t i = 0; i < chunks_.size(); ++i) {
-        if (chunks_[i].file_offset % 8 != 0) {
-          throw DecodeError("chunk " + std::to_string(i) + " misaligned");
-        }
-        check_extent(i, chunks_[i], dict_offset);
-      }
+      min_offset = chunk.file_offset + framing + chunk.payload_bytes;
     }
     // Optional blocks, each at most once, in write order: campaign
-    // identity ('CAMP'), then (v6 only) per-snapshot protocol masks
-    // ('PROT'). Files predating either block simply end before it.
+    // identity ('CAMP'), then per-snapshot protocol masks ('PROT').
     bool saw_campaign = false;
     bool saw_protocol = false;
     while (!r.done()) {
-      if (!v6 && saw_campaign) throw DecodeError("trailing bytes in footer");
       const std::uint32_t block_magic = r.u32();
       if (block_magic == kCampaignMagic && !saw_campaign && !saw_protocol) {
         saw_campaign = true;
@@ -1234,13 +1108,13 @@ void SnapshotReader::open_indexed() {
           snapshots_[i].campaign_label = r.string();
           snapshots_[i].campaign_epoch_days = r.i64();
         }
-      } else if (v6 && block_magic == kProtocolMagic && !saw_protocol) {
+      } else if (block_magic == kProtocolMagic && !saw_protocol) {
         saw_protocol = true;
         for (std::uint32_t i = 0; i < snapshot_count; ++i) {
           snapshots_[i].protocol_mask = r.u32();
         }
       } else {
-        throw DecodeError(v6 ? "bad optional footer block magic" : "bad campaign block magic");
+        throw DecodeError("bad optional footer block magic");
       }
     }
     for (std::uint32_t i = 0; i < snapshot_count; ++i) {
@@ -1252,16 +1126,15 @@ void SnapshotReader::open_indexed() {
     }
     // Every record takes 47 bytes of its chunk's fixed columns, so a
     // record count no payload could hold never sizes a reservation.
-    for (std::uint32_t i = 0; v6 && i < chunks_.size(); ++i) {
+    for (std::uint32_t i = 0; i < chunks_.size(); ++i) {
       if (chunks_[i].payload_bytes < 47ull * chunks_[i].record_count + 4) {
         throw DecodeError("chunk " + std::to_string(i) + " payload shorter than its fixed columns");
       }
     }
   } catch (const DecodeError& e) {
-    throw SnapshotError("corrupt snapshot footer in " + path_ + " (" + tag +
-                        ", footer at byte " + std::to_string(footer_offset) + "): " + e.what());
+    throw SnapshotError("corrupt snapshot footer in " + path_ + " (v6, footer at byte " +
+                        std::to_string(footer_offset) + "): " + e.what());
   }
-  if (!v6) return;
 
   try {
     open_dictionary(dict_offset, dict_bytes, dict_count);
@@ -1269,7 +1142,7 @@ void SnapshotReader::open_indexed() {
     std::uint32_t mask = 0;
     for (const auto& meta : snapshots_) mask |= meta.protocol_mask;
     throw SnapshotError("corrupt certificate dictionary in " + path_ + " (v6, " +
-                        protocol_context(version_, mask) + ", dictionary at byte " +
+                        protocol_context(mask) + ", dictionary at byte " +
                         std::to_string(dict_offset) + "): " + e.what());
   }
 }
@@ -1387,10 +1260,9 @@ const SnapshotChunkInfo& SnapshotReader::chunk_info(std::size_t chunk_index) con
 SnapshotError SnapshotReader::corrupt_chunk(std::size_t chunk_index, const DecodeError& e) const {
   const SnapshotChunkInfo& info = chunks_[chunk_index];
   return SnapshotError(
-      "corrupt chunk " + std::to_string(chunk_index) + " in " + path_ + " (" +
-      version_tag(version_) + ", " +
-      protocol_context(version_, snapshots_[info.snapshot_ordinal].protocol_mask) +
-      ", chunk at byte " + std::to_string(info.file_offset) + "): " + e.what());
+      "corrupt chunk " + std::to_string(chunk_index) + " in " + path_ + " (v6, " +
+      protocol_context(snapshots_[info.snapshot_ordinal].protocol_mask) + ", chunk at byte " +
+      std::to_string(info.file_offset) + "): " + e.what());
 }
 
 std::vector<HostScanRecord> SnapshotReader::read_chunk(std::size_t chunk_index) const {
@@ -1408,22 +1280,8 @@ void SnapshotReader::read_chunk(std::size_t chunk_index,
   const auto wall_start =
       obs_on ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
   try {
-    if (version_ == kVersionV6) {
-      const ColumnView view = locate_v6_chunk(data_, info);
-      for (std::size_t i = 0; i < view.records; ++i) out.push_back(read_row(view, *this, i));
-    } else {
-      // Rows decode straight from the file bytes. A v5 chunk opens with a
-      // header that must repeat its index entry; a v4 chunk has none.
-      const std::uint64_t header = version_ == kVersionV5 ? kChunkHeaderBytes : 0;
-      UaReader r(std::span<const std::uint8_t>(data_ + info.file_offset,
-                                               header + info.payload_bytes));
-      if (header != 0 && (r.u32() != kChunkMagic || r.u32() != info.snapshot_ordinal ||
-                          r.u32() != info.record_count || r.u64() != info.payload_bytes)) {
-        throw DecodeError("chunk header disagrees with footer index");
-      }
-      for (std::uint32_t i = 0; i < info.record_count; ++i) out.push_back(read_host(r));
-      if (!r.done()) throw DecodeError("chunk payload longer than its records");
-    }
+    const ColumnView view = locate_v6_chunk(data_, info);
+    for (std::size_t i = 0; i < view.records; ++i) out.push_back(read_row(view, *this, i));
   } catch (const DecodeError& e) {
     throw corrupt_chunk(chunk_index, e);
   }
@@ -1438,9 +1296,6 @@ void SnapshotReader::read_chunk(std::size_t chunk_index,
 }
 
 ColumnView SnapshotReader::column_view(std::size_t chunk_index) const {
-  if (version_ != kVersionV6) {
-    throw SnapshotError("column_view requires a v6 snapshot: " + path_);
-  }
   const SnapshotChunkInfo& info = chunk_info(chunk_index);
   ColumnView view;
   try {

@@ -5,15 +5,10 @@
 // from disk (exactly like the paper's analyses ran on the recorded dataset
 // rather than re-scanning per figure).
 //
-// Three format generations load through SnapshotReader:
-//   v4 — retired monolithic row stream (whole-file decode, chunk index
-//        synthesized on open);
-//   v5 — retired chunked row stream: records in the v4 encoding, grouped
-//        into fixed-size chunks, indexed by a footer;
-//   v6 — the current *columnar* layout, the only one SnapshotWriter
-//        writes.
-// Older caches keep loading; tests/data holds one committed v4 and one v5
-// file that pin the two row decoders.
+// One format is written and read: v6, a *columnar* layout. SnapshotReader
+// refuses a file of any other version at open ("unsupported snapshot
+// version N: <path>"), and the bench cache (bench/bench_common.hpp)
+// re-records a file it cannot open.
 //
 // Format v6 splits each chunk into fixed-width per-field columns plus one
 // variable-length column, and hoists all certificate DER into a single
@@ -81,7 +76,7 @@
 // The campaign block makes diff inputs self-describing (src/diff/ checks
 // that a follow-up campaign really is later than its base). Files written
 // without SnapshotWriter::set_campaign omit the block; readers default
-// absent labels to ""/0, and the v4/v5 load paths are unaffected.
+// absent labels to ""/0.
 #pragma once
 
 #include <algorithm>
@@ -122,12 +117,12 @@ struct SnapshotMeta {
   std::uint64_t tcp_open_count = 0;
   std::uint64_t host_count = 0;
   /// Which recorded campaign this measurement belongs to. Empty label /
-  /// zero epoch = undeclared (v4 files and v5 files predating the label).
+  /// zero epoch = undeclared (written without SnapshotWriter::set_campaign).
   std::string campaign_label;
   std::int64_t campaign_epoch_days = 0;
-  /// Bit p set = protocol id p appears in this measurement. 0 =
-  /// undeclared: v4/v5 files, and v6 files whose every record is OPC UA
-  /// (the writer omits the block so such files stay byte-identical to
+  /// Bit p set = protocol id p appears in this measurement. 0 = the file
+  /// has no 'PROT' block, so every record in it is OPC UA (the writer
+  /// omits the block then, which keeps such files byte-identical to
   /// pre-protocol output).
   std::uint32_t protocol_mask = 0;
 
@@ -187,7 +182,7 @@ class LeColumn {
 };
 
 /// View over one v6 chunk's columns: the one input shape of the analysis
-/// and posture passes, and what v6 rows decode from. view_payload alone
+/// and posture passes, and what rows decode from. view_payload alone
 /// makes every view, over a SnapshotReader's mapping or over the payload
 /// a ColumnEncoder would write, and checks the fixed section's size, the
 /// var_offsets chain and the range of the five enum columns. A view (and
@@ -238,7 +233,7 @@ struct ColumnView {
 };
 
 /// Certificate dictionary that a ColumnView's cert ids index: the
-/// file-level dictionary of a v6 SnapshotReader, or the chunk-scoped one a
+/// file-level dictionary of a SnapshotReader, or the chunk-scoped one a
 /// ColumnEncoder interns while transposing records. Each entry carries
 /// its DER's SHA-1 thumbprint, computed once: by the encoder when it
 /// inserts the entry, by the reader when it verifies the stored
@@ -260,8 +255,8 @@ class CertDictionary {
 /// its dictionary (ids in first-appearance order). SnapshotWriter
 /// serializes it chunk by chunk and keeps one dictionary for the whole
 /// file; RecordSource::visit_columns fills a fresh encoder per chunk, so
-/// row inputs reach the passes as the same columns with a chunk-scoped
-/// dictionary.
+/// in-memory records reach the passes as the same columns with a
+/// chunk-scoped dictionary.
 class ColumnEncoder final : public CertDictionary {
  public:
   ColumnEncoder() { var_offsets_.push_back(0); }
@@ -416,16 +411,16 @@ class SnapshotWriter {
   bool finished_ = false;
 };
 
-/// Random-access chunk reader. Opening validates the header, seed, the
-/// complete chunk index (offsets inside the file, record counts consistent
-/// with the per-snapshot host counts) and — for v6 — the certificate
-/// dictionary (every stored fingerprint is recomputed from its DER; the
-/// SHA-1s are computed on a thread pool and kept as cert_sha1, the
-/// comparisons run in entry order so the first bad entry is the one
-/// reported), and throws SnapshotError on any mismatch. Every format is
-/// memory-mapped once for the reader's lifetime (falling back to a heap
-/// copy where mmap is unavailable or fails), and every read decodes from
-/// that one image. read_chunk() and column_view() are const and
+/// Random-access chunk reader. Opening validates the header (magic,
+/// version 6, seed), the complete chunk index (offsets inside the file,
+/// record counts consistent with the per-snapshot host counts and backed
+/// by each chunk's fixed columns) and the certificate dictionary (every
+/// stored fingerprint is recomputed from its DER; the SHA-1s are computed
+/// on a thread pool and kept as cert_sha1, the comparisons run in entry
+/// order so the first bad entry is the one reported), and throws
+/// SnapshotError on any mismatch. The file is memory-mapped once for the
+/// reader's lifetime (falling back to a heap copy where mmap is
+/// unavailable or fails), and every read decodes from that one image. read_chunk() and column_view() are const and
 /// thread-safe: workers may decode disjoint chunks concurrently.
 class SnapshotReader final : public CertDictionary {
  public:
@@ -450,7 +445,7 @@ class SnapshotReader final : public CertDictionary {
   std::uint64_t file_fingerprint() const;
 
   /// Decode one chunk into records (throws SnapshotError on corrupt
-  /// payload bytes). A v6 chunk's rows decode from its column view; each
+  /// payload bytes). A chunk's rows decode from its column view; each
   /// record's derived columns (uri_hash, the mode/policy/token masks) and
   /// head cert ids are then re-derived and cross-checked.
   std::vector<HostScanRecord> read_chunk(std::size_t chunk_index) const;
@@ -468,12 +463,10 @@ class SnapshotReader final : public CertDictionary {
   /// Materialize everything (the legacy load-all path).
   std::vector<ScanSnapshot> load_all() const;
 
-  /// Zero-copy column access to one v6 chunk, on any host. The view
-  /// aliases the reader's mapping and must not outlive it. Throws
-  /// SnapshotError for a v4/v5 file or a malformed chunk (bad header,
-  /// short columns, non-monotone var offsets, an out-of-range enum
-  /// column). v4/v5 rows reach the passes transposed into columns
-  /// (RecordSource::visit_columns).
+  /// Zero-copy column access to one chunk, on any host. The view aliases
+  /// the reader's mapping and must not outlive it. Throws SnapshotError for
+  /// a malformed chunk (bad header, short columns, non-monotone var
+  /// offsets, an out-of-range enum column).
   ColumnView column_view(std::size_t chunk_index) const;
 
   /// The SnapshotError for chunk `chunk_index` failing to decode with `e`,
@@ -482,7 +475,7 @@ class SnapshotReader final : public CertDictionary {
   /// through it.
   SnapshotError corrupt_chunk(std::size_t chunk_index, const DecodeError& e) const;
 
-  /// v6 certificate dictionary: deduplicated DER in id order.
+  /// The certificate dictionary: deduplicated DER in id order.
   std::size_t cert_count() const override { return dict_.size(); }
   std::span<const std::uint8_t> cert_der(std::uint32_t cert_id) const override;
   const Sha1Digest& cert_sha1(std::uint32_t cert_id) const override;
@@ -490,8 +483,7 @@ class SnapshotReader final : public CertDictionary {
  private:
   /// Maps the file into data_/data_size_ (heap copy as the fallback).
   void map_file();
-  /// v5 and v6: trailer, footer and chunk index (and the v6 dictionary),
-  /// one parser with the version rules as its only branches.
+  /// Trailer, footer, chunk index and certificate dictionary.
   void open_indexed();
   /// Parses the dictionary at [offset, offset + bytes) into dict_ and
   /// verifies every stored fingerprint (throws DecodeError).
@@ -510,8 +502,8 @@ class SnapshotReader final : public CertDictionary {
   std::uint32_t version_ = 0;
   std::vector<SnapshotMeta> snapshots_;
   std::vector<SnapshotChunkInfo> chunks_;
-  std::vector<DictEntry> dict_;  // v6 only
-  // The whole file, every format: a read-only mapping, or heap_data_
+  std::vector<DictEntry> dict_;
+  // The whole file: a read-only mapping, or heap_data_
   // where mmap is unavailable or fails. mapping_ unmaps it with the
   // reader, also when the constructor throws.
   const std::uint8_t* data_ = nullptr;
@@ -542,8 +534,8 @@ std::optional<std::vector<ScanSnapshot>> load_snapshots(const std::string& path,
                                                         std::string* error = nullptr);
 
 /// True when the measurement declares a campaign identity (label or epoch
-/// set); v4 files and unlabeled v5 files don't, and are exempt from chain
-/// validation.
+/// set); a file written without SnapshotWriter::set_campaign doesn't, and
+/// anchors no label or epoch link of chain validation.
 bool campaign_declared(const SnapshotMeta& meta);
 
 /// Validates that `members` (the final measurement of each campaign in an

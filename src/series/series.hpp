@@ -8,7 +8,7 @@
 // demand, streamed chunk by chunk) or an in-memory snapshot vector, all
 // exposed uniformly through the RecordSource interface the analysis,
 // diff, and series passes already consume. Member identity (campaign
-// label/epoch) comes from the v5 campaign block for files and from an
+// label/epoch) comes from the footer's campaign block for files and from an
 // explicit annotation for in-memory members; ordering is validated with
 // the chain rules generalized from the pairwise diff (epochs strictly
 // increasing over declared members, no duplicate consecutive identity).
@@ -43,7 +43,7 @@ struct CampaignMember {
   std::uint64_t seed = 0;  // snapshot-file seed (file members)
   std::shared_ptr<const std::vector<ScanSnapshot>> snapshots;  // in-memory member
   /// Identity annotation for in-memory members (files self-describe via
-  /// the v5 campaign block; the annotation fills in only when the
+  /// the footer's campaign block; the annotation fills in only when the
   /// underlying measurement declares none).
   std::string label;
   std::int64_t epoch_days = 0;

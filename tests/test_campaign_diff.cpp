@@ -1,6 +1,6 @@
 // Cross-campaign differential analysis:
 //  - campaign label/epoch round-trips through the footer (files without
-//    it default, the committed v4 fixture included),
+//    it default),
 //  - the follow-up evolution model is deterministic and the streamed
 //    follow-up equals its core run over the same records in memory,
 //  - the matcher re-identifies hosts by address and by certificate, and
@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include "diff/diff.hpp"
@@ -153,7 +152,7 @@ CampaignDiff diff_in_memory(const std::vector<ScanSnapshot>& base,
 
 // ------------------------------------------------ campaign label/epoch ----
 
-TEST(CampaignMeta, RoundTripsThroughV5Footer) {
+TEST(CampaignMeta, RoundTripsThroughFooter) {
   const std::string path = "/tmp/opcua_diff_meta.bin";
   const std::vector<ScanSnapshot> study = make_base_study(4, 2);
   {
@@ -193,16 +192,6 @@ TEST(CampaignMeta, FilesWithoutLabelDefaultAndStayByteIdentical) {
   EXPECT_EQ(read_file_bytes(plain).size() +
                 (4 + 4 + 1 + 8),  // CAMP magic + string "x" (len+1 byte) + i64
             read_file_bytes(labeled).size());
-
-  // v4 files never carry a campaign block and load with defaults. The
-  // committed v4 fixture (seed 42) holds make_multi_endpoint_study(48) of
-  // test_snapshot_pipeline.cpp, written by the retired v4 writer.
-  const SnapshotReader v4_reader(
-      (std::filesystem::path(__FILE__).parent_path() / "data" / "multi_endpoint_48.v4.bin")
-          .string(),
-      42);
-  EXPECT_EQ(v4_reader.snapshots()[0].campaign_label, "");
-  EXPECT_EQ(v4_reader.snapshots()[0].campaign_epoch_days, 0);
   std::remove(labeled.c_str());
   std::remove(plain.c_str());
 }

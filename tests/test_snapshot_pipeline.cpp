@@ -1,10 +1,12 @@
 // Chunked snapshot pipeline + shared analysis library:
 //  - v6 (columnar + cert dictionary) round trips across chunk boundaries,
-//    the committed v4 and v5 fixtures (tests/data) still load, and
-//    rewriting either as v6 preserves every record byte-deterministically,
+//    rewriting a file's records preserves them byte-deterministically, and
+//    a file of any other version fails at open,
 //  - truncated / corrupt files fail with SnapshotError instead of
-//    yielding garbage records; out-of-range dictionary ids are rejected;
-//    a failed chunk write stops the writer at that chunk,
+//    yielding garbage records, in sweeps pinned to a golden that cover
+//    every cut and every byte of a file with every optional part;
+//    out-of-range dictionary ids and record counts no chunk payload could
+//    hold are rejected; a failed chunk write stops the writer at that chunk,
 //  - the streaming Aggregator is deterministic in the thread count and
 //    input format, whether it reads mapped v6 columns or rows transposed
 //    into columns, and reproduces field for field the golden dumps under
@@ -306,17 +308,6 @@ std::vector<ScanSnapshot> make_shuffled_churn_study() {
   return study;
 }
 
-/// Path of a committed row-format fixture. tests/data holds the output of
-/// make_multi_endpoint_study(48) above, seed 42, written by the retired
-/// row writers: "v4" by the monolithic v4 writer, "v5" by the chunked row
-/// writer at 11 records per chunk. SnapshotWriter only writes v6, so these
-/// two files are what keeps the v4 and v5 read paths covered.
-std::string row_fixture(const std::string& version) {
-  return (std::filesystem::path(__FILE__).parent_path() / "data" /
-          ("multi_endpoint_48." + version + ".bin"))
-      .string();
-}
-
 std::uint32_t read_le32(const Bytes& b, std::size_t at) {
   return static_cast<std::uint32_t>(b[at]) | (static_cast<std::uint32_t>(b[at + 1]) << 8) |
          (static_cast<std::uint32_t>(b[at + 2]) << 16) |
@@ -427,10 +418,10 @@ std::string reader_outcome(const std::string& path) {
 /// (tests/data/snapshot.reader_outcomes.txt) that belong to `sweep`,
 /// printing the golden and the actual line of every case that differs.
 /// Each line names its sweep, input and case, then the reader_outcome.
-/// The golden was recorded with the reader that stream-read the v4 and v5
-/// files and parsed the v5 and v6 footers in two copies, so it pins that
-/// every truncated or flipped file is still rejected with the same message,
-/// or still loads the same records.
+/// Its v6 cases were recorded with the reader that also read the retired
+/// v4 and v5 row formats, so it pins that every truncated or flipped file
+/// is still rejected with the same message, or still loads the same
+/// records.
 void expect_golden_outcomes(const std::string& sweep, const std::vector<std::string>& actual) {
   const std::string golden = "snapshot.reader_outcomes.txt";
   std::ifstream in(std::filesystem::path(__FILE__).parent_path() / "data" / golden);
@@ -483,33 +474,7 @@ TEST(SnapshotV6, RoundTripAcrossChunkBoundaries) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotV5, LegacyV4FilesStillLoad) {
-  const std::string path = row_fixture("v4");
-  const std::vector<ScanSnapshot> study = make_multi_endpoint_study(48);
-
-  const SnapshotReader reader(path, 42);
-  EXPECT_EQ(reader.version(), 4u);
-  ASSERT_EQ(reader.snapshots().size(), 2u);
-  EXPECT_EQ(reader.snapshots()[0].host_count, 48u);
-  EXPECT_EQ(reader.load_all(), study);
-
-  const auto loaded = load_snapshots(path, 42);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, study);
-
-  // The analysis pipeline consumes v4 streams through the same interface.
-  EXPECT_TRUE(analyze_file(path, 42, {}).figures_equal(analyze_snapshots(study, {})));
-}
-
-TEST(SnapshotV5, V5FilesStillLoad) {
-  const SnapshotReader reader(row_fixture("v5"), 42);
-  EXPECT_EQ(reader.version(), 5u);
-  EXPECT_EQ(reader.cert_count(), 0u);
-  EXPECT_EQ(reader.load_all(), make_multi_endpoint_study(48));
-  EXPECT_THROW(reader.column_view(0), SnapshotError);
-}
-
-TEST(SnapshotV5, AbandonedWriterLeavesUnloadableFile) {
+TEST(SnapshotV6, AbandonedWriterLeavesUnloadableFile) {
   // A writer destroyed without finish() — e.g. stack unwinding after a
   // failed campaign — must not seal the partial dataset: a 3-of-8-week
   // file that loads cleanly would silently skew every longitudinal stat.
@@ -533,7 +498,7 @@ TEST(SnapshotV5, AbandonedWriterLeavesUnloadableFile) {
   std::remove((path + ".tmp").c_str());
 }
 
-TEST(SnapshotV5, SeedAndVersionMismatchRejected) {
+TEST(SnapshotV6, SeedAndVersionMismatchRejected) {
   const std::string path = "/tmp/opcua_test_v5_seed.bin";
   save_snapshots(path, 42, make_study(3, 1));
   std::string error;
@@ -543,7 +508,7 @@ TEST(SnapshotV5, SeedAndVersionMismatchRejected) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotV5, TruncationAlwaysFailsCleanly) {
+TEST(SnapshotV6, TruncationAlwaysFailsCleanly) {
   const std::string path = "/tmp/opcua_test_v5_trunc.bin";
   const std::string rich_path = "/tmp/opcua_test_v5_trunc_rich.bin";
   const std::string cut_path = "/tmp/opcua_test_v5_trunc_cut.bin";
@@ -552,12 +517,10 @@ TEST(SnapshotV5, TruncationAlwaysFailsCleanly) {
 
   // Every truncation point (dense near both ends, strided through the
   // middle) must produce a SnapshotError — never garbage records, never a
-  // crash — in v6, in both row formats and in the v6 file with every
-  // optional part, with the golden's message.
+  // crash — in both files, the second with every optional part, with the
+  // golden's message.
   std::vector<std::string> outcomes;
   for (const auto& [tag, input] : {std::pair<std::string, std::string>{"v6", path},
-                                   {"v4", row_fixture("v4")},
-                                   {"v5", row_fixture("v5")},
                                    {"v6-rich", rich_path}}) {
     const Bytes full = read_file_bytes(input);
     ASSERT_GT(full.size(), 64u) << input;
@@ -593,7 +556,7 @@ std::string snapshot_error_of(Fn&& run) {
   return "no error";
 }
 
-TEST(SnapshotV5, CorruptEnumValuesRejected) {
+TEST(SnapshotV6, CorruptEnumValuesRejected) {
   const std::string path = "/tmp/opcua_test_v5_enum.bin";
   std::vector<ScanSnapshot> study = make_study(3, 1);
   // An out-of-range enum hidden behind a reinterpreted cast — exactly what
@@ -705,50 +668,48 @@ TEST(SnapshotV6, UndefinedEndpointEnumsRejectedAtWrite) {
   std::remove((path + ".tmp").c_str());
 }
 
-TEST(SnapshotV5, RandomPayloadCorruptionNeverCrashes) {
+TEST(SnapshotV6, RandomPayloadCorruptionNeverCrashes) {
   const std::string path = "/tmp/opcua_test_v5_fuzz.bin";
   const std::string rich_path = "/tmp/opcua_test_v5_fuzz_rich.bin";
   const std::string bad_path = "/tmp/opcua_test_v5_fuzz_bad.bin";
   save_snapshots(path, 42, make_study(5, 1));
-  struct Input {
-    std::string tag, path;
-    std::size_t weeks, hosts_per_week;
+  // Deterministic xorshift so the sweeps are reproducible; each starts
+  // from the same state.
+  constexpr std::uint64_t kSeed = 0x9e3779b97f4a7c15ull;
+  std::uint64_t state = kSeed;
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
   };
-  // v6 rejects a flipped DER byte at open (dictionary fingerprints); the
-  // row formats store DER inline, so their flips reach the certificate
-  // parser inside the analysis. Every outcome must match the golden.
+  // The one-week file of five hosts: 200 seeded flips anywhere. A flipped
+  // DER byte fails the open (dictionary fingerprints). Every outcome must
+  // match the golden.
   std::vector<std::string> outcomes;
-  for (const Input& input : {Input{"v6", path, 1, 5}, Input{"v4", row_fixture("v4"), 2, 48},
-                             Input{"v5", row_fixture("v5"), 2, 48}}) {
-    const Bytes full = read_file_bytes(input.path);
-    // Deterministic xorshift so the sweep is reproducible.
-    std::uint64_t state = 0x9e3779b97f4a7c15ull;
-    for (int trial = 0; trial < 200; ++trial) {
-      state ^= state << 13;
-      state ^= state >> 7;
-      state ^= state << 17;
-      Bytes mutated = full;
-      mutated[state % mutated.size()] ^= static_cast<std::uint8_t>(1u << (state % 8));
-      write_file_bytes(bad_path, mutated);
-      outcomes.push_back("flip " + input.tag + " trial=" + std::to_string(trial) +
-                         " byte=" + std::to_string(state % mutated.size()) +
-                         " bit=" + std::to_string(state % 8) + ": " + reader_outcome(bad_path));
-      // Either the flip lands somewhere harmless (a string byte) and the
-      // file still loads, or it must be rejected — never UB, never garbage
-      // enum values (gtest would flag a crash/sanitizer fault here). A
-      // file that loads must also analyze, or fail only with SnapshotError.
-      const auto loaded = load_snapshots(bad_path, 42);
-      if (!loaded.has_value()) continue;
-      ASSERT_EQ(loaded->size(), input.weeks) << input.path << " trial " << trial;
-      EXPECT_EQ(loaded->front().hosts.size(), input.hosts_per_week)
-          << input.path << " trial " << trial;
-      EXPECT_NO_THROW({
-        try {
-          analyze_file(bad_path, 42, {});
-        } catch (const SnapshotError&) {
-        }
-      }) << input.path << " trial " << trial;
-    }
+  const Bytes full = read_file_bytes(path);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::uint64_t r = next();
+    Bytes mutated = full;
+    mutated[r % mutated.size()] ^= static_cast<std::uint8_t>(1u << (r % 8));
+    write_file_bytes(bad_path, mutated);
+    outcomes.push_back("flip v6 trial=" + std::to_string(trial) +
+                       " byte=" + std::to_string(r % mutated.size()) +
+                       " bit=" + std::to_string(r % 8) + ": " + reader_outcome(bad_path));
+    // Either the flip lands somewhere harmless (a string byte) and the
+    // file still loads, or it must be rejected — never UB, never garbage
+    // enum values (gtest would flag a crash/sanitizer fault here). A
+    // file that loads must also analyze, or fail only with SnapshotError.
+    const auto loaded = load_snapshots(bad_path, 42);
+    if (!loaded.has_value()) continue;
+    ASSERT_EQ(loaded->size(), 1u) << "trial " << trial;
+    EXPECT_EQ(loaded->front().hosts.size(), 5u) << "trial " << trial;
+    EXPECT_NO_THROW({
+      try {
+        analyze_file(bad_path, 42, {});
+      } catch (const SnapshotError&) {
+      }
+    }) << "trial " << trial;
   }
 
   // The v6 file with every optional part: one seeded bit flipped at every
@@ -767,13 +728,7 @@ TEST(SnapshotV5, RandomPayloadCorruptionNeverCrashes) {
         << name << ": " << outcome;
     outcomes.push_back("flip v6-rich" + name + ": " + outcome);
   };
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  const auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
+  state = kSeed;
   for (std::size_t at = 0; at < rich.size(); ++at) {
     const unsigned bit = next() % 8;
     Bytes mutated = rich;
@@ -1098,87 +1053,25 @@ TEST(SnapshotV6, FooterRejectsMisalignedChunksAndMisorderedBlocks) {
   std::remove(bad_path.c_str());
 }
 
-// The footer rules only v5 has: chunks sit back to back at any alignment,
-// and its one optional block is 'CAMP'.
-TEST(SnapshotV5, FooterTakesOnlyACampaignBlockAndUnalignedChunks) {
-  const std::string bad_path = "/tmp/opcua_test_v5_footer_bad.bin";
-  const Bytes full = read_file_bytes(row_fixture("v5"));
-  const std::size_t footer = static_cast<std::size_t>(read_le64(full, full.size() - 12));
-  const std::size_t footer_end = full.size() - 12;
-  const std::vector<ScanSnapshot> study = make_multi_endpoint_study(48);
-
-  // A 'PROT' block (a mask per week) is no v5 block.
-  const Bytes prot = {0x50, 0x52, 0x4f, 0x54, 3, 0, 0, 0, 3, 0, 0, 0};
-  write_file_bytes(bad_path, with_footer_tail(full, footer_end, prot));
-  try {
-    const SnapshotReader reader(bad_path, 42);
-    ADD_FAILURE() << "a v5 footer with a 'PROT' block opened";
-  } catch (const SnapshotError& e) {
-    EXPECT_EQ(std::string(e.what()), "corrupt snapshot footer in " + bad_path +
-                                         " (v5, footer at byte " + std::to_string(footer) +
-                                         "): bad campaign block magic");
-  }
-
-  // A 'CAMP' block (label string and epoch per week) labels the weeks.
-  Bytes camp = {0x43, 0x41, 0x4d, 0x50};
-  for (const char* label : {"v5-base", "v5-followup"}) {
-    const std::string text = label;
-    const Bytes length = {static_cast<std::uint8_t>(text.size()), 0, 0, 0};
-    camp.insert(camp.end(), length.begin(), length.end());
-    camp.insert(camp.end(), text.begin(), text.end());
-    const Bytes epoch = {0x7d, 0x47, 0, 0, 0, 0, 0, 0};  // 18301 days
-    camp.insert(camp.end(), epoch.begin(), epoch.end());
-  }
-  write_file_bytes(bad_path, with_footer_tail(full, footer_end, camp));
-  {
-    const SnapshotReader reader(bad_path, 42);
-    ASSERT_EQ(reader.snapshots().size(), 2u);
-    EXPECT_EQ(reader.snapshots()[0].campaign_label, "v5-base");
-    EXPECT_EQ(reader.snapshots()[1].campaign_label, "v5-followup");
-    EXPECT_EQ(reader.snapshots()[1].campaign_epoch_days, 18301);
-    EXPECT_EQ(reader.load_all(), study);
-  }
-
-  // Chunks of 11 rows sit back to back: six of the ten start off the
-  // 8-byte grid, and each decodes to its rows.
-  const SnapshotReader reader(row_fixture("v5"), 42);
-  std::vector<std::size_t> unaligned;
-  std::vector<std::size_t> first_row(study.size(), 0);
-  for (std::size_t c = 0; c < reader.chunks().size(); ++c) {
-    const SnapshotChunkInfo& info = reader.chunks()[c];
-    const auto& hosts = study[info.snapshot_ordinal].hosts;
-    const auto first = hosts.begin() + static_cast<long>(first_row[info.snapshot_ordinal]);
-    first_row[info.snapshot_ordinal] += info.record_count;
-    if (info.file_offset % 8 == 0) continue;
-    unaligned.push_back(c);
-    EXPECT_EQ(reader.read_chunk(c), std::vector<HostScanRecord>(first, first + info.record_count))
-        << "chunk " << c;
-  }
-  EXPECT_EQ(unaligned, (std::vector<std::size_t>{2, 4, 5, 6, 7, 9}));
-  std::remove(bad_path.c_str());
-}
-
 /// Appends the `width` low bytes of `value`, little-endian.
 void put_le(Bytes& out, std::uint64_t value, int width) {
   for (int i = 0; i < width; ++i) out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
 }
 
 // A chunk whose offset plus size wraps past 2^64 back into the chunk
-// region is rejected at open in both footers, before a read could reach
-// past the file's bytes.
+// region is rejected at open, before a read could reach past the file's
+// bytes.
 TEST(SnapshotV6, WrappingChunkExtentsRejectedAtOpen) {
   const std::string path = "/tmp/opcua_test_wrapping_extent.bin";
-  // One week of one host in one chunk, the footer right behind the header
-  // (v5) or behind an empty dictionary (v6).
-  const auto crafted = [](std::uint32_t version, std::uint64_t offset, std::uint64_t payload) {
+  // One week of one host in one chunk, the footer behind an empty
+  // dictionary.
+  const auto crafted = [](std::uint64_t offset, std::uint64_t payload) {
     Bytes b;
     put_le(b, 0x4f554153, 4);  // 'OUAS'
-    put_le(b, version, 4);
+    put_le(b, 6, 4);
     put_le(b, 42, 8);
-    if (version == 6) {
-      put_le(b, 0x43494443, 4);  // 'CDIC', no entries
-      put_le(b, 0, 4);
-    }
+    put_le(b, 0x43494443, 4);  // 'CDIC', no entries
+    put_le(b, 0, 4);
     const std::uint64_t footer = b.size();
     put_le(b, 0x544f4f46, 4);  // 'FOOT'
     put_le(b, 1, 4);
@@ -1189,23 +1082,17 @@ TEST(SnapshotV6, WrappingChunkExtentsRejectedAtOpen) {
     put_le(b, 1, 4);
     put_le(b, offset, 8);
     put_le(b, payload, 8);
-    if (version == 6) {
-      put_le(b, 16, 8);  // dict_offset
-      put_le(b, 8, 8);   // dict_bytes
-      put_le(b, 0, 4);   // dict_count
-    }
+    put_le(b, 16, 8);  // dict_offset
+    put_le(b, 8, 8);   // dict_bytes
+    put_le(b, 0, 4);   // dict_count
     put_le(b, footer, 8);
     put_le(b, 0x50414e53, 4);  // 'SNAP'
     return b;
   };
-  // v6: 2^63 + 24 header bytes + (2^63 - 24) wraps to 0.
-  EXPECT_EQ(load_error(path, crafted(6, 1ull << 63, (1ull << 63) - 24)),
+  // 2^63 + 24 header bytes + (2^63 - 24) wraps to 0.
+  EXPECT_EQ(load_error(path, crafted(1ull << 63, (1ull << 63) - 24)),
             "corrupt snapshot footer in " + path +
                 " (v6, footer at byte 24): chunk 0 extent out of range");
-  // v5: 100 + 20 header bytes + (2^64 - 120) wraps to 0.
-  EXPECT_EQ(load_error(path, crafted(5, 100, 0 - 120ull)),
-            "corrupt snapshot footer in " + path +
-                " (v5, footer at byte 16): chunk 0 extent out of range");
   std::remove(path.c_str());
 }
 
@@ -1463,20 +1350,11 @@ TEST(StreamedStudyWriter, MatchesBatchSave) {
   std::remove(stream_path.c_str());
 }
 
-TEST(SnapshotV6, RewriteFromV4AndV5IsEquivalentAndDeterministic) {
+TEST(SnapshotV6, RewriteIsEquivalentAndDeterministic) {
   const std::string out_a = "/tmp/opcua_test_rw_a.bin";
   const std::string out_b = "/tmp/opcua_test_rw_b.bin";
-  const std::string direct = "/tmp/opcua_test_rw_direct.bin";
   const std::vector<ScanSnapshot> study = make_multi_endpoint_study(48);
-
-  // v4 -> v6 and v5 -> v6 rewrites preserve every record and, fed the
-  // same records and seed, produce byte-identical v6 files — the same
-  // bytes as writing the records as v6 directly.
-  save_snapshots(out_a, 42, SnapshotReader(row_fixture("v4"), 42).load_all());
-  save_snapshots(out_b, 42, SnapshotReader(row_fixture("v5"), 42).load_all());
-  save_snapshots(direct, 42, study);
-  EXPECT_EQ(read_file_bytes(out_a), read_file_bytes(out_b));
-  EXPECT_EQ(read_file_bytes(out_a), read_file_bytes(direct));
+  save_snapshots(out_a, 42, study);
 
   const SnapshotReader v6_reader(out_a, 42);
   EXPECT_EQ(v6_reader.version(), 6u);
@@ -1488,7 +1366,6 @@ TEST(SnapshotV6, RewriteFromV4AndV5IsEquivalentAndDeterministic) {
 
   std::remove(out_a.c_str());
   std::remove(out_b.c_str());
-  std::remove(direct.c_str());
 }
 
 TEST(SnapshotV6, FiguresIdenticalAcrossFormatsAndThreads) {
@@ -1501,28 +1378,18 @@ TEST(SnapshotV6, FiguresIdenticalAcrossFormatsAndThreads) {
       for (const auto& snapshot : *study) writer.add_snapshot(snapshot);
       writer.finish();
     }
-    // The v4/v5 fixtures hold the multi-endpoint input, which keeps every
-    // host shape of make_study(48).
-    std::vector<std::string> paths = {v6_path};
-    if (study == &multi) {
-      paths.push_back(row_fixture("v4"));
-      paths.push_back(row_fixture("v5"));
-    }
-
-    // The mapped v6 columns, the transposed v4/v5 rows, and the transposed
-    // in-memory reference must agree figure for figure at any thread count.
+    // The mapped v6 columns and the transposed in-memory reference must
+    // agree figure for figure at any thread count.
     AnalysisOptions serial;
     serial.threads = 1;
     serial.shared_primes = true;
     AnalysisOptions parallel = serial;
     parallel.threads = 8;
     const StudyAnalysis reference = analyze_snapshots(*study, serial);
-    for (const std::string& path : paths) {
-      EXPECT_TRUE(analyze_file(path, 42, serial).figures_equal(reference)) << path;
-      EXPECT_TRUE(analyze_file(path, 42, parallel).figures_equal(reference)) << path;
-      // Rows round-trip through every format, the unparseable DER included.
-      EXPECT_EQ(SnapshotReader(path, 42).load_all(), *study) << path;
-    }
+    EXPECT_TRUE(analyze_file(v6_path, 42, serial).figures_equal(reference));
+    EXPECT_TRUE(analyze_file(v6_path, 42, parallel).figures_equal(reference));
+    // Rows round-trip, the unparseable DER included.
+    EXPECT_EQ(SnapshotReader(v6_path, 42).load_all(), *study);
   }
   std::remove(v6_path.c_str());
 }
@@ -1575,8 +1442,6 @@ TEST(SnapshotV6, SeedMismatchNamesFormatVersion) {
     EXPECT_NE(error.find("byte offset 8"), std::string::npos) << error;
     EXPECT_NE(error.find(version_tag), std::string::npos) << error;
   };
-  expect_mis_seed(row_fixture("v4"), "v4");
-  expect_mis_seed(row_fixture("v5"), "v5");
   expect_mis_seed(v6_path, "v6");
   std::remove(v6_path.c_str());
 }
@@ -1598,20 +1463,23 @@ TEST(SnapshotV6, ReadChunkBufferOverloadMatches) {
   std::remove(path.c_str());
 }
 
+/// Size of make_multi_endpoint_study(48) at 11 records per chunk in the
+/// retired v5 row format, which stored every endpoint's DER inline.
+constexpr std::size_t kRowFormatSize = 70266;
+
 TEST(SnapshotV6, DictionaryCompressionShrinksFile) {
   const std::string v6_path = "/tmp/opcua_test_size_v6.bin";
   {
-    SnapshotWriter writer(v6_path, 42, 11);  // the v5 fixture's chunking
+    SnapshotWriter writer(v6_path, 42, 11);
     for (const auto& snapshot : make_multi_endpoint_study(48)) writer.add_snapshot(snapshot);
     writer.finish();
   }
   // The fleet shares 6 certificates across 96 host records: the v6
   // dictionary stores each DER once, so the file must be at least 3x
-  // smaller than the v5 row format's inline-DER size for the same records
+  // smaller than the row format's inline-DER size for the same records
   // (22,133 vs 70,266 bytes).
-  const std::size_t v5_size = read_file_bytes(row_fixture("v5")).size();
   const std::size_t v6_size = read_file_bytes(v6_path).size();
-  EXPECT_LE(v6_size * 3, v5_size) << "v5=" << v5_size << " v6=" << v6_size;
+  EXPECT_LE(v6_size * 3, kRowFormatSize) << "v6=" << v6_size;
   std::remove(v6_path.c_str());
 }
 
