@@ -18,9 +18,10 @@
 namespace opcua_study::bench {
 
 /// Ensures the recorded campaign exists on disk and returns its path.
-/// Any readable cache is accepted: v4/v5/v6, and the sweep-order files
-/// older builds recorded, which hold the same records per week and give
-/// the same figures.
+/// A v6 cache of the study seed is used as it is, the sweep-order files
+/// older builds recorded included, which hold the same records per week
+/// and give the same figures. Anything else (another format version, a
+/// corrupt or unsealed file) is re-recorded.
 inline std::string ensure_snapshot_cache() {
   const std::string path = study_snapshot_path();
   if (std::getenv("OPCUA_STUDY_FRESH") == nullptr) {

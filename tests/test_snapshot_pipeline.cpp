@@ -414,6 +414,17 @@ std::string reader_outcome(const std::string& path) {
   return out;
 }
 
+/// The SnapshotError text `run` throws, or "no error" when it returns.
+template <typename Fn>
+std::string snapshot_error_of(Fn&& run) {
+  try {
+    run();
+  } catch (const SnapshotError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
 /// Compares `actual` with the lines of the reader-outcome golden
 /// (tests/data/snapshot.reader_outcomes.txt) that belong to `sweep`,
 /// printing the golden and the actual line of every case that differs.
@@ -505,7 +516,23 @@ TEST(SnapshotV6, SeedAndVersionMismatchRejected) {
   EXPECT_FALSE(load_snapshots(path, 43, &error).has_value());
   EXPECT_NE(error.find("seed mismatch"), std::string::npos);
   EXPECT_FALSE(load_snapshots("/tmp/no_such_snapshot_file.bin", 42).has_value());
+
+  // A file whose version field reads anything but 6 fails at open, naming
+  // the version: the retired row formats 4 and 5 as much as a later one.
+  const Bytes v6 = read_file_bytes(path);
+  const std::string other_path = "/tmp/opcua_test_v5_version.bin";
+  for (const std::uint32_t version : {4u, 5u, 7u}) {
+    Bytes bytes = v6;
+    write_le32(bytes, 4, version);
+    write_file_bytes(other_path, bytes);
+    const std::string expected =
+        "unsupported snapshot version " + std::to_string(version) + ": " + other_path;
+    EXPECT_EQ(snapshot_error_of([&] { const SnapshotReader reader(other_path, 42); }), expected);
+    EXPECT_FALSE(load_snapshots(other_path, 42, &error).has_value());
+    EXPECT_EQ(error, expected);
+  }
   std::remove(path.c_str());
+  std::remove(other_path.c_str());
 }
 
 TEST(SnapshotV6, TruncationAlwaysFailsCleanly) {
@@ -543,17 +570,6 @@ TEST(SnapshotV6, TruncationAlwaysFailsCleanly) {
   std::remove(path.c_str());
   std::remove(rich_path.c_str());
   std::remove(cut_path.c_str());
-}
-
-/// The SnapshotError text `run` throws, or "no error" when it returns.
-template <typename Fn>
-std::string snapshot_error_of(Fn&& run) {
-  try {
-    run();
-  } catch (const SnapshotError& e) {
-    return e.what();
-  }
-  return "no error";
 }
 
 TEST(SnapshotV6, CorruptEnumValuesRejected) {
