@@ -617,14 +617,25 @@ SnapshotError ReaderRecordSource::corrupt_chunk(std::size_t chunk, const DecodeE
 
 SnapshotVectorSource::SnapshotVectorSource(const std::vector<ScanSnapshot>& snapshots,
                                            std::uint32_t chunk_records)
-    : snapshots_(snapshots) {
+    : snapshots_(snapshots), protocol_masks_(snapshots.size(), 0) {
   const std::size_t stride = std::max<std::uint32_t>(1, chunk_records);
+  bool any_foreign = false;
   for (std::size_t week = 0; week < snapshots.size(); ++week) {
     const std::size_t hosts = snapshots[week].hosts.size();
     for (std::size_t first = 0; first < hosts; first += stride) {
       chunks_.push_back({week, first, std::min(stride, hosts - first)});
     }
+    for (const HostScanRecord& host : snapshots[week].hosts) {
+      // An id the format cannot hold is left out, as the writer leaves it;
+      // the chunk visit rejects its record.
+      const auto protocol = static_cast<std::uint32_t>(host.protocol);
+      if (protocol < kProtocolCount) protocol_masks_[week] |= 1u << protocol;
+    }
+    any_foreign |= (protocol_masks_[week] & ~1u) != 0;
   }
+  // As the writer declares them: every week's mask once any record is
+  // foreign, none otherwise.
+  if (!any_foreign) protocol_masks_.assign(snapshots.size(), 0);
 }
 
 SnapshotMeta SnapshotVectorSource::week_meta(std::size_t week) const {
@@ -635,6 +646,7 @@ SnapshotMeta SnapshotVectorSource::week_meta(std::size_t week) const {
   meta.probes_sent = snapshot.probes_sent;
   meta.tcp_open_count = snapshot.tcp_open_count;
   meta.host_count = snapshot.hosts.size();
+  meta.protocol_mask = protocol_masks_[week];
   return meta;
 }
 

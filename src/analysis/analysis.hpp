@@ -246,6 +246,7 @@ class SnapshotVectorSource final : public RecordSource {
   };
   const std::vector<ScanSnapshot>& snapshots_;
   std::vector<Span> chunks_;
+  std::vector<std::uint32_t> protocol_masks_;  // per week, as the writer declares them
 };
 
 /// Entry points. analyze_file/analyze_reader stream chunk-by-chunk and

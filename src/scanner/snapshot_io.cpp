@@ -1368,19 +1368,26 @@ bool campaign_declared(const SnapshotMeta& meta) {
 void validate_campaign_chain(const std::vector<SnapshotMeta>& members) {
   const SnapshotMeta* prev = nullptr;        // last declared member
   const SnapshotMeta* prev_epoch = nullptr;  // last declared member with a non-zero epoch
-  const SnapshotMeta* prev_proto = nullptr;  // last member with a declared protocol mask
+  const SnapshotMeta* prev_proto = nullptr;  // last member with hosts
+  std::uint32_t prev_mask = 0;               // and the protocols it scans
   for (const SnapshotMeta& member : members) {
     // Protocol sets must agree across the whole chain: a series mixing an
     // OPC-UA-only campaign with a mixed-fleet one would diff incomparable
-    // populations. Mask 0 (pre-protocol files) anchors nothing.
-    if (member.protocol_mask != 0) {
-      if (prev_proto != nullptr && prev_proto->protocol_mask != member.protocol_mask) {
+    // populations. Mask 0 on a week with hosts means OPC UA only (the
+    // writer omits the 'PROT' block then); an empty week anchors nothing.
+    const std::uint32_t mask =
+        member.protocol_mask != 0 || member.host_count == 0
+            ? member.protocol_mask
+            : 1u << static_cast<std::uint32_t>(ProtocolId::opcua);
+    if (mask != 0) {
+      if (prev_proto != nullptr && prev_mask != mask) {
         throw SnapshotError("campaign chain: campaign '" + member.campaign_label + "' scans " +
-                            protocol_set_name(member.protocol_mask) +
-                            " but its predecessor '" + prev_proto->campaign_label + "' scans " +
-                            protocol_set_name(prev_proto->protocol_mask));
+                            protocol_set_name(mask) + " but its predecessor '" +
+                            prev_proto->campaign_label + "' scans " +
+                            protocol_set_name(prev_mask));
       }
       prev_proto = &member;
+      prev_mask = mask;
     }
     if (!campaign_declared(member)) continue;  // legacy input: nothing to anchor
     if (prev != nullptr && prev->campaign_label == member.campaign_label &&

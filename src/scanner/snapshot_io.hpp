@@ -123,7 +123,8 @@ struct SnapshotMeta {
   /// Bit p set = protocol id p appears in this measurement. 0 = the file
   /// has no 'PROT' block, so every record in it is OPC UA (the writer
   /// omits the block then, which keeps such files byte-identical to
-  /// pre-protocol output).
+  /// pre-protocol output); SnapshotVectorSource declares masks the same
+  /// way.
   std::uint32_t protocol_mask = 0;
 
   friend bool operator==(const SnapshotMeta&, const SnapshotMeta&) = default;
@@ -543,11 +544,12 @@ bool campaign_declared(const SnapshotMeta& meta);
 /// (each non-zero epoch compares against the last non-zero one, even
 /// across label-only members in between), and no two consecutive declared
 /// members may carry the same (label, epoch) identity. Undeclared members
-/// are skipped — a legacy file can sit anywhere in the series without
-/// anchoring the chain. Members that declare a protocol mask must all
-/// declare the *same* mask (a diff between an OPC-UA-only campaign and a
-/// mixed fleet is apples-to-oranges); mask-0 members — pre-protocol files
-/// — are exempt. Throws SnapshotError naming the offending link.
+/// are skipped there — an unlabeled file can sit anywhere in the series
+/// without anchoring those links. Every member with hosts must scan the
+/// *same* protocol set (a diff between an OPC-UA-only campaign and a mixed
+/// fleet is apples-to-oranges): its protocol mask, or OPC UA alone when
+/// the mask is 0 (no 'PROT' block); an empty member is exempt. Throws
+/// SnapshotError naming the offending link.
 /// diff_campaigns applies it to its two-member (base, follow-up) pair.
 void validate_campaign_chain(const std::vector<SnapshotMeta>& members);
 

@@ -373,6 +373,55 @@ TEST(ProtocolColumn, ChainValidationRejectsDifferingProtocolSets) {
   EXPECT_NO_THROW(validate_campaign_chain({opcua_only, mixed}));
 }
 
+// An OPC-UA-only campaign's file has no 'PROT' block, so its weeks read
+// mask 0. With hosts that means OPC UA, so the file does not chain with a
+// mixed fleet, from the metas or from the files; in-memory records
+// declare the masks the files do.
+TEST(ProtocolColumn, OpcuaOnlyFileDoesNotChainWithMixedFleet) {
+  std::vector<ScanSnapshot> opcua_only = synthetic_mixed_study(1);
+  for (HostScanRecord& host : opcua_only[0].hosts) host.protocol = ProtocolId::opcua;
+  std::vector<ScanSnapshot> mixed = synthetic_mixed_study(1);
+  mixed[0].measurement_index = 1;
+  mixed[0].date_days += 28;
+  const std::string a_path = "test_proto_chain_a.bin";
+  const std::string b_path = "test_proto_chain_b.bin";
+  const auto write = [](const std::string& path, const std::vector<ScanSnapshot>& study,
+                        const std::string& label, std::int64_t epoch) {
+    SnapshotWriter writer(path, 11);
+    writer.set_campaign(label, epoch);
+    for (const auto& snapshot : study) writer.add_snapshot(snapshot);
+    writer.finish();
+  };
+  write(a_path, opcua_only, "a", 100);
+  write(b_path, mixed, "b", 200);
+  const SnapshotMeta a = SnapshotReader(a_path, 11).snapshots().back();
+  const SnapshotMeta b = SnapshotReader(b_path, 11).snapshots().back();
+  EXPECT_EQ(a.protocol_mask, 0u);
+  EXPECT_EQ(b.protocol_mask, 0b11u);
+  EXPECT_EQ(SnapshotVectorSource(opcua_only, 7).week_meta(0).protocol_mask, a.protocol_mask);
+  EXPECT_EQ(SnapshotVectorSource(mixed, 7).week_meta(0).protocol_mask, b.protocol_mask);
+
+  const auto error_of = [](const std::function<void()>& run) {
+    try {
+      run();
+    } catch (const SnapshotError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string expected =
+      "campaign chain: campaign 'b' scans opcua+mqtt-tls but its predecessor 'a' scans opcua";
+  EXPECT_EQ(error_of([&] { validate_campaign_chain({a, b}); }), expected);
+  EXPECT_EQ(error_of([&] { diff_files(a_path, 11, b_path, 11); }), expected);
+  // Two OPC-UA-only campaigns chain.
+  SnapshotMeta c = a;
+  c.campaign_label = "c";
+  c.campaign_epoch_days = 300;
+  EXPECT_NO_THROW(validate_campaign_chain({a, c}));
+  std::remove(a_path.c_str());
+  std::remove(b_path.c_str());
+}
+
 // ------------------------------------------- the per-protocol dimension
 
 TEST(ProtocolAnalysis, AggregatorMatchesAssessReference) {
