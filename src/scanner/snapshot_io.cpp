@@ -56,6 +56,14 @@ std::string protocol_set_name(std::uint32_t mask) {
   return s;
 }
 
+/// The protocols a measurement scans: its mask, or OPC UA alone when a
+/// week with hosts has none (the writer omits the 'PROT' block for an
+/// OPC-UA-only file). An empty week scans nothing.
+std::uint32_t scanned_protocols(const SnapshotMeta& meta) {
+  if (meta.protocol_mask != 0 || meta.host_count == 0) return meta.protocol_mask;
+  return 1u << static_cast<std::uint32_t>(ProtocolId::opcua);
+}
+
 /// Error-message context naming what protocol family the failing data
 /// claims to hold: "protocols=opcua+mqtt-tls" (a file without a protocol
 /// block is OPC-UA-only by construction).
@@ -916,8 +924,8 @@ void SnapshotWriter::finish() {
     }
   }
   // The protocol block exists only for mixed fleets: an OPC-UA-only
-  // campaign omits it (readers leave every mask 0 = undeclared) and the
-  // file stays byte-identical to pre-protocol output.
+  // campaign omits it (readers leave every mask 0, which means OPC UA)
+  // and the file stays byte-identical to pre-protocol output.
   bool any_foreign = false;
   for (const auto& meta : snapshots_) any_foreign |= (meta.protocol_mask & ~1u) != 0;
   if (any_foreign) {
@@ -1368,28 +1376,22 @@ bool campaign_declared(const SnapshotMeta& meta) {
 void validate_campaign_chain(const std::vector<SnapshotMeta>& members) {
   const SnapshotMeta* prev = nullptr;        // last declared member
   const SnapshotMeta* prev_epoch = nullptr;  // last declared member with a non-zero epoch
-  const SnapshotMeta* prev_proto = nullptr;  // last member with hosts
-  std::uint32_t prev_mask = 0;               // and the protocols it scans
+  const SnapshotMeta* prev_proto = nullptr;  // last member that scans any protocol
   for (const SnapshotMeta& member : members) {
     // Protocol sets must agree across the whole chain: a series mixing an
     // OPC-UA-only campaign with a mixed-fleet one would diff incomparable
-    // populations. Mask 0 on a week with hosts means OPC UA only (the
-    // writer omits the 'PROT' block then); an empty week anchors nothing.
-    const std::uint32_t mask =
-        member.protocol_mask != 0 || member.host_count == 0
-            ? member.protocol_mask
-            : 1u << static_cast<std::uint32_t>(ProtocolId::opcua);
-    if (mask != 0) {
-      if (prev_proto != nullptr && prev_mask != mask) {
+    // populations. An empty week anchors nothing.
+    const std::uint32_t protocols = scanned_protocols(member);
+    if (protocols != 0) {
+      if (prev_proto != nullptr && scanned_protocols(*prev_proto) != protocols) {
         throw SnapshotError("campaign chain: campaign '" + member.campaign_label + "' scans " +
-                            protocol_set_name(mask) + " but its predecessor '" +
+                            protocol_set_name(protocols) + " but its predecessor '" +
                             prev_proto->campaign_label + "' scans " +
-                            protocol_set_name(prev_mask));
+                            protocol_set_name(scanned_protocols(*prev_proto)));
       }
       prev_proto = &member;
-      prev_mask = mask;
     }
-    if (!campaign_declared(member)) continue;  // legacy input: nothing to anchor
+    if (!campaign_declared(member)) continue;  // unlabeled: nothing to anchor
     if (prev != nullptr && prev->campaign_label == member.campaign_label &&
         prev->campaign_epoch_days == member.campaign_epoch_days) {
       throw SnapshotError("campaign chain: consecutive members declare the same campaign '" +

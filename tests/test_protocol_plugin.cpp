@@ -364,11 +364,12 @@ TEST(ProtocolColumn, ChainValidationRejectsDifferingProtocolSets) {
   } catch (const SnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find("mqtt-tls"), std::string::npos) << e.what();
   }
-  // Equal masks — and undeclared (mask-0) members — chain fine.
-  SnapshotMeta legacy;
-  legacy.campaign_label = "c";
-  legacy.campaign_epoch_days = 300;
-  EXPECT_NO_THROW(validate_campaign_chain({mixed, legacy}));
+  // Equal masks — and an empty member (mask 0, no hosts), which scans
+  // nothing — chain fine.
+  SnapshotMeta empty;
+  empty.campaign_label = "c";
+  empty.campaign_epoch_days = 300;
+  EXPECT_NO_THROW(validate_campaign_chain({mixed, empty}));
   opcua_only.protocol_mask = 0b11;
   EXPECT_NO_THROW(validate_campaign_chain({opcua_only, mixed}));
 }

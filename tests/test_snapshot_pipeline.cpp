@@ -520,7 +520,7 @@ TEST(SnapshotV6, SeedAndVersionMismatchRejected) {
   // A file whose version field reads anything but 6 fails at open, naming
   // the version: the retired row formats 4 and 5 as much as a later one.
   const Bytes v6 = read_file_bytes(path);
-  const std::string other_path = "/tmp/opcua_test_v5_version.bin";
+  const std::string other_path = "/tmp/opcua_test_v6_version.bin";
   for (const std::uint32_t version : {4u, 5u, 7u}) {
     Bytes bytes = v6;
     write_le32(bytes, 4, version);
@@ -537,7 +537,7 @@ TEST(SnapshotV6, SeedAndVersionMismatchRejected) {
 
 TEST(SnapshotV6, TruncationAlwaysFailsCleanly) {
   const std::string path = "/tmp/opcua_test_v5_trunc.bin";
-  const std::string rich_path = "/tmp/opcua_test_v5_trunc_rich.bin";
+  const std::string rich_path = "/tmp/opcua_test_v6_trunc_rich.bin";
   const std::string cut_path = "/tmp/opcua_test_v5_trunc_cut.bin";
   save_snapshots(path, 42, make_study(6, 1));
   write_rich_v6(rich_path);
@@ -686,7 +686,7 @@ TEST(SnapshotV6, UndefinedEndpointEnumsRejectedAtWrite) {
 
 TEST(SnapshotV6, RandomPayloadCorruptionNeverCrashes) {
   const std::string path = "/tmp/opcua_test_v5_fuzz.bin";
-  const std::string rich_path = "/tmp/opcua_test_v5_fuzz_rich.bin";
+  const std::string rich_path = "/tmp/opcua_test_v6_fuzz_rich.bin";
   const std::string bad_path = "/tmp/opcua_test_v5_fuzz_bad.bin";
   save_snapshots(path, 42, make_study(5, 1));
   // Deterministic xorshift so the sweeps are reproducible; each starts
@@ -1074,39 +1074,45 @@ void put_le(Bytes& out, std::uint64_t value, int width) {
   for (int i = 0; i < width; ++i) out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
 }
 
+/// A one-week v6 file of one chunk entry: the 16-byte header, then
+/// `chunks` (the chunk region, possibly empty), an empty dictionary, and a
+/// footer whose one chunk entry holds `records` records of `payload` bytes
+/// at `offset`, in a week that declares `records` hosts.
+Bytes one_chunk_file(std::uint64_t offset, std::uint64_t payload, std::uint32_t records,
+                     const Bytes& chunks) {
+  Bytes b;
+  put_le(b, 0x4f554153, 4);  // 'OUAS'
+  put_le(b, 6, 4);
+  put_le(b, 42, 8);
+  b.insert(b.end(), chunks.begin(), chunks.end());
+  const std::uint64_t dict = b.size();
+  put_le(b, 0x43494443, 4);  // 'CDIC', no entries
+  put_le(b, 0, 4);
+  const std::uint64_t footer = b.size();
+  put_le(b, 0x544f4f46, 4);  // 'FOOT'
+  put_le(b, 1, 4);
+  for (const int width : {4, 8, 8, 8}) put_le(b, 0, width);
+  put_le(b, records, 8);  // host_count
+  put_le(b, 1, 4);        // chunk_count
+  put_le(b, 0, 4);
+  put_le(b, records, 4);
+  put_le(b, offset, 8);
+  put_le(b, payload, 8);
+  put_le(b, dict, 8);  // dict_offset
+  put_le(b, 8, 8);     // dict_bytes
+  put_le(b, 0, 4);     // dict_count
+  put_le(b, footer, 8);
+  put_le(b, 0x50414e53, 4);  // 'SNAP'
+  return b;
+}
+
 // A chunk whose offset plus size wraps past 2^64 back into the chunk
 // region is rejected at open, before a read could reach past the file's
 // bytes.
 TEST(SnapshotV6, WrappingChunkExtentsRejectedAtOpen) {
   const std::string path = "/tmp/opcua_test_wrapping_extent.bin";
-  // One week of one host in one chunk, the footer behind an empty
-  // dictionary.
-  const auto crafted = [](std::uint64_t offset, std::uint64_t payload) {
-    Bytes b;
-    put_le(b, 0x4f554153, 4);  // 'OUAS'
-    put_le(b, 6, 4);
-    put_le(b, 42, 8);
-    put_le(b, 0x43494443, 4);  // 'CDIC', no entries
-    put_le(b, 0, 4);
-    const std::uint64_t footer = b.size();
-    put_le(b, 0x544f4f46, 4);  // 'FOOT'
-    put_le(b, 1, 4);
-    for (const int width : {4, 8, 8, 8}) put_le(b, 0, width);
-    put_le(b, 1, 8);  // host_count
-    put_le(b, 1, 4);  // chunk_count
-    put_le(b, 0, 4);
-    put_le(b, 1, 4);
-    put_le(b, offset, 8);
-    put_le(b, payload, 8);
-    put_le(b, 16, 8);  // dict_offset
-    put_le(b, 8, 8);   // dict_bytes
-    put_le(b, 0, 4);   // dict_count
-    put_le(b, footer, 8);
-    put_le(b, 0x50414e53, 4);  // 'SNAP'
-    return b;
-  };
   // 2^63 + 24 header bytes + (2^63 - 24) wraps to 0.
-  EXPECT_EQ(load_error(path, crafted(1ull << 63, (1ull << 63) - 24)),
+  EXPECT_EQ(load_error(path, one_chunk_file(1ull << 63, (1ull << 63) - 24, 1, {})),
             "corrupt snapshot footer in " + path +
                 " (v6, footer at byte 24): chunk 0 extent out of range");
   std::remove(path.c_str());
@@ -1119,33 +1125,14 @@ TEST(SnapshotV6, WrappingChunkExtentsRejectedAtOpen) {
 TEST(SnapshotV6, RecordCountsBeyondChunkPayloadRejectedAtOpen) {
   const std::string path = "/tmp/opcua_test_v6_unbacked_counts.bin";
   constexpr std::uint32_t kClaimed = 0xffffffffu;
-  Bytes b;
-  put_le(b, 0x4f554153, 4);  // 'OUAS'
-  put_le(b, 6, 4);
-  put_le(b, 42, 8);
-  put_le(b, 0x4b4e4843, 4);  // 'CHNK' at byte 16
-  put_le(b, 0, 4);
-  put_le(b, kClaimed, 4);
-  put_le(b, 0, 4);
-  put_le(b, 8, 8);  // payload_bytes
-  put_le(b, 0, 8);
-  put_le(b, 0x43494443, 4);  // 'CDIC' at byte 48, no entries
-  put_le(b, 0, 4);
-  const std::uint64_t footer = b.size();
-  put_le(b, 0x544f4f46, 4);  // 'FOOT'
-  put_le(b, 1, 4);
-  for (const int width : {4, 8, 8, 8}) put_le(b, 0, width);
-  put_le(b, kClaimed, 8);  // host_count
-  put_le(b, 1, 4);         // chunk_count
-  put_le(b, 0, 4);
-  put_le(b, kClaimed, 4);
-  put_le(b, 16, 8);
-  put_le(b, 8, 8);
-  put_le(b, 48, 8);  // dict_offset
-  put_le(b, 8, 8);   // dict_bytes
-  put_le(b, 0, 4);   // dict_count
-  put_le(b, footer, 8);
-  put_le(b, 0x50414e53, 4);  // 'SNAP'
+  Bytes chunk;
+  put_le(chunk, 0x4b4e4843, 4);  // 'CHNK'
+  put_le(chunk, 0, 4);
+  put_le(chunk, kClaimed, 4);
+  put_le(chunk, 0, 4);
+  put_le(chunk, 8, 8);  // payload_bytes
+  put_le(chunk, 0, 8);  // the payload
+  const Bytes b = one_chunk_file(16, 8, kClaimed, chunk);
   ASSERT_EQ(b.size(), 160u);
 
   const std::string expected = "corrupt snapshot footer in " + path +
